@@ -918,6 +918,65 @@ type key_mode =
   | Mode_code of int * Container.t  (* shared model id + a container for re-compression *)
   | Mode_atom
 
+let compare_join_key (a : join_key) (b : join_key) : int =
+  match a, b with
+  | Kcode x, Kcode y -> String.compare x y
+  | Knum x, Knum y -> compare x y
+  | Kstr x, Kstr y -> String.compare x y
+  | Kcode _, _ -> -1
+  | _, Kcode _ -> 1
+  | Knum _, Kstr _ -> -1
+  | Kstr _, Knum _ -> 1
+
+(* The build side of a join, built once and probed per outer row: the
+   hash join and the decorrelated nested FLWOR both use it. [inner]
+   holds each inner row's keys and payload, in inner order. The
+   returned probe takes an outer row's keys and yields the distinct
+   payloads for which [outer op inner] holds on some key pair, in inner
+   order: an equality probe looks keys up in a hash table, an
+   inequality probe binary-searches a key-sorted array for the
+   satisfying range. *)
+let join_index (op : Ast.cmp_op) (inner : (join_key list * 'a) list) : join_key list -> 'a list =
+  let payloads = Array.of_list (List.map snd inner) in
+  let in_inner_order idxs = List.map (fun i -> payloads.(i)) (List.sort_uniq compare idxs) in
+  match op with
+  | Ast.Eq ->
+    let table = Hashtbl.create 256 in
+    List.iteri (fun i (ks, _) -> List.iter (fun k -> Hashtbl.add table k i) ks) inner;
+    fun ks -> in_inner_order (List.concat_map (Hashtbl.find_all table) (List.sort_uniq compare ks))
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
+    let keyed =
+      List.concat (List.mapi (fun i (ks, _) -> List.map (fun k -> (k, i)) ks) inner)
+      |> List.stable_sort (fun (a, _) (b, _) -> compare_join_key a b)
+      |> Array.of_list
+    in
+    let n = Array.length keyed in
+    (* first index whose key is > [k] ([strict]) or >= [k] *)
+    let first ~strict k =
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let m = (!lo + !hi) / 2 in
+        let c = compare_join_key (fst keyed.(m)) k in
+        if c < 0 || (strict && c = 0) then lo := m + 1 else hi := m
+      done;
+      !lo
+    in
+    fun ks ->
+      List.concat_map
+        (fun k ->
+          (* e.g. [outer < inner] holds for the inner keys past [k] *)
+          let lo, hi =
+            match op with
+            | Ast.Lt -> (first ~strict:true k, n)
+            | Ast.Le -> (first ~strict:false k, n)
+            | Ast.Gt -> (0, first ~strict:false k)
+            | _ (* Ge *) -> (0, first ~strict:true k)
+          in
+          List.init (hi - lo) (fun j -> snd keyed.(lo + j)))
+        ks
+      |> in_inner_order
+  | Ast.Neq -> invalid_arg "join_index: <> is not a join operator"
+
 let lookup env v =
   match List.assoc_opt v env with
   | Some b -> b
@@ -1354,6 +1413,18 @@ and construct ctx env tag attrs kids : Xmlkit.Tree.t =
 
 and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : binding =
   prof_binding ctx ~kind:"flwor" "flwor" @@ fun () ->
+  let tuples = flwor_tuples ctx base clauses in
+  let qctx = quiet ctx in
+  mat
+    (prof_rows ctx ~kind:"return" "return" ~rows:List.length (fun () ->
+         List.concat_map (fun d -> materialize qctx (eval qctx (d @ base) ret)) tuples))
+
+(* The FLWOR clause pipeline: binds FOR/LET variables clause by clause,
+   plans joins (block merge join, hash join, sorted probe) and
+   decorrelates nested FLWORs, applies each WHERE conjunct as soon as
+   its variables are bound, sorts on ORDER BY, and returns the binding
+   tuples as deltas over [base]. *)
+and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
   let qctx = quiet ctx in
   let base_vars = Sset.of_list (List.map fst base) in
   let all_conjuncts =
@@ -1451,11 +1522,13 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
             tuples := List.map (fun d -> (v, b) :: d) !tuples
           end
           else begin
-            match decorrelate qctx base ~tuple_vars:!bound e with
-            | Some probe ->
+            match decorrelate ctx base ~tuple_vars:!bound e with
+            | Some build ->
               prof_rows ctx ~kind:"decorrelate" ("decorrelate $" ^ v)
                 ~rows:(fun () -> List.length !tuples)
-                (fun () -> tuples := List.map (fun d -> (v, mat (probe d)) :: d) !tuples)
+                (fun () ->
+                  let probe = build () in
+                  tuples := List.map (fun d -> (v, mat (probe d)) :: d) !tuples)
             | None ->
               tuples := List.map (fun d -> (v, eval qctx (full d) e) :: d) !tuples
           end);
@@ -1497,9 +1570,7 @@ and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : b
     err "where clause references unbound variables: %s"
       (String.concat ", "
          (List.concat_map (fun c -> Sset.elements (Analysis.free_vars c)) !pending));
-  mat
-    (prof_rows ctx ~kind:"return" "return" ~rows:List.length (fun () ->
-         List.concat_map (fun d -> materialize qctx (eval qctx (full d) ret)) !tuples))
+  !tuples
 
 (* Find a consumable join conjunct between the new variable [var] and the
    already-bound variables. Removes it from [pending] when found. *)
@@ -1531,86 +1602,12 @@ and exec_join ctx base tuples ~prov ~var ~source (op, left_e, right_e) =
   let typing_env = (var, { seq = Mat []; snodes = source.snodes }) :: prov in
   let mode = join_key_mode ctx typing_env left_e right_e in
   let keys_of env e = List.concat_map (join_key ctx mode) (materialize ctx (eval ctx env e)) in
+  let probe =
+    join_index op (List.map (fun it -> (keys_of ((var, mat [ it ]) :: base) right_e, it)) items)
+  in
   let out =
-  match op with
-  | Ast.Eq ->
-    let table : (join_key, (int * item) list ref) Hashtbl.t = Hashtbl.create 256 in
-    List.iteri
-      (fun i it ->
-        let env = (var, mat [ it ]) :: base in
-        List.iter
-          (fun k ->
-            match Hashtbl.find_opt table k with
-            | Some l -> l := (i, it) :: !l
-            | None -> Hashtbl.add table k (ref [ (i, it) ]))
-          (List.sort_uniq compare (keys_of env right_e)))
-      items;
     List.concat_map
-      (fun d ->
-        let ks = List.sort_uniq compare (keys_of (d @ base) left_e) in
-        let matched =
-          List.concat_map
-            (fun k -> match Hashtbl.find_opt table k with Some l -> !l | None -> [])
-            ks
-        in
-        let matched = List.sort_uniq (fun (i, _) (j, _) -> compare i j) matched in
-        List.map (fun (_, it) -> (var, mat [ it ]) :: d) matched)
-      tuples
-  | Ast.Neq -> assert false
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-    (* sort inner items by key; binary-search the satisfying range *)
-    let keyed =
-      List.concat_map
-        (fun it ->
-          List.map (fun k -> (k, it)) (keys_of ((var, mat [ it ]) :: base) right_e))
-        items
-      |> List.stable_sort (fun (a, _) (b, _) -> compare_join_key a b)
-      |> Array.of_list
-    in
-    let n = Array.length keyed in
-    (* first index with key "not less than" wrt probe, by predicate *)
-    let first_ge k =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let m = (!lo + !hi) / 2 in
-        if compare_join_key (fst keyed.(m)) k < 0 then lo := m + 1 else hi := m
-      done;
-      !lo
-    in
-    let first_gt k =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let m = (!lo + !hi) / 2 in
-        if compare_join_key (fst keyed.(m)) k <= 0 then lo := m + 1 else hi := m
-      done;
-      !lo
-    in
-    List.concat_map
-      (fun d ->
-        let ks = keys_of (d @ base) left_e in
-        let matched = Hashtbl.create 16 in
-        let order = ref [] in
-        let add_range lo hi =
-          for i = lo to hi - 1 do
-            let (_, it) = keyed.(i) in
-            if not (Hashtbl.mem matched i) then begin
-              Hashtbl.add matched i ();
-              order := (i, it) :: !order
-            end
-          done
-        in
-        List.iter
-          (fun k ->
-            (* left op right: e.g. left < right means right's key > left key *)
-            match op with
-            | Ast.Lt -> add_range (first_gt k) n
-            | Ast.Le -> add_range (first_ge k) n
-            | Ast.Gt -> add_range 0 (first_ge k)
-            | Ast.Ge -> add_range 0 (first_gt k)
-            | Ast.Eq | Ast.Neq -> assert false)
-          ks;
-        List.sort (fun (i, _) (j, _) -> compare i j) !order
-        |> List.map (fun (_, it) -> (var, mat [ it ]) :: d))
+      (fun d -> List.map (fun it -> (var, mat [ it ]) :: d) (probe (keys_of (d @ base) left_e)))
       tuples
   in
   (* compressed-domain joins are container-resolved: observe the join
@@ -1860,8 +1857,11 @@ and exec_block_join ctx ~var (plan : block_plan) : env list =
 
 (* Decorrelate a nested FLWOR bound in a LET: the Q8/Q9 pattern
      let $a := for $t in ... where <inner> = <outer> return ...
-   Builds the inner table once and probes it per outer tuple. *)
-and decorrelate ctx base ~tuple_vars (e : Ast.expr) : (env -> item list) option =
+   Returns a build step that evaluates the inner FLWOR once, through the
+   same clause pipeline (and so the same join planning and ORDER BY) as
+   any other FLWOR, and indexes its tuples on the correlated key; the
+   probe it yields evaluates the inner return per matching tuple. *)
+and decorrelate ctx base ~tuple_vars (e : Ast.expr) : (unit -> env -> item list) option =
   match e with
   | Ast.Flwor (clauses, ret) -> (
     let base_vars = Sset.of_list (List.map fst base) in
@@ -1893,138 +1893,40 @@ and decorrelate ctx base ~tuple_vars (e : Ast.expr) : (env -> item list) option 
             ~outer:base_vars c
         with
         | Some (op, outer_e, inner_e) when op <> Ast.Neq ->
-          (* rebuild inner clause list without any Where, then re-add the
-             clean conjuncts as a single Where before the end *)
-          let structural =
-            List.filter (function Ast.Where _ -> false | _ -> true) clauses
-          in
-          let rebuilt =
-            match Analysis.conjoin clean with
-            | None -> structural
-            | Some w -> structural @ [ Ast.Where w ]
-          in
-          (* evaluate inner tuples once, in the base env *)
-          let inner_tuples = flwor_tuples ctx base rebuilt in
-          (* static env binding the inner variables' summary provenance,
-             so the join keys can be typed to compressed codes *)
-          let typing_env =
-            List.fold_left
-              (fun env c ->
-                match c with
-                | Ast.For (v, e) | Ast.Let (v, e) ->
-                  (v, { seq = Mat []; snodes = static_snodes ctx env e }) :: env
-                | Ast.Where _ | Ast.Order_by _ -> env)
-              base structural
-          in
-          let mode = join_key_mode ctx typing_env outer_e inner_e in
-          let keys_of env e =
-            List.concat_map (join_key ctx mode) (materialize ctx (eval ctx env e))
-          in
-          (match op with
-          | Ast.Eq ->
-            let table : (join_key, (int * env) list ref) Hashtbl.t = Hashtbl.create 256 in
-            List.iteri
-              (fun i d ->
-                List.iter
-                  (fun k ->
-                    match Hashtbl.find_opt table k with
-                    | Some l -> l := (i, d) :: !l
-                    | None -> Hashtbl.add table k (ref [ (i, d) ]))
-                  (List.sort_uniq compare (keys_of (d @ base) inner_e)))
-              inner_tuples;
-            Some
-              (fun outer_delta ->
-                let ks = List.sort_uniq compare (keys_of (outer_delta @ base) outer_e) in
-                let matched =
-                  List.concat_map
-                    (fun k -> match Hashtbl.find_opt table k with Some l -> !l | None -> [])
-                    ks
-                  |> List.sort_uniq (fun (i, _) (j, _) -> compare i j)
-                in
+          (* the inner clauses without the correlated conjunct *)
+          let structural = List.filter (function Ast.Where _ -> false | _ -> true) clauses in
+          let rebuilt = structural @ List.map (fun w -> Ast.Where w) clean in
+          Some
+            (fun () ->
+              let inner_tuples = flwor_tuples ctx base rebuilt in
+              let qctx = quiet ctx in
+              (* static env binding the inner variables' summary
+                 provenance, so the join keys can be typed to compressed
+                 codes *)
+              let typing_env =
+                List.fold_left
+                  (fun env c ->
+                    match c with
+                    | Ast.For (v, e) | Ast.Let (v, e) ->
+                      (v, { seq = Mat []; snodes = static_snodes ctx env e }) :: env
+                    | Ast.Where _ | Ast.Order_by _ -> env)
+                  base structural
+              in
+              let mode = join_key_mode ctx typing_env outer_e inner_e in
+              let keys_of env e =
+                List.concat_map (join_key qctx mode) (materialize qctx (eval qctx env e))
+              in
+              let probe =
+                join_index op (List.map (fun d -> (keys_of (d @ base) inner_e, d)) inner_tuples)
+              in
+              fun outer_delta ->
                 List.concat_map
-                  (fun (_, d) ->
-                    materialize ctx (eval ctx (d @ outer_delta @ base) ret))
-                  matched)
-          | _ ->
-            (* inequality correlation: sorted probe array *)
-            let keyed =
-              List.concat_map
-                (fun d -> List.map (fun k -> (k, d)) (keys_of (d @ base) inner_e))
-                inner_tuples
-              |> List.stable_sort (fun (a, _) (b, _) -> compare_join_key a b)
-              |> Array.of_list
-            in
-            let n = Array.length keyed in
-            let first_ge k =
-              let lo = ref 0 and hi = ref n in
-              while !lo < !hi do
-                let m = (!lo + !hi) / 2 in
-                if compare_join_key (fst keyed.(m)) k < 0 then lo := m + 1 else hi := m
-              done;
-              !lo
-            in
-            let first_gt k =
-              let lo = ref 0 and hi = ref n in
-              while !lo < !hi do
-                let m = (!lo + !hi) / 2 in
-                if compare_join_key (fst keyed.(m)) k <= 0 then lo := m + 1 else hi := m
-              done;
-              !lo
-            in
-            Some
-              (fun outer_delta ->
-                let ks = keys_of (outer_delta @ base) outer_e in
-                let matched = Hashtbl.create 16 in
-                let order = ref [] in
-                let add_range lo hi =
-                  for i = lo to hi - 1 do
-                    if not (Hashtbl.mem matched i) then begin
-                      Hashtbl.add matched i ();
-                      order := (i, snd keyed.(i)) :: !order
-                    end
-                  done
-                in
-                List.iter
-                  (fun k ->
-                    match op with
-                    | Ast.Lt -> add_range (first_gt k) n
-                    | Ast.Le -> add_range (first_ge k) n
-                    | Ast.Gt -> add_range 0 (first_ge k)
-                    | Ast.Ge -> add_range 0 (first_gt k)
-                    | Ast.Eq | Ast.Neq -> assert false)
-                  ks;
-                List.sort (fun (i, _) (j, _) -> compare i j) !order
-                |> List.concat_map (fun (_, d) ->
-                       materialize ctx (eval ctx (d @ outer_delta @ base) ret))))
+                  (fun d -> materialize qctx (eval qctx (d @ outer_delta @ base) ret))
+                  (probe (keys_of (outer_delta @ base) outer_e)))
         | _ -> None)
       | _ -> None
     end)
   | _ -> None
-
-(* Evaluate a FLWOR's clause pipeline and return the binding tuples
-   (deltas), without evaluating a return expression. *)
-and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
-  (* Reuse eval_flwor by returning a marker? Simpler: inline a light
-     version without join detection (the rebuilt inner pipeline is already
-     join-free in the common patterns, and correctness is what matters). *)
-  let tuples = ref [ [] ] in
-  List.iter
-    (fun clause ->
-      match clause with
-      | Ast.For (v, e) ->
-        tuples :=
-          List.concat_map
-            (fun d ->
-              let items = materialize ctx (eval ctx (d @ base) e) in
-              List.map (fun it -> (v, mat [ it ]) :: d) items)
-            !tuples
-      | Ast.Let (v, e) ->
-        tuples := List.map (fun d -> (v, eval ctx (d @ base) e) :: d) !tuples
-      | Ast.Where e ->
-        tuples := List.filter (fun d -> ebv ctx (eval ctx (d @ base) e)) !tuples
-      | Ast.Order_by _ -> ())
-    clauses;
-  !tuples
 
 (* --- Join keys --- *)
 
@@ -2144,15 +2046,6 @@ and join_key ctx (mode : key_mode) (it : item) : join_key list =
     | Some f -> [ Knum f ]
     | None -> [ Kstr (atom_string ctx it) ])
 
-and compare_join_key (a : join_key) (b : join_key) : int =
-  match a, b with
-  | Kcode x, Kcode y -> String.compare x y
-  | Knum x, Knum y -> compare x y
-  | Kstr x, Kstr y -> String.compare x y
-  | Kcode _, _ -> -1
-  | _, Kcode _ -> 1
-  | Knum _, Kstr _ -> -1
-  | Kstr _, Knum _ -> 1
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

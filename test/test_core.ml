@@ -286,6 +286,34 @@ let test_explain_block_join () =
     Alcotest.(check bool) "skip fraction in (0,1]" true (frac > 0.0 && frac <= 1.0)
   | None -> Alcotest.fail "no block join decision in EXPLAIN"
 
+let test_explain_analyze_q9_inner_join () =
+  (* EXPLAIN ANALYZE charges the decorrelated inner FLWOR's build to its
+     decorrelate row: the inner join operator appears beneath it *)
+  let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let eng = Engine.load ~name:"auction.xml" ~workload xml in
+  let q9 = Xquery.Parser.parse (Xmark.Queries.by_id "Q9").Xmark.Queries.text in
+  let _, root = Executor.run_profiled (Engine.repo eng) q9 in
+  let find kind node =
+    Xquec_obs.Explain.fold
+      (fun acc (n : Xquec_obs.Explain.node) ->
+        if acc = None && n.Xquec_obs.Explain.kind = kind then Some n else acc)
+      None node
+  in
+  match find "decorrelate" root with
+  | None -> Alcotest.fail "no decorrelate row in Q9's profile"
+  | Some dec ->
+    let join =
+      match find "block_merge_join" dec with Some j -> Some j | None -> find "hash_join" dec
+    in
+    match join with
+    | None -> Alcotest.fail "no join row beneath Q9's decorrelate row"
+    | Some j ->
+      Alcotest.(check bool) "join row names $t2" true
+        (String.ends_with ~suffix:"$t2" j.Xquec_obs.Explain.op);
+      Alcotest.(check bool) "decorrelate row's time includes the build" true
+        (dec.Xquec_obs.Explain.wall_us >= j.Xquec_obs.Explain.wall_us)
+
 (* ------------------------------------------------------------------ *)
 (* Physical plans                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -381,6 +409,8 @@ let suites =
           test_explain_join_on_codes_after_partitioning;
         Alcotest.test_case "explain Q9 hash join" `Quick test_explain_q9_join;
         Alcotest.test_case "explain block merge join" `Quick test_explain_block_join;
+        Alcotest.test_case "explain analyze Q9 inner join" `Quick
+          test_explain_analyze_q9_inner_join;
       ] );
     ( "physical-plans",
       [

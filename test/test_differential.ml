@@ -120,6 +120,52 @@ let test_block_join_vs_hash () =
     [ 1024; 4096; 65536 ];
   Alcotest.(check bool) "block join exercised at least once" true (!block_joins > 0)
 
+(* A decorrelated inner FLWOR runs through the same clause pipeline as
+   any other FLWOR: its ORDER BY must order each probe's matches, and
+   its own joins may take the block merge join. Both queries must agree
+   with the naive reference with the block join on and off. *)
+let test_decorrelated_order_by () =
+  let doc_ref = "document(\"auction.xml\")" in
+  let queries =
+    [
+      ( "inner order by descending",
+        Printf.sprintf
+          "for $p in %s/site/people/person let $a := for $t in \
+           %s/site/closed_auctions/closed_auction where $t/buyer/@person = $p/@id order by \
+           $t/price/text() descending return $t/price/text() return <p>{$a}</p>"
+          doc_ref doc_ref );
+      ( "Q9 with inner order by",
+        Printf.sprintf
+          "for $p in %s/site/people/person let $a := for $t in \
+           %s/site/closed_auctions/closed_auction, $t2 in %s/site/regions/europe/item where \
+           $t/itemref/@item = $t2/@id and $p/@id = $t/buyer/@person order by $t2/name/text() \
+           return <item>{$t2/name/text()}</item> return <person \
+           name=\"{$p/name/text()}\">{$a}</person>"
+          doc_ref doc_ref doc_ref );
+    ]
+  in
+  let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.5 () in
+  let doc = Xmlkit.Parser.parse_string xml in
+  let workload = List.map snd queries @ List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let engine = Xquec_core.Engine.load ~name:"auction.xml" ~workload xml in
+  let repo = Xquec_core.Engine.repo engine in
+  Fun.protect ~finally:(fun () -> Xquec_core.Executor.set_block_join true) @@ fun () ->
+  Xquec_core.Executor.reset_join_stats ();
+  List.iter
+    (fun (name, text) ->
+      let ast = Xquery.Parser.parse text in
+      let expected = galax_result doc ast in
+      List.iter
+        (fun on ->
+          Xquec_core.Executor.set_block_join on;
+          Alcotest.(check string)
+            (Printf.sprintf "%s (block join %b)" name on)
+            expected (xquec_result repo ast))
+        [ true; false ])
+    queries;
+  Alcotest.(check int) "the Q9 variant's inner join ran as a block merge join" 1
+    (Xquec_core.Executor.join_stats ()).Xquec_core.Executor.j_block_joins
+
 let suites =
   [
     ( "differential",
@@ -131,5 +177,6 @@ let suites =
         Alcotest.test_case "after save/restore" `Slow test_after_reload;
         Alcotest.test_case "huffman-only repository" `Slow test_huffman_everywhere;
         Alcotest.test_case "block join vs hash join" `Slow test_block_join_vs_hash;
+        Alcotest.test_case "decorrelated order by" `Slow test_decorrelated_order_by;
       ] );
   ]

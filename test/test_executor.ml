@@ -105,7 +105,17 @@ let test_nested_flwor_decorrelation () =
   check "decorrelated counts" "<c n=\"chair\">0</c>\n<c n=\"table\">1</c>\n<c n=\"mirror\">1</c>"
     "for $i in document(\"shop.xml\")/shop/item \
      let $r := for $s in document(\"shop.xml\")/shop/sale/ref where $s/@item = $i/@id return $s \
-     return <c n=\"{$i/name/text()}\">{count($r)}</c>"
+     return <c n=\"{$i/name/text()}\">{count($r)}</c>";
+  (* an inequality join, flat or decorrelated, keeps the inner side in
+     document order, not in key order *)
+  check "sorted probe in document order" "chair\ntable\nmirror"
+    "for $j in document(\"shop.xml\")/shop/item[@id = \"i2\"] \
+     for $i in document(\"shop.xml\")/shop/item where $i/@price >= $j/@price \
+     return $i/name/text()";
+  check "decorrelated inequality in document order" "<l>chair table mirror</l>"
+    "for $j in document(\"shop.xml\")/shop/item[@id = \"i2\"] \
+     let $l := for $i in document(\"shop.xml\")/shop/item where $i/@price >= $j/@price \
+     return $i/name/text() return <l>{$l}</l>"
 
 (* The same queries must give identical answers whatever codec the
    containers use — compressed-domain operations are semantically
