@@ -709,6 +709,43 @@ let codec_costs () =
           mbps
           (Compress.Codec.decompression_cost alg))
     Compress.Codec.all_algorithms
+  ;
+  (* The block-fetch decode kernel: every block of the XMark image through
+     [decode_block], as a buffer-pool miss runs it. MB/s is over payload
+     bytes; the minor words pin the kernel's allocation per block. *)
+  let repo = Xquec_core.Engine.repo (Lazy.force xmark_engine) in
+  let blocks =
+    Array.concat
+      (Array.to_list
+         (Array.map (fun c -> c.Storage.Container.blocks) repo.Storage.Repository.containers))
+  in
+  let payload =
+    Array.fold_left (fun a b -> a + String.length b.Storage.Container.b_payload) 0 blocks
+  in
+  let decode_all () =
+    Array.iter
+      (fun b ->
+        ignore
+          (Compress.Codec.decode_block ~count:b.Storage.Container.b_count
+             b.Storage.Container.b_payload))
+      blocks
+  in
+  let ms = time_median ~runs:5 decode_all in
+  let mbps = float_of_int payload /. 1048576.0 /. (ms /. 1000.0) in
+  let w0 = Gc.minor_words () in
+  decode_all ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length blocks) in
+  record ~exp:"codec_costs" "codec"
+    (obj
+       [
+         ("name", str "block");
+         ("blocks", num (float_of_int (Array.length blocks)));
+         ("payload_bytes", num (float_of_int payload));
+         ("decompress_mbps", num mbps);
+         ("minor_words_per_block", num words);
+       ]);
+  Fmt.pr "%-12s %d blocks, %d KB payload: %.1f MB/s, %.0f minor words/block@." "block"
+    (Array.length blocks) (payload / 1024) mbps words
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: cold vs. warm cache, and the block-size sweep           *)

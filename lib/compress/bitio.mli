@@ -3,7 +3,9 @@
     Bits are written most-significant-first within each byte, so the
     byte-string comparison of two zero-padded bit streams coincides with
     the bit-sequence comparison — the property all order-preserving
-    codecs in this library rely on. *)
+    codecs in this library rely on. Multi-bit reads and writes move up
+    to a byte's worth of bits per step, with output identical to
+    bit-at-a-time I/O. *)
 
 (** Append-only bit stream. *)
 module Writer : sig
@@ -16,8 +18,8 @@ module Writer : sig
   (** Append a single bit. *)
   val add_bit : t -> bool -> unit
 
-  (** [add_bits w v width] writes the [width] low bits of [v], most
-      significant first. *)
+  (** [add_bits w v width] writes the [width] low bits of [v] (at most
+      62), most significant first, emitting whole bytes where it can. *)
   val add_bits : t -> int -> int -> unit
 
   (** Number of bits written so far. *)
@@ -44,8 +46,9 @@ module Reader : sig
   (** Consume one bit. *)
   val read_bit : t -> bool
 
-  (** [read_bits r width] consumes [width] bits, most significant
-      first. *)
+  (** [read_bits r width] consumes [width] bits (at most 62), most
+      significant first, a byte's worth per step. Raises {!Out_of_bits},
+      consuming nothing, when fewer than [width] bits remain. *)
   val read_bits : t -> int -> int
 end
 

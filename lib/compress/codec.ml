@@ -168,28 +168,36 @@ let encode_block (records : (string * int) array) : string =
   end;
   payload
 
-let decode_block ~(count : int) (payload : string) : (string * int) array =
-  if String.length payload = 0 then invalid_arg "decode_block: empty payload";
-  let body =
+let decode_fail what = failwith ("decode_block: " ^ what)
+
+(* The framed body is parsed where it lies — after the stage byte of a
+   raw payload, or from the start of the LZSS output — straight into the
+   two result arrays. *)
+let decode_block ~(count : int) (payload : string) : string array * int array =
+  let plen = String.length payload in
+  if plen = 0 then decode_fail "empty payload";
+  if count < 0 then decode_fail "negative record count";
+  let body, start =
     match payload.[0] with
-    | c when c = block_stage_raw -> String.sub payload 1 (String.length payload - 1)
-    | c when c = block_stage_lzss -> Lzss.decompress (String.sub payload 1 (String.length payload - 1))
-    | _ -> invalid_arg "decode_block: unknown stage flag"
+    | c when c = block_stage_raw -> (payload, 1)
+    | c when c = block_stage_lzss -> (Lzss.decompress_at payload 1, 0)
+    | _ -> decode_fail "unknown stage flag"
   in
-  let pos = ref 0 in
-  let records =
-    Array.init count (fun _ ->
-        let (clen, p) = Rle.read_varint body !pos in
-        let code = String.sub body p clen in
-        let (parent, p) = Rle.read_varint body (p + clen) in
-        pos := p;
-        (code, parent))
-  in
+  let blen = String.length body in
+  let pos = ref start in
+  let codes = Array.make count "" and parents = Array.make count 0 in
+  for k = 0 to count - 1 do
+    let clen = Rle.take_varint body pos in
+    if clen < 0 || clen > blen - !pos then decode_fail "body shorter than its record count";
+    Array.unsafe_set codes k (String.sub body !pos clen);
+    pos := !pos + clen;
+    Array.unsafe_set parents k (Rle.take_varint body pos)
+  done;
   if Xquec_obs.is_enabled () then begin
     Xquec_obs.Metrics.incr "codec.block.decode_calls";
-    Xquec_obs.Metrics.incr ~by:(String.length payload) "codec.block.decoded_payload_bytes"
+    Xquec_obs.Metrics.incr ~by:plen "codec.block.decoded_payload_bytes"
   end;
-  records
+  (codes, parents)
 
 let model_size = function
   | M_huffman h -> Huffman.model_size h

@@ -1,6 +1,9 @@
 (** Uniform codec layer: every algorithm is described by the paper's
     §3.2 tuple <d_c, c_s(F), c_a(F), eq, ineq, wild> and exposes
-    train / compress / decompress over a shared source model. *)
+    train / compress / decompress over a shared source model. It also
+    frames container blocks: {!encode_block} and {!decode_block}, whose
+    decode parses the payload in place into a codes array and a parents
+    array (the block format itself is unchanged since v2). *)
 
 (** The per-container compression algorithms the optimizer chooses
     among. *)
@@ -66,11 +69,16 @@ val decompress : model -> string -> string
     keep blocks code-sorted. *)
 val encode_block : (string * int) array -> string
 
-(** [decode_block ~count payload] inverts {!encode_block}. [count] must
-    be the exact record count the block was encoded with (containers
-    carry it in the block header). Codes come back still individually
-    compressed — decoding a block does not decompress values. *)
-val decode_block : count:int -> string -> (string * int) array
+(** [decode_block ~count payload] inverts {!encode_block}, returning the
+    codes and the parents as two parallel arrays. [count] must be the
+    exact record count the block was encoded with (containers carry it
+    in the block header). Codes come back still individually compressed
+    — decoding a block does not decompress values. The body is parsed in
+    place (no copy of the payload), through {!Lzss.decompress_at} for
+    the LZSS stage. Raises [Failure] — never returning a partial array —
+    on an empty payload, an unknown stage flag, a damaged LZSS stage, or
+    a body shorter than [count] records. *)
+val decode_block : count:int -> string -> string array * int array
 
 (** Serialized model size in bytes (the c_s(F) storage cost). *)
 val model_size : model -> int

@@ -1,5 +1,10 @@
 (* LZSS (LZ77 family) with a 4 KiB window and hash-chain match finder —
-   stands in for the gzip second pass of the XMill baseline. *)
+   stands in for the gzip second pass of the XMill baseline, and is the
+   optional second stage of container block payloads ({!Codec.encode_block}).
+
+   Format: varint(plaintext length), then MSB-first bit tokens (written
+   through {!Bitio}, described at [decompress_at]), zero-padded to a
+   byte. *)
 
 let window_bits = 12
 let window = 1 lsl window_bits
@@ -73,20 +78,59 @@ let compress (data : string) : string =
   done;
   Buffer.contents header ^ Bitio.Writer.contents w
 
-let decompress (data : string) : string =
-  let (n, pos) = Rle.read_varint data 0 in
-  let r = Bitio.Reader.of_string (String.sub data pos (String.length data - pos)) in
-  let out = Buffer.create n in
-  while Buffer.length out < n do
-    if Bitio.Reader.read_bit r then
-      Buffer.add_char out (Char.chr (Bitio.Reader.read_bits r 8))
+let fail what = failwith ("Lzss: " ^ what)
+
+(* The stream after the varint length is a run of MSB-first tokens: a
+   1 flag then an 8-bit literal, or a 0 flag then a 12-bit distance - 1
+   and a 4-bit length - min_match. The decoder keeps up to 24 unread
+   bits in a local accumulator, refilled a byte at a time, so a token
+   costs one refill check and two shifts; bits above the unread ones
+   are garbage (they fall off the top of the int) and are masked away
+   on extraction. Output goes straight into a [Bytes] of the declared
+   length, and every token is bounds-checked against it, so damage
+   surfaces as [Failure] rather than a short, long or out-of-range
+   result. *)
+let decompress_at (data : string) (off : int) : string =
+  let len = String.length data in
+  let header_end = ref off in
+  let n = Rle.take_varint data header_end in
+  (* a separate cursor the hot loop can keep in a register *)
+  let src = ref !header_end in
+  (* a token yields at most max_match bytes per 17 bits *)
+  if n < 0 || n > ((len - !src) * 8 / 17 * max_match) + max_match then
+    fail "declared length exceeds the stream";
+  let out = Bytes.create n in
+  let acc = ref 0 and nbits = ref 0 and o = ref 0 in
+  while !o < n do
+    while !nbits < 17 && !src < len do
+      acc := (!acc lsl 8) lor Char.code (String.unsafe_get data !src);
+      incr src;
+      nbits := !nbits + 8
+    done;
+    let nb = !nbits in
+    if nb < 9 then fail "truncated stream";
+    if (!acc lsr (nb - 1)) land 1 = 1 then begin
+      Bytes.unsafe_set out !o (Char.unsafe_chr ((!acc lsr (nb - 9)) land 0xff));
+      nbits := nb - 9;
+      incr o
+    end
     else begin
-      let dist = Bitio.Reader.read_bits r window_bits + 1 in
-      let len = Bitio.Reader.read_bits r 4 + min_match in
-      let start = Buffer.length out - dist in
-      for j = 0 to len - 1 do
-        Buffer.add_char out (Buffer.nth out (start + j))
-      done
+      if nb < 17 then fail "truncated stream";
+      let v = !acc lsr (nb - 17) in
+      let dist = ((v lsr 4) land (window - 1)) + 1 in
+      let mlen = (v land 15) + min_match in
+      nbits := nb - 17;
+      let dst = !o in
+      let start = dst - dist in
+      if start < 0 then fail "back-reference before the start of the output";
+      if dst + mlen > n then fail "match runs past the declared length";
+      (* byte by byte: an overlapping match (dist < mlen) repeats *)
+      for j = 0 to mlen - 1 do
+        Bytes.unsafe_set out (dst + j) (Bytes.unsafe_get out (start + j))
+      done;
+      o := dst + mlen
     end
   done;
-  Buffer.contents out
+  Bytes.unsafe_to_string out
+
+let decompress (data : string) : string = decompress_at data 0

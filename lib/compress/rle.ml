@@ -26,6 +26,22 @@ let read_varint s pos =
   done;
   (!v, !p)
 
+(* The decoders' hot-path reader: no result tuple, and damage raises
+   [Failure] instead of escaping as an index error. *)
+let take_varint s pos =
+  let len = String.length s in
+  let v = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !pos >= len then failwith "varint: truncated";
+    if !shift > 56 then failwith "varint: overflows an int";
+    let b = Char.code (String.unsafe_get s !pos) in
+    incr pos;
+    v := !v lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !v
+
 let encode (s : string) : string =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in

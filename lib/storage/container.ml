@@ -248,6 +248,19 @@ let set_prefetch_depth n =
 
 let prefetch_depth () = !prefetch_depth_ref
 
+(* The one block decode: both thunks below run it. Heat and the pool's
+   payload counter record every decode, demand or speculative; the
+   callers add the accounting that differs between the two. [b] is
+   block [k] as read when the fetch was issued: a recompress may swap
+   [t.blocks] before the thunk runs, and the pool key carries the
+   generation of that same moment. *)
+let decode_block (t : t) (k : int) (b : block) : Buffer_pool.decoded =
+  let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
+  let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
+  Buffer_pool.note_payload_decoded (String.length b.b_payload);
+  Xquec_obs.Heat.note_decode ~uid:t.uid ~blk:k ~bytes:(String.length b.b_payload);
+  { Buffer_pool.codes; parents; d_bytes }
+
 (* Speculatively decode up to [depth] absent blocks starting at [from_]
    into the buffer pool, through {!Domain_pool.submit} when workers
    exist and inline otherwise. Differs from the demand thunk in
@@ -265,17 +278,10 @@ let read_ahead (t : t) ~(from_ : int) ~(depth : int) : unit =
       let task () =
         ignore
           (Buffer_pool.prefetch ~uid ~gen ~blk:k (fun () ->
-               let recs = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
-               let codes = Array.map fst recs in
-               let parents = Array.map snd recs in
-               let d_bytes =
-                 Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes
-               in
-               Buffer_pool.note_payload_decoded (String.length b.b_payload);
-               Xquec_obs.Heat.note_decode ~uid ~blk:k ~bytes:(String.length b.b_payload);
+               let d = decode_block t k b in
                if Xquec_obs.is_enabled () then
                  Xquec_obs.Metrics.incr "container.blocks_prefetched";
-               { Buffer_pool.codes; parents; d_bytes }))
+               d))
       in
       if not (Domain_pool.submit task) then task ()
     end
@@ -318,21 +324,14 @@ let fetch_block ?admission ?budget (t : t) (i : int) : Buffer_pool.decoded =
       Xquec_obs.Trace.with_span ~name:"container.decode"
         ~attrs:[ ("path", t.path); ("block", string_of_int i) ]
       @@ fun () ->
-      let recs = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
-      let codes = Array.map fst recs in
-      let parents = Array.map snd recs in
-      let d_bytes =
-        Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes
-      in
-      Xquec_obs.Budget.charge budget d_bytes;
-      Buffer_pool.note_payload_decoded (String.length b.b_payload);
-      Xquec_obs.Heat.note_decode ~uid:t.uid ~blk:i ~bytes:(String.length b.b_payload);
+      let d = decode_block t i b in
+      Xquec_obs.Budget.charge budget d.Buffer_pool.d_bytes;
       if Xquec_obs.is_enabled () then begin
         Xquec_obs.Metrics.incr "container.blocks_decoded";
         Xquec_obs.Metrics.incr ~by:(String.length b.b_payload)
           "container.block_bytes_decoded"
       end;
-      { Buffer_pool.codes; parents; d_bytes })
+      d)
   in
   if sequential then read_ahead t ~from_:(i + 1) ~depth;
   d

@@ -61,13 +61,22 @@ let test_bitio_width () =
 
 let prop_bitio =
   QCheck2.Test.make ~name:"bitio roundtrip" ~count:300
-    QCheck2.Gen.(small_list (pair (int_bound 0xffff) (int_range 1 16)))
-    (fun specs ->
+    QCheck2.Gen.(pair (small_list (pair int (int_range 1 30))) (int_range 1 30))
+    (fun (specs, extra) ->
       let specs = List.map (fun (v, w) -> (v land ((1 lsl w) - 1), w)) specs in
       let w = Bitio.Writer.create () in
       List.iter (fun (v, width) -> Bitio.Writer.add_bits w v width) specs;
+      let bits = Bitio.Writer.bit_length w in
       let r = Bitio.Reader.of_string (Bitio.Writer.contents w) in
-      List.for_all (fun (v, width) -> Bitio.Reader.read_bits r width = v) specs)
+      List.for_all (fun (v, width) -> Bitio.Reader.read_bits r width = v) specs
+      && Bitio.Reader.bits_remaining r = (8 - (bits mod 8)) mod 8
+      (* a read past the end raises and consumes nothing *)
+      &&
+      let left = Bitio.Reader.bits_remaining r in
+      (match Bitio.Reader.read_bits r (left + extra) with
+       | _ -> false
+       | exception Bitio.Reader.Out_of_bits -> true)
+      && Bitio.Reader.bits_remaining r = left)
 
 (* ------------------------------------------------------------------ *)
 (* Per-codec round-trip + property suites                              *)
@@ -283,6 +292,135 @@ let test_lzss_big () =
   Alcotest.(check bool) "compresses repetitive text" true
     (String.length c < String.length big_text)
 
+(* The reference LZSS decoder: the original bit-at-a-time one, kept as
+   an oracle for the word-wise decoder in [Lzss]. *)
+let oracle_lzss_decompress (data : string) : string =
+  let n, pos = Rle.read_varint data 0 in
+  let r = Bitio.Reader.of_string (String.sub data pos (String.length data - pos)) in
+  let out = Buffer.create n in
+  while Buffer.length out < n do
+    if Bitio.Reader.read_bit r then
+      Buffer.add_char out (Char.chr (Bitio.Reader.read_bits r 8))
+    else begin
+      let dist = Bitio.Reader.read_bits r 12 + 1 in
+      let len = Bitio.Reader.read_bits r 4 + 3 in
+      let start = Buffer.length out - dist in
+      for j = 0 to len - 1 do
+        Buffer.add_char out (Buffer.nth out (start + j))
+      done
+    end
+  done;
+  Buffer.contents out
+
+(* Small alphabets make long matches; lengths up to 10,000 cross both
+   the 4 KiB window and the 18-byte maximum match. *)
+let gen_lz_text =
+  QCheck2.Gen.(
+    int_range 1 6 >>= fun k ->
+    string_size ~gen:(map (fun i -> Char.chr (Char.code 'a' + i)) (int_bound (k - 1)))
+      (int_bound 10_000))
+
+let prop_lzss_alphabets =
+  QCheck2.Test.make ~name:"lzss roundtrip (small alphabets)" ~count:100 gen_lz_text
+    (fun s -> Lzss.decompress (Lzss.compress s) = s)
+
+type damage = Truncate of int | Flip of int * int
+
+(* A damaged stream decodes to exactly the oracle's bytes or raises
+   [Failure]; no other exception may escape. *)
+let prop_lzss_damage =
+  let gen =
+    QCheck2.Gen.(
+      triple gen_lz_text
+        (list_size (int_range 1 4) (pair (int_bound 1_000_000) (int_range 1 255)))
+        (option (int_bound 1_000_000)))
+  in
+  QCheck2.Test.make ~name:"lzss damaged streams match the oracle or fail" ~count:200
+    gen (fun (s, flips, cut) ->
+      let c = Bytes.of_string (Lzss.compress s) in
+      let len = Bytes.length c in
+      let damage =
+        List.map (fun (at, x) -> Flip (at mod len, x)) flips
+        @ (match cut with Some k -> [ Truncate (k mod len) ] | None -> [])
+      in
+      let c =
+        List.fold_left
+          (fun c d ->
+            match d with
+            | Flip (at, x) ->
+              Bytes.set c at (Char.chr (Char.code (Bytes.get c at) lxor x));
+              c
+            | Truncate k -> Bytes.sub c 0 k)
+          c damage
+      in
+      let c = Bytes.to_string c in
+      match Lzss.decompress c with
+      | exception Failure _ -> true
+      | got -> ( try oracle_lzss_decompress c = got with _ -> false))
+
+(* The original block decoder, over the oracle LZSS: a
+   [(code, parent)] array through [Rle.read_varint] and copies. *)
+let oracle_decode_block ~count payload =
+  let rest = String.sub payload 1 (String.length payload - 1) in
+  let body = if payload.[0] = '\001' then oracle_lzss_decompress rest else rest in
+  let pos = ref 0 in
+  Array.init count (fun _ ->
+      let clen, p = Rle.read_varint body !pos in
+      let code = String.sub body p clen in
+      let parent, p = Rle.read_varint body (p + clen) in
+      pos := p;
+      (code, parent))
+
+let test_decode_block_oracle () =
+  let xml = Xmark.Xmlgen.generate ~seed:1 ~scale:0.5 () in
+  let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
+  let blocks = ref 0 and lz = ref 0 in
+  Array.iter
+    (fun (c : Storage.Container.t) ->
+      Array.iter
+        (fun { Storage.Container.b_count = count; b_payload; _ } ->
+          let codes, parents = Codec.decode_block ~count b_payload in
+          let want = oracle_decode_block ~count b_payload in
+          incr blocks;
+          if b_payload.[0] = '\001' then incr lz;
+          if Array.map fst want <> codes || Array.map snd want <> parents then
+            Alcotest.failf "%s: block %d differs from the oracle" c.Storage.Container.path
+              !blocks)
+        c.Storage.Container.blocks)
+    repo.Storage.Repository.containers;
+  Alcotest.(check bool) "saw LZSS-stage blocks" true (!lz > 0 && !blocks > !lz)
+
+let test_decode_block_failures () =
+  let records = Array.init 40 (fun i -> (String.make (i mod 7) 'x', i)) in
+  let payload = Codec.encode_block records in
+  let fails what f =
+    match f () with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: expected Failure" what
+  in
+  let codes, parents = Codec.decode_block ~count:40 payload in
+  Alcotest.(check (array string)) "codes" (Array.map fst records) codes;
+  Alcotest.(check (array int)) "parents" (Array.map snd records) parents;
+  fails "empty payload" (fun () -> Codec.decode_block ~count:0 "");
+  fails "unknown stage flag" (fun () -> Codec.decode_block ~count:1 "\007abc");
+  fails "count past the body" (fun () -> Codec.decode_block ~count:41 payload);
+  fails "truncated body" (fun () ->
+      Codec.decode_block ~count:40 (String.sub payload 0 (String.length payload - 3)))
+
+(* Encoder output is part of the on-disk format: these digests of whole
+   saved images pin every encoder (Bitio writer, LZSS, block framing,
+   the value codecs and the partitioner's choices) byte for byte. *)
+let test_encoder_golden () =
+  let md5 e = Digest.to_hex (Digest.string (Xquec_core.Engine.save e)) in
+  let xml = In_channel.with_open_bin (Filename.concat "fixtures" "v3_small.xml") In_channel.input_all in
+  Alcotest.(check string) "v3_small.xml, default options" "2f7c3d836dd5352af836a55a5b866479"
+    (md5 (Xquec_core.Engine.load ~name:"v3_small.xml" xml));
+  let xml = Xmark.Xmlgen.generate ~seed:1 ~scale:0.05 () in
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  Alcotest.(check string) "XMark 0.05 seed 1, Q1-Q20 workload"
+    "01329b069b3f10711b046a9e546118a2"
+    (md5 (Xquec_core.Engine.load ~name:"auction.xml" ~workload xml))
+
 (* --- Numeric --- *)
 
 let test_numeric_int () =
@@ -414,6 +552,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_rle;
         QCheck_alcotest.to_alcotest prop_bzip;
         QCheck_alcotest.to_alcotest prop_lzss;
+        QCheck_alcotest.to_alcotest prop_lzss_alphabets;
+        QCheck_alcotest.to_alcotest prop_lzss_damage;
       ] );
     ( "numeric",
       [
@@ -421,6 +561,13 @@ let suites =
         Alcotest.test_case "decimals" `Quick test_numeric_decimal;
         Alcotest.test_case "rejects text" `Quick test_numeric_rejects_text;
         QCheck_alcotest.to_alcotest prop_numeric_order;
+      ] );
+    ( "block-decode",
+      [
+        Alcotest.test_case "decode_block agrees with the oracle" `Quick
+          test_decode_block_oracle;
+        Alcotest.test_case "decode_block fails typed" `Quick test_decode_block_failures;
+        Alcotest.test_case "encoder golden image md5" `Quick test_encoder_golden;
       ] );
     ( "codec",
       [
