@@ -49,9 +49,6 @@ val equal_compressed : string -> string -> bool
     paper's wild=false classification). *)
 val prefix_range : model -> string -> string * string option
 
-(** Number of partitioning intervals. *)
-val model_entries : model -> int
-
 (** The mined (multi-byte) dictionary tokens; the model is a pure
     function of this list. *)
 val model_tokens : model -> string list

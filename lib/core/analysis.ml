@@ -76,10 +76,6 @@ let rec free_vars (e : Ast.expr) : Sset.t =
 let rec conjuncts (e : Ast.expr) : Ast.expr list =
   match e with Ast.And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ]
 
-let conjoin = function
-  | [] -> None
-  | e :: rest -> Some (List.fold_left (fun acc c -> Ast.And (acc, c)) e rest)
-
 (** A join conjunct [Cmp (op, a, b)] usable when one side depends only on
     [left_vars] (plus outer context) and the other only on [right_vars].
     Returns (op, left-side expr, right-side expr) with the sides oriented

@@ -12,10 +12,6 @@ val free_vars : Xquery.Ast.expr -> Sset.t
     (a non-conjunction is returned as a singleton). *)
 val conjuncts : Xquery.Ast.expr -> Xquery.Ast.expr list
 
-(** Rebuild a conjunction from {!conjuncts} output; [None] for the empty
-    list (no residual predicate). *)
-val conjoin : Xquery.Ast.expr list -> Xquery.Ast.expr option
-
 (** A comparison usable as a join between [left_vars] and [right_vars]
     (either may also mention [outer] variables); the result is oriented
     left-side-first, flipping the operator if needed. *)

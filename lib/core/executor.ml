@@ -303,11 +303,7 @@ let reset_join_stats () =
   Atomic.set a_blocks_skipped 0;
   Atomic.set a_skipped_bytes 0
 
-let block_join_enabled =
-  ref
-    (match Sys.getenv_opt "XQUEC_BLOCK_JOIN" with
-    | Some ("0" | "false" | "off") -> false
-    | _ -> true)
+let block_join_enabled = ref true
 
 let set_block_join on = block_join_enabled := on
 

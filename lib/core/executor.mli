@@ -193,10 +193,10 @@ val join_stats : unit -> join_stats
 (** Zero the block-join counters (benchmark / test isolation). *)
 val reset_join_stats : unit -> unit
 
-(** Enable or disable the block merge join (defaults to enabled unless
-    the environment sets [XQUEC_BLOCK_JOIN=0]); when off, equality
-    joins always take the hash-join path — the differential tests and
-    the bench's skip-ratio experiment toggle this. *)
+(** Enable or disable the block merge join (enabled by default); when
+    off, equality joins always take the hash-join path — the
+    differential tests and the bench's skip-ratio experiment toggle
+    this. *)
 val set_block_join : bool -> unit
 
 (** One container-resolved predicate observed during evaluation: a

@@ -80,7 +80,6 @@ let staged_entries (st : staging) : (string * int * int * int) list =
 type frame = {
   f_id : int;
   f_snode : Summary.node;
-  f_level : int;
   mutable f_rev_children : int list; (* >= 0 node id; < 0 text marker -(slot+1) *)
   mutable f_nvalues : int;           (* slots handed out so far *)
 }
@@ -142,19 +141,19 @@ let load ?(options = default_options) ~name (xml : string) : Repository.t =
     match ev with
     | Xmlkit.Sax.Start_element (tag, attributes) ->
       let tag_code = Name_dict.intern dict tag in
-      let (parent_id, parent_snode, level, parent_frame) =
+      let (parent_id, parent_snode, parent_frame) =
         match !stack with
-        | [] -> (-1, summary.Summary.root, 0, None)
-        | fr :: _ -> (fr.f_id, fr.f_snode, fr.f_level + 1, Some fr)
+        | [] -> (-1, summary.Summary.root, None)
+        | fr :: _ -> (fr.f_id, fr.f_snode, Some fr)
       in
       let snode = Summary.child_or_create parent_snode ~tag:tag_code ~name:tag in
-      let id = Structure_tree.open_node builder ~tag:tag_code ~parent:parent_id ~level in
+      let id = Structure_tree.open_node builder ~tag:tag_code ~parent:parent_id in
       Summary.add_id snode id;
       (match parent_frame with
       | Some fr -> fr.f_rev_children <- id :: fr.f_rev_children
       | None -> ());
       let frame =
-        { f_id = id; f_snode = snode; f_level = level; f_rev_children = []; f_nvalues = 0 }
+        { f_id = id; f_snode = snode; f_rev_children = []; f_nvalues = 0 }
       in
       (* Attributes: an attribute is a node (tagged "@name") whose single
          value goes to the container of path pe/@name. *)
@@ -163,9 +162,7 @@ let load ?(options = default_options) ~name (xml : string) : Repository.t =
           let atag = "@" ^ aname in
           let atag_code = Name_dict.intern dict atag in
           let asnode = Summary.child_or_create snode ~tag:atag_code ~name:atag in
-          let attr_id =
-            Structure_tree.open_node builder ~tag:atag_code ~parent:id ~level:(level + 1)
-          in
+          let attr_id = Structure_tree.open_node builder ~tag:atag_code ~parent:id in
           Summary.add_id asnode attr_id;
           frame.f_rev_children <- attr_id :: frame.f_rev_children;
           let pending =
@@ -178,22 +175,19 @@ let load ?(options = default_options) ~name (xml : string) : Repository.t =
           (* The attribute node owns the value; the record's parent pointer
              is the attribute node itself (its parent is the element). *)
           let attr_frame =
-            { f_id = attr_id; f_snode = asnode; f_level = level + 1;
-              f_rev_children = []; f_nvalues = 0 }
+            { f_id = attr_id; f_snode = asnode; f_rev_children = []; f_nvalues = 0 }
           in
           let (_slot, seq) =
             record_value ~pending ~value:avalue ~record_parent:attr_id ~owner:attr_frame
           in
           add_ptr attr_id pending.p_id seq;
-          Hashtbl.replace rev_children_tbl attr_id [];
-          Structure_tree.close_node builder ~id:attr_id)
+          Hashtbl.replace rev_children_tbl attr_id [])
         attributes;
       stack := frame :: !stack
     | Xmlkit.Sax.End_element _ -> (
       match !stack with
       | fr :: rest ->
         Hashtbl.replace rev_children_tbl fr.f_id fr.f_rev_children;
-        Structure_tree.close_node builder ~id:fr.f_id;
         stack := rest
       | [] -> assert false)
     | Xmlkit.Sax.Characters text -> (
@@ -295,6 +289,3 @@ let load ?(options = default_options) ~name (xml : string) : Repository.t =
     source_name = name;
     original_size = String.length xml;
   }
-
-let load_document ?options ~name (doc : Xmlkit.Tree.document) : Repository.t =
-  load ?options ~name (Xmlkit.Printer.to_string doc)

@@ -20,7 +20,3 @@ val default_options : options
 (** Parse XML text and build a compressed repository registered under
     [name] (the [document("name")] queries resolve against it). *)
 val load : ?options:options -> name:string -> string -> Storage.Repository.t
-
-(** Same as {!load} but from an already-parsed DOM tree. *)
-val load_document :
-  ?options:options -> name:string -> Xmlkit.Tree.document -> Storage.Repository.t

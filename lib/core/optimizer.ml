@@ -377,9 +377,3 @@ let render_profiled (repo : Repository.t) (query : string)
        t.Xquec_obs.Explain.operators t.Xquec_obs.Explain.compressed
        t.Xquec_obs.Explain.decompressed);
   Buffer.contents buf
-
-(** EXPLAIN ANALYZE: evaluate the query with an attached profile and
-    render it with {!render_profiled}. *)
-let explain_profiled (repo : Repository.t) (query : string) : string =
-  let (_items, plan) = Executor.run_profiled repo (Xquery.Parser.parse query) in
-  render_profiled repo query plan

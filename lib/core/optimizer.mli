@@ -48,9 +48,3 @@ val explain_string : Repository.t -> string -> string
     that obtained the profile elsewhere — e.g. the query-logged
     evaluation path — reuse the report format. *)
 val render_profiled : Repository.t -> string -> Xquec_obs.Explain.node -> string
-
-(** EXPLAIN ANALYZE: evaluate the query with an attached profile and
-    render the strategy decisions plus the annotated physical plan
-    (per-operator wall time, cardinalities, compressed-domain vs.
-    decompress-then-compare predicate counts). *)
-val explain_profiled : Repository.t -> string -> string

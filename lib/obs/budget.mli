@@ -61,6 +61,3 @@ val charged : handle -> int
     wall clock has crossed its allowance, else returns. No-op on
     [None]. *)
 val check : handle -> unit
-
-(** [check (current ())] — the storage layer's one-line poll site. *)
-val check_current : unit -> unit

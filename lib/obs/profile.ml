@@ -90,8 +90,6 @@ type agg = {
 let agg_create () : agg =
   { g_records = 0; g_pred_events = 0; g_events = Hashtbl.create 16; g_stats = Hashtbl.create 16 }
 
-let agg_records (g : agg) : int = g.g_records
-
 let bump_event (g : agg) key by =
   Hashtbl.replace g.g_events key (by + Option.value ~default:0 (Hashtbl.find_opt g.g_events key))
 

@@ -76,9 +76,6 @@ type agg
 (** A fresh, empty accumulator. *)
 val agg_create : unit -> agg
 
-(** Queries aggregated so far. *)
-val agg_records : agg -> int
-
 (** Fold one query into the accumulator: its predicate observations
     plus the [(container path, decoded bytes)] pairs of the containers
     it touched (the query log's ["containers"] tags). *)

@@ -37,8 +37,6 @@ let models (t : t) : (int * Compress.Codec.model) list =
 type size_breakdown = {
   name_dict_bytes : int;
   tree_bytes : int;  (** succinct (BP + wavelet) encoding — what v4 images store *)
-  tree_packed_bytes : int;  (** packed (delta+varint) v3 encoding, for the fig6 delta *)
-  tree_legacy_bytes : int;  (** plain-varint v2 encoding, kept for the fig6 delta *)
   containers_bytes : int;
   models_bytes : int;
   summary_bytes : int;
@@ -60,8 +58,6 @@ let buffer_size f =
 let size_breakdown (t : t) : size_breakdown =
   let name_dict_bytes = Name_dict.serialized_size t.dict in
   let tree_bytes = buffer_size (fun b -> Structure_tree.serialize_succinct b t.tree) in
-  let tree_packed_bytes = buffer_size (fun b -> Structure_tree.serialize_packed b t.tree) in
-  let tree_legacy_bytes = buffer_size (fun b -> Structure_tree.serialize b t.tree) in
   let containers_bytes =
     Array.fold_left (fun acc c -> acc + buffer_size (fun b -> Container.serialize b c)) 0
       t.containers
@@ -89,8 +85,6 @@ let size_breakdown (t : t) : size_breakdown =
     {
       name_dict_bytes;
       tree_bytes;
-      tree_packed_bytes;
-      tree_legacy_bytes;
       containers_bytes;
       models_bytes;
       summary_bytes;
@@ -126,11 +120,8 @@ let compression_factor (t : t) =
    stored in the packed delta+varint encoding) and always uses the
    block container encoding; v4 keeps the flags byte and sets bit 1
    instead (structure tree stored succinctly: BP bitvector + wavelet
-   tags). New images are written as v4 by default — the kill switch is
-   [set_default_format `V3] (the CLI's [--format v3]) or the
-   XQUEC_FORMAT=v3 environment variable. v1 (records inline), v2
-   (block containers, legacy tree) and v3 (packed tree) still load
-   byte-for-byte. *)
+   tags). Only v4 is written; v1 (records inline), v2 (block
+   containers, legacy tree) and v3 (packed tree) still load. *)
 let v2_magic = "XQC\x02"
 
 let v3_magic = "XQC\x03"
@@ -141,23 +132,7 @@ let flag_packed_tree = 1
 
 let flag_succinct_tree = 2
 
-type format = [ `V3 | `V4 ]
-
-let forced_format : format option ref = ref None
-
-let set_default_format f = forced_format := Some f
-
-let default_format () : format =
-  match !forced_format with
-  | Some f -> f
-  | None -> (
-    match Sys.getenv_opt "XQUEC_FORMAT" with
-    | Some "v3" -> `V3
-    | Some "v4" | None -> `V4
-    | Some other -> failwith (Printf.sprintf "XQUEC_FORMAT=%s: expected v3 or v4" other))
-
-let serialize ?format (t : t) : string =
-  let format = match format with Some f -> f | None -> default_format () in
+let serialize (t : t) : string =
   Xquec_obs.Trace.with_span ~name:"repository.serialize"
     ~attrs:[ ("source", t.source_name) ]
   @@ fun () ->
@@ -167,13 +142,8 @@ let serialize ?format (t : t) : string =
     add_varint buf (String.length s);
     Buffer.add_string buf s
   in
-  (match format with
-  | `V3 ->
-    Buffer.add_string buf v3_magic;
-    Buffer.add_char buf (Char.chr flag_packed_tree)
-  | `V4 ->
-    Buffer.add_string buf v4_magic;
-    Buffer.add_char buf (Char.chr flag_succinct_tree));
+  Buffer.add_string buf v4_magic;
+  Buffer.add_char buf (Char.chr flag_succinct_tree);
   add_str t.source_name;
   add_varint buf t.original_size;
   (* name dictionary *)
@@ -200,9 +170,7 @@ let serialize ?format (t : t) : string =
     ms;
   (* summary first: tree value pointers are resolved against it on load *)
   Summary.serialize buf t.summary;
-  (match format with
-  | `V3 -> Structure_tree.serialize_packed buf t.tree
-  | `V4 -> Structure_tree.serialize_succinct buf t.tree);
+  Structure_tree.serialize_succinct buf t.tree;
   add_varint buf (Array.length t.containers);
   Array.iter (fun c -> Container.serialize buf c) t.containers;
   Buffer.contents buf
@@ -211,31 +179,28 @@ let deserialize (s : string) : t =
   Xquec_obs.Trace.with_span ~name:"repository.deserialize"
     ~attrs:[ ("bytes", string_of_int (String.length s)) ]
   @@ fun () ->
-  let has_magic m =
-    String.length s >= String.length m && String.equal (String.sub s 0 (String.length m)) m
+  (* Exactly four headers are accepted: v4 and v3 with their one flags
+     value, v2 (no flags byte) and v1 (no magic). Anything else that
+     starts with "XQC" is a format this reader does not know. *)
+  let has_header magic flags =
+    let n = String.length magic in
+    String.starts_with ~prefix:magic s && String.length s > n && Char.code s.[n] = flags
   in
-  let is_v2 = has_magic v2_magic
-  and is_v3 = has_magic v3_magic
-  and is_v4 = has_magic v4_magic in
-  let has_any_magic = is_v2 || is_v3 || is_v4 in
-  let container_deserialize =
-    if has_any_magic then Container.deserialize else Container.deserialize_v1
+  let (container_deserialize, tree_deserialize, body) =
+    if has_header v4_magic flag_succinct_tree then
+      (Container.deserialize, Structure_tree.deserialize_succinct, 5)
+    else if has_header v3_magic flag_packed_tree then
+      (Container.deserialize, Structure_tree.deserialize_v3, 5)
+    else if String.starts_with ~prefix:v2_magic s then
+      (Container.deserialize, Structure_tree.deserialize_v2, 4)
+    else if String.starts_with ~prefix:"XQC" s then
+      failwith
+        (Printf.sprintf "repository: unsupported format %S"
+           (String.sub s 0 (min 5 (String.length s))))
+    else (Container.deserialize_v1, Structure_tree.deserialize_v2, 0)
   in
   let read_varint = Compress.Rle.read_varint in
-  let pos = ref (if has_any_magic then String.length v2_magic else 0) in
-  let format_flags =
-    if is_v3 || is_v4 then begin
-      let f = Char.code s.[!pos] in
-      incr pos;
-      f
-    end
-    else 0
-  in
-  let tree_deserialize =
-    if format_flags land flag_succinct_tree <> 0 then Structure_tree.deserialize_succinct
-    else if format_flags land flag_packed_tree <> 0 then Structure_tree.deserialize_packed
-    else Structure_tree.deserialize
-  in
+  let pos = ref body in
   let str () =
     let (n, p) = read_varint s !pos in
     let v = String.sub s p n in

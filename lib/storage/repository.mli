@@ -29,12 +29,6 @@ type size_breakdown = {
   tree_bytes : int;
       (** the succinct (BP bitvector + wavelet tags, v4) tree encoding
           actually stored *)
-  tree_packed_bytes : int;
-      (** the packed (delta+varint) v3 tree encoding — kept so the fig6
-          bench can report the v4-vs-v3 compression-factor delta *)
-  tree_legacy_bytes : int;
-      (** the plain-varint v2 tree encoding — kept so the fig6 bench can
-          report the compression-factor delta of tree packing *)
   containers_bytes : int;
   models_bytes : int;
   summary_bytes : int;
@@ -53,32 +47,18 @@ val size_breakdown : t -> size_breakdown
 (** 1 - cs/os, as defined in the paper's §5. *)
 val compression_factor : t -> float
 
-(** The on-disk formats {!serialize} can write. [`V4] (default) stores
-    the structure tree succinctly; [`V3] is the kill switch back to the
-    packed record encoding. *)
-type format = [ `V3 | `V4 ]
+(** Serialize to the on-disk format v4, the only one written: magic
+    "XQC\x04", a format-flags byte with bit 1 set (succinct structure
+    tree), then the v2 section layout with block-structured containers.
+    A save/load/save cycle is byte-exact. *)
+val serialize : t -> string
 
-(** Process-wide override of the format {!serialize} writes when called
-    without [?format] (the CLI's [--format] flag). Takes precedence
-    over the XQUEC_FORMAT environment variable. *)
-val set_default_format : format -> unit
-
-(** The format {!serialize} writes when called without [?format]:
-    {!set_default_format} if set, else XQUEC_FORMAT ("v3"/"v4"), else
-    [`V4]. Raises [Failure] on an invalid XQUEC_FORMAT value. *)
-val default_format : unit -> format
-
-(** Serialize to the on-disk format: magic "XQC\x04" + format-flags
-    byte with bit 1 set (succinct structure tree) for [`V4], magic
-    "XQC\x03" + bit 0 (packed structure tree) for [`V3]; then the v2
-    section layout with block-structured containers. A save/load/save
-    cycle is byte-exact in either format. *)
-val serialize : ?format:format -> t -> string
-
-(** Parse a serialized repository. Accepts the v4 format (magic
-    "XQC\x04" + format-flags byte, succinct tree), the v3 format (magic
-    "XQC\x03" + format-flags byte, packed tree), the v2 format (magic
-    "XQC\x02", block-structured containers, plain-varint tree) and the
+(** Parse a serialized repository. Accepts exactly four headers: v4
+    (magic "XQC\x04" + flags byte 2, succinct tree), v3 (magic
+    "XQC\x03" + flags byte 1, packed tree), v2 (magic "XQC\x02", no
+    flags byte, block-structured containers, plain-varint tree) and the
     legacy v1 record-wise format (no magic); v1 containers are
-    re-blocked on load. Raises [Failure] on corrupt input. *)
+    re-blocked on load. Raises [Failure "repository: unsupported
+    format ..."] on any other image that starts with "XQC", and
+    [Failure] on corrupt input. *)
 val deserialize : string -> t

@@ -221,15 +221,12 @@ let builder () = { b_tags = []; b_parents = []; next_id = 0 }
    The loader accumulates child lists and value pointers itself (it knows
    them only as parsing proceeds) and hands them to [finish] as reversed
    per-node lists; post ranks and levels are implicit in the BP shape. *)
-let open_node (b : builder) ~tag ~parent ~level : int =
-  ignore level;
+let open_node (b : builder) ~tag ~parent : int =
   let id = b.next_id in
   b.next_id <- id + 1;
   b.b_tags <- tag :: b.b_tags;
   b.b_parents <- parent :: b.b_parents;
   id
-
-let close_node (b : builder) ~id = ignore (b, id)
 
 let next_id (b : builder) = b.next_id
 
@@ -244,48 +241,6 @@ let finish (b : builder) ~(rev_children : int list array)
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let serialize buf (t : t) =
-  let add_varint = Compress.Rle.add_varint in
-  let n = node_count t in
-  add_varint buf n;
-  (* the legacy record stores tag, (redundant) parent pointer, child
-     entries and value pointers, as in the paper *)
-  for id = 0 to n - 1 do
-    add_varint buf (tag t id);
-    add_varint buf (id - parent t id);
-    let kids = child_entries t id in
-    add_varint buf (Array.length kids);
-    (* child node ids are > id: delta-encode against id (even codes);
-       text markers are encoded as odd codes *)
-    Array.iter
-      (fun c -> add_varint buf (if c >= 0 then 2 * (c - id) else (2 * -c) - 1))
-      kids;
-    add_varint buf (Array.length t.values.(id));
-    (* the container id is derivable from the node's summary path, so
-       only the record index is stored *)
-    Array.iter (fun (_cont, idx) -> add_varint buf idx) t.values.(id)
-  done
-
-(* Packed variant (repository format v3): same logical record, but the
-   child-entry codes and value record indices are stored as zigzag
-   varint deltas via {!Compress.Ipack.add_deltas}. Successive child
-   entries of one node have codes [2 * (c - id)] that grow by twice the
-   subtree size of each sibling, so the deltas stay small no matter how
-   wide the fan-out. *)
-let serialize_packed buf (t : t) =
-  let add_varint = Compress.Rle.add_varint in
-  let n = node_count t in
-  add_varint buf n;
-  for id = 0 to n - 1 do
-    add_varint buf (tag t id);
-    add_varint buf (id - parent t id);
-    Compress.Ipack.add_deltas buf
-      (Array.map
-         (fun c -> if c >= 0 then 2 * (c - id) else (2 * -c) - 1)
-         (child_entries t id));
-    Compress.Ipack.add_deltas buf (Array.map snd t.values.(id))
-  done
 
 (* Succinct variant (repository format v4): the shape as the raw BP
    bitvector, tags as the wavelet tree's level bitvectors, then per
@@ -341,9 +296,14 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
   done;
   ({ bp; tags; marks; values }, !pos)
 
-(* Both explicit-record readers share the array assembly; they differ
-   only in how one node record is decoded. *)
-let deserialize (s : string) (pos : int) : t * int =
+(* Readers for the explicit-record trees of repository formats v1/v2
+   and v3 (no longer written). Per node: tag, parent delta, child-entry
+   codes (a child node c as the even code 2 * (c - id), text marker -k
+   as the odd code 2k - 1) and value record indices; the container id
+   of each value is re-resolved by the repository loader. v2 stores
+   codes and indices as plain varints, v3 as zigzag delta+varint
+   sequences. Both share the array assembly in [of_arrays]. *)
+let deserialize_v2 (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
   let (n, pos) = read_varint s pos in
   let tags = Array.make n 0 in
@@ -378,7 +338,7 @@ let deserialize (s : string) (pos : int) : t * int =
   done;
   (of_arrays ~tags ~parents ~children ~values, !pos)
 
-let deserialize_packed (s : string) (pos : int) : t * int =
+let deserialize_v3 (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
   let (n, pos) = read_varint s pos in
   let tags = Array.make n 0 in

@@ -83,11 +83,7 @@ type builder
 val builder : unit -> builder
 
 (** Register a node at element open; returns its (pre-order) id. *)
-val open_node : builder -> tag:int -> parent:int -> level:int -> int
-
-(** Register the element close. Post ranks are implicit in the
-    balanced-parentheses shape; this is kept for interface symmetry. *)
-val close_node : builder -> id:int -> unit
+val open_node : builder -> tag:int -> parent:int -> int
 
 (** The id the next {!open_node} will return. *)
 val next_id : builder -> int
@@ -99,25 +95,17 @@ val next_id : builder -> int
 val finish :
   builder -> rev_children:int list array -> rev_values:(int * int) list array -> t
 
-(** Append the tree's legacy (plain-varint, repository v2) serialized
-    form to the buffer. Kept for v2 read-compat and for measuring the
-    packing gain. *)
-val serialize : Buffer.t -> t -> unit
+(** [deserialize_v2 s pos] parses a legacy (repository v1 and v2) tree
+    at offset [pos], returning it with the offset past it. Per node:
+    tag, parent delta, child-entry codes and value record indices, all
+    plain varints. Raises [Failure] on corrupt input. *)
+val deserialize_v2 : string -> int -> t * int
 
-(** [deserialize s pos] parses a legacy (v2) tree at offset [pos],
-    returning it with the offset past it. Raises [Failure] on corrupt
-    input. *)
-val deserialize : string -> int -> t * int
-
-(** Append the packed (repository v3) form: per node, tag and parent
-    delta as plain varints, then child-entry codes and value record
-    indices as zigzag delta+varint sequences
-    ({!Compress.Ipack.add_deltas}). Decodes to exactly the same tree
-    as {!serialize}. *)
-val serialize_packed : Buffer.t -> t -> unit
-
-(** Invert {!serialize_packed}. Raises [Failure] on corrupt input. *)
-val deserialize_packed : string -> int -> t * int
+(** Parse a packed (repository v3) tree: the v2 node record with the
+    child-entry codes and value record indices stored as zigzag
+    delta+varint sequences ({!Compress.Ipack.read_deltas}). Raises
+    [Failure] on corrupt input. *)
+val deserialize_v3 : string -> int -> t * int
 
 (** Append the succinct (repository v4) form: node count, the raw BP
     bitvector, the wavelet tag levels, then per node its delta-packed

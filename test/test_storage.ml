@@ -1,58 +1,9 @@
-(* Tests for the storage layer: B+tree, name dictionary, containers,
-   structure tree, summary and full-repository serialization. *)
+(* Tests for the storage layer: name dictionary, containers, buffer
+   pool, structure tree, summary and full-repository serialization,
+   including the read compatibility of the committed v1, v2 and v3
+   image fixtures. *)
 
 open Storage
-
-(* ------------------------------------------------------------------ *)
-(* B+ tree                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_btree_basic () =
-  let t = Btree.create ~order:4 () in
-  List.iter (fun k -> Btree.insert t k (k * 10)) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
-  Btree.check_invariants t;
-  Alcotest.(check int) "length" 10 (Btree.length t);
-  Alcotest.(check (option int)) "find 7" (Some 70) (Btree.find t 7);
-  Alcotest.(check (option int)) "find missing" None (Btree.find t 11);
-  Btree.insert t 7 (-1);
-  Alcotest.(check (option int)) "replace" (Some (-1)) (Btree.find t 7);
-  Alcotest.(check int) "length after replace" 10 (Btree.length t)
-
-let test_btree_bulk () =
-  let n = 1000 in
-  let t = Btree.of_sorted_array ~order:8 (Array.init n (fun i -> (i * 2, i))) in
-  Btree.check_invariants t;
-  Alcotest.(check int) "length" n (Btree.length t);
-  Alcotest.(check (option int)) "find" (Some 250) (Btree.find t 500);
-  Alcotest.(check (option int)) "odd key missing" None (Btree.find t 501);
-  Alcotest.(check bool) "depth > 1" true (Btree.depth t > 1)
-
-let test_btree_find_le () =
-  let t = Btree.of_sorted_array (Array.init 100 (fun i -> (i * 10, i))) in
-  Alcotest.(check (option (pair int int))) "exact" (Some (50, 5)) (Btree.find_le t 50);
-  Alcotest.(check (option (pair int int))) "below" (Some (50, 5)) (Btree.find_le t 57);
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 0)) (Btree.find_le t 3);
-  Alcotest.(check (option (pair int int))) "none" None (Btree.find_le t (-1));
-  Alcotest.(check (option (pair int int))) "last" (Some (990, 99)) (Btree.find_le t 10000)
-
-let test_btree_range () =
-  let t = Btree.of_sorted_array (Array.init 50 (fun i -> (i, i))) in
-  let collected = Btree.fold_range t ~lo:10 ~hi:19 ~init:[] ~f:(fun acc k _ -> k :: acc) in
-  Alcotest.(check (list int)) "range" (List.init 10 (fun i -> 10 + i)) (List.rev collected)
-
-let prop_btree_model =
-  QCheck2.Test.make ~name:"btree agrees with assoc-list model" ~count:100
-    QCheck2.Gen.(small_list (pair (int_bound 100) (int_bound 1000)))
-    (fun bindings ->
-      let t = Btree.create ~order:4 () in
-      List.iter (fun (k, v) -> Btree.insert t k v) bindings;
-      Btree.check_invariants t;
-      (* last write wins in the model *)
-      let model =
-        List.fold_left (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc) [] bindings
-      in
-      List.for_all (fun (k, v) -> Btree.find t k = Some v) model
-      && Btree.length t = List.length model)
 
 (* ------------------------------------------------------------------ *)
 (* Name dictionary                                                     *)
@@ -618,28 +569,23 @@ let test_repository_roundtrip () =
       Alcotest.(check string) (q.Xmark.Queries.id ^ " identical after reload") a b)
     Xmark.Queries.all
 
-(* The magic a default [Repository.serialize] writes: follows the kill
-   switch, so the storage suite can be re-run under XQUEC_FORMAT=v3. *)
-let expected_magic () =
-  match Repository.default_format () with `V3 -> "XQC\x03" | `V4 -> "XQC\x04"
-
 let test_repository_byte_exact () =
   let xml = Xmark.Xmlgen.generate ~scale:0.03 () in
   let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
   let data = Repository.serialize repo in
-  Alcotest.(check string) "default-format magic" (expected_magic ()) (String.sub data 0 4);
+  Alcotest.(check string) "v4 magic" "XQC\x04" (String.sub data 0 4);
   let repo' = Repository.deserialize data in
   let data' = Repository.serialize repo' in
-  Alcotest.(check bool) "save/load/save is byte-exact" true (String.equal data data');
-  (* both explicit formats round-trip byte-exactly regardless of the
-     process default *)
-  List.iter
-    (fun (format, magic) ->
-      let data = Repository.serialize ~format repo in
-      Alcotest.(check string) "explicit-format magic" magic (String.sub data 0 4);
-      Alcotest.(check bool) "explicit format is byte-exact" true
-        (String.equal data (Repository.serialize ~format (Repository.deserialize data))))
-    [ (`V3, "XQC\x03"); (`V4, "XQC\x04") ]
+  Alcotest.(check bool) "save/load/save is byte-exact" true (String.equal data data')
+
+(* Re-saving an image of an older format upgrades it to v4, which then
+   round-trips byte-exactly; returns the v4 image. *)
+let check_upgrades_to_v4 (repo : Repository.t) =
+  let cur = Repository.serialize repo in
+  Alcotest.(check string) "re-save upgrades to v4" "XQC\x04" (String.sub cur 0 4);
+  Alcotest.(check bool) "upgraded image round-trips" true
+    (String.equal cur (Repository.serialize (Repository.deserialize cur)));
+  cur
 
 let test_repository_v1_fixture () =
   (* a repository written by the pre-block (v1) format must still load *)
@@ -659,13 +605,7 @@ let test_repository_v1_fixture () =
       "document(\"v1_small.xml\")/site/people/person[age > 30]/name";
       "document(\"v1_small.xml\")/site/people/person[@id = \"p2\"]";
     ];
-  (* and re-saving upgrades it to the current format, which then
-     round-trips byte-exactly *)
-  let cur = Repository.serialize repo in
-  Alcotest.(check string) "re-save upgrades to current format" (expected_magic ())
-    (String.sub cur 0 4);
-  Alcotest.(check bool) "upgraded image round-trips" true
-    (String.equal cur (Repository.serialize (Repository.deserialize cur)))
+  ignore (check_upgrades_to_v4 repo)
 
 let test_size_breakdown_consistent () =
   let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
@@ -679,138 +619,100 @@ let test_size_breakdown_consistent () =
   Alcotest.(check bool) "essential < total" true
     (sz.Repository.essential_bytes < sz.Repository.total_bytes)
 
-let test_packed_tree_roundtrip () =
-  (* the delta+varint packed encoding preserves every field of the
-     structure tree and beats the legacy plain-varint encoding *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
-  let repo = Xquec_core.Loader.load ~name:"a" xml in
-  let tree = repo.Repository.tree in
-  let packed = Buffer.create 4096 and legacy = Buffer.create 4096 in
-  Structure_tree.serialize_packed packed tree;
-  Structure_tree.serialize legacy tree;
-  Alcotest.(check bool) "packed encoding is smaller" true
-    (Buffer.length packed < Buffer.length legacy);
-  let (t', consumed) = Structure_tree.deserialize_packed (Buffer.contents packed) 0 in
-  Alcotest.(check int) "consumed whole image" (Buffer.length packed) consumed;
-  (* both encodings leave value-pointer containers unresolved (the
-     repository resolves them against the summary on load), so the
-     packed round-trip must agree field-for-field with the legacy one *)
-  let (tl, _) = Structure_tree.deserialize (Buffer.contents legacy) 0 in
-  let n = Structure_tree.node_count tl in
-  Alcotest.(check int) "node count" n (Structure_tree.node_count t');
+(* The committed v2 and v3 fixtures were written from
+   fixtures/v3_small.xml (mixed content included) by the writers of
+   their day, which no longer exist. *)
+let v3_small_queries =
+  [
+    "document(\"v3_small.xml\")/site/people/person/name";
+    "document(\"v3_small.xml\")/site/people/person[age > 30]/bio";
+    "document(\"v3_small.xml\")/site/people/person[@id = \"p2\"]";
+    "document(\"v3_small.xml\")//item/price";
+  ]
+
+(* Answers of the v3_small queries on [repo], one per query. *)
+let v3_small_answers (repo : Repository.t) =
+  List.map
+    (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
+    v3_small_queries
+
+(* A fixture image loads to exactly what a fresh load of v3_small.xml
+   builds: the same structure tree field for field (the succinct tree
+   must re-interleave text markers between element children) and the
+   same answers. *)
+let check_fixture_matches_fresh (repo : Repository.t) =
+  Alcotest.(check string) "source name" "v3_small.xml" repo.Repository.source_name;
+  let fresh = Xquec_core.Loader.load ~name:"v3_small.xml" (read_fixture "v3_small.xml") in
+  let t = repo.Repository.tree and tf = fresh.Repository.tree in
+  let n = Structure_tree.node_count tf in
+  Alcotest.(check int) "node count" n (Structure_tree.node_count t);
   for id = 0 to n - 1 do
-    if Structure_tree.tag tl id <> Structure_tree.tag t' id
-       || Structure_tree.parent tl id <> Structure_tree.parent t' id
-       || Structure_tree.level tl id <> Structure_tree.level t' id
-       || Structure_tree.value_pointers tl id <> Structure_tree.value_pointers t' id
-       || Structure_tree.child_entries tl id <> Structure_tree.child_entries t' id
-    then Alcotest.failf "node %d differs between packed and legacy decode" id
-  done
+    if Structure_tree.tag t id <> Structure_tree.tag tf id
+       || Structure_tree.parent t id <> Structure_tree.parent tf id
+       || Structure_tree.level t id <> Structure_tree.level tf id
+       || Structure_tree.value_pointers t id <> Structure_tree.value_pointers tf id
+       || Structure_tree.child_entries t id <> Structure_tree.child_entries tf id
+    then Alcotest.failf "node %d differs from a fresh load" id
+  done;
+  List.iter2
+    (fun q (a, b) -> Alcotest.(check string) (q ^ " matches fresh load") b a)
+    v3_small_queries
+    (List.combine (v3_small_answers repo) (v3_small_answers fresh))
 
 let test_repository_v2_read_compat () =
   (* a v2 image (block containers, legacy plain-varint tree, no flags
-     byte) must still load; the reader is exercised against an image we
-     write here with the v2 layout *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.03 () in
-  let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
-  let buf = Buffer.create (1 lsl 16) in
-  let add_varint = Compress.Rle.add_varint in
-  let add_str s =
-    add_varint buf (String.length s);
-    Buffer.add_string buf s
-  in
-  Buffer.add_string buf "XQC\x02";
-  add_str repo.Repository.source_name;
-  add_varint buf repo.Repository.original_size;
-  let names = Name_dict.to_list repo.Repository.dict in
-  add_varint buf (List.length names);
-  List.iter add_str names;
-  let ms = Repository.models repo in
-  add_varint buf (List.length ms);
-  List.iter
-    (fun (id, m) ->
-      add_varint buf id;
-      add_str (Compress.Codec.algorithm_name (Compress.Codec.algorithm_of_model m));
-      let body =
-        match m with
-        | Compress.Codec.M_huffman h -> Compress.Huffman.serialize_model h
-        | Compress.Codec.M_alm a -> Compress.Alm.serialize_model a
-        | Compress.Codec.M_arith a -> Compress.Arith.serialize_model a
-        | Compress.Codec.M_hu_tucker h -> Compress.Hu_tucker.serialize_model h
-        | Compress.Codec.M_bzip -> ""
-        | Compress.Codec.M_numeric n -> Compress.Ipack.serialize_model n
-      in
-      add_str body)
-    ms;
-  Summary.serialize buf repo.Repository.summary;
-  Structure_tree.serialize buf repo.Repository.tree;
-  add_varint buf (Array.length repo.Repository.containers);
-  Array.iter (fun c -> Container.serialize buf c) repo.Repository.containers;
-  let v2 = Repository.deserialize (Buffer.contents buf) in
-  List.iter
-    (fun q ->
-      let a = Xquec_core.Executor.serialize v2 (Xquec_core.Executor.run_string v2 q) in
-      let b = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q) in
-      Alcotest.(check string) (q ^ " matches v3 twin") b a)
-    [
-      "document(\"auction.xml\")/site/people/person/name";
-      "document(\"auction.xml\")/site/people/person[@id = \"person0\"]";
-    ];
-  (* re-saving the v2 load upgrades it to the current format *)
-  let cur = Repository.serialize v2 in
-  Alcotest.(check string) "re-save upgrades to current format" (expected_magic ())
-    (String.sub cur 0 4);
-  Alcotest.(check bool) "upgraded image round-trips" true
-    (String.equal cur (Repository.serialize (Repository.deserialize cur)))
+     byte) must still load *)
+  let data = read_fixture "v2_small.xqc" in
+  Alcotest.(check string) "fixture is v2" "XQC\x02" (String.sub data 0 4);
+  let repo = Repository.deserialize data in
+  check_fixture_matches_fresh repo;
+  ignore (check_upgrades_to_v4 repo)
 
 let test_repository_v3_fixture () =
-  (* a committed v3 image (packed record tree) must keep loading
-     byte-for-byte now that new images are v4 *)
+  (* a v3 image (packed record tree) must still load *)
   let data = read_fixture "v3_small.xqc" in
   Alcotest.(check string) "fixture is v3" "XQC\x03" (String.sub data 0 4);
   let repo = Repository.deserialize data in
-  Alcotest.(check string) "source name" "v3_small.xml" repo.Repository.source_name;
-  (* the v3 writer still reproduces the fixture exactly *)
-  Alcotest.(check bool) "v3 re-save is byte-identical to the fixture" true
-    (String.equal data (Repository.serialize ~format:`V3 repo));
-  (* it answers queries like the freshly-loaded equivalent — including
-     mixed content, where the succinct tree must re-interleave text
-     markers between element children *)
-  let fresh = Xquec_core.Loader.load ~name:"v3_small.xml" (read_fixture "v3_small.xml") in
-  List.iter
-    (fun q ->
-      let a = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q) in
-      let b = Xquec_core.Executor.serialize fresh (Xquec_core.Executor.run_string fresh q) in
-      Alcotest.(check string) (q ^ " matches fresh load") a b)
-    [
-      "document(\"v3_small.xml\")/site/people/person/name";
-      "document(\"v3_small.xml\")/site/people/person[age > 30]/bio";
-      "document(\"v3_small.xml\")/site/people/person[@id = \"p2\"]";
-      "document(\"v3_small.xml\")//item/price";
-    ]
+  check_fixture_matches_fresh repo;
+  ignore (check_upgrades_to_v4 repo)
 
 let test_v3_v4_query_identity () =
-  (* the same document serialized as v3 and as v4 must answer the whole
-     XMark workload identically, and the v4 image must round-trip
-     byte-exactly through its own save/load *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.03 () in
-  let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
-  let v3 = Repository.deserialize (Repository.serialize ~format:`V3 repo) in
-  let v4_image = Repository.serialize ~format:`V4 repo in
-  let v4 = Repository.deserialize v4_image in
+  (* the v3 fixture and its v4 re-save answer identically, and the
+     succinct tree makes the v4 image the smaller one *)
+  let v3_image = read_fixture "v3_small.xqc" in
+  let v3 = Repository.deserialize v3_image in
+  let v4_image = check_upgrades_to_v4 v3 in
+  Alcotest.(check (list string)) "identical answers on v3 and v4" (v3_small_answers v3)
+    (v3_small_answers (Repository.deserialize v4_image));
+  Alcotest.(check bool) "v4 re-save below the v3 fixture" true
+    (String.length v4_image < String.length v3_image)
+
+let test_repository_header_check () =
+  (* exactly four headers load; every other image starting with "XQC"
+     is refused by name instead of misparsed *)
+  let v4 = Repository.serialize (Repository.deserialize (read_fixture "v3_small.xqc")) in
+  let body = String.sub v4 5 (String.length v4 - 5) in
   List.iter
-    (fun (q : Xmark.Queries.query) ->
-      let ast = Xquery.Parser.parse q.Xmark.Queries.text in
-      let a = Xquec_core.Executor.serialize v3 (Xquec_core.Executor.run v3 ast) in
-      let b = Xquec_core.Executor.serialize v4 (Xquec_core.Executor.run v4 ast) in
-      Alcotest.(check string) (q.Xmark.Queries.id ^ " identical on v3 and v4") a b)
-    Xmark.Queries.all;
-  Alcotest.(check bool) "v4 save/load/save byte-exact" true
-    (String.equal v4_image (Repository.serialize ~format:`V4 v4));
-  (* and the succinct tree is the smaller encoding even at this scale *)
-  let sz = Repository.size_breakdown repo in
-  Alcotest.(check bool) "succinct tree below packed tree" true
-    (sz.Repository.tree_bytes < sz.Repository.tree_packed_bytes)
+    (fun (name, data, accepted) ->
+      match Repository.deserialize data with
+      | _ -> if not accepted then Alcotest.failf "%s: loaded" name
+      | exception Failure msg when not accepted ->
+        if not (String.starts_with ~prefix:"repository: unsupported format" msg) then
+          Alcotest.failf "%s: unexpected failure %S" name msg)
+    [
+      ("v1", read_fixture "v1_small.xqc", true);
+      ("v2", read_fixture "v2_small.xqc", true);
+      ("v3", read_fixture "v3_small.xqc", true);
+      ("v4", v4, true);
+      ("XQC\\x05", "XQC\x05\x02" ^ body, false);
+      ("XQC\\x09", "XQC\x09\x02" ^ body, false);
+      ("bare XQC", "XQC", false);
+      ("XQC\\x04 without flags", "XQC\x04", false);
+      ("XQC\\x04 flags 0", "XQC\x04\x00" ^ body, false);
+      ("XQC\\x04 flags 6", "XQC\x04\x06" ^ body, false);
+      ("XQC\\x04 flags 3", "XQC\x04\x03" ^ body, false);
+      ("XQC\\x03 flags 2", "XQC\x03\x02" ^ body, false);
+    ]
 
 let test_capped_bounds_conservative () =
   (* codes longer than the 8-byte header cap: the exact bit must clear
@@ -859,14 +761,6 @@ let test_capped_bounds_conservative () =
 
 let suites =
   [
-    ( "btree",
-      [
-        Alcotest.test_case "insert/find" `Quick test_btree_basic;
-        Alcotest.test_case "bulk load" `Quick test_btree_bulk;
-        Alcotest.test_case "find_le" `Quick test_btree_find_le;
-        Alcotest.test_case "range fold" `Quick test_btree_range;
-        QCheck_alcotest.to_alcotest prop_btree_model;
-      ] );
     ( "storage",
       [
         Alcotest.test_case "name dictionary" `Quick test_name_dict;
@@ -899,7 +793,7 @@ let suites =
         Alcotest.test_case "repository v3 fixture read" `Quick test_repository_v3_fixture;
         Alcotest.test_case "v3 vs v4 query identity" `Quick test_v3_v4_query_identity;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
-        Alcotest.test_case "packed tree round-trip" `Quick test_packed_tree_roundtrip;
+        Alcotest.test_case "repository header check" `Quick test_repository_header_check;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;
       ] );
   ]
