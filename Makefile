@@ -30,6 +30,9 @@ build:
 # their counts and digests against the committed baseline, and a tiny
 # generate -> compress -> query -> profile round-trip asserts the
 # workload profiler resolves at least one container from the query log.
+# Along the way the image is compressed a second time under
+# OCAMLRUNPARAM=R (randomized hash tables) and must be byte-identical,
+# and a truncated query must exit 2 with a positioned syntax error.
 check:
 	dune build
 	dune runtest
@@ -43,9 +46,16 @@ check:
 	dune exec tools/bench_gate.exe -- --quick --candidate $(GATE_DIR)/quick.json
 	$(XQUEC) generate -d xmark -s 0.05 -o $(GATE_DIR)/auction.xml
 	$(XQUEC) compress $(GATE_DIR)/auction.xml -o $(GATE_DIR)/auction.xqc
+	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml \
+	  -o $(GATE_DIR)/auction-randomized.xqc > /dev/null
+	cmp $(GATE_DIR)/auction.xqc $(GATE_DIR)/auction-randomized.xqc
 	$(XQUEC) query $(GATE_DIR)/auction.xqc \
 	  'for $$p in document("auction.xml")/site/people/person where $$p/@id = "person0" return $$p/name' \
 	  --query-log $(GATE_DIR)/query-log.jsonl > /dev/null
+	$(XQUEC) query $(GATE_DIR)/auction.xqc \
+	  'for $$p in document("auction.xml")/site/people/person where' \
+	  2> $(GATE_DIR)/syntax-error.txt; test $$? -eq 2
+	grep -q '^xquec: syntax error at byte 58: unexpected end of input$$' $(GATE_DIR)/syntax-error.txt
 	$(XQUEC) profile $(GATE_DIR)/query-log.jsonl --json | grep -q '"container"'
 	$(MAKE) serve-smoke
 

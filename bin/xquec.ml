@@ -173,6 +173,14 @@ let with_telemetry ~stats ~trace_out ?cache_mb ?decode_domains ?query_log f =
   in
   Fun.protect ~finally:finish f
 
+(* A malformed query is the caller's mistake: report it with its byte
+   offset and exit 2, never as an uncaught exception. *)
+let reporting_syntax_errors f =
+  try f ()
+  with Xquery.Parser.Syntax_error (msg, pos) ->
+    Fmt.epr "xquec: %s@." (Xquery.Parser.error_message msg pos);
+    exit 2
+
 (* A repository argument that also accepts raw XML: sniff the first
    non-whitespace byte — documents start with '<', serialized
    repositories never do. Returns the engine plus the input's format
@@ -301,6 +309,7 @@ let query_cmd =
   let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"XQUERY") in
   let timing = Arg.(value & flag & info [ "t"; "time" ] ~doc:"Print the evaluation time.") in
   let run input query timing stats trace_out cache_mb decode_domains query_log prefetch =
+    reporting_syntax_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?decode_domains ?query_log @@ fun () ->
     Option.iter Storage.Container.set_prefetch_depth prefetch;
     let engine = load_engine_any input in
@@ -334,6 +343,7 @@ let explain_cmd =
                 query or print the profiled plan.")
   in
   let run input query plan_only stats trace_out cache_mb decode_domains query_log =
+    reporting_syntax_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?decode_domains ?query_log @@ fun () ->
     let engine = load_engine_any input in
     let repo = Xquec_core.Engine.repo engine in

@@ -58,54 +58,146 @@ let is_prefix ~prefix s =
 (* Token mining                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Frequent-substring mining: counts substrings of lengths 2..12 over a
-    byte-bounded sample of the values and keeps the [max_tokens] best by
-    estimated savings (occurrences x length). *)
+(* Candidate lengths, in the order each offset tries them. *)
+let token_lengths = [| 2; 3; 4; 5; 6; 8; 10; 12; 16; 20; 24 |]
+
+(* Distinct candidates counted; first occurrences past the cap are
+   dropped. *)
+let max_candidates = 1 lsl 18
+
+(* A candidate's hash: FNV-1a over its bytes, then its length mixed in.
+   The miner runs the byte loop once per offset and finishes it at each
+   candidate length. *)
+let fnv_step h c = (h lxor Char.code c) * 0x100000001b3
+
+let finish_hash h len =
+  let m = (h lxor len) * 0x9e3779b97f4a7c1 in
+  m lxor (m lsr 31)
+
+(* The candidate table: an open-addressing index over dense entries in
+   first-seen order. Entry [d] is [ent.(2d)], the first occurrence
+   packed as [pos lsl 5 lor len] (the [len]-byte slice of [sample] at
+   [pos]), and [ent.(2d+1)], its count. A slot is a 32-bit cell: 0 when
+   empty, else [d + 1] in the low [idx_bits] bits and 12 bits of the
+   hash above them, so most probes that miss never read an entry.
+
+   The table is sized once, for every candidate the sample can hold,
+   and stays at most half full: it never rehashes, and 4-byte slots keep
+   the tables of long samples in cache. *)
+type candidates = {
+  sample : Bytes.t;
+  ent : int array;
+  mutable n : int;
+  slots : Bytes.t;
+  mask : int;  (* slot count - 1 *)
+}
+
+let idx_bits = 19 (* holds [max_candidates] *)
+let idx_mask = (1 lsl idx_bits) - 1
+let tag h = ((h lsr 40) land 0xfff) lsl idx_bits
+let cell slots i = Int32.to_int (Bytes.get_int32_le slots (4 * i))
+let set_cell slots i v = Bytes.set_int32_le slots (4 * i) (Int32.of_int v)
+
+let create_candidates sample =
+  let most = min max_candidates (Array.length token_lengths * Bytes.length sample) in
+  let slots = ref 16 in
+  while !slots < 2 * most do
+    slots := 2 * !slots
+  done;
+  { sample; ent = Array.make (2 * most) 0; n = 0;
+    slots = Bytes.make (4 * !slots) '\000'; mask = !slots - 1 }
+
+let rec slice_equal s a b len k =
+  k = len || (Bytes.unsafe_get s (a + k) = Bytes.unsafe_get s (b + k) && slice_equal s a b len (k + 1))
+
+(* Count one occurrence of the [len]-byte slice at [pos], whose hash is
+   [h], probing from slot [i]: bump its entry, or append a new one while
+   under the cap. *)
+let rec note t pos len h i =
+  let c = cell t.slots i in
+  if c = 0 then begin
+    if t.n < max_candidates then begin
+      let d = t.n in
+      t.ent.(2 * d) <- (pos lsl 5) lor len;
+      t.ent.((2 * d) + 1) <- 1;
+      t.n <- d + 1;
+      set_cell t.slots i (tag h lor (d + 1))
+    end
+  end
+  else
+    let d = (c land idx_mask) - 1 in
+    if
+      c lxor tag h <= idx_mask
+      &&
+      let key = t.ent.(2 * d) in
+      key land 31 = len && slice_equal t.sample (key lsr 5) pos len 0
+    then t.ent.((2 * d) + 1) <- t.ent.((2 * d) + 1) + 1
+    else note t pos len h ((i + 1) land t.mask)
+
+(* Bucket count of a [Hashtbl.create 4096] table after [n] adds: it
+   doubles whenever its size exceeds twice the bucket count. *)
+let hashtbl_buckets n =
+  let rec go b = if n <= 2 * b then b else go (2 * b) in
+  go 4096
+
+(** Frequent-substring mining; the selection rules are in alm.mli. *)
 let mine_tokens ?(max_tokens = 512) ?(sample_bytes = 1 lsl 20) (values : string list) :
     string list =
-  let counts : (string, int ref) Hashtbl.t = Hashtbl.create 4096 in
-  let budget = ref sample_bytes in
-  let lengths = [ 2; 3; 4; 5; 6; 8; 10; 12; 16; 20; 24 ] in
-  let scan v =
-    let n = String.length v in
-    budget := !budget - n;
-    for i = 0 to n - 2 do
-      List.iter
-        (fun l ->
-          if i + l <= n then begin
-            let sub = String.sub v i l in
-            match Hashtbl.find_opt counts sub with
-            | Some r -> incr r
-            | None ->
-              if Hashtbl.length counts < 1 lsl 18 then
-                Hashtbl.add counts sub (ref 1)
-          end)
-        lengths
-    done
+  (* The sample is the prefix of [values] taken while budget remains,
+     copied back to back into one buffer. *)
+  let rec take_sample budget acc = function
+    | v :: rest when budget > 0 -> take_sample (budget - String.length v) (v :: acc) rest
+    | _ -> List.rev acc
   in
-  let rec sample = function
-    | [] -> ()
-    | v :: rest ->
-      if !budget > 0 then begin
-        scan v;
-        sample rest
-      end
+  let taken = take_sample sample_bytes [] values in
+  let sample = Bytes.create (List.fold_left (fun a v -> a + String.length v) 0 taken) in
+  let t = create_candidates sample in
+  let start = ref 0 in
+  List.iter
+    (fun v ->
+      let n = String.length v in
+      Bytes.blit_string v 0 sample !start n;
+      let stop = !start + n in
+      (* Candidates never cross a value boundary. *)
+      for pos = !start to stop - 2 do
+        let h = ref 0 and li = ref 0 in
+        for k = 1 to min 24 (stop - pos) do
+          h := fnv_step !h (Bytes.unsafe_get sample (pos + k - 1));
+          if k = token_lengths.(!li) then begin
+            let hk = finish_hash !h k in
+            note t pos k hk (hk land t.mask);
+            incr li
+          end
+        done
+      done;
+      start := stop)
+    taken;
+  (* savings estimate: each occurrence replaces len bytes by ~1.5 code
+     bytes; require enough occurrences to pay for the dictionary entry.
+     Ties keep the order a stable sort of a [Hashtbl.create 4096] fold
+     gives them: bucket descending, then first seen. *)
+  let buckets = hashtbl_buckets t.n in
+  let scored = ref [] in
+  for d = t.n - 1 downto 0 do
+    let c = t.ent.((2 * d) + 1) in
+    if c >= 3 then begin
+      let key = t.ent.(2 * d) in
+      let len = key land 31 in
+      let tok = Bytes.sub_string sample (key lsr 5) len in
+      let score = (c * ((2 * len) - 3)) - (2 * len) in
+      scored := (score, Hashtbl.hash tok land (buckets - 1), d, tok) :: !scored
+    end
+  done;
+  let sorted =
+    List.sort
+      (fun (s, b, d, _) (s', b', d', _) ->
+        if s <> s' then compare s' s else if b <> b' then compare b' b else compare d d')
+      !scored
   in
-  sample values;
-  let scored =
-    (* savings estimate: each occurrence replaces len bytes by ~1.5 code
-       bytes; require enough occurrences to pay for the dictionary entry *)
-    Hashtbl.fold
-      (fun tok r acc ->
-        if !r >= 3 then ((!r * (2 * String.length tok - 3)) - (2 * String.length tok), tok) :: acc
-        else acc)
-      counts []
-  in
-  let sorted = List.sort (fun (s, _) (s', _) -> compare s' s) scored in
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
-    | (_, tok) :: rest -> tok :: take (n - 1) rest
+    | (_, _, _, tok) :: rest -> tok :: take (n - 1) rest
   in
   take max_tokens sorted
 

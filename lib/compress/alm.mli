@@ -20,7 +20,31 @@ exception Corrupt of string
     or [None] when no such string exists. *)
 val next_prefix : string -> string option
 
-(** Frequent-substring mining over a byte-bounded sample. *)
+(** [mine_tokens ?max_tokens ?sample_bytes values] is the dictionary
+    token list a model is built from, best first. The token set fixes a
+    container's compressed bytes, so every rule below is part of the
+    on-disk format:
+    - {b Sample.} The values are taken in order while the byte budget
+      [sample_bytes] (default 1 MiB) is still positive; each taken value
+      spends its full length, so the last one may overrun it.
+    - {b Candidates.} Every substring of a sampled value whose length is
+      one of 2, 3, 4, 5, 6, 8, 10, 12, 16, 20 or 24 bytes. Substrings
+      never span two values.
+    - {b Cap.} The scan visits values in order, offsets left to right
+      and, at each offset, lengths shortest first. Only the first 2{^18}
+      distinct candidates it meets are counted; later ones are dropped.
+    - {b Selection.} A candidate seen at least 3 times with count [c]
+      and length [l] scores [c * (2l - 3) - 2l]. The result is the first
+      [max_tokens] (default 512) candidates ordered by score, highest
+      first.
+    - {b Ties.} Equal scores order by [Hashtbl.hash tok land (b - 1)],
+      highest first, and then by first occurrence. [b] is the smallest
+      [4096 * 2{^k}] with [n <= 2b], for [n] distinct candidates
+      counted: the bucket count a [Hashtbl.create 4096] reaches after
+      [n] adds.
+    The result depends on nothing else, not even on [OCAMLRUNPARAM=R].
+    Counting allocates nothing per candidate; a string is built only for
+    candidates seen at least 3 times. *)
 val mine_tokens : ?max_tokens:int -> ?sample_bytes:int -> string list -> string list
 
 (** Build a model from an explicit token set (single bytes are always

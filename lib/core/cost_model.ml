@@ -45,6 +45,10 @@ type t = {
 let sample_limit = 600
 let sample_bytes = 64 * 1024
 
+(* Every [step]-th record until the byte budget runs out. Each block
+   holding a sampled record is decoded once, outside the buffer pool:
+   building a repository must not leave its blocks resident or booked
+   as query heat. *)
 let sample_container (c : Container.t) : string list =
   let n = Container.length c in
   let take = min n sample_limit in
@@ -52,8 +56,15 @@ let sample_container (c : Container.t) : string list =
   let budget = ref sample_bytes in
   let out = ref [] in
   let i = ref 0 in
+  let blk = ref (-1) and codes = ref [||] in
   while !i < n && !budget > 0 do
-    let v = Container.decompress_record c (Container.get c !i) in
+    let bi = Container.block_of_index c !i in
+    if bi <> !blk then begin
+      blk := bi;
+      codes := fst (Container.read_block c bi)
+    end;
+    let code = !codes.(!i - c.Container.blocks.(bi).b_start) in
+    let v = Compress.Codec.decompress c.Container.model code in
     budget := !budget - String.length v;
     out := v :: !out;
     i := !i + step

@@ -169,7 +169,7 @@ let apply (repo : Repository.t) (config : Cost_model.configuration) : unit =
   List.iter
     (fun (ids, alg) ->
       let containers = List.map (fun id -> repo.Repository.containers.(id)) ids in
-      let all_values = List.concat_map (fun c -> List.map fst (Container.dump c)) containers in
+      let all_values = List.concat_map (fun c -> List.map fst (Container.read_all c)) containers in
       match Compress.Codec.train alg all_values with
       | exception Compress.Codec.Unsupported _ ->
         () (* cost model gave this infinite cost; defensive no-op *)

@@ -512,7 +512,12 @@ let run_query (engine : Engine.t) (text : string) : Expo.response =
     | exception e ->
       Metrics.incr "serve.query_errors";
       window_observe ~error:true (elapsed_ms ());
-      Expo.respond 400 "text/plain; charset=utf-8" (Printexc.to_string e ^ "\n")
+      let msg =
+        match e with
+        | Xquery.Parser.Syntax_error (msg, pos) -> Xquery.Parser.error_message msg pos
+        | e -> Printexc.to_string e
+      in
+      Expo.respond 400 "text/plain; charset=utf-8" (msg ^ "\n")
   end
 
 (** The [extra] handler for {!Xquec_obs.Expo.start}: query evaluation

@@ -489,22 +489,35 @@ let build ?block_size ~id ~path ~kind ~algorithm (values : (string * int) list) 
   of_sorted_records ?block_size ~plain_sizes ~id ~path ~kind ~algorithm ~model ~model_id:id
     ~plain_bytes records
 
+(* Every block's [(plaintext, parent)] pairs, in record order, from
+   [block i] = its codes and parents. *)
+let all_pairs (t : t) (block : int -> string array * int array) : (string * int) list =
+  List.concat
+    (List.init (Array.length t.blocks) (fun i ->
+         let codes, parents = block i in
+         List.init (Array.length codes) (fun off ->
+             (Compress.Codec.decompress t.model codes.(off), parents.(off)))))
+
 (** All (plaintext, parent) pairs, decompressed, in record order. *)
 let dump (t : t) : (string * int) list =
   let ds = fetch_blocks t ~b0:0 ~b1:(Array.length t.blocks - 1) in
-  List.concat
-    (List.init (Array.length t.blocks) (fun i ->
-         let d = ds.(i) in
-         List.init (Array.length d.Buffer_pool.codes) (fun off ->
-             ( Compress.Codec.decompress t.model d.Buffer_pool.codes.(off),
-               d.Buffer_pool.parents.(off) ))))
+  all_pairs t (fun i -> (ds.(i).Buffer_pool.codes, ds.(i).Buffer_pool.parents))
+
+(* Build-time reads bypass the pool and every counter: building a
+   repository must leave the query cache and its accounting as it found
+   them. *)
+let read_block (t : t) (i : int) : string array * int array =
+  let b = t.blocks.(i) in
+  Compress.Codec.decode_block ~count:b.b_count b.b_payload
+
+let read_all (t : t) : (string * int) list = all_pairs t (read_block t)
 
 (** Re-compress with a new algorithm / shared model. [model] must have
     been trained on a superset of this container's values. Returns the
     permutation old record index -> new record index so callers can fix
     up value pointers into this container. *)
 let recompress (t : t) ~algorithm ~model ~model_id : int array =
-  let plain = dump t in
+  let plain = read_all t in
   let triples =
     List.mapi
       (fun old_idx (v, parent) ->

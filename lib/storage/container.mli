@@ -195,12 +195,27 @@ val of_sorted_records :
     decompresses every value. *)
 val dump : t -> (string * int) list
 
+(** [read_block t i] is block [i]'s codes and parents, in record order,
+    decoded straight from its payload on every call: no {!Buffer_pool}
+    admission or counter, no {!Xquec_obs.Heat} touch or decode, no
+    budget charge. For build-time readers (the cost model's sampler,
+    {!read_all}) that must leave the query cache and its accounting as
+    they found them. Raises [Invalid_argument] for a block index out of
+    range. *)
+val read_block : t -> int -> string array * int array
+
+(** {!dump} through {!read_block}: every [(plaintext, parent)] pair in
+    record order, read outside the buffer pool. The build-time rewrite
+    paths ({!recompress}, the partitioner's shared-model training) use
+    it. *)
+val read_all : t -> (string * int) list
+
 (** [recompress t ~algorithm ~model ~model_id] re-encodes every value
     with the new (typically shared) model, re-sorts, re-blocks, bumps
     the generation and invalidates the container's buffer-pool entries.
     Returns the permutation old index -> new index so callers can patch
     value pointers. [model] must have been trained on a superset of this
-    container's values. *)
+    container's values. Reads the old records with {!read_all}. *)
 val recompress :
   t ->
   algorithm:Compress.Codec.algorithm ->
@@ -266,6 +281,10 @@ val prefetch_blocks : t -> b0:int -> b1:int -> unit
     decodes at most the one block holding it. Raises [Invalid_argument]
     out of bounds. *)
 val get : t -> int -> record
+
+(** Index of the block holding record [i] (0-based; [i] must be in
+    range). One binary search over the block headers. *)
+val block_of_index : t -> int -> int
 
 (** [range t ~lo ~hi] is the records with indices in [lo, hi) (upper
     bound exclusive), decoding only the blocks that interval touches;

@@ -4,6 +4,8 @@
 
 exception Syntax_error of string * int
 
+let error_message msg pos = Printf.sprintf "syntax error at byte %d: %s" pos msg
+
 type state = { src : string; mutable pos : int }
 
 let fail st msg = raise (Syntax_error (msg, st.pos))

@@ -185,6 +185,86 @@ let prop_alm_order_binary =
       let ca = Alm.compress m a and cb = Alm.compress m b in
       compare (Alm.compare_compressed ca cb) 0 = compare (String.compare a b) 0)
 
+(* The previous token miner, kept as the oracle for [Alm.mine_tokens]:
+   one [String.sub] per candidate, counted in a [Hashtbl], ties left in
+   [Hashtbl.fold] order by the stable sort. The table is created
+   unrandomized so the oracle is the same under OCAMLRUNPARAM=R. *)
+let oracle_mine_tokens ~max_tokens ~sample_bytes (values : string list) : string list =
+  let counts : (string, int ref) Hashtbl.t = Hashtbl.create ~random:false 4096 in
+  let budget = ref sample_bytes in
+  let lengths = [ 2; 3; 4; 5; 6; 8; 10; 12; 16; 20; 24 ] in
+  let scan v =
+    let n = String.length v in
+    budget := !budget - n;
+    for i = 0 to n - 2 do
+      List.iter
+        (fun l ->
+          if i + l <= n then begin
+            let sub = String.sub v i l in
+            match Hashtbl.find_opt counts sub with
+            | Some r -> incr r
+            | None ->
+              if Hashtbl.length counts < 1 lsl 18 then Hashtbl.add counts sub (ref 1)
+          end)
+        lengths
+    done
+  in
+  let rec sample = function
+    | [] -> ()
+    | v :: rest ->
+      if !budget > 0 then begin
+        scan v;
+        sample rest
+      end
+  in
+  sample values;
+  let scored =
+    Hashtbl.fold
+      (fun tok r acc ->
+        if !r >= 3 then ((!r * ((2 * String.length tok) - 3)) - (2 * String.length tok), tok) :: acc
+        else acc)
+      counts []
+  in
+  let sorted = List.sort (fun (s, _) (s', _) -> compare s' s) scored in
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | (_, tok) :: rest -> tok :: take (n - 1) rest
+  in
+  take max_tokens sorted
+
+(* Small alphabets make many candidates tie in score at the cutoff, so
+   the tie order decides which of them are kept. *)
+let prop_alm_miner_oracle =
+  let alnum = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789" in
+  let gen =
+    QCheck2.Gen.(
+      oneofl [ "ab"; "abcdefgh "; alnum ] >>= fun alphabet ->
+      let value =
+        string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1)))
+          (int_bound 60)
+      in
+      triple (list_size (int_bound 300) value) (int_range 1 64) (int_range 1 8000))
+  in
+  QCheck2.Test.make ~name:"alm miner matches the oracle" ~count:300 gen
+    (fun (values, max_tokens, sample_bytes) ->
+      Alm.mine_tokens ~max_tokens ~sample_bytes values
+      = oracle_mine_tokens ~max_tokens ~sample_bytes values)
+
+(* 2000 random 500-byte values: about a million offsets, far more
+   distinct candidates than the 2^18 the miner counts, so which ones the
+   cap keeps decides the result. *)
+let test_alm_miner_cap () =
+  let state = Random.State.make [| 18 |] in
+  let values =
+    List.init 2000 (fun _ ->
+        String.init 500 (fun _ -> Char.chr (Char.code 'a' + Random.State.int state 26)))
+  in
+  let max_tokens = 512 and sample_bytes = 1 lsl 20 in
+  Alcotest.(check (list string)) "same tokens as the oracle"
+    (oracle_mine_tokens ~max_tokens ~sample_bytes values)
+    (Alm.mine_tokens ~max_tokens ~sample_bytes values)
+
 let test_alm_prefix_range () =
   let m = Lazy.force alm_model in
   let (lo, hi) = Alm.prefix_range m "the" in
@@ -522,6 +602,8 @@ let suites =
           (prop_roundtrip "alm" gen_string Alm.train Alm.compress Alm.decompress);
         QCheck_alcotest.to_alcotest prop_alm_order;
         QCheck_alcotest.to_alcotest prop_alm_order_binary;
+        QCheck_alcotest.to_alcotest prop_alm_miner_oracle;
+        Alcotest.test_case "miner matches the oracle at the cap" `Quick test_alm_miner_cap;
       ] );
     ( "arith",
       [

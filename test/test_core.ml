@@ -381,6 +381,23 @@ let test_merge_join_shared_model () =
   Alcotest.(check int) "merge join = hash join cardinality" (Physical.cardinality hash)
     (Physical.cardinality merge)
 
+(* Building a repository samples every container for the cost model
+   and re-reads the ones that get a shared model; those reads must not
+   stay resident in the query buffer pool or show up as query heat. *)
+let test_load_leaves_pool () =
+  let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.05 () in
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  Xquec_obs.Heat.reset ();
+  let before = Storage.Buffer_pool.snapshot () in
+  ignore (Engine.load ~name:"auction.xml" ~workload xml);
+  let after = Storage.Buffer_pool.snapshot () in
+  Alcotest.(check int) "resident blocks" before.s_resident_blocks after.s_resident_blocks;
+  let touches =
+    List.fold_left (fun acc (s : Xquec_obs.Heat.stat) -> acc + s.touches) 0
+      (Xquec_obs.Heat.snapshot ())
+  in
+  Alcotest.(check int) "heat touches" 0 touches
+
 let suites =
   [
     ( "workload",
@@ -392,6 +409,8 @@ let suites =
       [
         Alcotest.test_case "prefers enabling algorithms" `Quick test_cost_prefers_enabling_algorithm;
         Alcotest.test_case "numeric rejected on text" `Quick test_numeric_rejected_on_text;
+        Alcotest.test_case "load leaves the buffer pool as it found it" `Quick
+          test_load_leaves_pool;
       ] );
     ( "partitioner",
       [

@@ -198,6 +198,17 @@ let test_wall_budget_trips_408 () =
   Alcotest.(check bool) "names the tripped budget" true
     (contains r.Obs.Expo.body "\"budget\":\"wall_ms\"")
 
+(* A malformed query answers 400 with the same positioned message the
+   CLI prints, not an exception dump. *)
+let test_syntax_error_400 () =
+  with_fresh_telemetry @@ fun () ->
+  let engine = Lazy.force shared_engine in
+  let q = "for $p in document(\"auction.xml\")/site/people/person where" in
+  let r = Serve.run_query engine q in
+  Alcotest.(check int) "status" 400 r.Obs.Expo.status;
+  Alcotest.(check string) "body" "syntax error at byte 58: unexpected end of input\n"
+    r.Obs.Expo.body
+
 (* ------------------------------------------------------------------ *)
 (* Client disconnects                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -304,6 +315,7 @@ let suites =
           test_admission_sheds_beyond_max_inflight;
         Alcotest.test_case "decode budget trips 408." `Quick test_decode_budget_trips_408;
         Alcotest.test_case "wall budget trips 408." `Quick test_wall_budget_trips_408;
+        Alcotest.test_case "syntax error answers 400." `Quick test_syntax_error_400;
         Alcotest.test_case "EPIPE mid-response survives." `Quick
           test_epipe_mid_response_survives;
         Alcotest.test_case "concurrent clients correct." `Quick
