@@ -308,6 +308,8 @@ let storage_occupancy () =
   let sz = Xquec_core.Engine.size_breakdown engine in
   let os = float_of_int repo.Storage.Repository.original_size in
   let pct x = 100.0 *. float_of_int x /. os in
+  (* built at load and never stored, so outside [total] *)
+  let nav_arrays = Storage.Structure_tree.nav_array_bytes repo.Storage.Repository.tree in
   (* The v4 acceptance pin, on the committed v3 fixture (v3 is read but
      no longer written): its v4 re-save must be the smaller image, and
      both must answer the fixture's queries identically. Both facts are
@@ -336,6 +338,7 @@ let storage_occupancy () =
          ("models", num (float_of_int sz.Storage.Repository.models_bytes));
          ("summary", num (float_of_int sz.Storage.Repository.summary_bytes));
          ("index", num (float_of_int sz.Storage.Repository.index_bytes));
+         ("nav_arrays_in_memory", num (float_of_int nav_arrays));
          ("essential", num (float_of_int sz.Storage.Repository.essential_bytes));
        ]);
   Fmt.pr "original document:        %9d bytes@." repo.Storage.Repository.original_size;
@@ -358,6 +361,8 @@ let storage_occupancy () =
     (pct sz.Storage.Repository.summary_bytes);
   Fmt.pr "  nav directories:        %9d bytes (%.1f%%)@." sz.Storage.Repository.index_bytes
     (pct sz.Storage.Repository.index_bytes);
+  Fmt.pr "  nav arrays (in memory): %9d bytes (tags + subtree ends, built at load, not stored)@."
+    nav_arrays;
   Fmt.pr "essential (no access structures): %d bytes@." sz.Storage.Repository.essential_bytes;
   Fmt.pr "access-structure factor:  %.2fx (paper: 3-4x)@."
     (float_of_int sz.Storage.Repository.total_bytes

@@ -73,8 +73,17 @@ let tag_code ctx name = Name_dict.code ctx.repo.Repository.dict name
 
 let tag_name ctx code = Name_dict.name ctx.repo.Repository.dict code
 
-let is_attr_code ctx code =
-  code >= 0 && String.length (tag_name ctx code) > 0 && (tag_name ctx code).[0] = '@'
+let is_attr_code ctx code = Name_dict.is_attribute ctx.repo.Repository.dict code
+
+(* [needle] occurs in [hay]; compared in place, without a substring per
+   offset. *)
+let contains_substring hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec matches_at i j =
+    j = n || (String.unsafe_get hay (i + j) = String.unsafe_get needle j && matches_at i (j + 1))
+  in
+  let rec go i = i + n <= h && (matches_at i 0 || go (i + 1)) in
+  go 0
 
 let container ctx id = ctx.repo.Repository.containers.(id)
 
@@ -650,22 +659,12 @@ let filter_records_textual ctx (cont : Container.t) ~(kind : [ `Contains | `Star
       note_cmp ctx ~compressed:false (Container.length cont);
       Array.to_list (Container.scan cont)
       |> List.filter (fun (r : Container.record) ->
-             let v = decompress_cval cont r.Container.code in
-             String.length needle <= String.length v
-             && String.sub v 0 (String.length needle) = needle))
+             String.starts_with ~prefix:needle (decompress_cval cont r.Container.code)))
   | `Contains ->
     note_cmp ctx ~compressed:false (Container.length cont);
-    let contains hay =
-      let n = String.length needle and h = String.length hay in
-      if n = 0 then true
-      else begin
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      end
-    in
     Array.to_list (Container.scan cont)
     |> List.filter (fun (r : Container.record) ->
-           contains (decompress_cval cont r.Container.code))
+           contains_substring (decompress_cval cont r.Container.code) needle)
 
 (* Map a matched record's parent pointer to the element [hops] levels up.
    Attribute records point at the attribute node, whose parent is the
@@ -1018,40 +1017,19 @@ let rec eval ctx (env : env) (e : Ast.expr) : binding =
     let needle =
       String.concat "" (List.map (atom_string ctx) (materialize ctx (eval ctx env b)))
     in
-    let contains hay needle =
-      let n = String.length needle and h = String.length hay in
-      if n = 0 then true
-      else begin
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      end
-    in
-    mat [ Bool (contains hay needle) ]
+    mat [ Bool (contains_substring hay needle) ]
   | Ast.Starts_with (a, b) ->
     let hay = String.concat "" (List.map (atom_string ctx) (materialize ctx (eval ctx env a))) in
     let needle =
       String.concat "" (List.map (atom_string ctx) (materialize ctx (eval ctx env b)))
     in
-    mat
-      [
-        Bool
-          (String.length needle <= String.length hay
-          && String.sub hay 0 (String.length needle) = needle);
-      ]
+    mat [ Bool (String.starts_with ~prefix:needle hay) ]
   | Ast.Ftcontains (a, words) ->
     let hay =
       String.lowercase_ascii
         (String.concat " " (List.map (atom_string ctx) (materialize ctx (eval ctx env a))))
     in
-    let contains hay needle =
-      let n = String.length needle and h = String.length hay in
-      if n = 0 then true
-      else begin
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      end
-    in
-    mat [ Bool (List.for_all (fun w -> contains hay w) words) ]
+    mat [ Bool (List.for_all (contains_substring hay) words) ]
   | Ast.Empty e -> mat [ Bool (count ctx (eval ctx env e) = 0) ]
   | Ast.Exists e -> mat [ Bool (count ctx (eval ctx env e) > 0) ]
   | Ast.Distinct_values e -> eval_distinct ctx env e
@@ -1124,13 +1102,14 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
     | All_nodes _ when st.Ast.predicates = [] && asnodes <> [] ->
       { seq = All_values asnodes; snodes = asnodes }
     | _ ->
+      let code = tag_code ctx ("@" ^ n) in
       let items =
         materialize ctx b
         |> List.concat_map (fun it ->
                match it with
                | Node id when id < 0 -> []
                | Node id -> (
-                 match tag_code ctx ("@" ^ n) with
+                 match code with
                  | None -> []
                  | Some code ->
                    Structure_tree.children_with_tag ctx.repo.Repository.tree id code
@@ -1164,18 +1143,19 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
         if id = doc_node_id then (0, Structure_tree.node_count tree - 1)
         else (id + 1, Structure_tree.last_descendant tree id)
       in
+      let code = match st.Ast.test with Ast.Name n -> tag_code ctx n | _ -> None in
       let kids_of id =
         match st.Ast.axis, st.Ast.test with
-        | Ast.Child, Ast.Name n -> (
-          match tag_code ctx n with
+        | Ast.Child, Ast.Name _ -> (
+          match code with
           | None -> []
           | Some code ->
             node_children id |> List.filter (fun c -> Structure_tree.tag tree c = code))
         | Ast.Child, Ast.Any ->
           node_children id
           |> List.filter (fun c -> not (is_attr_code ctx (Structure_tree.tag tree c)))
-        | Ast.Descendant, Ast.Name n -> (
-          match tag_code ctx n with
+        | Ast.Descendant, Ast.Name _ -> (
+          match code with
           | None -> []
           | Some code ->
             let (first, stop) = desc_range id in
@@ -1197,16 +1177,15 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
               take lo []
             end
             else if id = doc_node_id then
-              (* whole-document tag lookup straight off the wavelet tree *)
+              (* whole-document tag lookup: one scan of the tag array *)
               (match Structure_tree.node_count tree with
               | 0 -> []
               | _ ->
                 let rest = Structure_tree.descendants_with_tag tree 0 code in
                 if Structure_tree.tag tree 0 = code then 0 :: rest else rest)
             else
-              (* no summary pruning available: wavelet rank/select over
-                 the subtree's pre-order interval instead of scanning
-                 every descendant *)
+              (* no summary pruning available: scan the tag array over
+                 the subtree's pre-order interval *)
               Structure_tree.descendants_with_tag tree id code)
         | Ast.Descendant, Ast.Any ->
           let (first, stop) = desc_range id in

@@ -57,12 +57,12 @@ val serialize : Buffer.t -> t -> unit
     the position past it. Raises [Failure] on truncated input. *)
 val deserialize : string -> int -> t * int
 
-(** Wavelet tree over an integer-code sequence (the structure tree's
-    tag array): [access]/[rank]/[select] in O(width) bitvector
-    operations, stored as [width] level bitvectors of [n] bits in the
-    pointerless levelwise layout. *)
+(** Wavelet tree over an integer-code sequence: the on-disk encoding of
+    the structure tree's tag array, [width] level bitvectors of [n] bits
+    in the pointerless levelwise layout. It is only built, written, read
+    and decoded back to a flat array; navigation never queries it. *)
 module Wavelet : sig
-  (** An immutable code sequence with rank/select by code. *)
+  (** An encoded code sequence (the raw level bits, no directories). *)
   type t
 
   (** Number of codes in the sequence. *)
@@ -78,24 +78,17 @@ module Wavelet : sig
       [width] bits. *)
   val build : width:int -> int array -> t
 
-  (** [access t i]: the code at position [i]. *)
-  val access : t -> int -> int
+  (** The codes back as a flat array, in O(n * width): one sequential
+      sweep per level, with two scratch permutations reused across
+      levels. [decode (build ~width a) = a]. *)
+  val decode : t -> int array
 
-  (** [rank t ~code i]: occurrences of [code] in positions [0, i). *)
-  val rank : t -> code:int -> int -> int
-
-  (** [select t ~code k]: position of the [k]-th occurrence of [code]
-      (1-based), or [None] if there are fewer than [k]. *)
-  val select : t -> code:int -> int -> int option
-
-  (** Raw bit payload in bytes ([n * width / 8] rounded up per level). *)
-  val data_bytes : t -> int
-
-  (** Compact rank-directory footprint across levels. *)
-  val overhead_bytes : t -> int
+  (** Compact rank-directory footprint of [width] levels of [n] bits —
+      what an on-storage design would charge for access support. *)
+  val overhead_bytes : n:int -> width:int -> int
 
   (** Append varint [length], varint [width], then each level's packed
-      bits (directories are rebuilt at load). *)
+      bits. *)
   val serialize : Buffer.t -> t -> unit
 
   (** [deserialize s pos] inverts {!serialize}, returning the tree and

@@ -13,7 +13,15 @@
    strictly below every excess on the skipped prefix/suffix, so block
    minima alone decide containment (the excess walk is ±1-continuous:
    a block whose minimum is <= the target and which is entered above
-   the target must cross it). *)
+   the target must cross it).
+
+   Pre-order ids make every downward step arithmetic once each node's
+   last descendant is known: node i's subtree is the id interval
+   [i, last i], its first child is i+1, and the sibling after child c is
+   last c + 1. [of_bits] records those ends in the same pass that builds
+   the directory, so children, subtree sizes and ancestor tests read an
+   array; only upward and positional queries (parent, depth, post rank,
+   findopen/findclose) run the rank/select and excess searches. *)
 
 let block_bits = 256
 
@@ -23,6 +31,7 @@ type t = {
   block_min : int array;  (* min excess E(j) per block of positions *)
   seg : int array;  (* 1-based segment tree over block minima *)
   seg_size : int;  (* leaf count (power of two) *)
+  ends : int array;  (* per node: its last descendant (itself for a leaf) *)
 }
 
 let bits t = t.bits
@@ -39,10 +48,26 @@ let of_bits (bits : Bitvec.t) : t =
   if Bitvec.ones bits <> n then failwith "Bp_tree.of_bits: unbalanced";
   let nblocks = (len + block_bits - 1) / block_bits in
   let block_min = Array.make (max nblocks 1) max_int in
+  (* While a node is open, its [ends] cell links to the enclosing open
+     node, so the cells double as the open-node stack; the close
+     overwrites the link with the last id opened so far. *)
+  let ends = Array.make n 0 in
+  let top = ref (-1) and next_id = ref 0 in
   let e = ref 0 in
   for j = 0 to len - 1 do
-    e := !e + (if Bitvec.get bits j then 1 else -1);
-    if !e < 0 then failwith "Bp_tree.of_bits: close before open";
+    if Bitvec.get bits j then begin
+      incr e;
+      ends.(!next_id) <- !top;
+      top := !next_id;
+      incr next_id
+    end
+    else begin
+      decr e;
+      if !e < 0 then failwith "Bp_tree.of_bits: close before open";
+      let v = !top in
+      top := ends.(v);
+      ends.(v) <- !next_id - 1
+    end;
     let b = j / block_bits in
     if !e < block_min.(b) then block_min.(b) <- !e
   done;
@@ -61,7 +86,7 @@ let of_bits (bits : Bitvec.t) : t =
   for i = seg_size - 1 downto 1 do
     seg.(i) <- min seg.(2 * i) seg.((2 * i) + 1)
   done;
-  { bits; n; block_min; seg; seg_size }
+  { bits; n; block_min; seg; seg_size; ends }
 
 (* Leftmost block index >= [l] whose min excess is <= [target]; -1 if
    none. *)
@@ -177,37 +202,39 @@ let parent t i =
 
 let depth t i = excess t (pos_of_node t i) - 1
 
-let first_child t i =
-  let p = pos_of_node t i in
-  if p + 1 < Bitvec.length t.bits && Bitvec.get t.bits (p + 1) then Some (i + 1) else None
+let last_descendant t i = t.ends.(i)
 
+let subtree_size t i = t.ends.(i) - i + 1
+
+let first_child t i = if i < t.ends.(i) then Some (i + 1) else None
+
+(* The sibling after [i], if any, is [last i + 1]; it exists when that id
+   still lies inside the parent's interval. *)
 let next_sibling t i =
-  let c = findclose t (pos_of_node t i) in
-  if c + 1 < Bitvec.length t.bits && Bitvec.get t.bits (c + 1) then
-    Some (node_of_open t (c + 1))
-  else None
+  let p = parent t i in
+  let s = t.ends.(i) + 1 in
+  if p >= 0 && s <= t.ends.(p) then Some s else None
+
+let fold_children t i f acc =
+  let stop = t.ends.(i) in
+  let rec go c acc = if c > stop then acc else go (t.ends.(c) + 1) (f acc c) in
+  go (i + 1) acc
 
 let children t i =
-  let rec collect acc = function
-    | None -> List.rev acc
-    | Some c -> collect (c :: acc) (next_sibling t c)
-  in
-  collect [] (first_child t i)
+  let stop = t.ends.(i) in
+  let[@tail_mod_cons] rec from c = if c > stop then [] else c :: from (t.ends.(c) + 1) in
+  from (i + 1)
 
-let degree t i =
-  let rec count acc = function None -> acc | Some c -> count (acc + 1) (next_sibling t c) in
-  count 0 (first_child t i)
-
-let last_descendant t i = Bitvec.rank1 t.bits (findclose t (pos_of_node t i)) - 1
-
-let subtree_size t i = last_descendant t i - i + 1
+let degree t i = fold_children t i (fun k _ -> k + 1) 0
 
 let post_rank t i = Bitvec.rank0 t.bits (findclose t (pos_of_node t i) + 1) - 1
 
 let is_ancestor t ~ancestor ~descendant =
-  ancestor < descendant && last_descendant t ancestor >= descendant
+  ancestor < descendant && t.ends.(ancestor) >= descendant
 
 (* Compact directory footprint past the raw bits: the bitvector's rank
    directory plus 2 bytes of block-minimum per 256-bit block (the
    segment tree is rebuilt at load, as are all directories). *)
 let overhead_bytes t = Bitvec.overhead_bytes t.bits + (2 * Array.length t.block_min)
+
+let ends_bytes t = Array.length t.ends * (Sys.word_size / 8)

@@ -2,13 +2,17 @@
     format v4's pointer-free structure tree. The document shape is 2n
     bits ('(' = open, ')' = close, document order); node ids are
     pre-order ranks, so node [i] sits at the position of the [i+1]-th
-    set bit and all navigation is rank/select plus excess search
-    backed by a 256-bit-block range-min directory. *)
+    set bit. Upward and positional navigation (parent, depth, post
+    rank, findopen/findclose) is rank/select plus excess search backed
+    by a 256-bit-block range-min directory; downward navigation
+    (children, subtree ends, ancestor tests) reads each node's last
+    descendant from an array recorded while the bits are indexed. *)
 
 (** A parsed balanced-parentheses sequence with navigation support. *)
 type t
 
-(** [of_bits bits] validates and indexes a parentheses sequence.
+(** [of_bits bits] validates and indexes a parentheses sequence, in
+    one pass that also records every node's last descendant.
     Raises [Failure] if [bits] is not balanced (odd length, opens and
     closes out of balance, or a close before its open). *)
 val of_bits : Bitvec.t -> t
@@ -51,8 +55,14 @@ val depth : t -> int -> int
     (pre-order numbering). *)
 val first_child : t -> int -> int option
 
-(** Next sibling in document order, if any. *)
+(** Next sibling in document order, if any: [last_descendant i + 1]
+    when that id is still inside the parent's interval. *)
 val next_sibling : t -> int -> int option
+
+(** [fold_children t i f acc] folds [f] over [i]'s children in
+    document order, by pre-order arithmetic (the child after [c] is
+    [last_descendant c + 1]). *)
+val fold_children : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 (** All children of [i] in document order. *)
 val children : t -> int -> int list
@@ -78,3 +88,7 @@ val is_ancestor : t -> ancestor:int -> descendant:int -> bool
     rank directory plus 2 B of minimum-excess per 256-bit block (the
     in-memory segment tree is rebuilt at load). *)
 val overhead_bytes : t -> int
+
+(** In-memory bytes of the per-node last-descendant array (built at
+    load, never stored). *)
+val ends_bytes : t -> int

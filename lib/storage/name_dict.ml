@@ -33,6 +33,9 @@ let name t code =
 
 let size t = t.count
 
+let is_attribute t code =
+  code >= 0 && code < t.count && String.starts_with ~prefix:"@" t.names.(code)
+
 (** Bits per encoded tag: ceil(log2 N_t) (the paper's XMark example: 92
     names fit on 7 bits). *)
 let bits_per_code t = if t.count <= 1 then 1 else Compress.Bitio.width_for t.count

@@ -19,6 +19,10 @@ val name : t -> int -> string
 (** Number of interned names. *)
 val size : t -> int
 
+(** [is_attribute t code]: the code names an attribute ('@' prefix);
+    false for codes out of range. *)
+val is_attribute : t -> int -> bool
+
 (** Bits per encoded tag (the paper's example: 92 names on 7 bits). *)
 val bits_per_code : t -> int
 

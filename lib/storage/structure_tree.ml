@@ -1,12 +1,14 @@
 (* Structure tree (§2.2), succinct edition (repository format v4): the
    document shape lives in a balanced-parentheses bitvector
-   ({!Bp_tree}), tag codes in a wavelet tree keyed off the name
-   dictionary, and only the value pointers and text-marker positions
-   remain as per-node data. IDs are pre-order ranks, so they coincide
-   with document order and with the open-paren ranks of the BP
-   sequence; the (pre, post, level) triple of the paper's future-work
-   3-valued structural ids is answered by rank/select instead of being
-   stored.
+   ({!Bp_tree}), tag codes keyed off the name dictionary in a flat
+   pre-order array, and only the value pointers and text-marker
+   positions remain as per-node data. On disk the tags are a wavelet
+   tree ({!Bitvec.Wavelet}); it is decoded to the flat array at load and
+   re-encoded, at the width the image declared, on save. IDs are
+   pre-order ranks, so they coincide with document order and with the
+   open-paren ranks of the BP sequence; the (pre, post, level) triple of
+   the paper's future-work 3-valued structural ids is answered by
+   rank/select instead of being stored.
 
    Child entries interleave element/attribute node ids (>= 0) with text
    markers (< 0): marker -(slot+1) points at the node's value pointer
@@ -16,7 +18,11 @@
 
 type t = {
   bp : Bp_tree.t;  (* shape: one '(' ')' pair per element/attribute *)
-  tags : Bitvec.Wavelet.t;  (* name-dictionary code per node, pre-order *)
+  tags : Bytes.t;  (* name-dictionary code per node, pre-order *)
+  cell : int;
+      (* bytes per [tags] entry, little-endian: 1 while every code fits
+         in 8 bits, 2 up to 16, ceil(width/8) beyond *)
+  tag_width : int;  (* bits per code in the on-disk wavelet encoding *)
   marks : int array array;
       (* per node: for text marker slot s, the number of child element
          entries before it in document order (non-decreasing) *)
@@ -25,7 +31,32 @@ type t = {
 
 let node_count t = Bp_tree.node_count t.bp
 
-let tag t id = Bitvec.Wavelet.access t.tags id
+let tag t id =
+  match t.cell with
+  | 1 -> Char.code (Bytes.get t.tags id)
+  | 2 -> Bytes.get_uint16_le t.tags (2 * id)
+  | k ->
+    let v = ref 0 in
+    for b = k - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.get t.tags ((k * id) + b))
+    done;
+    !v
+
+(* Pack codes of at most [width] bits into the narrowest cells. *)
+let pack_tags ~width (codes : int array) =
+  let cell = (width + 7) / 8 in
+  let tags = Bytes.create (cell * Array.length codes) in
+  Array.iteri
+    (fun id c ->
+      for b = 0 to cell - 1 do
+        Bytes.set tags ((cell * id) + b) (Char.unsafe_chr ((c lsr (8 * b)) land 0xff))
+      done)
+    codes;
+  (tags, cell)
+
+let tag_wavelet t =
+  Bitvec.Wavelet.build ~width:t.tag_width (Array.init (node_count t) (tag t))
+
 let parent t id = Bp_tree.parent t.bp id
 let level t id = Bp_tree.depth t.bp id
 let value_pointers t id = t.values.(id)
@@ -46,7 +77,13 @@ let subtree_size t id = Bp_tree.subtree_size t.bp id
     reconstructed by merging the BP children with the marker
     positions. *)
 let child_entries t id =
-  let kids = Array.of_list (Bp_tree.children t.bp id) in
+  let kids = Array.make (Bp_tree.degree t.bp id) 0 in
+  ignore
+    (Bp_tree.fold_children t.bp id
+       (fun k c ->
+         kids.(k) <- c;
+         k + 1)
+       0);
   let mk = t.marks.(id) in
   let m = Array.length mk in
   if m = 0 then kids
@@ -82,7 +119,10 @@ let is_ancestor t ~ancestor ~descendant =
 
 (** children with a given tag code, preserving document order. *)
 let children_with_tag t id tag_code =
-  child_nodes t id |> List.filter (fun c -> Bitvec.Wavelet.access t.tags c = tag_code)
+  List.rev
+    (Bp_tree.fold_children t.bp id
+       (fun acc c -> if tag t c = tag_code then c :: acc else acc)
+       [])
 
 (** Last descendant (pre id) of [id]: descendants are exactly the pre ids
     in (id, last_descendant id]. *)
@@ -93,21 +133,14 @@ let descendants t id =
   let stop = last_descendant t id in
   List.init (stop - id) (fun i -> id + 1 + i)
 
-(** Descendants of [id] carrying [tag_code], document order, by
-    wavelet-tree rank/select over the subtree's pre-order interval —
-    O(occurrences * width) instead of a scan of the whole subtree. *)
+(** Descendants of [id] carrying [tag_code], document order, by one
+    scan of the tag array over the subtree's pre-order interval. *)
 let descendants_with_tag t id tag_code =
-  let stop = last_descendant t id in
   let acc = ref [] in
-  let k = ref (Bitvec.Wavelet.rank t.tags ~code:tag_code (id + 1)) in
-  let continue = ref true in
-  while !continue do
-    incr k;
-    match Bitvec.Wavelet.select t.tags ~code:tag_code !k with
-    | Some p when p <= stop -> acc := p :: !acc
-    | _ -> continue := false
+  for d = last_descendant t id downto id + 1 do
+    if tag t d = tag_code then acc := d :: !acc
   done;
-  List.rev !acc
+  !acc
 
 (** Rewrite value pointers after containers were recompressed (their
     records re-sorted): [remap cont_id] returns the old-to-new index
@@ -206,8 +239,9 @@ let of_arrays ~(tags : int array) ~(parents : int array)
     if !next <> n then failwith "structure_tree: disconnected nodes"
   end;
   let bp = Bp_tree.of_bits (Bitvec.of_bytes ~len:(2 * n) data) in
-  let width = Bitvec.Wavelet.width_for (Array.fold_left max 0 tags) in
-  { bp; tags = Bitvec.Wavelet.build ~width tags; marks; values }
+  let tag_width = Bitvec.Wavelet.width_for (Array.fold_left max 0 tags) in
+  let tags, cell = pack_tags ~width:tag_width tags in
+  { bp; tags; cell; tag_width; marks; values }
 
 type builder = {
   mutable b_tags : int list; (* reversed: id order *)
@@ -247,14 +281,15 @@ let finish (b : builder) ~(rev_children : int list array)
    node its value record indices (delta-packed), its marker count when
    it has values at all, and explicit marker positions only for mixed
    content (both markers and element children). Parent pointers, child
-   lists, post ranks and the B+ page index are not stored — navigation
-   rebuilds them from rank/select directories at load time. *)
+   lists, post ranks and the B+ page index are not stored — the load
+   rebuilds the rank/select directories, the subtree ends and the flat
+   tag array. *)
 let serialize_succinct buf (t : t) =
   let add_varint = Compress.Rle.add_varint in
   let n = node_count t in
   add_varint buf n;
   Bitvec.serialize buf (Bp_tree.bits t.bp);
-  Bitvec.Wavelet.serialize buf t.tags;
+  Bitvec.Wavelet.serialize buf (tag_wavelet t);
   for id = 0 to n - 1 do
     Compress.Ipack.add_deltas buf (Array.map snd t.values.(id));
     if Array.length t.values.(id) > 0 then begin
@@ -271,8 +306,10 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
   let (bits, pos) = Bitvec.deserialize s pos in
   if Bitvec.length bits <> 2 * n then failwith "structure_tree: BP length mismatch";
   let bp = Bp_tree.of_bits bits in
-  let (tags, pos) = Bitvec.Wavelet.deserialize s pos in
-  if Bitvec.Wavelet.length tags <> n then failwith "structure_tree: tag count mismatch";
+  let (wavelet, pos) = Bitvec.Wavelet.deserialize s pos in
+  if Bitvec.Wavelet.length wavelet <> n then failwith "structure_tree: tag count mismatch";
+  let tag_width = Bitvec.Wavelet.width wavelet in
+  let tags, cell = pack_tags ~width:tag_width (Bitvec.Wavelet.decode wavelet) in
   let values = Array.make n [||] in
   let marks = Array.make n [||] in
   let pos = ref pos in
@@ -294,7 +331,7 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
       else marks.(id) <- Array.make m 0
     end
   done;
-  ({ bp; tags; marks; values }, !pos)
+  ({ bp; tags; cell; tag_width; marks; values }, !pos)
 
 (* Readers for the explicit-record trees of repository formats v1/v2
    and v3 (no longer written). Per node: tag, parent delta, child-entry
@@ -367,7 +404,7 @@ let forward_only_bytes (t : t) =
   let buf = Buffer.create 4096 in
   Compress.Rle.add_varint buf (node_count t);
   Bitvec.serialize buf (Bp_tree.bits t.bp);
-  Bitvec.Wavelet.serialize buf t.tags;
+  Bitvec.Wavelet.serialize buf (tag_wavelet t);
   for id = 0 to node_count t - 1 do
     let m = Array.length t.marks.(id) in
     Compress.Rle.add_varint buf m;
@@ -380,4 +417,9 @@ let forward_only_bytes (t : t) =
     counterpart of the old B+ page index for the §2.2 occupancy
     breakdown. *)
 let index_bytes (t : t) =
-  Bp_tree.overhead_bytes t.bp + Bitvec.Wavelet.overhead_bytes t.tags
+  Bp_tree.overhead_bytes t.bp
+  + Bitvec.Wavelet.overhead_bytes ~n:(node_count t) ~width:t.tag_width
+
+(** In-memory bytes of the navigation arrays built at load (the flat
+    tag array and the subtree ends); never stored. *)
+let nav_array_bytes (t : t) = Bytes.length t.tags + Bp_tree.ends_bytes t.bp

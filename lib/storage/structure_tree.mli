@@ -1,6 +1,7 @@
 (** Structure tree (§2.2), succinct edition: the document shape as a
-    balanced-parentheses bitvector, tag codes in a wavelet tree, value
-    pointers and text-marker positions as the only per-node data. Ids
+    balanced-parentheses bitvector, tag codes in a flat pre-order array
+    (a wavelet tree on disk), value pointers and text-marker positions
+    as the only per-node data. Ids
     are pre-order ranks; (pre, post, level) realizes the paper's
     3-valued structural ids via rank/select. Child entries interleave
     element/attribute node ids (>= 0) with text markers (< 0, indexing
@@ -59,8 +60,8 @@ val last_descendant : t -> int -> int
 val descendants : t -> int -> int list
 
 (** [descendants_with_tag t node tag]: proper descendants carrying
-    [tag], document order, answered by wavelet-tree rank/select over
-    the subtree's pre-order interval rather than a subtree scan. *)
+    [tag], document order, by one scan of the tag array over the
+    subtree's pre-order interval. *)
 val descendants_with_tag : t -> int -> int -> int list
 
 (** Rewrite value pointers after containers were recompressed. *)
@@ -108,13 +109,15 @@ val deserialize_v2 : string -> int -> t * int
 val deserialize_v3 : string -> int -> t * int
 
 (** Append the succinct (repository v4) form: node count, the raw BP
-    bitvector, the wavelet tag levels, then per node its delta-packed
+    bitvector, the wavelet tag levels (re-encoded from the flat array
+    at the width the tree was built or loaded with), then per node its delta-packed
     value record indices, marker count (only when it has values) and
     explicit marker positions (only for mixed content). No parent
     pointers, child lists, post ranks or page index are stored. *)
 val serialize_succinct : Buffer.t -> t -> unit
 
-(** Invert {!serialize_succinct}. Raises [Failure] on corrupt input. *)
+(** Invert {!serialize_succinct}, decoding the wavelet levels to the
+    flat tag array. Raises [Failure] on corrupt input. *)
 val deserialize_succinct : string -> int -> t * int
 
 (** Forward-only tree bytes for the essential-size experiment: shape
@@ -126,3 +129,8 @@ val forward_only_bytes : t -> int
     — the v4 counterpart of the old B+ page index in the §2.2
     breakdown. *)
 val index_bytes : t -> int
+
+(** In-memory bytes of the navigation arrays built at load — the flat
+    tag array and the per-node subtree ends. Not part of the image, so
+    not part of {!index_bytes}. *)
+val nav_array_bytes : t -> int

@@ -687,6 +687,87 @@ let test_v3_v4_query_identity () =
   Alcotest.(check bool) "v4 re-save below the v3 fixture" true
     (String.length v4_image < String.length v3_image)
 
+(* Re-saving an image as v4 re-encodes the wavelet tag levels from the
+   flat tag array decoded at load; these digests, recorded from the
+   writer that kept the loaded levels verbatim, pin that the round trip
+   changes no byte. v2 and v3 were written from v3_small.xml, so their
+   re-save is the golden default-options image of that document. *)
+let test_resave_digests () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (fixture, digest) ->
+      let image = Repository.serialize (Repository.deserialize (read_fixture fixture)) in
+      Alcotest.(check string) (fixture ^ " re-saved as v4") digest (md5 image))
+    [
+      ("v1_small.xqc", "0dd9b0b5f6a6ee260f7210ff08ee98b1");
+      ("v2_small.xqc", "2f7c3d836dd5352af836a55a5b866479");
+      ("v3_small.xqc", "2f7c3d836dd5352af836a55a5b866479");
+    ];
+  let xml = Xmark.Xmlgen.generate ~seed:1 ~scale:0.05 () in
+  let image = Xquec_core.Engine.save (Xquec_core.Engine.load ~name:"auction.xml" xml) in
+  Alcotest.(check string) "XMark 0.05 seed 1 image" "90b11f66c3df3a63915ee7db5784e868" (md5 image);
+  Alcotest.(check string) "XMark 0.05 seed 1 restored and re-saved" (md5 image)
+    (md5 (Repository.serialize (Repository.deserialize image)))
+
+(* More than 256 distinct names: tag codes no longer fit in a byte, so
+   the flat tag array uses wider cells and the wavelet needs more than
+   8 levels. 30 sections each hold 15 [e<k>] elements (k covering
+   0..299), each with an [a] attribute, mixed text and an [x<k>] child:
+   603 names in all. *)
+let wide_xml =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "<top>";
+  for s = 0 to 29 do
+    Buffer.add_string b "<sec>";
+    for k = 0 to 14 do
+      let e = ((s * 10) + k) mod 300 in
+      Printf.bprintf b "<e%d a=\"%d\">t%d_%d<x%d>u%d</x%d></e%d>" e s s k e k e e
+    done;
+    Buffer.add_string b "</sec>"
+  done;
+  Buffer.add_string b "</top>";
+  Buffer.contents b
+
+let test_wide_dictionary () =
+  let fresh = Xquec_core.Loader.load ~name:"wide.xml" wide_xml in
+  Alcotest.(check bool) "more than 256 names" true
+    (Name_dict.size fresh.Repository.dict > 256);
+  let image = Repository.serialize fresh in
+  let restored = Repository.deserialize image in
+  Alcotest.(check bool) "re-save is byte-identical" true
+    (String.equal image (Repository.serialize restored));
+  let t = restored.Repository.tree and tf = fresh.Repository.tree in
+  let n = Structure_tree.node_count tf in
+  Alcotest.(check int) "node count" n (Structure_tree.node_count t);
+  Alcotest.(check bool) "codes past 255 in the tree" true
+    (List.exists (fun id -> Structure_tree.tag tf id > 255) (List.init n Fun.id));
+  for id = 0 to n - 1 do
+    if Structure_tree.tag t id <> Structure_tree.tag tf id
+       || Structure_tree.child_entries t id <> Structure_tree.child_entries tf id
+       || Structure_tree.last_descendant t id <> Structure_tree.last_descendant tf id
+    then Alcotest.failf "node %d differs from a fresh load" id
+  done;
+  let answers repo =
+    List.map
+      (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
+  in
+  let queries =
+    [
+      "document(\"wide.xml\")/top/sec/e250";
+      "document(\"wide.xml\")//x299";
+      "document(\"wide.xml\")//e7/x7";
+      "document(\"wide.xml\")//e100/@a";
+      "document(\"wide.xml\")/top/sec/*";
+      "for $s in document(\"wide.xml\")/top/sec return count($s//x42)";
+      "for $e in document(\"wide.xml\")//e260 return $e/*";
+    ]
+  in
+  let expected = answers fresh queries in
+  Alcotest.(check bool) "queries find nodes" true
+    (List.for_all (fun a -> String.length a > 0) expected);
+  Alcotest.(check (list string)) "restored answers match a fresh load" expected
+    (answers restored queries)
+
 let test_repository_header_check () =
   (* exactly four headers load; every other image starting with "XQC"
      is refused by name instead of misparsed *)
@@ -792,6 +873,8 @@ let suites =
         Alcotest.test_case "repository v2 read compat" `Quick test_repository_v2_read_compat;
         Alcotest.test_case "repository v3 fixture read" `Quick test_repository_v3_fixture;
         Alcotest.test_case "v3 vs v4 query identity" `Quick test_v3_v4_query_identity;
+        Alcotest.test_case "v4 re-save digests" `Quick test_resave_digests;
+        Alcotest.test_case "wide name dictionary" `Quick test_wide_dictionary;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
         Alcotest.test_case "repository header check" `Quick test_repository_header_check;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;

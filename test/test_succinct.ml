@@ -59,43 +59,45 @@ let check_wavelet n sigma =
   let codes = Array.init n (fun _ -> Random.State.int rng sigma) in
   let width = Bitvec.Wavelet.width_for (sigma - 1) in
   let wt = Bitvec.Wavelet.build ~width codes in
-  for i = 0 to n - 1 do
-    Alcotest.(check int) (Printf.sprintf "access %d" i) codes.(i) (Bitvec.Wavelet.access wt i)
-  done;
-  for c = 0 to sigma - 1 do
-    let cnt = ref 0 in
-    for i = 0 to n do
-      Alcotest.(check int)
-        (Printf.sprintf "rank c=%d i=%d" c i)
-        !cnt
-        (Bitvec.Wavelet.rank wt ~code:c i);
-      if i < n && codes.(i) = c then incr cnt
-    done;
-    let k = ref 0 in
-    Array.iteri
-      (fun i ci ->
-        if ci = c then begin
-          incr k;
-          Alcotest.(check (option int))
-            (Printf.sprintf "select c=%d k=%d" c !k)
-            (Some i)
-            (Bitvec.Wavelet.select wt ~code:c !k)
-        end)
-      codes;
-    Alcotest.(check (option int)) "select past end" None (Bitvec.Wavelet.select wt ~code:c (!k + 1))
-  done;
+  Alcotest.(check (array int)) "decode" codes (Bitvec.Wavelet.decode wt);
   let buf = Buffer.create 16 in
   Bitvec.Wavelet.serialize buf wt;
   let (wt2, consumed) = Bitvec.Wavelet.deserialize (Buffer.contents buf) 0 in
   Alcotest.(check int) "wavelet consumed all" (Buffer.length buf) consumed;
-  for i = 0 to n - 1 do
-    Alcotest.(check int) "wavelet roundtrip" codes.(i) (Bitvec.Wavelet.access wt2 i)
-  done
+  Alcotest.(check int) "wavelet width" width (Bitvec.Wavelet.width wt2);
+  Alcotest.(check (array int)) "wavelet roundtrip" codes (Bitvec.Wavelet.decode wt2);
+  let buf2 = Buffer.create 16 in
+  Bitvec.Wavelet.serialize buf2 (Bitvec.Wavelet.build ~width (Bitvec.Wavelet.decode wt2));
+  Alcotest.(check string) "re-encode is byte-identical" (Buffer.contents buf) (Buffer.contents buf2)
 
 let test_wavelet_differential () =
   List.iter
     (fun (n, sigma) -> check_wavelet n sigma)
-    [ (0, 4); (1, 1); (1, 3); (100, 2); (500, 90); (3000, 7); (2000, 128) ]
+    [ (0, 4); (1, 1); (1, 3); (100, 2); (500, 90); (3000, 7); (2000, 128); (2000, 300) ]
+
+(* build -> serialize -> deserialize -> flat decode is the identity for
+   every width a name dictionary can need in practice *)
+let qcheck_wavelet_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"wavelet decode roundtrip, widths 1-16" ~count:300
+       QCheck2.Gen.(
+         int_range 1 16 >>= fun width ->
+         let code = int_range 0 ((1 lsl width) - 1) in
+         (* skewed sequences too: a few distinct codes leave empty node
+            intervals at every level *)
+         let skewed =
+           list_size (int_range 1 4) code >>= fun pool ->
+           list_size (int_range 0 600) (oneofl pool)
+         in
+         pair (return width) (oneof [ list_size (int_range 0 600) code; skewed ]))
+       (fun (width, codes) ->
+         let codes = Array.of_list codes in
+         let buf = Buffer.create 64 in
+         Bitvec.Wavelet.serialize buf (Bitvec.Wavelet.build ~width codes);
+         let (wt, consumed) = Bitvec.Wavelet.deserialize (Buffer.contents buf) 0 in
+         consumed = Buffer.length buf
+         && Bitvec.Wavelet.width wt = width
+         && Bitvec.Wavelet.decode wt = codes))
 
 (* ------------------------------------------------------------------ *)
 (* Bp_tree                                                             *)
@@ -277,12 +279,44 @@ let test_tree_differential_vs_pointer_semantics () =
           (Structure_tree.descendants_with_tag tree 0 code))
     [ "site"; "people"; "person"; "name"; "@id"; "item"; "description" ]
 
+(* Tag codes through the builder and a v4 save/load: one-byte cells up
+   to code 255, two-byte cells up to 65535, wider cells beyond, each
+   re-encoded byte for byte at the width it was loaded with. *)
+let test_tree_tag_cells () =
+  List.iter
+    (fun max_code ->
+      let n = 300 in
+      let tag id = if id = n - 1 then max_code else id * 7919 mod (max_code + 1) in
+      let parents = random_preorder_parents n in
+      let b = Structure_tree.builder () in
+      Array.iteri (fun id parent -> ignore (Structure_tree.open_node b ~tag:(tag id) ~parent)) parents;
+      (* reversed document order, as the loader accumulates them *)
+      let rev_children = Array.make n [] in
+      for id = 1 to n - 1 do
+        rev_children.(parents.(id)) <- id :: rev_children.(parents.(id))
+      done;
+      let t = Structure_tree.finish b ~rev_children ~rev_values:(Array.make n []) in
+      let buf = Buffer.create 1024 in
+      Structure_tree.serialize_succinct buf t;
+      let image = Buffer.contents buf in
+      let (t2, consumed) = Structure_tree.deserialize_succinct image 0 in
+      Alcotest.(check int) "consumed all" (String.length image) consumed;
+      for id = 0 to n - 1 do
+        Alcotest.(check int) (Printf.sprintf "tag %d (max %d)" id max_code) (tag id)
+          (Structure_tree.tag t2 id)
+      done;
+      let buf2 = Buffer.create 1024 in
+      Structure_tree.serialize_succinct buf2 t2;
+      Alcotest.(check string) "re-save is byte-identical" image (Buffer.contents buf2))
+    [ 0; 255; 256; 65535; 65536; 1 lsl 40 ]
+
 let suites =
   [
     ( "succinct",
       [
         Alcotest.test_case "bitvec rank/select differential" `Quick test_bitvec_differential;
         Alcotest.test_case "wavelet differential" `Quick test_wavelet_differential;
+        qcheck_wavelet_roundtrip;
         Alcotest.test_case "bp edge shapes" `Quick test_bp_edge_shapes;
         Alcotest.test_case "bp deep right spine" `Quick test_bp_deep_spine;
         Alcotest.test_case "bp wide flat tree" `Quick test_bp_wide_flat;
@@ -290,5 +324,6 @@ let suites =
         Alcotest.test_case "bp rejects malformed input" `Quick test_bp_rejects_malformed;
         Alcotest.test_case "tree navigation differential" `Quick
           test_tree_differential_vs_pointer_semantics;
+        Alcotest.test_case "tree tag cells of every width" `Quick test_tree_tag_cells;
       ] );
   ]
