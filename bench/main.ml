@@ -745,7 +745,51 @@ let codec_costs () =
          ("minor_words_per_block", num words);
        ]);
   Fmt.pr "%-12s %d blocks, %d KB payload: %.1f MB/s, %.0f minor words/block@." "block"
-    (Array.length blocks) (payload / 1024) mbps words
+    (Array.length blocks) (payload / 1024) mbps words;
+  (* The value decoders on real data: every value of the XMark image's
+     containers through [Codec.decompress], one row per algorithm the
+     image uses. MB/s is over decoded bytes. *)
+  List.iter
+    (fun alg ->
+      let values =
+        Array.to_list repo.Storage.Repository.containers
+        |> List.concat_map (fun c ->
+               if c.Storage.Container.algorithm <> alg then []
+               else
+                 List.init (Storage.Container.block_count c) (fun i ->
+                     fst (Storage.Container.read_block c i))
+                 |> Array.concat |> Array.to_list
+                 |> List.map (fun code -> (c.Storage.Container.model, code)))
+        |> Array.of_list
+      in
+      if Array.length values > 0 then begin
+        let decode_all () =
+          Array.iter (fun (model, code) -> ignore (Compress.Codec.decompress model code)) values
+        in
+        let decoded =
+          Array.fold_left
+            (fun a (model, code) -> a + String.length (Compress.Codec.decompress model code))
+            0 values
+        in
+        let ms = time_median ~runs:5 decode_all in
+        let mbps = float_of_int decoded /. 1048576.0 /. (ms /. 1000.0) in
+        let w0 = Gc.minor_words () in
+        decode_all ();
+        let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length values) in
+        let name = "xmark-" ^ Compress.Codec.algorithm_name alg in
+        record ~exp:"codec_costs" "codec"
+          (obj
+             [
+               ("name", str name);
+               ("values", num (float_of_int (Array.length values)));
+               ("decoded_bytes", num (float_of_int decoded));
+               ("decompress_mbps", num mbps);
+               ("minor_words_per_value", num words);
+             ]);
+        Fmt.pr "%-12s %d values, %d KB decoded: %.1f MB/s, %.1f minor words/value@." name
+          (Array.length values) (decoded / 1024) mbps words
+      end)
+    Compress.Codec.all_algorithms
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: cold vs. warm cache, and the block-size sweep           *)

@@ -24,8 +24,12 @@ type interval = {
   token : string;        (* prefix stripped/emitted for this interval *)
 }
 
+(* The intervals as three parallel arrays, sorted by lower bound; the
+   code of interval [i] is [i + 1]. Decoding reads [tokens] only. *)
 type model = {
-  intervals : interval array; (* sorted by [lo]; code of interval i is i+1 *)
+  los : string array;         (* inclusive lower bounds *)
+  his : string option array;  (* exclusive upper bounds *)
+  tokens : string array;
   width : int;                (* bits per code; code 0 is padding *)
 }
 
@@ -258,7 +262,10 @@ let build_intervals (tokens : string list) : interval array =
 let of_tokens (tokens : string list) : model =
   let intervals = build_intervals tokens in
   let width = Bitio.width_for (Array.length intervals + 1) in
-  { intervals; width }
+  { los = Array.map (fun itv -> itv.lo) intervals;
+    his = Array.map (fun itv -> itv.hi) intervals;
+    tokens = Array.map (fun itv -> itv.token) intervals;
+    width }
 
 (** Train on container values: mined frequent substrings + total byte
     coverage. The dictionary budget adapts to the container size so the
@@ -280,13 +287,12 @@ let train ?max_tokens ?sample_bytes (values : string list) : model =
 (* Rightmost interval whose [lo] is <= [s]; intervals are disjoint and
    cover all nonempty strings, so this is the containing interval. *)
 let find_interval (m : model) (s : string) : int =
-  let lo = ref 0 and hi = ref (Array.length m.intervals - 1) in
+  let lo = ref 0 and hi = ref (Array.length m.los - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if String.compare m.intervals.(mid).lo s <= 0 then lo := mid else hi := mid - 1
+    if String.compare m.los.(mid) s <= 0 then lo := mid else hi := mid - 1
   done;
-  let itv = m.intervals.(!lo) in
-  if String.compare itv.lo s > 0 || not (below_hi s itv.hi) then
+  if String.compare m.los.(!lo) s > 0 || not (below_hi s m.his.(!lo)) then
     raise (Corrupt "ALM: no covering interval");
   !lo
 
@@ -295,32 +301,58 @@ let compress (m : model) (value : string) : string =
   let rec go r =
     if String.length r > 0 then begin
       let i = find_interval m r in
-      let itv = m.intervals.(i) in
-      if not (is_prefix ~prefix:itv.token r) then
+      let token = m.tokens.(i) in
+      if not (is_prefix ~prefix:token r) then
         raise (Corrupt "ALM: interval token is not a prefix");
       Bitio.Writer.add_bits w (i + 1) m.width;
-      go (String.sub r (String.length itv.token)
-            (String.length r - String.length itv.token))
+      go (String.sub r (String.length token) (String.length r - String.length token))
     end
   in
   go value;
   Bitio.Writer.contents w
 
-let decompress (m : model) (compressed : string) : string =
-  let r = Bitio.Reader.of_string compressed in
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if Bitio.Reader.bits_remaining r >= m.width then begin
-      let code = Bitio.Reader.read_bits r m.width in
-      if code <> 0 then begin
-        if code > Array.length m.intervals then raise (Corrupt "ALM: bad code");
-        Buffer.add_string buf m.intervals.(code - 1).token;
-        go ()
-      end
+(* Codes are read from an accumulator refilled a byte at a time: [acc]
+   holds [nbits] unread bits in its low end. Code 0 is padding, and
+   fewer than [width] bits left is the end. A first pass checks the
+   codes and sums their token lengths, a second copies the tokens into
+   a string of exactly that length. Both are top-level functions of
+   their whole state, so a decode allocates only its result. *)
+let rec decoded_length m s pos acc nbits total =
+  if nbits < m.width then
+    if pos < String.length s then
+      decoded_length m s (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get s pos)) (nbits + 8) total
+    else total
+  else begin
+    let code = (acc lsr (nbits - m.width)) land ((1 lsl m.width) - 1) in
+    if code = 0 then total
+    else if code > Array.length m.tokens then raise (Corrupt "ALM: bad code")
+    else
+      decoded_length m s pos acc (nbits - m.width)
+        (total + String.length (Array.unsafe_get m.tokens (code - 1)))
+  end
+
+let rec copy_tokens m s out pos acc nbits off =
+  if nbits < m.width then begin
+    if pos < String.length s then
+      copy_tokens m s out (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get s pos)) (nbits + 8) off
+  end
+  else begin
+    let code = (acc lsr (nbits - m.width)) land ((1 lsl m.width) - 1) in
+    if code <> 0 then begin
+      let t = Array.unsafe_get m.tokens (code - 1) in
+      Bytes.unsafe_blit_string t 0 out off (String.length t);
+      copy_tokens m s out pos acc (nbits - m.width) (off + String.length t)
     end
-  in
-  go ();
-  Buffer.contents buf
+  end
+
+let decompress (m : model) (compressed : string) : string =
+  let out = Bytes.create (decoded_length m compressed 0 0 0 0) in
+  copy_tokens m compressed out 0 0 0 0;
+  Bytes.unsafe_to_string out
+
+let code_width (m : model) = m.width
+
+let code_tokens (m : model) = Array.copy m.tokens
 
 (* ------------------------------------------------------------------ *)
 (* Compressed-domain operations                                        *)
@@ -350,8 +382,8 @@ let prefix_range (m : model) (prefix : string) : string * string option =
    single-byte tokens are implicit. *)
 
 let model_tokens (m : model) : string list =
-  Array.to_list m.intervals
-  |> List.filter_map (fun itv -> if String.length itv.token > 1 then Some itv.token else None)
+  Array.to_list m.tokens
+  |> List.filter (fun t -> String.length t > 1)
   |> List.sort_uniq String.compare
 
 let serialize_model (m : model) : string =

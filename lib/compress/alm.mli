@@ -58,8 +58,17 @@ val train : ?max_tokens:int -> ?sample_bytes:int -> string list -> model
 (** Encode a plaintext value as a code-sequence byte string. *)
 val compress : model -> string -> string
 
-(** Invert {!compress}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!compress}. Raises {!Corrupt} on invalid input. Codes are
+    read from a byte-refilled accumulator, and the result is allocated
+    once, at its exact length. *)
 val decompress : model -> string -> string
+
+(** Bits per code. *)
+val code_width : model -> int
+
+(** The token each code stands for: element [c - 1] for code [c]
+    (code 0 is padding). A fresh copy. *)
+val code_tokens : model -> string array
 
 (** Order-preserving: compare compressed values directly. *)
 val compare_compressed : string -> string -> int

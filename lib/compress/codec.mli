@@ -32,8 +32,10 @@ type properties = { eq : bool; ineq : bool; wild : bool }
 (** The <eq, ineq, wild> classification of the paper's §3.2. *)
 val properties : algorithm -> properties
 
-(** d_c: relative cost of decompressing one container record (ALM is the
-    cheapest dictionary decode; bzip pays the full inverse pipeline). *)
+(** d_c: relative cost of decompressing one container record, the
+    paper's §3.2 constants, kept so partitions and images do not change
+    (they are not measurements; [codec_costs] in bench/main.ml measures
+    the decoders). *)
 val decompression_cost : algorithm -> float
 
 (** A trained source model, tagged by algorithm (bzip is model-free). *)

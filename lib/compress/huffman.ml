@@ -16,14 +16,24 @@ let eos = 256
 type model = {
   lengths : int array; (* code length per symbol; 0 = absent *)
   codes : int array;   (* canonical code per symbol *)
-  (* Decoding tables for canonical codes, indexed by code length. *)
+  (* Canonical decoding by code length [l]: the codes of length [l] are
+     [first_code.(l) ..] and their symbols [symbols.(first_index.(l)) ..],
+     [first_index.(l + 1) - first_index.(l)] of them. *)
   first_code : int array;
   first_index : int array;
   symbols : int array; (* symbols sorted by (length, symbol) *)
   max_len : int;
+  (* The decode table, a pure function of [lengths]: built on the first
+     decode and published here; [[||]] until then. Domains that race to
+     build it build the same table. *)
+  table : int array Atomic.t;
 }
 
 exception Corrupt of string
+
+(* The decoder's bit accumulator holds at least [max_code_len] bits
+   after a refill, so every code resolves from it. *)
+let max_code_len = 56
 
 (* ------------------------------------------------------------------ *)
 (* Model construction                                                  *)
@@ -80,6 +90,8 @@ let code_lengths (freqs : int array) : int array =
 let of_lengths (lengths : int array) : model =
   if Array.length lengths <> symbol_count then
     invalid_arg "Huffman.of_lengths: bad array size";
+  if Array.exists (fun l -> l > max_code_len) lengths then
+    raise (Corrupt "code length exceeds the decoder's accumulator");
   let syms =
     Array.to_list (Array.mapi (fun s l -> (s, l)) lengths)
     |> List.filter (fun (_, l) -> l > 0)
@@ -103,9 +115,12 @@ let of_lengths (lengths : int array) : model =
         incr code;
         incr idx
       end) arr;
+    (* Kraft: the codes of length [l] must fit in [l] bits *)
+    if !code > 1 lsl l then raise (Corrupt "over-subscribed code lengths");
     code := !code lsl 1
   done;
-  { lengths; codes; first_code; first_index; symbols; max_len }
+  first_index.(max_len + 1) <- !idx;
+  { lengths; codes; first_code; first_index; symbols; max_len; table = Atomic.make [||] }
 
 (** Train a model on a list of strings. Every byte value is given a floor
     frequency of 1 so the code stays total (values unseen at training time
@@ -152,35 +167,126 @@ let compress (m : model) (value : string) : string =
   add_symbol m w eos;
   Bitio.Writer.contents w
 
-let read_symbol m r =
-  let rec go len code =
+(* Table-driven decoding. The table maps the next [table_bits] bits of
+   the stream to what they decode to: up to two symbols and the bits
+   each uses. An entry packs [len1] (bits 0-3), [len1 + len2] (bits 4-7;
+   equal to [len1] for one symbol), [sym1] (bits 8-16) and [sym2] (bits
+   17-25). Entry 0 means no code of at most [table_bits] bits starts
+   the window: the code is longer, or invalid. *)
+let table_bits = 12
+
+let table_mask = (1 lsl table_bits) - 1
+
+let entry ~len1 ~len2 ~sym1 ~sym2 = len1 lor ((len1 + len2) lsl 4) lor (sym1 lsl 8) lor (sym2 lsl 17)
+
+let build_table m =
+  let t = Array.make (1 lsl table_bits) 0 in
+  for k = 0 to Array.length m.symbols - 1 do
+    let s = m.symbols.(k) in
+    let l = m.lengths.(s) in
+    if l <= table_bits then begin
+      let lo = m.codes.(s) lsl (table_bits - l) in
+      Array.fill t lo (1 lsl (table_bits - l)) (entry ~len1:l ~len2:0 ~sym1:s ~sym2:0)
+    end
+  done;
+  (* A second symbol joins the first when its code fits in the bits
+     left; nothing follows the end-of-string symbol. Pairing keeps an
+     entry's first-symbol fields, so entries are read as single symbols
+     while the table fills in place. *)
+  Array.iteri
+    (fun w e ->
+      let len1 = e land 15 and sym1 = (e lsr 8) land 0x1ff in
+      if e <> 0 && sym1 <> eos then begin
+        let e2 = t.((w lsl len1) land table_mask) in
+        let len2 = e2 land 15 in
+        if e2 <> 0 && len1 + len2 <= table_bits then
+          t.(w) <- entry ~len1 ~len2 ~sym1 ~sym2:((e2 lsr 8) land 0x1ff)
+      end)
+    t;
+  t
+
+let table m =
+  let t = Atomic.get m.table in
+  if Array.length t > 0 then t
+  else begin
+    let t = build_table m in
+    Atomic.set m.table t;
+    t
+  end
+
+let truncated () = raise (Corrupt "value ends inside a code")
+
+(* The end-of-string symbol ends a value but has no place in a raw stream. *)
+let at_eos ~count = if count >= 0 then raise (Corrupt "end-of-string in a raw stream")
+
+(* A code longer than [table_bits], resolved from the [nbits] valid low
+   bits of [acc] by the canonical search; returns [sym lsl 6 lor len]. *)
+let long_code m acc nbits =
+  let rec go len =
     if len > m.max_len then raise (Corrupt "invalid code")
+    else if len > nbits then truncated ()
     else begin
-      let code = (code lsl 1) lor (if Bitio.Reader.read_bit r then 1 else 0) in
-      let len = len + 1 in
-      let count =
-        (if len < m.max_len then m.first_index.(len + 1) else Array.length m.symbols)
-        - m.first_index.(len)
-      in
-      if count > 0 && code - m.first_code.(len) < count && code >= m.first_code.(len)
-      then m.symbols.(m.first_index.(len) + code - m.first_code.(len))
-      else go len code
+      let k = ((acc lsr (nbits - len)) land ((1 lsl len) - 1)) - m.first_code.(len) in
+      if k >= 0 && k < m.first_index.(len + 1) - m.first_index.(len) then
+        (m.symbols.(m.first_index.(len) + k) lsl 6) lor len
+      else go (len + 1)
     end
   in
-  go 0 0
+  go (table_bits + 1)
+
+(* The one decode loop: symbols of [src] into [out] until the
+   end-of-string symbol (value mode, [count] < 0) or until [count]
+   symbols (raw mode, where the end-of-string symbol is corrupt). The
+   accumulator [acc] holds [nbits] unread bits in its low end and is
+   refilled a byte at a time to at least [max_code_len] bits. *)
+let decode m src ~count out =
+  let t = table m in
+  let n = String.length src in
+  let rec go pos acc nbits left =
+    if left = 0 then ()
+    else if nbits < max_code_len && pos < n then
+      go (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get src pos)) (nbits + 8) left
+    else begin
+      let w =
+        if nbits >= table_bits then (acc lsr (nbits - table_bits)) land table_mask
+        else (acc lsl (table_bits - nbits)) land table_mask
+      in
+      let e = Array.unsafe_get t w in
+      if e = 0 then begin
+        let r = long_code m acc nbits in
+        let sym = r lsr 6 in
+        if sym = eos then at_eos ~count
+        else begin
+          Buffer.add_char out (Char.unsafe_chr sym);
+          go pos acc (nbits - (r land 63)) (left - 1)
+        end
+      end
+      else begin
+        let len1 = e land 15 and sym1 = (e lsr 8) land 0x1ff in
+        if len1 > nbits then truncated ();
+        if sym1 = eos then at_eos ~count
+        else begin
+          Buffer.add_char out (Char.unsafe_chr sym1);
+          let len = (e lsr 4) land 15 in
+          if len = len1 || len > nbits || left = 1 then go pos acc (nbits - len1) (left - 1)
+          else begin
+            let sym2 = e lsr 17 in
+            if sym2 = eos then at_eos ~count
+            else begin
+              Buffer.add_char out (Char.unsafe_chr sym2);
+              go pos acc (nbits - len) (left - 2)
+            end
+          end
+        end
+      end
+    end
+  in
+  go 0 0 0 count
 
 let decompress (m : model) (compressed : string) : string =
-  let r = Bitio.Reader.of_string compressed in
-  let buf = Buffer.create 16 in
-  let rec go () =
-    let s = read_symbol m r in
-    if s <> eos then begin
-      Buffer.add_char buf (Char.chr s);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
+  let out = Buffer.create (2 * String.length compressed) in
+  decode m compressed ~count:(-1) out;
+  Buffer.contents out
 
 (* Raw-stream mode: encode a byte sequence of externally known length,
    without the end-of-string symbol (used by the bzip-like pipeline). *)
@@ -197,8 +303,10 @@ let compress_raw (m : model) (data : string) : string =
   Bitio.Writer.contents w
 
 let decompress_raw (m : model) ~(count : int) (compressed : string) : string =
-  let r = Bitio.Reader.of_string compressed in
-  String.init count (fun _ -> Char.chr (read_symbol m r))
+  if count < 0 then invalid_arg "Huffman.decompress_raw: negative count";
+  let out = Buffer.create count in
+  decode m compressed ~count out;
+  Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Compressed-domain operations                                        *)

@@ -22,8 +22,15 @@ val symbol_count : int
     entries (two-queue method). *)
 val code_lengths : int array -> int array
 
-(** Build a canonical-code model from code lengths. *)
+(** Build a canonical-code model from code lengths. Raises {!Corrupt}
+    when the lengths cannot form a prefix code (their Kraft sum exceeds
+    1) or one exceeds {!max_code_len}. *)
 val of_lengths : int array -> model
+
+(** The longest code length a model may have: 56 bits, what the
+    decoder's accumulator is guaranteed to hold. {!train} cannot reach
+    it, as a 57-bit code needs more than 10{^11} input symbols. *)
+val max_code_len : int
 
 (** Train on values; every byte keeps a floor frequency of 1 so unseen
     values still compress. *)
@@ -35,13 +42,24 @@ val train_raw : string -> model
 (** Encode one value, terminated by the end-of-string symbol. *)
 val compress : model -> string -> string
 
-(** Invert {!compress}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!compress}. Raises {!Corrupt} on invalid input, including a
+    value that runs out of bits before its end-of-string symbol.
+
+    Decoding is table-driven: 12 bits of a byte-refilled accumulator
+    index a table of up to two symbols per entry, and longer codes
+    resolve from the same accumulator by the canonical search. The table
+    (4096 ints) is a pure function of the code lengths; it is built on a
+    model's first decode, not by {!of_lengths}, so models that are
+    trained but never decoded do not pay for it. Domains that race to
+    build it build the same table. *)
 val decompress : model -> string -> string
 
 (** Encode a byte sequence of externally known length (no EOS). *)
 val compress_raw : model -> string -> string
 
-(** Invert {!compress_raw} given the original byte count. *)
+(** Invert {!compress_raw} given the original byte count, through the
+    same decoder as {!decompress}. Raises {!Corrupt} when the stream
+    holds fewer than [count] symbols or an end-of-string symbol. *)
 val decompress_raw : model -> count:int -> string -> string
 
 (** Equality in the compressed domain (both sides under one model). *)
@@ -56,7 +74,8 @@ val matches_prefix : prefix_bits:string * int -> string -> bool
 (** Serialize the code lengths for the repository. *)
 val serialize_model : model -> string
 
-(** Invert {!serialize_model}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!serialize_model}. Raises {!Corrupt} on invalid input,
+    including length tables {!of_lengths} rejects. *)
 val deserialize_model : string -> model
 
 (** Serialized size in bytes (counted into the repository total). *)

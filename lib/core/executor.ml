@@ -469,20 +469,38 @@ let singleton_number ctx (b : binding) =
   | [] -> Float.nan
   | _ -> err "expected a singleton numeric value"
 
+(* An item made ready for comparison, attribute wrappers stripped. Its
+   string and number are each computed at most once, and only when a
+   comparison needs them: a value decompresses at most once however many
+   comparisons it takes part in. *)
+type atom = { a_item : item; a_str : string Lazy.t; a_num : float option Lazy.t }
+
+let rec atomize ctx it =
+  match it with
+  | Att (_, v) -> atomize ctx v
+  | Num f -> { a_item = it; a_str = lazy (atom_string ctx it); a_num = Lazy.from_val (Some f) }
+  | Bool b ->
+    { a_item = it; a_str = lazy (atom_string ctx it);
+      a_num = Lazy.from_val (Some (if b then 1.0 else 0.0)) }
+  | Node _ | Cval _ | Str _ | Elem _ ->
+    let a_str = lazy (atom_string ctx it) in
+    { a_item = it; a_str; a_num = lazy (float_of_string_opt (String.trim (Lazy.force a_str))) }
+
 (* Comparison of two items: stays in the compressed domain when both are
-   codes under the same source model and the codec supports the class. *)
-let rec compare_items ctx a b : int =
-  match a, b with
-  | Att (_, x), y -> compare_items ctx x y
-  | x, Att (_, y) -> compare_items ctx x y
+   codes under the same source model and the codec supports the class;
+   otherwise numeric when both sides parse as numbers, else by string. *)
+let compare_atoms a b : int =
+  match a.a_item, b.a_item with
   | Cval x, Cval y
     when x.cont.Container.model_id = y.cont.Container.model_id
          && Compress.Codec.supports x.cont.Container.algorithm `Ineq ->
     String.compare x.code y.code
   | _ -> (
-    match atom_number ctx a, atom_number ctx b with
+    match Lazy.force a.a_num, Lazy.force b.a_num with
     | Some x, Some y -> compare x y
-    | _ -> compare (atom_string ctx a) (atom_string ctx b))
+    | _ -> String.compare (Lazy.force a.a_str) (Lazy.force b.a_str))
+
+let compare_items ctx a b = compare_atoms (atomize ctx a) (atomize ctx b)
 
 let cmp_holds ctx op a b =
   let a = match a with Att (_, v) -> v | a -> a in
@@ -1515,27 +1533,36 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
       prof_rows ctx ~kind:"order_by" "order by"
         ~rows:(fun () -> List.length !tuples)
         (fun () ->
+          (* each tuple's keys: the first item of each key's value, atomized
+             once, so a key decompresses at most once for the whole sort *)
           let decorated =
             List.map
               (fun d ->
-                (List.map (fun (k, dir) -> (materialize qctx (eval qctx (full d) k), dir)) keys, d))
+                ( List.map
+                    (fun (k, _) ->
+                      match materialize qctx (eval qctx (full d) k) with
+                      | [] -> None
+                      | x :: _ -> Some (atomize qctx x))
+                    keys,
+                  d ))
               !tuples
           in
           let cmp (ka, _) (kb, _) =
-            let rec go = function
-              | [] -> 0
-              | ((a, dir), (b, _)) :: rest ->
+            let rec go ka kb keys =
+              match ka, kb, keys with
+              | a :: ka, b :: kb, (_, dir) :: keys ->
                 let c =
                   match a, b with
-                  | [], [] -> 0
-                  | [], _ -> -1
-                  | _, [] -> 1
-                  | x :: _, y :: _ -> compare_items qctx x y
+                  | None, None -> 0
+                  | None, Some _ -> -1
+                  | Some _, None -> 1
+                  | Some x, Some y -> compare_atoms x y
                 in
                 let c = match dir with `Asc -> c | `Desc -> -c in
-                if c <> 0 then c else go rest
+                if c <> 0 then c else go ka kb keys
+              | _ -> 0
             in
-            go (List.combine ka kb)
+            go ka kb keys
           in
           tuples := List.map snd (List.stable_sort cmp decorated))
   in
@@ -2017,9 +2044,10 @@ and join_key ctx (mode : key_mode) (it : item) : join_key list =
     (* same model, different physical item: re-compress the atom *)
     [ Kcode (Container.compress_constant shared (atom_string ctx it)) ]
   | Mode_atom, it -> (
-    match atom_number ctx it with
+    let a = atomize ctx it in
+    match Lazy.force a.a_num with
     | Some f -> [ Knum f ]
-    | None -> [ Kstr (atom_string ctx it) ])
+    | None -> [ Kstr (Lazy.force a.a_str) ])
 
 
 (* ------------------------------------------------------------------ *)

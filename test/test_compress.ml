@@ -571,6 +571,267 @@ let test_codec_properties () =
   Alcotest.(check bool) "alm cheaper than huffman" true
     (Codec.decompression_cost Codec.Alm_alg < Codec.decompression_cost Codec.Huffman_alg)
 
+(* ------------------------------------------------------------------ *)
+(* Value decoders against the bit-at-a-time oracles                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The previous Huffman decoder, kept as the oracle for the table-driven
+   one: canonical codes rebuilt from the serialized lengths, then one
+   [Bitio.Reader.read_bit] per bit, trying each code length in turn.
+   [count] < 0 decodes up to the end-of-string symbol (value mode). *)
+let oracle_huffman_decode (m : Huffman.model) ~count (compressed : string) : string =
+  let lengths = Array.map Char.code (Array.of_seq (String.to_seq (Huffman.serialize_model m))) in
+  let by_len = Hashtbl.create 257 in
+  let code = ref 0 in
+  for l = 1 to Array.fold_left max 0 lengths do
+    Array.iteri
+      (fun s l' -> if l' = l then begin Hashtbl.replace by_len (l, !code) s; incr code end)
+      lengths;
+    code := !code lsl 1
+  done;
+  let r = Bitio.Reader.of_string compressed in
+  let read_symbol () =
+    let rec go len code =
+      if len > 64 then raise (Huffman.Corrupt "invalid code")
+      else begin
+        let code = (code lsl 1) lor (if Bitio.Reader.read_bit r then 1 else 0) in
+        match Hashtbl.find_opt by_len (len + 1, code) with
+        | Some s -> s
+        | None -> go (len + 1) code
+      end
+    in
+    go 0 0
+  in
+  let buf = Buffer.create 16 in
+  let rec go k =
+    if k <> count then begin
+      let s = read_symbol () in
+      if s = 256 then (if count >= 0 then raise (Huffman.Corrupt "eos in raw stream"))
+      else begin
+        Buffer.add_char buf (Char.chr s);
+        go (k + 1)
+      end
+    end
+  in
+  go 0;
+  Buffer.contents buf
+
+(* The previous ALM decoder, kept as the oracle: one
+   [Bitio.Reader.read_bits] per code. *)
+let oracle_alm_decompress (m : Alm.model) (compressed : string) : string =
+  let width = Alm.code_width m and tokens = Alm.code_tokens m in
+  let r = Bitio.Reader.of_string compressed in
+  let buf = Buffer.create 16 in
+  let rec go () =
+    if Bitio.Reader.bits_remaining r >= width then begin
+      let code = Bitio.Reader.read_bits r width in
+      if code <> 0 then begin
+        if code > Array.length tokens then raise (Alm.Corrupt "ALM: bad code");
+        Buffer.add_string buf tokens.(code - 1);
+        go ()
+      end
+    end
+  in
+  go ();
+  Buffer.contents buf
+
+(* Skewed training sets: byte ['a' + i] has probability 2{^-(i+1)}, and
+   every byte keeps the floor frequency, so the rare bytes get codes
+   longer than the 12-bit decode table. The sets are drawn from a seed,
+   which keeps generation cheap for strings this long. *)
+let gen_skewed =
+  QCheck2.Gen.(
+    let training (n, seed) =
+      let st = Random.State.make [| seed |] in
+      let geometric () =
+        let rec go i = if i < 20 && Random.State.bool st then go (i + 1) else i in
+        Char.chr (97 + go 0)
+      in
+      List.init n (fun _ -> String.init (Random.State.int st 400) (fun _ -> geometric ()))
+    in
+    pair (map training (pair (int_range 1 60) int)) (list_size (int_range 1 20) gen_string))
+
+let max_code_length m =
+  String.fold_left (fun a c -> max a (Char.code c)) 0 (Huffman.serialize_model m)
+
+let prop_huffman_oracle =
+  QCheck2.Test.make ~name:"huffman table decoder matches the oracle (skewed)" ~count:100
+    gen_skewed (fun (training, values) ->
+      let m = Huffman.train training in
+      List.for_all
+        (fun v ->
+          let c = Huffman.compress m v in
+          let got = Huffman.decompress m c in
+          got = v && got = oracle_huffman_decode m ~count:(-1) c)
+        (training @ values))
+
+(* The skewed sets do reach past the table: a fixed one whose rare bytes
+   need codes of more than 12 bits round-trips through both decoders. *)
+let test_huffman_long_codes () =
+  let training = List.init 18 (fun k -> String.make (1 lsl k) (Char.chr (97 + k))) in
+  let m = Huffman.train training in
+  Alcotest.(check bool) "some code is longer than 12 bits" true (max_code_length m > 12);
+  List.iter
+    (fun v ->
+      let c = Huffman.compress m v in
+      Alcotest.(check string) "decompress" v (Huffman.decompress m c);
+      Alcotest.(check string) "oracle" v (oracle_huffman_decode m ~count:(-1) c))
+    [ ""; "a"; "\xff\xfe\x00"; "abcabc\x01zz"; String.init 256 Char.chr; String.make 50 'a' ]
+
+let prop_huffman_raw_oracle =
+  QCheck2.Test.make ~name:"huffman decompress_raw matches the oracle" ~count:200
+    QCheck2.Gen.(pair (string_size ~gen:(map Char.chr (int_bound 255)) (int_range 0 2000)) nat)
+    (fun (data, k) ->
+      let m = Huffman.train_raw data in
+      let c = Huffman.compress_raw m data in
+      let n = String.length data in
+      let count = if n = 0 then 0 else k mod (n + 1) in
+      Huffman.decompress_raw m ~count:n c = data
+      && Huffman.decompress_raw m ~count c = oracle_huffman_decode m ~count c
+      && Huffman.decompress_raw m ~count c = String.sub data 0 count)
+
+(* Bytes no encoder produced: both decoders agree, or both reject them
+   (the oracle through [Out_of_bits] or [Corrupt], the table decoder
+   through [Corrupt] only). *)
+let prop_huffman_damaged_oracle =
+  QCheck2.Test.make ~name:"huffman damaged values: same bytes as the oracle or Corrupt"
+    ~count:300 QCheck2.Gen.(pair gen_skewed gen_string)
+    (fun ((training, _), junk) ->
+      let m = Huffman.train training in
+      match Huffman.decompress m junk with
+      | exception Huffman.Corrupt _ -> (
+        match oracle_huffman_decode m ~count:(-1) junk with
+        | exception (Huffman.Corrupt _ | Bitio.Reader.Out_of_bits) -> true
+        | _ -> false)
+      | got -> got = oracle_huffman_decode m ~count:(-1) junk)
+
+(* The padding after the end-of-string code is shorter than a byte, so
+   dropping any trailing byte cuts into that code. *)
+let prop_huffman_truncated =
+  QCheck2.Test.make ~name:"huffman: every strict byte-truncation raises Corrupt" ~count:300
+    gen_skewed (fun (training, values) ->
+      let m = Huffman.train training in
+      List.for_all
+        (fun v ->
+          let c = Huffman.compress m v in
+          List.for_all
+            (fun k ->
+              match Huffman.decompress m (String.sub c 0 k) with
+              | exception Huffman.Corrupt _ -> true
+              | _ -> false)
+            (List.init (String.length c) Fun.id))
+        values)
+
+let test_huffman_rejects_lengths () =
+  let corrupt what f =
+    match f () with
+    | exception Huffman.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s: expected Corrupt" what
+  in
+  let lengths assign =
+    let a = Array.make Huffman.symbol_count 0 in
+    List.iter (fun (s, l) -> a.(s) <- l) assign;
+    a
+  in
+  let serialized a = String.init Huffman.symbol_count (fun i -> Char.chr a.(i)) in
+  let over = lengths [ (0, 1); (1, 1); (2, 1) ] in
+  corrupt "three 1-bit codes" (fun () -> Huffman.of_lengths over);
+  corrupt "three 1-bit codes, deserialized" (fun () -> Huffman.deserialize_model (serialized over));
+  let over_deep = lengths (List.init 257 (fun s -> (s, 8))) in
+  corrupt "257 8-bit codes" (fun () -> Huffman.of_lengths over_deep);
+  let too_long = lengths [ (0, 1); (1, Huffman.max_code_len + 1) ] in
+  corrupt "a code past the accumulator" (fun () -> Huffman.of_lengths too_long);
+  corrupt "a 255-bit code, deserialized" (fun () ->
+      Huffman.deserialize_model (serialized (lengths [ (0, 1); (1, 255) ])));
+  (* complete and incomplete codes at the limit are accepted *)
+  let chain = lengths (List.init Huffman.max_code_len (fun i -> (i, i + 1))) in
+  let m = Huffman.of_lengths chain in
+  Alcotest.(check string) "56-bit code decodes" "\055"
+    (Huffman.decompress_raw m ~count:1 (Huffman.compress_raw m "\055"));
+  let single = Huffman.of_lengths (lengths [ (256, 1) ]) in
+  Alcotest.(check string) "lone end-of-string code" "" (Huffman.decompress single "\000");
+  corrupt "code absent from an incomplete model" (fun () -> Huffman.decompress single "\128")
+
+(* One fresh model, so four domains race to build its decode table. *)
+let test_huffman_concurrent_first_decode () =
+  let values = List.init 300 (fun i -> Printf.sprintf "value %d %s" i (String.make (i mod 40) 'q')) in
+  let m = Huffman.train values in
+  let codes = List.map (Huffman.compress m) values in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> List.for_all2 (fun c v -> Huffman.decompress m c = v) codes values))
+  in
+  Alcotest.(check (list bool)) "every domain decodes every value" [ true; true; true; true ]
+    (List.map Domain.join domains)
+
+(* An ALM model of code width [w]: two-byte tokens [c1 c2] in order, so
+   each full first-byte row adds 257 codes and the last row two more
+   than its tokens; [extra] tokens may widen it by one. *)
+let alm_model_of_width ?(extra = []) w =
+  let n = (1 lsl (w - 1)) - 256 + 4 in
+  Alm.of_tokens (List.init n (fun k -> String.init 2 (fun j -> Char.chr (if j = 0 then k / 256 else k mod 256))) @ extra)
+
+let test_alm_widths () =
+  List.iter
+    (fun w ->
+      let m = alm_model_of_width w in
+      Alcotest.(check int) (Printf.sprintf "width %d" w) w (Alm.code_width m);
+      List.iter
+        (fun v ->
+          let c = Alm.compress m v in
+          Alcotest.(check string) "decompress" v (Alm.decompress m c);
+          Alcotest.(check string) "oracle" v (oracle_alm_decompress m c))
+        [ ""; "\000"; "\255\255\255"; "abc"; String.init 256 Char.chr ])
+    [ 9; 10; 11; 12; 13; 14; 15; 16 ]
+
+let prop_alm_oracle =
+  let gen =
+    QCheck2.Gen.(
+      quad (int_range 9 16)
+        (list_size (int_range 0 30) (string_size ~gen:(map Char.chr (int_bound 255)) (int_range 2 6)))
+        (list_size (int_range 1 20) gen_string) gen_string)
+  in
+  QCheck2.Test.make ~name:"alm decoder matches the oracle, widths 9-16" ~count:40 gen
+    (fun (w, extra, values, junk) ->
+      let m = alm_model_of_width ~extra w in
+      List.for_all
+        (fun v ->
+          let c = Alm.compress m v in
+          Alm.decompress m c = v && oracle_alm_decompress m c = v)
+        values
+      &&
+      match Alm.decompress m junk with
+      | exception Alm.Corrupt _ -> (
+        match oracle_alm_decompress m junk with exception Alm.Corrupt _ -> true | _ -> false)
+      | got -> got = oracle_alm_decompress m junk)
+
+(* Every value of an XMark image decodes as the oracles decode it. *)
+let test_image_values_oracle () =
+  let xml = Xmark.Xmlgen.generate ~seed:1 ~scale:0.25 () in
+  let repo = Xquec_core.Loader.load ~name:"auction.xml" xml in
+  let checked = ref 0 in
+  Array.iter
+    (fun (c : Storage.Container.t) ->
+      let oracle =
+        match c.Storage.Container.model with
+        | Codec.M_huffman h -> Some (oracle_huffman_decode h ~count:(-1))
+        | Codec.M_alm a -> Some (oracle_alm_decompress a)
+        | _ -> None
+      in
+      Option.iter
+        (fun oracle ->
+          for b = 0 to Storage.Container.block_count c - 1 do
+            Array.iter
+              (fun code ->
+                incr checked;
+                if Codec.decompress c.Storage.Container.model code <> oracle code then
+                  Alcotest.failf "%s: a value differs from the oracle" c.Storage.Container.path)
+              (fst (Storage.Container.read_block c b))
+          done)
+        oracle)
+    repo.Storage.Repository.containers;
+  Alcotest.(check bool) "checked values" true (!checked > 1000)
+
 let suites =
   [
     ( "bitio",
@@ -650,6 +911,22 @@ let suites =
           test_decode_block_oracle;
         Alcotest.test_case "decode_block fails typed" `Quick test_decode_block_failures;
         Alcotest.test_case "encoder golden image md5" `Quick test_encoder_golden;
+      ] );
+    ( "value-decode",
+      [
+        QCheck_alcotest.to_alcotest prop_huffman_oracle;
+        Alcotest.test_case "huffman codes past the table" `Quick test_huffman_long_codes;
+        QCheck_alcotest.to_alcotest prop_huffman_raw_oracle;
+        QCheck_alcotest.to_alcotest prop_huffman_damaged_oracle;
+        QCheck_alcotest.to_alcotest prop_huffman_truncated;
+        Alcotest.test_case "huffman rejects impossible lengths" `Quick
+          test_huffman_rejects_lengths;
+        Alcotest.test_case "huffman first decode on 4 domains" `Quick
+          test_huffman_concurrent_first_decode;
+        Alcotest.test_case "alm widths 9-16" `Quick test_alm_widths;
+        QCheck_alcotest.to_alcotest prop_alm_oracle;
+        Alcotest.test_case "xmark image values match the oracles" `Quick
+          test_image_values_oracle;
       ] );
     ( "codec",
       [

@@ -166,6 +166,76 @@ let test_decorrelated_order_by () =
   Alcotest.(check int) "the Q9 variant's inner join ran as a block merge join" 1
     (Xquec_core.Executor.join_stats ()).Xquec_core.Executor.j_block_joins
 
+(* Q19's shape over keys from several containers with different
+   models: each region's names have their own source model (one region
+   is all numbers, so numeric-coded), some names look numeric, some tie,
+   and some items have an empty name or none. Every ordering must equal
+   the naive reference, and each key decompresses at most once: the
+   decode count stays within one per key plus the values returned.
+   Within one order-preserving container, a comparison runs on the
+   codes, in string order; so the numeric-looking names of each text
+   region are chosen to sort the same as strings and as numbers. *)
+let test_order_by_mixed_models () =
+  let region name names =
+    Printf.sprintf "<%s>%s</%s>" name
+      (String.concat ""
+         (List.mapi
+            (fun i n ->
+              let name_elt = match n with None -> "" | Some n -> "<name>" ^ n ^ "</name>" in
+              Printf.sprintf "<item>%s<location>%s %d</location></item>" name_elt name i)
+            names))
+      name
+  in
+  let cycle words i = Some (List.nth words ((i * 7 + i / 3) mod List.length words)) in
+  let xml =
+    "<site><regions>"
+    ^ region "africa" (List.init 40 (cycle [ "gold ring"; "apple"; "10"; "Zebra"; "apple" ]))
+    ^ region "asia"
+        (List.init 40 (fun i ->
+             if i mod 9 = 0 then None else cycle [ "9.5"; "-3"; "banana"; "apple"; "Zebra" ] i))
+    ^ region "europe" (List.init 40 (fun i -> Some (string_of_int ((i * 37) mod 23))))
+    ^ region "namerica"
+        (List.init 40 (fun i ->
+             if i mod 5 = 0 then Some "" else cycle [ " 42 "; "1e2"; "gold ring"; "banana"; "Zebra" ] i))
+    ^ "</regions></site>"
+  in
+  let doc = Xmlkit.Parser.parse_string xml in
+  let d = "document(\"auction.xml\")/site/regions//item" in
+  let queries =
+    [
+      (Printf.sprintf
+         "for $b in %s let $k := $b/name/text() order by $k return <item name=\"{$k}\">{$b/location/text()}</item>"
+         d, 1, 2);
+      (Printf.sprintf
+         "for $b in %s let $k := $b/name/text() order by $k descending return <item name=\"{$k}\">{$b/location/text()}</item>"
+         d, 1, 2);
+      (Printf.sprintf
+         "for $b in %s order by $b/name/text() descending, $b/location/text() return $b/location/text()"
+         d, 2, 1);
+    ]
+  in
+  List.iter
+    (fun (alg_name, alg) ->
+      let options = { Xquec_core.Loader.default_options with default_string_algorithm = alg } in
+      let repo = Xquec_core.Loader.load ~options ~name:"auction.xml" xml in
+      List.iter
+        (fun (text, keys, returned) ->
+          let ast = Xquery.Parser.parse text in
+          let expected = galax_result doc ast in
+          let got, decodes =
+            Xquec_obs.with_enabled (fun () ->
+                Xquec_obs.Metrics.reset ();
+                let got = xquec_result repo ast in
+                (got, Xquec_obs.Metrics.counter_value (Printf.sprintf "codec.%s.decode_calls" alg_name)))
+          in
+          Alcotest.(check string) (alg_name ^ ": " ^ text) expected got;
+          (* 160 items: each key and each returned value decodes once *)
+          let bound = 160 * (keys + returned) in
+          if decodes > bound then
+            Alcotest.failf "%s: %d %s decodes, more than %d" text decodes alg_name bound)
+        queries)
+    [ ("alm", Compress.Codec.Alm_alg); ("huffman", Compress.Codec.Huffman_alg) ]
+
 let suites =
   [
     ( "differential",
@@ -178,5 +248,7 @@ let suites =
         Alcotest.test_case "huffman-only repository" `Slow test_huffman_everywhere;
         Alcotest.test_case "block join vs hash join" `Slow test_block_join_vs_hash;
         Alcotest.test_case "decorrelated order by" `Slow test_decorrelated_order_by;
+        Alcotest.test_case "order by over keys of several models" `Quick
+          test_order_by_mixed_models;
       ] );
   ]
