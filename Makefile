@@ -32,7 +32,10 @@ build:
 # workload profiler resolves at least one container from the query log.
 # Along the way the image is compressed a second time under
 # OCAMLRUNPARAM=R (randomized hash tables) and must be byte-identical,
-# and a truncated query must exit 2 with a positioned syntax error.
+# a truncated query must exit 2 with a positioned syntax error, an XML
+# document given as an image must exit 1 as not a valid image, and
+# EXPLAIN of a Q2-shaped query must show the batched-path operator (so
+# set-at-a-time paths cannot silently stop firing).
 check:
 	dune build
 	dune runtest
@@ -56,6 +59,11 @@ check:
 	  'for $$p in document("auction.xml")/site/people/person where' \
 	  2> $(GATE_DIR)/syntax-error.txt; test $$? -eq 2
 	grep -q '^xquec: syntax error at byte 58: unexpected end of input$$' $(GATE_DIR)/syntax-error.txt
+	$(XQUEC) stats $(GATE_DIR)/auction.xml 2> $(GATE_DIR)/not-an-image.txt; test $$? -eq 1
+	grep -q '^xquec: $(GATE_DIR)/auction.xml: not a valid XQueC image: ' $(GATE_DIR)/not-an-image.txt
+	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
+	  'for $$b in document("auction.xml")/site/open_auctions/open_auction return <increase>{$$b/bidder[1]/increase/text()}</increase>' \
+	  | grep -q 'batched path $$b/bidder\[1\]/increase/text()'
 	$(XQUEC) profile $(GATE_DIR)/query-log.jsonl --json | grep -q '"container"'
 	$(MAKE) serve-smoke
 

@@ -181,6 +181,14 @@ let reporting_syntax_errors f =
     Fmt.epr "xquec: %s@." (Xquery.Parser.error_message msg pos);
     exit 2
 
+(* An input that is not an image, or not a whole one, is reported and
+   exits 1 instead of escaping as an internal error. *)
+let restore_image path data =
+  try Xquec_core.Engine.restore data
+  with Storage.Repository.Corrupt msg ->
+    Fmt.epr "xquec: %s: not a valid XQueC image: %s@." path msg;
+    exit 1
+
 (* A repository argument that also accepts raw XML: sniff the first
    non-whitespace byte — documents start with '<', serialized
    repositories never do. Returns the engine plus the input's format
@@ -198,8 +206,8 @@ let load_engine_any_with_format path =
   if first_nonspace 0 = Some '<' then
     (Xquec_core.Engine.load ~name:(Filename.basename path) data, "xml")
   else if String.length data >= 4 && String.sub data 0 3 = "XQC" then
-    (Xquec_core.Engine.restore data, Printf.sprintf "v%d" (Char.code data.[3]))
-  else (Xquec_core.Engine.restore data, "v1")
+    (restore_image path data, Printf.sprintf "v%d" (Char.code data.[3]))
+  else (restore_image path data, "v1")
 
 let load_engine_any path = fst (load_engine_any_with_format path)
 
@@ -291,7 +299,7 @@ let decompress_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT.xqc") in
   let output = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.xml") in
   let run input output =
-    let engine = Xquec_core.Engine.restore (read_file input) in
+    let engine = restore_image input (read_file input) in
     let xml = Xquec_core.Engine.to_xml engine in
     match output with
     | Some out ->
@@ -709,7 +717,7 @@ let stats_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT.xqc") in
   let run input =
     let data = read_file input in
-    let engine = Xquec_core.Engine.restore data in
+    let engine = restore_image input data in
     let repo = Xquec_core.Engine.repo engine in
     let sz = Xquec_core.Engine.size_breakdown engine in
     let format =

@@ -243,24 +243,26 @@ and eval_step env ctx (st : Ast.step) =
     | Ast.Descendant -> axis_descendant st.Ast.test node
     | Ast.Attribute -> axis_attribute st.Ast.test node
   in
-  let step_result = List.concat_map apply ctx in
-  (* Steps from several context nodes can surface the same node twice via
-     the descendant axis; XQuery de-duplicates. Physical equality is the
-     node identity here. *)
-  let dedup items =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | (N n as it) :: rest ->
-        if List.exists (function N n' -> n' == n | _ -> false) acc then go acc rest
-        else go (it :: acc) rest
-      | it :: rest -> go (it :: acc) rest
+  (* Child and attribute steps apply their predicates per context node,
+     as XPath does: [$a/b[1]] is the first [b] of every [$a]. *)
+  let per_context node = List.fold_left (apply_predicate env) (apply node) st.Ast.predicates in
+  match st.Ast.axis with
+  | Ast.Child | Ast.Attribute -> List.concat_map per_context ctx
+  | Ast.Descendant ->
+    (* Steps from several context nodes can surface the same node twice
+       via the descendant axis; XQuery de-duplicates. Physical equality
+       is the node identity here. *)
+    let dedup items =
+      let rec go acc = function
+        | [] -> List.rev acc
+        | (N n as it) :: rest ->
+          if List.exists (function N n' -> n' == n | _ -> false) acc then go acc rest
+          else go (it :: acc) rest
+        | it :: rest -> go (it :: acc) rest
+      in
+      go [] items
     in
-    go [] items
-  in
-  let step_result =
-    match st.Ast.axis with Ast.Descendant -> dedup step_result | _ -> step_result
-  in
-  List.fold_left (apply_predicate env) step_result st.Ast.predicates
+    List.fold_left (apply_predicate env) (dedup (List.concat_map apply ctx)) st.Ast.predicates
 
 and apply_predicate env items = function
   | Ast.Pos i -> (match List.nth_opt items (i - 1) with Some it -> [ it ] | None -> [])

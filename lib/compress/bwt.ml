@@ -13,12 +13,17 @@ let transform (s : string) : t =
     let k = ref 1 in
     let continue = ref true in
     while !continue && !k < n do
-      let key i = (rank.(i), rank.((i + !k) mod n)) in
-      Array.sort (fun a b -> compare (key a) (key b)) sa;
+      let step = !k in
+      (* rotations ordered by the pair (rank i, rank (i + step)),
+         compared without building the pair *)
+      let cmp a b =
+        let c = Int.compare rank.(a) rank.(b) in
+        if c <> 0 then c else Int.compare rank.((a + step) mod n) rank.((b + step) mod n)
+      in
+      Array.sort cmp sa;
       tmp.(sa.(0)) <- 0;
       for i = 1 to n - 1 do
-        tmp.(sa.(i)) <-
-          (tmp.(sa.(i - 1)) + if key sa.(i) = key sa.(i - 1) then 0 else 1)
+        tmp.(sa.(i)) <- (tmp.(sa.(i - 1)) + if cmp sa.(i) sa.(i - 1) = 0 then 0 else 1)
       done;
       Array.blit tmp 0 rank 0 n;
       if rank.(sa.(n - 1)) = n - 1 then continue := false;

@@ -27,18 +27,24 @@ let compress_block buf (block : string) =
   add_varint buf (String.length block);
   add_varint buf bwt.Bwt.primary;
   add_varint buf (String.length rle);
-  let model = Huffman.train_raw rle in
-  let coded = Huffman.compress_raw model rle in
-  let huffman_cost = Huffman.model_size model + String.length coded in
-  if huffman_cost < String.length rle then begin
-    Buffer.add_char buf '\000';
-    Buffer.add_string buf (Huffman.serialize_model model);
-    add_varint buf (String.length coded);
-    Buffer.add_string buf coded
-  end
-  else begin
+  let stored () =
     Buffer.add_char buf '\001';
     Buffer.add_string buf rle
+  in
+  (* the model alone takes [Huffman.symbol_count] bytes, so a stream no
+     longer than that is stored without training one *)
+  if String.length rle <= Huffman.symbol_count then stored ()
+  else begin
+    let model = Huffman.train_raw rle in
+    let coded = Huffman.compress_raw model rle in
+    let huffman_cost = Huffman.model_size model + String.length coded in
+    if huffman_cost < String.length rle then begin
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf (Huffman.serialize_model model);
+      add_varint buf (String.length coded);
+      Buffer.add_string buf coded
+    end
+    else stored ()
   end
 
 let compress (data : string) : string =

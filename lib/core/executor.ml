@@ -9,6 +9,10 @@
      comparison class (eq / ineq / prefix-wildcard); otherwise the
      container is scanned and decompressed — the cost the §3 model and
      partitioner exist to avoid;
+   - paths [$v/R] rooted at a FOR variable are evaluated once for all
+     of the variable's bindings (set-at-a-time, §4 Fig. 5): a pre-order
+     interval merge against the summary's id lists per step, and one
+     block fetch per block for the values;
    - uncorrelated FOR/LET sources are evaluated once; value joins become
      hash joins (equality) or sorted-array lookups (inequality), probing
      compressed codes directly when both sides share a source model;
@@ -39,9 +43,54 @@ type seqv =
   | All_nodes of Summary.node list
   | All_values of Summary.node list (* element snodes whose text containers hold the values *)
 
-type binding = { seq : seqv; snodes : Summary.node list }
+type binding = { seq : seqv; snodes : Summary.node list; origin : origin }
 
-let mat items = { seq = Mat items; snodes = [] }
+(* Where a binding sits in a binding set, so a path rooted at it can
+   take its run from the set's batch instead of navigating. *)
+and origin =
+  | Loose  (** no set: paths rooted here evaluate per tuple *)
+  | Member of bset * int  (** the single item at this position of the set *)
+  | Run of bset * int
+      (** [Mat] items at consecutive positions of the set, from this one *)
+
+(* The items one variable ranges over, shared by all the tuples binding
+   it: a FOR source, a join's build side, or the runs of one batched
+   path. Created while one query evaluates and dropped with it. *)
+and bset = {
+  bs_items : item array;
+  bs_snodes : Summary.node list;  (** summary nodes the items instantiate *)
+  mutable bs_groups : groups;
+  mutable bs_memo : (Ast.step list * batch) list;  (** per R, keyed physically *)
+}
+
+and groups =
+  | Unexamined
+  | Per_tuple  (** some item is not a stored node of [bs_snodes] *)
+  | Grouped of { slot_of : int array; groups : group list }
+      (** each position's slot: its node's rank among the distinct
+          nodes of the set, numbered summary node by summary node *)
+
+(* The distinct nodes of a set that instantiate one summary node, in
+   document order, at slots [g_base ..]. Instances of one summary node
+   never nest, so their subtrees are disjoint pre-order intervals. *)
+and group = { g_snode : Summary.node; g_base : int; g_nodes : int array }
+
+(* [$v/R] for every slot of [$v]'s set: its run, and the run's offset in
+   [b_union], the runs laid end to end as a binding set of their own
+   (when R ends at elements). *)
+and batch = {
+  b_slot_of : int array;
+  b_runs : item list array;
+  b_starts : int array;
+  b_union : bset option;
+}
+
+let mat items = { seq = Mat items; snodes = []; origin = Loose }
+
+let member bs p = { seq = Mat [ bs.bs_items.(p) ]; snodes = []; origin = Member (bs, p) }
+
+let binding_set items snodes =
+  { bs_items = Array.of_list items; bs_snodes = snodes; bs_groups = Unexamined; bs_memo = [] }
 
 type ctx = {
   repo : Repository.t;
@@ -96,6 +145,40 @@ let node_text_values ctx id : item list =
   |> List.map (fun (cid, idx) ->
          let cont = container ctx cid in
          Cval { cont; code = (Container.get cont idx).Container.code })
+
+(* Value reader for a pass over many value pointers (a batched path, a
+   whole path's values): each block it touches is fetched once, through
+   one [Container.fetch_blocks], and codes are read straight from the
+   decoded block. *)
+let block_reader ctx =
+  let conts = ctx.repo.Repository.containers in
+  let cache : Buffer_pool.decoded option array option array =
+    Array.make (Array.length conts) None
+  in
+  let fetches = ref 0 in
+  let read (cid, idx) =
+    let cont = conts.(cid) in
+    let blocks =
+      match cache.(cid) with
+      | Some a -> a
+      | None ->
+        let a = Array.make (Container.block_count cont) None in
+        cache.(cid) <- Some a;
+        a
+    in
+    let bi = Container.block_of_index cont idx in
+    let d =
+      match blocks.(bi) with
+      | Some d -> d
+      | None ->
+        let d = (Container.fetch_blocks cont ~b0:bi ~b1:bi).(0) in
+        incr fetches;
+        blocks.(bi) <- Some d;
+        d
+    in
+    Cval { cont; code = d.Buffer_pool.codes.(idx - cont.Container.blocks.(bi).Container.b_start) }
+  in
+  (read, fetches)
 
 (* The value of an attribute node. *)
 let attr_node_value ctx id : item option =
@@ -207,9 +290,11 @@ let materialize ctx (b : binding) : item list =
         snodes
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
+    let read, _ = block_reader ctx in
+    let tree = ctx.repo.Repository.tree in
     List.concat_map
       (fun (id, attr_name) ->
-        let vals = node_text_values ctx id in
+        let vals = List.map read (Array.to_list (Structure_tree.value_pointers tree id)) in
         match attr_name with
         | Some name -> List.map (fun v -> Att (name, v)) vals
         | None -> vals)
@@ -224,6 +309,14 @@ let count ctx (b : binding) : int =
         acc + if sn.Summary.tag < 0 then 1 else Array.length sn.Summary.ids)
       0 snodes
   | All_values _ -> List.length (materialize ctx b)
+
+(* One binding per item of [b], in order. Items of a batched path's run
+   become members of the set the runs form, so paths rooted at the
+   variable they bind are batched in turn. *)
+let item_bindings ctx (b : binding) : binding list =
+  match b.origin, b.seq with
+  | Run (u, s), Mat items -> List.mapi (fun j _ -> member u (s + j)) items
+  | _ -> List.map (fun it -> mat [ it ]) (materialize ctx b)
 
 (* ------------------------------------------------------------------ *)
 (* Profiling shims (free when the ctx carries no Explain profile)      *)
@@ -247,20 +340,22 @@ let with_cache_delta (node : Xquec_obs.Explain.node) (f : unit -> 'a) : 'a =
   v
 
 (* Run [f] as an operator node; [rows] extracts the output cardinality
-   from its result. *)
-let prof_rows ctx ?attrs ~kind op ~(rows : 'a -> int) (f : unit -> 'a) : 'a =
+   from its result. The label [op] is built only when a profile is
+   open: some labels print an expression, and the unprofiled path
+   should not pay for them. *)
+let prof_rows ctx ?attrs ~kind (op : unit -> string) ~(rows : 'a -> int) (f : unit -> 'a) : 'a =
   match ctx.prof with
   | Some p when ctx.prof_ops ->
-    Xquec_obs.Explain.with_op p ?attrs ~kind op (fun node ->
+    Xquec_obs.Explain.with_op p ?attrs ~kind (op ()) (fun node ->
         let v = with_cache_delta node f in
         Xquec_obs.Explain.set_rows node (rows v);
         v)
   | _ -> f ()
 
-let prof_binding ctx ?attrs ~kind op (f : unit -> binding) : binding =
+let prof_binding ctx ?attrs ~kind (op : unit -> string) (f : unit -> binding) : binding =
   match ctx.prof with
   | Some p when ctx.prof_ops ->
-    Xquec_obs.Explain.with_op p ?attrs ~kind op (fun node ->
+    Xquec_obs.Explain.with_op p ?attrs ~kind (op ()) (fun node ->
         let b = with_cache_delta node (fun () -> f ()) in
         Xquec_obs.Explain.set_rows node (count ctx b);
         b)
@@ -406,7 +501,7 @@ type block_pairing = {
    [pl_item_of_node] inverts the source items (all tree nodes) to their
    item index, so matched records map back to output positions. *)
 type block_plan = {
-  pl_items : item array;
+  pl_set : bset;
   pl_item_of_node : (int, int) Hashtbl.t;
   pl_tuple_nodes : (env * int) list;
   pl_pairings : block_pairing list;
@@ -917,6 +1012,287 @@ let mem_sorted (arr : int array) (x : int) : bool =
   !found
 
 (* ------------------------------------------------------------------ *)
+(* Set-at-a-time paths                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The paper evaluates [for $v in P ... $v/R] with one summary access
+   and a structural join (§4, Fig. 5) rather than by navigating R from
+   every binding. A path rooted at a variable whose binding carries a
+   position in a binding set is evaluated once for the whole set, here,
+   and every tuple takes its run. R qualifies when it is child name
+   steps, each with at most one positional predicate, optionally ending
+   in text() or @name; anything else (descendant steps, conditional
+   predicates, constructed elements, the document node) stays on the
+   per-tuple path. *)
+let batchable (steps : Ast.step list) : bool =
+  let rec go = function
+    | [] -> true
+    | { Ast.axis = Ast.Child; test = Ast.Name _; predicates = [] | [ Ast.Pos_last ] } :: rest ->
+      go rest
+    | { Ast.axis = Ast.Child; test = Ast.Name _; predicates = [ Ast.Pos n ] } :: rest ->
+      n >= 1 && go rest
+    | [ { Ast.axis = Ast.Child; test = Ast.Text; predicates = [] } ]
+    | [ { Ast.axis = Ast.Attribute; test = Ast.Name _; predicates = [] } ] ->
+      true
+    | _ -> false
+  in
+  steps <> [] && go steps
+
+(* Sort a set's positions into groups by the summary node their item
+   instantiates: [Per_tuple] unless every item is a stored node found
+   among the set's summary nodes. *)
+let group_set ctx (bs : bset) : groups =
+  let tree = ctx.repo.Repository.tree in
+  let snodes =
+    Array.of_list (List.filter (fun (sn : Summary.node) -> sn.Summary.tag >= 0) bs.bs_snodes)
+  in
+  let ns = Array.length snodes in
+  let holds g id = mem_sorted snodes.(g).Summary.ids id in
+  let n = Array.length bs.bs_items in
+  let group_of = Array.make n 0 and node_of = Array.make n 0 in
+  try
+    let last = ref 0 in
+    Array.iteri
+      (fun p it ->
+        match it with
+        | Node id when id >= 0 && ns > 0 ->
+          if not (holds !last id) then begin
+            let tag = Structure_tree.tag tree id in
+            let rec find g =
+              if g = ns then raise Exit
+              else if snodes.(g).Summary.tag = tag && holds g id then g
+              else find (g + 1)
+            in
+            last := find 0
+          end;
+          group_of.(p) <- !last;
+          node_of.(p) <- id
+        | _ -> raise Exit)
+      bs.bs_items;
+    let slot_of = Array.make n 0 in
+    let base = ref 0 in
+    let groups =
+      List.filter_map
+        (fun g ->
+          let nodes = ref [] in
+          for p = n - 1 downto 0 do
+            if group_of.(p) = g then nodes := node_of.(p) :: !nodes
+          done;
+          match !nodes with
+          | [] -> None
+          | l ->
+            let g_nodes = Array.of_list (List.sort_uniq Int.compare l) in
+            let g_base = !base in
+            for p = 0 to n - 1 do
+              if group_of.(p) = g then begin
+                (* rank of the position's node among the group's nodes *)
+                let lo = ref 0 and hi = ref (Array.length g_nodes - 1) in
+                while !lo < !hi do
+                  let m = (!lo + !hi) / 2 in
+                  if g_nodes.(m) < node_of.(p) then lo := m + 1 else hi := m
+                done;
+                slot_of.(p) <- g_base + !lo
+              end
+            done;
+            base := g_base + Array.length g_nodes;
+            Some { g_snode = snodes.(g); g_base; g_nodes })
+        (List.init ns Fun.id)
+    in
+    Grouped { slot_of; groups }
+  with Exit -> Per_tuple
+
+(* First index [k >= lo] of the sorted [a] with [a.(k) > x] (the length
+   when none), galloping forward from [lo]: logarithmic in the distance
+   moved, so a merge costs in proportion to its bindings, not to the
+   id lists it searches. *)
+let gallop_gt (a : int array) lo x =
+  let n = Array.length a in
+  if lo >= n || a.(lo) > x then lo
+  else begin
+    let prev = ref lo and step = ref 1 in
+    while !prev + !step < n && a.(!prev + !step) <= x do
+      prev := !prev + !step;
+      step := 2 * !step
+    done;
+    let lo = ref (!prev + 1) and hi = ref (min (!prev + !step) n) in
+    while !lo < !hi do
+      let m = (!lo + !hi) / 2 in
+      if a.(m) <= x then lo := m + 1 else hi := m
+    done;
+    !lo
+  end
+
+(* One child step for a whole frontier: [cur] holds instances of one
+   summary node in document order, [own] their slots; [ids] the
+   instances of the child summary node. Node [d] is a child of [b]
+   exactly when [b < d <= last_descendant b], so each frontier node's
+   children are one contiguous run of [ids], found by galloping. [pos]
+   keeps the [pos]-th child of each run (0: all of them, -1: the last),
+   as a positional predicate does per context node. *)
+let merge_children tree ~(cur : int array) ~(own : int array) (ids : int array) ~pos :
+    int array * int array =
+  let m = Array.length cur in
+  let k0s = Array.make m 0 and k1s = Array.make m 0 in
+  let j = ref 0 and total = ref 0 in
+  for i = 0 to m - 1 do
+    let b = cur.(i) in
+    let k0 = gallop_gt ids !j b in
+    let k1 = gallop_gt ids k0 (Structure_tree.last_descendant tree b) in
+    j := k1;
+    let k0, k1 =
+      if pos = 0 then (k0, k1)
+      else if pos < 0 then if k1 > k0 then (k1 - 1, k1) else (k0, k0)
+      else if k1 - k0 >= pos then (k0 + pos - 1, k0 + pos)
+      else (k0, k0)
+    in
+    k0s.(i) <- k0;
+    k1s.(i) <- k1;
+    total := !total + (k1 - k0)
+  done;
+  let next = Array.make !total 0 and next_own = Array.make !total 0 in
+  let o = ref 0 in
+  for i = 0 to m - 1 do
+    for k = k0s.(i) to k1s.(i) - 1 do
+      next.(!o) <- ids.(k);
+      next_own.(!o) <- own.(i);
+      incr o
+    done
+  done;
+  (next, next_own)
+
+(* Evaluate [R] for every slot of a grouped set. Returns the batch, the
+   summary estimate of its rows (instance counts along R, scaled by the
+   share of each summary node the set binds) and the block fetches. *)
+let compute_batch ctx ~(slot_of : int array) (groups : group list) (steps : Ast.step list) :
+    batch * int * int =
+  let tree = ctx.repo.Repository.tree in
+  let nslots = List.fold_left (fun acc g -> acc + Array.length g.g_nodes) 0 groups in
+  let runs = Array.make nslots [] in
+  let read, fetches = block_reader ctx in
+  let est = ref 0.0 in
+  let finals = ref [] in
+  let ends_at_nodes = ref true in
+  let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+  List.iter
+    (fun g ->
+      let cur = ref g.g_nodes and own = ref (Array.init (Array.length g.g_nodes) (( + ) g.g_base)) in
+      let sn = ref (Some g.g_snode) in
+      let e = ref (float_of_int (Array.length g.g_nodes)) in
+      let advance code ~pos =
+        match Option.bind code (fun c -> Option.bind !sn (fun s -> Summary.find_child s c)) with
+        | Some next ->
+          let from = Array.length (Option.get !sn).Summary.ids in
+          let e' = !e *. ratio (Array.length next.Summary.ids) from in
+          e := if pos = 0 then e' else Float.min e' !e;
+          let c, o = merge_children tree ~cur:!cur ~own:!own next.Summary.ids ~pos in
+          cur := c;
+          own := o;
+          sn := Some next
+        | None ->
+          cur := [||];
+          own := [||];
+          sn := None;
+          e := 0.0
+      in
+      (* [emit i items]: the items frontier node [i] contributes, in order *)
+      let collect (emit : int -> item list) =
+        for i = Array.length !cur - 1 downto 0 do
+          let s = !own.(i) in
+          runs.(s) <- emit i @ runs.(s)
+        done
+      in
+      let rec walk = function
+        | [] ->
+          collect (fun i -> [ Node !cur.(i) ]);
+          Option.iter (fun s -> finals := s :: !finals) !sn
+        | { Ast.axis = Ast.Child; test = Ast.Name n; predicates } :: rest ->
+          let pos = match predicates with [ Ast.Pos k ] -> k | [ Ast.Pos_last ] -> -1 | _ -> 0 in
+          advance (tag_code ctx n) ~pos;
+          walk rest
+        | [ { Ast.axis = Ast.Child; test = Ast.Text; _ } ] ->
+          ends_at_nodes := false;
+          (match !sn with
+          | Some s ->
+            let values =
+              match s.Summary.text_container with
+              | Some cid -> Container.length (container ctx cid)
+              | None -> 0
+            in
+            e := !e *. ratio values (Array.length s.Summary.ids)
+          | None -> ());
+          let vals = Array.map (Structure_tree.value_pointers tree) !cur in
+          let items = Array.map (Array.map read) vals in
+          collect (fun i -> Array.to_list items.(i))
+        | [ { Ast.axis = Ast.Attribute; test = Ast.Name n; _ } ] ->
+          ends_at_nodes := false;
+          advance (tag_code ctx ("@" ^ n)) ~pos:0;
+          let items =
+            Array.map
+              (fun a ->
+                match Structure_tree.value_pointers tree a with
+                | [||] -> []
+                | v -> [ Att (n, read v.(0)) ])
+              !cur
+          in
+          collect (fun i -> items.(i))
+        | _ -> invalid_arg "compute_batch: path is not batchable"
+      in
+      walk steps;
+      est := !est +. !e)
+    groups;
+  let starts = Array.make nslots 0 in
+  let total = ref 0 in
+  Array.iteri
+    (fun s run ->
+      starts.(s) <- !total;
+      total := !total + List.length run)
+    runs;
+  let union =
+    if !ends_at_nodes then
+      Some (binding_set (List.concat (Array.to_list runs)) (List.rev !finals))
+    else None
+  in
+  ( { b_slot_of = slot_of; b_runs = runs; b_starts = starts; b_union = union },
+    int_of_float (Float.round !est),
+    !fetches )
+
+(* The batch of [$v/R] over [v]'s set, computed on first use and kept
+   with the set for the rest of the query; [None] when the set is not
+   made of stored nodes the summary can place. Under an EXPLAIN profile
+   the computation is one [batched path] operator, whatever operator
+   triggered it. *)
+let set_batch ctx ~var (bs : bset) (steps : Ast.step list) : batch option =
+  match List.assq_opt steps bs.bs_memo with
+  | Some b -> Some b
+  | None -> (
+    if bs.bs_groups = Unexamined then bs.bs_groups <- group_set ctx bs;
+    match bs.bs_groups with
+    | Unexamined | Per_tuple -> None
+    | Grouped { slot_of; groups } ->
+      let run () = compute_batch ctx ~slot_of groups steps in
+      let b =
+        match ctx.prof with
+        | None ->
+          let b, _, _ = run () in
+          b
+        | Some p ->
+          let label = "batched path " ^ Ast.to_string (Ast.Path (Ast.Var var, steps)) in
+          Xquec_obs.Explain.with_op p ~kind:"batched_path" label (fun node ->
+              let b, est, fetches = with_cache_delta node run in
+              Xquec_obs.Explain.set_rows node
+                (Array.fold_left (fun acc r -> acc + List.length r) 0 b.b_runs);
+              Xquec_obs.Explain.add_attrs node
+                [
+                  ("bindings", string_of_int (Array.length bs.bs_items));
+                  ("est_rows", string_of_int est);
+                  ("fetches", string_of_int fetches);
+                ];
+              b)
+      in
+      bs.bs_memo <- (steps, b) :: bs.bs_memo;
+      Some b)
+
+(* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1003,7 +1379,20 @@ let rec eval ctx (env : env) (e : Ast.expr) : binding =
   | Ast.Context -> lookup env "."
   | Ast.Doc _ ->
     let root = ctx.repo.Repository.summary.Summary.root in
-    { seq = All_nodes [ root ]; snodes = [ root ] }
+    { seq = All_nodes [ root ]; snodes = [ root ]; origin = Loose }
+  | Ast.Path (Ast.Var v, steps) -> (
+    let b = lookup env v in
+    match b.origin with
+    | Member (bs, p) when batchable steps -> (
+      match set_batch ctx ~var:v bs steps with
+      | Some bt ->
+        let s = bt.b_slot_of.(p) in
+        let origin =
+          match bt.b_union with Some u -> Run (u, bt.b_starts.(s)) | None -> Loose
+        in
+        { seq = Mat bt.b_runs.(s); snodes = []; origin }
+      | None -> List.fold_left (eval_step ctx env) b steps)
+    | Member _ | Loose | Run _ -> List.fold_left (eval_step ctx env) b steps)
   | Ast.Path (src, steps) ->
     let b = eval ctx env src in
     List.fold_left (eval_step ctx env) b steps
@@ -1064,23 +1453,34 @@ let rec eval ctx (env : env) (e : Ast.expr) : binding =
     | Att (n, _) :: _ -> mat [ Str n ]
     | _ -> mat [ Str "" ])
   | Ast.Some_satisfies (v, e, cond) ->
-    let items = materialize ctx (eval ctx env e) in
     let qctx = quiet ctx in
     mat
-      [ Bool (List.exists (fun it -> ebv qctx (eval qctx ((v, mat [ it ]) :: env) cond)) items) ]
+      [
+        Bool
+          (List.exists
+             (fun b -> ebv qctx (eval qctx ((v, b) :: env) cond))
+             (item_bindings ctx (eval ctx env e)));
+      ]
   | Ast.Every_satisfies (v, e, cond) ->
-    let items = materialize ctx (eval ctx env e) in
     let qctx = quiet ctx in
     mat
-      [ Bool (List.for_all (fun it -> ebv qctx (eval qctx ((v, mat [ it ]) :: env) cond)) items) ]
+      [
+        Bool
+          (List.for_all
+             (fun b -> ebv qctx (eval qctx ((v, b) :: env) cond))
+             (item_bindings ctx (eval ctx env e)));
+      ]
   | Ast.Element (tag, attrs, kids) -> mat [ Elem (construct ctx env tag attrs kids) ]
   | Ast.Sequence es -> mat (List.concat_map (fun e -> materialize ctx (eval ctx env e)) es)
 
 (* --- Path steps --- *)
 
 and eval_step ctx env (b : binding) (st : Ast.step) : binding =
-  prof_binding ctx ~kind:"step" (step_label st) @@ fun () ->
-  eval_step_inner ctx env b st
+  match ctx.prof with
+  | Some _ when ctx.prof_ops ->
+    prof_binding ctx ~kind:"step" (fun () -> step_label st) @@ fun () ->
+    eval_step_inner ctx env b st
+  | _ -> eval_step_inner ctx env b st
 
 and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
   let has_pos =
@@ -1092,7 +1492,7 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
   | (Ast.Child | Ast.Descendant), Ast.Text -> (
     match b.seq with
     | All_nodes snodes when st.Ast.predicates = [] && st.Ast.axis = Ast.Child ->
-      { seq = All_values snodes; snodes = [] }
+      { seq = All_values snodes; snodes = []; origin = Loose }
     | _ ->
       let items =
         materialize ctx b
@@ -1113,12 +1513,12 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
                    (Xmlkit.Tree.children t)
                | Att _ | Cval _ | Str _ | Num _ | Bool _ -> [])
       in
-      { seq = Mat items; snodes = [] })
+      { seq = Mat items; snodes = []; origin = Loose })
   | Ast.Attribute, Ast.Name n -> (
     let asnodes = advance_snodes ctx b.snodes st in
     match b.seq with
     | All_nodes _ when st.Ast.predicates = [] && asnodes <> [] ->
-      { seq = All_values asnodes; snodes = asnodes }
+      { seq = All_values asnodes; snodes = asnodes; origin = Loose }
     | _ ->
       let code = tag_code ctx ("@" ^ n) in
       let items =
@@ -1137,17 +1537,22 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
                  match Xmlkit.Tree.attr t n with Some v -> [ Att (n, Str v) ] | None -> [])
                | Att _ | Cval _ | Str _ | Num _ | Bool _ -> [])
       in
-      { seq = Mat items; snodes = asnodes })
+      { seq = Mat items; snodes = asnodes; origin = Loose })
   | Ast.Attribute, (Ast.Any | Ast.Text) -> err "unsupported attribute step"
   | (Ast.Child | Ast.Descendant), (Ast.Name _ | Ast.Any) -> (
     let new_snodes = advance_snodes ctx b.snodes st in
     match b.seq with
     | All_nodes _ when (not has_pos) && new_snodes <> [] ->
-      if st.Ast.predicates = [] then { seq = All_nodes new_snodes; snodes = new_snodes }
+      if st.Ast.predicates = [] then
+        { seq = All_nodes new_snodes; snodes = new_snodes; origin = Loose }
       else begin
         let candidates = Summary.merged_ids new_snodes in
         let filtered = apply_cond_predicates ctx env new_snodes candidates st.Ast.predicates in
-        { seq = Mat (List.map (fun id -> Node id) (Array.to_list filtered)); snodes = new_snodes }
+        {
+          seq = Mat (List.map (fun id -> Node id) (Array.to_list filtered));
+          snodes = new_snodes;
+          origin = Loose;
+        }
       end
     | _ ->
       (* navigate per context node, applying predicates per context *)
@@ -1236,7 +1641,7 @@ and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
                | Att _ | Cval _ | Str _ | Num _ | Bool _ -> [])
       in
       let ids = if st.Ast.axis = Ast.Descendant then List.sort_uniq compare ids else ids in
-      { seq = Mat (List.map (fun id -> Node id) ids); snodes = new_snodes })
+      { seq = Mat (List.map (fun id -> Node id) ids); snodes = new_snodes; origin = Loose })
 
 (* Filter candidate ids (doc order) by Cond predicates, using container
    pushdown when the predicate shape allows, per-node evaluation
@@ -1250,7 +1655,7 @@ and apply_cond_predicates ctx env snodes (candidates : int array) (preds : Ast.p
       | Ast.Cond e -> (
         let per_node cands =
           prof_rows ctx ~kind:"where"
-            ("filter [" ^ short_expr e ^ "]")
+            (fun () -> "filter [" ^ short_expr e ^ "]")
             ~rows:Array.length
             (fun () ->
               let qctx = quiet ctx in
@@ -1263,7 +1668,7 @@ and apply_cond_predicates ctx env snodes (candidates : int array) (preds : Ast.p
         | None -> per_node cands
         | Some pu ->
           prof_rows ctx ~kind:"pushdown"
-            ("pushdown [" ^ short_expr e ^ "]")
+            (fun () -> "pushdown [" ^ short_expr e ^ "]")
             ~rows:Array.length
             (fun () ->
               match pushdown_matches ctx snodes pu with
@@ -1283,7 +1688,7 @@ and eval_aggregate ctx env agg e : binding =
     | Ast.Min -> "min"
     | Ast.Max -> "max"
   in
-  prof_binding ctx ~kind:"aggregate" (name ^ "()") @@ fun () ->
+  prof_binding ctx ~kind:"aggregate" (fun () -> name ^ "()") @@ fun () ->
   let b = eval ctx env e in
   match agg with
   | Ast.Count -> mat [ Num (float_of_int (count ctx b)) ]
@@ -1405,11 +1810,11 @@ and construct ctx env tag attrs kids : Xmlkit.Tree.t =
 (* --- FLWOR with join detection and decorrelation --- *)
 
 and eval_flwor ctx (base : env) (clauses : Ast.clause list) (ret : Ast.expr) : binding =
-  prof_binding ctx ~kind:"flwor" "flwor" @@ fun () ->
+  prof_binding ctx ~kind:"flwor" (fun () -> "flwor") @@ fun () ->
   let tuples = flwor_tuples ctx base clauses in
   let qctx = quiet ctx in
   mat
-    (prof_rows ctx ~kind:"return" "return" ~rows:List.length (fun () ->
+    (prof_rows ctx ~kind:"return" (fun () -> "return") ~rows:List.length (fun () ->
          List.concat_map (fun d -> materialize qctx (eval qctx (d @ base) ret)) tuples))
 
 (* The FLWOR clause pipeline: binds FOR/LET variables clause by clause,
@@ -1443,7 +1848,7 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
     List.iter
       (fun c ->
         prof_rows ctx ~kind:"where"
-          ("where [" ^ short_expr c ^ "]")
+          (fun () -> "where [" ^ short_expr c ^ "]")
           ~rows:(fun () -> List.length !tuples)
           (fun () ->
             tuples := List.filter (fun d -> ebv qctx (eval qctx (full d) c)) !tuples))
@@ -1454,7 +1859,7 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
     | Ast.For (v, e) ->
       let correlated = Analysis.mentions !bound e in
       prof_rows ctx ~kind:"for"
-        ("for $" ^ v ^ if correlated then " (correlated)" else "")
+        (fun () -> "for $" ^ v ^ if correlated then " (correlated)" else "")
         ~rows:(fun () -> List.length !tuples)
         (fun () ->
           if not correlated then begin
@@ -1471,7 +1876,7 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
               | Some plan ->
                 tuples :=
                   prof_rows ctx ~kind:"block_merge_join"
-                    ("block merge join $" ^ v)
+                    (fun () -> "block merge join $" ^ v)
                     ~attrs:
                       [
                         ("blocks_probed", string_of_int plan.pl_probed);
@@ -1481,33 +1886,38 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
                     (fun () -> exec_block_join qctx ~var:v plan)
               | None ->
                 let jkind, jname =
-                  if jop = Ast.Eq then ("hash_join", "hash join $" ^ v)
-                  else ("sorted_probe", "sorted probe $" ^ v)
+                  if jop = Ast.Eq then ("hash_join", "hash join $") else ("sorted_probe", "sorted probe $")
                 in
                 tuples :=
-                  prof_rows ctx ~kind:jkind jname ~rows:List.length (fun () ->
+                  prof_rows ctx ~kind:jkind (fun () -> jname ^ v) ~rows:List.length (fun () ->
                       exec_join qctx base !tuples ~prov:!prov ~var:v ~source join))
             | None ->
-              let items = materialize ctx source in
-              tuples :=
-                List.concat_map
-                  (fun d -> List.map (fun it -> (v, mat [ it ]) :: d) items)
-                  !tuples
+              (* a source rooted at an outer variable (a nested FLWOR)
+                 keeps its place in that variable's sets *)
+              let members =
+                match source.origin with
+                | Run _ -> item_bindings ctx source
+                | Member _ -> [ source ]
+                | Loose ->
+                  let items = materialize ctx source in
+                  let bs = binding_set items source.snodes in
+                  List.mapi (fun k _ -> member bs k) items
+              in
+              tuples := List.concat_map (fun d -> List.map (fun b -> (v, b) :: d) members) !tuples
           end
           else
             tuples :=
               List.concat_map
                 (fun d ->
-                  let items = materialize qctx (eval qctx (full d) e) in
-                  List.map (fun it -> (v, mat [ it ]) :: d) items)
+                  List.map (fun b -> (v, b) :: d) (item_bindings qctx (eval qctx (full d) e)))
                 !tuples);
-      prov := (v, { seq = Mat []; snodes = static_snodes ctx !prov e }) :: !prov;
+      prov := (v, { seq = Mat []; snodes = static_snodes ctx !prov e; origin = Loose }) :: !prov;
       bound := Sset.add v !bound;
       apply_ready ()
     | Ast.Let (v, e) ->
       let correlated = Analysis.mentions !bound e in
       prof_rows ctx ~kind:"let"
-        ("let $" ^ v ^ if correlated then " (correlated)" else "")
+        (fun () -> "let $" ^ v ^ if correlated then " (correlated)" else "")
         ~rows:(fun () -> List.length !tuples)
         (fun () ->
           if not correlated then begin
@@ -1517,7 +1927,7 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
           else begin
             match decorrelate ctx base ~tuple_vars:!bound e with
             | Some build ->
-              prof_rows ctx ~kind:"decorrelate" ("decorrelate $" ^ v)
+              prof_rows ctx ~kind:"decorrelate" (fun () -> "decorrelate $" ^ v)
                 ~rows:(fun () -> List.length !tuples)
                 (fun () ->
                   let probe = build () in
@@ -1525,12 +1935,12 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
             | None ->
               tuples := List.map (fun d -> (v, eval qctx (full d) e) :: d) !tuples
           end);
-      prov := (v, { seq = Mat []; snodes = static_snodes ctx !prov e }) :: !prov;
+      prov := (v, { seq = Mat []; snodes = static_snodes ctx !prov e; origin = Loose }) :: !prov;
       bound := Sset.add v !bound;
       apply_ready ()
     | Ast.Where _ -> apply_ready ()
     | Ast.Order_by keys ->
-      prof_rows ctx ~kind:"order_by" "order by"
+      prof_rows ctx ~kind:"order_by" (fun () -> "order by")
         ~rows:(fun () -> List.length !tuples)
         (fun () ->
           (* each tuple's keys: the first item of each key's value, atomized
@@ -1601,15 +2011,16 @@ and exec_join ctx base tuples ~prov ~var ~source (op, left_e, right_e) =
      containers sharing one source model; atoms otherwise. The new
      variable's summary provenance comes from its source binding, the
      earlier clause variables' from the FLWOR's provenance env. *)
-  let typing_env = (var, { seq = Mat []; snodes = source.snodes }) :: prov in
+  let typing_env = (var, { seq = Mat []; snodes = source.snodes; origin = Loose }) :: prov in
   let mode = join_key_mode ctx typing_env left_e right_e in
   let keys_of env e = List.concat_map (join_key ctx mode) (materialize ctx (eval ctx env e)) in
+  let bs = binding_set items source.snodes in
   let probe =
-    join_index op (List.map (fun it -> (keys_of ((var, mat [ it ]) :: base) right_e, it)) items)
+    join_index op (List.mapi (fun i _ -> (keys_of ((var, member bs i) :: base) right_e, i)) items)
   in
   let out =
     List.concat_map
-      (fun d -> List.map (fun it -> (var, mat [ it ]) :: d) (probe (keys_of (d @ base) left_e)))
+      (fun d -> List.map (fun i -> (var, member bs i) :: d) (probe (keys_of (d @ base) left_e)))
       tuples
   in
   (* compressed-domain joins are container-resolved: observe the join
@@ -1643,7 +2054,7 @@ and block_join_plan ctx ~base ~prov ~var ~source ~tuples left_e right_e :
     block_plan option =
   if not !block_join_enabled || tuples = [] then None
   else begin
-    let typing_env = (var, { seq = Mat []; snodes = source.snodes }) :: prov in
+    let typing_env = (var, { seq = Mat []; snodes = source.snodes; origin = Loose }) :: prov in
     (* the left side's root variable, needed to map tuples to probe nodes *)
     let left_var =
       match left_e with
@@ -1699,7 +2110,7 @@ and block_join_plan ctx ~base ~prov ~var ~source ~tuples left_e right_e :
                 let sum f = List.fold_left (fun a e -> a + f e) 0 ests in
                 Some
                   {
-                    pl_items = Array.of_list items;
+                    pl_set = binding_set items source.snodes;
                     pl_item_of_node = item_of_node;
                     pl_tuple_nodes = List.filter_map Fun.id tuple_nodes;
                     pl_pairings = pairings;
@@ -1844,7 +2255,7 @@ and exec_block_join ctx ~var (plan : block_plan) : env list =
         | Some s ->
           Hashtbl.fold (fun idx () acc -> idx :: acc) s []
           |> List.sort compare
-          |> List.map (fun idx -> (var, mat [ plan.pl_items.(idx) ]) :: d))
+          |> List.map (fun idx -> (var, member plan.pl_set idx) :: d))
       plan.pl_tuple_nodes
   in
   let rows = List.length out in
@@ -1910,7 +2321,7 @@ and decorrelate ctx base ~tuple_vars (e : Ast.expr) : (unit -> env -> item list)
                   (fun env c ->
                     match c with
                     | Ast.For (v, e) | Ast.Let (v, e) ->
-                      (v, { seq = Mat []; snodes = static_snodes ctx env e }) :: env
+                      (v, { seq = Mat []; snodes = static_snodes ctx env e; origin = Loose }) :: env
                     | Ast.Where _ | Ast.Order_by _ -> env)
                   base structural
               in

@@ -4,7 +4,8 @@
     Paths resolve against the structure summary; value predicates push
     into containers and run on compressed codes whenever the codec
     supports the comparison class; uncorrelated FOR/LET sources evaluate
-    once; value joins hash/probe compressed codes when both sides share
+    once; paths rooted at a FOR variable evaluate once for all of its
+    bindings, by a pre-order interval merge over the summary; value joins hash/probe compressed codes when both sides share
     a source model; single-conjunct-correlated nested FLWORs (the XMark
     Q8/Q9/Q10 pattern) decorrelate into build-once join tables; values
     decompress only on output. *)
@@ -29,9 +30,16 @@ type seqv =
   | All_nodes of Summary.node list
   | All_values of Summary.node list
 
-(** What a variable is bound to: its sequence plus the summary nodes its
-    items are instances of (provenance for later path steps). *)
-type binding = { seq : seqv; snodes : Summary.node list }
+(** Where a binding sits in a binding set: the items one variable ranges
+    over, shared by every tuple binding it. A path rooted at a member of
+    a set is evaluated once for the whole set, and each tuple takes its
+    run (set-at-a-time paths). *)
+type origin
+
+(** What a variable is bound to: its sequence, the summary nodes its
+    items are instances of (provenance for later path steps), and its
+    place in a binding set, if any. *)
+type binding = { seq : seqv; snodes : Summary.node list; origin : origin }
 
 (** Evaluation context threaded through every operator. *)
 type ctx = {

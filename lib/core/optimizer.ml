@@ -96,7 +96,7 @@ let explain (repo : Repository.t) (query : Ast.expr) : decision list =
   (* walk the expression, maintaining an executor-style env of snode
      provenance (bindings carry empty item lists) *)
   let bind_snodes env v snodes =
-    (v, { Executor.seq = Executor.Mat []; snodes }) :: env
+    (v, { (Executor.mat []) with Executor.snodes }) :: env
   in
   let rec snodes_of env e : Summary.node list =
     match e with

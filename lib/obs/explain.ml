@@ -12,7 +12,7 @@
 type node = {
   op : string;  (** operator label, e.g. "child::item", "hash join $p" *)
   kind : string;  (** operator class for metric keys, e.g. "step", "hash_join" *)
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;
   mutable wall_us : float;  (** inclusive wall time *)
   mutable rows : int;  (** output cardinality; -1 = not applicable *)
   mutable cmp_compressed : int;
@@ -72,6 +72,8 @@ let with_op (t : t) ?attrs ~(kind : string) (op : string) (f : node -> 'a) : 'a 
     raise e
 
 let set_rows (node : node) (n : int) = node.rows <- n
+
+let add_attrs (node : node) (kvs : (string * string) list) = node.attrs <- node.attrs @ kvs
 
 (** Attribute [n] predicate evaluations to the innermost open operator. *)
 let note_cmp (t : t) ~(compressed : bool) (n : int) : unit =

@@ -14,7 +14,7 @@
 type node = {
   op : string;  (** operator label, e.g. "child::item", "hash join $p" *)
   kind : string;  (** operator class for metric keys, e.g. "step", "hash_join" *)
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;
   mutable wall_us : float;  (** inclusive wall time *)
   mutable rows : int;  (** output cardinality; -1 = not applicable *)
   mutable cmp_compressed : int;
@@ -50,6 +50,10 @@ val with_op :
 
 (** Set a node's output cardinality. *)
 val set_rows : node -> int -> unit
+
+(** Append attributes known only once the operator has run (e.g. the
+    block fetches it made). *)
+val add_attrs : node -> (string * string) list -> unit
 
 (** Attribute [n] predicate evaluations to the innermost open operator. *)
 val note_cmp : t -> compressed:bool -> int -> unit

@@ -175,10 +175,7 @@ let serialize (t : t) : string =
   Array.iter (fun c -> Container.serialize buf c) t.containers;
   Buffer.contents buf
 
-let deserialize (s : string) : t =
-  Xquec_obs.Trace.with_span ~name:"repository.deserialize"
-    ~attrs:[ ("bytes", string_of_int (String.length s)) ]
-  @@ fun () ->
+let parse (s : string) : t =
   (* Exactly four headers are accepted: v4 and v3 with their one flags
      value, v2 (no flags byte) and v1 (no magic). Anything else that
      starts with "XQC" is a format this reader does not know. *)
@@ -279,3 +276,16 @@ let deserialize (s : string) : t =
      | Some root_snode -> resolve 0 root_snode
      | None -> failwith "repository: no root summary node");
   { dict; tree; containers; summary; source_name; original_size }
+
+exception Corrupt of string
+
+let deserialize (s : string) : t =
+  Xquec_obs.Trace.with_span ~name:"repository.deserialize"
+    ~attrs:[ ("bytes", string_of_int (String.length s)) ]
+  @@ fun () ->
+  (* whatever a section parser raises on input that is not an image, or
+     not a whole one, leaves as the one typed error *)
+  try parse s with
+  | (Out_of_memory | Sys.Break) as e -> raise e
+  | Failure msg | Invalid_argument msg -> raise (Corrupt msg)
+  | e -> raise (Corrupt (Printexc.to_string e))

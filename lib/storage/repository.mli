@@ -58,7 +58,13 @@ val serialize : t -> string
     "XQC\x03" + flags byte 1, packed tree), v2 (magic "XQC\x02", no
     flags byte, block-structured containers, plain-varint tree) and the
     legacy v1 record-wise format (no magic); v1 containers are
-    re-blocked on load. Raises [Failure "repository: unsupported
-    format ..."] on any other image that starts with "XQC", and
-    [Failure] on corrupt input. *)
+    re-blocked on load. Raises {!Corrupt} on anything else: a message
+    starting ["repository: unsupported format"] for any other image that
+    starts with "XQC", the failing section parser's message for input
+    that is not an image or not a whole one. *)
 val deserialize : string -> t
+
+(** The one error {!deserialize} raises: the input is not a valid
+    image. Damage inside blocks, which decode lazily, surfaces at query
+    time instead. *)
+exception Corrupt of string

@@ -351,6 +351,92 @@ let prop_bzip =
   QCheck2.Test.make ~name:"bzip roundtrip" ~count:100 gen_string (fun s ->
       Bzip.decompress (Bzip.compress s) = s)
 
+(* The previous BWT (pairs compared with polymorphic [compare]) and the
+   previous block writer (Huffman trained on every stream), kept as the
+   oracles for [Bwt.transform] and [Bzip.compress]. *)
+let oracle_bwt (s : string) : Bwt.t =
+  let n = String.length s in
+  if n = 0 then { Bwt.data = ""; primary = 0 }
+  else begin
+    let sa = Array.init n (fun i -> i) in
+    let rank = Array.init n (fun i -> Char.code s.[i]) in
+    let tmp = Array.make n 0 in
+    let k = ref 1 in
+    let continue = ref true in
+    while !continue && !k < n do
+      let key i = (rank.(i), rank.((i + !k) mod n)) in
+      Array.sort (fun a b -> compare (key a) (key b)) sa;
+      tmp.(sa.(0)) <- 0;
+      for i = 1 to n - 1 do
+        tmp.(sa.(i)) <- (tmp.(sa.(i - 1)) + if key sa.(i) = key sa.(i - 1) then 0 else 1)
+      done;
+      Array.blit tmp 0 rank 0 n;
+      if rank.(sa.(n - 1)) = n - 1 then continue := false;
+      k := !k * 2
+    done;
+    let primary = ref 0 in
+    let data =
+      String.init n (fun i ->
+          let rot = sa.(i) in
+          if rot = 0 then primary := i;
+          s.[(rot + n - 1) mod n])
+    in
+    { Bwt.data; primary = !primary }
+  end
+
+let oracle_bzip (data : string) : string =
+  let buf = Buffer.create (String.length data / 2) in
+  Rle.add_varint buf (String.length data);
+  let n = String.length data in
+  let pos = ref 0 in
+  while !pos < n do
+    let block = String.sub data !pos (min Bzip.block_size (n - !pos)) in
+    let bwt = oracle_bwt block in
+    let rle = Rle.encode (Mtf.encode bwt.Bwt.data) in
+    Rle.add_varint buf (String.length block);
+    Rle.add_varint buf bwt.Bwt.primary;
+    Rle.add_varint buf (String.length rle);
+    let model = Huffman.train_raw rle in
+    let coded = Huffman.compress_raw model rle in
+    if Huffman.model_size model + String.length coded < String.length rle then begin
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf (Huffman.serialize_model model);
+      Rle.add_varint buf (String.length coded);
+      Buffer.add_string buf coded
+    end
+    else begin
+      Buffer.add_char buf '\001';
+      Buffer.add_string buf rle
+    end;
+    pos := !pos + String.length block
+  done;
+  Buffer.contents buf
+
+(* Random strings, and periodic ones ("", "aaaa", "abab...") whose
+   rotations tie under every prefix length. *)
+let gen_bwt_input =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_string;
+        string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' '; '\000'; '\255' ]) (int_range 200 1200);
+        map2
+          (fun period reps -> String.concat "" (List.init reps (fun _ -> period)))
+          (string_size ~gen:(char_range 'a' 'c') (int_range 1 4))
+          (int_bound 200);
+      ])
+
+let prop_bwt_bzip_oracle =
+  QCheck2.Test.make ~name:"bwt and bzip match the oracles byte for byte" ~count:300
+    gen_bwt_input (fun s ->
+      let t = Bwt.transform s and o = oracle_bwt s in
+      let c = Bzip.compress s in
+      t.Bwt.data = o.Bwt.data
+      && t.Bwt.primary = o.Bwt.primary
+      && Bwt.inverse t = s
+      && c = oracle_bzip s
+      && Bzip.decompress c = s)
+
 let test_bzip_big () =
   Alcotest.(check string) "big text" big_text (Bzip.decompress (Bzip.compress big_text));
   let c = Bzip.compress big_text in
@@ -894,6 +980,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_mtf;
         QCheck_alcotest.to_alcotest prop_rle;
         QCheck_alcotest.to_alcotest prop_bzip;
+        QCheck_alcotest.to_alcotest prop_bwt_bzip_oracle;
         QCheck_alcotest.to_alcotest prop_lzss;
         QCheck_alcotest.to_alcotest prop_lzss_alphabets;
         QCheck_alcotest.to_alcotest prop_lzss_damage;

@@ -163,6 +163,81 @@ let test_errors () =
   | exception Executor.Eval_error _ -> ()
   | _ -> Alcotest.fail "expected Eval_error on non-singleton arithmetic"
 
+(* The predicate observations of Q1-Q20 on XMark 0.05 seed 1, recorded
+   before FLWOR paths were evaluated set-at-a-time. The query log, the
+   drift watchdog and `xquec profile` read them, so a change of
+   evaluation strategy must not change them silently. *)
+let pinned_observations =
+  [
+  ("Q1", [("/site/people/person/@id", "eq", 18, 1)]);
+  ("Q2", []);
+  ("Q3", [("/site/open_auctions/open_auction/bidder/increase/#text", "range", 6, 1)]);
+  ("Q4", [("/site/open_auctions/open_auction/bidder/personref/@person", "eq", 24, 0)]);
+  ("Q5", [("/site/closed_auctions/closed_auction/price/#text", "range", 4, 4)]);
+  ("Q6", []);
+  ("Q7", []);
+  ("Q8", []);
+  ("Q9", []);
+  ("Q10", []);
+  ("Q11", []);
+  ("Q12", [("/site/people/person/profile/@income", "range", 16, 12)]);
+  ("Q13", []);
+  ("Q14", []);
+  ("Q15", []);
+  ("Q16", []);
+  ("Q17", []);
+  ("Q18", []);
+  ("Q19", []);
+  ("Q20", [("/site/people/person/profile/@income", "range", 64, 32)])
+  ]
+
+let xmark_repo = lazy (Loader.load ~name:"auction.xml" (Xmark.Xmlgen.generate ~seed:1 ~scale:0.05 ()))
+
+let test_observations_pinned () =
+  let repo = Lazy.force xmark_repo in
+  List.iter
+    (fun (id, expected) ->
+      let q = Xmark.Queries.by_id id in
+      ignore (Executor.run repo (Xquery.Parser.parse q.Xmark.Queries.text));
+      let show (c, k, n, m) = Printf.sprintf "%s %s %d/%d" c k m n in
+      Alcotest.(check (list string))
+        id (List.map show expected)
+        (List.map
+           (fun (o : Executor.pred_obs) ->
+             show (o.Executor.o_container, o.o_kind, o.o_candidates, o.o_matches))
+           (Executor.predicate_observations ())))
+    pinned_observations
+
+(* EXPLAIN ANALYZE shows one batched-path operator per (binding set, R),
+   with the set's size, the summary estimate and the actual rows. *)
+let test_explain_batched_paths () =
+  let repo = Lazy.force xmark_repo in
+  let batched id =
+    let q = Xmark.Queries.by_id id in
+    let _, root = Executor.run_profiled repo (Xquery.Parser.parse q.Xmark.Queries.text) in
+    Xquec_obs.Explain.fold
+      (fun acc (n : Xquec_obs.Explain.node) -> if n.kind = "batched_path" then n :: acc else acc)
+      [] root
+    |> List.rev
+  in
+  let has_attrs (n : Xquec_obs.Explain.node) =
+    List.for_all (fun k -> List.mem_assoc k n.attrs) [ "bindings"; "est_rows"; "fetches" ]
+    && n.rows >= 0
+  in
+  (match batched "Q2" with
+  | [ n ] ->
+    Alcotest.(check string) "Q2 operator" "batched path $b/bidder[1]/increase/text()" n.op;
+    Alcotest.(check bool) "Q2 annotations" true (has_attrs n);
+    (* the summary cannot see which auctions have no bidder at all *)
+    Alcotest.(check bool) "Q2 estimate bounds the rows" true
+      (int_of_string (List.assoc "est_rows" n.attrs) >= n.rows && n.rows > 0)
+  | ns -> Alcotest.failf "Q2: %d batched operators" (List.length ns));
+  let q10 = batched "Q10" in
+  Alcotest.(check int) "Q10: one operator per path on $t" 10 (List.length q10);
+  Alcotest.(check bool) "Q10 annotations" true (List.for_all has_attrs q10);
+  Alcotest.(check int) "Q10 distinct operators" 10
+    (List.length (List.sort_uniq compare (List.map (fun (n : Xquec_obs.Explain.node) -> n.op) q10)))
+
 let suites =
   [
     ( "executor",
@@ -179,5 +254,7 @@ let suites =
         Alcotest.test_case "algorithm independence" `Quick test_algorithm_independence;
         Alcotest.test_case "pushdown agrees with generic" `Quick test_pushdown_agrees_with_generic;
         Alcotest.test_case "errors" `Quick test_errors;
+        Alcotest.test_case "predicate observations pinned" `Quick test_observations_pinned;
+        Alcotest.test_case "explain batched paths" `Quick test_explain_batched_paths;
       ] );
   ]

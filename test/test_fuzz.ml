@@ -181,6 +181,123 @@ let prop_random_queries_agree =
       String.equal reference got)
 
 (* ------------------------------------------------------------------ *)
+(* Set-at-a-time paths against the reference                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Documents for batched paths: repeated, missing and attribute
+   children, mixed content (several text slots per element), and every
+   tag nested under itself, so [//e] binds nested instances of
+   different summary nodes. One numeric word only: values of one
+   order-preserving container compare by code, that is as strings,
+   where the reference compares numbers numerically ("4242" < "7"),
+   and that is not what this property is about. *)
+let gen_batch_doc : Tree.document QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let word = oneofl [ "alpha"; "beta"; "42"; "z" ] in
+  let attrs =
+    list_size (int_range 0 2) (pair (oneofl [ "k"; "id" ]) word)
+    |> map (fun l -> List.sort_uniq (fun (a, _) (b, _) -> compare a b) l)
+  in
+  let node =
+    fix (fun self depth ->
+        if depth = 0 then map Tree.text word
+        else
+          frequency
+            [
+              (3, map Tree.text word);
+              ( 5,
+                map3
+                  (fun t ats kids -> Tree.Element (t, ats, kids))
+                  (oneofl [ "e"; "e"; "c"; "c"; "d" ])
+                  attrs
+                  (list_size (int_range 0 5) (self (depth - 1))) );
+            ])
+  in
+  map (fun kids -> { Tree.root = Tree.Element ("r", [], kids) }) (list_size (int_range 1 5) (node 4))
+
+(* A relative path R of child name steps with at most one positional
+   predicate each, ending at elements, text() or an attribute — the
+   shapes the executor batches; [~nodes] keeps it ending at elements. *)
+let gen_rel ~nodes : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let step =
+    map2 (fun t p -> "/" ^ t ^ p) (oneofl [ "e"; "c"; "d" ])
+      (oneofl [ ""; "[1]"; "[2]"; "[last()]" ])
+  in
+  let leaf = if nodes then return "" else oneofl [ ""; "/text()"; "/text()"; "/@k"; "/@id" ] in
+  map2
+    (fun steps leaf ->
+      match String.concat "" steps ^ leaf with "" -> if nodes then "/c" else "/text()" | r -> r)
+    (list_size (oneofl [ 0; 1; 2; 2; 3 ]) step) leaf
+
+(* Two or three steps with a positional predicate past the first, so a
+   binding reaches it through several context nodes. *)
+let gen_pos_rel : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let tag = oneofl [ "e"; "c"; "d" ] in
+  let pos = oneofl [ "[1]"; "[2]"; "[last()]" ] in
+  map3
+    (fun (t1, t2) p leaf -> "/" ^ t1 ^ "/" ^ t2 ^ p ^ leaf)
+    (pair tag tag) pos
+    (oneofl [ ""; "/text()"; "/@k"; "/c" ])
+
+let gen_batch_query : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let src =
+    map (fun p -> "document(\"f.xml\")" ^ p)
+      (oneofl [ "/r/e"; "//e"; "//c"; "/r/*"; "//d"; "/r/e/c" ])
+  in
+  let rel = gen_rel ~nodes:false and nrel = gen_rel ~nodes:true in
+  let word = oneofl [ "alpha"; "42"; "z" ] in
+  let pick = oneofl in
+  src >>= fun p ->
+  src >>= fun q ->
+  rel >>= fun r1 ->
+  rel >>= fun r2 ->
+  rel >>= fun r3 ->
+  nrel >>= fun n1 ->
+  gen_pos_rel >>= fun pr ->
+  word >>= fun w ->
+  pick
+    [
+      Printf.sprintf "for $v in %s return $v%s" p r1;
+      Printf.sprintf "for $v in %s return <o>{$v%s}</o>" p pr;
+      Printf.sprintf "for $v in %s return <o>{$v%s}{$v%s}</o>" p r1 r2;
+      Printf.sprintf "for $v in %s where exists($v%s) return $v%s" p r1 r2;
+      Printf.sprintf "for $v in %s where empty($v%s) return <o>{$v%s}</o>" p r1 r2;
+      Printf.sprintf "for $v in %s where $v%s = \"%s\" return $v%s" p r1 w r2;
+      Printf.sprintf "for $v in %s where $v%s < $v%s return <o>{$v%s}</o>" p r1 r2 r3;
+      Printf.sprintf "for $v in %s order by $v%s return <o>{$v%s}</o>" p r1 r2;
+      Printf.sprintf "for $v in %s order by $v%s descending return $v%s" p r1 r2;
+      Printf.sprintf "for $v in %s where some $x in $v%s satisfies $x%s = \"%s\" return $v%s" p
+        n1 r1 w r2;
+      Printf.sprintf "for $v in %s where every $x in $v%s satisfies exists($x%s) return <o>{$v%s}</o>"
+        p n1 r1 r2;
+      Printf.sprintf "for $v in %s for $x in $v%s return <o>{$x%s}</o>" p n1 r1;
+      Printf.sprintf "for $v in %s return <o>{for $x in $v%s return <i>{$x%s}</i>}</o>" p n1 r1;
+      Printf.sprintf "for $v in %s return <o>{for $x in $v return $x%s}</o>" p pr;
+      Printf.sprintf
+        "for $v in %s let $l := for $w in %s where $w%s = $v%s return <i>{$w%s}</i> return <o>{$l}</o>"
+        p q r1 r2 r3;
+      Printf.sprintf "for $v in %s for $w in %s where $v%s = $w%s return <o>{$w%s}</o>" p q r1 r2 r3;
+    ]
+
+let prop_batched_paths_agree =
+  QCheck2.Test.make ~name:"batched paths: executor = naive reference" ~count:800
+    ~print:(fun (doc, q) -> q ^ "\n" ^ Printer.to_string doc)
+    QCheck2.Gen.(pair gen_batch_doc gen_batch_query)
+    (fun (doc, query) ->
+      let xml = Printer.to_string doc in
+      let ast = Xquery.Parser.parse query in
+      let reference =
+        Baselines.Galax_like.serialize
+          (Baselines.Galax_like.run ~docs:[ ("f.xml", Parser.parse_string xml) ] ast)
+      in
+      let repo = Xquec_core.Loader.load ~name:"f.xml" xml in
+      String.equal reference
+        (Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo ast)))
+
+(* ------------------------------------------------------------------ *)
 (* Codec edge cases                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -264,6 +381,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_counts_agree;
         QCheck_alcotest.to_alcotest prop_random_value_queries;
         QCheck_alcotest.to_alcotest prop_random_queries_agree;
+        QCheck_alcotest.to_alcotest prop_batched_paths_agree;
         Alcotest.test_case "degenerate containers" `Quick test_degenerate_containers;
         Alcotest.test_case "empty document" `Quick test_empty_document_parts;
         Alcotest.test_case "malformed repository rejected" `Quick

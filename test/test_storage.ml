@@ -777,7 +777,7 @@ let test_repository_header_check () =
     (fun (name, data, accepted) ->
       match Repository.deserialize data with
       | _ -> if not accepted then Alcotest.failf "%s: loaded" name
-      | exception Failure msg when not accepted ->
+      | exception Repository.Corrupt msg when not accepted ->
         if not (String.starts_with ~prefix:"repository: unsupported format" msg) then
           Alcotest.failf "%s: unexpected failure %S" name msg)
     [
@@ -794,6 +794,33 @@ let test_repository_header_check () =
       ("XQC\\x04 flags 3", "XQC\x04\x03" ^ body, false);
       ("XQC\\x03 flags 2", "XQC\x03\x02" ^ body, false);
     ]
+
+(* Inputs that are not images, or not whole ones, raise the one typed
+   error and nothing else: an XML document, and strict prefixes of an
+   XMark image (evenly spaced, plus every one of the last 64 bytes). The
+   v1-v3 fixtures still load. *)
+let test_not_an_image_is_corrupt () =
+  let xml = Xmark.Xmlgen.generate ~seed:1 ~scale:0.05 () in
+  let image = Repository.serialize (Xquec_core.Loader.load ~name:"auction.xml" xml) in
+  let n = String.length image in
+  let expect_corrupt name data =
+    match Repository.deserialize data with
+    | _ -> Alcotest.failf "%s: loaded" name
+    | exception Repository.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  expect_corrupt "xml document" xml;
+  for i = 0 to 255 do
+    let len = i * n / 256 in
+    expect_corrupt (Printf.sprintf "prefix %d/%d" len n) (String.sub image 0 len)
+  done;
+  for len = n - 64 to n - 1 do
+    expect_corrupt (Printf.sprintf "prefix %d/%d" len n) (String.sub image 0 len)
+  done;
+  ignore (Repository.deserialize image);
+  List.iter
+    (fun f -> ignore (Repository.deserialize (read_fixture f)))
+    [ "v1_small.xqc"; "v2_small.xqc"; "v3_small.xqc" ]
 
 let test_capped_bounds_conservative () =
   (* codes longer than the 8-byte header cap: the exact bit must clear
@@ -877,6 +904,7 @@ let suites =
         Alcotest.test_case "wide name dictionary" `Quick test_wide_dictionary;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
         Alcotest.test_case "repository header check" `Quick test_repository_header_check;
+        Alcotest.test_case "not an image is corrupt" `Quick test_not_an_image_is_corrupt;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;
       ] );
   ]
