@@ -32,6 +32,8 @@ build:
 # workload profiler resolves at least one container from the query log.
 # Along the way the image is compressed a second time under
 # OCAMLRUNPARAM=R (randomized hash tables) and must be byte-identical,
+# as must a workload-tuned pair (the partitioner's search and re-encode
+# under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R),
 # a truncated query must exit 2 with a positioned syntax error, an XML
 # document given as an image must exit 1 as not a valid image, and
 # EXPLAIN of a Q2-shaped query must show the batched-path operator (so
@@ -52,6 +54,11 @@ check:
 	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml \
 	  -o $(GATE_DIR)/auction-randomized.xqc > /dev/null
 	cmp $(GATE_DIR)/auction.xqc $(GATE_DIR)/auction-randomized.xqc
+	$(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq \
+	  -o $(GATE_DIR)/auction-tuned.xqc > /dev/null
+	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq \
+	  -o $(GATE_DIR)/auction-tuned-randomized.xqc > /dev/null
+	cmp $(GATE_DIR)/auction-tuned.xqc $(GATE_DIR)/auction-tuned-randomized.xqc
 	$(XQUEC) query $(GATE_DIR)/auction.xqc \
 	  'for $$p in document("auction.xml")/site/people/person where $$p/@id = "person0" return $$p/name' \
 	  --query-log $(GATE_DIR)/query-log.jsonl > /dev/null

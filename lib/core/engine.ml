@@ -14,13 +14,10 @@ let load ?(name = "doc.xml") ?(workload : string list option) ?loader_options (x
     =
   Xquec_obs.Trace.with_span ~name:"engine.load" ~attrs:[ ("document", name) ]
   @@ fun () ->
-  let repo = Loader.load ?options:loader_options ~name xml in
+  let queries = List.map Xquery.Parser.parse (Option.value ~default:[] workload) in
+  let repo = Loader.load ?options:loader_options ~workload:queries ~name xml in
   let partitioning =
-    match workload with
-    | None | Some [] -> None
-    | Some texts ->
-      let queries = List.map Xquery.Parser.parse texts in
-      Some (Partitioner.optimize repo queries)
+    match queries with [] -> None | _ -> Some (Partitioner.optimize repo queries)
   in
   { repo; partitioning }
 

@@ -18,5 +18,12 @@ type options = {
 val default_options : options
 
 (** Parse XML text and build a compressed repository registered under
-    [name] (the [document("name")] queries resolve against it). *)
-val load : ?options:options -> name:string -> string -> Storage.Repository.t
+    [name] (the [document("name")] queries resolve against it).
+    [workload] names the queries {!Partitioner.optimize} will tune the
+    repository for (default none). It re-encodes every container their
+    predicates compare, so those that would get a trained ALM model get
+    the dictionary-free one ({!Compress.Alm.of_tokens} [[]]) instead:
+    the records sort the same under both, since ALM preserves order. *)
+val load :
+  ?options:options -> ?workload:Xquery.Ast.expr list -> name:string -> string ->
+  Storage.Repository.t

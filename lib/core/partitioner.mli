@@ -26,7 +26,9 @@ type result = {
 val search : ?seed:int -> ?weights:Cost_model.weights -> Repository.t -> Workload.t -> result
 
 (** Apply a configuration: per set, train a shared source model on the
-    union of values, recompress, and fix up tree value pointers. *)
+    union of values, recompress, and fix up tree value pointers. Raises
+    [Invalid_argument] when a set's algorithm cannot encode its values
+    ({!search} never returns such a set: it costs infinity). *)
 val apply : Repository.t -> Cost_model.configuration -> unit
 
 (** Build-time per-container block sizing: for every container the

@@ -21,6 +21,10 @@ type kind = Text | Attribute
 
 type record = { code : string; parent : int }
 
+let compare_records a b =
+  let c = String.compare a.code b.code in
+  if c <> 0 then c else Int.compare a.parent b.parent
+
 type block = {
   b_start : int;  (** global index of the block's first record *)
   b_count : int;
@@ -425,9 +429,7 @@ let is_sorted_run (records : record array) : bool =
   let n = Array.length records in
   let rec go i =
     i >= n
-    || (compare (records.(i - 1).code, records.(i - 1).parent) (records.(i).code, records.(i).parent)
-          <= 0
-       && go (i + 1))
+    || (compare_records records.(i - 1) records.(i) <= 0 && go (i + 1))
   in
   go 1
 
@@ -482,7 +484,7 @@ let build ?block_size ~id ~path ~kind ~algorithm (values : (string * int) list) 
       values
     |> Array.of_list
   in
-  Array.sort (fun (a, _) (b, _) -> compare (a.code, a.parent) (b.code, b.parent)) triples;
+  Array.sort (fun (a, _) (b, _) -> compare_records a b) triples;
   let records = Array.map fst triples in
   let plain_sizes = Array.map snd triples in
   let plain_bytes = Array.fold_left ( + ) 0 plain_sizes in
@@ -526,7 +528,9 @@ let recompress (t : t) ~algorithm ~model ~model_id : int array =
     |> Array.of_list
   in
   Array.sort
-    (fun (a, _, ia) (b, _, ib) -> compare (a.code, a.parent, ia) (b.code, b.parent, ib))
+    (fun (a, _, ia) (b, _, ib) ->
+      let c = compare_records a b in
+      if c <> 0 then c else Int.compare ia ib)
     triples;
   let remap = Array.make (Array.length triples) 0 in
   Array.iteri (fun new_idx (_, _, old_idx) -> remap.(old_idx) <- new_idx) triples;

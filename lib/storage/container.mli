@@ -20,6 +20,9 @@ type kind = Text | Attribute
     of the parent element (the "value pointer" inverse). *)
 type record = { code : string; parent : int }
 
+(** The container order: by code bytes, then by parent id. *)
+val compare_records : record -> record -> int
+
 (** One compressed block: a contiguous slice of the sorted record
     sequence.
 

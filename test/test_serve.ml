@@ -157,6 +157,13 @@ let test_admission_sheds_beyond_max_inflight () =
     (fun (r : Obs.Hammer.reply) ->
       Alcotest.(check int) "blocked requests finish with 200" 200 r.Obs.Hammer.r_status)
     replies;
+  (* a client has its reply before the worker releases its slot *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    (Obs.Expo.stats ()).Obs.Expo.e_inflight > 0 && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.005
+  done;
   let s = Obs.Expo.stats () in
   Alcotest.(check bool) "rejection counted" true (s.Obs.Expo.e_rejected >= 1);
   Alcotest.(check int) "nothing left in flight" 0 s.Obs.Expo.e_inflight
