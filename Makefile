@@ -7,7 +7,7 @@ GATE_DIR := _gate
 # The fast, deterministic experiments the quick bench gate reruns on
 # every `make check` (counts, sizes and digests only — quick mode skips
 # timing metrics, and experiments not on this list are skipped).
-GATE_QUICK_EXPERIMENTS := table1 storage_occupancy ablations homomorphic_scan parallel join heat serve watch compact
+GATE_QUICK_EXPERIMENTS := table1 storage_occupancy ablations homomorphic_scan join heat serve watch compact
 
 .PHONY: all build check test bench bench-gate smoke serve-smoke docs clean
 
@@ -20,9 +20,6 @@ build:
 # including (called out explicitly because the fixtures live on disk)
 # the v1-, v2- and v3-format backward-compatibility reads of the
 # committed images in test/fixtures/ (only v4 is written).
-# The storage suite runs twice more: with a 4-domain decode pool
-# (parallel block decode exercised everywhere) and with 0 domains (the
-# sequential fallback), both of which must agree with the default run.
 # `make docs` then checks the interface doc comments and cross-checks
 # the operator and format references against the sources, so a flag,
 # metric or format constant the code no longer has fails the check.
@@ -42,8 +39,6 @@ check:
 	dune build
 	dune runtest
 	cd test && dune exec ./test_main.exe -- test storage
-	cd test && XQUEC_DECODE_DOMAINS=4 dune exec ./test_main.exe -- test storage
-	cd test && XQUEC_DECODE_DOMAINS=0 dune exec ./test_main.exe -- test storage
 	$(MAKE) docs
 	mkdir -p $(GATE_DIR)
 	dune exec bench/main.exe -- --json $(GATE_DIR)/quick.json $(GATE_QUICK_EXPERIMENTS) \
@@ -135,8 +130,6 @@ smoke: build
 	  'document("auction.xml")/site/people/person[@id = "person0"]/name' \
 	  > $(SMOKE_DIR)/answer-after.txt
 	cmp $(SMOKE_DIR)/answer-before.txt $(SMOKE_DIR)/answer-after.txt
-	dune exec bench/main.exe -- --scale 0.1 --domains 1 \
-	  --json $(SMOKE_DIR)/parallel.json parallel
 	dune exec bench/main.exe -- --scale 0.1 \
 	  --json $(SMOKE_DIR)/join.json join
 	@echo "smoke artifacts in $(SMOKE_DIR)/"

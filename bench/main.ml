@@ -930,110 +930,6 @@ let cache () =
     (if within_budget = 1.0 then "within" else "OVER")
 
 (* ------------------------------------------------------------------ *)
-(* Parallel block decode: the domains sweep                             *)
-(* ------------------------------------------------------------------ *)
-
-let domains_sweep = ref [ 0; 1; 2; 4; 8 ]
-
-(* Cold decode throughput as a function of the decode-pool size. Two
-   workloads per row: a cold full scan of the largest container (pure
-   decode, the upper bound on what the pool can buy) and a cold
-   selective engine query (decode amortized behind pruning and executor
-   work). Results are digest-checked across all pool sizes — parallelism
-   must never change an answer. NOTE: the speedups are bounded by the
-   host's physical cores; on a single-core machine
-   (Domain.recommended_domain_count () = 1) every row degenerates to the
-   sequential path and the table documents exactly that. *)
-let parallel () =
-  header "Parallel block decode: domains sweep (cold cache)";
-  let engine = Lazy.force xmark_engine in
-  let repo = Xquec_core.Engine.repo engine in
-  let biggest =
-    Array.fold_left
-      (fun acc (c : Storage.Container.t) ->
-        if Storage.Container.block_count c > Storage.Container.block_count acc then c else acc)
-      repo.Storage.Repository.containers.(0) repo.Storage.Repository.containers
-  in
-  Fmt.pr "host: Domain.recommended_domain_count () = %d (speedup is bounded by physical \
-          cores)@."
-    (Domain.recommended_domain_count ());
-  Fmt.pr "largest container: %s (%d records in %d blocks)@." biggest.Storage.Container.path
-    (Storage.Container.length biggest)
-    (Storage.Container.block_count biggest);
-  let query = "document(\"auction.xml\")/site/people/person[@id = \"person100\"]/name" in
-  let saved = Storage.Domain_pool.size () in
-  Fun.protect ~finally:(fun () -> Storage.Domain_pool.set_size saved) @@ fun () ->
-  let scan_digest (rs : Storage.Container.record array) =
-    let buf = Buffer.create 4096 in
-    Array.iter
-      (fun (r : Storage.Container.record) ->
-        Buffer.add_string buf r.Storage.Container.code;
-        Buffer.add_string buf (string_of_int r.Storage.Container.parent))
-      rs;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
-  in
-  let cold_median f =
-    let sample () =
-      Storage.Buffer_pool.clear ();
-      snd (time f)
-    in
-    ignore (sample ());
-    let samples = List.init 3 (fun _ -> sample ()) in
-    List.nth (List.sort compare samples) 1
-  in
-  Fmt.pr "%-8s %14s %9s %14s %9s %10s@." "domains" "full_scan(ms)" "speedup" "selective(ms)"
-    "speedup" "waits";
-  rule ();
-  let base_scan = ref 0.0 and base_sel = ref 0.0 in
-  let digests = ref [] in
-  List.iter
-    (fun d ->
-      Storage.Domain_pool.set_size d;
-      Storage.Buffer_pool.clear ();
-      let scan_result = ref [||] in
-      let scan_ms = cold_median (fun () -> scan_result := Storage.Container.scan biggest) in
-      let digest = scan_digest !scan_result in
-      let query_out = ref "" in
-      let sel_ms =
-        cold_median (fun () -> query_out := Xquec_core.Engine.query_serialized engine query)
-      in
-      digests := (d, digest, !query_out) :: !digests;
-      let s = Storage.Buffer_pool.snapshot () in
-      if d = 1 then begin
-        base_scan := scan_ms;
-        base_sel := sel_ms
-      end;
-      let speedup base ms = if base > 0.0 && ms > 0.0 then base /. ms else 0.0 in
-      record ~exp:"parallel" "domains"
-        (obj
-           [
-             ("domains", num (float_of_int d));
-             ("full_scan_cold_ms", num scan_ms);
-             ("selective_cold_ms", num sel_ms);
-             ("scan_speedup_vs_1", num (speedup !base_scan scan_ms));
-             ("selective_speedup_vs_1", num (speedup !base_sel sel_ms));
-             ("scan_digest", str digest);
-           ]);
-      Fmt.pr "%-8d %14.2f %8.2fx %14.2f %8.2fx %10d@." d scan_ms (speedup !base_scan scan_ms)
-        sel_ms (speedup !base_sel sel_ms) s.Storage.Buffer_pool.s_latch_waits)
-    !domains_sweep;
-  (* byte-identical answers across every pool size *)
-  let identical =
-    match !digests with
-    | [] -> true
-    | (_, d0, q0) :: rest -> List.for_all (fun (_, d, q) -> d = d0 && q = q0) rest
-  in
-  record ~exp:"parallel" "results_identical"
-    (obj
-       [
-         ("identical", num (if identical then 1.0 else 0.0));
-         ( "recommended_domain_count",
-           num (float_of_int (Domain.recommended_domain_count ())) );
-       ]);
-  Fmt.pr "results byte-identical across domain counts: %b@." identical;
-  if not identical then failwith "parallel decode changed query results"
-
-(* ------------------------------------------------------------------ *)
 (* Block-skipping compressed-domain join                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1605,7 +1501,7 @@ let watch () =
          sustain !drift_shifted)
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive blocks: online re-compaction and sequential prefetch       *)
+(* Adaptive blocks: online re-compaction                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Claims gated here: (1) when the workload shifts from scans to
@@ -1614,13 +1510,10 @@ let watch () =
    slower cold (post <= pre, best-of minima) while header pruning cuts
    the decoded payload bytes at least in half; (2) answers are
    byte-identical across the mid-run copy-on-write swap, including for
-   a query domain racing the compaction; (3) with sequential-scan
-   read-ahead on, a cold block-by-block walk turns all but the first
-   two demand misses into prefetch fills that are then consumed.
-   Timings are full-gate-only; the quick gate pins the digests, block
+   a query domain racing the compaction. Timings are full-gate-only; the quick gate pins the digests, block
    counts, payload bytes and the yes/no claims. *)
 let compact () =
-  header "Adaptive blocks: online compaction + sequential prefetch";
+  header "Adaptive blocks: online compaction";
   let module Container = Storage.Container in
   let module Buffer_pool = Storage.Buffer_pool in
   let module Compactor = Storage.Compactor in
@@ -1630,13 +1523,6 @@ let compact () =
   let engine = Xquec_core.Engine.load ~name:"auction.xml" xml in
   let repo = Xquec_core.Engine.repo engine in
   Compactor.reset_stats ();
-  let saved_pool = Storage.Domain_pool.size () in
-  let saved_depth = Container.prefetch_depth () in
-  let finally () =
-    Container.set_prefetch_depth saved_depth;
-    Storage.Domain_pool.set_size saved_pool
-  in
-  Fun.protect ~finally @@ fun () ->
   (* the hot containers of the scan era: the large text containers *)
   let targets =
     Array.to_list repo.Storage.Repository.containers
@@ -1766,54 +1652,6 @@ let compact () =
          ("identical", str (if digests_ok then "yes" else "no"));
          ("race_identical", str (if race_ok then "yes" else "no"));
        ]);
-  (* --- sequential-scan read-ahead on the biggest container ---------- *)
-  Storage.Domain_pool.set_size 0;
-  let big_id =
-    (List.fold_left
-       (fun (best : Container.t) (c : Container.t) ->
-         if c.Container.plain_bytes > best.Container.plain_bytes then c else best)
-       (List.hd targets) (List.tl targets))
-      .Container.id
-  in
-  let big = repo.Storage.Repository.containers.(big_id) in
-  Container.reblock big ~block_size:512;
-  let nblocks = Container.block_count big in
-  let walk () =
-    for i = 0 to Container.length big - 1 do
-      ignore (Container.get big i)
-    done
-  in
-  let scan depth =
-    Container.set_prefetch_depth depth;
-    Buffer_pool.clear ();
-    Buffer_pool.reset_stats ();
-    walk ();
-    Buffer_pool.snapshot ()
-  in
-  let off = scan 0 in
-  let on = scan 8 in
-  Container.set_prefetch_depth 0;
-  let rate (s : Buffer_pool.stats) =
-    float_of_int s.Buffer_pool.s_hits
-    /. float_of_int (s.Buffer_pool.s_hits + s.Buffer_pool.s_misses)
-  in
-  let gain = rate on -. rate off in
-  Fmt.pr "read-ahead over %d blocks: misses %d -> %d, %d prefetched (%d consumed), hit rate \
-          %.2f -> %.2f@."
-    nblocks off.Buffer_pool.s_misses on.Buffer_pool.s_misses on.Buffer_pool.s_prefetch_fills
-    on.Buffer_pool.s_prefetch_hits (rate off) (rate on);
-  record ~exp:"compact" "prefetch"
-    (obj
-       [
-         ("scan_blocks", num (float_of_int nblocks));
-         ("off_misses", num (float_of_int off.Buffer_pool.s_misses));
-         ("on_demand_misses", num (float_of_int on.Buffer_pool.s_misses));
-         ("prefetched_blocks", num (float_of_int on.Buffer_pool.s_prefetch_fills));
-         ("prefetch_hits", num (float_of_int on.Buffer_pool.s_prefetch_hits));
-         ("hit_rate_off", num (rate off));
-         ("hit_rate_on", num (rate on));
-         ("gain_positive", str (if gain > 0.0 then "yes" else "no"));
-       ]);
   ignore pre_results;
   ignore post_results;
   if not digests_ok then failwith "compact: query digest changed across re-blocking";
@@ -1826,10 +1664,7 @@ let compact () =
       (Fmt.str "compact: small blocks did not halve decoded payload bytes (%d -> %d)"
          pre.Buffer_pool.s_payload_bytes post.Buffer_pool.s_payload_bytes);
   if not post_le_pre then
-    failwith (Fmt.str "compact: shifted mix slower after compaction (%.2f ms -> %.2f ms)" pre_ms post_ms);
-  if on.Buffer_pool.s_misses >= off.Buffer_pool.s_misses || on.Buffer_pool.s_prefetch_fills = 0
-  then failwith "compact: read-ahead did not reduce demand misses";
-  if gain <= 0.0 then failwith "compact: read-ahead did not raise the buffer-pool hit rate"
+    failwith (Fmt.str "compact: shifted mix slower after compaction (%.2f ms -> %.2f ms)" pre_ms post_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1848,7 +1683,6 @@ let experiments =
     ("homomorphic_scan", homomorphic_scan);
     ("codec_costs", codec_costs);
     ("cache", cache);
-    ("parallel", parallel);
     ("join", join);
     ("heat", heat);
     ("serve", serve);
@@ -1865,9 +1699,6 @@ let () =
       parse_args rest
     | "--fig6-scales" :: v :: rest ->
       fig6_scales := List.map float_of_string (String.split_on_char ',' v);
-      parse_args rest
-    | "--domains" :: v :: rest ->
-      domains_sweep := List.map int_of_string (String.split_on_char ',' v);
       parse_args rest
     | "--json" :: v :: rest ->
       json_out := Some v;

@@ -76,26 +76,6 @@ let cache_mb =
               blocks, in MiB (default 64). 0 effectively disables caching: every \
               block access beyond the most recent one decodes again.")
 
-let decode_domains =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "decode-domains" ] ~docv:"N"
-        ~doc:"Number of worker domains decoding container blocks in parallel. 0 forces \
-              the sequential path (byte-identical to the pre-parallel engine); the \
-              default is one worker per spare core, or \\$XQUEC_DECODE_DOMAINS when \
-              set.")
-
-let prefetch =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "prefetch" ] ~docv:"N"
-        ~doc:"Sequential read-ahead depth: when consecutive blocks of one container are \
-              touched in order, decode the next $(docv) blocks in the background (on the \
-              decode pool) before the cursor reaches them. 0 disables read-ahead. \
-              Default 0 for one-shot commands, 4 under $(b,serve).")
-
 let query_log =
   Arg.(
     value
@@ -103,15 +83,13 @@ let query_log =
     & info [ "query-log" ] ~docv:"FILE"
         ~doc:"Append one JSONL record per query to $(docv): query hash, plan shape, \
               wall/CPU time, per-operator cardinalities, bytes decoded vs. pruned, \
-              buffer-pool and decode-pool activity, GC allocation (schema in \
+              buffer-pool and join activity, GC allocation (schema in \
               docs/OBSERVABILITY.md). \\$XQUEC_QUERY_LOG sets a process-wide default.")
 
 let buffer_pool_summary () =
   let s = Storage.Buffer_pool.snapshot () in
-  let p = Storage.Domain_pool.snapshot () in
   Printf.sprintf
-    "buffer pool: %d hits / %d misses / %d latch waits / %d evictions; %d blocks pruned; %d scan inserts; %d B decoded (payload %d B decoded / %d B pruned); %d B resident in %d blocks (budget %d B)\n\
-     decode pool: %d domains; %d batches / %d tasks (%d inline); max queue depth %d; %.1f ms parallel-decode wall\n"
+    "buffer pool: %d hits / %d misses / %d latch waits / %d evictions; %d blocks pruned; %d scan inserts; %d B decoded (payload %d B decoded / %d B pruned); %d B resident in %d blocks (budget %d B)\n"
     s.Storage.Buffer_pool.s_hits s.Storage.Buffer_pool.s_misses
     s.Storage.Buffer_pool.s_latch_waits s.Storage.Buffer_pool.s_evictions
     s.Storage.Buffer_pool.s_blocks_skipped s.Storage.Buffer_pool.s_scan_inserts
@@ -119,9 +97,6 @@ let buffer_pool_summary () =
     s.Storage.Buffer_pool.s_skipped_bytes s.Storage.Buffer_pool.s_resident_bytes
     s.Storage.Buffer_pool.s_resident_blocks
     (Storage.Buffer_pool.budget_bytes ())
-    p.Storage.Domain_pool.p_domains p.Storage.Domain_pool.p_batches
-    p.Storage.Domain_pool.p_tasks p.Storage.Domain_pool.p_inline
-    p.Storage.Domain_pool.p_max_queue_depth p.Storage.Domain_pool.p_wall_ms
   ^ (let j = Xquec_core.Executor.join_stats () in
      if j.Xquec_core.Executor.j_block_joins = 0 then ""
      else
@@ -149,16 +124,13 @@ let buffer_pool_summary () =
                  h.Xquec_obs.Heat.hits h.Xquec_obs.Heat.header_skips
                  h.Xquec_obs.Heat.bytes_decoded h.Xquec_obs.Heat.bytes_skipped))
 
-let with_telemetry ~stats ~trace_out ?cache_mb ?decode_domains ?query_log f =
+let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
   if stats || trace_out <> None then Xquec_obs.set_enabled true;
   (match query_log with
   | Some file -> Xquec_obs.Query_log.set_path (Some file)
   | None -> ());
   (match cache_mb with
   | Some mb -> Storage.Buffer_pool.set_budget ~bytes:(mb * 1024 * 1024)
-  | None -> ());
-  (match decode_domains with
-  | Some n -> Storage.Domain_pool.set_size n
   | None -> ());
   let finish () =
     (match trace_out with
@@ -316,10 +288,9 @@ let query_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT.xqc") in
   let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"XQUERY") in
   let timing = Arg.(value & flag & info [ "t"; "time" ] ~doc:"Print the evaluation time.") in
-  let run input query timing stats trace_out cache_mb decode_domains query_log prefetch =
+  let run input query timing stats trace_out cache_mb query_log =
     reporting_syntax_errors @@ fun () ->
-    with_telemetry ~stats ~trace_out ?cache_mb ?decode_domains ?query_log @@ fun () ->
-    Option.iter Storage.Container.set_prefetch_depth prefetch;
+    with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
     let engine = load_engine_any input in
     let t0 = Unix.gettimeofday () in
     let result, _prof = Xquec_core.Engine.query_serialized_logged engine query in
@@ -332,8 +303,7 @@ let query_cmd =
        ~doc:"Evaluate an XQuery expression over a compressed repository (results are \
              decompressed only for output)")
     Term.(
-      const run $ input $ query $ timing $ stats_flag $ trace_out $ cache_mb
-      $ decode_domains $ query_log $ prefetch)
+      const run $ input $ query $ timing $ stats_flag $ trace_out $ cache_mb $ query_log)
 
 (* --- explain -------------------------------------------------------- *)
 
@@ -350,9 +320,9 @@ let explain_cmd =
           ~doc:"Only analyze the strategy (the classic EXPLAIN); do not evaluate the \
                 query or print the profiled plan.")
   in
-  let run input query plan_only stats trace_out cache_mb decode_domains query_log =
+  let run input query plan_only stats trace_out cache_mb query_log =
     reporting_syntax_errors @@ fun () ->
-    with_telemetry ~stats ~trace_out ?cache_mb ?decode_domains ?query_log @@ fun () ->
+    with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
     let engine = load_engine_any input in
     let repo = Xquec_core.Engine.repo engine in
     if plan_only then print_endline (Xquec_core.Optimizer.explain_string repo query)
@@ -373,7 +343,7 @@ let explain_cmd =
              may be a compressed repository or a raw XML document.")
     Term.(
       const run $ input $ query $ plan_only $ stats_flag $ trace_out $ cache_mb
-      $ decode_domains $ query_log)
+      $ query_log)
 
 (* --- serve ----------------------------------------------------------- *)
 
@@ -477,13 +447,10 @@ let serve_cmd =
   in
   let run input port host serve_workers max_inflight query_wall_ms query_decode_mb
       plan_cache watch_window drift_alert alerts_log serve_workload no_auto_compact
-      cache_mb decode_domains query_log prefetch =
-    with_telemetry ~stats:false ~trace_out:None ?cache_mb ?decode_domains ?query_log
-    @@ fun () ->
+      cache_mb query_log =
+    with_telemetry ~stats:false ~trace_out:None ?cache_mb ?query_log @@ fun () ->
     (* metrics + spans always on under serve: the endpoint exists to be scraped *)
     Xquec_obs.set_enabled true;
-    (* read-ahead on by default for a long-lived server; --prefetch 0 disables *)
-    Storage.Container.set_prefetch_depth (Option.value ~default:4 prefetch);
     let workers =
       match serve_workers with
       | Some n -> max 0 n
@@ -547,7 +514,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a repository over HTTP: POST /query (or GET /query?q=...) evaluates \
              XQuery; GET /metrics exposes the counters, gauges, and histograms in \
-             Prometheus text format (buffer-pool, decode-pool, per-container, \
+             Prometheus text format (buffer-pool, per-container, \
              admission, plan-cache, watchdog, and per-query series); GET /healthz \
              (readiness JSON) and GET /stats (JSON) for probes and debugging; GET /watch \
              and GET /alerts surface the streaming drift watchdog. Connections fan out \
@@ -558,8 +525,7 @@ let serve_cmd =
     Term.(
       const run $ input $ port $ host $ serve_workers $ max_inflight $ query_wall_ms
       $ query_decode_mb $ plan_cache $ watch_window $ drift_alert $ alerts_log
-      $ serve_workload $ no_auto_compact $ cache_mb $ decode_domains $ query_log
-      $ prefetch)
+      $ serve_workload $ no_auto_compact $ cache_mb $ query_log)
 
 (* --- compact ---------------------------------------------------------- *)
 

@@ -67,7 +67,7 @@ let cpu_ms () =
 (** Evaluate, serialize, and append one record to the JSONL query log
     ({!Xquec_obs.Query_log}) accounting for the query's full cost: wall
     and CPU time, the profiled plan (shape + per-operator
-    cardinalities), buffer-pool and decode-pool counter deltas, bytes
+    cardinalities), buffer-pool and join counter deltas, bytes
     decoded vs. bytes pruned, and GC allocation deltas. Also returns
     the profile so callers (EXPLAIN, serve) can render it. The deltas
     are taken around evaluation {e and} serialization, so they
@@ -163,7 +163,6 @@ let query_serialized_logged ?(admission : Xquec_obs.Json.t option)
     let module Json = Xquec_obs.Json in
     let started_at = Unix.gettimeofday () in
     let pool0 = Buffer_pool.snapshot () in
-    let dpool0 = Domain_pool.snapshot () in
     let j0 = Executor.join_stats () in
     let heat0 = Xquec_obs.Heat.snapshot () in
     let gc_alloc0 = Gc.allocated_bytes () in
@@ -177,7 +176,6 @@ let query_serialized_logged ?(admission : Xquec_obs.Json.t option)
     let wall_ms = (Xquec_obs.Trace.now_us () -. t0) /. 1000.0 in
     let cpu = cpu_ms () -. cpu0 in
     let pool1 = Buffer_pool.snapshot () in
-    let dpool1 = Domain_pool.snapshot () in
     let j1 = Executor.join_stats () in
     let heat1 = Xquec_obs.Heat.snapshot () in
     let gc_alloc1 = Gc.allocated_bytes () in
@@ -250,15 +248,6 @@ let query_serialized_logged ?(admission : Xquec_obs.Json.t option)
                   (pool1.Buffer_pool.s_blocks_skipped - pool0.Buffer_pool.s_blocks_skipped);
                 n "scan_inserts"
                   (pool1.Buffer_pool.s_scan_inserts - pool0.Buffer_pool.s_scan_inserts);
-              ] );
-          ( "decode_pool",
-            Json.Obj
-              [
-                n "domains" dpool1.Domain_pool.p_domains;
-                n "batches" (dpool1.Domain_pool.p_batches - dpool0.Domain_pool.p_batches);
-                n "tasks" (dpool1.Domain_pool.p_tasks - dpool0.Domain_pool.p_tasks);
-                n "inline_tasks" (dpool1.Domain_pool.p_inline - dpool0.Domain_pool.p_inline);
-                n "max_queue_depth" dpool1.Domain_pool.p_max_queue_depth;
               ] );
           ( "join",
             Json.Obj

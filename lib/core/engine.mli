@@ -50,7 +50,7 @@ val query_serialized : t -> string -> string
 (** Evaluate, serialize, and — when a query-log file is configured
     (see {!Xquec_obs.Query_log}) — append exactly one JSONL record
     accounting for the query's full cost: wall/CPU time, plan shape
-    and per-operator cardinalities, buffer-pool / decode-pool counter
+    and per-operator cardinalities, buffer-pool and join counter
     deltas, bytes decoded vs. bytes pruned, and GC allocation deltas
     (schema in [docs/OBSERVABILITY.md]). Deltas are taken around
     evaluation {e and} serialization, so they reconcile with the

@@ -429,11 +429,7 @@ let note_block_join ~probed ~skipped ~skipped_bytes =
 (* One container-resolved predicate (pushed-down filter, existence
    test, or compressed-domain join side) as observed during
    evaluation — the raw material the engine tags query-log records
-   with and [Obs.Profile] aggregates into a workload fingerprint.
-   Accumulated in a plain ref, like the Explain profile: queries are
-   evaluated one at a time and [run] / [run_profiled] reset it, so
-   after a query the list describes exactly that query. Not
-   thread-safe across concurrently evaluated queries. *)
+   with and [Obs.Profile] aggregates into a workload fingerprint. *)
 type pred_obs = {
   o_container : string;  (* container (or summary) path *)
   o_kind : string;  (* "eq" | "range" | "wild" | "exists" | "join" *)
@@ -450,9 +446,9 @@ type pred_obs = {
    serve worker domain) observe only their own predicates: [run] resets
    the evaluating domain's slot, predicate sites bump it, and the
    engine reads it back on the same domain immediately after
-   evaluation. Predicate checks always execute on the evaluating domain
-   — Domain_pool workers only decode blocks — so no observation is ever
-   recorded against the wrong domain's slot. *)
+   evaluation. The whole evaluation, block decodes included, runs on
+   that domain, so no observation is ever recorded against another
+   domain's slot. *)
 type pred_obs_state = {
   po_tbl : (string * string, int ref * int ref) Hashtbl.t;
   mutable po_order : (string * string) list;
@@ -2173,23 +2169,11 @@ and exec_block_join ctx ~var (plan : block_plan) : env list =
     in
     Hashtbl.replace set idx ()
   in
-  (* decode the probed blocks of one side, batching each contiguous run
-     through the domain pool *)
+  (* decode the probed blocks of one side, in block order *)
   let fetch_probed cont (probe : bool array) : Buffer_pool.decoded option array =
-    let n = Array.length probe in
-    let images = Array.make n None in
-    let i = ref 0 in
-    while !i < n do
-      if probe.(!i) then begin
-        let j = ref !i in
-        while !j + 1 < n && probe.(!j + 1) do incr j done;
-        let ds = Container.fetch_blocks cont ~b0:!i ~b1:!j in
-        Array.iteri (fun k d -> images.(!i + k) <- Some d) ds;
-        i := !j + 1
-      end
-      else incr i
-    done;
-    images
+    Array.mapi
+      (fun bi probed -> if probed then Some (Container.fetch_blocks cont ~b0:bi ~b1:bi).(0) else None)
+      probe
   in
   List.iter
     (fun (p : block_pairing) ->

@@ -17,11 +17,10 @@
    when `--serve-workers` fans connections out — so everything in this
    module is written for concurrent callers: the SLO window takes a
    mutex, the plan cache is the mutex-guarded Plan_cache, and the
-   per-query budget is armed in Domain.DLS on the evaluating domain
-   (the storage layer parallelizes block decode underneath via the
-   Domain_pool either way). Each query bumps "serve.queries", records
-   "serve.query_ms", consults the plan cache, and appends a query-log
-   record when a log file is configured. *)
+   per-query budget is armed in Domain.DLS on the evaluating domain,
+   which also decodes every block the query reads. Each query bumps
+   "serve.queries", records "serve.query_ms", consults the plan cache,
+   and appends a query-log record when a log file is configured. *)
 
 open Xquec_obs
 
@@ -171,9 +170,9 @@ let publish_window_metrics () =
   Metrics.set_gauge "serve.window.p99_ms" w.ws_p99_ms
 
 (* Sync the storage-layer atomics into the metrics registry so a
-   /metrics scrape always carries the bufferpool.* / decodepool.*
-   series, even for counts accumulated while telemetry was off or
-   maintained outside the registry (latch waits, queue depth). *)
+   /metrics scrape always carries the bufferpool.* series, even for
+   counts accumulated while telemetry was off or maintained outside the
+   registry (latch waits). *)
 let publish_pool_metrics () : unit =
   let s = Storage.Buffer_pool.snapshot () in
   Metrics.set_counter "bufferpool.hits" s.Storage.Buffer_pool.s_hits;
@@ -185,20 +184,10 @@ let publish_pool_metrics () : unit =
   Metrics.set_counter "bufferpool.payload_bytes" s.Storage.Buffer_pool.s_payload_bytes;
   Metrics.set_counter "bufferpool.skipped_bytes" s.Storage.Buffer_pool.s_skipped_bytes;
   Metrics.set_counter "bufferpool.invalidations" s.Storage.Buffer_pool.s_invalidations;
-  Metrics.set_counter "bufferpool.prefetch_fills" s.Storage.Buffer_pool.s_prefetch_fills;
-  Metrics.set_counter "bufferpool.prefetch_hits" s.Storage.Buffer_pool.s_prefetch_hits;
   Metrics.set_gauge "bufferpool.resident_bytes"
     (float_of_int s.Storage.Buffer_pool.s_resident_bytes);
   Metrics.set_gauge "bufferpool.resident_blocks"
     (float_of_int s.Storage.Buffer_pool.s_resident_blocks);
-  let d = Storage.Domain_pool.snapshot () in
-  Metrics.set_gauge "decodepool.domains" (float_of_int d.Storage.Domain_pool.p_domains);
-  Metrics.set_counter "decodepool.batches" d.Storage.Domain_pool.p_batches;
-  Metrics.set_counter "decodepool.tasks" d.Storage.Domain_pool.p_tasks;
-  Metrics.set_counter "decodepool.inline_tasks" d.Storage.Domain_pool.p_inline;
-  Metrics.set_counter "decodepool.async_tasks" d.Storage.Domain_pool.p_async;
-  Metrics.set_gauge "decodepool.max_queue_depth"
-    (float_of_int d.Storage.Domain_pool.p_max_queue_depth);
   let k = Storage.Compactor.snapshot () in
   Metrics.set_counter "compactor.compactions" k.Storage.Compactor.k_compactions;
   Metrics.set_counter "compactor.blocks_rewritten" k.Storage.Compactor.k_blocks_rewritten;
@@ -334,9 +323,9 @@ let watch_signals (st : Watch.status) : (string * float) list =
    closes the loop: the live rolling fingerprint (joined with container
    heat) is turned into block-size advice by [Profile.recommend], the
    advice into concrete (id, size) targets by [Compactor.plan], and the
-   targets handed to the background [Compactor.request] — queries keep
-   flowing through the copy-on-write swap. [--no-auto-compact] simply
-   never registers the repository. *)
+   targets handed to [Compactor.request], which runs the pass on the
+   watchdog domain — queries keep flowing through the copy-on-write
+   swap. [--no-auto-compact] simply never registers the repository. *)
 let auto_compact_repo : Storage.Repository.t option ref = ref None
 
 let set_auto_compact (repo : Storage.Repository.t option) : unit =

@@ -60,7 +60,7 @@ val window_reset : unit -> unit
     {!publish_pool_metrics}. *)
 val publish_window_metrics : unit -> unit
 
-(** Sync the buffer-pool, decode-pool, join, heat, admission
+(** Sync the buffer-pool, compactor, join, heat, admission
     ({!Xquec_obs.Expo.stats} as ["serve.admission.*"]), plan-cache
     ({!Plan_cache.snapshot} as ["serve.plan_cache.*"]) and
     rolling-window counters into the metrics registry — the [collect]
@@ -87,9 +87,9 @@ val set_budgets : ?wall_ms:float -> ?decode_bytes:int -> unit -> unit
     path). When set, a [drift_sustained] "fired" transition inside
     {!watch_tick} turns the live fingerprint + heat into
     {!Xquec_obs.Profile.recommend} advice, plans concrete targets via
-    {!Storage.Compactor.plan} and starts a background
-    {!Storage.Compactor.request}, bumping
-    ["serve.compactions_triggered"] when a pass actually starts. *)
+    {!Storage.Compactor.plan} and runs {!Storage.Compactor.request} on
+    the calling (watchdog) domain, bumping
+    ["serve.compactions_triggered"] when a pass actually runs. *)
 val set_auto_compact : Storage.Repository.t option -> unit
 
 (** Close one watchdog window: {!Xquec_obs.Watch.tick}, evaluate the

@@ -9,20 +9,18 @@
    an ordinary early return and the server maps it to a 408-style
    response.
 
-   Attribution under parallel decode: the budget handle is captured on
-   the evaluating domain (Domain.DLS) when a batch is submitted and the
-   charge closure carries it onto whichever Domain_pool worker performs
-   the decode — the charge lands on the query that asked for the block,
-   not on the domain that happened to decode it. Charges are atomic
-   adds; checks are reads plus a compare. A process with no armed
-   budget anywhere (every CLI path, the bench) pays one shared atomic
-   load per poll — the armed count below short-circuits [current]
-   before the DLS lookup, keeping the block-fetch hot path at its
-   pre-budget cost when serving budgets are off.
+   Attribution: every block decodes on the domain evaluating the query
+   that asked for it, so the handle in that domain's Domain.DLS is the
+   query's own. Charges are atomic adds; checks are reads plus a
+   compare. A process with no armed budget anywhere (every CLI path,
+   the bench) pays one shared atomic load per poll — the armed count
+   below short-circuits [current] before the DLS lookup, keeping the
+   block-fetch hot path at its pre-budget cost when serving budgets are
+   off.
 
    Checks are cooperative and block-grained: a query trips the budget at
    the next block access after crossing it, so the overshoot is bounded
-   by one decode batch. Pure in-memory phases (serializing an already
+   by one block. Pure in-memory phases (serializing an already
    decoded result) run to completion. *)
 
 type trip = { t_kind : string; t_limit : float; t_observed : float }

@@ -81,7 +81,7 @@ let respond ?(headers = []) (status : int) (content_type : string) (body : strin
 
 (* --- serving statistics ---------------------------------------------- *)
 
-(* Process-wide (like the Domain_pool counters): any domain may bump
+(* Process-wide (like the Buffer_pool counters): any domain may bump
    them and a /metrics collect callback reads them without holding a
    reference to the server value. Several servers in one process (the
    test suite) share the counters, which is fine for cumulative

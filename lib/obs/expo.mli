@@ -53,7 +53,7 @@ type t
 val respond : ?headers:(string * string) list -> int -> string -> string -> response
 
 (** Cumulative serving counters, process-wide across all servers
-    started in this process (like the decode-pool stats). *)
+    started in this process (like the buffer-pool stats). *)
 type stats = {
   e_workers : int;  (** worker pool size of the most recent {!start} *)
   e_accepted : int;  (** connections admitted past the gate *)

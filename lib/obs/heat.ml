@@ -54,10 +54,6 @@ let my_slot () =
   let d : int = (Domain.self () :> int) in
   slots.(d land slot_mask)
 
-let domain_last () =
-  let s = my_slot () in
-  (s.s_uid, s.s_blk)
-
 (* ---- registry ---- *)
 
 let fresh_entry uid label blocks =

@@ -63,14 +63,6 @@ val set_enabled : bool -> unit
     with a fresh uid). Called by the storage layer on build and load. *)
 val register : uid:int -> label:string -> blocks:int -> unit
 
-(** The calling domain's last-touched [(uid, block)] pair, as recorded
-    by its run-detection slot ([(-1, -1)] before any touch). The storage
-    layer's sequential prefetcher reads this {e before} its own
-    {!note_touch} to decide whether the current fetch continues a run.
-    With accounting {!set_enabled} off the slots never update and the
-    reading goes stale — callers must treat it as advisory only. *)
-val domain_last : unit -> int * int
-
 (** Record a block fetch request. Consecutive repeats of the same
     block collapse into one touch; a transition
     classifies as sequential or run-starting and bumps the per-block

@@ -7,9 +7,9 @@
    read accessors work regardless so tests can inspect state after a
    run.
 
-   Thread safety: the registry is shared with the Domain_pool decode
-   workers (container decode thunks bump "container.blocks_decoded"
-   etc. from worker domains), so one mutex guards every table access.
+   Thread safety: the registry is shared by every domain that evaluates
+   queries (serve's workers bump "container.blocks_decoded" etc.
+   concurrently), so one mutex guards every table access.
    It is a leaf lock — nothing is called while holding it — making the
    lock ordering with the storage locks trivially acyclic. *)
 

@@ -6,10 +6,10 @@
     read/snapshot accessors work regardless so tests can inspect state
     after a run.
 
-    Thread safety: the registry is shared with the
-    {!Storage.Domain_pool} decode workers (container decode thunks
-    bump ["container.blocks_decoded"] etc. from worker domains), so
-    one mutex guards every table access. It is a leaf lock — nothing
+    Thread safety: the registry is shared by every domain that
+    evaluates queries ([xquec serve]'s workers bump
+    ["container.blocks_decoded"] etc. concurrently), so one mutex
+    guards every table access. It is a leaf lock — nothing
     else is called while holding it — making the lock ordering with
     the storage locks trivially acyclic. *)
 

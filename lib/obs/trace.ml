@@ -14,9 +14,10 @@
    (one mutex, locked only when a domain records its first span and by
    the read/maintenance entry points) lets [spans] / [to_chrome_json] /
    [clear] / [set_capacity] see every domain's buffer. Read and
-   maintenance calls assume the worker domains are quiescent — in this
-   engine they run between [Domain_pool] batches, whose completion latch
-   publishes the workers' writes. *)
+   maintenance calls assume no other domain is recording — in this
+   engine they run on the only domain that recorded (the CLI's
+   [--trace-out] export, the benchmark) or after the recording domains
+   were joined, and [Domain.join] publishes their ring writes. *)
 
 type span = {
   name : string;

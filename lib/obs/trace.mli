@@ -9,13 +9,15 @@
 
     Thread safety: recording is lock-free and domain-local — every
     domain owns a private ring buffer (created on its first span and
-    registered in a process-wide sink list), so {!Storage.Domain_pool}
-    workers may open spans freely. The read and maintenance entry
-    points ({!spans}, {!dropped}, {!to_chrome_json}, {!clear},
-    {!set_capacity}) take the registry lock and assume the worker
-    domains are quiescent; in this engine they run between
-    [Domain_pool] batches, whose completion latch publishes the
-    workers' ring writes. See [docs/CONCURRENCY.md]. *)
+    registered in a process-wide sink list), so any domain (an [Expo]
+    worker, the watchdog) may open spans freely. The read and
+    maintenance entry points ({!spans}, {!dropped}, {!to_chrome_json},
+    {!clear}, {!set_capacity}) take the registry lock and assume no
+    other domain is recording; in this engine they run on the only
+    domain that recorded (the CLI's [--trace-out] export, the
+    benchmark) or after the recording domains were joined, and
+    [Domain.join] publishes their ring writes. See
+    [docs/CONCURRENCY.md]. *)
 
 (** A completed (or instant) span. *)
 type span = {

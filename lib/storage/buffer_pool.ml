@@ -4,9 +4,8 @@
    touches (demand paging); repeated access to the same blocks — warm
    joins, repeated queries — hits here instead of re-decoding.
 
-   THREAD SAFETY (see docs/CONCURRENCY.md). Since the parallel-decode
-   subsystem landed, the pool is shared by the main domain and the
-   Domain_pool workers:
+   THREAD SAFETY (see docs/CONCURRENCY.md). The pool is shared by every
+   domain that evaluates queries (serve's worker domains):
 
    - one process-wide [lock] guards the hash table, the LRU list and
      the resident-size accounting. It is a leaf lock: decode thunks
@@ -16,9 +15,8 @@
      instead of decoding again (counted as [s_latch_waits]); the
      decoder installs the finished block and broadcasts. Every fetch
      is therefore exactly one of: hit, miss (this caller decoded) or
-     latch wait. With a sequential pool (--decode-domains 0) waits
-     are structurally impossible and the counters coincide with the
-     historical single-threaded ones.
+     latch wait. With one evaluating domain waits are structurally
+     impossible.
    - cumulative counters are atomics so any domain may bump them and
      [snapshot] needs no lock for them.
 
@@ -46,7 +44,6 @@ type node = {
   value : decoded;
   mutable prev : node option;  (* towards the front (more recent) *)
   mutable next : node option;  (* towards the back (less recent) *)
-  mutable n_prefetched : bool;  (* installed by prefetch, not yet demanded *)
 }
 
 (* A latch for an in-flight decode. Lifecycle: created under the pool
@@ -105,10 +102,6 @@ let scan_inserts = Atomic.make 0 (* blocks admitted at the LRU tail *)
    alerts misread a swap as thrash. *)
 let invalidations = Atomic.make 0
 
-let prefetch_fills = Atomic.make 0 (* blocks decoded ahead of the cursor *)
-
-let prefetch_hits = Atomic.make 0 (* demand fetches served by a prefetched block *)
-
 (* compressed-payload bytes actually decoded vs. pruned via headers —
    the same unit on both sides, so a query log can report a meaningful
    decoded-vs-skipped ratio (d_bytes above is the in-memory charge,
@@ -131,6 +124,7 @@ type stats = {
   s_blocks_skipped : int;
   s_scan_inserts : int;
   s_invalidations : int;
+  (* Always 0; kept for bench/e2e/layers.ml's buffer_pool.prefetch_* metrics. *)
   s_prefetch_fills : int;
   s_prefetch_hits : int;
   s_payload_bytes : int;
@@ -152,8 +146,8 @@ let snapshot () : stats =
     s_blocks_skipped = Atomic.get blocks_skipped;
     s_scan_inserts = Atomic.get scan_inserts;
     s_invalidations = Atomic.get invalidations;
-    s_prefetch_fills = Atomic.get prefetch_fills;
-    s_prefetch_hits = Atomic.get prefetch_hits;
+    s_prefetch_fills = 0;
+    s_prefetch_hits = 0;
     s_payload_bytes = Atomic.get payload_bytes;
     s_skipped_bytes = Atomic.get skipped_bytes;
     s_resident_bytes = rb;
@@ -273,15 +267,9 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
   match Hashtbl.find_opt table key with
   | Some (Resident n) ->
     touch n;
-    let was_prefetched = n.n_prefetched in
-    n.n_prefetched <- false;
     Mutex.unlock lock;
     Atomic.incr hits;
-    if was_prefetched then Atomic.incr prefetch_hits;
-    if Xquec_obs.is_enabled () then begin
-      Xquec_obs.Metrics.incr "bufferpool.hits";
-      if was_prefetched then Xquec_obs.Metrics.incr "bufferpool.prefetch_hits"
-    end;
+    if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.hits";
     n.value
   | Some (Pending l) ->
     Mutex.unlock lock;
@@ -299,7 +287,7 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
          handed to the waiters but not cached. *)
       (match Hashtbl.find_opt table key with
       | Some (Pending l') when l' == l ->
-        let n = { nkey = key; value = v; prev = None; next = None; n_prefetched = false } in
+        let n = { nkey = key; value = v; prev = None; next = None } in
         Hashtbl.replace table key (Resident n);
         resident_bytes := !resident_bytes + v.d_bytes;
         resident_blocks := !resident_blocks + 1;
@@ -336,60 +324,6 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
       Mutex.unlock lock;
       settle_latch l (L_failed e);
       raise e)
-
-(* Speculative fill ahead of a sequential cursor. Differs from [fetch]
-   in accounting only: a prefetch decode is NOT a miss (the query never
-   asked for the block yet), it is a [prefetch_fills]; the later demand
-   [fetch] then lands on the hit path (tagged, so it also counts as a
-   [prefetch_hits]). If the block is already resident or another decode
-   of it is in flight, the call is a cheap no-op — in particular a
-   prefetch never blocks on a latch. Admission is [Tail]: read-ahead
-   belongs to the scan's cold end of the list and must not displace the
-   hot working set; an over-budget prefetch simply evicts itself.
-   Returns [true] iff this call decoded and installed the block. *)
-let prefetch ~(uid : int) ~(gen : int) ~(blk : int) (decode : unit -> decoded) : bool =
-  let key = { k_uid = uid; k_gen = gen; k_blk = blk } in
-  Mutex.lock lock;
-  match Hashtbl.find_opt table key with
-  | Some _ ->
-    Mutex.unlock lock;
-    false
-  | None ->
-    let l = { l_mutex = Mutex.create (); l_cond = Condition.create (); l_state = L_decoding } in
-    Hashtbl.replace table key (Pending l);
-    Mutex.unlock lock;
-    (match decode () with
-    | v ->
-      Mutex.lock lock;
-      (match Hashtbl.find_opt table key with
-      | Some (Pending l') when l' == l ->
-        let n = { nkey = key; value = v; prev = None; next = None; n_prefetched = true } in
-        Hashtbl.replace table key (Resident n);
-        resident_bytes := !resident_bytes + v.d_bytes;
-        resident_blocks := !resident_blocks + 1;
-        push_back n;
-        evict_to_budget ~keep:None
-      | _ -> ());
-      Mutex.unlock lock;
-      ignore (Atomic.fetch_and_add decoded_bytes v.d_bytes);
-      Atomic.incr prefetch_fills;
-      if Xquec_obs.is_enabled () then begin
-        Xquec_obs.Metrics.incr "bufferpool.prefetch_fills";
-        Xquec_obs.Metrics.incr ~by:v.d_bytes "bufferpool.decoded_bytes";
-        Mutex.lock lock;
-        publish_residency ();
-        Mutex.unlock lock
-      end;
-      settle_latch l (L_done v);
-      true
-    | exception e ->
-      Mutex.lock lock;
-      (match Hashtbl.find_opt table key with
-      | Some (Pending l') when l' == l -> Hashtbl.remove table key
-      | _ -> ());
-      Mutex.unlock lock;
-      settle_latch l (L_failed e);
-      false)
 
 let note_skipped ?(bytes = 0) (n : int) : unit =
   if n > 0 then begin
@@ -450,8 +384,6 @@ let reset_stats () : unit =
   Atomic.set blocks_skipped 0;
   Atomic.set scan_inserts 0;
   Atomic.set invalidations 0;
-  Atomic.set prefetch_fills 0;
-  Atomic.set prefetch_hits 0;
   Atomic.set payload_bytes 0;
   Atomic.set skipped_bytes 0
 

@@ -11,15 +11,14 @@
     when it is on.
 
     {b Thread safety:} every function in this interface may be called
-    from any domain (the {!Domain_pool} workers decode into the pool
+    from any domain ([serve]'s worker domains decode into the pool
     concurrently). A single mutex guards the LRU structures; decode
     thunks run outside it. An in-flight decode is represented by a
     per-block latch: a second requester of the same block blocks on the
     latch instead of decoding again, counted as an [s_latch_waits]
     event, so every fetch is exactly one of hit / miss / latch wait.
-    With [--decode-domains 0] no other domain exists, latch waits cannot
-    occur, and the counters coincide with the historical
-    single-threaded semantics. See [docs/CONCURRENCY.md]. *)
+    With a single evaluating domain latch waits cannot occur. See
+    [docs/CONCURRENCY.md]. *)
 
 (** A decoded block: parallel arrays of codes (still individually
     compressed) and parent node ids.
@@ -50,7 +49,7 @@ type stats = {
   s_misses : int;
   s_latch_waits : int;
       (** fetches that blocked on another domain's in-flight decode of
-          the same block (always 0 under [--decode-domains 0]) *)
+          the same block (always 0 with one evaluating domain) *)
   s_evictions : int;
   s_decoded_bytes : int;  (** total bytes ever charged by decodes *)
   s_blocks_skipped : int;  (** blocks pruned via headers, never decoded *)
@@ -60,9 +59,9 @@ type stats = {
           deliberately NOT counted as [s_evictions]: evictions measure
           capacity pressure, invalidations measure container churn *)
   s_prefetch_fills : int;
-      (** blocks decoded speculatively by {!prefetch} (not misses) *)
-  s_prefetch_hits : int;
-      (** demand fetches served by a still-untouched prefetched block *)
+      (** always 0 (blocks are never read ahead); kept for
+          [bench/e2e/layers.ml] *)
+  s_prefetch_hits : int;  (** always 0, like [s_prefetch_fills] *)
   s_payload_bytes : int;
       (** compressed payload bytes actually decoded (same unit as
           [s_skipped_bytes], so decoded-vs-pruned ratios are meaningful;
@@ -102,10 +101,8 @@ val fetch :
   decoded
 
 (** [resident ~uid ~gen ~blk] is [true] iff the block is currently
-    cached (in-flight decodes count as absent). A stat-free peek used by
-    the batch decode path to partition candidate blocks; the answer may
-    be stale by the time the caller acts on it — that is safe, it only
-    costs an extra hit or latch wait. *)
+    cached (in-flight decodes count as absent). A stat-free peek; the
+    answer may be stale by the time the caller acts on it. *)
 val resident : uid:int -> gen:int -> blk:int -> bool
 
 (** Record [n] blocks skipped wholesale by header min/max pruning
@@ -118,18 +115,6 @@ val note_skipped : ?bytes:int -> int -> unit
     (accumulated into [s_payload_bytes]; called by the container decode
     thunk). *)
 val note_payload_decoded : int -> unit
-
-(** [prefetch ~uid ~gen ~blk decode] speculatively decodes and caches a
-    block ahead of a sequential cursor. If the block is already resident
-    or in flight the call is a cheap no-op (it never blocks on a latch);
-    otherwise it installs a latch, runs [decode] and admits the block at
-    the LRU {!Tail} (read-ahead must not displace the hot working set).
-    The decode counts as [s_prefetch_fills], {e not} a miss; the later
-    demand {!fetch} of the block is a hit that also bumps
-    [s_prefetch_hits]. A failing [decode] is swallowed (the demand fetch
-    will retry and surface the error). Returns [true] iff this call
-    decoded and installed the block. Safe from any domain. *)
-val prefetch : uid:int -> gen:int -> blk:int -> (unit -> decoded) -> bool
 
 (** [invalidate_container ~uid] drops every resident block and pending
     decode of container [uid] (used when recompression or compaction

@@ -24,9 +24,9 @@
    Concurrency discipline: one [compact_mutex] serializes compaction
    passes (two concurrent re-blocks of one container would waste work,
    not corrupt — the mutex exists for predictability and for the
-   busy-flag the server exposes). The async entry point [request] runs
-   the pass as a single fire-and-forget {!Domain_pool} task; a pool of
-   size 0 falls back to running synchronously on the caller. *)
+   busy-flag the server exposes). [request] runs the pass on the
+   caller; serve calls it from its watchdog domain, off the query
+   path. *)
 
 type result = {
   c_path : string;
@@ -164,12 +164,9 @@ let request (repo : Repository.t) ~(targets : (int * int) list) : bool =
   if targets = [] then false
   else if not (Atomic.compare_and_set busy_flag false true) then false
   else begin
-    let task () =
-      Fun.protect
-        ~finally:(fun () -> Atomic.set busy_flag false)
-        (fun () -> try ignore (compact repo ~targets) with _ -> ())
-    in
-    if not (Domain_pool.submit task) then task ();
+    Fun.protect
+      ~finally:(fun () -> Atomic.set busy_flag false)
+      (fun () -> try ignore (compact repo ~targets) with _ -> ());
     true
   end
 

@@ -13,7 +13,7 @@
     capacity evictions). Readers still holding the old container keep
     using it safely.
 
-    Passes are serialized by an internal mutex; the asynchronous entry
+    Passes are serialized by an internal mutex; the watchdog's entry
     point {!request} additionally refuses overlapping requests via a
     busy flag that [GET /compact] exposes. Triggered manually by
     [xquec compact] and automatically by [xquec serve] when the drift
@@ -70,12 +70,12 @@ val compact_container : Repository.t -> id:int -> block_size:int -> result
     order, returning the per-container results. *)
 val compact : Repository.t -> targets:(int * int) list -> result list
 
-(** Asynchronously run {!compact} on the {!Domain_pool} (inline on the
-    caller when the pool is sequential). Returns [false] — doing
-    nothing — when [targets] is empty or a previous {!request} is still
-    running; [true] means the pass was started (or already completed,
-    in the inline case). Failures inside the background pass are
-    swallowed; per-container outcomes appear in {!recent}. *)
+(** Run {!compact} on the calling domain ([xquec serve] calls it from
+    its watchdog domain, off the query path). Returns [false] — doing
+    nothing — when [targets] is empty or a {!request} from another
+    domain is still running; [true] means the pass ran. Failures
+    inside the pass are swallowed; per-container outcomes appear in
+    {!recent}. *)
 val request : Repository.t -> targets:(int * int) list -> bool
 
 (** Whether an asynchronous {!request} pass is currently running. *)

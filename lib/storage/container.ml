@@ -236,160 +236,40 @@ let header (t : t) (i : int) : header =
 
 let headers (t : t) : header array = Array.init (Array.length t.blocks) (header t)
 
-(* ------------------------------------------------------------------ *)
-(* Sequential read-ahead                                               *)
-(* ------------------------------------------------------------------ *)
+(* Kept for bench/e2e/workloads.ml and layers.ml; read-ahead is gone. *)
+let set_prefetch_depth (_ : int) = ()
 
-(* Read-ahead depth in blocks (process-wide; 0 = off, the default, so
-   historical pool-counter semantics hold exactly unless an operator
-   opts in). Plain ref: reads race benignly, writes happen at CLI
-   startup / bench phase boundaries. *)
-let prefetch_depth_ref = ref 0
-
-let set_prefetch_depth n =
-  if n < 0 then invalid_arg "Container.set_prefetch_depth";
-  prefetch_depth_ref := n
-
-let prefetch_depth () = !prefetch_depth_ref
-
-(* The one block decode: both thunks below run it. Heat and the pool's
-   payload counter record every decode, demand or speculative; the
-   callers add the accounting that differs between the two. [b] is
-   block [k] as read when the fetch was issued: a recompress may swap
-   [t.blocks] before the thunk runs, and the pool key carries the
-   generation of that same moment. *)
-let decode_block (t : t) (k : int) (b : block) : Buffer_pool.decoded =
-  let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
-  let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
-  Buffer_pool.note_payload_decoded (String.length b.b_payload);
-  Xquec_obs.Heat.note_decode ~uid:t.uid ~blk:k ~bytes:(String.length b.b_payload);
-  { Buffer_pool.codes; parents; d_bytes }
-
-(* Speculatively decode up to [depth] absent blocks starting at [from_]
-   into the buffer pool, through {!Domain_pool.submit} when workers
-   exist and inline otherwise. Differs from the demand thunk in
-   [fetch_block] in accounting only: no heat touch (the query has not
-   asked for these blocks), no budget charge (read-ahead is a pool
-   concern, not query work — an exhausted budget must not be tripped by
-   speculation), and the pool books the decode as a prefetch fill, not
-   a miss. *)
-let read_ahead (t : t) ~(from_ : int) ~(depth : int) : unit =
-  let last = min (Array.length t.blocks - 1) (from_ + depth - 1) in
-  for k = from_ to last do
-    if not (Buffer_pool.resident ~uid:t.uid ~gen:t.generation ~blk:k) then begin
-      let b = t.blocks.(k) in
-      let uid = t.uid and gen = t.generation in
-      let task () =
-        ignore
-          (Buffer_pool.prefetch ~uid ~gen ~blk:k (fun () ->
-               let d = decode_block t k b in
-               if Xquec_obs.is_enabled () then
-                 Xquec_obs.Metrics.incr "container.blocks_prefetched";
-               d))
-      in
-      if not (Domain_pool.submit task) then task ()
-    end
-  done
-
-(* Decode block [i] through the buffer pool. The decode thunk runs on
-   whichever domain executes it (caller or a Domain_pool worker), so its
-   trace span lands in that domain's ring buffer — which is what makes
-   decode parallelism visible in the chrome-trace export.
-
-   [budget] is the evaluating query's budget handle: when this call is
-   made directly it defaults to the calling domain's own armed budget,
-   but batch submission ([fetch_blocks]) must capture the handle up
-   front and pass it in, because the thunk then executes on a
-   Domain_pool worker whose DLS belongs to no query. Decoded bytes are
-   charged to that handle inside the thunk; the poll at entry is what
-   actually trips an exhausted budget (on the evaluating domain, where
-   the exception unwinds the query and not a pool worker's batch). *)
-let fetch_block ?admission ?budget (t : t) (i : int) : Buffer_pool.decoded =
-  let budget =
-    match budget with Some h -> h | None -> Xquec_obs.Budget.current ()
-  in
+(* Decode block [i] through the buffer pool, on the calling domain.
+   [b] is block [i] as read when the fetch is issued: a recompress may
+   swap [t.blocks] before the thunk runs, and the pool key carries the
+   generation of that same moment. Decoded bytes are charged to the
+   calling domain's armed budget; the poll at entry is what trips an
+   exhausted one. *)
+let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
+  let budget = Xquec_obs.Budget.current () in
   Xquec_obs.Budget.check budget;
   let b = t.blocks.(i) in
-  (* Sequential-run detection rides on Heat's per-domain run slot, read
-     BEFORE our own touch updates it: this fetch continues a run iff
-     this domain's previous touch was the preceding block of this
-     container. Costs nothing while the depth knob is 0. *)
-  let depth = !prefetch_depth_ref in
-  let sequential =
-    depth > 0 && i > 0
-    &&
-    let u, blk = Xquec_obs.Heat.domain_last () in
-    u = t.uid && blk = i - 1
-  in
   Xquec_obs.Heat.note_touch ~uid:t.uid ~blk:i;
-  let d =
-    Buffer_pool.fetch ?admission ~uid:t.uid ~gen:t.generation ~blk:i
-    (fun () ->
+  Buffer_pool.fetch ?admission ~uid:t.uid ~gen:t.generation ~blk:i (fun () ->
       Xquec_obs.Trace.with_span ~name:"container.decode"
         ~attrs:[ ("path", t.path); ("block", string_of_int i) ]
       @@ fun () ->
-      let d = decode_block t i b in
-      Xquec_obs.Budget.charge budget d.Buffer_pool.d_bytes;
+      let payload = String.length b.b_payload in
+      let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
+      let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
+      Buffer_pool.note_payload_decoded payload;
+      Xquec_obs.Heat.note_decode ~uid:t.uid ~blk:i ~bytes:payload;
+      Xquec_obs.Budget.charge budget d_bytes;
       if Xquec_obs.is_enabled () then begin
         Xquec_obs.Metrics.incr "container.blocks_decoded";
-        Xquec_obs.Metrics.incr ~by:(String.length b.b_payload)
-          "container.block_bytes_decoded"
+        Xquec_obs.Metrics.incr ~by:payload "container.block_bytes_decoded"
       end;
-      d)
-  in
-  if sequential then read_ahead t ~from_:(i + 1) ~depth;
-  d
+      { Buffer_pool.codes; parents; d_bytes })
 
-(* Batch decode path: decode blocks [b0, b1] (inclusive) and return
-   their decoded images in order. Blocks already resident stay on the
-   caller's fast path (counted as hits); the absent ones are submitted
-   to the {!Domain_pool} as one batch, each task decoding through
-   {!Buffer_pool.fetch} so results land in the pool as they complete
-   and concurrent queries dedup on the pool's latches. With a pool of
-   size 0 — or fewer than two absent blocks — everything runs on the
-   calling domain in block order, preserving sequential semantics and
-   counters exactly. *)
+(* Blocks [b0, b1] (inclusive), in order, each through [fetch_block]. *)
 let fetch_blocks ?admission (t : t) ~(b0 : int) ~(b1 : int) :
     Buffer_pool.decoded array =
-  let n = b1 - b0 + 1 in
-  if n <= 0 then [||]
-  else begin
-    (* Captured here, on the evaluating domain: the per-block tasks run
-       on pool workers whose own DLS is unarmed. One poll up front trips
-       an already exhausted budget before any new decode is submitted. *)
-    let budget = Xquec_obs.Budget.current () in
-    Xquec_obs.Budget.check budget;
-    let results : Buffer_pool.decoded option array = Array.make n None in
-    if Domain_pool.size () > 0 && n > 1 then begin
-      let absent = ref [] in
-      for k = n - 1 downto 0 do
-        if not (Buffer_pool.resident ~uid:t.uid ~gen:t.generation ~blk:(b0 + k)) then
-          absent := k :: !absent
-      done;
-      match !absent with
-      | [] | [ _ ] -> ()  (* nothing or one block to decode: inline below *)
-      | ks ->
-        (* Each task writes its own slot; Domain_pool.run's batch latch
-           (a mutex handoff) publishes the writes to this domain. *)
-        let tasks =
-          Array.of_list
-            (List.map
-               (fun k () -> results.(k) <- Some (fetch_block ?admission ~budget t (b0 + k)))
-               ks)
-        in
-        Domain_pool.run tasks
-    end;
-    Array.init n (fun k ->
-        match results.(k) with
-        | Some d -> d
-        | None -> fetch_block ?admission ~budget t (b0 + k))
-  end
-
-(** Decode blocks [b0, b1] into the buffer pool (in parallel when a
-    domain pool is configured) without returning them — the warm-up
-    half of every batched access path below. *)
-let prefetch_blocks (t : t) ~(b0 : int) ~(b1 : int) : unit =
-  ignore (fetch_blocks t ~b0 ~b1)
+  if b1 < b0 then [||] else Array.init (b1 - b0 + 1) (fun k -> fetch_block ?admission t (b0 + k))
 
 let compressed_bytes (t : t) =
   Array.fold_left (fun acc b -> acc + String.length b.b_payload) 0 t.blocks
@@ -563,9 +443,6 @@ let recompress (t : t) ~algorithm ~model ~model_id : int array =
 let records_with_sizes (t : t) : record array * int array =
   let records = Array.make t.n_records { code = ""; parent = 0 } in
   let sizes = Array.make t.n_records 1 in
-  (* strictly sequential block fetches (no [fetch_blocks] batch): the
-     compactor may be running ON a domain-pool worker, and tasks must
-     not submit nested batches *)
   Array.iteri
     (fun bi b ->
       let d = fetch_block ~admission:Buffer_pool.Tail t bi in

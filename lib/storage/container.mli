@@ -148,20 +148,9 @@ val pick_block_size : plain_bytes:int -> n_records:int -> access:access_pattern 
     sizes, compaction plans). *)
 val clamp_block_size : int -> int
 
-(** Sequential read-ahead depth in {e blocks} (process-wide; default
-    [0] = off). When positive, a block fetch that continues a sequential
-    run — this domain's previous fetch was the preceding block of the
-    same container, per {!Xquec_obs.Heat}'s run slots — speculatively
-    decodes up to this many following blocks into the {!Buffer_pool}
-    through {!Domain_pool.submit} (inline when the pool is sequential).
-    Prefetch decodes are pool [prefetch_fills], not misses, and charge
-    no query budget. Requires heat accounting to be on (the default);
-    with it off, runs are never detected and read-ahead never fires.
-    Raises [Invalid_argument] on a negative depth. *)
+(** Does nothing: blocks are never read ahead. Kept for the
+    benchmark's [bench/e2e/workloads.ml] and [bench/e2e/layers.ml]. *)
 val set_prefetch_depth : int -> unit
-
-(** Current read-ahead depth (blocks). *)
-val prefetch_depth : unit -> int
 
 (** [build ~id ~path ~kind ~algorithm values] trains a fresh source
     model on the [(value, parent)] pairs, compresses them, sorts by
@@ -247,38 +236,27 @@ val reblock : t -> block_size:int -> unit
 val reblocked : t -> block_size:int -> t
 
 (** ContScan: every record in compressed-value order. Decodes all
-    blocks (the pruning access paths below exist to avoid this) — in
-    parallel on the {!Domain_pool} when one is configured. Decoded
+    blocks (the pruning access paths below exist to avoid this). Decoded
     blocks are admitted at the buffer pool's LRU tail
     ({!Buffer_pool.Tail}), so a full scan cannot flush the pool's hot
     working set. *)
 val scan : t -> record array
 
-(** [fetch_blocks t ~b0 ~b1] decodes blocks [b0..b1] (inclusive) and
-    returns their images in block order — the batch decode path behind
-    {!scan}, {!range}, {!lookup_eq}, {!lookup_range} and {!dump}.
-    Already-resident blocks are fetched on the calling domain (hits);
-    the absent ones are decoded as one {!Domain_pool} batch, installing
-    into the {!Buffer_pool} as they complete. With a pool of size 0, or
-    fewer than two absent blocks, everything runs sequentially on the
-    calling domain, with counters identical to the historical
-    single-threaded path. Empty ranges ([b1 < b0]) yield [[||]].
-    [?admission] (default {!Buffer_pool.Mru}) is the pool admission
-    policy for miss-decoded blocks.
+(** [fetch_blocks t ~b0 ~b1] decodes blocks [b0..b1] (inclusive) on
+    the calling domain and returns their images in block order — the
+    block access path behind {!scan}, {!range}, {!lookup_eq},
+    {!lookup_range} and {!dump}. Each block is a {!Buffer_pool} hit, a
+    miss decoded here, or a latch wait on another domain's decode of
+    it. Empty ranges ([b1 < b0]) yield [[||]]. [?admission] (default
+    {!Buffer_pool.Mru}) is the pool admission policy for miss-decoded
+    blocks.
 
     Budget enforcement: the calling domain's armed
-    {!Xquec_obs.Budget} (if any) is polled at entry and at each block
-    fetch, and decoded bytes are charged to it — the handle is captured
-    here on the evaluating domain so charges attribute correctly even
-    when the decode itself runs on a pool worker. An exhausted budget
-    raises {!Xquec_obs.Budget.Exceeded} out of this call. *)
+    {!Xquec_obs.Budget} (if any) is polled at each block fetch, and
+    decoded bytes are charged to it. An exhausted budget raises
+    {!Xquec_obs.Budget.Exceeded} out of this call. *)
 val fetch_blocks :
   ?admission:Buffer_pool.admission -> t -> b0:int -> b1:int -> Buffer_pool.decoded array
-
-(** [prefetch_blocks t ~b0 ~b1] is {!fetch_blocks} for effect only:
-    warm the buffer pool with the candidate blocks of an upcoming
-    scan/range without materializing records. *)
-val prefetch_blocks : t -> b0:int -> b1:int -> unit
 
 (** [get t i] is record [i] (0-based, in compressed-value order);
     decodes at most the one block holding it. Raises [Invalid_argument]

@@ -1,281 +1,4 @@
-(* Fixed pool of OCaml 5 domains for parallel block decode.
+(* Kept for bench/e2e/layers.ml, whose domain_pool.* metrics read these zeros. *)
+type stats = { p_tasks : int; p_inline : int; p_wall_ms : float }
 
-   Design (see docs/CONCURRENCY.md): a work-stealing-free shared FIFO
-   task queue guarded by one mutex, drained by [size ()] long-lived
-   worker domains plus the domain that submitted the batch (the caller
-   "helps" until the queue is empty, then blocks on the batch latch).
-   Batches carry their own countdown latch, so concurrent [run] calls
-   from different domains — e.g. two queries decoding at once — simply
-   interleave their tasks on the same workers.
-
-   A pool size of 0 (the default on single-core hosts, and the
-   [--decode-domains 0] / [XQUEC_DECODE_DOMAINS=0] setting) bypasses
-   the queue entirely: [run] executes the tasks in order on the calling
-   domain, which restores the engine's historical sequential semantics
-   exactly. Workers are spawned lazily on the first parallel batch and
-   joined from an [at_exit] hook so the process never hangs on
-   still-parked domains at shutdown. *)
-
-type task = unit -> unit
-
-(* --- configuration -------------------------------------------------- *)
-
-let default_size () = max 0 (Domain.recommended_domain_count () - 1)
-
-(* Initial size: $XQUEC_DECODE_DOMAINS when set to a non-negative int
-   (the hook the test suite and CI matrix use), otherwise one worker per
-   spare core. *)
-let initial_size =
-  match Sys.getenv_opt "XQUEC_DECODE_DOMAINS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default_size ())
-  | None -> default_size ()
-
-(* --- pool state ------------------------------------------------------ *)
-
-(* [pool_mutex] guards the queue, the worker list, [target_size] and
-   [stop]; [pool_cond] wakes parked workers when tasks arrive or the
-   pool shuts down. It is a leaf lock: nothing is called while holding
-   it except Queue operations. *)
-let pool_mutex = Mutex.create ()
-
-let pool_cond = Condition.create ()
-
-let queue : task Queue.t = Queue.create ()
-
-let workers : unit Domain.t list ref = ref []
-
-let target_size = ref initial_size
-
-let stop = ref false
-
-let at_exit_registered = ref false
-
-(* --- statistics (all atomic: read/written from any domain) ----------- *)
-
-let stat_batches = Atomic.make 0
-
-let stat_tasks = Atomic.make 0 (* total tasks ever submitted to [run] *)
-
-let stat_inline = Atomic.make 0 (* tasks executed on the calling domain *)
-
-let stat_wall_us = Atomic.make 0 (* cumulative parallel-batch wall, µs *)
-
-let stat_max_depth = Atomic.make 0 (* high-water queue depth, post-enqueue *)
-
-let stat_async = Atomic.make 0 (* fire-and-forget tasks accepted by [submit] *)
-
-(* CAS-max: lift [a] to at least [v]. *)
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-type stats = {
-  p_domains : int;
-  p_batches : int;
-  p_tasks : int;
-  p_inline : int;
-  p_wall_ms : float;
-  p_max_queue_depth : int;
-  p_async : int;
-}
-
-let snapshot () : stats =
-  {
-    p_domains = !target_size;
-    p_batches = Atomic.get stat_batches;
-    p_tasks = Atomic.get stat_tasks;
-    p_inline = Atomic.get stat_inline;
-    p_wall_ms = float_of_int (Atomic.get stat_wall_us) /. 1000.0;
-    p_max_queue_depth = Atomic.get stat_max_depth;
-    p_async = Atomic.get stat_async;
-  }
-
-let reset_stats () =
-  Atomic.set stat_batches 0;
-  Atomic.set stat_tasks 0;
-  Atomic.set stat_inline 0;
-  Atomic.set stat_wall_us 0;
-  Atomic.set stat_max_depth 0;
-  Atomic.set stat_async 0
-
-(* --- workers --------------------------------------------------------- *)
-
-let worker_loop () =
-  let rec loop () =
-    Mutex.lock pool_mutex;
-    while Queue.is_empty queue && not !stop do
-      Condition.wait pool_cond pool_mutex
-    done;
-    if Queue.is_empty queue then begin
-      (* [stop] is set and no work remains: exit. *)
-      Mutex.unlock pool_mutex
-    end
-    else begin
-      let t = Queue.pop queue in
-      Mutex.unlock pool_mutex;
-      t ();
-      loop ()
-    end
-  in
-  loop ()
-
-(* Join every worker. Called with [pool_mutex] NOT held. Safe to call
-   repeatedly; pending tasks are drained by the exiting workers first
-   (stop only wins once the queue is empty). *)
-let shutdown () =
-  Mutex.lock pool_mutex;
-  stop := true;
-  Condition.broadcast pool_cond;
-  let ws = !workers in
-  workers := [];
-  Mutex.unlock pool_mutex;
-  List.iter Domain.join ws;
-  Mutex.lock pool_mutex;
-  stop := false;
-  Mutex.unlock pool_mutex
-
-(* Spawn workers up to [target_size]. Called with [pool_mutex] held. *)
-let ensure_workers_locked () =
-  if not !at_exit_registered then begin
-    at_exit_registered := true;
-    Stdlib.at_exit shutdown
-  end;
-  let missing = !target_size - List.length !workers in
-  for _ = 1 to missing do
-    workers := Domain.spawn worker_loop :: !workers
-  done
-
-let size () = !target_size
-
-let set_size n =
-  let n = max 0 n in
-  if n <> !target_size || n < List.length !workers then begin
-    (* Resize by draining: join the old workers, then respawn lazily at
-       the next batch. Resizes are rare (CLI startup, bench sweeps). *)
-    shutdown ();
-    Mutex.lock pool_mutex;
-    target_size := n;
-    Mutex.unlock pool_mutex
-  end
-
-(* --- batches --------------------------------------------------------- *)
-
-type batch = {
-  b_mutex : Mutex.t;
-  b_cond : Condition.t;
-  mutable b_remaining : int;
-  mutable b_exn : exn option;
-}
-
-let run_sequential (tasks : task array) =
-  Array.iter
-    (fun t ->
-      t ();
-      Atomic.incr stat_inline)
-    tasks
-
-let run_parallel (tasks : task array) =
-  let b =
-    {
-      b_mutex = Mutex.create ();
-      b_cond = Condition.create ();
-      b_remaining = Array.length tasks;
-      b_exn = None;
-    }
-  in
-  (* With telemetry on, each task records a queue-wait span (enqueue →
-     pickup, stamped across domains with the shared clock) and runs
-     inside a "decodepool.task" span — both land in the ring buffer of
-     the domain that executes the task, so the chrome-trace export shows
-     decode work attributed to its worker. *)
-  let traced = Xquec_obs.is_enabled () in
-  let wrap t =
-    let enq_us = if traced then Xquec_obs.Trace.now_us () else 0.0 in
-    fun () ->
-      (try
-         if traced then begin
-           Xquec_obs.Trace.add_span ~name:"decodepool.queue_wait" ~start_us:enq_us
-             ~end_us:(Xquec_obs.Trace.now_us ()) ();
-           Xquec_obs.Trace.with_span ~name:"decodepool.task" t
-         end
-         else t ()
-       with e ->
-         Mutex.lock b.b_mutex;
-         (match b.b_exn with None -> b.b_exn <- Some e | Some _ -> ());
-         Mutex.unlock b.b_mutex);
-      Mutex.lock b.b_mutex;
-      b.b_remaining <- b.b_remaining - 1;
-      if b.b_remaining = 0 then Condition.broadcast b.b_cond;
-      Mutex.unlock b.b_mutex
-  in
-  Mutex.lock pool_mutex;
-  ensure_workers_locked ();
-  Array.iter (fun t -> Queue.add (wrap t) queue) tasks;
-  let depth = Queue.length queue in
-  Condition.broadcast pool_cond;
-  Mutex.unlock pool_mutex;
-  atomic_max stat_max_depth depth;
-  if traced then Xquec_obs.Metrics.observe "decodepool.queue_depth" (float_of_int depth);
-  (* Help: the submitting domain drains the queue alongside the workers
-     (it may execute tasks of a concurrent batch — harmless, their latch
-     is decremented all the same). *)
-  let rec help () =
-    Mutex.lock pool_mutex;
-    let t = if Queue.is_empty queue then None else Some (Queue.pop queue) in
-    Mutex.unlock pool_mutex;
-    match t with
-    | Some t ->
-      t ();
-      Atomic.incr stat_inline;
-      help ()
-    | None -> ()
-  in
-  help ();
-  Mutex.lock b.b_mutex;
-  while b.b_remaining > 0 do
-    Condition.wait b.b_cond b.b_mutex
-  done;
-  let e = b.b_exn in
-  Mutex.unlock b.b_mutex;
-  match e with Some e -> raise e | None -> ()
-
-(* Fire-and-forget: enqueue one task with no batch latch — nothing ever
-   waits for it, so an exception has nowhere to propagate and is
-   swallowed (callers doing fallible work catch their own). Returns
-   [false] without running anything when the pool is sequential
-   ([size () = 0]): the caller decides whether to run inline. Used by
-   the prefetcher and the background compactor, which both tolerate
-   silent drops. *)
-let submit (t : task) : bool =
-  Mutex.lock pool_mutex;
-  if !target_size = 0 then begin
-    Mutex.unlock pool_mutex;
-    false
-  end
-  else begin
-    ensure_workers_locked ();
-    Queue.add (fun () -> try t () with _ -> ()) queue;
-    Condition.signal pool_cond;
-    Mutex.unlock pool_mutex;
-    Atomic.incr stat_async;
-    if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "decodepool.async_tasks";
-    true
-  end
-
-let run (tasks : task array) : unit =
-  let n = Array.length tasks in
-  if n > 0 then begin
-    Atomic.incr stat_batches;
-    ignore (Atomic.fetch_and_add stat_tasks n);
-    let t0 = Xquec_obs.Trace.now_us () in
-    if !target_size = 0 || n = 1 then run_sequential tasks else run_parallel tasks;
-    let dt = Xquec_obs.Trace.now_us () -. t0 in
-    ignore (Atomic.fetch_and_add stat_wall_us (int_of_float dt));
-    if Xquec_obs.is_enabled () then begin
-      Xquec_obs.Metrics.incr "decodepool.batches";
-      Xquec_obs.Metrics.incr ~by:n "decodepool.tasks"
-    end
-  end
+let snapshot () = { p_tasks = 0; p_inline = 0; p_wall_ms = 0.0 }

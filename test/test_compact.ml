@@ -1,10 +1,10 @@
-(* Adaptive block sizing, online compaction and sequential prefetch:
-   block-size picking and clamping, in-place reblocking invariants, the
-   adaptive-sizing serialization extension (flags bit 3), per-container
-   buffer-pool invalidation accounting, sequential read-ahead through
-   the pool, the compactor's copy-on-write container swap (including
-   under genuinely concurrent serve clients), profile-report
-   consumption, and the drift-triggered auto-compaction loop. *)
+(* Adaptive block sizing and online compaction: block-size picking and
+   clamping, in-place reblocking invariants, the adaptive-sizing
+   serialization extension (flags bit 3), per-container buffer-pool
+   invalidation accounting, the compactor's copy-on-write container
+   swap (including under genuinely concurrent serve clients),
+   profile-report consumption, and the drift-triggered auto-compaction
+   loop. *)
 
 open Xquec_core
 module Obs = Xquec_obs
@@ -179,68 +179,11 @@ let test_invalidate_container_accounting () =
     (Storage.Buffer_pool.invalidate_container ~uid:c1.Storage.Container.uid)
 
 (* ------------------------------------------------------------------ *)
-(* Sequential prefetch                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_sequential_prefetch () =
-  with_fresh_telemetry @@ fun () ->
-  (* force the inline decode path so the read-ahead pattern (and so the
-     hit/miss ledger) is deterministic *)
-  let saved_pool = Storage.Domain_pool.size () in
-  Storage.Domain_pool.set_size 0;
-  let finally () =
-    Storage.Container.set_prefetch_depth 0;
-    Storage.Domain_pool.set_size saved_pool
-  in
-  Fun.protect ~finally @@ fun () ->
-  let engine = fresh_engine () in
-  let repo = Engine.repo engine in
-  let c = container_of repo names_path in
-  (* one record per block: the longest possible sequential run *)
-  Storage.Container.reblock c ~block_size:1;
-  let nblocks = Storage.Container.block_count c in
-  Alcotest.(check bool) "enough blocks to scan through" true (nblocks > 4);
-  let walk () =
-    Array.init (Storage.Container.length c) (fun i ->
-        (Storage.Container.get c i).Storage.Container.code)
-  in
-  (* control: depth 0 decodes every block on demand *)
-  Storage.Container.set_prefetch_depth 0;
-  Storage.Buffer_pool.clear ();
-  Storage.Buffer_pool.reset_stats ();
-  let codes_off = walk () in
-  let off = Storage.Buffer_pool.snapshot () in
-  Alcotest.(check int) "no read-ahead: one miss per block" nblocks
-    off.Storage.Buffer_pool.s_misses;
-  Alcotest.(check int) "no read-ahead: no prefetch fills" 0
-    off.Storage.Buffer_pool.s_prefetch_fills;
-  (* read-ahead: the run is detected at the second block, everything
-     after arrives through the prefetch window *)
-  Storage.Container.set_prefetch_depth 3;
-  Storage.Buffer_pool.clear ();
-  Storage.Buffer_pool.reset_stats ();
-  let codes_on = walk () in
-  let on = Storage.Buffer_pool.snapshot () in
-  Alcotest.(check int) "read-ahead: only the first two blocks miss" 2
-    on.Storage.Buffer_pool.s_misses;
-  Alcotest.(check int) "read-ahead: the rest were prefetched" (nblocks - 2)
-    on.Storage.Buffer_pool.s_prefetch_fills;
-  Alcotest.(check int) "every prefetched block was then used" (nblocks - 2)
-    on.Storage.Buffer_pool.s_prefetch_hits;
-  Alcotest.(check bool) "demand misses strictly reduced" true
-    (on.Storage.Buffer_pool.s_misses < off.Storage.Buffer_pool.s_misses);
-  Alcotest.(check (array string)) "identical records either way" codes_off codes_on
-
-(* ------------------------------------------------------------------ *)
 (* Compactor: plan + copy-on-write swap                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_compactor_swap_and_plan () =
   with_fresh_telemetry @@ fun () ->
-  let saved_pool = Storage.Domain_pool.size () in
-  Storage.Domain_pool.set_size 0;
-  Fun.protect ~finally:(fun () -> Storage.Domain_pool.set_size saved_pool)
-  @@ fun () ->
   let engine = fresh_engine () in
   let repo = Engine.repo engine in
   let q = "document(\"auction.xml\")/site/people/person[@id = \"person1\"]/name" in
@@ -284,8 +227,7 @@ let test_compactor_swap_and_plan () =
     targets;
   Alcotest.(check bool) "empty request refuses" false
     (Storage.Compactor.request repo ~targets:[]);
-  (* sequential pool: the request runs inline and completes before
-     returning *)
+  (* the request runs on the caller and completes before returning *)
   Alcotest.(check bool) "request starts" true (Storage.Compactor.request repo ~targets);
   Alcotest.(check bool) "inline request already finished" false (Storage.Compactor.busy ());
   Alcotest.(check int) "requested compaction applied" 1024
@@ -397,10 +339,6 @@ let test_recommendations_of_report () =
 
 let test_auto_compact_on_sustained_drift () =
   with_fresh_telemetry @@ fun () ->
-  let saved_pool = Storage.Domain_pool.size () in
-  Storage.Domain_pool.set_size 0;
-  Fun.protect ~finally:(fun () -> Storage.Domain_pool.set_size saved_pool)
-  @@ fun () ->
   (* the bigger document keeps eq selectivity on @id under the 5 %
      shrink threshold (1 match among ~35 candidates) *)
   let engine = Engine.load ~name:"auction.xml" (Lazy.force xmark_xml_big) in
@@ -461,7 +399,6 @@ let suites =
           test_block_size_epoch_roundtrip;
         Alcotest.test_case "invalidate_container accounting." `Quick
           test_invalidate_container_accounting;
-        Alcotest.test_case "sequential prefetch." `Quick test_sequential_prefetch;
         Alcotest.test_case "compactor swap + plan." `Quick test_compactor_swap_and_plan;
         Alcotest.test_case "mid-run swap under concurrent clients." `Quick
           test_midrun_swap_under_concurrent_clients;

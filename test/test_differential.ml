@@ -53,8 +53,7 @@ let test_huffman_everywhere () =
 (* The block merge join is an optimization, never a semantics change:
    its answer must be byte-identical to the hash join's on randomized
    inputs (duplicate-heavy keys so equal runs straddle block
-   boundaries), across block sizes from 1 KiB to 64 KiB, both decode
-   pool shapes (sequential and 4 domains), and both join
+   boundaries), across block sizes from 1 KiB to 64 KiB and both join
    orientations. *)
 let test_block_join_vs_hash () =
   let mk_doc ~items ~lookups ~keyspace ~seed =
@@ -84,39 +83,31 @@ let test_block_join_vs_hash () =
     ]
   in
   let saved_bs = Storage.Container.default_block_size () in
-  let saved_domains = Storage.Domain_pool.size () in
   let block_joins = ref 0 in
   Fun.protect
     ~finally:(fun () ->
       Storage.Container.set_default_block_size saved_bs;
-      Storage.Domain_pool.set_size saved_domains;
       Xquec_core.Executor.set_block_join true)
   @@ fun () ->
   List.iter
     (fun bs ->
       Storage.Container.set_default_block_size bs;
       List.iter
-        (fun domains ->
-          Storage.Domain_pool.set_size domains;
+        (fun seed ->
+          let xml = mk_doc ~items:600 ~lookups:25 ~keyspace:200 ~seed in
+          let eng = Xquec_core.Engine.load ~name:"j.xml" ~workload:queries xml in
           List.iter
-            (fun seed ->
-              let xml = mk_doc ~items:600 ~lookups:25 ~keyspace:200 ~seed in
-              let eng = Xquec_core.Engine.load ~name:"j.xml" ~workload:queries xml in
-              List.iter
-                (fun q ->
-                  Xquec_core.Executor.set_block_join false;
-                  let hash = Xquec_core.Engine.query_serialized eng q in
-                  Xquec_core.Executor.set_block_join true;
-                  Xquec_core.Executor.reset_join_stats ();
-                  let block = Xquec_core.Engine.query_serialized eng q in
-                  let s = Xquec_core.Executor.join_stats () in
-                  block_joins := !block_joins + s.Xquec_core.Executor.j_block_joins;
-                  Alcotest.(check string)
-                    (Printf.sprintf "bs=%d domains=%d seed=%d" bs domains seed)
-                    hash block)
-                queries)
-            [ 1; 2; 3 ])
-        [ 0; 4 ])
+            (fun q ->
+              Xquec_core.Executor.set_block_join false;
+              let hash = Xquec_core.Engine.query_serialized eng q in
+              Xquec_core.Executor.set_block_join true;
+              Xquec_core.Executor.reset_join_stats ();
+              let block = Xquec_core.Engine.query_serialized eng q in
+              let s = Xquec_core.Executor.join_stats () in
+              block_joins := !block_joins + s.Xquec_core.Executor.j_block_joins;
+              Alcotest.(check string) (Printf.sprintf "bs=%d seed=%d" bs seed) hash block)
+            queries)
+        [ 1; 2; 3 ])
     [ 1024; 4096; 65536 ];
   Alcotest.(check bool) "block join exercised at least once" true (!block_joins > 0)
 

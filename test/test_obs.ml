@@ -194,7 +194,7 @@ let test_histogram_percentiles () =
 let test_prometheus_exposition () =
   with_fresh_telemetry @@ fun () ->
   Obs.Metrics.incr ~by:3 "serve.queries";
-  Obs.Metrics.set_gauge "decodepool.domains" 4.0;
+  Obs.Metrics.set_gauge "bufferpool.resident_blocks" 4.0;
   Obs.Metrics.observe "serve.query_ms" 0.5;
   Obs.Metrics.observe "serve.query_ms" 3.0;
   Obs.Metrics.incr ~by:7 "container./site/a/#text.blocks_decoded";
@@ -205,8 +205,8 @@ let test_prometheus_exposition () =
     [
       "# TYPE xquec_serve_queries counter";
       "xquec_serve_queries 3";
-      "# TYPE xquec_decodepool_domains gauge";
-      "xquec_decodepool_domains 4";
+      "# TYPE xquec_bufferpool_resident_blocks gauge";
+      "xquec_bufferpool_resident_blocks 4";
       "# TYPE xquec_serve_query_ms histogram";
       "xquec_serve_query_ms_bucket{le=\"+Inf\"} 2";
       "xquec_serve_query_ms_sum 3.5";
@@ -229,15 +229,12 @@ let test_prometheus_exposition () =
   Alcotest.(check (float 1e-9)) "last bucket = count" 2.0
     (List.nth bucket_counts (List.length bucket_counts - 1))
 
-(* The tentpole acceptance: decode work run on the domain pool lands in
-   per-domain ring buffers, and the merged chrome trace shows it on
-   distinct worker tids. Two tasks rendezvous before returning, so no
-   single domain can drain both. *)
+(* Spans recorded on other domains (serve's workers) land in per-domain
+   ring buffers, and the merged chrome trace shows them on distinct
+   tids. Two spawned domains rendezvous inside their spans, so both are
+   open at once on different domains. *)
 let test_spans_from_worker_domains () =
   with_fresh_telemetry @@ fun () ->
-  let saved = Storage.Domain_pool.size () in
-  Fun.protect ~finally:(fun () -> Storage.Domain_pool.set_size saved) @@ fun () ->
-  Storage.Domain_pool.set_size 2;
   let m = Mutex.create () in
   let c = Condition.create () in
   let started = ref 0 in
@@ -251,7 +248,7 @@ let test_spans_from_worker_domains () =
         done;
         Mutex.unlock m)
   in
-  Storage.Domain_pool.run [| task; task |];
+  List.iter Domain.join [ Domain.spawn task; Domain.spawn task ];
   let tids =
     Obs.Trace.spans ()
     |> List.filter (fun (s : Obs.Trace.span) -> s.Obs.Trace.name = "decode.task")
@@ -567,7 +564,7 @@ let test_expo_http_roundtrip () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("metrics contains " ^ needle) true (contains ~needle body))
-    [ "# TYPE"; "xquec_bufferpool_hits"; "xquec_decodepool_domains" ];
+    [ "# TYPE"; "xquec_bufferpool_hits"; "xquec_compactor_busy" ];
   (* query over POST and percent-encoded GET *)
   let q = "document(\"xmark.xml\")/site/people/person[@id = \"person1\"]/name" in
   let status, body = http_request ~port ~meth:"POST" ~body:q "/query" in

@@ -284,7 +284,7 @@ let test_executor_pruning_via_counters () =
     (s1.Buffer_pool.s_blocks_skipped - s0.Buffer_pool.s_blocks_skipped > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel decode: domain pool + thread-safe buffer pool              *)
+(* Concurrent readers of the thread-safe buffer pool                   *)
 (* ------------------------------------------------------------------ *)
 
 let read_fixture name =
@@ -295,48 +295,27 @@ let read_fixture name =
   close_in ic;
   s
 
-(* Run [f] with the decode pool resized to [n] domains, restoring the
-   ambient size (whatever $XQUEC_DECODE_DOMAINS / the host picked)
-   afterwards so the other suites keep their configuration. *)
-let with_pool_size n f =
-  let saved = Domain_pool.size () in
-  Domain_pool.set_size n;
-  Fun.protect ~finally:(fun () -> Domain_pool.set_size saved) f
-
 let record_list (rs : Container.record array) =
   Array.to_list rs |> List.map (fun (r : Container.record) -> (r.Container.code, r.Container.parent))
 
-let test_parallel_scan_parity () =
+let test_scan_parity () =
   let c = blocky_container ~n:60 () in
-  let reference =
-    with_pool_size 0 (fun () ->
-        Buffer_pool.clear ();
-        record_list (Container.scan c))
+  let expected = List.init 60 (fun i -> Printf.sprintf "v%03d" i) in
+  let plain rs =
+    List.map (fun (code, _) -> Compress.Codec.decompress c.Container.model code) rs
   in
-  List.iter
-    (fun domains ->
-      with_pool_size domains (fun () ->
-          Buffer_pool.clear ();
-          let cold = record_list (Container.scan c) in
-          Alcotest.(check bool)
-            (Printf.sprintf "cold scan identical at %d domains" domains)
-            true (cold = reference);
-          let warm = record_list (Container.scan c) in
-          Alcotest.(check bool)
-            (Printf.sprintf "warm scan identical at %d domains" domains)
-            true (warm = reference);
-          (* the pruned access paths agree too *)
-          Buffer_pool.clear ();
-          let eq = Container.lookup_eq c (Container.compress_constant c "v007") in
-          Alcotest.(check int)
-            (Printf.sprintf "lookup_eq at %d domains" domains)
-            1 (List.length eq);
-          Buffer_pool.clear ();
-          let r = Container.range c ~lo:5 ~hi:35 in
-          Alcotest.(check int)
-            (Printf.sprintf "range size at %d domains" domains)
-            30 (List.length r)))
-    [ 1; 2; 4 ]
+  Buffer_pool.clear ();
+  let cold = record_list (Container.scan c) in
+  Alcotest.(check (list string)) "cold scan yields every value in order" expected (plain cold);
+  let warm = record_list (Container.scan c) in
+  Alcotest.(check bool) "warm scan identical to cold" true (warm = cold);
+  (* the pruned access paths agree too *)
+  Buffer_pool.clear ();
+  let eq = Container.lookup_eq c (Container.compress_constant c "v007") in
+  Alcotest.(check int) "lookup_eq" 1 (List.length eq);
+  Buffer_pool.clear ();
+  let r = Container.range c ~lo:5 ~hi:35 in
+  Alcotest.(check int) "range size" 30 (List.length r)
 
 let test_parallel_latch_dedup () =
   (* N raw domains scanning the same cold container concurrently: the
@@ -344,52 +323,32 @@ let test_parallel_latch_dedup () =
      (= decode thunk runs) stays <= the block count, and every domain
      sees the same records. *)
   let c = blocky_container ~n:50 () in
-  with_pool_size 0 (fun () ->
-      (* pool size 0: contention comes purely from the raw domains, so
-         the miss accounting below isn't mixed with helper activity *)
-      Buffer_pool.clear ();
-      let reference = record_list (Container.scan c) in
-      Buffer_pool.clear ();
-      let s0 = Buffer_pool.snapshot () in
-      let scans =
-        List.init 4 (fun _ -> Domain.spawn (fun () -> record_list (Container.scan c)))
-      in
-      let results = List.map Domain.join scans in
-      let s1 = Buffer_pool.snapshot () in
-      List.iteri
-        (fun i r ->
-          Alcotest.(check bool)
-            (Printf.sprintf "domain %d scan identical" i)
-            true (r = reference))
-        results;
-      let misses = s1.Buffer_pool.s_misses - s0.Buffer_pool.s_misses in
-      Alcotest.(check bool) "each block decoded at most once" true
-        (misses <= Container.block_count c);
-      (* 4 scans x 50 blocks = 200 accesses, each exactly one of
-         hit / miss / latch wait *)
-      let hits = s1.Buffer_pool.s_hits - s0.Buffer_pool.s_hits in
-      let waits = s1.Buffer_pool.s_latch_waits - s0.Buffer_pool.s_latch_waits in
-      Alcotest.(check int) "accesses partition into hit/miss/wait"
-        (4 * Container.block_count c)
-        (hits + misses + waits))
+  Buffer_pool.clear ();
+  let reference = record_list (Container.scan c) in
+  Buffer_pool.clear ();
+  let s0 = Buffer_pool.snapshot () in
+  let scans = List.init 4 (fun _ -> Domain.spawn (fun () -> record_list (Container.scan c))) in
+  let results = List.map Domain.join scans in
+  let s1 = Buffer_pool.snapshot () in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d scan identical" i) true (r = reference))
+    results;
+  let misses = s1.Buffer_pool.s_misses - s0.Buffer_pool.s_misses in
+  Alcotest.(check bool) "each block decoded at most once" true
+    (misses <= Container.block_count c);
+  (* 4 scans x 50 blocks = 200 accesses, each exactly one of
+     hit / miss / latch wait *)
+  let hits = s1.Buffer_pool.s_hits - s0.Buffer_pool.s_hits in
+  let waits = s1.Buffer_pool.s_latch_waits - s0.Buffer_pool.s_latch_waits in
+  Alcotest.(check int) "accesses partition into hit/miss/wait"
+    (4 * Container.block_count c)
+    (hits + misses + waits)
 
-let test_prefetch_blocks () =
-  let c = blocky_container ~n:30 () in
-  with_pool_size 2 (fun () ->
-      Buffer_pool.clear ();
-      Container.prefetch_blocks c ~b0:0 ~b1:(Container.block_count c - 1);
-      let s0 = Buffer_pool.snapshot () in
-      ignore (Container.scan c);
-      let s1 = Buffer_pool.snapshot () in
-      Alcotest.(check int) "scan after prefetch decodes nothing" 0
-        (s1.Buffer_pool.s_misses - s0.Buffer_pool.s_misses);
-      Alcotest.(check int) "scan after prefetch all hits"
-        (Container.block_count c)
-        (s1.Buffer_pool.s_hits - s0.Buffer_pool.s_hits))
-
-let test_sequential_parity_v1_fixture () =
-  (* --decode-domains 0 on the v1 fixture must agree with a parallel
-     pool, and must never block on a latch (no other domain exists). *)
+let test_v1_fixture_answers () =
+  (* one domain reading the v1 fixture: answers decoded on a cold pool
+     equal the warm (all-hit) ones, and no fetch ever blocks on a latch
+     (no other domain decodes) *)
   let data = read_fixture "v1_small.xqc" in
   let queries =
     [
@@ -398,24 +357,20 @@ let test_sequential_parity_v1_fixture () =
       "document(\"v1_small.xml\")/site/people/person[@id = \"p2\"]";
     ]
   in
-  let answers domains =
-    with_pool_size domains (fun () ->
-        Buffer_pool.clear ();
-        let repo = Repository.deserialize data in
-        let s0 = Buffer_pool.snapshot () in
-        let out =
-          List.map
-            (fun q ->
-              Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
-            queries
-        in
-        let s1 = Buffer_pool.snapshot () in
-        (out, s1.Buffer_pool.s_latch_waits - s0.Buffer_pool.s_latch_waits))
+  Buffer_pool.clear ();
+  let repo = Repository.deserialize data in
+  let answers () =
+    List.map
+      (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
+      queries
   in
-  let (seq, seq_waits) = answers 0 in
-  let (par, _) = answers 4 in
-  Alcotest.(check (list string)) "0-domain answers = 4-domain answers" seq par;
-  Alcotest.(check int) "sequential path never waits on a latch" 0 seq_waits
+  let s0 = Buffer_pool.snapshot () in
+  let cold = answers () in
+  let warm = answers () in
+  let s1 = Buffer_pool.snapshot () in
+  Alcotest.(check (list string)) "cold answers = warm answers" cold warm;
+  Alcotest.(check int) "one decoding domain never waits on a latch" 0
+    (s1.Buffer_pool.s_latch_waits - s0.Buffer_pool.s_latch_waits)
 
 (* ------------------------------------------------------------------ *)
 (* distinct_parents precompute                                         *)
@@ -883,10 +838,9 @@ let suites =
         Alcotest.test_case "scan-resistant tail admission" `Quick test_scan_resistant_admission;
         Alcotest.test_case "scan admission via container" `Quick test_scan_admission_via_container;
         Alcotest.test_case "executor pruning skips decodes" `Quick test_executor_pruning_via_counters;
-        Alcotest.test_case "parallel scan parity (1/2/4 domains)" `Quick test_parallel_scan_parity;
+        Alcotest.test_case "cold/warm scan parity" `Quick test_scan_parity;
         Alcotest.test_case "latch dedup under contention" `Quick test_parallel_latch_dedup;
-        Alcotest.test_case "prefetch warms the pool" `Quick test_prefetch_blocks;
-        Alcotest.test_case "decode-domains 0 parity on v1 fixture" `Quick test_sequential_parity_v1_fixture;
+        Alcotest.test_case "v1 fixture cold/warm parity" `Quick test_v1_fixture_answers;
         Alcotest.test_case "distinct_parents precompute" `Quick test_distinct_parents_bit;
         Alcotest.test_case "distinct_parents persisted / recomputed" `Quick test_distinct_parents_persisted;
         Alcotest.test_case "bare-element predicate pruned" `Quick test_bare_element_predicate_pruned;
