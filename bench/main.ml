@@ -1353,8 +1353,8 @@ let serve () =
 (* Drift watchdog: streaming overhead + deterministic alerting         *)
 (* ------------------------------------------------------------------ *)
 
-(* Three claims gated here: (1) the watchdog's per-query fan-in (two
-   heat snapshots + one windowed aggregation) costs <= 2% wall time on
+(* Three claims gated here: (1) the watchdog's per-query fan-in (one
+   windowed aggregation of the query's ledger) costs <= 2% wall time on
    the serve path — A/B via Watch.set_enabled with the same finely
    interleaved best-of scheme as the heat experiment; (2) streaming
    the declared mix against its own fingerprint scores drift ~0 —
@@ -1377,15 +1377,6 @@ let watch () =
       Alert.set_rules [];
       Xquec_obs.set_enabled was_enabled)
   @@ fun () ->
-  (* drop heat registrations accumulated by earlier experiments, then
-     re-register this engine's containers: a server process tracks one
-     engine, and the fan-in snapshots the whole table per query, so
-     dozens of stale engines would overstate the overhead several-fold *)
-  Xquec_obs.Heat.clear ();
-  Array.iter
-    (fun (c : Storage.Container.t) ->
-      Xquec_obs.Heat.register ~uid:c.uid ~label:c.path ~blocks:(Array.length c.blocks))
-    (Xquec_core.Engine.repo engine).Storage.Repository.containers;
   (* --- overhead: serve-path queries with the fan-in on vs off ------- *)
   let queries =
     List.map (fun id -> (Xmark.Queries.by_id id).Xmark.Queries.text) Xmark.Queries.fig7_ids

@@ -457,7 +457,7 @@ let serve_cmd =
       | None -> max 1 (Domain.recommended_domain_count () - 1)
     in
     Xquec_core.Plan_cache.set_capacity plan_cache;
-    Xquec_core.Serve.set_budgets ~wall_ms:query_wall_ms
+    Xquec_obs.Ledger.set_limits ~wall_ms:query_wall_ms
       ~decode_bytes:(int_of_float (query_decode_mb *. 1024.0 *. 1024.0))
       ();
     let engine, format = load_engine_any_with_format input in

@@ -39,12 +39,6 @@ let compile (text : string) : Xquery.Ast.expr * Plan_cache.lookup =
 let query (t : t) (text : string) : Executor.item list =
   Executor.run t.repo (parse_query text)
 
-(** Evaluate with per-operator profiling: returns the results plus the
-    annotated physical plan tree. *)
-let query_profiled (t : t) (text : string) :
-    Executor.item list * Xquec_obs.Explain.node =
-  Executor.run_profiled t.repo (parse_query text)
-
 let query_ast (t : t) (ast : Xquery.Ast.expr) : Executor.item list = Executor.run t.repo ast
 
 (** Evaluate and serialize (decompressing the result, as the paper's QET
@@ -60,223 +54,139 @@ let iso8601 (t : float) : string =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
     (int_of_float (Float.rem t 1.0 *. 1000.0))
 
-let cpu_ms () =
-  let tms = Unix.times () in
-  (tms.Unix.tms_utime +. tms.Unix.tms_stime) *. 1000.0
+(* What the log record needs of the clocks before and after a query.
+   Only read when the query log is on: CPU time is a system call. *)
+type clock = { ts : float; us : float; cpu_ms : float; alloc : float; gc : Gc.stat }
 
-(** Evaluate, serialize, and append one record to the JSONL query log
-    ({!Xquec_obs.Query_log}) accounting for the query's full cost: wall
-    and CPU time, the profiled plan (shape + per-operator
-    cardinalities), buffer-pool and join counter deltas, bytes
-    decoded vs. bytes pruned, and GC allocation deltas. Also returns
-    the profile so callers (EXPLAIN, serve) can render it. The deltas
-    are taken around evaluation {e and} serialization, so they
-    reconcile with the CLI's [--stats] pool summary for a
-    single-query run. When no log file is configured this is
-    {!query_profiled} + serialization without the bookkeeping.
+let read_clock () =
+  let tms = Unix.times () in
+  {
+    ts = Unix.gettimeofday ();
+    us = Xquec_obs.Trace.now_us ();
+    cpu_ms = (tms.Unix.tms_utime +. tms.Unix.tms_stime) *. 1000.0;
+    alloc = Gc.allocated_bytes ();
+    gc = Gc.quick_stat ();
+  }
+
+(* The JSONL query-log record of one query: its costs come from its
+   ledger [l]; wall and CPU time and GC figures from the clocks read
+   around it. *)
+let log_record ~admission ~text ~items ~out ~prof ~(c0 : clock) ~(c1 : clock)
+    (l : Xquec_obs.Ledger.t) : Xquec_obs.Json.t =
+  let module Json = Xquec_obs.Json in
+  let module L = Xquec_obs.Ledger in
+  let n name v = (name, Json.Num (float_of_int v)) in
+  let containers =
+    List.map
+      (fun (c : L.container) ->
+        Json.Obj
+          [
+            ("container", Json.Str c.c_label);
+            n "touches" c.c_touches;
+            n "decodes" c.c_decodes;
+            n "hits" (max 0 (c.c_touches - c.c_decodes));
+            n "header_skips" c.c_header_skips;
+            n "decoded_bytes" c.c_bytes_decoded;
+            n "skipped_bytes" c.c_bytes_skipped;
+          ])
+      (L.containers l)
+  in
+  let predicates =
+    List.map
+      (fun (o : Xquec_obs.Profile.obs) ->
+        Json.Obj
+          [
+            ("container", Json.Str o.ob_container);
+            ("kind", Json.Str o.ob_kind);
+            n "candidates" o.ob_candidates;
+            n "matches" o.ob_matches;
+          ])
+      (L.predicates l)
+  in
+  Json.Obj
+    ([
+       ("ts", Json.Str (iso8601 c0.ts));
+       ("query_hash", Json.Str (query_hash text));
+       ("query", Json.Str text);
+       ("plan_shape", Json.Str (Xquec_obs.Explain.shape prof));
+       ("wall_ms", Json.Num ((c1.us -. c0.us) /. 1000.0));
+       ("cpu_ms", Json.Num (c1.cpu_ms -. c0.cpu_ms));
+       n "rows" (List.length items);
+       n "result_bytes" (String.length out);
+       ( "bytes",
+         Json.Obj
+           [
+             n "decoded" l.decoded_bytes;
+             n "payload_decoded" l.payload_decoded;
+             n "payload_skipped" l.payload_skipped;
+           ] );
+       ( "pool",
+         Json.Obj
+           [
+             n "hits" l.hits;
+             n "misses" l.misses;
+             n "latch_waits" l.latch_waits;
+             n "evictions" l.evictions;
+             n "blocks_skipped" l.blocks_skipped;
+             n "scan_inserts" l.scan_inserts;
+           ] );
+       ( "join",
+         Json.Obj
+           [
+             n "block_joins" l.block_joins;
+             n "blocks_probed" l.join_blocks_probed;
+             n "blocks_skipped" l.join_blocks_skipped;
+             n "skipped_bytes" l.join_skipped_bytes;
+           ] );
+       ( "gc",
+         Json.Obj
+           [
+             ("allocated_bytes", Json.Num (c1.alloc -. c0.alloc));
+             n "minor_collections" (c1.gc.Gc.minor_collections - c0.gc.Gc.minor_collections);
+             n "major_collections" (c1.gc.Gc.major_collections - c0.gc.Gc.major_collections);
+           ] );
+       ("containers", Json.List containers);
+       ("predicates", Json.List predicates);
+       ("plan", Xquec_obs.Explain.summary_json prof);
+     ]
+    @ match admission with Some adm -> [ ("admission", adm) ] | None -> [])
+
+(** Evaluate and serialize inside one {!Xquec_obs.Ledger}: the query's
+    own costs, charged as they happen on this domain. The watchdog
+    observes them and, when a log file is configured, one JSONL record
+    is appended. Also returns the profile so callers (EXPLAIN, serve)
+    can render it. The ledger spans evaluation {e and} serialization:
+    decompressing the result is part of the query's cost (the paper's
+    QET convention), so a single-query run reconciles with the CLI's
+    [--stats] pool summary.
 
     [plan] is a pre-compiled AST (from {!compile}) — when given, the
     parse is skipped; [text] is still used for the log record's hash
     and echo. [admission] is an opaque JSON object the serving layer
     attaches describing how the request was admitted (in-flight depth,
-    plan-cache outcome, armed budgets); it is logged verbatim as the
+    plan-cache outcome, configured limits); it is logged verbatim as the
     record's ["admission"] field. *)
-(* Per-container heat deltas between two snapshots, keyed by pool uid
-   (hashtable lookup, so the diff is linear in the container count).
-   Containers the query did not touch (no touches, header skips or
-   decoded bytes) are dropped; heat disabled yields an empty list. *)
-let heat_delta (heat0 : Xquec_obs.Heat.stat list) (heat1 : Xquec_obs.Heat.stat list) :
-    Xquec_obs.Heat.stat list =
-  let before : (int, Xquec_obs.Heat.stat) Hashtbl.t = Hashtbl.create (List.length heat0) in
-  List.iter (fun (s : Xquec_obs.Heat.stat) -> Hashtbl.replace before s.uid s) heat0;
-  List.filter_map
-    (fun (s1 : Xquec_obs.Heat.stat) ->
-      let z =
-        match Hashtbl.find_opt before s1.uid with
-        | Some s0 ->
-          {
-            s1 with
-            touches = s1.touches - s0.Xquec_obs.Heat.touches;
-            decodes = s1.decodes - s0.Xquec_obs.Heat.decodes;
-            hits = s1.hits - s0.Xquec_obs.Heat.hits;
-            header_skips = s1.header_skips - s0.Xquec_obs.Heat.header_skips;
-            bytes_decoded = s1.bytes_decoded - s0.Xquec_obs.Heat.bytes_decoded;
-            bytes_skipped = s1.bytes_skipped - s0.Xquec_obs.Heat.bytes_skipped;
-          }
-        | None -> s1
-      in
-      if
-        z.Xquec_obs.Heat.touches = 0
-        && z.Xquec_obs.Heat.header_skips = 0
-        && z.Xquec_obs.Heat.bytes_decoded = 0
-      then None
-      else Some z)
-    heat1
-
-(* Feed one query's observations — the same values the log record
-   carries — into the streaming watchdog. *)
-let watch_observe (predicates : Executor.pred_obs list) (deltas : Xquec_obs.Heat.stat list) :
-    unit =
-  Xquec_obs.Watch.observe
-    ~predicates:
-      (List.map
-         (fun (o : Executor.pred_obs) ->
-           {
-             Xquec_obs.Profile.ob_container = o.Executor.o_container;
-             ob_kind = o.Executor.o_kind;
-             ob_candidates = o.Executor.o_candidates;
-             ob_matches = o.Executor.o_matches;
-           })
-         predicates)
-    ~containers:
-      (List.map
-         (fun (z : Xquec_obs.Heat.stat) -> (z.Xquec_obs.Heat.label, z.Xquec_obs.Heat.bytes_decoded))
-         deltas)
-    ()
-
 let query_serialized_logged ?(admission : Xquec_obs.Json.t option)
     ?(plan : Xquery.Ast.expr option) (t : t) (text : string) :
     string * Xquec_obs.Explain.node =
-  let run_profiled () =
-    match plan with
-    | Some ast -> Executor.run_profiled t.repo ast
-    | None -> query_profiled t text
-  in
-  let log_on = Xquec_obs.Query_log.enabled () in
-  let watch_on = Xquec_obs.Watch.enabled () in
-  if not (log_on || watch_on) then begin
-    let items, prof = run_profiled () in
-    (Executor.serialize t.repo items, prof)
-  end
-  else if not log_on then begin
-    (* watchdog only: skip the pool / GC / join bookkeeping the log
-       record needs — one heat diff and the executor's predicate
-       observations are the whole cost *)
-    let heat0 = Xquec_obs.Heat.snapshot () in
-    let items, prof = run_profiled () in
-    let out = Executor.serialize t.repo items in
-    let heat1 = Xquec_obs.Heat.snapshot () in
-    watch_observe (Executor.predicate_observations ()) (heat_delta heat0 heat1);
-    (out, prof)
-  end
-  else begin
-    let module Json = Xquec_obs.Json in
-    let started_at = Unix.gettimeofday () in
-    let pool0 = Buffer_pool.snapshot () in
-    let j0 = Executor.join_stats () in
-    let heat0 = Xquec_obs.Heat.snapshot () in
-    let gc_alloc0 = Gc.allocated_bytes () in
-    let gc0 = Gc.quick_stat () in
-    let cpu0 = cpu_ms () in
-    let t0 = Xquec_obs.Trace.now_us () in
-    let items, prof = run_profiled () in
-    let out = Executor.serialize t.repo items in
-    (* deltas taken after serialization: decompressing the result is
-       part of the query's cost (the paper's QET convention) *)
-    let wall_ms = (Xquec_obs.Trace.now_us () -. t0) /. 1000.0 in
-    let cpu = cpu_ms () -. cpu0 in
-    let pool1 = Buffer_pool.snapshot () in
-    let j1 = Executor.join_stats () in
-    let heat1 = Xquec_obs.Heat.snapshot () in
-    let gc_alloc1 = Gc.allocated_bytes () in
-    let gc1 = Gc.quick_stat () in
-    let n name v = (name, Json.Num (float_of_int v)) in
-    (* per-container heat deltas and the executor's predicate
-       observations: computed once, feeding both the log record and
-       the streaming watchdog (the watchdog sees exactly the values
-       the log records, so the two fingerprints agree). *)
-    let deltas = heat_delta heat0 heat1 in
-    let pred_obs = Executor.predicate_observations () in
-    if watch_on then watch_observe pred_obs deltas;
-    let containers =
-      List.map
-        (fun (z : Xquec_obs.Heat.stat) ->
-          Json.Obj
-            [
-              ("container", Json.Str z.Xquec_obs.Heat.label);
-              n "touches" z.Xquec_obs.Heat.touches;
-              n "decodes" z.Xquec_obs.Heat.decodes;
-              n "hits" z.Xquec_obs.Heat.hits;
-              n "header_skips" z.Xquec_obs.Heat.header_skips;
-              n "decoded_bytes" z.Xquec_obs.Heat.bytes_decoded;
-              n "skipped_bytes" z.Xquec_obs.Heat.bytes_skipped;
-            ])
-        deltas
-    in
-    (* container-resolved predicate observations of this evaluation *)
-    let predicates =
-      List.map
-        (fun (o : Executor.pred_obs) ->
-          Json.Obj
-            [
-              ("container", Json.Str o.Executor.o_container);
-              ("kind", Json.Str o.Executor.o_kind);
-              n "candidates" o.Executor.o_candidates;
-              n "matches" o.Executor.o_matches;
-            ])
-        pred_obs
-    in
-    let record =
-      Json.Obj
-        [
-          ("ts", Json.Str (iso8601 started_at));
-          ("query_hash", Json.Str (query_hash text));
-          ("query", Json.Str text);
-          ("plan_shape", Json.Str (Xquec_obs.Explain.shape prof));
-          ("wall_ms", Json.Num wall_ms);
-          ("cpu_ms", Json.Num cpu);
-          n "rows" (List.length items);
-          n "result_bytes" (String.length out);
-          ( "bytes",
-            Json.Obj
-              [
-                n "decoded" (pool1.Buffer_pool.s_decoded_bytes - pool0.Buffer_pool.s_decoded_bytes);
-                n "payload_decoded"
-                  (pool1.Buffer_pool.s_payload_bytes - pool0.Buffer_pool.s_payload_bytes);
-                n "payload_skipped"
-                  (pool1.Buffer_pool.s_skipped_bytes - pool0.Buffer_pool.s_skipped_bytes);
-              ] );
-          ( "pool",
-            Json.Obj
-              [
-                n "hits" (pool1.Buffer_pool.s_hits - pool0.Buffer_pool.s_hits);
-                n "misses" (pool1.Buffer_pool.s_misses - pool0.Buffer_pool.s_misses);
-                n "latch_waits"
-                  (pool1.Buffer_pool.s_latch_waits - pool0.Buffer_pool.s_latch_waits);
-                n "evictions" (pool1.Buffer_pool.s_evictions - pool0.Buffer_pool.s_evictions);
-                n "blocks_skipped"
-                  (pool1.Buffer_pool.s_blocks_skipped - pool0.Buffer_pool.s_blocks_skipped);
-                n "scan_inserts"
-                  (pool1.Buffer_pool.s_scan_inserts - pool0.Buffer_pool.s_scan_inserts);
-              ] );
-          ( "join",
-            Json.Obj
-              [
-                n "block_joins" (j1.Executor.j_block_joins - j0.Executor.j_block_joins);
-                n "blocks_probed" (j1.Executor.j_blocks_probed - j0.Executor.j_blocks_probed);
-                n "blocks_skipped" (j1.Executor.j_blocks_skipped - j0.Executor.j_blocks_skipped);
-                n "skipped_bytes" (j1.Executor.j_skipped_bytes - j0.Executor.j_skipped_bytes);
-              ] );
-          ( "gc",
-            Json.Obj
-              [
-                ("allocated_bytes", Json.Num (gc_alloc1 -. gc_alloc0));
-                n "minor_collections" (gc1.Gc.minor_collections - gc0.Gc.minor_collections);
-                n "major_collections" (gc1.Gc.major_collections - gc0.Gc.major_collections);
-              ] );
-          ("containers", Json.List containers);
-          ("predicates", Json.List predicates);
-          ("plan", Xquec_obs.Explain.summary_json prof);
-        ]
-    in
-    let record =
-      match (admission, record) with
-      | Some adm, Json.Obj fields -> Json.Obj (fields @ [ ("admission", adm) ])
-      | _ -> record
-    in
-    Xquec_obs.Query_log.append record;
-    (out, prof)
-  end
+  Xquec_obs.Ledger.with_ledger @@ fun l ->
+  let c0 = if Xquec_obs.Query_log.enabled () then Some (read_clock ()) else None in
+  let ast = match plan with Some ast -> ast | None -> parse_query text in
+  let items, prof = Executor.run_profiled t.repo ast in
+  let out = Executor.serialize t.repo items in
+  let clocks = Option.map (fun c0 -> (c0, read_clock ())) c0 in
+  if Xquec_obs.Watch.enabled () then
+    Xquec_obs.Watch.observe ~predicates:(Xquec_obs.Ledger.predicates l)
+      ~containers:
+        (List.map
+           (fun (c : Xquec_obs.Ledger.container) -> (c.c_label, c.c_bytes_decoded))
+           (Xquec_obs.Ledger.containers l))
+      ();
+  Option.iter
+    (fun (c0, c1) ->
+      Xquec_obs.Query_log.append (log_record ~admission ~text ~items ~out ~prof ~c0 ~c1 l))
+    clocks;
+  (out, prof)
 
 let compression_factor (t : t) = Repository.compression_factor t.repo
 

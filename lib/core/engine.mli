@@ -36,10 +36,6 @@ val compile : string -> Xquery.Ast.expr * Plan_cache.lookup
     compressed-domain representation where possible). *)
 val query : t -> string -> Executor.item list
 
-(** Evaluate with per-operator profiling: results plus the annotated
-    physical plan tree (see {!Xquec_obs.Explain}). *)
-val query_profiled : t -> string -> Executor.item list * Xquec_obs.Explain.node
-
 (** Evaluate an already-parsed query. *)
 val query_ast : t -> Xquery.Ast.expr -> Executor.item list
 
@@ -47,21 +43,26 @@ val query_ast : t -> Xquery.Ast.expr -> Executor.item list
     measurements do). *)
 val query_serialized : t -> string -> string
 
-(** Evaluate, serialize, and — when a query-log file is configured
-    (see {!Xquec_obs.Query_log}) — append exactly one JSONL record
-    accounting for the query's full cost: wall/CPU time, plan shape
-    and per-operator cardinalities, buffer-pool and join counter
-    deltas, bytes decoded vs. bytes pruned, and GC allocation deltas
-    (schema in [docs/OBSERVABILITY.md]). Deltas are taken around
-    evaluation {e and} serialization, so they reconcile with the
-    [--stats] pool summary of a single-query run. Also returns the
-    profiled plan.
+(** Evaluate and serialize inside one {!Xquec_obs.Ledger} opened on
+    the calling domain, so the query's costs are its own even when
+    other domains evaluate at the same time. The watchdog
+    ({!Xquec_obs.Watch}) observes its predicates and per-container
+    decoded bytes; when a query-log file is configured
+    ({!Xquec_obs.Query_log}) exactly one JSONL record is appended with
+    the ledger's bytes decoded vs. pruned, buffer-pool and join counts,
+    per-container touches and predicate observations, plus plan shape
+    and per-operator cardinalities, wall and CPU time and GC figures
+    (schema in [docs/OBSERVABILITY.md]). The ledger spans evaluation
+    {e and} serialization, so a single-query run reconciles with the
+    [--stats] pool summary. Limits set with
+    {!Xquec_obs.Ledger.set_limits} are checked at each block fetch and
+    raise {!Xquec_obs.Ledger.Exceeded}. Also returns the profiled plan.
 
     [plan] (from {!compile}) skips the parse; [text] still provides
     the record's hash and echo. [admission] is attached verbatim as
     the record's ["admission"] field — the serving layer's description
     of how the request was admitted (in-flight depth, plan-cache
-    outcome, armed budgets). *)
+    outcome, configured limits). *)
 val query_serialized_logged :
   ?admission:Xquec_obs.Json.t ->
   ?plan:Xquery.Ast.expr ->

@@ -323,21 +323,21 @@ let item_bindings ctx (b : binding) : binding list =
 (* ------------------------------------------------------------------ *)
 
 (* Stamp the buffer-pool activity of [f]'s whole evaluation onto [node]
-   (inclusive of child operators, same convention as wall time). *)
+   (inclusive of child operators, same convention as wall time), as
+   charged to the query's ledger. *)
 let with_cache_delta (node : Xquec_obs.Explain.node) (f : unit -> 'a) : 'a =
-  let s0 = Storage.Buffer_pool.snapshot () in
-  let v = f () in
-  let s1 = Storage.Buffer_pool.snapshot () in
-  Xquec_obs.Explain.set_cache node
-    ~skipped_bytes:
-      (s1.Storage.Buffer_pool.s_skipped_bytes - s0.Storage.Buffer_pool.s_skipped_bytes)
-    ~hits:(s1.Storage.Buffer_pool.s_hits - s0.Storage.Buffer_pool.s_hits)
-    ~misses:(s1.Storage.Buffer_pool.s_misses - s0.Storage.Buffer_pool.s_misses)
-    ~waits:(s1.Storage.Buffer_pool.s_latch_waits - s0.Storage.Buffer_pool.s_latch_waits)
-    ~skipped:(s1.Storage.Buffer_pool.s_blocks_skipped - s0.Storage.Buffer_pool.s_blocks_skipped)
-    ~decoded_bytes:(s1.Storage.Buffer_pool.s_decoded_bytes - s0.Storage.Buffer_pool.s_decoded_bytes)
-    ();
-  v
+  match Xquec_obs.Ledger.current () with
+  | None -> f ()
+  | Some l ->
+    let open Xquec_obs.Ledger in
+    let hits = l.hits and misses = l.misses and waits = l.latch_waits in
+    let skipped = l.blocks_skipped and skipped_bytes = l.payload_skipped in
+    let decoded_bytes = l.decoded_bytes in
+    let v = f () in
+    Xquec_obs.Explain.set_cache node ~skipped_bytes:(l.payload_skipped - skipped_bytes)
+      ~hits:(l.hits - hits) ~misses:(l.misses - misses) ~waits:(l.latch_waits - waits)
+      ~skipped:(l.blocks_skipped - skipped) ~decoded_bytes:(l.decoded_bytes - decoded_bytes) ();
+    v
 
 (* Run [f] as an operator node; [rows] extracts the output cardinality
    from its result. The label [op] is built only when a profile is
@@ -416,69 +416,16 @@ let note_block_join ~probed ~skipped ~skipped_bytes =
   ignore (Atomic.fetch_and_add a_blocks_probed probed);
   ignore (Atomic.fetch_and_add a_blocks_skipped skipped);
   ignore (Atomic.fetch_and_add a_skipped_bytes skipped_bytes);
+  Xquec_obs.Ledger.charge (fun l ->
+      l.block_joins <- l.block_joins + 1;
+      l.join_blocks_probed <- l.join_blocks_probed + probed;
+      l.join_blocks_skipped <- l.join_blocks_skipped + skipped;
+      l.join_skipped_bytes <- l.join_skipped_bytes + skipped_bytes);
   if Xquec_obs.is_enabled () then begin
     Xquec_obs.Metrics.incr "executor.join.block_joins";
     if probed > 0 then Xquec_obs.Metrics.incr ~by:probed "executor.join.blocks_probed";
     if skipped > 0 then Xquec_obs.Metrics.incr ~by:skipped "executor.join.blocks_skipped"
   end
-
-(* ------------------------------------------------------------------ *)
-(* Predicate-mix observations                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* One container-resolved predicate (pushed-down filter, existence
-   test, or compressed-domain join side) as observed during
-   evaluation — the raw material the engine tags query-log records
-   with and [Obs.Profile] aggregates into a workload fingerprint. *)
-type pred_obs = {
-  o_container : string;  (* container (or summary) path *)
-  o_kind : string;  (* "eq" | "range" | "wild" | "exists" | "join" *)
-  o_candidates : int;  (* records / instances considered *)
-  o_matches : int;  (* records / instances matched *)
-}
-
-(* Merged by (container, kind): per-tuple comparison notes (one per
-   FLWOR tuple) would otherwise contribute thousands of entries, and
-   the fingerprint only needs the sums. First-observation order is
-   kept so the log record is stable.
-
-   The accumulator lives in Domain.DLS so concurrent queries (one per
-   serve worker domain) observe only their own predicates: [run] resets
-   the evaluating domain's slot, predicate sites bump it, and the
-   engine reads it back on the same domain immediately after
-   evaluation. The whole evaluation, block decodes included, runs on
-   that domain, so no observation is ever recorded against another
-   domain's slot. *)
-type pred_obs_state = {
-  po_tbl : (string * string, int ref * int ref) Hashtbl.t;
-  mutable po_order : (string * string) list;
-}
-
-let pred_obs_key : pred_obs_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { po_tbl = Hashtbl.create 16; po_order = [] })
-
-let reset_predicate_observations () =
-  let st = Domain.DLS.get pred_obs_key in
-  Hashtbl.reset st.po_tbl;
-  st.po_order <- []
-
-let predicate_observations () =
-  let st = Domain.DLS.get pred_obs_key in
-  List.rev_map
-    (fun ((container, kind) as key) ->
-      let c, m = Hashtbl.find st.po_tbl key in
-      { o_container = container; o_kind = kind; o_candidates = !c; o_matches = !m })
-    st.po_order
-
-let note_pred ~container ~kind ~candidates ~matches =
-  let st = Domain.DLS.get pred_obs_key in
-  match Hashtbl.find_opt st.po_tbl (container, kind) with
-  | Some (c, m) ->
-    c := !c + candidates;
-    m := !m + matches
-  | None ->
-    Hashtbl.add st.po_tbl (container, kind) (ref candidates, ref matches);
-    st.po_order <- (container, kind) :: st.po_order
 
 (* One (left container, right container) pairing of a block join with
    its header-overlap estimate; a side with several summary nodes
@@ -940,8 +887,8 @@ let pushdown_matches ctx (snodes : Summary.node list) (p : pushable) : int array
       List.concat_map
         (fun ((cont : Container.t), hops) ->
           let records = records_of cont in
-          note_pred ~container:cont.Container.path ~kind ~candidates:(Container.length cont)
-            ~matches:(List.length records);
+          Xquec_obs.Ledger.note_pred ~container:cont.Container.path ~kind
+            ~candidates:(Container.length cont) ~matches:(List.length records);
           List.map
             (fun r -> ancestor_at ctx (record_element ctx cont r) hops)
             records)
@@ -985,7 +932,8 @@ let pushdown_matches ctx (snodes : Summary.node list) (p : pushable) : int array
       List.iter
         (fun (sn : Summary.node) ->
           let n = Array.length sn.Summary.ids in
-          note_pred ~container:sn.Summary.path ~kind:"exists" ~candidates:n ~matches:n)
+          Xquec_obs.Ledger.note_pred ~container:sn.Summary.path ~kind:"exists" ~candidates:n
+            ~matches:n)
         targets;
       let ids =
         List.concat_map
@@ -2023,8 +1971,8 @@ and exec_join ctx base tuples ~prov ~var ~source (op, left_e, right_e) =
      side for the workload fingerprint (atom joins have no container) *)
   (match mode with
   | Mode_code (_, (c : Container.t)) ->
-    note_pred ~container:c.Container.path ~kind:"join" ~candidates:(List.length items)
-      ~matches:(List.length out)
+    Xquec_obs.Ledger.note_pred ~container:c.Container.path ~kind:"join"
+      ~candidates:(List.length items) ~matches:(List.length out)
   | Mode_atom -> ());
   out
 
@@ -2143,18 +2091,19 @@ and exec_block_join ctx ~var (plan : block_plan) : env list =
     ~skipped_bytes:plan.pl_skipped_bytes;
   if plan.pl_skipped > 0 then
     Buffer_pool.note_skipped ~bytes:plan.pl_skipped_bytes plan.pl_skipped;
-  (* per-container heat attribution of the header-pruned blocks (the
-     global pool counter above has no container identity) *)
+  (* per-container heat and ledger attribution of the header-pruned
+     blocks (the global pool counter above has no container identity) *)
+  let note_skip (c : Container.t) probe bytes =
+    let blocks = Array.fold_left (fun acc b -> if b then acc else acc + 1) 0 probe in
+    Xquec_obs.Heat.note_skip ~uid:c.Container.uid ~blocks ~bytes;
+    Xquec_obs.Ledger.note_container_skip ~uid:c.Container.uid ~label:c.Container.path ~blocks
+      ~bytes
+  in
   List.iter
     (fun (p : block_pairing) ->
       let est = p.bp_est in
-      let unprobed probe = Array.fold_left (fun acc b -> if b then acc else acc + 1) 0 probe in
-      Xquec_obs.Heat.note_skip ~uid:p.bp_lc.Container.uid
-        ~blocks:(unprobed est.Cost_model.bj_probe_left)
-        ~bytes:est.Cost_model.bj_left_skipped_bytes;
-      Xquec_obs.Heat.note_skip ~uid:p.bp_rc.Container.uid
-        ~blocks:(unprobed est.Cost_model.bj_probe_right)
-        ~bytes:est.Cost_model.bj_right_skipped_bytes)
+      note_skip p.bp_lc est.Cost_model.bj_probe_left est.Cost_model.bj_left_skipped_bytes;
+      note_skip p.bp_rc est.Cost_model.bj_probe_right est.Cost_model.bj_right_skipped_bytes)
     plan.pl_pairings;
   (* matched left node -> set of right item indices *)
   let matches : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
@@ -2245,9 +2194,9 @@ and exec_block_join ctx ~var (plan : block_plan) : env list =
   let rows = List.length out in
   List.iter
     (fun (p : block_pairing) ->
-      note_pred ~container:p.bp_lc.Container.path ~kind:"join"
+      Xquec_obs.Ledger.note_pred ~container:p.bp_lc.Container.path ~kind:"join"
         ~candidates:(Container.length p.bp_lc) ~matches:rows;
-      note_pred ~container:p.bp_rc.Container.path ~kind:"join"
+      Xquec_obs.Ledger.note_pred ~container:p.bp_rc.Container.path ~kind:"join"
         ~candidates:(Container.length p.bp_rc) ~matches:rows)
     plan.pl_pairings;
   out
@@ -2385,7 +2334,7 @@ and note_cmp_obs ctx env (op : Ast.cmp_op) ~(a : Ast.expr) ~(b : Ast.expr) ~(xs 
   let kind = match op with Ast.Eq | Ast.Neq -> "eq" | _ -> "range" in
   let matches = if holds then 1 else 0 in
   let note (c : Container.t) =
-    note_pred ~container:c.Container.path ~kind ~candidates:1 ~matches
+    Xquec_obs.Ledger.note_pred ~container:c.Container.path ~kind ~candidates:1 ~matches
   in
   let static e =
     match static_value_containers ctx env e with Some (_ :: _ as cs) -> Some cs | _ -> None
@@ -2451,7 +2400,6 @@ and join_key ctx (mode : key_mode) (it : item) : join_key list =
 
 let run (repo : Repository.t) (query : Ast.expr) : item list =
   Xquec_obs.Trace.with_span ~name:"executor.run" @@ fun () ->
-  reset_predicate_observations ();
   let ctx = mk_ctx repo in
   materialize ctx (eval ctx [] query)
 
@@ -2461,20 +2409,26 @@ let run_string (repo : Repository.t) (query : string) : item list =
 (** Evaluate with an attached EXPLAIN profile: returns the results and
     the root of the annotated operator tree (wall time, cardinalities,
     compressed vs. decompress-then-compare predicate counts). Works
-    whether or not global telemetry is enabled. *)
+    whether or not global telemetry is enabled. The cache figures are
+    the calling domain's open ledger's; with none open, one is opened
+    around the evaluation. *)
 let run_profiled (repo : Repository.t) (query : Ast.expr) :
     item list * Xquec_obs.Explain.node =
   let prof = Xquec_obs.Explain.create (short_expr ~limit:72 query) in
-  reset_predicate_observations ();
   let ctx = { repo; prof = Some prof; prof_ops = true } in
-  let t0 = Xquec_obs.Trace.now_us () in
-  let items =
-    with_cache_delta prof.Xquec_obs.Explain.root (fun () ->
-        Xquec_obs.Trace.with_span ~name:"executor.run" (fun () ->
-            materialize ctx (eval ctx [] query)))
+  let evaluate () =
+    let t0 = Xquec_obs.Trace.now_us () in
+    let items =
+      with_cache_delta prof.Xquec_obs.Explain.root (fun () ->
+          Xquec_obs.Trace.with_span ~name:"executor.run" (fun () ->
+              materialize ctx (eval ctx [] query)))
+    in
+    let wall_us = Xquec_obs.Trace.now_us () -. t0 in
+    (items, Xquec_obs.Explain.finish prof ~wall_us ~rows:(List.length items))
   in
-  let wall_us = Xquec_obs.Trace.now_us () -. t0 in
-  (items, Xquec_obs.Explain.finish prof ~wall_us ~rows:(List.length items))
+  match Xquec_obs.Ledger.current () with
+  | Some _ -> evaluate ()
+  | None -> Xquec_obs.Ledger.with_ledger (fun _ -> evaluate ())
 
 (** Serialize results, decompressing — the Decompress + XMLSerialize tail
     every plan ends with (§4). *)

@@ -68,8 +68,11 @@ val run_string : Repository.t -> string -> item list
 
 (** Evaluate with per-operator profiling: results plus the root of the
     annotated plan tree (inclusive wall time, output cardinalities, and
-    compressed-domain vs. decompress-then-compare predicate counts).
-    Independent of the global {!Xquec_obs.set_enabled} switch. *)
+    compressed-domain vs. decompress-then-compare predicate counts, and
+    per-operator buffer-pool figures read from the calling domain's
+    open {!Xquec_obs.Ledger}, opened around the evaluation when there
+    is none). Independent of the global {!Xquec_obs.set_enabled}
+    switch. *)
 val run_profiled : Repository.t -> Xquery.Ast.expr -> item list * Xquec_obs.Explain.node
 
 (** Serialize results, decompressing — the Decompress + XMLSerialize
@@ -207,28 +210,3 @@ val reset_join_stats : unit -> unit
     this. *)
 val set_block_join : bool -> unit
 
-(** One container-resolved predicate observed during evaluation: a
-    pushed-down value / textual filter, a tuple-at-a-time [where]
-    comparison reading a container value, an existence test, or a
-    compressed-domain join side. [o_kind] is one of ["eq"], ["range"],
-    ["wild"], ["exists"], ["join"] — the vocabulary
-    [Xquec_obs.Profile] fingerprints over, aligned with the
-    {!Workload} predicate classes. [o_candidates] is the records (or
-    path instances, or tuples) the predicate considered and
-    [o_matches] how many matched, so [o_matches / o_candidates] is its
-    observed selectivity. *)
-type pred_obs = {
-  o_container : string;
-  o_kind : string;
-  o_candidates : int;
-  o_matches : int;
-}
-
-(** Observations of the most recently evaluated query {e on the
-    calling domain}, merged by (container, kind) — per-tuple
-    comparison notes sum into one entry — in first-observation order.
-    Reset by {!run} / {!run_profiled}. The accumulator is
-    domain-local ([Domain.DLS]), so concurrent serve workers each see
-    exactly their own query's observations; read it on the domain that
-    evaluated, before it evaluates anything else. *)
-val predicate_observations : unit -> pred_obs list

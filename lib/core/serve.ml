@@ -17,8 +17,9 @@
    when `--serve-workers` fans connections out — so everything in this
    module is written for concurrent callers: the SLO window takes a
    mutex, the plan cache is the mutex-guarded Plan_cache, and the
-   per-query budget is armed in Domain.DLS on the evaluating domain,
-   which also decodes every block the query reads. Each query bumps
+   query's ledger (checked against the per-query budgets) lives in
+   Domain.DLS on the evaluating domain, which also decodes every block
+   the query reads. Each query bumps
    "serve.queries", records "serve.query_ms", consults the plan cache,
    and appends a query-log record when a log file is configured. *)
 
@@ -217,22 +218,13 @@ let publish_pool_metrics () : unit =
 
 (* --- per-query budgets ------------------------------------------------ *)
 
-(* Configured once at server startup (from --query-wall-ms /
-   --query-decode-mb) and armed on the evaluating domain for each
-   query. 0.0 / 0 = unlimited. *)
-
-let budget_wall_ms = ref 0.0
-let budget_decode_bytes = ref 0
-
-let set_budgets ?(wall_ms = 0.0) ?(decode_bytes = 0) () : unit =
-  budget_wall_ms := Float.max 0.0 wall_ms;
-  budget_decode_bytes := max 0 decode_bytes
-
+(* The limits every query's ledger is checked against, as the
+   admission object of its log record reports them. *)
 let budget_json () : (string * Json.t) list =
-  (if !budget_wall_ms > 0.0 then [ ("wall_ms_budget", Json.Num !budget_wall_ms) ] else [])
+  let wall_ms, decode_bytes = Ledger.limits () in
+  (if wall_ms > 0.0 then [ ("wall_ms_budget", Json.Num wall_ms) ] else [])
   @
-  if !budget_decode_bytes > 0 then
-    [ ("decode_bytes_budget", Json.Num (float_of_int !budget_decode_bytes)) ]
+  if decode_bytes > 0 then [ ("decode_bytes_budget", Json.Num (float_of_int decode_bytes)) ]
   else []
 
 (* --- watchdog tick: signals + alert evaluation ----------------------- *)
@@ -456,7 +448,7 @@ let run_query (engine : Engine.t) (text : string) : Expo.response =
     match
       Metrics.time_ms "serve.query_ms" (fun () ->
           (* compile first (cache hit skips the parse entirely); parse
-             errors surface here, before any budget is armed *)
+             errors surface here, before the query's ledger opens *)
           let plan, lookup = Engine.compile text in
           (match lookup with
           | Plan_cache.Hit -> Metrics.incr "serve.plan_cache.hit_queries"
@@ -471,29 +463,26 @@ let run_query (engine : Engine.t) (text : string) : Expo.response =
                ]
               @ budget_json ())
           in
-          Budget.arm ~wall_ms:!budget_wall_ms ~decode_bytes:!budget_decode_bytes ();
-          Fun.protect
-            ~finally:(fun () -> Budget.disarm ())
-            (fun () -> Engine.query_serialized_logged ~admission ~plan engine text))
+          Engine.query_serialized_logged ~admission ~plan engine text)
     with
     | out, _prof ->
       Metrics.incr "serve.queries";
       window_observe ~error:false (elapsed_ms ());
       Expo.respond 200 "text/plain; charset=utf-8" (out ^ "\n")
-    | exception Budget.Exceeded trip ->
+    | exception Ledger.Exceeded trip ->
       (* a budget trip is the server refusing to finish, not a malformed
          query: 408 with a structured body naming the tripped budget *)
       Metrics.incr "serve.query_errors";
-      Metrics.incr ("serve.budget." ^ trip.Budget.t_kind ^ "_trips");
+      Metrics.incr ("serve.budget." ^ trip.Ledger.t_kind ^ "_trips");
       window_observe ~error:true (elapsed_ms ());
       let body =
         Json.to_string
           (Json.Obj
              [
                ("error", Json.Str "budget_exceeded");
-               ("budget", Json.Str trip.Budget.t_kind);
-               ("limit", Json.Num trip.Budget.t_limit);
-               ("observed", Json.Num trip.Budget.t_observed);
+               ("budget", Json.Str trip.Ledger.t_kind);
+               ("limit", Json.Num trip.Ledger.t_limit);
+               ("observed", Json.Num trip.Ledger.t_observed);
              ])
         ^ "\n"
       in

@@ -15,9 +15,9 @@
     JSON from {!healthz_json}, intercepting the Expo builtin while
     keeping its plain-200 contract). Successful queries return the
     serialized result as [text/plain]; parse or evaluation errors
-    return 400 with the exception text; a query tripping an armed
-    budget (see {!set_budgets}) returns 408 with a structured JSON
-    body. Each query compiles through the {!Plan_cache}, bumps the
+    return 400 with the exception text; a query tripping a per-query
+    budget (see {!Xquec_obs.Ledger.set_limits}) returns 408 with a
+    structured JSON body. Each query compiles through the {!Plan_cache}, bumps the
     ["serve.queries"] counter, records ["serve.query_ms"], feeds the
     rolling SLO window, and appends a query-log record (with an
     ["admission"] field) when a log file is configured.
@@ -67,13 +67,6 @@ val publish_window_metrics : unit -> unit
     callback to pass to {!Xquec_obs.Expo.start} so every scrape is
     fresh. *)
 val publish_pool_metrics : unit -> unit
-
-(** Configure the per-query budgets the handler arms (on the
-    evaluating domain, via {!Xquec_obs.Budget}) around each query:
-    [wall_ms] wall-clock milliseconds and [decode_bytes] decoded
-    bytes; 0 (the default for both) = unlimited. Called once at server
-    startup from [--query-wall-ms] / [--query-decode-mb]. *)
-val set_budgets : ?wall_ms:float -> ?decode_bytes:int -> unit -> unit
 
 (** {2 Watchdog ticks and alerting}
 

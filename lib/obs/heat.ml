@@ -242,16 +242,6 @@ let reset () =
       s.s_blk <- -1)
     slots
 
-let clear () =
-  Atomic.set table [||];
-  g_uid := -1;
-  g_blk := -1;
-  Array.iter
-    (fun s ->
-      s.s_uid <- -1;
-      s.s_blk <- -1)
-    slots
-
 let hot_blocks ~uid ~top =
   if top <= 0 then []
   else

@@ -89,14 +89,6 @@ val snapshot : unit -> stat list
     forget per-domain run state. *)
 val reset : unit -> unit
 
-(** Drop every registration outright (a process that builds many
-    repositories — the bench, the tests — otherwise pays for all of
-    them in every {!snapshot}). Containers touched afterwards
-    re-intern lazily with a placeholder [uid:N] label, so callers
-    should {!register} the containers they still care about. Use from
-    a quiescent main domain only. *)
-val clear : unit -> unit
-
 (** [hot_blocks ~uid ~top] — the [top] most-touched blocks of a
     container as [(block, touches)], descending, ties by block index;
     empty for unknown uids. *)

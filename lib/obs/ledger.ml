@@ -1,0 +1,197 @@
+(* Per-query cost ledger. See ledger.mli.
+
+   A ledger is only ever written by the domain whose DLS holds it: the
+   query's own evaluation and serialization, block decodes included,
+   run on that domain. So every charge is a plain field write. *)
+
+type trip = { t_kind : string; t_limit : float; t_observed : float }
+
+exception Exceeded of trip
+
+type container = {
+  c_uid : int;
+  c_label : string;
+  mutable c_touches : int;
+  mutable c_decodes : int;
+  mutable c_header_skips : int;
+  mutable c_bytes_decoded : int;
+  mutable c_bytes_skipped : int;
+}
+
+type t = {
+  started_us : float;
+  wall_limit_ms : float;
+  decode_limit : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable latch_waits : int;
+  mutable evictions : int;
+  mutable blocks_skipped : int;
+  mutable scan_inserts : int;
+  mutable decoded_bytes : int;
+  mutable payload_decoded : int;
+  mutable payload_skipped : int;
+  mutable block_joins : int;
+  mutable join_blocks_probed : int;
+  mutable join_blocks_skipped : int;
+  mutable join_skipped_bytes : int;
+  mutable last_uid : int;
+  mutable last_blk : int;
+  containers : (int, container) Hashtbl.t;
+  preds : (string * string, Profile.obs) Hashtbl.t;
+  mutable pred_order : (string * string) list;
+}
+
+(* Set once at server startup, before any worker domain exists. *)
+let wall_ms_limit = ref 0.0
+let decode_bytes_limit = ref 0
+
+let set_limits ?(wall_ms = 0.0) ?(decode_bytes = 0) () =
+  wall_ms_limit := Float.max 0.0 wall_ms;
+  decode_bytes_limit := max 0 decode_bytes
+
+let limits () = (!wall_ms_limit, !decode_bytes_limit)
+
+let now_us () = Unix.gettimeofday () *. 1e6
+
+let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let current () = Domain.DLS.get key
+
+let with_ledger f =
+  let wall = !wall_ms_limit and bytes = !decode_bytes_limit in
+  let l =
+    {
+      started_us = (if wall > 0.0 then now_us () else 0.0);
+      wall_limit_ms = (if wall > 0.0 then wall else infinity);
+      decode_limit = (if bytes > 0 then bytes else max_int);
+      hits = 0;
+      misses = 0;
+      latch_waits = 0;
+      evictions = 0;
+      blocks_skipped = 0;
+      scan_inserts = 0;
+      decoded_bytes = 0;
+      payload_decoded = 0;
+      payload_skipped = 0;
+      block_joins = 0;
+      join_blocks_probed = 0;
+      join_blocks_skipped = 0;
+      join_skipped_bytes = 0;
+      last_uid = -1;
+      last_blk = -1;
+      containers = Hashtbl.create 16;
+      preds = Hashtbl.create 8;
+      pred_order = [];
+    }
+  in
+  let prev = Domain.DLS.get key in
+  Domain.DLS.set key (Some l);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) (fun () -> f l)
+
+let check l =
+  if l.decoded_bytes > l.decode_limit then
+    raise
+      (Exceeded
+         {
+           t_kind = "decode_bytes";
+           t_limit = float_of_int l.decode_limit;
+           t_observed = float_of_int l.decoded_bytes;
+         });
+  if l.wall_limit_ms < infinity then begin
+    let elapsed = (now_us () -. l.started_us) /. 1000.0 in
+    if elapsed > l.wall_limit_ms then
+      raise (Exceeded { t_kind = "wall_ms"; t_limit = l.wall_limit_ms; t_observed = elapsed })
+  end
+
+let container l ~uid ~label =
+  match Hashtbl.find_opt l.containers uid with
+  | Some c -> c
+  | None ->
+    let c =
+      {
+        c_uid = uid;
+        c_label = label;
+        c_touches = 0;
+        c_decodes = 0;
+        c_header_skips = 0;
+        c_bytes_decoded = 0;
+        c_bytes_skipped = 0;
+      }
+    in
+    Hashtbl.add l.containers uid c;
+    c
+
+(* ---- charges ---- *)
+
+let charge f = match current () with Some l -> f l | None -> ()
+
+let note_fetch ~uid ~label ~blk =
+  match current () with
+  | None -> ()
+  | Some l ->
+    check l;
+    if Heat.enabled () && not (l.last_uid = uid && l.last_blk = blk) then begin
+      l.last_uid <- uid;
+      l.last_blk <- blk;
+      let c = container l ~uid ~label in
+      c.c_touches <- c.c_touches + 1
+    end
+
+let note_decode ~uid ~label ~bytes =
+  match current () with
+  | None -> ()
+  | Some l ->
+    l.payload_decoded <- l.payload_decoded + bytes;
+    if Heat.enabled () then begin
+      let c = container l ~uid ~label in
+      c.c_decodes <- c.c_decodes + 1;
+      c.c_bytes_decoded <- c.c_bytes_decoded + bytes
+    end
+
+let note_container_skip ~uid ~label ~blocks ~bytes =
+  match current () with
+  | Some l when Heat.enabled () ->
+    let c = container l ~uid ~label in
+    c.c_header_skips <- c.c_header_skips + blocks;
+    c.c_bytes_skipped <- c.c_bytes_skipped + bytes
+  | _ -> ()
+
+(* Merged by (container, kind): per-tuple notes (one per FLWOR tuple)
+   would otherwise contribute thousands of entries, and the
+   fingerprint only needs the sums. *)
+let note_pred ~container ~kind ~candidates ~matches =
+  match current () with
+  | None -> ()
+  | Some l -> (
+    let k = (container, kind) in
+    match Hashtbl.find_opt l.preds k with
+    | Some o ->
+      Hashtbl.replace l.preds k
+        {
+          o with
+          Profile.ob_candidates = o.Profile.ob_candidates + candidates;
+          ob_matches = o.Profile.ob_matches + matches;
+        }
+    | None ->
+      Hashtbl.add l.preds k
+        {
+          Profile.ob_container = container;
+          ob_kind = kind;
+          ob_candidates = candidates;
+          ob_matches = matches;
+        };
+      l.pred_order <- k :: l.pred_order)
+
+(* ---- readings ---- *)
+
+let containers l =
+  Hashtbl.fold
+    (fun _ c acc ->
+      if c.c_touches > 0 || c.c_header_skips > 0 || c.c_bytes_decoded > 0 then c :: acc
+      else acc)
+    l.containers []
+  |> List.sort (fun a b ->
+         match compare a.c_label b.c_label with 0 -> compare a.c_uid b.c_uid | c -> c)
+
+let predicates l = List.rev_map (Hashtbl.find l.preds) l.pred_order

@@ -13,7 +13,7 @@ module Explain = Explain
 module Query_log = Query_log
 module Expo = Expo
 module Hammer = Hammer
-module Budget = Budget
+module Ledger = Ledger
 module Gate = Gate
 module Heat = Heat
 module Profile = Profile

@@ -32,9 +32,10 @@ module Expo = Expo
     bench. *)
 module Hammer = Hammer
 
-(** Per-query wall-clock / decoded-bytes budgets, armed per domain and
-    polled by the storage layer. *)
-module Budget = Budget
+(** Per-query cost ledger in the evaluating domain's DLS: what the
+    query log, the watchdog and EXPLAIN read, and what serve's
+    wall-clock / decoded-bytes limits are checked against. *)
+module Ledger = Ledger
 
 (** Benchmark regression gate: tolerance-aware BENCH_results.json
     comparison. *)

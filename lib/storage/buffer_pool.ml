@@ -27,10 +27,10 @@
    eagerly so they stop occupying budget.
 
    The pool keeps its own cumulative counters unconditionally (they are
-   a handful of atomic adds) so EXPLAIN can attribute per-operator cache
-   activity even when the global metrics switch is off; the same events
-   are mirrored into [Xquec_obs.Metrics] under "bufferpool.*" when
-   telemetry is enabled. *)
+   a handful of atomic adds) for --stats and /metrics, charges each
+   event to the calling domain's open ledger (Xquec_obs.Ledger, what
+   the query log and EXPLAIN read), and mirrors it into
+   [Xquec_obs.Metrics] under "bufferpool.*" when telemetry is enabled. *)
 
 type key = { k_uid : int; k_gen : int; k_blk : int }
 
@@ -213,6 +213,7 @@ let rec evict_to_budget ~(keep : node option) : unit =
     | Some n when (match keep with Some k -> k != n | None -> true) ->
       drop n;
       Atomic.incr evictions;
+      Xquec_obs.Ledger.charge (fun l -> l.evictions <- l.evictions + 1);
       if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.evictions";
       evict_to_budget ~keep
     | Some _ | None -> ()
@@ -237,6 +238,7 @@ let resident ~(uid : int) ~(gen : int) ~(blk : int) : bool =
 (* Block on [l] until its decode completes; re-raise its failure. *)
 let await_latch (l : latch) : decoded =
   Atomic.incr latch_waits;
+  Xquec_obs.Ledger.charge (fun l -> l.latch_waits <- l.latch_waits + 1);
   if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.latch_waits";
   Mutex.lock l.l_mutex;
   let rec wait () =
@@ -269,6 +271,7 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
     touch n;
     Mutex.unlock lock;
     Atomic.incr hits;
+    Xquec_obs.Ledger.charge (fun l -> l.hits <- l.hits + 1);
     if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.hits";
     n.value
   | Some (Pending l) ->
@@ -279,6 +282,7 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
     Hashtbl.replace table key (Pending l);
     Mutex.unlock lock;
     Atomic.incr misses;
+    Xquec_obs.Ledger.charge (fun l -> l.misses <- l.misses + 1);
     (match decode () with
     | v ->
       Mutex.lock lock;
@@ -301,12 +305,14 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
              block evicts itself rather than anything hot. *)
           push_back n;
           Atomic.incr scan_inserts;
+          Xquec_obs.Ledger.charge (fun l -> l.scan_inserts <- l.scan_inserts + 1);
           if Xquec_obs.is_enabled () then
             Xquec_obs.Metrics.incr "bufferpool.scan_inserts";
           evict_to_budget ~keep:None)
       | _ -> ());
       Mutex.unlock lock;
       ignore (Atomic.fetch_and_add decoded_bytes v.d_bytes);
+      Xquec_obs.Ledger.charge (fun l -> l.decoded_bytes <- l.decoded_bytes + v.d_bytes);
       if Xquec_obs.is_enabled () then begin
         Xquec_obs.Metrics.incr "bufferpool.misses";
         Xquec_obs.Metrics.incr ~by:v.d_bytes "bufferpool.decoded_bytes";
@@ -329,6 +335,9 @@ let note_skipped ?(bytes = 0) (n : int) : unit =
   if n > 0 then begin
     ignore (Atomic.fetch_and_add blocks_skipped n);
     if bytes > 0 then ignore (Atomic.fetch_and_add skipped_bytes bytes);
+    Xquec_obs.Ledger.charge (fun l ->
+        l.blocks_skipped <- l.blocks_skipped + n;
+        l.payload_skipped <- l.payload_skipped + bytes);
     if Xquec_obs.is_enabled () then begin
       Xquec_obs.Metrics.incr ~by:n "container.blocks_skipped";
       if bytes > 0 then

@@ -4,11 +4,12 @@
     Containers call {!fetch} on every block access; the pool either
     returns the resident decoded block (hit) or runs the supplied decode
     thunk, caches the result, and evicts least-recently-used blocks
-    until the pool is back under budget (miss). Cumulative counters are
-    maintained unconditionally so the executor's EXPLAIN can attribute
-    cache activity per operator even when global telemetry is off;
-    events are mirrored to [Xquec_obs.Metrics] under ["bufferpool.*"]
-    when it is on.
+    until the pool is back under budget (miss). Cumulative
+    process-wide counters are maintained unconditionally (for
+    [--stats] and [/metrics]); each event is also charged to the
+    calling domain's open {!Xquec_obs.Ledger}, which is what the query
+    log and EXPLAIN read, and mirrored to [Xquec_obs.Metrics] under
+    ["bufferpool.*"] when telemetry is on.
 
     {b Thread safety:} every function in this interface may be called
     from any domain ([serve]'s worker domains decode into the pool

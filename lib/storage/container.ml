@@ -242,12 +242,11 @@ let set_prefetch_depth (_ : int) = ()
 (* Decode block [i] through the buffer pool, on the calling domain.
    [b] is block [i] as read when the fetch is issued: a recompress may
    swap [t.blocks] before the thunk runs, and the pool key carries the
-   generation of that same moment. Decoded bytes are charged to the
-   calling domain's armed budget; the poll at entry is what trips an
-   exhausted one. *)
+   generation of that same moment. The fetch and the decode are charged
+   to the calling domain's open ledger; the limit check at entry is
+   what trips an exhausted one. *)
 let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
-  let budget = Xquec_obs.Budget.current () in
-  Xquec_obs.Budget.check budget;
+  Xquec_obs.Ledger.note_fetch ~uid:t.uid ~label:t.path ~blk:i;
   let b = t.blocks.(i) in
   Xquec_obs.Heat.note_touch ~uid:t.uid ~blk:i;
   Buffer_pool.fetch ?admission ~uid:t.uid ~gen:t.generation ~blk:i (fun () ->
@@ -259,7 +258,7 @@ let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
       let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
       Buffer_pool.note_payload_decoded payload;
       Xquec_obs.Heat.note_decode ~uid:t.uid ~blk:i ~bytes:payload;
-      Xquec_obs.Budget.charge budget d_bytes;
+      Xquec_obs.Ledger.note_decode ~uid:t.uid ~label:t.path ~bytes:payload;
       if Xquec_obs.is_enabled () then begin
         Xquec_obs.Metrics.incr "container.blocks_decoded";
         Xquec_obs.Metrics.incr ~by:payload "container.block_bytes_decoded"
@@ -633,11 +632,13 @@ let pruned_payload_bytes (t : t) ~(b0 : int) ~(b1 : int) : int =
   !total
 
 (* Report the blocks outside [b0, b1] as header-skipped, to the pool
-   (global counters) and to the heat table (per-container). *)
+   (global counters) and, per container, to the heat table and the
+   query's ledger. *)
 let note_pruned (t : t) ~(b0 : int) ~(b1 : int) (blocks : int) : unit =
   let bytes = pruned_payload_bytes t ~b0 ~b1 in
   Buffer_pool.note_skipped ~bytes blocks;
-  Xquec_obs.Heat.note_skip ~uid:t.uid ~blocks ~bytes
+  Xquec_obs.Heat.note_skip ~uid:t.uid ~blocks ~bytes;
+  Xquec_obs.Ledger.note_container_skip ~uid:t.uid ~label:t.path ~blocks ~bytes
 
 (** Records with global indices in [lo, hi): decodes only the blocks the
     interval touches; everything outside is counted as pruned. Like

@@ -251,10 +251,10 @@ val scan : t -> record array
     {!Buffer_pool.Mru}) is the pool admission policy for miss-decoded
     blocks.
 
-    Budget enforcement: the calling domain's armed
-    {!Xquec_obs.Budget} (if any) is polled at each block fetch, and
-    decoded bytes are charged to it. An exhausted budget raises
-    {!Xquec_obs.Budget.Exceeded} out of this call. *)
+    Each fetch and decode is charged to the calling domain's open
+    {!Xquec_obs.Ledger} (if any), whose limits are checked at each
+    block fetch: an exhausted one raises
+    {!Xquec_obs.Ledger.Exceeded} out of this call. *)
 val fetch_blocks :
   ?admission:Buffer_pool.admission -> t -> b0:int -> b1:int -> Buffer_pool.decoded array
 

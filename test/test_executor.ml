@@ -198,14 +198,18 @@ let test_observations_pinned () =
   List.iter
     (fun (id, expected) ->
       let q = Xmark.Queries.by_id id in
-      ignore (Executor.run repo (Xquery.Parser.parse q.Xmark.Queries.text));
+      let observed =
+        Xquec_obs.Ledger.with_ledger (fun l ->
+            ignore (Executor.run repo (Xquery.Parser.parse q.Xmark.Queries.text));
+            Xquec_obs.Ledger.predicates l)
+      in
       let show (c, k, n, m) = Printf.sprintf "%s %s %d/%d" c k m n in
       Alcotest.(check (list string))
         id (List.map show expected)
         (List.map
-           (fun (o : Executor.pred_obs) ->
-             show (o.Executor.o_container, o.o_kind, o.o_candidates, o.o_matches))
-           (Executor.predicate_observations ())))
+           (fun (o : Xquec_obs.Profile.obs) ->
+             show (o.ob_container, o.ob_kind, o.ob_candidates, o.ob_matches))
+           observed))
     pinned_observations
 
 (* EXPLAIN ANALYZE shows one batched-path operator per (binding set, R),

@@ -304,9 +304,11 @@ let find_op (root : Obs.Explain.node) (op : string) : Obs.Explain.node =
   | Some n -> n
   | None -> Alcotest.failf "operator %S not in plan:\n%s" op (Obs.Explain.render root)
 
+let profiled eng q = Executor.run_profiled (Engine.repo eng) (Engine.parse_query q)
+
 let test_explain_path_query () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
-  let (items, plan) = Engine.query_profiled eng "document(\"xmark.xml\")/site/people/person/name" in
+  let (items, plan) = profiled eng "document(\"xmark.xml\")/site/people/person/name" in
   Alcotest.(check int) "result cardinality" 3 (List.length items);
   Alcotest.(check int) "root rows" 3 plan.Obs.Explain.rows;
   List.iter
@@ -327,7 +329,7 @@ let test_explain_path_query () =
 let test_explain_pushdown_rows () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let (items, plan) =
-    Engine.query_profiled eng
+    profiled eng
       "document(\"xmark.xml\")/site/people/person[@id = \"person1\"]/name"
   in
   Alcotest.(check int) "one person matches" 1 (List.length items);
@@ -342,7 +344,7 @@ let test_explain_pushdown_rows () =
 let test_explain_flwor_operators () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let (items, plan) =
-    Engine.query_profiled eng
+    profiled eng
       "for $p in document(\"xmark.xml\")/site/people/person where $p/@id = \"person0\" \
        return $p/name/text()"
   in

@@ -177,8 +177,8 @@ let test_decode_budget_trips_408 () =
   (* fresh load: fresh container uids, so nothing is resident and every
      block access decodes (and charges the budget) for real *)
   let engine = Engine.load ~name:"auction.xml" (Lazy.force xmark_xml) in
-  Serve.set_budgets ~decode_bytes:1 ();
-  Fun.protect ~finally:(fun () -> Serve.set_budgets ())
+  Obs.Ledger.set_limits ~decode_bytes:1 ();
+  Fun.protect ~finally:(fun () -> Obs.Ledger.set_limits ())
   @@ fun () ->
   let r = Serve.run_query engine "document(\"auction.xml\")/site/people/person/name" in
   Alcotest.(check int) "terminated with 408" 408 r.Obs.Expo.status;
@@ -188,7 +188,7 @@ let test_decode_budget_trips_408 () =
     (contains r.Obs.Expo.body "\"budget\":\"decode_bytes\"");
   (* the evaluating domain must be disarmed afterwards: the same query
      without budgets succeeds *)
-  Serve.set_budgets ();
+  Obs.Ledger.set_limits ();
   let ok = Serve.run_query engine "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
   Alcotest.(check int) "disarmed afterwards" 200 ok.Obs.Expo.status
 
@@ -197,8 +197,8 @@ let test_wall_budget_trips_408 () =
   let engine = Lazy.force shared_engine in
   (* microscopic wall budget: the first block-access poll is already
      past it (parsing alone takes longer) *)
-  Serve.set_budgets ~wall_ms:0.0001 ();
-  Fun.protect ~finally:(fun () -> Serve.set_budgets ())
+  Obs.Ledger.set_limits ~wall_ms:0.0001 ();
+  Fun.protect ~finally:(fun () -> Obs.Ledger.set_limits ())
   @@ fun () ->
   let r = Serve.run_query engine "document(\"auction.xml\")/site/people/person/name" in
   Alcotest.(check int) "terminated with 408" 408 r.Obs.Expo.status;
@@ -311,6 +311,135 @@ let test_window_concurrent_writers () =
   Alcotest.(check int) "errors from exactly one writer" per_writer w.Serve.ws_errors;
   Serve.window_reset ()
 
+(* ------------------------------------------------------------------ *)
+(* Per-query ledger under concurrency                                  *)
+(* ------------------------------------------------------------------ *)
+
+let xmark_text id = (Xmark.Queries.by_id id).Xmark.Queries.text
+
+(* Every block fetch is exactly one of hit, miss or latch wait, however
+   warm the pool is, so this is a fixed count per query. *)
+let root_fetches (prof : Obs.Explain.node) =
+  prof.Obs.Explain.cache_hits + prof.Obs.Explain.cache_misses + prof.Obs.Explain.cache_waits
+
+(* Two domains evaluate different queries on one engine at the same
+   time: each profile's root must count exactly the fetches its own
+   query makes when it runs alone, none of its neighbour's. *)
+let test_ledger_two_domains () =
+  let engine = Lazy.force shared_engine in
+  let fetches q = root_fetches (snd (Engine.query_serialized_logged engine q)) in
+  let qa = xmark_text "Q10" and qb = xmark_text "Q14" in
+  let alone_a = fetches qa and alone_b = fetches qb in
+  Alcotest.(check bool) "both queries fetch blocks" true (alone_a > 0 && alone_b > 0);
+  let ready = Atomic.make 0 in
+  let spawn q =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        List.init 20 (fun _ -> fetches q))
+  in
+  let da = spawn qa and db = spawn qb in
+  let runs_a = Domain.join da and runs_b = Domain.join db in
+  List.iter (Alcotest.(check int) "Q10 fetches, as alone" alone_a) runs_a;
+  List.iter (Alcotest.(check int) "Q14 fetches, as alone" alone_b) runs_b
+
+let read_records file =
+  In_channel.with_open_bin file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map Obs.Json.parse
+
+let int_at (r : Obs.Json.t) keys =
+  match
+    Option.bind
+      (List.fold_left (fun v k -> Option.bind v (Obs.Json.member k)) (Some r) keys)
+      Obs.Json.to_float
+  with
+  | Some f -> int_of_float f
+  | None -> Alcotest.failf "query-log record missing %s" (String.concat "." keys)
+
+(* Sixteen concurrent clients on three workers over a small pool: the
+   query-log records, summed, equal the process-wide pool and heat
+   deltas around the run exactly. No watchdog or compaction runs, so
+   every block fetched in the run belongs to some query. *)
+let test_ledger_records_sum_to_globals () =
+  with_fresh_telemetry @@ fun () ->
+  let engine = Lazy.force shared_engine in
+  let queries = Array.map xmark_text [| "Q1"; "Q8"; "Q10"; "Q13"; "Q14"; "Q19" |] in
+  let log = Filename.temp_file "xquec_ledger" ".jsonl" in
+  let budget = Storage.Buffer_pool.budget_bytes () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Query_log.set_path None;
+      Storage.Buffer_pool.set_budget ~bytes:budget;
+      Sys.remove log)
+  @@ fun () ->
+  Storage.Buffer_pool.set_budget ~bytes:(16 * 1024);
+  Obs.Query_log.set_path (Some log);
+  let clients = 16 and per_client = 4 in
+  let pool0 = Storage.Buffer_pool.snapshot () and heat0 = Obs.Heat.snapshot () in
+  let server =
+    Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine) ()
+  in
+  let outcomes =
+    Fun.protect
+      ~finally:(fun () -> Obs.Expo.stop server)
+      (fun () ->
+        Obs.Hammer.drive ~port:(Obs.Expo.port server) ~clients ~requests_per_client:per_client
+          ~target:(fun client seq ->
+            ("POST", "/query", queries.((client + seq) mod Array.length queries)))
+          ())
+  in
+  let pool1 = Storage.Buffer_pool.snapshot () and heat1 = Obs.Heat.snapshot () in
+  List.iter
+    (fun (o : Obs.Hammer.outcome) ->
+      Alcotest.(check int) "status" 200 o.Obs.Hammer.o_reply.Obs.Hammer.r_status)
+    outcomes;
+  let records = read_records log in
+  Alcotest.(check int) "one record per request" (clients * per_client) (List.length records);
+  let sum keys = List.fold_left (fun acc r -> acc + int_at r keys) 0 records in
+  let open Storage.Buffer_pool in
+  List.iter
+    (fun (keys, delta) -> Alcotest.(check int) (String.concat "." keys) delta (sum keys))
+    [
+      ([ "bytes"; "decoded" ], pool1.s_decoded_bytes - pool0.s_decoded_bytes);
+      ([ "bytes"; "payload_decoded" ], pool1.s_payload_bytes - pool0.s_payload_bytes);
+      ([ "pool"; "hits" ], pool1.s_hits - pool0.s_hits);
+      ([ "pool"; "misses" ], pool1.s_misses - pool0.s_misses);
+      ([ "pool"; "latch_waits" ], pool1.s_latch_waits - pool0.s_latch_waits);
+    ];
+  (* per-container decoded bytes, summed by container path *)
+  let add tbl k n = Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  let logged = Hashtbl.create 64 and heat = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match Obs.Json.member "containers" r with
+      | Some (Obs.Json.List cs) ->
+        List.iter
+          (fun c ->
+            match Option.bind (Obs.Json.member "container" c) Obs.Json.to_str with
+            | Some path -> add logged path (int_at c [ "decoded_bytes" ])
+            | None -> Alcotest.fail "container entry without a path")
+          cs
+      | _ -> ())
+    records;
+  List.iter
+    (fun (s1 : Obs.Heat.stat) ->
+      let before =
+        List.fold_left
+          (fun acc (s0 : Obs.Heat.stat) -> if s0.uid = s1.uid then s0.bytes_decoded else acc)
+          0 heat0
+      in
+      add heat s1.label (s1.bytes_decoded - before))
+    heat1;
+  let nonzero tbl =
+    Hashtbl.fold (fun k n acc -> if n <> 0 then (k, n) :: acc else acc) tbl [] |> List.sort compare
+  in
+  Alcotest.(check (list (pair string int)))
+    "per-container decoded bytes" (nonzero heat) (nonzero logged)
+
 let suites =
   [
     ( "serve-concurrent",
@@ -329,5 +458,9 @@ let suites =
           test_concurrent_clients_correct_results;
         Alcotest.test_case "SLO window concurrent writers." `Quick
           test_window_concurrent_writers;
+        Alcotest.test_case "ledger: two domains, own fetches only." `Quick
+          test_ledger_two_domains;
+        Alcotest.test_case "ledger: records sum to global deltas." `Quick
+          test_ledger_records_sum_to_globals;
       ] );
   ]
