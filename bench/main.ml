@@ -361,7 +361,7 @@ let storage_occupancy () =
     (pct sz.Storage.Repository.summary_bytes);
   Fmt.pr "  nav directories:        %9d bytes (%.1f%%)@." sz.Storage.Repository.index_bytes
     (pct sz.Storage.Repository.index_bytes);
-  Fmt.pr "  nav arrays (in memory): %9d bytes (tags + subtree ends, built at load, not stored)@."
+  Fmt.pr "  nav arrays (in memory): %9d bytes (tags + parents + subtree ends, built at load, not stored)@."
     nav_arrays;
   Fmt.pr "essential (no access structures): %d bytes@." sz.Storage.Repository.essential_bytes;
   Fmt.pr "access-structure factor:  %.2fx (paper: 3-4x)@."
@@ -587,7 +587,9 @@ let ablations () =
   Fmt.pr "(d) //item count: structure-summary access %.4f ms, full structure scan %.3f ms@."
     summary_ms nav_ms;
 
-  (* (e) 3-valued structural ids vs parent-chain walks *)
+  (* (e) pre-order interval ancestor test (what the paper's 3-valued
+     structural ids are for) vs parent-chain walks; the row keeps its
+     old name *)
   let items = Xquec_core.Executor.run_string repo "document(\"auction.xml\")/site/regions//item" in
   let item_ids =
     List.filter_map (function Xquec_core.Executor.Node id -> Some id | _ -> None) items
@@ -616,7 +618,7 @@ let ablations () =
   in
   record ~exp:"ablations" "ancestor_check"
     (obj [ ("structural_ids_ms", num structural_ms); ("parent_walk_ms", num walk_ms) ]);
-  Fmt.pr "(e) %d ancestor checks: (pre,post) structural ids %.4f ms, parent-chain walks %.4f ms@."
+  Fmt.pr "(e) %d ancestor checks: pre-order interval test %.4f ms, parent-chain walks %.4f ms@."
     (List.length item_ids) structural_ms walk_ms
 
 (* ------------------------------------------------------------------ *)

@@ -158,8 +158,7 @@ let note_touch ~uid ~blk =
     s.s_blk <- blk
   end
 
-let note_decode ~uid ~blk ~bytes =
-  ignore blk;
+let note_decode ~uid ~bytes =
   if enabled () then begin
     let e = find uid in
     Atomic.incr e.e_decodes;

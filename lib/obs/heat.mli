@@ -71,9 +71,8 @@ val register : uid:int -> label:string -> blocks:int -> unit
 val note_touch : uid:int -> blk:int -> unit
 
 (** Record an actual block decode of [bytes] compressed payload bytes
-    (called from the buffer-pool miss path, possibly on a worker
-    domain). *)
-val note_decode : uid:int -> blk:int -> bytes:int -> unit
+    (called from the buffer-pool miss path, on the querying domain). *)
+val note_decode : uid:int -> bytes:int -> unit
 
 (** Record [blocks] header-skipped blocks totalling [bytes] payload
     bytes the query never decoded. *)

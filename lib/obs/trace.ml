@@ -182,19 +182,6 @@ let event ?(attrs = []) name =
         tid = s.s_tid; instant = true }
   end
 
-(** Record a span whose endpoints were measured by the caller (clock
-    values from {!now_us}) — used for queue-wait spans, whose start is
-    stamped by the submitting domain and whose end by the executing
-    one. *)
-let add_span ?(attrs = []) ~name ~(start_us : float) ~(end_us : float) () : unit =
-  if !Control.enabled then begin
-    let s = my_sink () in
-    record s
-      { name; attrs; start_us = start_us -. epoch_us;
-        dur_us = Float.max 0.0 (end_us -. start_us); depth = s.depth; tid = s.s_tid;
-        instant = false }
-  end
-
 (* --- export -------------------------------------------------------- *)
 
 let span_to_json (s : span) : Json.t =

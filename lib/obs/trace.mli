@@ -60,20 +60,6 @@ val with_span : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 
 (** Record an instantaneous event (chrome-trace "instant"). *)
 val event : ?attrs:(string * string) list -> string -> unit
 
-(** [add_span ~name ~start_us ~end_us ()] records a span whose
-    endpoints were measured by the caller (clock values from
-    {!now_us}) — used for queue-wait spans, whose start is stamped by
-    the submitting domain and whose end by the executing one. The span
-    lands in the calling domain's buffer; a negative interval is
-    clamped to zero duration. *)
-val add_span :
-  ?attrs:(string * string) list ->
-  name:string ->
-  start_us:float ->
-  end_us:float ->
-  unit ->
-  unit
-
 (** Every domain's buffer in chrome-trace format, with thread-name
     metadata events so Perfetto labels the main domain and each
     worker. *)

@@ -1,16 +1,13 @@
-(* Succinct bitvector with rank/select support (the substrate of the
-   balanced-parentheses structure tree, repository format v4). Bits are
-   packed 8 per byte, LSB-first within a byte; the rank directory is the
-   classic two-level scheme — a cumulative popcount every superblock of
-   512 bits plus a per-64-bit-block count relative to its superblock —
-   so [rank] costs a couple of table lookups and at most seven byte
-   popcounts, and [select] is a binary search over the directory
-   followed by one in-block scan. The directories are rebuilt at load
-   time; only the raw bits are serialized. *)
+(* Packed bitvector: the on-disk substrate of the balanced-parentheses
+   structure tree and of the wavelet tag levels (repository format v4).
+   Bits are packed 8 per byte, LSB-first within a byte. The structure
+   tree reads it once at load, into flat pre-order arrays, so no rank
+   or select directory is built. *)
 
+(* Bits per superblock and per block of the rank directory an
+   on-storage succinct layout would carry (see [overhead_bytes_for]). *)
 let bits_per_super = 512
 let bits_per_block = 64
-let bytes_per_block = bits_per_block / 8
 
 (* popcount per byte value *)
 let popcount8 =
@@ -23,8 +20,6 @@ let popcount8 =
 type t = {
   len : int;  (* length in bits *)
   data : Bytes.t;  (* ceil (len/8) bytes; trailing padding bits are zero *)
-  super_ranks : int array;  (* ones before each superblock *)
-  block_ranks : int array;  (* ones since the superblock start, per 64-bit block *)
   ones : int;
 }
 
@@ -32,34 +27,9 @@ let length t = t.len
 
 let ones t = t.ones
 
-let zeros t = t.len - t.ones
-
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Bitvec.get";
   Char.code (Bytes.get t.data (i lsr 3)) lsr (i land 7) land 1 = 1
-
-let build_directories len data =
-  let nbytes = Bytes.length data in
-  let nsupers = (len + bits_per_super - 1) / bits_per_super in
-  let nblocks = (len + bits_per_block - 1) / bits_per_block in
-  let super_ranks = Array.make (max nsupers 1) 0 in
-  let block_ranks = Array.make (max nblocks 1) 0 in
-  let total = ref 0 in
-  let since_super = ref 0 in
-  for b = 0 to nblocks - 1 do
-    if b mod (bits_per_super / bits_per_block) = 0 then begin
-      super_ranks.(b / (bits_per_super / bits_per_block)) <- !total;
-      since_super := 0
-    end;
-    block_ranks.(b) <- !since_super;
-    let first = b * bytes_per_block in
-    for byte = first to min (first + bytes_per_block) nbytes - 1 do
-      let c = popcount8.(Char.code (Bytes.get data byte)) in
-      total := !total + c;
-      since_super := !since_super + c
-    done
-  done;
-  (super_ranks, block_ranks, !total)
 
 (* Mask of the low [k] bits of a byte (k in 0..8). *)
 let low_mask k = (1 lsl k) - 1
@@ -70,8 +40,9 @@ let of_bytes ~len data =
   (if len land 7 <> 0 then
      let last = Bytes.length data - 1 in
      Bytes.set data last (Char.chr (Char.code (Bytes.get data last) land low_mask (len land 7))));
-  let super_ranks, block_ranks, ones = build_directories len data in
-  { len; data; super_ranks; block_ranks; ones }
+  let ones = ref 0 in
+  Bytes.iter (fun c -> ones := !ones + popcount8.(Char.code c)) data;
+  { len; data; ones = !ones }
 
 let init len f =
   let data = Bytes.make ((len + 7) / 8) '\000' in
@@ -82,136 +53,15 @@ let init len f =
   done;
   of_bytes ~len data
 
-let rank1 t i =
-  if i < 0 || i > t.len then invalid_arg "Bitvec.rank1";
-  if i = 0 then 0
-  else begin
-    let block = (i - 1) lsr 6 in
-    let super = block lsr 3 in
-    let r = ref (t.super_ranks.(super) + t.block_ranks.(block)) in
-    let first_byte = block * bytes_per_block in
-    let last_bit = i - 1 in
-    let last_byte = last_bit lsr 3 in
-    for byte = first_byte to last_byte - 1 do
-      r := !r + popcount8.(Char.code (Bytes.get t.data byte))
-    done;
-    (* partial last byte: bits [0 .. last_bit land 7] *)
-    r :=
-      !r
-      + popcount8.(Char.code (Bytes.get t.data last_byte) land low_mask ((last_bit land 7) + 1));
-    !r
-  end
-
-let rank0 t i = i - rank1 t i
-
-(* Position of the [k]-th set bit (1-based). *)
-let select1 t k =
-  if k < 1 || k > t.ones then invalid_arg "Bitvec.select1";
-  (* binary search the superblocks: last superblock with rank < k *)
-  let nsupers = (t.len + bits_per_super - 1) / bits_per_super in
-  let lo = ref 0 and hi = ref (nsupers - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if t.super_ranks.(mid) < k then lo := mid else hi := mid - 1
-  done;
-  let super = !lo in
-  let base = t.super_ranks.(super) in
-  (* binary search the blocks of this superblock *)
-  let first_block = super * (bits_per_super / bits_per_block) in
-  let nblocks = (t.len + bits_per_block - 1) / bits_per_block in
-  let last_block = min (first_block + (bits_per_super / bits_per_block)) nblocks - 1 in
-  let lo = ref first_block and hi = ref last_block in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if base + t.block_ranks.(mid) < k then lo := mid else hi := mid - 1
-  done;
-  let block = !lo in
-  let need = ref (k - base - t.block_ranks.(block)) in
-  (* scan the block's bytes *)
-  let byte = ref (block * bytes_per_block) in
-  let nbytes = Bytes.length t.data in
-  let result = ref (-1) in
-  while !result < 0 do
-    if !byte >= nbytes then invalid_arg "Bitvec.select1: directory corrupt";
-    let c = Char.code (Bytes.get t.data !byte) in
-    let pc = popcount8.(c) in
-    if pc >= !need then begin
-      (* the needed one is inside this byte *)
-      let bit = ref 0 and seen = ref 0 in
-      while !result < 0 do
-        if c lsr !bit land 1 = 1 then begin
-          incr seen;
-          if !seen = !need then result := (!byte lsl 3) lor !bit
-        end;
-        incr bit
-      done
-    end
-    else begin
-      need := !need - pc;
-      incr byte
-    end
-  done;
-  !result
-
-(* Position of the [k]-th clear bit (1-based). Padding bits past [len]
-   read as zero but are never counted: k is bounded by {!zeros}. *)
-let select0 t k =
-  if k < 1 || k > zeros t then invalid_arg "Bitvec.select0";
-  let zeros_before_super s = s * bits_per_super - t.super_ranks.(s) in
-  let nsupers = (t.len + bits_per_super - 1) / bits_per_super in
-  let lo = ref 0 and hi = ref (nsupers - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if zeros_before_super mid < k then lo := mid else hi := mid - 1
-  done;
-  let super = !lo in
-  let zeros_before_block b = (b * bits_per_block) - (t.super_ranks.(super) + t.block_ranks.(b)) in
-  let first_block = super * (bits_per_super / bits_per_block) in
-  let nblocks = (t.len + bits_per_block - 1) / bits_per_block in
-  let last_block = min (first_block + (bits_per_super / bits_per_block)) nblocks - 1 in
-  let lo = ref first_block and hi = ref last_block in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if zeros_before_block mid < k then lo := mid else hi := mid - 1
-  done;
-  let block = !lo in
-  let need = ref (k - zeros_before_block block) in
-  let byte = ref (block * bytes_per_block) in
-  let result = ref (-1) in
-  while !result < 0 do
-    let c = Char.code (Bytes.get t.data !byte) in
-    let pc = 8 - popcount8.(c) in
-    if pc >= !need then begin
-      let bit = ref 0 and seen = ref 0 in
-      while !result < 0 do
-        if c lsr !bit land 1 = 0 then begin
-          incr seen;
-          if !seen = !need then result := (!byte lsl 3) lor !bit
-        end;
-        incr bit
-      done
-    end
-    else begin
-      need := !need - pc;
-      incr byte
-    end
-  done;
-  !result
-
-let data_bytes t = Bytes.length t.data
-
-(* The compact footprint of the rank directory as an on-storage design
-   would lay it out: 4 bytes per superblock cumulative count, 2 bytes
-   per in-superblock block count. The in-memory arrays are wider (OCaml
-   ints) but are rebuilt from the raw bits at load time, so this is what
-   the occupancy experiment should charge. It depends on the length
-   alone. *)
+(* The compact footprint of a two-level rank directory as an on-storage
+   design would lay it out: 4 bytes per 512-bit superblock cumulative
+   count, 2 bytes per 64-bit in-superblock block count. Nothing builds
+   it in memory; the occupancy breakdown charges it all the same, and
+   it depends on the length alone. *)
 let overhead_bytes_for len =
   let nsupers = (len + bits_per_super - 1) / bits_per_super in
   let nblocks = (len + bits_per_block - 1) / bits_per_block in
   (4 * nsupers) + (2 * nblocks)
-
-let overhead_bytes t = overhead_bytes_for t.len
 
 let serialize buf t =
   Compress.Rle.add_varint buf t.len;

@@ -1,10 +1,10 @@
-(** Succinct bitvector with two-level rank/select directories — the
-    substrate of the balanced-parentheses structure tree (repository
-    format v4). Only the raw bits are serialized; the directories
-    (cumulative popcounts per 512-bit superblock, per-64-bit-block
-    counts) are rebuilt at load time. *)
+(** Packed bitvector: the on-disk substrate of the balanced-parentheses
+    structure tree and of the wavelet tag levels (repository format
+    v4). Only the raw bits exist; the structure tree reads them once at
+    load into flat pre-order arrays, so no rank or select directory is
+    built. *)
 
-(** An immutable bitvector with rank/select support. *)
+(** An immutable bitvector. *)
 type t
 
 (** Length in bits. *)
@@ -13,42 +13,23 @@ val length : t -> int
 (** Number of set bits. *)
 val ones : t -> int
 
-(** Number of clear bits. *)
-val zeros : t -> int
-
 (** [get t i] is bit [i] (0-based). Raises [Invalid_argument] out of
     range. *)
 val get : t -> int -> bool
 
 (** [of_bytes ~len data] wraps [len] bits packed LSB-first, 8 per byte.
     Takes ownership of [data] ([(len+7)/8] bytes; padding bits are
-    zeroed) and builds the rank directories. *)
+    zeroed). *)
 val of_bytes : len:int -> Bytes.t -> t
 
 (** [init len f] builds a bitvector with bit [i] set iff [f i]. *)
 val init : int -> (int -> bool) -> t
 
-(** [rank1 t i]: number of set bits in positions [0, i). Defined for
-    [0 <= i <= length t]. *)
-val rank1 : t -> int -> int
-
-(** [rank0 t i]: number of clear bits in positions [0, i). *)
-val rank0 : t -> int -> int
-
-(** [select1 t k]: position of the [k]-th set bit, 1-based. Raises
-    [Invalid_argument] unless [1 <= k <= ones t]. *)
-val select1 : t -> int -> int
-
-(** [select0 t k]: position of the [k]-th clear bit, 1-based. *)
-val select0 : t -> int -> int
-
-(** Bytes of raw bit data (what {!serialize} writes past the length). *)
-val data_bytes : t -> int
-
-(** Compact on-storage footprint of the rank directory (4 B per
-    superblock + 2 B per block) — charged to the occupancy breakdown
-    even though the in-memory arrays are rebuilt wider at load. *)
-val overhead_bytes : t -> int
+(** [overhead_bytes_for len]: compact footprint of the two-level rank
+    directory an on-storage succinct layout would carry over [len] bits
+    (4 B per 512-bit superblock + 2 B per 64-bit block). Nothing builds
+    it; the occupancy breakdown charges it. *)
+val overhead_bytes_for : int -> int
 
 (** Append the varint bit length followed by the packed bytes. *)
 val serialize : Buffer.t -> t -> unit

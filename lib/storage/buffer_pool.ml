@@ -228,13 +228,6 @@ let set_budget ~(bytes : int) : unit =
   evict_to_budget ~keep:!lru_front;
   Mutex.unlock lock
 
-let resident ~(uid : int) ~(gen : int) ~(blk : int) : bool =
-  let key = { k_uid = uid; k_gen = gen; k_blk = blk } in
-  Mutex.lock lock;
-  let r = match Hashtbl.find_opt table key with Some (Resident _) -> true | _ -> false in
-  Mutex.unlock lock;
-  r
-
 (* Block on [l] until its decode completes; re-raise its failure. *)
 let await_latch (l : latch) : decoded =
   Atomic.incr latch_waits;

@@ -101,11 +101,6 @@ val fetch :
   (unit -> decoded) ->
   decoded
 
-(** [resident ~uid ~gen ~blk] is [true] iff the block is currently
-    cached (in-flight decodes count as absent). A stat-free peek; the
-    answer may be stale by the time the caller acts on it. *)
-val resident : uid:int -> gen:int -> blk:int -> bool
-
 (** Record [n] blocks skipped wholesale by header min/max pruning
     (counted into {!stats} and the ["container.blocks_skipped"]
     metric). [?bytes] is the total compressed payload size of the

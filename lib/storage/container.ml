@@ -257,7 +257,7 @@ let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
       let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
       let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
       Buffer_pool.note_payload_decoded payload;
-      Xquec_obs.Heat.note_decode ~uid:t.uid ~blk:i ~bytes:payload;
+      Xquec_obs.Heat.note_decode ~uid:t.uid ~bytes:payload;
       Xquec_obs.Ledger.note_decode ~uid:t.uid ~label:t.path ~bytes:payload;
       if Xquec_obs.is_enabled () then begin
         Xquec_obs.Metrics.incr "container.blocks_decoded";
@@ -599,18 +599,8 @@ let in_block_upper (d : Buffer_pool.decoded) (code : string) : int =
   done;
   !lo
 
-(* First global index with code >= [code] (or length if none): a header
+(* First global index with code > [code] (or length if none): a header
    binary search plus at most ONE block decode. *)
-let lower_bound (t : t) (code : string) : int =
-  let bi = first_block_max_ge t code in
-  if bi >= Array.length t.blocks then t.n_records
-  else begin
-    let b = t.blocks.(bi) in
-    if String.compare b.b_min code >= 0 then b.b_start
-    else b.b_start + in_block_lower (fetch_block t bi) code
-  end
-
-(* First global index with code > [code]. *)
 let upper_bound (t : t) (code : string) : int =
   let bi = first_block_max_gt t code in
   if bi >= Array.length t.blocks then t.n_records

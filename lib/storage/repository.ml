@@ -41,8 +41,11 @@ type size_breakdown = {
   models_bytes : int;
   summary_bytes : int;
   index_bytes : int;
-      (** navigation directories (rank/select + min-excess blocks), the v4
-          counterpart of the old B+ page index *)
+      (** the charge for the navigation directories (rank/select +
+          min-excess blocks) an on-storage succinct layout would carry,
+          from the node count and tag width; the v4 counterpart of the
+          old B+ page index. In memory the tree navigates flat arrays
+          instead. *)
   total_bytes : int;  (** everything: the full repository on storage *)
   essential_bytes : int;
       (** without access-support structures: containers + models + dict +

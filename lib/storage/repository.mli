@@ -33,8 +33,11 @@ type size_breakdown = {
   models_bytes : int;
   summary_bytes : int;
   index_bytes : int;
-      (** navigation directories (rank/select + min-excess blocks) — the
-          v4 counterpart of the old B+ page index *)
+      (** the charge for the navigation directories (rank/select +
+          min-excess blocks) an on-storage succinct layout would carry,
+          computed from the node count and tag width — the v4
+          counterpart of the old B+ page index. Nothing builds them: in
+          memory the tree navigates flat pre-order arrays. *)
   total_bytes : int;
   essential_bytes : int;
       (** without access structures: values + models + dictionary +

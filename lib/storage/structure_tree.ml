@@ -1,14 +1,13 @@
 (* Structure tree (§2.2), succinct edition (repository format v4): the
-   document shape lives in a balanced-parentheses bitvector
-   ({!Bp_tree}), tag codes keyed off the name dictionary in a flat
-   pre-order array, and only the value pointers and text-marker
-   positions remain as per-node data. On disk the tags are a wavelet
-   tree ({!Bitvec.Wavelet}); it is decoded to the flat array at load and
-   re-encoded, at the width the image declared, on save. IDs are
-   pre-order ranks, so they coincide with document order and with the
-   open-paren ranks of the BP sequence; the (pre, post, level) triple of
-   the paper's future-work 3-valued structural ids is answered by
-   rank/select instead of being stored.
+   node records of the paper (ID, tag code, children, parent). On disk
+   the shape is a balanced-parentheses bitvector and the tag codes a
+   wavelet tree ({!Bitvec.Wavelet}); in memory both are flat pre-order
+   arrays built at load — the tags, and {!Bp_tree}'s parents and
+   subtree ends. A save re-encodes the wavelet from the flat tags, at
+   the width the image declared. Only the value pointers and
+   text-marker positions remain as per-node data. IDs are pre-order
+   ranks, so they coincide with document order and with the open-paren
+   ranks of the BP sequence.
 
    Child entries interleave element/attribute node ids (>= 0) with text
    markers (< 0): marker -(slot+1) points at the node's value pointer
@@ -58,17 +57,10 @@ let tag_wavelet t =
   Bitvec.Wavelet.build ~width:t.tag_width (Array.init (node_count t) (tag t))
 
 let parent t id = Bp_tree.parent t.bp id
-let level t id = Bp_tree.depth t.bp id
 let value_pointers t id = t.values.(id)
 
 (** Child element/attribute node ids only, document order. *)
 let child_nodes t id = Bp_tree.children t.bp id
-
-(** First child element/attribute node, if any (always [id + 1]). *)
-let first_child t id = Bp_tree.first_child t.bp id
-
-(** Next sibling element/attribute node, if any. *)
-let next_sibling t id = Bp_tree.next_sibling t.bp id
 
 (** Nodes in the subtree of [id], including [id]. *)
 let subtree_size t id = Bp_tree.subtree_size t.bp id
@@ -108,12 +100,7 @@ let child_entries t id =
     out
   end
 
-let structural_id t id =
-  Ids.Structural.make ~pre:id ~post:(Bp_tree.post_rank t.bp id)
-    ~level:(Bp_tree.depth t.bp id)
-
-(** Strict-ancestor test by pre-order interval containment (one
-    findclose on the candidate ancestor). *)
+(** Strict-ancestor test by pre-order interval containment. *)
 let is_ancestor t ~ancestor ~descendant =
   Bp_tree.is_ancestor t.bp ~ancestor ~descendant
 
@@ -159,13 +146,6 @@ let remap_values (t : t) (remap : int -> int array option) : unit =
           | None -> ignore (node, ptrs))
         ptrs)
     t.values
-
-(** Look a node up through the succinct directory (the honest on-storage
-    access path): select1 to the node's open parenthesis, rank1 back to
-    its pre rank. Array indexing is its in-memory shortcut. *)
-let find t id =
-  if id < 0 || id >= node_count t then None
-  else Some (Bp_tree.node_of_open t.bp (Bp_tree.pos_of_node t.bp id))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -254,7 +234,7 @@ let builder () = { b_tags = []; b_parents = []; next_id = 0 }
 (* The builder is driven in document order: open_node returns the fresh id.
    The loader accumulates child lists and value pointers itself (it knows
    them only as parsing proceeds) and hands them to [finish] as reversed
-   per-node lists; post ranks and levels are implicit in the BP shape. *)
+   per-node lists. *)
 let open_node (b : builder) ~tag ~parent : int =
   let id = b.next_id in
   b.next_id <- id + 1;
@@ -282,8 +262,8 @@ let finish (b : builder) ~(rev_children : int list array)
    it has values at all, and explicit marker positions only for mixed
    content (both markers and element children). Parent pointers, child
    lists, post ranks and the B+ page index are not stored — the load
-   rebuilds the rank/select directories, the subtree ends and the flat
-   tag array. *)
+   rebuilds the parent and subtree-end arrays and the flat tag
+   array. *)
 let serialize_succinct buf (t : t) =
   let add_varint = Compress.Rle.add_varint in
   let n = node_count t in
@@ -412,14 +392,15 @@ let forward_only_bytes (t : t) =
   done;
   Buffer.length buf
 
-(** Size of the navigation directories alone (rank/select and
-    minimum-excess blocks over the BP bits and tag levels) — the v4
-    counterpart of the old B+ page index for the §2.2 occupancy
-    breakdown. *)
+(** The charge for the directories an on-storage succinct layout would
+    carry to navigate the BP bits and tag levels in place (rank/select
+    and minimum-excess blocks) — the v4 counterpart of the old B+ page
+    index for the §2.2 occupancy breakdown. Nothing builds them; the
+    charge depends on the node count and tag width alone. *)
 let index_bytes (t : t) =
   Bp_tree.overhead_bytes t.bp
   + Bitvec.Wavelet.overhead_bytes ~n:(node_count t) ~width:t.tag_width
 
 (** In-memory bytes of the navigation arrays built at load (the flat
-    tag array and the subtree ends); never stored. *)
-let nav_array_bytes (t : t) = Bytes.length t.tags + Bp_tree.ends_bytes t.bp
+    tag array, the parents and the subtree ends); never stored. *)
+let nav_array_bytes (t : t) = Bytes.length t.tags + Bp_tree.nav_bytes t.bp

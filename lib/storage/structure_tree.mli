@@ -1,12 +1,11 @@
-(** Structure tree (§2.2), succinct edition: the document shape as a
-    balanced-parentheses bitvector, tag codes in a flat pre-order array
-    (a wavelet tree on disk), value pointers and text-marker positions
-    as the only per-node data. Ids
-    are pre-order ranks; (pre, post, level) realizes the paper's
-    3-valued structural ids via rank/select. Child entries interleave
-    element/attribute node ids (>= 0) with text markers (< 0, indexing
-    the node's value pointers) so documents reconstruct in exact
-    order. *)
+(** Structure tree (§2.2), succinct edition. On disk the document shape
+    is a balanced-parentheses bitvector and the tag codes a wavelet
+    tree; in memory both are flat pre-order arrays built at load (tags,
+    parents, subtree ends), and value pointers and text-marker
+    positions are the only other per-node data. Ids are pre-order
+    ranks. Child entries interleave element/attribute node ids (>= 0)
+    with text markers (< 0, indexing the node's value pointers) so
+    documents reconstruct in exact order. *)
 
 (** The structure tree; node ids are pre-order ranks. Value pointers
     are mutable (for container recompression); the shape is not. *)
@@ -21,9 +20,6 @@ val tag : t -> int -> int
 (** Parent node id; -1 at the root. *)
 val parent : t -> int -> int
 
-(** Depth of a node (0 at the root). *)
-val level : t -> int -> int
-
 (** (container id, record index) pairs, in document (slot) order. *)
 val value_pointers : t -> int -> (int * int) array
 
@@ -33,18 +29,8 @@ val child_entries : t -> int -> int array
 (** Child element/attribute node ids only. *)
 val child_nodes : t -> int -> int list
 
-(** First child element/attribute node, if any; always [id + 1] when
-    present (pre-order numbering). *)
-val first_child : t -> int -> int option
-
-(** Next sibling element/attribute node in document order, if any. *)
-val next_sibling : t -> int -> int option
-
 (** Nodes in a node's subtree, itself included. *)
 val subtree_size : t -> int -> int
-
-(** The (pre, post, level) identifier of a node. *)
-val structural_id : t -> int -> Ids.Structural.t
 
 (** Strict-ancestor test by pre-order interval containment. *)
 val is_ancestor : t -> ancestor:int -> descendant:int -> bool
@@ -70,10 +56,6 @@ val remap_values : t -> (int -> int array option) -> unit
 (** Redirect one value pointer slot to a different container (used when
     splitting containers during recompression). *)
 val set_value_container : t -> node:int -> slot:int -> container:int -> unit
-
-(** Lookup through the succinct directory (select1 to the open paren,
-    rank1 back) — the honest on-storage access path. *)
-val find : t -> int -> int option
 
 (** {2 Document-order construction} *)
 
@@ -125,12 +107,14 @@ val deserialize_succinct : string -> int -> t * int
     back-pointers, no rank directories. *)
 val forward_only_bytes : t -> int
 
-(** Size of the navigation directories (rank/select + min-excess blocks)
-    — the v4 counterpart of the old B+ page index in the §2.2
-    breakdown. *)
+(** The charge for the navigation directories (rank/select and
+    min-excess blocks over the BP bits and tag levels) that an
+    on-storage succinct layout would carry — the v4 counterpart of the
+    old B+ page index in the §2.2 breakdown. Nothing builds them: it is
+    computed from the node count and tag width alone. *)
 val index_bytes : t -> int
 
 (** In-memory bytes of the navigation arrays built at load — the flat
-    tag array and the per-node subtree ends. Not part of the image, so
-    not part of {!index_bytes}. *)
+    tag array and the per-node parents and subtree ends. Not part of
+    the image, so not part of {!index_bytes}. *)
 val nav_array_bytes : t -> int

@@ -41,9 +41,3 @@ let node_to_string ?indent node =
   Buffer.contents buf
 
 let to_string ?indent (doc : Tree.document) = node_to_string ?indent doc.Tree.root
-
-let to_file ?indent path doc =
-  let oc = open_out_bin path in
-  output_string oc (to_string ?indent doc);
-  output_char oc '\n';
-  close_out oc

@@ -461,7 +461,7 @@ let test_tree_navigation () =
   Alcotest.(check int) "parent of b" 0 (Structure_tree.parent tree b1);
   let cs = Structure_tree.children_with_tag tree b1 (code "c") in
   Alcotest.(check int) "two c under first b" 2 (List.length cs);
-  (* ancestors via pre/post *)
+  (* ancestors via pre-order intervals *)
   List.iter
     (fun c ->
       Alcotest.(check bool) "b ancestor of c" true
@@ -471,15 +471,6 @@ let test_tree_navigation () =
     cs;
   let all_desc = Structure_tree.descendants tree 0 in
   Alcotest.(check int) "descendants of root" 8 (List.length all_desc)
-
-let test_tree_find_via_index () =
-  let repo = small_repo () in
-  let tree = repo.Repository.tree in
-  for id = 0 to Structure_tree.node_count tree - 1 do
-    Alcotest.(check (option int)) "find through sparse index" (Some id)
-      (Structure_tree.find tree id)
-  done;
-  Alcotest.(check (option int)) "out of range" None (Structure_tree.find tree 999)
 
 let test_summary_matching () =
   let repo = small_repo () in
@@ -574,6 +565,29 @@ let test_size_breakdown_consistent () =
   Alcotest.(check bool) "essential < total" true
     (sz.Repository.essential_bytes < sz.Repository.total_bytes)
 
+(* Every field of the breakdown and the compression factor, exactly, on
+   the scale-0.05 XMark document (1,102 nodes, 7-bit tags). [index_bytes]
+   is the directory charge computed from the node count and tag width:
+   over the 2,204 BP bits, 4 B per 512-bit superblock (5) + 2 B per
+   64-bit block (35) + 2 B per 256-bit min-excess block (9) = 108; over
+   the seven 1,102-bit tag levels, 7 * (4 * 3 + 2 * 18) = 336. *)
+let test_size_breakdown_pinned () =
+  let repo = Xquec_core.Loader.load ~name:"a" (Xmark.Xmlgen.generate ~scale:0.05 ()) in
+  Alcotest.(check int) "node count" 1102 (Structure_tree.node_count repo.Repository.tree);
+  let sz = Repository.size_breakdown repo in
+  let field = Alcotest.(check int) in
+  field "name_dict_bytes" 728 sz.Repository.name_dict_bytes;
+  field "tree_bytes" 3799 sz.Repository.tree_bytes;
+  field "containers_bytes" 37343 sz.Repository.containers_bytes;
+  field "models_bytes" 5261 sz.Repository.models_bytes;
+  field "summary_bytes" 2209 sz.Repository.summary_bytes;
+  field "index_bytes" (108 + 336) sz.Repository.index_bytes;
+  field "total_bytes" 49784 sz.Repository.total_bytes;
+  field "essential_bytes" 35043 sz.Repository.essential_bytes;
+  field "original_size" 46943 repo.Repository.original_size;
+  Alcotest.(check (float 0.0)) "compression_factor" (1.0 -. (49784.0 /. 46943.0))
+    (Repository.compression_factor repo)
+
 (* The committed v2 and v3 fixtures were written from
    fixtures/v3_small.xml (mixed content included) by the writers of
    their day, which no longer exist. *)
@@ -604,7 +618,6 @@ let check_fixture_matches_fresh (repo : Repository.t) =
   for id = 0 to n - 1 do
     if Structure_tree.tag t id <> Structure_tree.tag tf id
        || Structure_tree.parent t id <> Structure_tree.parent tf id
-       || Structure_tree.level t id <> Structure_tree.level tf id
        || Structure_tree.value_pointers t id <> Structure_tree.value_pointers tf id
        || Structure_tree.child_entries t id <> Structure_tree.child_entries tf id
     then Alcotest.failf "node %d differs from a fresh load" id
@@ -845,7 +858,6 @@ let suites =
         Alcotest.test_case "distinct_parents persisted / recomputed" `Quick test_distinct_parents_persisted;
         Alcotest.test_case "bare-element predicate pruned" `Quick test_bare_element_predicate_pruned;
         Alcotest.test_case "structure tree navigation" `Quick test_tree_navigation;
-        Alcotest.test_case "B+ index lookup" `Quick test_tree_find_via_index;
         Alcotest.test_case "summary matching" `Quick test_summary_matching;
         Alcotest.test_case "summary is small" `Quick test_summary_node_count;
         Alcotest.test_case "repository roundtrip" `Slow test_repository_roundtrip;
@@ -857,6 +869,7 @@ let suites =
         Alcotest.test_case "v4 re-save digests" `Quick test_resave_digests;
         Alcotest.test_case "wide name dictionary" `Quick test_wide_dictionary;
         Alcotest.test_case "size breakdown consistent" `Quick test_size_breakdown_consistent;
+        Alcotest.test_case "size breakdown pinned" `Quick test_size_breakdown_pinned;
         Alcotest.test_case "repository header check" `Quick test_repository_header_check;
         Alcotest.test_case "not an image is corrupt" `Quick test_not_an_image_is_corrupt;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;

@@ -30,7 +30,7 @@ let test_heat_touch_semantics () =
   (* run 1: block 0 touched twice (collapses), then 1, 2 sequentially;
      run 2: back to block 0, re-touch collapses again *)
   List.iter (fun blk -> Obs.Heat.note_touch ~uid ~blk) [ 0; 0; 1; 2; 0; 0 ];
-  Obs.Heat.note_decode ~uid ~blk:0 ~bytes:100;
+  Obs.Heat.note_decode ~uid ~bytes:100;
   Obs.Heat.note_skip ~uid ~blocks:2 ~bytes:555;
   let s = Option.get (stat_of uid) in
   Alcotest.(check string) "label" "heat:/site/a/#text" s.Obs.Heat.label;
@@ -58,7 +58,7 @@ let test_heat_reset_and_switch () =
   let uid = fresh_uid () in
   Obs.Heat.register ~uid ~label:"heat:/reset" ~blocks:2;
   List.iter (fun blk -> Obs.Heat.note_touch ~uid ~blk) [ 0; 1 ];
-  Obs.Heat.note_decode ~uid ~blk:1 ~bytes:10;
+  Obs.Heat.note_decode ~uid ~bytes:10;
   Obs.Heat.reset ();
   let s = Option.get (stat_of uid) in
   Alcotest.(check string) "registration survives reset" "heat:/reset" s.Obs.Heat.label;
@@ -71,7 +71,7 @@ let test_heat_reset_and_switch () =
   Fun.protect ~finally:(fun () -> Obs.Heat.set_enabled true) @@ fun () ->
   let ghost = fresh_uid () in
   Obs.Heat.note_touch ~uid:ghost ~blk:0;
-  Obs.Heat.note_decode ~uid:ghost ~blk:0 ~bytes:1;
+  Obs.Heat.note_decode ~uid:ghost ~bytes:1;
   Alcotest.(check bool) "disabled records nothing" true (stat_of ghost = None)
 
 let test_heat_snapshot_json () =
