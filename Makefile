@@ -33,9 +33,11 @@ build:
 # as must a workload-tuned pair (the partitioner's search and re-encode
 # under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R),
 # a truncated query must exit 2 with a positioned syntax error, an XML
-# document given as an image must exit 1 as not a valid image, and
+# document given as an image must exit 1 as not a valid image,
 # EXPLAIN of a Q2-shaped query must show the batched-path operator (so
-# set-at-a-time paths cannot silently stop firing).
+# set-at-a-time paths cannot silently stop firing), and EXPLAIN of the
+# person0 lookup written as a path predicate must list, in its strategy
+# section, the pushdown into the @id container that the executor ran.
 check:
 	dune build
 	dune runtest
@@ -66,6 +68,9 @@ check:
 	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
 	  'for $$b in document("auction.xml")/site/open_auctions/open_auction return <increase>{$$b/bidder[1]/increase/text()}</increase>' \
 	  | grep -q 'batched path $$b/bidder\[1\]/increase/text()'
+	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
+	  'document("auction.xml")/site/people/person[@id = "person0"]/name' \
+	  | sed -n '/^strategy:$$/,/^$$/p' | grep -q '^  pushdown .*containers=/site/people/person/@id'
 	$(XQUEC) profile $(GATE_DIR)/query-log.jsonl --json | grep -q '"container"'
 	$(MAKE) serve-smoke
 

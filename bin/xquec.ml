@@ -313,37 +313,25 @@ let explain_cmd =
          (* .xqc repository or raw .xml *))
   in
   let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"XQUERY") in
-  let plan_only =
-    Arg.(
-      value & flag
-      & info [ "plan-only" ]
-          ~doc:"Only analyze the strategy (the classic EXPLAIN); do not evaluate the \
-                query or print the profiled plan.")
-  in
-  let run input query plan_only stats trace_out cache_mb query_log =
+  let run input query stats trace_out cache_mb query_log =
     reporting_syntax_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
     let engine = load_engine_any input in
-    let repo = Xquec_core.Engine.repo engine in
-    if plan_only then print_endline (Xquec_core.Optimizer.explain_string repo query)
-    else begin
-      (* Route through the logged evaluation path so `explain --query-log`
-         appends the same one-record-per-query accounting as `query`. *)
-      let _out, prof = Xquec_core.Engine.query_serialized_logged engine query in
-      print_string (Xquec_core.Optimizer.render_profiled repo query prof)
-    end
+    (* Route through the logged evaluation path so `explain --query-log`
+       appends the same one-record-per-query accounting as `query`. *)
+    let _out, prof = Xquec_core.Engine.query_serialized_logged engine query in
+    print_string (Xquec_obs.Explain.report prof)
   in
   Cmd.v
     (Cmd.info "explain"
-       ~doc:"EXPLAIN ANALYZE a query: the evaluation strategy (summary accesses, \
-             compressed-domain pushdowns, join methods, decorrelations) plus the \
-             profiled physical plan with per-operator wall time, cardinalities, \
+       ~doc:"EXPLAIN ANALYZE a query: evaluate it, then print the decisions the \
+             executor made (summary accesses, batched paths, compressed-domain \
+             pushdowns, join methods, decorrelations) and the profiled physical plan with per-operator wall time, cardinalities, \
              compressed vs. decompressed predicate counts, and per-operator buffer-pool \
              activity (hits, misses, latch waits, pruned blocks, bytes decoded). INPUT \
              may be a compressed repository or a raw XML document.")
     Term.(
-      const run $ input $ query $ plan_only $ stats_flag $ trace_out $ cache_mb
-      $ query_log)
+      const run $ input $ query $ stats_flag $ trace_out $ cache_mb $ query_log)
 
 (* --- serve ----------------------------------------------------------- *)
 

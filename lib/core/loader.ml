@@ -145,13 +145,13 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
     match ev with
     | Xmlkit.Sax.Start_element (tag, attributes) ->
       let tag_code = Name_dict.intern dict tag in
-      let (parent_id, parent_snode, parent_frame) =
+      let (parent_snode, parent_frame) =
         match !stack with
-        | [] -> (-1, summary.Summary.root, None)
-        | fr :: _ -> (fr.f_id, fr.f_snode, Some fr)
+        | [] -> (summary.Summary.root, None)
+        | fr :: _ -> (fr.f_snode, Some fr)
       in
       let snode = Summary.child_or_create parent_snode ~tag:tag_code ~name:tag in
-      let id = Structure_tree.open_node builder ~tag:tag_code ~parent:parent_id in
+      let id = Structure_tree.open_node builder ~tag:tag_code in
       Summary.add_id snode id;
       (match parent_frame with
       | Some fr -> fr.f_rev_children <- id :: fr.f_rev_children
@@ -166,7 +166,7 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
           let atag = "@" ^ aname in
           let atag_code = Name_dict.intern dict atag in
           let asnode = Summary.child_or_create snode ~tag:atag_code ~name:atag in
-          let attr_id = Structure_tree.open_node builder ~tag:atag_code ~parent:id in
+          let attr_id = Structure_tree.open_node builder ~tag:atag_code in
           Summary.add_id asnode attr_id;
           frame.f_rev_children <- attr_id :: frame.f_rev_children;
           let pending =

@@ -154,8 +154,8 @@ let remap_values (t : t) (remap : int -> int array option) : unit =
 (* Shared assembly: turn explicit per-node arrays (from the builder or
    from a v1/v2/v3 image) into the succinct form, validating the
    pre-order and marker invariants the bitvector encoding relies on. *)
-let of_arrays ~(tags : int array) ~(parents : int array)
-    ~(children : int array array) ~(values : (int * int) array array) : t =
+let of_arrays ~(tags : int array) ~(children : int array array)
+    ~(values : (int * int) array array) : t =
   let n = Array.length tags in
   (* text-marker positions, checking markers are sequential per node *)
   let marks =
@@ -188,16 +188,15 @@ let of_arrays ~(tags : int array) ~(parents : int array)
     incr pos
   in
   let next = ref 0 in
-  let visit stack id par =
+  let visit stack id =
     if id >= n || id <> !next then failwith "structure_tree: children not in pre-order";
-    if parents.(id) <> par then failwith "structure_tree: parent pointer mismatch";
     incr next;
     emit_open ();
     stack := (id, ref 0) :: !stack
   in
   if n > 0 then begin
     let stack = ref [] in
-    visit stack 0 (-1);
+    visit stack 0;
     while !stack <> [] do
       match !stack with
       | [] -> ()
@@ -209,7 +208,7 @@ let of_arrays ~(tags : int array) ~(parents : int array)
         if !k < Array.length entries then begin
           let c = entries.(!k) in
           incr k;
-          visit stack c id
+          visit stack c
         end
         else begin
           incr pos (* close: bit stays 0 *);
@@ -225,21 +224,19 @@ let of_arrays ~(tags : int array) ~(parents : int array)
 
 type builder = {
   mutable b_tags : int list; (* reversed: id order *)
-  mutable b_parents : int list;
   mutable next_id : int;
 }
 
-let builder () = { b_tags = []; b_parents = []; next_id = 0 }
+let builder () = { b_tags = []; next_id = 0 }
 
 (* The builder is driven in document order: open_node returns the fresh id.
    The loader accumulates child lists and value pointers itself (it knows
    them only as parsing proceeds) and hands them to [finish] as reversed
    per-node lists. *)
-let open_node (b : builder) ~tag ~parent : int =
+let open_node (b : builder) ~tag : int =
   let id = b.next_id in
   b.next_id <- id + 1;
   b.b_tags <- tag :: b.b_tags;
-  b.b_parents <- parent :: b.b_parents;
   id
 
 let next_id (b : builder) = b.next_id
@@ -247,10 +244,9 @@ let next_id (b : builder) = b.next_id
 let finish (b : builder) ~(rev_children : int list array)
     ~(rev_values : (int * int) list array) : t =
   let tags = Array.of_list (List.rev b.b_tags) in
-  let parents = Array.of_list (List.rev b.b_parents) in
   let children = Array.map (fun l -> Array.of_list (List.rev l)) rev_children in
   let values = Array.map (fun l -> Array.of_list (List.rev l)) rev_values in
-  of_arrays ~tags ~parents ~children ~values
+  of_arrays ~tags ~children ~values
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -319,7 +315,15 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
    as the odd code 2k - 1) and value record indices; the container id
    of each value is re-resolved by the repository loader. v2 stores
    codes and indices as plain varints, v3 as zigzag delta+varint
-   sequences. Both share the array assembly in [of_arrays]. *)
+   sequences. Both share the array assembly in [of_arrays] and then
+   check the stored parent pointers against the shape it built. *)
+let with_parents_checked (t : t) (parents : int array) : t =
+  Array.iteri
+    (fun id p ->
+      if Bp_tree.parent t.bp id <> p then failwith "structure_tree: parent pointer mismatch")
+    parents;
+  t
+
 let deserialize_v2 (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
   let (n, pos) = read_varint s pos in
@@ -353,7 +357,7 @@ let deserialize_v2 (s : string) (pos : int) : t * int =
     values.(id) <- vals;
     pos := !p
   done;
-  (of_arrays ~tags ~parents ~children ~values, !pos)
+  (with_parents_checked (of_arrays ~tags ~children ~values) parents, !pos)
 
 let deserialize_v3 (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
@@ -375,7 +379,7 @@ let deserialize_v3 (s : string) (pos : int) : t * int =
     values.(id) <- Array.map (fun idx -> (-1, idx)) idxs;
     pos := p
   done;
-  (of_arrays ~tags ~parents ~children ~values, !pos)
+  (with_parents_checked (of_arrays ~tags ~children ~values) parents, !pos)
 
 (** Forward-only tree bytes for the essential-size experiment: shape
     bits, tag levels and text-marker info, without parent support or

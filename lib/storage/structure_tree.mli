@@ -66,7 +66,7 @@ type builder
 val builder : unit -> builder
 
 (** Register a node at element open; returns its (pre-order) id. *)
-val open_node : builder -> tag:int -> parent:int -> int
+val open_node : builder -> tag:int -> int
 
 (** The id the next {!open_node} will return. *)
 val next_id : builder -> int

@@ -238,7 +238,9 @@ let test_tree_tag_cells () =
       let tag id = if id = n - 1 then max_code else id * 7919 mod (max_code + 1) in
       let parents = random_preorder_parents n in
       let b = Structure_tree.builder () in
-      Array.iteri (fun id parent -> ignore (Structure_tree.open_node b ~tag:(tag id) ~parent)) parents;
+      for id = 0 to n - 1 do
+        ignore (Structure_tree.open_node b ~tag:(tag id))
+      done;
       (* reversed document order, as the loader accumulates them *)
       let rev_children = Array.make n [] in
       for id = 1 to n - 1 do
@@ -259,6 +261,23 @@ let test_tree_tag_cells () =
       Alcotest.(check string) "re-save is byte-identical" image (Buffer.contents buf2))
     [ 0; 255; 256; 65535; 65536; 1 lsl 40 ]
 
+(* The v1-v3 readers take parent pointers from the image: a pointer
+   that disagrees with the child lists is rejected. A two-node v2 tree
+   (root 0 with child 1), per node: tag, parent delta, child codes
+   (child c of node id as 2 * (c - id)), value indices. *)
+let test_v2_parent_check () =
+  let image ~child_pdelta =
+    let buf = Buffer.create 16 in
+    List.iter (Compress.Rle.add_varint buf)
+      [ 2; (* node 0 *) 0; 1; 1; 2; 0; (* node 1 *) 1; child_pdelta; 0; 0 ];
+    Buffer.contents buf
+  in
+  let t, _ = Structure_tree.deserialize_v2 (image ~child_pdelta:1) 0 in
+  Alcotest.(check int) "parent read back" 0 (Structure_tree.parent t 1);
+  Alcotest.check_raises "mismatched parent rejected"
+    (Failure "structure_tree: parent pointer mismatch") (fun () ->
+      ignore (Structure_tree.deserialize_v2 (image ~child_pdelta:0) 0))
+
 let suites =
   [
     ( "succinct",
@@ -274,5 +293,6 @@ let suites =
         Alcotest.test_case "tree navigation differential" `Quick
           test_tree_differential_vs_pointer_semantics;
         Alcotest.test_case "tree tag cells of every width" `Quick test_tree_tag_cells;
+        Alcotest.test_case "v2 reader checks parent pointers" `Quick test_v2_parent_check;
       ] );
   ]
