@@ -147,6 +147,44 @@ let test_algorithm_independence () =
         reference (results_for alg))
     algorithms
 
+(* An inequality join sorts its keys, and code order is not value
+   order: a Huffman code carries none, and an order-preserving code
+   compares numbers as strings. So a self-join on one string-coded
+   container, whose two sides share a model, must still key on values
+   and answer as the image with numeric containers does. *)
+let test_inequality_joins_key_on_values () =
+  let queries =
+    [
+      "for $j in document(\"shop.xml\")/shop/item \
+       let $l := for $i in document(\"shop.xml\")/shop/item where $i/@price < $j/@price \
+       return $i/name/text() return <l>{$l}</l>";
+      "for $j in document(\"shop.xml\")/shop/item[@id = \"i1\"] \
+       for $i in document(\"shop.xml\")/shop/item where $i/@price > $j/@price \
+       return $i/name/text()";
+    ]
+  in
+  let results repo = List.map (fun q -> Executor.serialize repo (Executor.run_string repo q)) queries in
+  let expected = [ "<l>table</l>\n<l/>\n<l>chair table</l>"; "mirror" ] in
+  Alcotest.(check (list string)) "numeric containers" expected (results (Lazy.force repo));
+  List.iter
+    (fun alg ->
+      let options =
+        { Loader.default_string_algorithm = alg; detect_numeric = false; spill_directory = None }
+      in
+      let repo = Loader.load ~options ~name:"shop.xml" doc in
+      let name = Compress.Codec.algorithm_name alg in
+      Alcotest.(check (list string)) (name ^ "-coded prices") expected (results repo);
+      let _, plan = Executor.run_profiled repo (Xquery.Parser.parse (List.hd queries)) in
+      let keys =
+        Xquec_obs.Explain.fold
+          (fun acc (n : Xquec_obs.Explain.node) ->
+            if n.kind = "decorrelate" then List.assoc "keys" n.attrs :: acc else acc)
+          [] plan
+      in
+      Alcotest.(check (list string)) (name ^ ": decorrelation keys") [ "values" ] keys)
+    [ Compress.Codec.Huffman_alg; Compress.Codec.Alm_alg; Compress.Codec.Arith_alg;
+      Compress.Codec.Hu_tucker_alg ]
+
 let test_pushdown_agrees_with_generic () =
   (* the pushdown path (summary + container) and the per-node fallback
      must agree: compare a pushable predicate with its not-pushable
@@ -256,6 +294,8 @@ let suites =
         Alcotest.test_case "construction" `Quick test_construction;
         Alcotest.test_case "nested-flwor decorrelation" `Quick test_nested_flwor_decorrelation;
         Alcotest.test_case "algorithm independence" `Quick test_algorithm_independence;
+        Alcotest.test_case "inequality joins key on values" `Quick
+          test_inequality_joins_key_on_values;
         Alcotest.test_case "pushdown agrees with generic" `Quick test_pushdown_agrees_with_generic;
         Alcotest.test_case "errors" `Quick test_errors;
         Alcotest.test_case "predicate observations pinned" `Quick test_observations_pinned;
