@@ -100,13 +100,15 @@ serve-smoke: build
 
 # documentation gate: every exported item in the storage, compress,
 # core, obs, xquery and xmark interfaces must carry an odoc comment (no
-# odoc install needed), and the operator guide's flags/metric names and
-# the format reference's magics/flag constants must all resolve against
-# the sources (--xref; see tools/doc_lint.ml)
+# odoc install needed), and the documents' flags, metric names, format
+# magics/flag constants and `Module.name` references must all resolve
+# against the sources (--xref; see tools/doc_lint.ml)
 docs: build
 	ocaml tools/doc_lint.ml lib/storage lib/compress lib/core lib/obs \
 	  lib/xquery lib/xmark \
-	  --xref docs/SERVING.md --xref docs/FORMATS.md --xref docs/OBSERVABILITY.md
+	  --xref README.md --xref DESIGN.md --xref docs/ARCHITECTURE.md \
+	  --xref docs/CONCURRENCY.md --xref docs/SERVING.md --xref docs/FORMATS.md \
+	  --xref docs/OBSERVABILITY.md
 
 bench:
 	dune exec bench/main.exe

@@ -250,7 +250,7 @@ and eval_step env ctx (st : Ast.step) =
   | Ast.Child | Ast.Attribute -> List.concat_map per_context ctx
   | Ast.Descendant ->
     (* Steps from several context nodes can surface the same node twice
-       via the descendant axis; XQuery de-duplicates. Physical equality
+       via the descendant axis; XQuery de-duplicates. Pointer equality
        is the node identity here. *)
     let dedup items =
       let rec go acc = function
@@ -373,8 +373,6 @@ and construct env tag attrs kids : Tree.t =
 (** Evaluate a query against named documents. *)
 let run ~(docs : (string * Tree.document) list) (query : Ast.expr) : item list =
   eval (make_env ~docs ()) query
-
-let run_string ~docs (query : string) : item list = run ~docs (Parser.parse query)
 
 (** Serialize a result sequence the way the paper's engines emit results. *)
 let serialize (items : item list) : string =

@@ -18,6 +18,4 @@ val string_of_item : item -> string
 
 val run : docs:(string * Tree.document) list -> Xquery.Ast.expr -> item list
 
-val run_string : docs:(string * Tree.document) list -> string -> item list
-
 val serialize : item list -> string

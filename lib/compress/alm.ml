@@ -361,8 +361,6 @@ let code_tokens (m : model) = Array.copy m.tokens
 (** Order-preserving: compare compressed values directly. *)
 let compare_compressed (a : string) (b : string) = String.compare a b
 
-let equal_compressed (a : string) (b : string) = String.equal a b
-
 (** Compressed bounds for a prefix-wildcard [p*]: ALM being
     order-preserving, matching strings are exactly those in
     [compress p, compress (next_prefix p)). This goes beyond the paper's

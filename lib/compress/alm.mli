@@ -73,10 +73,6 @@ val code_tokens : model -> string array
 (** Order-preserving: compare compressed values directly. *)
 val compare_compressed : string -> string -> int
 
-(** Compressed equality (plain byte equality, since the code is
-    injective). *)
-val equal_compressed : string -> string -> bool
-
 (** Compressed bounds for a prefix wildcard [p*]: matching values are
     exactly those in [fst, snd) of the result (an extension beyond the
     paper's wild=false classification). *)

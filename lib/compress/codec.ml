@@ -211,12 +211,6 @@ let model_size = function
   | M_bzip -> 0
   | M_numeric n -> Ipack.model_size n
 
-(** Equality of plaintexts decided on compressed values; valid whenever
-    the algorithm's [eq] property holds and both sides share the model. *)
-let equal_compressed (m : model) a b =
-  ignore m;
-  String.equal a b
-
 (** Order of plaintexts decided on compressed values; only valid when the
     algorithm's [ineq] property holds. *)
 let compare_compressed (m : model) a b =

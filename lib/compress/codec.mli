@@ -85,10 +85,6 @@ val decode_block : count:int -> string -> string array * int array
 (** Serialized model size in bytes (the c_s(F) storage cost). *)
 val model_size : model -> int
 
-(** Valid whenever the algorithm's [eq] holds and both sides share the
-    model. *)
-val equal_compressed : model -> string -> string -> bool
-
 (** Valid only when the algorithm's [ineq] property holds. *)
 val compare_compressed : model -> string -> string -> int
 

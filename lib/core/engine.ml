@@ -35,16 +35,12 @@ let query_hash (text : string) : string = Digest.to_hex (Digest.string text)
 let compile (text : string) : Xquery.Ast.expr * Plan_cache.lookup =
   Plan_cache.find_or_add ~key:(query_hash text) (fun () -> parse_query text)
 
-(** Evaluate a query; results stay compressed where possible. *)
-let query (t : t) (text : string) : Executor.item list =
-  Executor.run t.repo (parse_query text)
-
 let query_ast (t : t) (ast : Xquery.Ast.expr) : Executor.item list = Executor.run t.repo ast
 
 (** Evaluate and serialize (decompressing the result, as the paper's QET
     measurements do). *)
 let query_serialized (t : t) (text : string) : string =
-  Executor.serialize t.repo (query t text)
+  Executor.serialize t.repo (query_ast t (parse_query text))
 
 (* --- query log ------------------------------------------------------- *)
 

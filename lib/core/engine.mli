@@ -32,11 +32,9 @@ val query_hash : string -> string
     propagate and are never cached. *)
 val compile : string -> Xquery.Ast.expr * Plan_cache.lookup
 
-(** Parse and evaluate a query, returning result items (still in their
-    compressed-domain representation where possible). *)
-val query : t -> string -> Executor.item list
-
-(** Evaluate an already-parsed query. *)
+(** Evaluate a parsed query (from {!parse_query} or {!compile}),
+    returning result items (still in their compressed-domain
+    representation where possible). *)
 val query_ast : t -> Xquery.Ast.expr -> Executor.item list
 
 (** Evaluate and serialize (decompressing the result, as the paper's QET

@@ -355,16 +355,8 @@ let prof_rows ctx ?(attrs : ('a -> (string * string) list) option) ~kind (op : u
         v)
   | _ -> f ()
 
-let prof_binding ctx ?attrs ~kind (op : unit -> string) (f : unit -> binding) : binding =
-  prof_rows ctx ?attrs ~kind op ~rows:(count ctx) f
-
-(* A step answered from the summary alone: its result is still the
-   symbolic "every instance of these summary nodes". *)
-let summary_attrs (b : binding) =
-  match b.seq with
-  | All_nodes snodes | All_values snodes ->
-    [ ("summary_nodes", string_of_int (List.length snodes)) ]
-  | Mat _ -> []
+let prof_binding ctx ~kind (op : unit -> string) (f : unit -> binding) : binding =
+  prof_rows ctx ~kind op ~rows:(count ctx) f
 
 (* [n] predicate evaluations decided on compressed codes ([compressed])
    or after decompression; attributed to the innermost open operator and
@@ -1371,11 +1363,9 @@ let rec eval ctx (env : env) (e : Ast.expr) : binding =
           match bt.b_union with Some u -> Run (u, bt.b_starts.(s)) | None -> Loose
         in
         { seq = Mat bt.b_runs.(s); snodes = []; origin }
-      | None -> List.fold_left (eval_step ctx env) b steps)
-    | Member _ | Loose | Run _ -> List.fold_left (eval_step ctx env) b steps)
-  | Ast.Path (src, steps) ->
-    let b = eval ctx env src in
-    List.fold_left (eval_step ctx env) b steps
+      | None -> eval_steps ctx env b steps)
+    | Member _ | Loose | Run _ -> eval_steps ctx env b steps)
+  | Ast.Path (src, steps) -> eval_steps ctx env (eval ctx env src) steps
   | Ast.Flwor (clauses, ret) -> eval_flwor ctx env clauses ret
   | Ast.If (c, t, f) -> if ebv ctx (eval ctx env c) then eval ctx env t else eval ctx env f
   | Ast.Cmp (op, a, b) ->
@@ -1455,14 +1445,34 @@ let rec eval ctx (env : env) (e : Ast.expr) : binding =
 
 (* --- Path steps --- *)
 
-and eval_step ctx env (b : binding) (st : Ast.step) : binding =
+(* A path's steps, one operator each. A step the summary answered keeps
+   its result symbolic, and every step before it was answered so too: the
+   last such step records [summary_nodes], once for the whole path. *)
+and eval_steps ctx env (b : binding) (steps : Ast.step list) : binding =
   match ctx.prof with
-  | Some _ when ctx.prof_ops ->
-    prof_binding ctx ~attrs:summary_attrs ~kind:"step" (fun () -> step_label st) @@ fun () ->
-    eval_step_inner ctx env b st
-  | _ -> eval_step_inner ctx env b st
+  | Some p when ctx.prof_ops ->
+    let last = ref None in
+    let b =
+      List.fold_left
+        (fun b st ->
+          Xquec_obs.Explain.with_op p ~kind:"step" (step_label st) (fun node ->
+              let r = with_cache_delta node (fun () -> eval_step ctx env b st) in
+              Xquec_obs.Explain.set_rows node (count ctx r);
+              (match r.seq with
+              | All_nodes snodes | All_values snodes -> last := Some (node, snodes)
+              | Mat _ -> ());
+              r))
+        b steps
+    in
+    Option.iter
+      (fun (node, snodes) ->
+        Xquec_obs.Explain.add_attrs node
+          [ ("summary_nodes", string_of_int (List.length snodes)) ])
+      !last;
+    b
+  | _ -> List.fold_left (eval_step ctx env) b steps
 
-and eval_step_inner ctx env (b : binding) (st : Ast.step) : binding =
+and eval_step ctx env (b : binding) (st : Ast.step) : binding =
   let has_pos =
     List.exists
       (function Ast.Pos _ | Ast.Pos_last -> true | Ast.Cond _ -> false)
@@ -2370,6 +2380,19 @@ and static_value_containers ctx env (e : Ast.expr) : Container.t list option =
     | None | Some [] -> None
     | Some snodes ->
       Option.map (List.map fst) (resolve_value_path ctx snodes steps))
+  | Ast.Var v -> (
+    (* a variable bound to attribute values ([for $x in P/@a],
+       [distinct-values(P/@a)]) holds values of their containers *)
+    let attr_container (sn : Summary.node) =
+      if sn.Summary.tag >= 0 && is_attr_code ctx sn.Summary.tag then
+        Option.map (container ctx) sn.Summary.text_container
+      else None
+    in
+    match List.assoc_opt v env with
+    | Some { snodes = _ :: _ as snodes; _ } ->
+      let conts = List.filter_map attr_container snodes in
+      if List.compare_lengths conts snodes = 0 then Some conts else None
+    | _ -> None)
   | _ -> None
 
 (* Predicate-mix observation for a general comparison: the FLWOR
@@ -2451,9 +2474,6 @@ let run (repo : Repository.t) (query : Ast.expr) : item list =
   Xquec_obs.Trace.with_span ~name:"executor.run" @@ fun () ->
   let ctx = mk_ctx repo in
   materialize ctx (eval ctx [] query)
-
-let run_string (repo : Repository.t) (query : string) : item list =
-  run repo (Xquery.Parser.parse query)
 
 (** Evaluate with an attached EXPLAIN profile: returns the results and
     the root of the annotated operator tree (wall time, cardinalities,

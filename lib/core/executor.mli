@@ -38,17 +38,15 @@ exception Eval_error of string
 (** Evaluate a parsed query against a repository. *)
 val run : Repository.t -> Xquery.Ast.expr -> item list
 
-(** Parse then {!run}. *)
-val run_string : Repository.t -> string -> item list
-
 (** Evaluate with per-operator profiling: results plus the root of the
     annotated plan tree (inclusive wall time, output cardinalities, and
     compressed-domain vs. decompress-then-compare predicate counts, and
     per-operator buffer-pool figures read from the calling domain's
     open {!Xquec_obs.Ledger}, opened around the evaluation when there
     is none). Each operator that embodies a planning decision records
-    it in its attributes as the decision is made: [summary_nodes] on a
-    step answered from the summary, [containers] on a pushdown,
+    it in its attributes as the decision is made: [summary_nodes] on
+    the last step of a path that the summary answered (once per path),
+    [containers] on a pushdown,
     [keys=codes|values] on a hash join, sorted probe or decorrelation
     (with the decorrelation's [op]), [blocks_probed]/[blocks_skipped]
     on a block merge join. {!Xquec_obs.Explain.strategy} lists them.
@@ -60,12 +58,6 @@ val run_profiled : Repository.t -> Xquery.Ast.expr -> item list * Xquec_obs.Expl
 val serialize : Repository.t -> item list -> string
 
 (** {2 Value access} *)
-
-(** Atomized string value of an item (decompresses a [Cval]). *)
-val atom_string : ctx -> item -> string
-
-(** Atomized numeric value, or [None] if the item is not a number. *)
-val atom_number : ctx -> item -> float option
 
 (** Reconstruct the XML subtree rooted at a node id. *)
 val reconstruct : ctx -> int -> Xmlkit.Tree.t

@@ -93,8 +93,9 @@ val totals : node -> totals
 val render : node -> string
 
 (** The decisions the executor recorded while it ran: one line per
-    operator with attributes, in pre-order. Those are a step answered
-    from the summary ([summary_nodes]), a batched path ([bindings],
+    operator with attributes, in pre-order. Those are a path answered
+    from the summary ([summary_nodes], on its last step the summary
+    answered), a batched path ([bindings],
     [est_rows], [fetches]), a pushdown ([containers], or
     [summary_paths] for an existence test), a hash join or sorted probe
     ([keys=codes|values]), a block merge join ([blocks_probed],

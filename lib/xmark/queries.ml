@@ -101,6 +101,14 @@ let all : query list =
 
 let by_id id = List.find (fun q -> String.equal q.id id) all
 
+(* Fig. 5 draws Q9 as one plan: person/@id joined to buyer/@person and
+   itemref/@item to europe/item/@id, names decompressed at the top. As a
+   flat FOR, both equalities are joins of one clause pipeline. *)
+let fig5_join =
+  Printf.sprintf
+    "for $p in %s/site/people/person, $t in %s/site/closed_auctions/closed_auction, $t2 in %s/site/regions/europe/item where $p/@id = $t/buyer/@person and $t/itemref/@item = $t2/@id return <pair><person>{$p/name/text()}</person><item>{$t2/name/text()}</item></pair>"
+    doc doc doc
+
 (** The Fig. 7 chart omits Q8/Q9 (reported separately in the text). *)
 let fig7_ids =
   [ "Q1"; "Q2"; "Q3"; "Q4"; "Q5"; "Q6"; "Q7"; "Q10"; "Q11"; "Q12"; "Q13"; "Q14";

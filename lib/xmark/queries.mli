@@ -19,3 +19,8 @@ val by_id : string -> query
 
 (** The Fig. 7 chart set (Q8/Q9 are reported separately). *)
 val fig7_ids : string list
+
+(** Fig. 5's plan for Q9 as one flat FOR: persons, closed auctions and
+    European items joined by the two [where] equalities, one [<pair>]
+    of person and item name per match. *)
+val fig5_join : string

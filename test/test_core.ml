@@ -1,5 +1,5 @@
 (* Tests for the §3 machinery (workload, cost model, greedy partitioner)
-   and the §4 physical plans. *)
+   and the §4 physical operators as the executor runs them. *)
 
 open Xquec_core
 
@@ -15,6 +15,13 @@ let container_id repo path =
   match Storage.Repository.find_container_by_path repo path with
   | Some c -> c.Storage.Container.id
   | None -> Alcotest.failf "no container %s" path
+
+(* Operators of a profiled plan with the given kind, in pre-order. *)
+let ops_of_kind kind plan =
+  List.rev
+    (Xquec_obs.Explain.fold
+       (fun acc (n : Xquec_obs.Explain.node) -> if n.kind = kind then n :: acc else acc)
+       [] plan)
 
 (* ------------------------------------------------------------------ *)
 (* Workload analysis                                                   *)
@@ -464,6 +471,25 @@ let test_strategy_is_the_executed_plan () =
   Alcotest.(check bool) "<>: no pushdown line" false
     (List.exists (contains ~needle:"pushdown") ne_lines)
 
+(* Q10's outer key $i is bound by distinct-values over the @category
+   container its inner key reads, so the decorrelation keys on codes. *)
+let test_explain_q10_decorrelates_on_codes () =
+  let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let repo = Engine.repo (Engine.load ~name:"auction.xml" ~workload xml) in
+  let q10 = Xquery.Parser.parse (Xmark.Queries.by_id "Q10").Xmark.Queries.text in
+  let items, plan = Executor.run_profiled repo q10 in
+  (match ops_of_kind "decorrelate" plan with
+  | [ d ] ->
+    Alcotest.(check (option string)) "keys on codes" (Some "codes")
+      (List.assoc_opt "keys" d.Xquec_obs.Explain.attrs)
+  | ds -> Alcotest.failf "expected one decorrelate row, got %d" (List.length ds));
+  let reference =
+    Baselines.Galax_like.serialize
+      (Baselines.Galax_like.run ~docs:[ ("auction.xml", Xmlkit.Parser.parse_string xml) ] q10)
+  in
+  Alcotest.(check string) "Q10 = reference" reference (Executor.serialize repo items)
+
 let test_explain_analyze_q9_inner_join () =
   (* EXPLAIN ANALYZE charges the decorrelated inner FLWOR's build to its
      decorrelate row: the inner join operator appears beneath it *)
@@ -493,46 +519,65 @@ let test_explain_analyze_q9_inner_join () =
         (dec.Xquec_obs.Explain.wall_us >= j.Xquec_obs.Explain.wall_us)
 
 (* ------------------------------------------------------------------ *)
-(* Physical plans                                                      *)
+(* The paper's physical operators (§4), as the executor runs them      *)
 (* ------------------------------------------------------------------ *)
 
-let test_q9_plan_matches_naive_and_executor () =
-  let xml = Xmark.Xmlgen.generate ~scale:0.15 () in
-  let repo = Loader.load ~name:"auction.xml" xml in
-  let plan = List.sort compare (Plans.q9 repo) in
-  let naive = List.sort compare (Plans.q9_naive repo) in
-  Alcotest.(check bool) "plan = naive" true (plan = naive);
-  Alcotest.(check bool) "plan nonempty" true (plan <> [])
+let count_of repo q =
+  match Executor.run repo (Xquery.Parser.parse q) with
+  | [ Executor.Num n ] -> int_of_float n
+  | _ -> Alcotest.failf "%s: expected one number" q
 
+(* Fig. 5's plan as a flat FOR: both equalities run as block merge
+   joins on codes, and the answer is the reference engine's. *)
+let test_fig5_join_matches_reference () =
+  let xml = Xmark.Xmlgen.generate ~scale:0.15 () in
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let repo = Engine.repo (Engine.load ~name:"auction.xml" ~workload xml) in
+  let ast = Xquery.Parser.parse Xmark.Queries.fig5_join in
+  let items, plan = Executor.run_profiled repo ast in
+  let reference =
+    Baselines.Galax_like.serialize
+      (Baselines.Galax_like.run ~docs:[ ("auction.xml", Xmlkit.Parser.parse_string xml) ] ast)
+  in
+  Alcotest.(check bool) "join nonempty" true (items <> []);
+  Alcotest.(check string) "flat join = reference" reference (Executor.serialize repo items);
+  let block_lines =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"block merge join" l)
+      (Xquec_obs.Explain.strategy plan)
+  in
+  Alcotest.(check int) "two block merge join lines" 2 (List.length block_lines)
+
+(* ContScan, ContAccess (= and range), StructureSummaryAccess, Parent
+   and a hash join, each as the query that runs it. *)
 let test_physical_operators () =
   let xml = "<r><p k=\"b\"/><p k=\"a\"/><p k=\"c\"/><q k=\"b\"/><q k=\"c\"/></r>" in
   let repo = Loader.load ~name:"r" xml in
-  let p_k = container_id repo "/r/p/@k" in
-  let q_k = container_id repo "/r/q/@k" in
-  Alcotest.(check int) "cont_scan" 3 (Physical.cardinality (Physical.cont_scan repo p_k));
-  Alcotest.(check int) "cont_access_eq" 1
-    (Physical.cardinality (Physical.cont_access_eq repo p_k ~value:"b"));
-  Alcotest.(check int) "cont_access_range" 2
-    (Physical.cardinality (Physical.cont_access_range repo p_k ~lo:"b" ()));
-  (* merge join only when models are shared; re-key on strings instead *)
-  let str_key = function
-    | Executor.Cval { cont; code } -> Compress.Codec.decompress cont.Storage.Container.model code
-    | _ -> ""
-  in
-  let joined =
-    Physical.hash_join ~key:str_key (Physical.cont_scan repo p_k) ~lcol:0
-      (Physical.cont_scan repo q_k) ~rcol:0
-  in
-  Alcotest.(check int) "hash_join b,c" 2 (Physical.cardinality joined);
-  let code n = Option.get (Storage.Name_dict.code repo.Storage.Repository.dict n) in
-  let summary_plan = Physical.summary_access repo [ `Child (code "r"); `Child (code "p") ] in
-  Alcotest.(check int) "summary access" 3 (Physical.cardinality summary_plan);
-  let with_parent = Physical.parent repo summary_plan ~col:0 in
-  Alcotest.(check int) "parent keeps cardinality" 3 (Physical.cardinality with_parent)
+  let count = count_of repo in
+  Alcotest.(check int) "cont_scan" 3 (count {|count(document("r")/r/p/@k)|});
+  Alcotest.(check int) "cont_access_eq" 1 (count {|count(document("r")/r/p[@k = "b"])|});
+  Alcotest.(check int) "cont_access_range" 2 (count {|count(document("r")/r/p[@k >= "b"])|});
+  let _, plan = Executor.run_profiled repo (Xquery.Parser.parse {|document("r")/r/p[@k = "b"]|}) in
+  Alcotest.(check int) "= pushed into the @k container" 1
+    (List.length (ops_of_kind "pushdown" plan));
+  Alcotest.(check int) "hash_join b,c" 2
+    (count
+       {|count(for $p in document("r")/r/p, $q in document("r")/r/q where $p/@k = $q/@k return $p)|});
+  let summary = {|count(document("r")/r/p)|} in
+  Alcotest.(check int) "summary access" 3 (count summary);
+  let _, plan = Executor.run_profiled repo (Xquery.Parser.parse summary) in
+  Alcotest.(check int) "answered from the summary" 1
+    (List.length
+       (List.filter
+          (String.starts_with ~prefix:"summary access")
+          (Xquec_obs.Explain.strategy plan)));
+  (* each @k record maps to its owning element, and two hops up to r *)
+  Alcotest.(check int) "parent keeps cardinality" 3 (count {|count(document("r")/r/p[@k])|});
+  Alcotest.(check int) "grandparent" 1 (count {|count(document("r")/r[p/@k = "b"])|})
 
+(* After partitioning onto one model, the person-buyer join runs as a
+   block merge join on codes and agrees with the hash join. *)
 let test_merge_join_shared_model () =
-  (* after partitioning onto one model, the compressed-domain merge join
-     applies and agrees with the string hash join *)
   let xml = Xmark.Xmlgen.generate ~scale:0.08 () in
   let repo = Loader.load ~name:"auction.xml" xml in
   let queries = List.map (fun q -> Xquery.Parser.parse q.Xmark.Queries.text) Xmark.Queries.all in
@@ -544,20 +589,20 @@ let test_merge_join_shared_model () =
     = (Storage.Repository.container repo buyer).Storage.Container.model_id
   in
   Alcotest.(check bool) "partitioner shared the model" true shared;
-  let merge =
-    Physical.merge_join (Physical.cont_scan repo pid) ~lcol:0
-      (Physical.cont_scan repo buyer) ~rcol:0
+  let q =
+    Xquery.Parser.parse
+      {|for $p in document("auction.xml")/site/people/person, $b in document("auction.xml")/site/closed_auctions/closed_auction/buyer where $p/@id = $b/@person return <m>{$p/@id}</m>|}
   in
-  let str_key = function
-    | Executor.Cval { cont; code } -> Compress.Codec.decompress cont.Storage.Container.model code
-    | _ -> ""
+  let run kind =
+    let items, plan = Executor.run_profiled repo q in
+    Alcotest.(check int) ("runs a " ^ kind) 1 (List.length (ops_of_kind kind plan));
+    Executor.serialize repo items
   in
-  let hash =
-    Physical.hash_join ~key:str_key (Physical.cont_scan repo pid) ~lcol:0
-      (Physical.cont_scan repo buyer) ~rcol:0
-  in
-  Alcotest.(check int) "merge join = hash join cardinality" (Physical.cardinality hash)
-    (Physical.cardinality merge)
+  let merged = run "block_merge_join" in
+  Executor.set_block_join false;
+  let hashed = Fun.protect ~finally:(fun () -> Executor.set_block_join true) (fun () -> run "hash_join") in
+  Alcotest.(check bool) "join nonempty" true (merged <> "");
+  Alcotest.(check string) "merge join = hash join" hashed merged
 
 (* Building a repository samples every container for the cost model
    and re-reads the ones that get a shared model; those reads must not
@@ -614,6 +659,8 @@ let suites =
           test_explain_join_on_codes_after_partitioning;
         Alcotest.test_case "explain Q9 hash join" `Quick test_explain_q9_join;
         Alcotest.test_case "explain block merge join" `Quick test_explain_block_join;
+        Alcotest.test_case "explain Q10 decorrelates on codes" `Quick
+          test_explain_q10_decorrelates_on_codes;
         Alcotest.test_case "explain analyze Q9 inner join" `Quick
           test_explain_analyze_q9_inner_join;
         Alcotest.test_case "strategy is the executed plan" `Quick
@@ -622,7 +669,7 @@ let suites =
     ( "physical-plans",
       [
         Alcotest.test_case "operators" `Quick test_physical_operators;
-        Alcotest.test_case "fig. 5 Q9 plan" `Slow test_q9_plan_matches_naive_and_executor;
+        Alcotest.test_case "fig. 5 Q9 plan" `Slow test_fig5_join_matches_reference;
         Alcotest.test_case "compressed-domain merge join" `Slow test_merge_join_shared_model;
       ] );
   ]

@@ -15,7 +15,7 @@ let doc =
 
 let repo = lazy (Loader.load ~name:"shop.xml" doc)
 
-let run q = Executor.serialize (Lazy.force repo) (Executor.run_string (Lazy.force repo) q)
+let run q = Executor.serialize (Lazy.force repo) (Executor.run (Lazy.force repo) (Xquery.Parser.parse q))
 
 let check name expected q = Alcotest.(check string) name expected (run q)
 
@@ -137,7 +137,7 @@ let test_algorithm_independence () =
   let results_for alg =
     let options = { Loader.default_string_algorithm = alg; detect_numeric = true; spill_directory = None } in
     let repo = Loader.load ~options ~name:"shop.xml" doc in
-    List.map (fun q -> Executor.serialize repo (Executor.run_string repo q)) queries
+    List.map (fun q -> Executor.serialize repo (Executor.run repo (Xquery.Parser.parse q))) queries
   in
   let reference = results_for Compress.Codec.Alm_alg in
   List.iter
@@ -163,7 +163,7 @@ let test_inequality_joins_key_on_values () =
        return $i/name/text()";
     ]
   in
-  let results repo = List.map (fun q -> Executor.serialize repo (Executor.run_string repo q)) queries in
+  let results repo = List.map (fun q -> Executor.serialize repo (Executor.run repo (Xquery.Parser.parse q))) queries in
   let expected = [ "<l>table</l>\n<l/>\n<l>chair table</l>"; "mirror" ] in
   Alcotest.(check (list string)) "numeric containers" expected (results (Lazy.force repo));
   List.iter
@@ -194,10 +194,13 @@ let test_pushdown_agrees_with_generic () =
   Alcotest.(check string) "pushdown = generic" a b
 
 let test_errors () =
-  (match Executor.run_string (Lazy.force repo) "$undefined" with
+  (match Executor.run (Lazy.force repo) (Xquery.Parser.parse "$undefined") with
   | exception Executor.Eval_error _ -> ()
   | _ -> Alcotest.fail "expected Eval_error on unbound variable");
-  match Executor.run_string (Lazy.force repo) "sum(document(\"shop.xml\")/shop/item) * (1,2)" with
+  match
+    Executor.run (Lazy.force repo)
+      (Xquery.Parser.parse "sum(document(\"shop.xml\")/shop/item) * (1,2)")
+  with
   | exception Executor.Eval_error _ -> ()
   | _ -> Alcotest.fail "expected Eval_error on non-singleton arithmetic"
 

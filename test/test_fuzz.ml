@@ -121,7 +121,7 @@ let prop_random_value_queries =
           let q =
             Printf.sprintf "count(document(\"f.xml\")//v[. = \"%s\"])" needle
           in
-          match Xquec_core.Executor.run_string repo q with
+          match Xquec_core.Executor.run repo (Xquery.Parser.parse q) with
           | [ Xquec_core.Executor.Num n ] -> n >= 1.0
           | _ -> false)
         [ Compress.Codec.Alm_alg; Compress.Codec.Huffman_alg; Compress.Codec.Hu_tucker_alg ])

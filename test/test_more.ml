@@ -1,4 +1,4 @@
-(* Additional coverage: physical operator combinators, summary
+(* Additional coverage: the executor's select/sort/text operators, summary
    serialization, codec misuse, workload corner cases, and the CLI's
    workload-file format helpers exercised through the engine. *)
 
@@ -11,60 +11,31 @@ let shop =
 
 let repo = lazy (Loader.load ~name:"shop.xml" shop)
 
-let cid path =
-  match Storage.Repository.find_container_by_path (Lazy.force repo) path with
-  | Some c -> c.Storage.Container.id
-  | None -> Alcotest.failf "no container %s" path
+(* [q] on the shop repository, serialized *)
+let run q =
+  let repo = Lazy.force repo in
+  Executor.serialize repo (Executor.run repo (Xquery.Parser.parse q))
 
 (* ------------------------------------------------------------------ *)
-(* Physical combinators                                                *)
+(* The paper's Select, Project, Sort, TextContent and XMLSerialize,     *)
+(* as the executor runs them                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_project_select_sort () =
-  let repo = Lazy.force repo in
-  let prices = Physical.cont_scan repo (cid "/shop/item/@price") in
-  let projected = Physical.project [ 0 ] prices in
-  Alcotest.(check int) "project width" 1 projected.Physical.width;
-  let sorted =
-    Physical.sort
-      (fun a b ->
-        compare
-          (Executor.atom_number (Executor.mk_ctx repo) a)
-          (Executor.atom_number (Executor.mk_ctx repo) b))
-      ~col:0 projected
-  in
-  let values =
-    Physical.run sorted
-    |> List.map (fun t -> Executor.atom_string (Executor.mk_ctx repo) t.(0))
-  in
-  Alcotest.(check (list string)) "numeric sort" [ "5.00"; "10.50"; "99.99" ] values;
-  let selected =
-    Physical.select
-      (fun t ->
-        match Executor.atom_number (Executor.mk_ctx repo) t.(0) with
-        | Some f -> f > 6.0
-        | None -> false)
-      projected
-  in
-  Alcotest.(check int) "select" 2 (Physical.cardinality selected)
+  (* prices sort as numbers, not as strings ("10.50" < "5.00") *)
+  Alcotest.(check string) "numeric order by" "5.00\n10.50\n99.99"
+    (run
+       "for $p in document(\"shop.xml\")/shop/item/@price order by $p return string($p)");
+  Alcotest.(check string) "select" "2"
+    (run "count(for $p in document(\"shop.xml\")/shop/item/@price where $p > 6.0 return $p)")
 
 let test_text_content_operator () =
-  let repo = Lazy.force repo in
-  let code n = Option.get (Storage.Name_dict.code repo.Storage.Repository.dict n) in
-  let names =
-    Physical.summary_access repo [ `Child (code "shop"); `Child (code "item"); `Child (code "name") ]
-  in
-  let with_text = Physical.text_content repo [ cid "/shop/item/name/#text" ] names ~col:0 in
-  let texts =
-    Physical.run with_text |> List.map (fun t -> Executor.atom_string (Executor.mk_ctx repo) t.(1))
-  in
-  Alcotest.(check (list string)) "text content doc order" [ "chair"; "table"; "mirror" ] texts
+  Alcotest.(check string) "text content doc order" "chair\ntable\nmirror"
+    (run "document(\"shop.xml\")/shop/item/name/text()")
 
 let test_xml_serialize_operator () =
-  let repo = Lazy.force repo in
-  let plan = Physical.cont_access_eq repo (cid "/shop/item/@id") ~value:"i2" in
-  let plan = Physical.decompress repo plan ~col:0 in
-  Alcotest.(check string) "serialize column" "i2" (Physical.xml_serialize repo plan ~col:0)
+  Alcotest.(check string) "serialize one value" "i2"
+    (run "string(document(\"shop.xml\")/shop/item[@id = \"i2\"]/@id)")
 
 (* ------------------------------------------------------------------ *)
 (* Codec misuse / properties                                           *)

@@ -273,7 +273,7 @@ let test_executor_pruning_via_counters () =
   Buffer_pool.clear ();
   let s0 = Buffer_pool.snapshot () in
   let items =
-    Xquec_core.Executor.run_string repo "document(\"t\")/r/e[@a = \"key123\"]"
+    Xquec_core.Executor.run repo (Xquery.Parser.parse "document(\"t\")/r/e[@a = \"key123\"]")
   in
   let s1 = Buffer_pool.snapshot () in
   Alcotest.(check int) "one element matches" 1 (List.length items);
@@ -361,7 +361,7 @@ let test_v1_fixture_answers () =
   let repo = Repository.deserialize data in
   let answers () =
     List.map
-      (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
+      (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo (Xquery.Parser.parse q)))
       queries
   in
   let s0 = Buffer_pool.snapshot () in
@@ -434,7 +434,9 @@ let test_bare_element_predicate_pruned () =
   Alcotest.(check bool) "bit precomputed as distinct" true k.Container.distinct_parents;
   Buffer_pool.clear ();
   let s0 = Buffer_pool.snapshot () in
-  let items = Xquec_core.Executor.run_string repo "document(\"t\")/r/e[c = \"key123\"]" in
+  let items =
+    Xquec_core.Executor.run repo (Xquery.Parser.parse "document(\"t\")/r/e[c = \"key123\"]")
+  in
   let s1 = Buffer_pool.snapshot () in
   Alcotest.(check int) "one element matches" 1 (List.length items);
   let decoded = s1.Buffer_pool.s_misses - s0.Buffer_pool.s_misses in
@@ -543,8 +545,8 @@ let test_repository_v1_fixture () =
   let fresh = Xquec_core.Loader.load ~name:"v1_small.xml" (read_fixture "v1_small.xml") in
   List.iter
     (fun q ->
-      let a = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q) in
-      let b = Xquec_core.Executor.serialize fresh (Xquec_core.Executor.run_string fresh q) in
+      let a = Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo (Xquery.Parser.parse q)) in
+      let b = Xquec_core.Executor.serialize fresh (Xquec_core.Executor.run fresh (Xquery.Parser.parse q)) in
       Alcotest.(check string) (q ^ " matches fresh load") a b)
     [
       "document(\"v1_small.xml\")/site/people/person/name";
@@ -602,7 +604,7 @@ let v3_small_queries =
 (* Answers of the v3_small queries on [repo], one per query. *)
 let v3_small_answers (repo : Repository.t) =
   List.map
-    (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
+    (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo (Xquery.Parser.parse q)))
     v3_small_queries
 
 (* A fixture image loads to exactly what a fresh load of v3_small.xml
@@ -717,7 +719,7 @@ let test_wide_dictionary () =
   done;
   let answers repo =
     List.map
-      (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run_string repo q))
+      (fun q -> Xquec_core.Executor.serialize repo (Xquec_core.Executor.run repo (Xquery.Parser.parse q)))
   in
   let queries =
     [

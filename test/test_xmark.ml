@@ -41,9 +41,10 @@ let test_generator_has_q15_paths () =
   let xml = Xmark.Xmlgen.generate ~scale:0.2 () in
   let repo = Xquec_core.Loader.load ~name:"a" xml in
   let hits =
-    Xquec_core.Executor.run_string repo
-      ("count(document(\"a\")/site/closed_auctions/closed_auction/annotation/description"
-      ^ "/parlist/listitem/parlist/listitem/text/emph/keyword/text())")
+    Xquec_core.Executor.run repo
+      (Xquery.Parser.parse
+         ("count(document(\"a\")/site/closed_auctions/closed_auction/annotation/description"
+         ^ "/parlist/listitem/parlist/listitem/text/emph/keyword/text())"))
   in
   match hits with
   | [ Xquec_core.Executor.Num n ] -> Alcotest.(check bool) "deep keyword paths exist" true (n > 0.0)

@@ -17,21 +17,29 @@
    - every `--flag` token the document mentions must exist as a quoted
      flag name somewhere under bin/, bench/ or tools/ (cmdliner
      declares flags as [info [ "serve-workers" ]], the bench parses
-     "--scale" literals; both spellings are accepted);
+     "--scale" literals; both spellings are accepted), except cmdliner's
+     own --help and --version;
    - every `xquec_*` metric token must correspond to a metric-name
      string literal in the sources: the exposition maps registry name
      "a.b.c" to "xquec_a_b_c", so the token (minus the histogram
      `_bucket`/`_sum`/`_count` suffixes and any label braces) must
      match a literal with dots normalized to underscores, or extend
      one (dynamically-suffixed families like "serve.budget." ^ kind
-     and per-container series match by prefix);
+     and per-container series match by prefix); a family written
+     `xquec_a_{b,c}` must prefix some literal;
    - format constants cited in backtick code spans must resolve: a
      magic like `XQC\x04` must appear as a string literal in the
      sources (the literal extractor strips the backslash, so source
      "XQC\x04" and doc `XQC\x04` both normalize to "XQCx04"), and
      flag / header-field identifiers (`flag_*`, `h_*`, `b_*`) must
      exist as words in the OCaml sources — docs/FORMATS.md cannot
-     name a constant the code does not define. *)
+     name a constant the code does not define;
+   - a `Module.name` in a code span, where Module is a lib module (the
+     basename of a .ml under lib/), must name a top-level let, val,
+     type, record field or constructor of that module's source; a
+     `Module.value` whose module is no lib module must name a module
+     the sources qualify names with (Unix, Domain, ...). A deleted
+     module or function cannot stay cited. *)
 
 let item_prefixes = [ "val "; "type "; "exception "; "external "; "module " ]
 
@@ -264,6 +272,139 @@ let strip_suffix s suf =
 
 let dots_to_underscores s = String.map (fun c -> if c = '.' then '_' else c) s
 
+(* --- `Module.name` spans ------------------------------------------- *)
+
+(* Lib modules by name (the capitalized basename of each .ml under
+   lib/), each with its .ml/.mli sources split into lines; a name two
+   libraries share maps to the sources of both. *)
+let lib_modules : (string, string list) Hashtbl.t Lazy.t =
+  lazy
+    (let tbl = Hashtbl.create 128 in
+     List.iter
+       (fun p ->
+         let m = String.capitalize_ascii (Filename.remove_extension (Filename.basename p)) in
+         let lines = String.split_on_char '\n' (read_file p) in
+         Hashtbl.replace tbl m (lines @ Option.value ~default:[] (Hashtbl.find_opt tbl m)))
+       (source_files [ "lib" ]);
+     tbl)
+
+let is_upper c = c >= 'A' && c <= 'Z'
+
+(* Dotted identifier paths in a code span, as (module, name) pairs:
+   `Xquec_obs.Explain.strategy p` gives ("Explain", "strategy"). The
+   name is the last component, the module the one before it. *)
+let dotted_refs (span : string) : (string * string) list =
+  let n = String.length span in
+  let out = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    if is_word_char span.[!i] || span.[!i] = '.' then begin
+      let j = ref !i in
+      while !j < n && (is_word_char span.[!j] || span.[!j] = '.' || span.[!j] = '\'') do incr j done;
+      let comps =
+        List.filter (fun c -> c <> "") (String.split_on_char '.' (String.sub span !i (!j - !i)))
+      in
+      (match List.rev comps with
+      | name :: m :: outer when List.for_all (fun c -> is_upper c.[0]) (m :: outer) ->
+        out := (m, name) :: !out
+      | _ -> ());
+      i := !j
+    end
+    else incr i
+  done;
+  !out
+
+(* [line] declares [name] at top level: [let]/[and]/[val]/[type]/
+   [external] at column 0, then [rec]/[nonrec] and type parameters *)
+let declares_value (line : string) (name : string) : bool =
+  let ident w =
+    let k = ref 0 in
+    while !k < String.length w && (is_word_char w.[!k] || w.[!k] = '\'') do incr k done;
+    String.sub w 0 !k
+  in
+  let rec after_keyword = function
+    | ("rec" | "nonrec") :: rest -> after_keyword rest
+    | w :: rest when w.[0] = '\'' || w.[0] = '(' -> after_keyword rest
+    | w :: _ -> ident w = name
+    | [] -> false
+  in
+  String.length line > 0
+  && line.[0] <> ' '
+  &&
+  match List.filter (fun w -> w <> "") (String.split_on_char ' ' line) with
+  | ("let" | "and" | "val" | "type" | "external") :: rest -> after_keyword rest
+  | _ -> false
+
+(* [name] occurs in [line] as a whole word whose surroundings satisfy
+   [ok ~before ~after] (both trimmed) *)
+let occurs_as (line : string) (name : string) ~ok : bool =
+  let ln = String.length line and lw = String.length name in
+  let rec go k =
+    k + lw <= ln
+    && ((String.sub line k lw = name
+        && (k + lw = ln || not (is_word_char line.[k + lw]))
+        && (k = 0 || not (is_word_char line.[k - 1]))
+        && ok ~before:(String.trim (String.sub line 0 k))
+             ~after:(String.trim (String.sub line (k + lw) (ln - k - lw))))
+       || go (k + 1))
+  in
+  go 0
+
+(* a constructor, exception or submodule: after [|], [=], [exception]
+   or [module] *)
+let declares_constructor line name =
+  occurs_as line name ~ok:(fun ~before ~after:_ ->
+      List.exists
+        (fun suffix -> String.ends_with ~suffix before)
+        [ "|"; "="; "exception"; "module" ])
+
+(* a record field: [name :] first in a line or after [{], [;] or
+   [mutable] *)
+let declares_field line name =
+  occurs_as line name ~ok:(fun ~before ~after ->
+      String.starts_with ~prefix:":" after
+      && (before = ""
+         || List.exists (fun suffix -> String.ends_with ~suffix before) [ "{"; ";"; "mutable" ]))
+
+(* [m.] qualifies a name somewhere in [srcs] *)
+let qualifies (srcs : string list) (m : string) : bool =
+  List.exists
+    (fun src ->
+      List.exists
+        (fun line ->
+          occurs_as line m ~ok:(fun ~before:_ ~after -> String.starts_with ~prefix:"." after))
+        (String.split_on_char '\n' src))
+    srcs
+
+(* A backticked `Module.name` naming a lib module must resolve to a
+   top-level definition (value, type, record field, constructor) of
+   that module; a `Module.value` whose module is no lib module must at
+   least name a module the sources use (Unix, Domain, ...), so a
+   deleted module's names do not linger. *)
+let check_module_refs ~modules ~srcs (md_path : string) (text : string) : int =
+  let failures = ref 0 in
+  List.iter
+    (fun (m, name) ->
+      match Hashtbl.find_opt modules m with
+      | None ->
+        let camel = String.length m > 1 && m.[1] >= 'a' && m.[1] <= 'z' in
+        if camel && (not (is_upper name.[0])) && not (qualifies srcs m) then begin
+          incr failures;
+          Printf.eprintf "%s: `%s.%s` names no module of the sources\n" md_path m name
+        end
+      | Some lines ->
+        let found =
+          if is_upper name.[0] then
+            Hashtbl.mem modules name || List.exists (fun l -> declares_constructor l name) lines
+          else List.exists (fun l -> declares_value l name || declares_field l name) lines
+        in
+        if not found then begin
+          incr failures;
+          Printf.eprintf "%s: `%s.%s` is not defined in lib module %s\n" md_path m name m
+        end)
+    (List.sort_uniq compare (List.concat_map dotted_refs (doc_code_spans text)));
+  !failures
+
 let check_xref (md_path : string) : int =
   let text = read_file md_path in
   let sources = source_files [ "bin"; "lib"; "bench"; "tools" ] in
@@ -282,7 +423,13 @@ let check_xref (md_path : string) : int =
   let failures = ref 0 in
   List.iter
     (fun flag ->
-      if not (Hashtbl.mem flag_set flag || Hashtbl.mem flag_set ("--" ^ flag)) then begin
+      (* cmdliner gives every command --help and --version *)
+      if
+        not
+          (List.mem flag [ "help"; "version" ]
+          || Hashtbl.mem flag_set flag
+          || Hashtbl.mem flag_set ("--" ^ flag))
+      then begin
         incr failures;
         Printf.eprintf "%s: flag --%s not found in any source\n" md_path flag
       end)
@@ -301,10 +448,14 @@ let check_xref (md_path : string) : int =
     (fun token ->
       let core = String.sub token 6 (String.length token - 6) in
       let core = strip_suffix (strip_suffix (strip_suffix core "_bucket") "_sum") "_count" in
+      (* a family written `xquec_a_{b,c}` stops at the brace: it names
+         every literal it prefixes *)
+      let family = String.ends_with ~suffix:"_" core in
       let matched =
         List.exists
           (fun l ->
             l = core
+            || (family && String.starts_with ~prefix:core l)
             || String.length l >= 6
                && String.length l < String.length core
                && String.sub core 0 (String.length l) = l)
@@ -336,7 +487,7 @@ let check_xref (md_path : string) : int =
           Printf.eprintf "%s: format constant `%s` not defined in the sources\n" md_path span
         end)
     (doc_code_spans text);
-  !failures
+  !failures + check_module_refs ~modules:(Lazy.force lib_modules) ~srcs md_path text
 
 let () =
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
