@@ -139,6 +139,7 @@ let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
       Fmt.epr "wrote %d spans to %s@." (List.length (Xquec_obs.Trace.spans ())) path
     | None -> ());
     if stats then begin
+      Xquec_core.Serve.publish_storage_metrics ();
       prerr_string (Xquec_obs.Metrics.dump_text ());
       prerr_string (buffer_pool_summary ())
     end

@@ -141,9 +141,6 @@ let decompress (m : model) (compressed : string) : string =
   decode ();
   Buffer.contents buf
 
-(** Order-preserving: compare compressed values directly. *)
-let compare_compressed (a : string) (b : string) = String.compare a b
-
 let serialize_model (m : model) : string =
   let buf = Buffer.create (2 * symbol_count) in
   for s = 0 to symbol_count - 1 do

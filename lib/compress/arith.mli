@@ -22,14 +22,12 @@ val of_freqs : int array -> model
 (** Model from the byte frequencies of the training values. *)
 val train : string list -> model
 
-(** Encode a plaintext value. *)
+(** Encode a plaintext value. Order-preserving: [String.compare] on two
+    codes orders them as their plaintexts. *)
 val compress : model -> string -> string
 
 (** Invert {!compress}. Raises {!Corrupt} on invalid input. *)
 val decompress : model -> string -> string
-
-(** Order-preserving: compare compressed values directly. *)
-val compare_compressed : string -> string -> int
 
 (** Serialize the frequency table for the repository. *)
 val serialize_model : model -> string

@@ -211,13 +211,6 @@ let model_size = function
   | M_bzip -> 0
   | M_numeric n -> Ipack.model_size n
 
-(** Order of plaintexts decided on compressed values; only valid when the
-    algorithm's [ineq] property holds. *)
-let compare_compressed (m : model) a b =
-  match m with
-  | M_alm _ | M_arith _ | M_hu_tucker _ | M_numeric _ -> String.compare a b
-  | M_huffman _ | M_bzip -> invalid_arg "compare_compressed: order-agnostic codec"
-
 (** Can a predicate of the given class run in the compressed domain? *)
 let supports (alg : algorithm) (cls : [ `Eq | `Ineq | `Wild ]) =
   let p = properties alg in

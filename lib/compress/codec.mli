@@ -85,9 +85,6 @@ val decode_block : count:int -> string -> string array * int array
 (** Serialized model size in bytes (the c_s(F) storage cost). *)
 val model_size : model -> int
 
-(** Valid only when the algorithm's [ineq] property holds. *)
-val compare_compressed : model -> string -> string -> int
-
 (** Does the algorithm evaluate the given predicate class in the
     compressed domain? (Projection of {!properties}.) *)
 val supports : algorithm -> [ `Eq | `Ineq | `Wild ] -> bool

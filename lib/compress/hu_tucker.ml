@@ -170,10 +170,6 @@ let decompress (m : model) (compressed : string) : string =
   go ();
   Buffer.contents buf
 
-(** Alphabetic code + EOS-first + zero padding make the byte comparison of
-    compressed values coincide with the plaintext comparison. *)
-let compare_compressed (a : string) (b : string) = String.compare a b
-
 let serialize_model (m : model) : string =
   String.init symbol_count (fun i -> Char.chr m.lengths.(i))
 

@@ -25,14 +25,13 @@ val of_lengths : int array -> model
 (** Model from the byte frequencies of the training values. *)
 val train : string list -> model
 
-(** Encode a plaintext value. *)
+(** Encode a plaintext value. Order-preserving: the alphabetic code,
+    the end-of-string symbol sorting first and zero padding make
+    [String.compare] on two codes order them as their plaintexts. *)
 val compress : model -> string -> string
 
 (** Invert {!compress}. Raises {!Corrupt} on invalid input. *)
 val decompress : model -> string -> string
-
-(** Order-preserving: compare compressed values directly. *)
-val compare_compressed : string -> string -> int
 
 (** Serialize the code lengths for the repository. *)
 val serialize_model : model -> string

@@ -88,8 +88,6 @@ let decompress (m : model) (packed : string) : string =
     let p = pow10 k in
     Printf.sprintf "%d.%0*d" (v / p) k (v mod p)
 
-let compare_compressed (a : string) (b : string) = String.compare a b
-
 (* Compressed-domain comparison against an arbitrary float constant: the
    query processor turns [v < 40.5] into a code-range scan using these
    bounds. All stored values are non-negative, so negative constants clamp

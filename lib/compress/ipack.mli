@@ -23,15 +23,13 @@ exception Corrupt of string
 (** Raises {!Unsupported} when the values are not uniformly numeric. *)
 val train : string list -> model
 
-(** Pack one value's source text. *)
+(** Pack one value's source text. Order-preserving: [String.compare]
+    on two codes orders them as their numbers. *)
 val compress : model -> string -> string
 
 (** Invert {!compress}, reproducing the exact source text. Raises
     {!Corrupt} on invalid input. *)
 val decompress : model -> string -> string
-
-(** Order-preserving: byte comparison = numeric comparison. *)
-val compare_compressed : string -> string -> int
 
 (** Packed bound for comparing stored values against an arbitrary float
     constant: [`Ceil] gives the smallest representable value >= the

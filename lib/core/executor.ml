@@ -417,12 +417,7 @@ let note_block_join ~probed ~skipped ~skipped_bytes =
       l.block_joins <- l.block_joins + 1;
       l.join_blocks_probed <- l.join_blocks_probed + probed;
       l.join_blocks_skipped <- l.join_blocks_skipped + skipped;
-      l.join_skipped_bytes <- l.join_skipped_bytes + skipped_bytes);
-  if Xquec_obs.is_enabled () then begin
-    Xquec_obs.Metrics.incr "executor.join.block_joins";
-    if probed > 0 then Xquec_obs.Metrics.incr ~by:probed "executor.join.blocks_probed";
-    if skipped > 0 then Xquec_obs.Metrics.incr ~by:skipped "executor.join.blocks_skipped"
-  end
+      l.join_skipped_bytes <- l.join_skipped_bytes + skipped_bytes)
 
 (* One (left container, right container) pairing of a block join with
    its header-overlap estimate; a side with several summary nodes

@@ -217,8 +217,9 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
   (* The 256 single-byte intervals and no mined token; one per load, so
      concurrent loads share nothing. *)
   let dictionary_free = lazy (Compress.Codec.M_alm (Compress.Alm.of_tokens [])) in
-  (* Build containers: choose the codec, compress, sort, and remember the
-     arrival-order -> sorted-index mapping for pointer back-fill. *)
+  (* Build containers: choose the codec, then build each from its values,
+     remembering the arrival-order -> sorted-index mapping for pointer
+     back-fill. *)
   let pending_list = List.rev !pending_order in
   let seq_maps : (int, int array) Hashtbl.t = Hashtbl.create 64 in
   let choose_algorithm values =
@@ -244,31 +245,12 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
             Lazy.force dictionary_free
           else Compress.Codec.train algorithm values
         in
-        let records =
-          List.mapi
-            (fun seq (v, record_parent, _, _) ->
-              ( { Container.code = Compress.Codec.compress model v; parent = record_parent },
-                seq,
-                String.length v ))
-            entries
-          |> Array.of_list
+        let cont, seq_to_idx =
+          Container.of_values ~id:p.p_id ~path:p.p_path ~kind:p.p_kind ~algorithm ~model
+            ~model_id:p.p_id
+            (List.map (fun (v, record_parent, _, _) -> (v, record_parent)) entries)
         in
-        Array.sort
-          (fun (a, sa, _) (b, sb, _) ->
-            let c = Container.compare_records a b in
-            if c <> 0 then c else Int.compare sa sb)
-          records;
-        let seq_to_idx = Array.make (Array.length records) 0 in
-        Array.iteri (fun idx (_, seq, _) -> seq_to_idx.(seq) <- idx) records;
         Hashtbl.add seq_maps p.p_id seq_to_idx;
-        let plain_bytes = List.fold_left (fun acc v -> acc + String.length v) 0 values in
-        let cont =
-          Container.of_sorted_records
-            ~plain_sizes:(Array.map (fun (_, _, len) -> len) records)
-            ~id:p.p_id ~path:p.p_path ~kind:p.p_kind ~algorithm ~model ~model_id:p.p_id
-            ~plain_bytes
-            (Array.map (fun (r, _, _) -> r) records)
-        in
         if Xquec_obs.is_enabled () then
           Xquec_obs.Metrics.incr ~by:(Container.length cont) "loader.values";
         cont)

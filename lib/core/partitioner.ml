@@ -158,13 +158,14 @@ let search ?(seed = 17) ?(weights = Cost_model.default_weights) (repo : Reposito
   Xquec_obs.Metrics.set_gauge "partitioner.final_cost" final_cost;
   { configuration = !config; initial_cost; final_cost; trace = List.rev !trace }
 
-(** Apply a configuration to the repository: per set, train a shared
-    source model on the union of the containers' values and recompress.
-    Containers outside the configuration are left as loaded. A set
-    whose algorithm cannot encode its values (numeric on text) raises
-    [Invalid_argument]: {!search} never picks one, since the cost model
-    prices it at infinity, checking every value and not only the
-    sampled ones, and the all-bzip start is finite. *)
+(** Apply a configuration to the repository: per set, read each
+    container once, train a shared source model on the union of their
+    values, rebuild each container from its values with that model and
+    swap it in. Containers outside the configuration are left as
+    loaded. A set whose algorithm cannot encode its values (numeric on
+    text) raises [Invalid_argument]: {!search} never picks one, since
+    the cost model prices it at infinity, checking every value and not
+    only the sampled ones, and the all-bzip start is finite. *)
 let apply (repo : Repository.t) (config : Cost_model.configuration) : unit =
   Xquec_obs.Trace.with_span ~name:"partitioner.apply"
     ~attrs:[ ("sets", string_of_int (List.length config.Cost_model.sets)) ]
@@ -172,8 +173,14 @@ let apply (repo : Repository.t) (config : Cost_model.configuration) : unit =
   Xquec_obs.Metrics.time_ms "partitioner.apply_ms" @@ fun () ->
   List.iter
     (fun (ids, alg) ->
-      let containers = List.map (fun id -> repo.Repository.containers.(id)) ids in
-      let all_values = List.concat_map (fun c -> List.map fst (Container.read_all c)) containers in
+      let containers =
+        List.map
+          (fun id ->
+            let c = repo.Repository.containers.(id) in
+            (c, Container.read_all c))
+          ids
+      in
+      let all_values = List.concat_map (fun (_, pairs) -> List.map fst pairs) containers in
       let model =
         try Compress.Codec.train alg all_values
         with Compress.Codec.Unsupported msg ->
@@ -186,8 +193,15 @@ let apply (repo : Repository.t) (config : Cost_model.configuration) : unit =
       let model_id = List.fold_left min max_int ids in
       let remaps = Hashtbl.create 8 in
       List.iter
-        (fun (c : Container.t) ->
-          let perm = Container.recompress c ~algorithm:alg ~model ~model_id in
+        (fun ((c : Container.t), pairs) ->
+          let fresh, perm =
+            Container.of_values ~block_size:c.Container.block_size ~id:c.Container.id
+              ~path:c.Container.path ~kind:c.Container.kind ~algorithm:alg ~model ~model_id
+              pairs
+          in
+          ignore
+            (Repository.replace_container repo
+               { fresh with Container.compaction_epoch = c.Container.compaction_epoch });
           Hashtbl.add remaps c.Container.id perm)
         containers;
       Structure_tree.remap_values repo.Repository.tree (Hashtbl.find_opt remaps))
@@ -216,10 +230,10 @@ let access_pattern_of (workload : Workload.t) (id : int) : Container.access_patt
 
 (** Build-time per-container block sizing: for every container the
     declared workload touches, pick a block size from its value width
-    and dominant access pattern ({!Container.pick_block_size}) and
-    {!Container.reblock} it in place when the choice differs from the
-    current size. Record order is untouched, so no pointer remapping is
-    needed. Returns [(path, old size, new size)] for each re-blocked
+    and dominant access pattern ({!Container.pick_block_size}) and,
+    when the choice differs from the current size, swap in a
+    {!Container.reblocked} copy at that size. Record order is
+    untouched, so no pointer remapping is needed. Returns [(path, old size, new size)] for each re-blocked
     container. Invoked by [xquec compress --adaptive-blocks] after
     {!optimize}. *)
 let size_blocks (repo : Repository.t) (workload : Workload.t) :
@@ -235,9 +249,8 @@ let size_blocks (repo : Repository.t) (workload : Workload.t) :
       in
       if size = c.Container.block_size || c.Container.n_records = 0 then None
       else begin
-        let before = c.Container.block_size in
-        Container.reblock c ~block_size:size;
-        Some (c.Container.path, before, size)
+        ignore (Repository.replace_container repo (Container.reblocked c ~block_size:size));
+        Some (c.Container.path, c.Container.block_size, size)
       end)
     (Workload.queried_containers workload)
 

@@ -25,10 +25,14 @@ type result = {
 (** Run the search without applying it. *)
 val search : ?seed:int -> ?weights:Cost_model.weights -> Repository.t -> Workload.t -> result
 
-(** Apply a configuration: per set, train a shared source model on the
-    union of values, recompress, and fix up tree value pointers. Raises
-    [Invalid_argument] when a set's algorithm cannot encode its values
-    ({!search} never returns such a set: it costs infinity). *)
+(** Apply a configuration: per set, read each container once with
+    {!Container.read_all}, train a shared source model on the union of
+    values, rebuild each container with {!Container.of_values} (same
+    block size and compaction epoch), swap it in with
+    {!Repository.replace_container}, and point the tree's value
+    pointers at the rebuilt records. Raises [Invalid_argument] when a
+    set's algorithm cannot encode its values ({!search} never returns
+    such a set: it costs infinity). *)
 val apply : Repository.t -> Cost_model.configuration -> unit
 
 (** Build-time per-container block sizing: for every container the
@@ -36,7 +40,8 @@ val apply : Repository.t -> Cost_model.configuration -> unit
     the predicate classes (wildcard-dominated → {!Container.Seq_heavy},
     eq-dominated → {!Container.Random_selective}, else
     {!Container.Mixed}), pick a size via {!Container.pick_block_size}
-    and {!Container.reblock} in place when it differs from the current
+    and swap in a {!Container.reblocked} copy through
+    {!Repository.replace_container} when it differs from the current
     size. Record order is untouched — no pointer remapping. Returns
     [(path, old size, new size)] per re-blocked container. Opt-in from
     the CLI ([xquec compress --adaptive-blocks]); not part of

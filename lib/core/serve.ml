@@ -170,11 +170,10 @@ let publish_window_metrics () =
   Metrics.set_gauge "serve.window.p95_ms" w.ws_p95_ms;
   Metrics.set_gauge "serve.window.p99_ms" w.ws_p99_ms
 
-(* Sync the storage-layer atomics into the metrics registry so a
-   /metrics scrape always carries the bufferpool.* series, even for
-   counts accumulated while telemetry was off or maintained outside the
-   registry (latch waits). *)
-let publish_pool_metrics () : unit =
+(* Copy the storage-layer atomics into the metrics registry. They are
+   counted once, in the atomics; the bufferpool.*, compactor.* and
+   executor.join.* series exist only through this copy. *)
+let publish_storage_metrics () : unit =
   let s = Storage.Buffer_pool.snapshot () in
   Metrics.set_counter "bufferpool.hits" s.Storage.Buffer_pool.s_hits;
   Metrics.set_counter "bufferpool.misses" s.Storage.Buffer_pool.s_misses;
@@ -198,7 +197,12 @@ let publish_pool_metrics () : unit =
   Metrics.set_counter "executor.join.block_joins" j.Executor.j_block_joins;
   Metrics.set_counter "executor.join.blocks_probed" j.Executor.j_blocks_probed;
   Metrics.set_counter "executor.join.blocks_skipped" j.Executor.j_blocks_skipped;
-  Metrics.set_counter "executor.join.skipped_bytes" j.Executor.j_skipped_bytes;
+  Metrics.set_counter "executor.join.skipped_bytes" j.Executor.j_skipped_bytes
+
+(* Sync every serve-side source into the registry so a /metrics scrape
+   is fresh. *)
+let publish_pool_metrics () : unit =
+  publish_storage_metrics ();
   Heat.publish_metrics ();
   let e = Expo.stats () in
   Metrics.set_gauge "serve.admission.workers" (float_of_int e.Expo.e_workers);

@@ -60,7 +60,15 @@ val window_reset : unit -> unit
     {!publish_pool_metrics}. *)
 val publish_window_metrics : unit -> unit
 
-(** Sync the buffer-pool, compactor, join, heat, admission
+(** Copy the cumulative buffer-pool ({!Storage.Buffer_pool.snapshot}
+    as ["bufferpool.*"]), compactor (["compactor.*"]) and block-join
+    ({!Executor.join_stats} as ["executor.join.*"]) counters into the
+    metrics registry. Those series are counted only in their atomics;
+    this copy is the registry's sole source for them. [xquec ... --stats]
+    runs it before dumping the registry. *)
+val publish_storage_metrics : unit -> unit
+
+(** Sync the storage ({!publish_storage_metrics}), heat, admission
     ({!Xquec_obs.Expo.stats} as ["serve.admission.*"]), plan-cache
     ({!Plan_cache.snapshot} as ["serve.plan_cache.*"]) and
     rolling-window counters into the metrics registry — the [collect]

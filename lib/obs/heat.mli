@@ -59,8 +59,8 @@ val set_enabled : bool -> unit
 
 (** [register ~uid ~label ~blocks] (re)announces a container: fixes
     the human label and block count shown in snapshots. Counters of an
-    already-registered uid are preserved (recompression re-registers
-    with a fresh uid). Called by the storage layer on build and load. *)
+    already-registered uid are preserved; a rebuilt container registers
+    under its fresh uid, and the uid it replaced keeps its row. Called by the storage layer on build and load. *)
 val register : uid:int -> label:string -> blocks:int -> unit
 
 (** Record a block fetch request. Consecutive repeats of the same

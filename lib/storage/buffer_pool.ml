@@ -20,19 +20,21 @@
    - cumulative counters are atomics so any domain may bump them and
      [snapshot] needs no lock for them.
 
-   Entries are keyed by (container uid, generation, block index): the
-   uid is process-unique (two repositories never collide), and a
-   container bumps its generation when it is recompressed so stale
-   entries can never be returned; [invalidate] additionally drops them
+   Entries are keyed by (container uid, block index). The uid is
+   process-unique (two repositories never collide) and a container is
+   never changed after it is built: a rebuild is a fresh container with
+   a fresh uid, so an entry can never be returned for the wrong
+   payload. [invalidate_container] drops a replaced container's entries
    eagerly so they stop occupying budget.
 
    The pool keeps its own cumulative counters unconditionally (they are
-   a handful of atomic adds) for --stats and /metrics, charges each
-   event to the calling domain's open ledger (Xquec_obs.Ledger, what
-   the query log and EXPLAIN read), and mirrors it into
-   [Xquec_obs.Metrics] under "bufferpool.*" when telemetry is enabled. *)
+   a handful of atomic adds) and charges each event to the calling
+   domain's open ledger (Xquec_obs.Ledger, what the query log and
+   EXPLAIN read). The "bufferpool.*" metric series are copied from
+   [snapshot] when they are read (Serve.publish_storage_metrics), not
+   counted a second time here. *)
 
-type key = { k_uid : int; k_gen : int; k_blk : int }
+type key = { k_uid : int; k_blk : int }
 
 (** A decoded block: parallel arrays of still-compressed codes and
     parent ids, plus the byte charge this entry puts on the budget. *)
@@ -98,7 +100,7 @@ let scan_inserts = Atomic.make 0 (* blocks admitted at the LRU tail *)
 
 (* Invalidation drops are accounted separately from [evictions]:
    evictions measure capacity pressure, invalidations measure container
-   churn (recompression / compaction swaps). Mixing them made hit-rate
+   churn (containers replaced by a rebuild). Mixing them made hit-rate
    alerts misread a swap as thrash. *)
 let invalidations = Atomic.make 0
 
@@ -188,12 +190,6 @@ let touch (n : node) : unit =
     push_front n
   end
 
-let publish_residency () =
-  if Xquec_obs.is_enabled () then begin
-    Xquec_obs.Metrics.set_gauge "bufferpool.resident_bytes" (float_of_int !resident_bytes);
-    Xquec_obs.Metrics.set_gauge "bufferpool.resident_blocks" (float_of_int !resident_blocks)
-  end
-
 let drop (n : node) : unit =
   unlink n;
   Hashtbl.remove table n.nkey;
@@ -214,7 +210,6 @@ let rec evict_to_budget ~(keep : node option) : unit =
       drop n;
       Atomic.incr evictions;
       Xquec_obs.Ledger.charge (fun l -> l.evictions <- l.evictions + 1);
-      if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.evictions";
       evict_to_budget ~keep
     | Some _ | None -> ()
   end
@@ -232,7 +227,6 @@ let set_budget ~(bytes : int) : unit =
 let await_latch (l : latch) : decoded =
   Atomic.incr latch_waits;
   Xquec_obs.Ledger.charge (fun l -> l.latch_waits <- l.latch_waits + 1);
-  if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.latch_waits";
   Mutex.lock l.l_mutex;
   let rec wait () =
     match l.l_state with
@@ -255,9 +249,8 @@ let settle_latch (l : latch) (st : latch_state) : unit =
   Condition.broadcast l.l_cond;
   Mutex.unlock l.l_mutex
 
-let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
-    (decode : unit -> decoded) : decoded =
-  let key = { k_uid = uid; k_gen = gen; k_blk = blk } in
+let fetch ?(admission = Mru) ~(uid : int) ~(blk : int) (decode : unit -> decoded) : decoded =
+  let key = { k_uid = uid; k_blk = blk } in
   Mutex.lock lock;
   match Hashtbl.find_opt table key with
   | Some (Resident n) ->
@@ -265,7 +258,6 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
     Mutex.unlock lock;
     Atomic.incr hits;
     Xquec_obs.Ledger.charge (fun l -> l.hits <- l.hits + 1);
-    if Xquec_obs.is_enabled () then Xquec_obs.Metrics.incr "bufferpool.hits";
     n.value
   | Some (Pending l) ->
     Mutex.unlock lock;
@@ -299,20 +291,11 @@ let fetch ?(admission = Mru) ~(uid : int) ~(gen : int) ~(blk : int)
           push_back n;
           Atomic.incr scan_inserts;
           Xquec_obs.Ledger.charge (fun l -> l.scan_inserts <- l.scan_inserts + 1);
-          if Xquec_obs.is_enabled () then
-            Xquec_obs.Metrics.incr "bufferpool.scan_inserts";
           evict_to_budget ~keep:None)
       | _ -> ());
       Mutex.unlock lock;
       ignore (Atomic.fetch_and_add decoded_bytes v.d_bytes);
       Xquec_obs.Ledger.charge (fun l -> l.decoded_bytes <- l.decoded_bytes + v.d_bytes);
-      if Xquec_obs.is_enabled () then begin
-        Xquec_obs.Metrics.incr "bufferpool.misses";
-        Xquec_obs.Metrics.incr ~by:v.d_bytes "bufferpool.decoded_bytes";
-        Mutex.lock lock;
-        publish_residency ();
-        Mutex.unlock lock
-      end;
       settle_latch l (L_done v);
       v
     | exception e ->
@@ -355,14 +338,9 @@ let invalidate_container ~(uid : int) : int =
            gone and skip caching; waiters still get the value. *)
         Hashtbl.remove table k)
     victims;
-  publish_residency ();
   Mutex.unlock lock;
   let n = List.length victims in
-  if n > 0 then begin
-    ignore (Atomic.fetch_and_add invalidations n);
-    if Xquec_obs.is_enabled () then
-      Xquec_obs.Metrics.incr ~by:n "bufferpool.invalidations"
-  end;
+  ignore (Atomic.fetch_and_add invalidations n);
   n
 
 let invalidate ~(uid : int) : unit = ignore (invalidate_container ~uid)
@@ -374,7 +352,6 @@ let clear () : unit =
   lru_back := None;
   resident_bytes := 0;
   resident_blocks := 0;
-  publish_residency ();
   Mutex.unlock lock
 
 let reset_stats () : unit =

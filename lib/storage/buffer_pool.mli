@@ -6,10 +6,14 @@
     thunk, caches the result, and evicts least-recently-used blocks
     until the pool is back under budget (miss). Cumulative
     process-wide counters are maintained unconditionally (for
-    [--stats] and [/metrics]); each event is also charged to the
-    calling domain's open {!Xquec_obs.Ledger}, which is what the query
-    log and EXPLAIN read, and mirrored to [Xquec_obs.Metrics] under
-    ["bufferpool.*"] when telemetry is on.
+    [--stats] and [/metrics], which copy them from {!snapshot}); each
+    event is also charged to the calling domain's open
+    {!Xquec_obs.Ledger}, which is what the query log and EXPLAIN read.
+
+    Entries are keyed by (container uid, block index). Containers are
+    immutable and every rebuilt container has a fresh uid, so an entry
+    can never answer for a different payload; a replaced container's
+    entries are dropped by {!invalidate_container}.
 
     {b Thread safety:} every function in this interface may be called
     from any domain ([serve]'s worker domains decode into the pool
@@ -85,18 +89,17 @@ val set_budget : bytes:int -> unit
 (** The current byte budget (default 64 MiB). *)
 val budget_bytes : unit -> int
 
-(** [fetch ~uid ~gen ~blk decode] returns the decoded block for
-    container [uid] (at recompression generation [gen]), block index
-    [blk] — from cache on a hit, via [decode] on a miss, or by waiting
-    on the latch of a concurrent decode of the same block. [decode] runs
-    outside the pool lock; if it raises, the exception propagates to
-    this caller and is re-raised at every latch waiter. [?admission]
+(** [fetch ~uid ~blk decode] returns the decoded block for container
+    [uid], block index [blk] — from cache on a hit, via [decode] on a
+    miss, or by waiting on the latch of a concurrent decode of the same
+    block. [decode] runs outside the pool lock; if it raises, the
+    exception propagates to this caller and is re-raised at every latch
+    waiter. [?admission]
     (default {!Mru}) chooses where a miss-decoded block enters the LRU
     list; it has no effect on hits or latch waits. *)
 val fetch :
   ?admission:admission ->
   uid:int ->
-  gen:int ->
   blk:int ->
   (unit -> decoded) ->
   decoded
@@ -113,7 +116,7 @@ val note_skipped : ?bytes:int -> int -> unit
 val note_payload_decoded : int -> unit
 
 (** [invalidate_container ~uid] drops every resident block and pending
-    decode of container [uid] (used when recompression or compaction
+    decode of container [uid] (used when {!Repository.replace_container}
     swaps the container out), returning the number of entries removed.
     The drops are counted as [s_invalidations], never [s_evictions].
     In-flight decodes for [uid] complete but are not cached. *)

@@ -2,24 +2,24 @@
    recommended block size and swap it into the repository without
    stopping query traffic.
 
-   The swap protocol is copy-on-write and relies on three facts:
+   The swap is copy-on-write:
 
-   1. {!Container.reblocked} builds a FRESH container (new pool uid,
-      generation 0, epoch+1) holding the same record sequence — the
-      original stays fully readable while the rebuild decodes its
-      blocks (tail admission, so the rebuild cannot flush the hot set).
-   2. [repo.containers.(id) <- fresh] is a single pointer store into a
-      boxed-value array. A concurrent reader sees either the old or the
-      new container — both answer every query identically (same codes,
-      same parents, same order), so response bytes cannot change across
-      the swap. Readers that already hold the old container keep using
-      it; its blocks stay decodable for as long as the value is
-      reachable.
-   3. [Buffer_pool.invalidate_container ~uid:old] afterwards releases
-      the old blocks' budget share (new lookups can no longer produce
-      the old uid, so nothing re-populates them — stragglers holding
-      the old container may re-decode, which is correct, just unpaid
-      for by the cache).
+   1. {!Container.reblocked} builds a FRESH container (new pool uid)
+      holding the same record sequence, and the compactor bumps its
+      epoch. The original stays fully readable while the rebuild
+      decodes its blocks (tail admission, so the rebuild cannot flush
+      the hot set).
+   2. {!Repository.replace_container} stores it into the container's
+      slot, a single pointer store: a concurrent reader sees either the
+      old or the new container — both answer every query identically
+      (same codes, same parents, same order), so response bytes cannot
+      change across the swap. Readers that already hold the old
+      container keep using it; its blocks stay decodable for as long as
+      the value is reachable.
+   3. It then invalidates the old uid's pool entries, releasing their
+      budget share (new lookups can no longer produce the old uid, so
+      nothing re-populates them — stragglers holding the old container
+      may re-decode, which is correct, just unpaid for by the cache).
 
    Concurrency discipline: one [compact_mutex] serializes compaction
    passes (two concurrent re-blocks of one container would waste work,
@@ -123,10 +123,13 @@ let compact_container (repo : Repository.t) ~(id : int) ~(block_size : int) : re
         ~attrs:
           [ ("path", old.Container.path); ("block_size", string_of_int block_size) ]
       @@ fun () ->
-      let fresh = Container.reblocked old ~block_size in
-      (* the swap: a single boxed-pointer store; see the module header *)
-      repo.Repository.containers.(id) <- fresh;
-      let invalidated = Buffer_pool.invalidate_container ~uid:old.Container.uid in
+      let fresh =
+        {
+          (Container.reblocked old ~block_size) with
+          Container.compaction_epoch = old.Container.compaction_epoch + 1;
+        }
+      in
+      let invalidated = Repository.replace_container repo fresh in
       let wall_ms = (Xquec_obs.Trace.now_us () -. t0) /. 1000.0 in
       let r =
         {
@@ -148,12 +151,7 @@ let compact_container (repo : Repository.t) ~(id : int) ~(block_size : int) : re
            (Array.length fresh.Container.blocks));
       ignore
         (Atomic.fetch_and_add stat_bytes_rewritten (Container.compressed_bytes fresh));
-      if Xquec_obs.is_enabled () then begin
-        Xquec_obs.Metrics.incr "compactor.compactions";
-        Xquec_obs.Metrics.incr ~by:(Array.length fresh.Container.blocks)
-          "compactor.blocks_rewritten";
-        Xquec_obs.Metrics.observe "compactor.compact_ms" wall_ms
-      end;
+      if Xquec_obs.is_enabled () then Xquec_obs.Metrics.observe "compactor.compact_ms" wall_ms;
       push_recent r;
       r)
 

@@ -4,14 +4,13 @@
 
     A compaction of one container is copy-on-write:
     {!Container.reblocked} builds a fresh container (new buffer-pool
-    uid, compaction epoch + 1) holding the identical record sequence,
-    the repository's container slot is overwritten with a single boxed
-    pointer store — a concurrent reader sees either the old or the new
-    container, and both answer every query byte-identically — and the
-    old container's pool entries are then released via
-    {!Buffer_pool.invalidate_container} (booked as invalidations, not
-    capacity evictions). Readers still holding the old container keep
-    using it safely.
+    uid) holding the identical record sequence, its compaction epoch is
+    the old one + 1, and {!Repository.replace_container} swaps it into
+    the repository's container slot — a concurrent reader sees either
+    the old or the new container, and both answer every query
+    byte-identically — and then releases the old container's pool
+    entries (booked as invalidations, not capacity evictions). Readers
+    still holding the old container keep using it safely.
 
     Passes are serialized by an internal mutex; the watchdog's entry
     point {!request} additionally refuses overlapping requests via a

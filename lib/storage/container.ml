@@ -21,6 +21,7 @@ type kind = Text | Attribute
 
 type record = { code : string; parent : int }
 
+(* The container order: by code bytes, then by parent id. *)
 let compare_records a b =
   let c = String.compare a.code b.code in
   if c <> 0 then c else Int.compare a.parent b.parent
@@ -43,33 +44,31 @@ type block = {
 
 type t = {
   id : int;
-  uid : int;  (** process-unique identity for buffer-pool keys *)
+  uid : int;  (** process-unique identity, the buffer-pool key of its blocks *)
   path : string;  (** root-to-leaf path expression, e.g. "/site/people/person/name/#text" *)
   kind : kind;
-  mutable algorithm : Compress.Codec.algorithm;
-  mutable model : Compress.Codec.model;
-  mutable model_id : int;  (** containers sharing a source model share this id *)
-  mutable blocks : block array;
-  mutable n_records : int;
-  mutable plain_bytes : int;  (** total plaintext bytes (for stats / cost model) *)
-  mutable generation : int;  (** bumped by recompress; part of the pool key *)
-  mutable distinct_parents : bool;
+  algorithm : Compress.Codec.algorithm;
+  model : Compress.Codec.model;
+  model_id : int;  (** containers sharing a source model share this id *)
+  blocks : block array;
+  n_records : int;
+  plain_bytes : int;  (** total plaintext bytes (for stats / cost model) *)
+  distinct_parents : bool;
       (** no two records share a parent pointer — precomputed at build
           time so bare-element predicates can skip the existence check
           that used to scan every block (stored in the v2 image,
           recomputed on v1 load) *)
-  mutable sorted_run : bool;
+  sorted_run : bool;
       (** the record sequence was verified (at build / load) to be sorted
           by (code, parent) — the precondition for header-interval merge
-          joins. Verified by an adjacent-pair scan in
-          {!of_sorted_records}, persisted in the v2 flags byte; images
-          written before the flag existed load as [false]
-          (conservatively disabling the block join on them). *)
-  mutable block_size : int;
+          joins. Verified by an adjacent-pair scan at build, persisted in
+          the v2 flags byte; images written before the flag existed load
+          as [false] (conservatively disabling the block join on them). *)
+  block_size : int;
       (** target plaintext bytes per block this container was chunked
           with — per container since the adaptive-sizing pass, persisted
           behind flags bit 3 when it differs from the built-in default *)
-  mutable compaction_epoch : int;
+  compaction_epoch : int;
       (** how many times the compactor has re-blocked this container
           (0 at build; persisted with [block_size]) *)
 }
@@ -239,17 +238,16 @@ let headers (t : t) : header array = Array.init (Array.length t.blocks) (header 
 (* Kept for bench/e2e/workloads.ml and layers.ml; read-ahead is gone. *)
 let set_prefetch_depth (_ : int) = ()
 
-(* Decode block [i] through the buffer pool, on the calling domain.
-   [b] is block [i] as read when the fetch is issued: a recompress may
-   swap [t.blocks] before the thunk runs, and the pool key carries the
-   generation of that same moment. The fetch and the decode are charged
-   to the calling domain's open ledger; the limit check at entry is
-   what trips an exhausted one. *)
+(* Decode block [i] through the buffer pool, on the calling domain. A
+   container never changes after it is built, so (uid, block index)
+   names one payload for as long as the uid lives. The fetch and the
+   decode are charged to the calling domain's open ledger; the limit
+   check at entry is what trips an exhausted one. *)
 let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
   Xquec_obs.Ledger.note_fetch ~uid:t.uid ~label:t.path ~blk:i;
   let b = t.blocks.(i) in
   Xquec_obs.Heat.note_touch ~uid:t.uid ~blk:i;
-  Buffer_pool.fetch ?admission ~uid:t.uid ~gen:t.generation ~blk:i (fun () ->
+  Buffer_pool.fetch ?admission ~uid:t.uid ~blk:i (fun () ->
       Xquec_obs.Trace.with_span ~name:"container.decode"
         ~attrs:[ ("path", t.path); ("block", string_of_int i) ]
       @@ fun () ->
@@ -312,23 +310,10 @@ let is_sorted_run (records : record array) : bool =
   in
   go 1
 
-(** Assemble a container from records already sorted by (code, parent).
-    [plain_sizes.(i)] is the plaintext length of record [i] when known
-    (exact block budgeting); omitted, sizes are estimated from the
-    container average. Used by the loader, which sorts records itself to
-    build its sequence-to-index maps. *)
-let of_sorted_records ?block_size ?plain_sizes ~id ~path ~kind ~algorithm ~model ~model_id
+(* Assemble a container from records already sorted by (code, parent);
+   [plain_size i] is record [i]'s plaintext length for block budgeting. *)
+let of_sorted_records ~block_size ~plain_size ~id ~path ~kind ~algorithm ~model ~model_id
     ~plain_bytes (records : record array) : t =
-  let block_size = Option.value ~default:!default_block_size_ref block_size in
-  let n = Array.length records in
-  let plain_size =
-    match plain_sizes with
-    | Some sizes -> fun i -> max 1 sizes.(i)
-    | None ->
-      let avg = if n = 0 then 1 else max 1 (plain_bytes / n) in
-      fun _ -> avg
-  in
-  let blocks = blocks_of_records ~block_size ~plain_size records in
   let t =
     {
       id;
@@ -338,10 +323,9 @@ let of_sorted_records ?block_size ?plain_sizes ~id ~path ~kind ~algorithm ~model
       algorithm;
       model;
       model_id;
-      blocks;
-      n_records = n;
+      blocks = blocks_of_records ~block_size ~plain_size records;
+      n_records = Array.length records;
       plain_bytes;
-      generation = 0;
       distinct_parents = all_parents_distinct records;
       sorted_run = is_sorted_run records;
       block_size;
@@ -352,23 +336,34 @@ let of_sorted_records ?block_size ?plain_sizes ~id ~path ~kind ~algorithm ~model
   Xquec_obs.Heat.register ~uid:t.uid ~label:t.path ~blocks:(Array.length t.blocks);
   t
 
-(** Build a container from (value, parent-id) pairs, training a fresh
-    source model with the given algorithm. *)
-let build ?block_size ~id ~path ~kind ~algorithm (values : (string * int) list) : t =
-  let model = Compress.Codec.train algorithm (List.map fst values) in
+(** The one builder: encode every value with [model], sort on (record,
+    input position), chunk into blocks, and return the container with
+    the permutation input position -> record index. *)
+let of_values ?block_size ~id ~path ~kind ~algorithm ~model ~model_id
+    (pairs : (string * int) list) : t * int array =
+  let block_size = Option.value ~default:!default_block_size_ref block_size in
   let triples =
-    List.map
-      (fun (v, parent) ->
-        ({ code = Compress.Codec.compress model v; parent }, String.length v))
-      values
+    List.mapi
+      (fun pos (v, parent) ->
+        ({ code = Compress.Codec.compress model v; parent }, pos, String.length v))
+      pairs
     |> Array.of_list
   in
-  Array.sort (fun (a, _) (b, _) -> compare_records a b) triples;
-  let records = Array.map fst triples in
-  let plain_sizes = Array.map snd triples in
-  let plain_bytes = Array.fold_left ( + ) 0 plain_sizes in
-  of_sorted_records ?block_size ~plain_sizes ~id ~path ~kind ~algorithm ~model ~model_id:id
-    ~plain_bytes records
+  Array.sort
+    (fun (a, pa, _) (b, pb, _) ->
+      let c = compare_records a b in
+      if c <> 0 then c else Int.compare pa pb)
+    triples;
+  let perm = Array.make (Array.length triples) 0 in
+  Array.iteri (fun idx (_, pos, _) -> perm.(pos) <- idx) triples;
+  let plain_bytes = Array.fold_left (fun acc (_, _, len) -> acc + len) 0 triples in
+  let sizes = Array.map (fun (_, _, len) -> max 1 len) triples in
+  let t =
+    of_sorted_records ~block_size ~plain_size:(Array.get sizes) ~id ~path ~kind ~algorithm
+      ~model ~model_id ~plain_bytes
+      (Array.map (fun (r, _, _) -> r) triples)
+  in
+  (t, perm)
 
 (* Every block's [(plaintext, parent)] pairs, in record order, from
    [block i] = its codes and parents. *)
@@ -393,47 +388,6 @@ let read_block (t : t) (i : int) : string array * int array =
 
 let read_all (t : t) : (string * int) list = all_pairs t (read_block t)
 
-(** Re-compress with a new algorithm / shared model. [model] must have
-    been trained on a superset of this container's values. Returns the
-    permutation old record index -> new record index so callers can fix
-    up value pointers into this container. *)
-let recompress (t : t) ~algorithm ~model ~model_id : int array =
-  let plain = read_all t in
-  let triples =
-    List.mapi
-      (fun old_idx (v, parent) ->
-        ({ code = Compress.Codec.compress model v; parent }, String.length v, old_idx))
-      plain
-    |> Array.of_list
-  in
-  Array.sort
-    (fun (a, _, ia) (b, _, ib) ->
-      let c = compare_records a b in
-      if c <> 0 then c else Int.compare ia ib)
-    triples;
-  let remap = Array.make (Array.length triples) 0 in
-  Array.iteri (fun new_idx (_, _, old_idx) -> remap.(old_idx) <- new_idx) triples;
-  let records = Array.map (fun (r, _, _) -> r) triples in
-  let plain_sizes = Array.map (fun (_, s, _) -> s) triples in
-  t.algorithm <- algorithm;
-  t.model <- model;
-  t.model_id <- model_id;
-  t.generation <- t.generation + 1;
-  Buffer_pool.invalidate ~uid:t.uid;
-  t.blocks <-
-    blocks_of_records ~block_size:t.block_size
-      ~plain_size:(fun i -> max 1 plain_sizes.(i))
-      records;
-  t.n_records <- Array.length records;
-  t.distinct_parents <- all_parents_distinct records;
-  t.sorted_run <- is_sorted_run records;
-  if Xquec_obs.is_enabled () then begin
-    Xquec_obs.Metrics.incr "container.recompressions";
-    publish_metrics t
-  end;
-  Xquec_obs.Heat.register ~uid:t.uid ~label:t.path ~blocks:(Array.length t.blocks);
-  remap
-
 (* Decode every block (tail admission: a rewrite pass must not flush the
    hot working set) and return the raw compressed records plus
    per-record plaintext-size estimates. Exact per-record sizes are gone
@@ -454,43 +408,15 @@ let records_with_sizes (t : t) : record array * int array =
     t.blocks;
   (records, sizes)
 
-(** Re-chunk this container in place at a new target block size. Unlike
-    {!recompress} the record sequence (codes, parents, order) is
-    untouched — no model retraining, no pointer remap — so every
-    invariant bit ([distinct_parents], [sorted_run]) carries over. Bumps
-    the generation and invalidates the pool so stale blocks cannot be
-    returned. Used by the build-time sizing pass; the online compactor
-    uses {!reblocked} instead. *)
-let reblock (t : t) ~(block_size : int) : unit =
-  if block_size < 1 then invalid_arg "Container.reblock";
-  let records, sizes = records_with_sizes t in
-  t.generation <- t.generation + 1;
-  ignore (Buffer_pool.invalidate_container ~uid:t.uid);
-  t.blocks <- blocks_of_records ~block_size ~plain_size:(fun i -> sizes.(i)) records;
-  t.block_size <- block_size;
-  publish_metrics t;
-  Xquec_obs.Heat.register ~uid:t.uid ~label:t.path ~blocks:(Array.length t.blocks)
-
-(** Copy-on-write variant of {!reblock}: build and return a {e fresh}
-    container (new pool uid, generation 0, compaction epoch bumped) with
-    the same records re-chunked at [block_size], leaving [t] fully
-    usable. In-flight queries holding [t] keep reading its blocks;
-    the caller swaps the fresh container into the repository and then
-    invalidates [t]'s uid. This is the compactor's primitive. *)
+(** Build and return a {e fresh} container (new pool uid, same
+    compaction epoch) with the same records re-chunked at [block_size],
+    leaving [t] untouched. In-flight queries holding [t] keep reading
+    its blocks; {!Repository.replace_container} swaps the fresh one in. *)
 let reblocked (t : t) ~(block_size : int) : t =
   if block_size < 1 then invalid_arg "Container.reblocked";
   let records, sizes = records_with_sizes t in
   let blocks = blocks_of_records ~block_size ~plain_size:(fun i -> sizes.(i)) records in
-  let fresh =
-    {
-      t with
-      uid = Buffer_pool.fresh_uid ();
-      blocks;
-      generation = 0;
-      block_size;
-      compaction_epoch = t.compaction_epoch + 1;
-    }
-  in
+  let fresh = { t with uid = Buffer_pool.fresh_uid (); blocks; block_size } in
   publish_metrics fresh;
   Xquec_obs.Heat.register ~uid:fresh.uid ~label:fresh.path
     ~blocks:(Array.length fresh.blocks);
@@ -871,7 +797,6 @@ let deserialize ~(models : (int, Compress.Codec.model) Hashtbl.t) (s : string) (
       blocks;
       n_records;
       plain_bytes;
-      generation = 0;
       distinct_parents;
       sorted_run;
       block_size;
@@ -910,7 +835,9 @@ let deserialize_v1 ~(models : (int, Compress.Codec.model) Hashtbl.t) (s : string
         { code; parent })
   in
   let model = Hashtbl.find models model_id in
+  let avg = if n = 0 then 1 else max 1 (plain_bytes / n) in
   let t =
-    of_sorted_records ~id ~path ~kind ~algorithm ~model ~model_id ~plain_bytes records
+    of_sorted_records ~block_size:!default_block_size_ref ~plain_size:(fun _ -> avg) ~id ~path ~kind
+      ~algorithm ~model ~model_id ~plain_bytes records
   in
   (t, !pos)

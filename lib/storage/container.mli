@@ -20,9 +20,6 @@ type kind = Text | Attribute
     of the parent element (the "value pointer" inverse). *)
 type record = { code : string; parent : int }
 
-(** The container order: by code bytes, then by parent id. *)
-val compare_records : record -> record -> int
-
 (** One compressed block: a contiguous slice of the sorted record
     sequence.
 
@@ -49,41 +46,43 @@ type block = {
   b_payload : string;
 }
 
+(** A built container. Immutable: every rebuild ({!of_values},
+    {!reblocked}) returns a fresh container with a fresh [uid], which
+    {!Repository.replace_container} swaps into the repository. *)
 type t = {
   id : int;  (** repository-local container id (value pointers refer to it) *)
-  uid : int;  (** process-unique identity used for buffer-pool keys *)
+  uid : int;  (** process-unique identity, the buffer-pool key of its blocks *)
   path : string;  (** root-to-leaf path, e.g. ["/site/people/person/name/#text"] *)
   kind : kind;
-  mutable algorithm : Compress.Codec.algorithm;
-  mutable model : Compress.Codec.model;
-  mutable model_id : int;  (** containers sharing a source model share this id *)
-  mutable blocks : block array;
-  mutable n_records : int;
-  mutable plain_bytes : int;  (** total plaintext bytes (stats / cost model) *)
-  mutable generation : int;  (** bumped on {!recompress}; part of the pool key *)
-  mutable distinct_parents : bool;
-      (** no two records share a parent pointer. Precomputed at build /
-          recompress time and stored in the v2 image (recomputed when
-          loading v1), so bare-element existence predicates can take the
+  algorithm : Compress.Codec.algorithm;
+  model : Compress.Codec.model;
+  model_id : int;  (** containers sharing a source model share this id *)
+  blocks : block array;
+  n_records : int;
+  plain_bytes : int;  (** total plaintext bytes (stats / cost model) *)
+  distinct_parents : bool;
+      (** no two records share a parent pointer. Precomputed at build
+          time and stored in the v2 image (recomputed when loading v1),
+          so bare-element existence predicates can take the
           header-pruned path instead of scanning every block to check
           distinctness. *)
-  mutable sorted_run : bool;
+  sorted_run : bool;
       (** the record sequence was verified sorted by (code, parent) —
           the precondition for the executor's block-interval merge join.
           Checked by an O(n) adjacent-pair scan at build / v1-load time
           and persisted in the v2 flags byte; v2 images written before
           the flag existed load as [false], conservatively keeping the
           block join off for them. *)
-  mutable block_size : int;
+  block_size : int;
       (** target plaintext bytes per block this container was chunked
           with. Per container since the adaptive-sizing pass; persisted
           behind flags bit 3 of the wire image whenever it differs from
           the built-in 16384 default (or the epoch is non-zero), so
           pre-extension images re-save byte-identically. *)
-  mutable compaction_epoch : int;
-      (** number of times this container has been re-blocked by the
-          compactor ({!reblocked}); 0 at build, persisted alongside
-          [block_size]. *)
+  compaction_epoch : int;
+      (** number of times the compactor has re-blocked this container
+          ({!Compactor.compact_container}); 0 at build, persisted
+          alongside [block_size]. *)
 }
 
 (** Header-only projection of one block: bounds, cardinality and stored
@@ -152,36 +151,25 @@ val clamp_block_size : int -> int
     benchmark's [bench/e2e/workloads.ml] and [bench/e2e/layers.ml]. *)
 val set_prefetch_depth : int -> unit
 
-(** [build ~id ~path ~kind ~algorithm values] trains a fresh source
-    model on the [(value, parent)] pairs, compresses them, sorts by
-    (code, parent) and chunks into blocks of [?block_size] (default
-    {!default_block_size}) plaintext bytes. *)
-val build :
+(** [of_values ~id ~path ~kind ~algorithm ~model ~model_id pairs]
+    encodes each [(value, parent)] pair with [model], sorts the records
+    on (code, parent, input position) and chunks them into blocks of
+    [?block_size] (default {!default_block_size}) plaintext bytes. It
+    returns the container and the permutation input position -> record
+    index, with which callers point value pointers at the records. The
+    container's epoch is 0. Every container built from values is built
+    here: by the loader, and by {!Partitioner.apply} when it re-encodes
+    with a shared model. *)
+val of_values :
   ?block_size:int ->
-  id:int ->
-  path:string ->
-  kind:kind ->
-  algorithm:Compress.Codec.algorithm ->
-  (string * int) list ->
-  t
-
-(** Assemble a container from records {e already sorted} by
-    (code, parent) — used by the loader, which sorts records itself to
-    derive its sequence-to-index maps. [plain_sizes.(i)] is the exact
-    plaintext length of record [i]; when omitted, block budgeting falls
-    back to the container-average estimate [plain_bytes / n]. *)
-val of_sorted_records :
-  ?block_size:int ->
-  ?plain_sizes:int array ->
   id:int ->
   path:string ->
   kind:kind ->
   algorithm:Compress.Codec.algorithm ->
   model:Compress.Codec.model ->
   model_id:int ->
-  plain_bytes:int ->
-  record array ->
-  t
+  (string * int) list ->
+  t * int array
 
 (** All [(plaintext, parent)] pairs in record (compressed-value) order;
     decompresses every value. *)
@@ -197,42 +185,17 @@ val dump : t -> (string * int) list
 val read_block : t -> int -> string array * int array
 
 (** {!dump} through {!read_block}: every [(plaintext, parent)] pair in
-    record order, read outside the buffer pool. The build-time rewrite
-    paths ({!recompress}, the partitioner's shared-model training) use
-    it. *)
+    record order, read outside the buffer pool. The partitioner's
+    shared-model rebuild reads each container once with it. *)
 val read_all : t -> (string * int) list
 
-(** [recompress t ~algorithm ~model ~model_id] re-encodes every value
-    with the new (typically shared) model, re-sorts, re-blocks, bumps
-    the generation and invalidates the container's buffer-pool entries.
-    Returns the permutation old index -> new index so callers can patch
-    value pointers. [model] must have been trained on a superset of this
-    container's values. Reads the old records with {!read_all}. *)
-val recompress :
-  t ->
-  algorithm:Compress.Codec.algorithm ->
-  model:Compress.Codec.model ->
-  model_id:int ->
-  int array
-
-(** [reblock t ~block_size] re-chunks the container in place at a new
-    target block size. Unlike {!recompress} the record sequence (codes,
-    parents, order) is untouched — no model retraining, no pointer
-    remap, [distinct_parents]/[sorted_run] carry over — so callers need
-    no fix-ups. Bumps the generation and invalidates the pool entries.
-    Used by the build-time sizing pass ([xquec compress]); the online
-    compactor uses {!reblocked}. Raises [Invalid_argument] on a
-    non-positive size. *)
-val reblock : t -> block_size:int -> unit
-
-(** [reblocked t ~block_size] is the copy-on-write variant of
-    {!reblock}: returns a {e fresh} container (new pool uid, generation
-    0, [compaction_epoch] bumped by one) holding the same record
-    sequence re-chunked at [block_size], leaving [t] fully usable for
-    in-flight readers. The caller is expected to swap the result into
-    the repository's container slot and then invalidate [t]'s pool
-    entries ({!Buffer_pool.invalidate_container}) — which is exactly
-    what {!Compactor.compact_container} does. *)
+(** [reblocked t ~block_size] is a {e fresh} container (new pool uid,
+    same [compaction_epoch]) holding the same record sequence
+    re-chunked at [block_size]; [t] is left unchanged, so in-flight
+    readers keep using it. Callers swap the result in with
+    {!Repository.replace_container}; {!Compactor.compact_container}
+    also bumps its epoch. Raises [Invalid_argument] on a non-positive
+    size. *)
 val reblocked : t -> block_size:int -> t
 
 (** ContScan: every record in compressed-value order. Decodes all
@@ -300,12 +263,6 @@ val compress_constant : t -> string -> string
 (** Total bytes of the stored block payloads (the container's share of
     the repository's value area). *)
 val compressed_bytes : t -> int
-
-(** Publish per-container gauges ([container.<path>.encoded_bytes],
-    [.plain_bytes], [.records], [.blocks]) when telemetry is enabled.
-    Called automatically by {!build}, {!of_sorted_records} and
-    {!recompress}. *)
-val publish_metrics : t -> unit
 
 (** Append the v2 wire image (block headers + verbatim payloads — a
     save/load/save cycle is byte-exact). The container flags byte

@@ -17,6 +17,16 @@ let container t id = t.containers.(id)
 let find_container_by_path t path =
   Array.to_list t.containers |> List.find_opt (fun c -> String.equal c.Container.path path)
 
+(* Containers are never changed in place: a rebuild takes over its
+   slot. The slot store comes first and is a single boxed-pointer
+   write, so a concurrent reader sees either container (both answer
+   identically); only then are the old container's pool entries
+   dropped. Readers still holding it keep decoding its blocks. *)
+let replace_container (t : t) (fresh : Container.t) : int =
+  let old = t.containers.(fresh.Container.id) in
+  t.containers.(fresh.Container.id) <- fresh;
+  Buffer_pool.invalidate_container ~uid:old.Container.uid
+
 (** Distinct source models (containers in the same partition share one). *)
 let models (t : t) : (int * Compress.Codec.model) list =
   let seen = Hashtbl.create 16 in

@@ -129,21 +129,23 @@ let descendants_with_tag t id tag_code =
   done;
   !acc
 
-(** Rewrite value pointers after containers were recompressed (their
-    records re-sorted): [remap cont_id] returns the old-to-new index
-    permutation for that container, or None if it is unchanged. *)
+(** Point one value slot at another container, keeping its index. *)
 let set_value_container (t : t) ~node ~slot ~container =
   let (_, idx) = t.values.(node).(slot) in
   t.values.(node).(slot) <- (container, idx)
 
+(** Rewrite value pointers after containers were rebuilt from their
+    values (their records re-sorted): [remap cont_id] returns the
+    old-to-new index permutation for that container, or None if it is
+    unchanged. *)
 let remap_values (t : t) (remap : int -> int array option) : unit =
-  Array.iteri
-    (fun node ptrs ->
+  Array.iter
+    (fun ptrs ->
       Array.iteri
         (fun slot (cont, idx) ->
           match remap cont with
-          | Some perm -> t.values.(node).(slot) <- (cont, perm.(idx))
-          | None -> ignore (node, ptrs))
+          | Some perm -> ptrs.(slot) <- (cont, perm.(idx))
+          | None -> ())
         ptrs)
     t.values
 

@@ -8,7 +8,9 @@
     documents reconstruct in exact order. *)
 
 (** The structure tree; node ids are pre-order ranks. Value pointers
-    are mutable (for container recompression); the shape is not. *)
+    are mutable (a container rebuilt from its values re-sorts its
+    records, and the load resolves pointer container ids); the shape is
+    not. *)
 type t
 
 (** Number of element/attribute nodes. *)
@@ -50,11 +52,15 @@ val descendants : t -> int -> int list
     subtree's pre-order interval. *)
 val descendants_with_tag : t -> int -> int -> int list
 
-(** Rewrite value pointers after containers were recompressed. *)
+(** Rewrite value pointers after containers were rebuilt from their
+    values (their records re-sorted): [remap cont_id] returns the
+    old-to-new index permutation for that container, or [None] if it is
+    unchanged. *)
 val remap_values : t -> (int -> int array option) -> unit
 
-(** Redirect one value pointer slot to a different container (used when
-    splitting containers during recompression). *)
+(** Redirect one value pointer slot to a different container (used by
+    {!Repository.deserialize} to resolve container ids from the
+    summary). *)
 val set_value_container : t -> node:int -> slot:int -> container:int -> unit
 
 (** {2 Document-order construction} *)

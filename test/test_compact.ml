@@ -1,5 +1,6 @@
 (* Adaptive block sizing and online compaction: block-size picking and
-   clamping, in-place reblocking invariants, the adaptive-sizing
+   clamping, reblocking invariants, every rebuild leaving the container
+   it replaces untouched, the adaptive-sizing
    serialization extension (flags bit 3), per-container buffer-pool
    invalidation accounting, the compactor's copy-on-write container
    swap (including under genuinely concurrent serve clients),
@@ -79,7 +80,7 @@ let test_pick_and_clamp () =
   Alcotest.(check int) "wide records hit the clamp ceiling" 262144 wide
 
 (* ------------------------------------------------------------------ *)
-(* In-place reblocking                                                 *)
+(* Reblocking                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_reblock_preserves_records () =
@@ -89,24 +90,59 @@ let test_reblock_preserves_records () =
   let c = container_of repo names_path in
   let dump_before = Storage.Container.dump c in
   let blocks_before = Storage.Container.block_count c in
-  let gen_before = c.Storage.Container.generation in
   let probe = Storage.Container.compress_constant c (fst (List.hd dump_before)) in
   let hits_before = List.length (Storage.Container.lookup_eq c probe) in
-  Storage.Container.reblock c ~block_size:64;
+  let small = Storage.Container.reblocked c ~block_size:64 in
   Alcotest.(check bool) "smaller blocks mean more blocks" true
-    (Storage.Container.block_count c > blocks_before);
-  Alcotest.(check int) "block_size recorded" 64 c.Storage.Container.block_size;
-  Alcotest.(check int) "generation bumped" (gen_before + 1) c.Storage.Container.generation;
-  Alcotest.(check int) "reblock keeps the epoch" 0 c.Storage.Container.compaction_epoch;
+    (Storage.Container.block_count small > blocks_before);
+  Alcotest.(check int) "block_size recorded" 64 small.Storage.Container.block_size;
+  Alcotest.(check bool) "a fresh pool uid" true
+    (small.Storage.Container.uid <> c.Storage.Container.uid);
+  Alcotest.(check int) "reblock keeps the epoch" 0 small.Storage.Container.compaction_epoch;
   Alcotest.(check (list (pair string int))) "record sequence preserved" dump_before
-    (Storage.Container.dump c);
+    (Storage.Container.dump small);
   Alcotest.(check int) "lookup_eq unchanged" hits_before
-    (List.length (Storage.Container.lookup_eq c probe));
+    (List.length (Storage.Container.lookup_eq small probe));
+  Alcotest.(check int) "the original keeps its blocks" blocks_before
+    (Storage.Container.block_count c);
   (* growing back coalesces again *)
-  Storage.Container.reblock c ~block_size:1_000_000;
-  Alcotest.(check int) "one big block" 1 (Storage.Container.block_count c);
+  let big = Storage.Container.reblocked small ~block_size:1_000_000 in
+  Alcotest.(check int) "one big block" 1 (Storage.Container.block_count big);
   Alcotest.(check (list (pair string int))) "still the same records" dump_before
-    (Storage.Container.dump c)
+    (Storage.Container.dump big)
+
+(* Every path that rebuilds a container after load (the partitioner's
+   shared-model apply, its build-time block sizing and the compactor)
+   builds a fresh container and swaps it into the repository slot: the
+   container a reader took before the rebuild still dumps the same
+   pairs, and the slot holds a container with another uid. *)
+let check_rebuild_copies ~what repo id rebuild =
+  let old = Storage.Repository.container repo id in
+  let before = Storage.Container.dump old in
+  rebuild ();
+  Alcotest.(check (list (pair string int))) (what ^ ": the old container is unchanged") before
+    (Storage.Container.dump old);
+  Alcotest.(check bool) (what ^ ": the slot holds a fresh uid") true
+    ((Storage.Repository.container repo id).Storage.Container.uid <> old.Storage.Container.uid)
+
+let test_rebuilds_copy () =
+  with_fresh_telemetry @@ fun () ->
+  let repo = Engine.repo (fresh_engine ()) in
+  let names = (container_of repo names_path).Storage.Container.id in
+  let ids = (container_of repo ids_path).Storage.Container.id in
+  check_rebuild_copies ~what:"Partitioner.apply" repo names (fun () ->
+      Partitioner.apply repo
+        { Cost_model.sets = [ ([ names; ids ], Compress.Codec.Huffman_alg) ] });
+  let workload =
+    Workload.of_query_strings repo
+      [ "for $p in document(\"auction.xml\")/site/people/person[@id = \"person0\"] return $p" ]
+  in
+  check_rebuild_copies ~what:"Partitioner.size_blocks" repo ids (fun () ->
+      Alcotest.(check bool) "size_blocks resized the @id container" true
+        (List.exists (fun (path, _, _) -> path = ids_path)
+           (Partitioner.size_blocks repo workload)));
+  check_rebuild_copies ~what:"Compactor.compact_container" repo names (fun () ->
+      ignore (Storage.Compactor.compact_container repo ~id:names ~block_size:2048))
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: the adaptive-sizing extension (flags bit 3)          *)
@@ -398,6 +434,7 @@ let suites =
         Alcotest.test_case "block-size pick + clamp." `Quick test_pick_and_clamp;
         Alcotest.test_case "reblock preserves records." `Quick
           test_reblock_preserves_records;
+        Alcotest.test_case "rebuilds copy, never mutate." `Quick test_rebuilds_copy;
         Alcotest.test_case "block size + epoch round-trip." `Quick
           test_block_size_epoch_roundtrip;
         Alcotest.test_case "invalidate_container accounting." `Quick

@@ -163,7 +163,7 @@ let test_alm_fig2 () =
     Alcotest.(check bool)
       (Printf.sprintf "%s < %s compressed" a b)
       true
-      (Alm.compare_compressed (enc a) (enc b) < 0)
+      (String.compare (enc a) (enc b) < 0)
   in
   check_lt "their" "there";
   check_lt "there" "these";
@@ -177,13 +177,13 @@ let prop_alm_order =
   prop_cached "alm order preservation" (gen_pair gen_text) (fun (a, b) ->
       let m = Lazy.force alm_model in
       let ca = Alm.compress m a and cb = Alm.compress m b in
-      compare (Alm.compare_compressed ca cb) 0 = compare (String.compare a b) 0)
+      compare (String.compare ca cb) 0 = compare (String.compare a b) 0)
 
 let prop_alm_order_binary =
   prop_cached "alm order preservation (binary)" (gen_pair gen_string) (fun (a, b) ->
       let m = Lazy.force alm_model in
       let ca = Alm.compress m a and cb = Alm.compress m b in
-      compare (Alm.compare_compressed ca cb) 0 = compare (String.compare a b) 0)
+      compare (String.compare ca cb) 0 = compare (String.compare a b) 0)
 
 (* The previous token miner, kept as the oracle for [Alm.mine_tokens]:
    one [String.sub] per candidate, counted in a [Hashtbl], ties left in
@@ -271,8 +271,8 @@ let test_alm_prefix_range () =
   let inside = Alm.compress m "theology" in
   let outside = Alm.compress m "tha" in
   let matches c =
-    Alm.compare_compressed lo c <= 0
-    && match hi with None -> true | Some h -> Alm.compare_compressed c h < 0
+    String.compare lo c <= 0
+    && match hi with None -> true | Some h -> String.compare c h < 0
   in
   Alcotest.(check bool) "inside" true (matches inside);
   Alcotest.(check bool) "outside" false (matches outside)
@@ -297,7 +297,7 @@ let prop_arith_order =
   prop_cached "arith order preservation" (gen_pair gen_text) (fun (a, b) ->
       let m = Lazy.force arith_model in
       let ca = Arith.compress m a and cb = Arith.compress m b in
-      compare (Arith.compare_compressed ca cb) 0 = compare (String.compare a b) 0)
+      compare (String.compare ca cb) 0 = compare (String.compare a b) 0)
 
 let test_arith_model_serial () =
   let m = Lazy.force arith_model in
@@ -313,7 +313,7 @@ let prop_hu_order =
   prop_cached "hu-tucker order preservation" (gen_pair gen_text) (fun (a, b) ->
       let m = Lazy.force hu_model in
       let ca = Hu_tucker.compress m a and cb = Hu_tucker.compress m b in
-      compare (Hu_tucker.compare_compressed ca cb) 0 = compare (String.compare a b) 0)
+      compare (String.compare ca cb) 0 = compare (String.compare a b) 0)
 
 let test_hu_optimality_sanity () =
   (* Hu-Tucker is optimal among alphabetic codes; on a heavily skewed
@@ -620,7 +620,7 @@ let test_numeric_int () =
     (fun v -> Alcotest.(check string) "int roundtrip" v (Ipack.decompress m (Ipack.compress m v)))
     [ "0"; "5"; "123"; "99999"; "1000000" ];
   let lt a b =
-    Ipack.compare_compressed (Ipack.compress m a) (Ipack.compress m b) < 0
+    String.compare (Ipack.compress m a) (Ipack.compress m b) < 0
   in
   Alcotest.(check bool) "9 < 10 numerically" true (lt "9" "10");
   Alcotest.(check bool) "100 > 99" true (lt "99" "100")
@@ -632,7 +632,7 @@ let test_numeric_decimal () =
       Alcotest.(check string) "decimal roundtrip" v (Ipack.decompress m (Ipack.compress m v)))
     [ "0.00"; "58.43"; "1.99"; "40.00"; "12345.67" ];
   let lt a b =
-    Ipack.compare_compressed (Ipack.compress m a) (Ipack.compress m b) < 0
+    String.compare (Ipack.compress m a) (Ipack.compress m b) < 0
   in
   Alcotest.(check bool) "9.50 < 10.20" true (lt "9.50" "10.20")
 
@@ -648,7 +648,7 @@ let prop_numeric_order =
       let m = Ipack.train [ "1" ] in
       let ca = Ipack.compress m (string_of_int a)
       and cb = Ipack.compress m (string_of_int b) in
-      compare (Ipack.compare_compressed ca cb) 0 = compare a b)
+      compare (String.compare ca cb) 0 = compare a b)
 
 (* --- Codec layer --- *)
 

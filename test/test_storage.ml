@@ -32,8 +32,15 @@ let test_name_dict_bits () =
 (* Containers                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A text container built from [values] with a fresh [algorithm] model. *)
+let build ?block_size ~id ~algorithm values =
+  let model = Compress.Codec.train algorithm (List.map fst values) in
+  fst
+    (Container.of_values ?block_size ~id ~path:"/a/b/#text" ~kind:Container.Text ~algorithm
+       ~model ~model_id:id values)
+
 let sample_container algorithm =
-  Container.build ~id:0 ~path:"/a/b/#text" ~kind:Container.Text ~algorithm
+  build ~id:0 ~algorithm
     [ ("delta", 1); ("alpha", 2); ("charlie", 3); ("bravo", 4); ("alpha", 5) ]
 
 let test_container_sorted () =
@@ -63,22 +70,30 @@ let test_container_lookup_range () =
   let values = List.map (Container.decompress_record c) hits in
   Alcotest.(check (list string)) "range [b,d)" [ "bravo"; "charlie" ] values
 
+(* Re-encoding with a shared model, as [Partitioner.apply] does: the
+   container's pairs rebuilt with [of_values], whose permutation maps
+   each old record index to its new one. *)
 let test_container_recompress () =
   let c = sample_container Compress.Codec.Alm_alg in
-  let before = Container.dump c in
+  let before = Container.read_all c in
   let model = Compress.Codec.train Compress.Codec.Huffman_alg (List.map fst before) in
-  let remap = Container.recompress c ~algorithm:Compress.Codec.Huffman_alg ~model ~model_id:9 in
+  let fresh, remap =
+    Container.of_values ~id:0 ~path:c.Container.path ~kind:c.Container.kind
+      ~algorithm:Compress.Codec.Huffman_alg ~model ~model_id:9 before
+  in
   Alcotest.(check int) "remap size" 5 (Array.length remap);
-  let after = Container.dump c in
+  let after = Container.dump fresh in
   Alcotest.(check bool) "same multiset" true
     (List.sort compare before = List.sort compare after);
+  Alcotest.(check (list (pair string int))) "the old container is unchanged" before
+    (Container.dump c);
   (* the permutation maps old positions to the same (value, parent) *)
   let before_arr = Array.of_list before in
   Array.iteri
     (fun old_idx new_idx ->
-      let r = (Container.scan c).(new_idx) in
+      let r = (Container.scan fresh).(new_idx) in
       let (v, p) = before_arr.(old_idx) in
-      Alcotest.(check string) "value follows remap" v (Container.decompress_record c r);
+      Alcotest.(check string) "value follows remap" v (Container.decompress_record fresh r);
       Alcotest.(check int) "parent follows remap" p r.Container.parent)
     remap
 
@@ -90,8 +105,7 @@ let test_container_recompress () =
    record lands in its own block *)
 let blocky_container ?(n = 40) () =
   let values = List.init n (fun i -> (Printf.sprintf "v%03d" i, i + 1)) in
-  Container.build ~block_size:1 ~id:0 ~path:"/a/b/#text" ~kind:Container.Text
-    ~algorithm:Compress.Codec.Alm_alg values
+  build ~block_size:1 ~id:0 ~algorithm:Compress.Codec.Alm_alg values
 
 let test_container_blocks () =
   let c = blocky_container () in
@@ -149,7 +163,7 @@ let test_buffer_pool_hits_and_eviction () =
   in
   let decodes = ref 0 in
   let fetch i =
-    Buffer_pool.fetch ~uid ~gen:0 ~blk:i (fun () -> incr decodes; mk i)
+    Buffer_pool.fetch ~uid ~blk:i (fun () -> incr decodes; mk i)
   in
   Fun.protect ~finally:(fun () ->
       Buffer_pool.set_budget ~bytes:saved;
@@ -189,7 +203,7 @@ let test_scan_resistant_admission () =
   let mk i =
     { Buffer_pool.codes = [| Printf.sprintf "c%d" i |]; parents = [| i |]; d_bytes = 100 }
   in
-  let fetch ?admission i = Buffer_pool.fetch ?admission ~uid ~gen:0 ~blk:i (fun () -> mk i) in
+  let fetch ?admission i = Buffer_pool.fetch ?admission ~uid ~blk:i (fun () -> mk i) in
   Fun.protect ~finally:(fun () ->
       Buffer_pool.set_budget ~bytes:saved;
       Buffer_pool.clear ())
@@ -377,23 +391,18 @@ let test_v1_fixture_answers () =
 (* ------------------------------------------------------------------ *)
 
 let test_distinct_parents_bit () =
-  let distinct =
-    Container.build ~id:0 ~path:"/a/b/#text" ~kind:Container.Text
-      ~algorithm:Compress.Codec.Alm_alg
-      [ ("x", 1); ("y", 2); ("z", 3) ]
-  in
+  let distinct = build ~id:0 ~algorithm:Compress.Codec.Alm_alg [ ("x", 1); ("y", 2); ("z", 3) ] in
   Alcotest.(check bool) "distinct parents detected" true distinct.Container.distinct_parents;
-  let dup =
-    Container.build ~id:1 ~path:"/a/b/#text" ~kind:Container.Text
-      ~algorithm:Compress.Codec.Alm_alg
-      [ ("x", 1); ("y", 1); ("z", 3) ]
-  in
+  let dup = build ~id:1 ~algorithm:Compress.Codec.Alm_alg [ ("x", 1); ("y", 1); ("z", 3) ] in
   Alcotest.(check bool) "duplicate parent detected" false dup.Container.distinct_parents;
-  (* recompress recomputes *)
-  let before = Container.dump dup in
+  (* a rebuild under a shared model recomputes the bit *)
+  let before = Container.read_all dup in
   let model = Compress.Codec.train Compress.Codec.Huffman_alg (List.map fst before) in
-  ignore (Container.recompress dup ~algorithm:Compress.Codec.Huffman_alg ~model ~model_id:9);
-  Alcotest.(check bool) "recompress keeps the bit honest" false dup.Container.distinct_parents
+  let rebuilt, _ =
+    Container.of_values ~id:1 ~path:dup.Container.path ~kind:dup.Container.kind
+      ~algorithm:Compress.Codec.Huffman_alg ~model ~model_id:9 before
+  in
+  Alcotest.(check bool) "recompress keeps the bit honest" false rebuilt.Container.distinct_parents
 
 let container_bits (repo : Repository.t) =
   Array.to_list repo.Repository.containers
@@ -677,7 +686,20 @@ let test_resave_digests () =
   let image = Xquec_core.Engine.save (Xquec_core.Engine.load ~name:"auction.xml" xml) in
   Alcotest.(check string) "XMark 0.05 seed 1 image" "90b11f66c3df3a63915ee7db5784e868" (md5 image);
   Alcotest.(check string) "XMark 0.05 seed 1 restored and re-saved" (md5 image)
-    (md5 (Repository.serialize (Repository.deserialize image)))
+    (md5 (Repository.serialize (Repository.deserialize image)));
+  (* the rebuild paths: a load tuned for Q1-Q20 (the partitioner's
+     shared-model rebuild) and that image after build-time block sizing
+     (its reblocked swap) *)
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let tuned = Xquec_core.Engine.load ~name:"auction.xml" ~workload xml in
+  Alcotest.(check string) "XMark 0.05 seed 1 image tuned for Q1-Q20"
+    "01329b069b3f10711b046a9e546118a2"
+    (md5 (Xquec_core.Engine.save tuned));
+  let repo = Xquec_core.Engine.repo tuned in
+  ignore
+    (Xquec_core.Partitioner.size_blocks repo (Xquec_core.Workload.of_query_strings repo workload));
+  Alcotest.(check string) "the tuned image after size_blocks" "d00aa36857bda71a8e926f14e24a6b38"
+    (md5 (Xquec_core.Engine.save tuned))
 
 (* More than 256 distinct names: tag codes no longer fit in a byte, so
    the flat tag array uses wider cells and the wavelet needs more than
@@ -805,10 +827,7 @@ let test_capped_bounds_conservative () =
     List.init 100 (fun i ->
         (Printf.sprintf "a-very-long-shared-prefix-%04d-%020d" i i, i + 1))
   in
-  let c =
-    Container.build ~id:0 ~path:"/r/e/#text" ~kind:Container.Text
-      ~algorithm:Compress.Codec.Alm_alg values
-  in
+  let c = build ~id:0 ~algorithm:Compress.Codec.Alm_alg values in
   Alcotest.(check bool) "split into several blocks" true (Container.block_count c > 3);
   let hs = Container.headers c in
   Alcotest.(check bool) "long codes clear the exact bit" true

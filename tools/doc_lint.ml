@@ -39,7 +39,13 @@
      type, record field or constructor of that module's source; a
      `Module.value` whose module is no lib module must name a module
      the sources qualify names with (Unix, Domain, ...). A deleted
-     module or function cannot stay cited. *)
+     module or function cannot stay cited.
+
+   Every run also resolves the odoc references in the lib sources (.ml
+   and .mli under lib/): a [{!Module.name}] by the `Module.name` rule
+   above, a bare [{!name}] against the citing file's own module (or, if
+   capitalized, a lib module), so a doc comment cannot cite a deleted
+   name either. *)
 
 let item_prefixes = [ "val "; "type "; "exception "; "external "; "module " ]
 
@@ -376,34 +382,86 @@ let qualifies (srcs : string list) (m : string) : bool =
         (String.split_on_char '\n' src))
     srcs
 
-(* A backticked `Module.name` naming a lib module must resolve to a
-   top-level definition (value, type, record field, constructor) of
-   that module; a `Module.value` whose module is no lib module must at
-   least name a module the sources use (Unix, Domain, ...), so a
-   deleted module's names do not linger. *)
+(* [name] is defined in the module whose source lines are [lines]: a
+   top-level value, type or record field, or, capitalized, a lib module
+   or a constructor, exception or submodule *)
+let defines ~modules (lines : string list) (name : string) : bool =
+  if is_upper name.[0] then
+    Hashtbl.mem modules name || List.exists (fun l -> declares_constructor l name) lines
+  else List.exists (fun l -> declares_value l name || declares_field l name) lines
+
+(* A `Module.name` naming a lib module must resolve to a top-level
+   definition of that module; a `Module.value` whose module is no lib
+   module must at least name a module the sources use (Unix, Domain,
+   ...), so a deleted module's names do not linger. The error, if any. *)
+let module_ref_error ~modules ~srcs ((m, name) : string * string) : string option =
+  match Hashtbl.find_opt modules m with
+  | None ->
+    let camel = String.length m > 1 && m.[1] >= 'a' && m.[1] <= 'z' in
+    if camel && (not (is_upper name.[0])) && not (qualifies srcs m) then
+      Some (Printf.sprintf "`%s.%s` names no module of the sources" m name)
+    else None
+  | Some lines ->
+    if defines ~modules lines name then None
+    else Some (Printf.sprintf "`%s.%s` is not defined in lib module %s" m name m)
+
 let check_module_refs ~modules ~srcs (md_path : string) (text : string) : int =
-  let failures = ref 0 in
-  List.iter
-    (fun (m, name) ->
-      match Hashtbl.find_opt modules m with
-      | None ->
-        let camel = String.length m > 1 && m.[1] >= 'a' && m.[1] <= 'z' in
-        if camel && (not (is_upper name.[0])) && not (qualifies srcs m) then begin
-          incr failures;
-          Printf.eprintf "%s: `%s.%s` names no module of the sources\n" md_path m name
-        end
-      | Some lines ->
-        let found =
-          if is_upper name.[0] then
-            Hashtbl.mem modules name || List.exists (fun l -> declares_constructor l name) lines
-          else List.exists (fun l -> declares_value l name || declares_field l name) lines
-        in
-        if not found then begin
-          incr failures;
-          Printf.eprintf "%s: `%s.%s` is not defined in lib module %s\n" md_path m name m
-        end)
-    (List.sort_uniq compare (List.concat_map dotted_refs (doc_code_spans text)));
-  !failures
+  List.fold_left
+    (fun failures r ->
+      match module_ref_error ~modules ~srcs r with
+      | None -> failures
+      | Some msg ->
+        Printf.eprintf "%s: %s\n" md_path msg;
+        failures + 1)
+    0
+    (List.sort_uniq compare (List.concat_map dotted_refs (doc_code_spans text)))
+
+(* --- odoc references in the lib sources ------------------------------ *)
+
+(* The targets of the [{!ref}] references in an OCaml source, with
+   their line numbers: the text after "{!" up to the closing brace or
+   the first blank. *)
+let odoc_refs (src : string) : (int * string) list =
+  let out = ref [] in
+  let n = String.length src in
+  let line = ref 1 in
+  for i = 0 to n - 1 do
+    if src.[i] = '\n' then incr line
+    else if src.[i] = '{' && i + 1 < n && src.[i + 1] = '!' then begin
+      let j = ref (i + 2) in
+      while !j < n && not (List.mem src.[!j] [ '}'; ' '; '\n'; '\t' ]) do incr j done;
+      if !j > i + 2 then out := (!line, String.sub src (i + 2) (!j - i - 2)) :: !out
+    end
+  done;
+  List.rev !out
+
+let check_odoc_refs ~modules ~srcs : int =
+  List.fold_left
+    (fun failures path ->
+      let own =
+        String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+      in
+      List.fold_left
+        (fun failures (lnum, target) ->
+          let error =
+            match String.split_on_char '.' target with
+            | [ name ] ->
+              if defines ~modules (Option.value ~default:[] (Hashtbl.find_opt modules own)) name
+              then None
+              else Some (Printf.sprintf "{!%s} is not defined in %s" name own)
+            | _ ->
+              List.find_map (module_ref_error ~modules ~srcs) (dotted_refs target)
+              |> Option.map (fun msg -> Printf.sprintf "{!%s}: %s" target msg)
+          in
+          match error with
+          | None -> failures
+          | Some msg ->
+            Printf.eprintf "%s:%d: stale odoc reference %s\n" path lnum msg;
+            failures + 1)
+        failures
+        (odoc_refs (read_file path)))
+    0
+    (List.sort compare (source_files [ "lib" ]))
 
 let check_xref (md_path : string) : int =
   let text = read_file md_path in
@@ -521,16 +579,23 @@ let () =
           missing)
     files;
   let xref_failures = List.fold_left (fun acc f -> acc + check_xref f) 0 xrefs in
-  if !failures > 0 || xref_failures > 0 then begin
+  let odoc_failures =
+    check_odoc_refs ~modules:(Lazy.force lib_modules)
+      ~srcs:(List.map read_file (source_files [ "bin"; "lib"; "bench"; "tools" ]))
+  in
+  if !failures > 0 || xref_failures > 0 || odoc_failures > 0 then begin
     if !failures > 0 then
       Printf.eprintf "doc lint: %d undocumented exports in %d files checked\n" !failures
         (List.length files);
+    if odoc_failures > 0 then
+      Printf.eprintf "doc lint: %d stale odoc references in the lib sources\n" odoc_failures;
     if xref_failures > 0 then
       Printf.eprintf "doc lint: %d stale references in %d markdown files\n" xref_failures
         (List.length xrefs);
     exit 1
   end
   else
-    Printf.printf "doc lint: %d interface files clean%s\n" (List.length files)
+    Printf.printf "doc lint: %d interface files clean, odoc references resolved%s\n"
+      (List.length files)
       (if xrefs = [] then ""
        else Printf.sprintf ", %d markdown files cross-checked" (List.length xrefs))
