@@ -71,6 +71,12 @@ check:
 	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
 	  'document("auction.xml")/site/people/person[@id = "person0"]/name' \
 	  | sed -n '/^strategy:$$/,/^$$/p' | grep -q '^  pushdown .*containers=/site/people/person/@id'
+	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
+	  'document("auction.xml")/site/people/person[@id = "person0"]/name' \
+	  | grep -q 'predicate cmps: 1 compressed-domain, 0 decompressed$$'
+	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
+	  'document("auction.xml")/site/people/person[@id = "7"]/name' \
+	  | grep -q 'predicate cmps: 0 compressed-domain, [1-9][0-9]* decompressed$$'
 	$(XQUEC) profile $(GATE_DIR)/query-log.jsonl --json | grep -q '"container"'
 	$(MAKE) serve-smoke
 

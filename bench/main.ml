@@ -542,7 +542,7 @@ let ablations () =
   let in_domain_ms =
     time_median ~runs:5 (fun () ->
         let lo = Storage.Container.compress_constant prices "100.00" in
-        ignore (List.length (Storage.Container.lookup_range prices ~lo ())))
+        ignore (List.length (Storage.Container.lookup_range prices ~lo:(`Incl lo) ())))
   in
   let scan_ms =
     time_median ~runs:5 (fun () ->

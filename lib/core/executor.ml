@@ -516,14 +516,38 @@ let rec atomize ctx it =
     let a_str = lazy (atom_string ctx it) in
     { a_item = it; a_str; a_num = lazy (float_of_string_opt (String.trim (Lazy.force a_str))) }
 
-(* Comparison of two items: stays in the compressed domain when both are
-   codes under the same source model and the codec supports the class;
-   otherwise numeric when both sides parse as numbers, else by string. *)
+(* The one place that decides whether compressed codes may stand in
+   for values in a comparison of class [cls] among the values of
+   [conts] and, for a comparison with a constant, [const]. Codes order
+   as the codec does (§2.1: ALM keeps value order, Huffman only
+   equality), so they are exact when every container shares one source
+   model whose codec supports [cls] and, against a constant, when the
+   constant compares the way the codes order: a numeric-packed
+   container orders numbers, so the constant must be a number; any
+   other container orders strings, and only a constant that is not a
+   number compares as a string against every value (a number compares
+   numerically with each value that parses as one). *)
+let codes_replace_values ?(const : atom option) cls (conts : Container.t list) : bool =
+  match conts with
+  | [] -> false
+  | c0 :: rest ->
+    List.for_all (fun (c : Container.t) -> c.Container.model_id = c0.Container.model_id) rest
+    && Compress.Codec.supports c0.Container.algorithm cls
+    &&
+    match const with
+    | None -> true
+    | Some k -> (
+      let numeric = Option.is_some (Lazy.force k.a_num) in
+      match c0.Container.model with Compress.Codec.M_numeric _ -> numeric | _ -> not numeric)
+
+let cmp_class (op : Ast.cmp_op) = match op with Ast.Eq -> `Eq | _ -> `Ineq
+
+(* The value order: as numbers when both sides parse as numbers,
+   otherwise as strings (the rule of [Galax_like.compare_atoms]); on
+   codes only where [codes_replace_values] allows it. *)
 let compare_atoms a b : int =
   match a.a_item, b.a_item with
-  | Cval x, Cval y
-    when x.cont.Container.model_id = y.cont.Container.model_id
-         && Compress.Codec.supports x.cont.Container.algorithm `Ineq ->
+  | Cval x, Cval y when codes_replace_values `Ineq [ x.cont; y.cont ] ->
     String.compare x.code y.code
   | _ -> (
     match Lazy.force a.a_num, Lazy.force b.a_num with
@@ -532,32 +556,25 @@ let compare_atoms a b : int =
 
 let compare_items ctx a b = compare_atoms (atomize ctx a) (atomize ctx b)
 
+(* Whether [op] holds of a comparison result [c]. *)
+let holds (op : Ast.cmp_op) (c : int) : bool =
+  match op with
+  | Ast.Eq -> c = 0
+  | Ast.Neq -> c <> 0
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | Ast.Ge -> c >= 0
+
 let cmp_holds ctx op a b =
-  let a = match a with Att (_, v) -> v | a -> a in
-  let b = match b with Att (_, v) -> v | b -> b in
-  match op, a, b with
-  | Ast.Eq, Cval x, Cval y
-    when x.cont.Container.model_id = y.cont.Container.model_id
-         && Compress.Codec.supports x.cont.Container.algorithm `Eq ->
+  let a = atomize ctx a and b = atomize ctx b in
+  match a.a_item, b.a_item with
+  | Cval x, Cval y when codes_replace_values (cmp_class op) [ x.cont; y.cont ] ->
     note_cmp ctx ~compressed:true 1;
-    String.equal x.code y.code
+    holds op (String.compare x.code y.code)
   | _ ->
-    let compressed =
-      match a, b with
-      | Cval x, Cval y ->
-        x.cont.Container.model_id = y.cont.Container.model_id
-        && Compress.Codec.supports x.cont.Container.algorithm `Ineq
-      | _ -> false
-    in
-    note_cmp ctx ~compressed 1;
-    let c = compare_items ctx a b in
-    (match op with
-    | Ast.Eq -> c = 0
-    | Ast.Neq -> c <> 0
-    | Ast.Lt -> c < 0
-    | Ast.Le -> c <= 0
-    | Ast.Gt -> c > 0
-    | Ast.Ge -> c >= 0)
+    note_cmp ctx ~compressed:false 1;
+    holds op (compare_atoms a b)
 
 (* ------------------------------------------------------------------ *)
 (* Summary-level step matching                                         *)
@@ -582,106 +599,54 @@ let advance_snodes ctx (snodes : Summary.node list) (st : Ast.step) : Summary.no
 (* Compressed-domain container filters                                 *)
 (* ------------------------------------------------------------------ *)
 
-type const_operand = Cstr of string | Cnum of float
-
+(* A comparison's literal side, as the item it evaluates to. *)
 let const_of_expr = function
-  | Ast.Literal_string s -> Some (Cstr s)
-  | Ast.Literal_number f -> Some (Cnum f)
+  | Ast.Literal_string s -> Some (Str s)
+  | Ast.Literal_number f -> Some (Num f)
   | _ -> None
 
-(* Records of [cont] satisfying [value op const]. Uses the compressed
-   domain when the codec supports the class; otherwise scans and
-   decompresses (the §3 cost). Returns records (code, parent). *)
-let rec filter_records ctx (cont : Container.t) (op : Ast.cmp_op) (const : const_operand) :
+(* Records of [cont] satisfying [value op const]: one interval search
+   on codes where [codes_replace_values] allows it, otherwise a scan
+   that decompresses every value and compares it by [compare_atoms]
+   (the §3 cost). *)
+let filter_records ctx (cont : Container.t) (op : Ast.cmp_op) (const : item) :
     Container.record list =
-  let alg = cont.Container.algorithm in
-  let scan_filter pred =
+  let k = atomize ctx const in
+  (* the constant's own code, if it has one, and the code of the
+     largest value <= it ([`Floor]) and of the smallest value >= it
+     ([`Ceil]) *)
+  let codes =
+    if not (codes_replace_values ~const:k (cmp_class op) [ cont ]) then None
+    else
+      match cont.Container.model, Lazy.force k.a_num, const with
+      | Compress.Codec.M_numeric m, Some f, _ ->
+        Some (Compress.Ipack.pack_exact m f, fun dir -> Compress.Ipack.pack_bound m ~dir f)
+      | _, _, Str s ->
+        let code = Container.compress_constant cont s in
+        Some (Some code, fun _ -> code)
+      | _ -> None
+  in
+  let scan () =
     note_cmp ctx ~compressed:false (Container.length cont);
     Array.to_list (Container.scan cont)
-    |> List.filter (fun (r : Container.record) -> pred (decompress_cval cont r.Container.code))
+    |> List.filter (fun (r : Container.record) ->
+           holds op (compare_atoms (atomize ctx (Cval { cont; code = r.Container.code })) k))
   in
-  (* a lookup decided in the compressed domain: every matched record is a
-     comparison that never decompressed *)
-  let in_domain records =
+  (* every record an interval search matches is a comparison that
+     never decompressed *)
+  let select ?lo ?hi () =
+    let records = Container.lookup_range cont ?lo ?hi () in
     note_cmp ctx ~compressed:true (List.length records);
     records
   in
-  let generic () =
-    (* decompressed comparison with XQuery general-comparison semantics *)
-    let holds v =
-      match const with
-      | Cnum f -> (
-        match float_of_string_opt (String.trim v) with
-        | Some x -> (
-          let c = compare x f in
-          match op with
-          | Ast.Eq -> c = 0
-          | Ast.Neq -> c <> 0
-          | Ast.Lt -> c < 0
-          | Ast.Le -> c <= 0
-          | Ast.Gt -> c > 0
-          | Ast.Ge -> c >= 0)
-        | None -> false)
-      | Cstr s -> (
-        let c =
-          match float_of_string_opt (String.trim v), float_of_string_opt s with
-          | Some x, Some y -> compare x y
-          | _ -> String.compare v s
-        in
-        match op with
-        | Ast.Eq -> c = 0
-        | Ast.Neq -> c <> 0
-        | Ast.Lt -> c < 0
-        | Ast.Le -> c <= 0
-        | Ast.Gt -> c > 0
-        | Ast.Ge -> c >= 0)
-    in
-    scan_filter holds
-  in
-  match cont.Container.model, const with
-  | Compress.Codec.M_numeric m, Cnum f -> (
-    (* numeric containers: compare in the packed (order-preserving) domain *)
-    match op with
-    | Ast.Eq -> (
-      match Compress.Ipack.pack_exact m f with
-      | Some code -> in_domain (Container.lookup_eq cont code)
-      | None -> [])
-    | Ast.Neq -> generic ()
-    | Ast.Lt ->
-      in_domain (Container.lookup_range cont ~hi:(Compress.Ipack.pack_bound m ~dir:`Ceil f) ())
-    | Ast.Le ->
-      let b = Compress.Ipack.pack_bound m ~dir:`Floor f in
-      in_domain (Container.range cont ~lo:0 ~hi:(Container.upper_bound cont b))
-    | Ast.Gt ->
-      let b = Compress.Ipack.pack_bound m ~dir:`Floor f in
-      in_domain
-        (Container.range cont ~lo:(Container.upper_bound cont b) ~hi:(Container.length cont))
-    | Ast.Ge ->
-      in_domain (Container.lookup_range cont ~lo:(Compress.Ipack.pack_bound m ~dir:`Ceil f) ()))
-  | Compress.Codec.M_numeric m, Cstr s -> (
-    match float_of_string_opt s with
-    | Some f -> filter_records ctx cont op (Cnum f)
-    | None ->
-      (* the general-comparison rules fall back to string comparison when
-         one side is not numeric: decompress and compare as strings *)
-      ignore m;
-      generic ())
-  | _, Cstr s when Compress.Codec.supports alg `Eq && op = Ast.Eq ->
-    in_domain (Container.lookup_eq cont (Container.compress_constant cont s))
-  | _, Cstr s
-    when Compress.Codec.supports alg `Ineq
-         && (op = Ast.Lt || op = Ast.Le || op = Ast.Gt || op = Ast.Ge) -> (
-    let code = Container.compress_constant cont s in
-    match op with
-    | Ast.Lt -> in_domain (Container.lookup_range cont ~hi:code ())
-    | Ast.Le ->
-      in_domain (Container.range cont ~lo:0 ~hi:(Container.upper_bound cont code))
-    | Ast.Gt ->
-      in_domain
-        (Container.range cont ~lo:(Container.upper_bound cont code) ~hi:(Container.length cont))
-    | Ast.Ge -> in_domain (Container.lookup_range cont ~lo:code ())
-    | Ast.Eq | Ast.Neq -> assert false)
-  | _ -> generic ()
+  match codes, op with
+  | None, _ | _, Ast.Neq -> scan ()
+  | Some (Some c, _), Ast.Eq -> select ~lo:(`Incl c) ~hi:(`Incl c) ()
+  | Some (None, _), Ast.Eq -> [] (* no packed value equals the constant *)
+  | Some (_, bound), Ast.Lt -> select ~hi:(`Excl (bound `Ceil)) ()
+  | Some (_, bound), Ast.Le -> select ~hi:(`Incl (bound `Floor)) ()
+  | Some (_, bound), Ast.Gt -> select ~lo:(`Excl (bound `Floor)) ()
+  | Some (_, bound), Ast.Ge -> select ~lo:(`Incl (bound `Ceil)) ()
 
 (* contains / starts-with over a container. starts-with runs in the
    compressed domain for Huffman (bit-prefix match) and for
@@ -700,7 +665,9 @@ let filter_records_textual ctx (cont : Container.t) ~(kind : [ `Contains | `Star
              Compress.Huffman.matches_prefix ~prefix_bits r.Container.code)
     | Compress.Codec.M_alm m ->
       let (lo, hi) = Compress.Alm.prefix_range m needle in
-      let records = Container.lookup_range cont ~lo ?hi () in
+      let records =
+        Container.lookup_range cont ~lo:(`Incl lo) ?hi:(Option.map (fun c -> `Excl c) hi) ()
+      in
       note_cmp ctx ~compressed:true (List.length records);
       records
     | _ ->
@@ -731,7 +698,7 @@ let rec ancestor_at ctx id hops =
 
 (* Recognized predicate shapes that can be pushed into containers. *)
 type pushable =
-  | P_value of Ast.cmp_op * Ast.step list * const_operand
+  | P_value of Ast.cmp_op * Ast.step list * item
   | P_textual of [ `Contains | `Starts_with ] * Ast.step list * string
   | P_exists of Ast.step list
 
@@ -856,18 +823,13 @@ let block_join_sides ctx (env : env) ~(var : string) (left_e : Ast.expr)
       | Some b -> Option.map (fun res -> (v, res)) (resolve_value_path ctx b.snodes steps))
   in
   match side_of left_e, side_of right_e with
-  | Some (lv, lres), Some (rv, rres) when rv = var && lv <> var -> (
-    match List.map fst (lres @ rres) with
-    | [] -> None
-    | (c0 : Container.t) :: _ as conts ->
-      if
-        Compress.Codec.supports c0.Container.algorithm `Eq
-        && List.for_all
-             (fun (c : Container.t) ->
-               c.Container.model_id = c0.Container.model_id && c.Container.sorted_run)
-             conts
-      then Some (lres, rres)
-      else None)
+  | Some (lv, lres), Some (rv, rres) when rv = var && lv <> var ->
+    let conts = List.map fst (lres @ rres) in
+    if
+      codes_replace_values `Eq conts
+      && List.for_all (fun (c : Container.t) -> c.Container.sorted_run) conts
+    then Some (lres, rres)
+    else None
   | _ -> None
 
 (* What a pushed-down predicate reads, resolved from the summary before
@@ -1266,7 +1228,7 @@ module Sset = Analysis.Sset
 type join_key = Kcode of string | Knum of float | Kstr of string
 
 type key_mode =
-  | Mode_code of int * Container.t  (* shared model id + a container for re-compression *)
+  | Mode_code of Container.t  (* a container of the shared model, for re-compression *)
   | Mode_atom
 
 (* How a join or decorrelation keyed its sides, for their EXPLAIN rows. *)
@@ -1721,15 +1683,8 @@ and eval_distinct ctx env e : binding =
   (* Stay compressed when every item shares one eq-capable source model. *)
   let items = List.map (function Att (_, v) -> v | it -> it) items in
   let all_same_model =
-    match items with
-    | Cval { cont; _ } :: _ ->
-      Compress.Codec.supports cont.Container.algorithm `Eq
-      && List.for_all
-           (function
-             | Cval { cont = c; _ } -> c.Container.model_id = cont.Container.model_id
-             | _ -> false)
-           items
-    | _ -> false
+    let conts = List.filter_map (function Cval { cont; _ } -> Some cont | _ -> None) items in
+    List.compare_lengths conts items = 0 && codes_replace_values `Eq conts
   in
   if all_same_model then begin
     let seen = Hashtbl.create 64 in
@@ -2016,7 +1971,7 @@ and exec_join ctx base tuples ~mode ~var ~source (op, left_e, right_e) =
   (* compressed-domain joins are container-resolved: observe the join
      side for the workload fingerprint (atom joins have no container) *)
   (match mode with
-  | Mode_code (_, (c : Container.t)) ->
+  | Mode_code (c : Container.t) ->
     Xquec_obs.Ledger.note_pred ~container:c.Container.path ~kind:"join"
       ~candidates:(List.length items) ~matches:(List.length out)
   | Mode_atom -> ());
@@ -2333,14 +2288,9 @@ and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
 and join_key_mode ctx base (op : Ast.cmp_op) left_e right_e : key_mode =
   let conts_of e = static_value_containers ctx base e in
   match conts_of left_e, conts_of right_e with
-  | Some (l :: ls), Some (r :: rs) when op = Ast.Eq ->
-    let mid = l.Container.model_id in
-    if
-      r.Container.model_id = mid
-      && List.for_all (fun (c : Container.t) -> c.Container.model_id = mid) (ls @ rs)
-      && Compress.Codec.supports l.Container.algorithm `Eq
-    then Mode_code (mid, l)
-    else Mode_atom
+  | Some (l :: ls), Some (r :: rs) when op = Ast.Eq && codes_replace_values `Eq (l :: r :: ls @ rs)
+    ->
+    Mode_code l
   | _ -> Mode_atom
 
 (* Static summary-node resolution for an expression (no data access):
@@ -2449,9 +2399,9 @@ and note_cmp_obs ctx env (op : Ast.cmp_op) ~(a : Ast.expr) ~(b : Ast.expr) ~(xs 
 and join_key ctx (mode : key_mode) (it : item) : join_key list =
   let it = match it with Att (_, v) -> v | it -> it in
   match mode, it with
-  | Mode_code (mid, _), Cval { cont; code } when cont.Container.model_id = mid ->
+  | Mode_code shared, Cval { cont; code } when codes_replace_values `Eq [ shared; cont ] ->
     [ Kcode code ]
-  | Mode_code (_, shared), _ ->
+  | Mode_code shared, _ ->
     (* same model, different physical item: re-compress the atom *)
     [ Kcode (Container.compress_constant shared (atom_string ctx it)) ]
   | Mode_atom, it -> (

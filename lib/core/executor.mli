@@ -2,13 +2,20 @@
     the compressed repository.
 
     Paths resolve against the structure summary; value predicates push
-    into containers and run on compressed codes whenever the codec
-    supports the comparison class; uncorrelated FOR/LET sources evaluate
-    once; paths rooted at a FOR variable evaluate once for all of its
-    bindings, by a pre-order interval merge over the summary; value joins hash/probe compressed codes when both sides share
-    a source model; single-conjunct-correlated nested FLWORs (the XMark
-    Q8/Q9/Q10 pattern) decorrelate into build-once join tables; values
-    decompress only on output. *)
+    into containers. Every comparison follows one rule, the reference
+    engine's: as numbers when both sides parse as numbers, otherwise as
+    strings. Compressed codes replace values only where one check says
+    they decide the comparison exactly: the containers share a source
+    model whose codec supports the comparison class, and a constant
+    compares the way the codes order (a number against a numeric-packed
+    container, a non-number against any other); a predicate codes
+    cannot decide scans and compares decompressed values. Uncorrelated
+    FOR/LET sources evaluate once; paths rooted at a FOR variable
+    evaluate once for all of its bindings, by a pre-order interval
+    merge over the summary; value joins hash/probe compressed codes
+    when both sides share a source model; single-conjunct-correlated
+    nested FLWORs (the XMark Q8/Q9/Q10 pattern) decorrelate into
+    build-once join tables; values decompress only on output. *)
 
 open Storage
 

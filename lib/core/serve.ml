@@ -123,34 +123,8 @@ let window_stats () : window_stats =
           end)
         window);
   let percentile p =
-    (* same estimator as Metrics.histogram_percentile: interpolate in
-       the bucket the rank falls in, edges tightened by min/max *)
-    if !count = 0 then 0.0
-    else if p <= 0.0 then !mn
-    else if p >= 1.0 then !mx
-    else begin
-      let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 hist in
-      if nonzero <= 1 then !mn +. (p *. (!mx -. !mn))
-      else begin
-        let target = p *. float_of_int !count in
-        let rec find i cum =
-          if i >= Metrics.bucket_count then !mx
-          else begin
-            let c = hist.(i) in
-            let cum' = cum +. float_of_int c in
-            if c > 0 && cum' >= target then begin
-              let lo = if i = 0 then 0.0 else Metrics.bucket_upper_bound (i - 1) in
-              let lo = Float.max lo !mn in
-              let hi = Float.max lo (Float.min (Metrics.bucket_upper_bound i) !mx) in
-              let frac = Float.max 0.0 (Float.min 1.0 ((target -. cum) /. float_of_int c)) in
-              lo +. (frac *. (hi -. lo))
-            end
-            else find (i + 1) cum'
-          end
-        in
-        find 0 0.0
-      end
-    end
+    Option.value ~default:0.0
+      (Metrics.percentile_of_buckets ~count:!count ~min:!mn ~max:!mx hist p)
   in
   {
     ws_requests = !count;

@@ -71,7 +71,7 @@ let fresh_entry uid label blocks =
   }
 
 let rec intern uid label blocks =
-  if uid < 0 then fresh_entry uid label blocks (* detached; uids are never negative *)
+  if uid < 0 then () (* uids are never negative *)
   else begin
     let arr = Atomic.get table in
     let n = Array.length arr in
@@ -82,13 +82,10 @@ let rec intern uid label blocks =
         (* benign data race: label/blocks are registration metadata,
            written on build/load paths, not by decode workers *)
         if label <> "" then e.e_label <- label;
-        if blocks > 0 then e.e_blocks <- blocks;
-        e
+        if blocks > 0 then e.e_blocks <- blocks
       | None ->
-        let e =
-          fresh_entry uid (if label = "" then Printf.sprintf "uid:%d" uid else label) blocks
-        in
-        if Atomic.compare_and_set cell None (Some e) then e else intern uid label blocks
+        if not (Atomic.compare_and_set cell None (Some (fresh_entry uid label blocks))) then
+          intern uid label blocks
     end
     else begin
       let arr' =
@@ -101,14 +98,17 @@ let rec intern uid label blocks =
     end
   end
 
-let register ~uid ~label ~blocks = ignore (intern uid label blocks)
+let register ~uid ~label ~blocks = intern uid label blocks
 
 let find uid =
   let arr = Atomic.get table in
-  if uid >= 0 && uid < Array.length arr then begin
-    match Atomic.get arr.(uid) with Some e -> e | None -> intern uid "" 0
-  end
-  else intern uid "" 0
+  if uid >= 0 && uid < Array.length arr then Atomic.get arr.(uid) else None
+
+(* A uid is never reused, so a dropped row stays dropped: the hooks
+   below ignore uids without a row. *)
+let unregister ~uid =
+  let arr = Atomic.get table in
+  if uid >= 0 && uid < Array.length arr then Atomic.set arr.(uid) None
 
 (* Bump the per-block cell, growing the published array first when the
    block index is beyond it. The grown array shares the old cells, so
@@ -143,34 +143,37 @@ let g_uid = ref (-1)
 let g_blk = ref (-1)
 
 let note_touch ~uid ~blk =
-  if enabled () && not (blk >= 0 && !g_uid = uid && !g_blk = blk) then begin
-    if blk >= 0 then begin
-      g_uid := uid;
-      g_blk := blk
-    end;
-    let e = find uid in
-    if blk >= 0 then bump_block e blk else Atomic.incr e.e_touches;
-    let s = my_slot () in
-    if not (s.s_uid = uid && (blk = s.s_blk || blk = s.s_blk + 1)) then begin
-      Atomic.incr e.e_runs;
-      s.s_uid <- uid
-    end;
-    s.s_blk <- blk
-  end
+  if enabled () && not (blk >= 0 && !g_uid = uid && !g_blk = blk) then
+    match find uid with
+    | None -> ()
+    | Some e ->
+      if blk >= 0 then begin
+        g_uid := uid;
+        g_blk := blk
+      end;
+      if blk >= 0 then bump_block e blk else Atomic.incr e.e_touches;
+      let s = my_slot () in
+      if not (s.s_uid = uid && (blk = s.s_blk || blk = s.s_blk + 1)) then begin
+        Atomic.incr e.e_runs;
+        s.s_uid <- uid
+      end;
+      s.s_blk <- blk
 
 let note_decode ~uid ~bytes =
-  if enabled () then begin
-    let e = find uid in
-    Atomic.incr e.e_decodes;
-    ignore (Atomic.fetch_and_add e.e_bytes_decoded bytes)
-  end
+  if enabled () then
+    match find uid with
+    | None -> ()
+    | Some e ->
+      Atomic.incr e.e_decodes;
+      ignore (Atomic.fetch_and_add e.e_bytes_decoded bytes)
 
 let note_skip ~uid ~blocks ~bytes =
-  if enabled () then begin
-    let e = find uid in
-    ignore (Atomic.fetch_and_add e.e_skip_blocks blocks);
-    ignore (Atomic.fetch_and_add e.e_bytes_skipped bytes)
-  end
+  if enabled () then
+    match find uid with
+    | None -> ()
+    | Some e ->
+      ignore (Atomic.fetch_and_add e.e_skip_blocks blocks);
+      ignore (Atomic.fetch_and_add e.e_bytes_skipped bytes)
 
 (* ---- readers ---- *)
 

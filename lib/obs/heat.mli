@@ -59,15 +59,20 @@ val set_enabled : bool -> unit
 
 (** [register ~uid ~label ~blocks] (re)announces a container: fixes
     the human label and block count shown in snapshots. Counters of an
-    already-registered uid are preserved; a rebuilt container registers
-    under its fresh uid, and the uid it replaced keeps its row. Called by the storage layer on build and load. *)
+    already-registered uid are preserved. A rebuilt container registers
+    under its fresh uid. Called by the storage layer on build and load. *)
 val register : uid:int -> label:string -> blocks:int -> unit
+
+(** [unregister ~uid] drops a container's row, counters included.
+    [Repository.replace_container] calls it for the uid it
+    replaces, so the table holds one row per live container. *)
+val unregister : uid:int -> unit
 
 (** Record a block fetch request. Consecutive repeats of the same
     block collapse into one touch; a transition
     classifies as sequential or run-starting and bumps the per-block
-    tally. Unregistered uids are registered on the fly with a
-    placeholder label. *)
+    tally. Like every [note_*] hook, it ignores a uid without a row
+    (never registered, or unregistered since). *)
 val note_touch : uid:int -> blk:int -> unit
 
 (** Record an actual block decode of [bytes] compressed payload bytes

@@ -154,50 +154,49 @@ let histogram_stats (name : string) : histogram_stats option =
 
 (* Percentile estimate from the log-scale buckets: find the bucket the
    rank lands in and interpolate linearly inside it. Bucket edges are
-   tightened with the recorded h_min / h_max (which also bound the
+   tightened with the recorded min / max (which also bound the
    open-ended last bucket), so the estimate is exact for single-bucket
    distributions and within one bucket (a factor of 2) otherwise.
 
-   Documented sentinels, not bucket arithmetic, at the edges: a missing
-   or empty histogram is [None]; [p <= 0] is the recorded minimum and
-   [p >= 1] the recorded maximum; a histogram whose observations all
-   landed in one bucket interpolates between min and max directly, so
-   no bucket boundary ever leaks into the answer. *)
+   Documented sentinels, not bucket arithmetic, at the edges: an empty
+   histogram is [None]; [p <= 0] is the recorded minimum and [p >= 1]
+   the recorded maximum; a histogram whose observations all landed in
+   one bucket interpolates between min and max directly, so no bucket
+   boundary ever leaks into the answer. *)
+let percentile_of_buckets ~(count : int) ~(min : float) ~(max : float) (buckets : int array)
+    (p : float) : float option =
+  if count = 0 then None
+  else if p <= 0.0 then Some min
+  else if p >= 1.0 then Some max
+  else begin
+    let target = p *. float_of_int count in
+    let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 buckets in
+    if nonzero <= 1 then Some (min +. (p *. (max -. min)))
+    else
+      let rec find i cum =
+        if i >= bucket_count then max
+        else begin
+          let c = buckets.(i) in
+          let cum' = cum +. float_of_int c in
+          if c > 0 && cum' >= target then begin
+            let lo = if i = 0 then 0.0 else bucket_upper_bound (i - 1) in
+            let lo = Float.max lo (Float.min min max) in
+            let hi = Float.max lo (Float.min (bucket_upper_bound i) max) in
+            let frac = Float.max 0.0 (Float.min 1.0 ((target -. cum) /. float_of_int c)) in
+            lo +. (frac *. (hi -. lo))
+          end
+          else find (i + 1) cum'
+        end
+      in
+      Some (find 0 0.0)
+  end
+
 let histogram_percentile (name : string) (p : float) : float option =
   with_lock (fun () ->
       match Hashtbl.find_opt histograms name with
       | None -> None
-      | Some h when h.h_count = 0 -> None
-      | Some h when p <= 0.0 -> Some h.h_min
-      | Some h when p >= 1.0 -> Some h.h_max
       | Some h ->
-        let target = p *. float_of_int h.h_count in
-        let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 h.h_buckets in
-        if nonzero <= 1 then
-          (* everything in one bucket: the bucket edges carry no
-             information beyond [h_min, h_max] — interpolate there *)
-          Some (h.h_min +. (p *. (h.h_max -. h.h_min)))
-        else
-          let rec find i cum =
-            if i >= bucket_count then h.h_max
-            else begin
-              let c = h.h_buckets.(i) in
-              let cum' = cum +. float_of_int c in
-              if c > 0 && cum' >= target then begin
-                let lo =
-                  if i = 0 then 0.0
-                  else lowest_bound *. Float.pow 2.0 (float_of_int (i - 1))
-                in
-                let lo = Float.max lo (Float.min h.h_min h.h_max) in
-                let hi = Float.min (bucket_upper_bound i) h.h_max in
-                let hi = Float.max lo hi in
-                let frac = Float.max 0.0 (Float.min 1.0 ((target -. cum) /. float_of_int c)) in
-                lo +. (frac *. (hi -. lo))
-              end
-              else find (i + 1) cum'
-            end
-          in
-          Some (find 0 0.0))
+        percentile_of_buckets ~count:h.h_count ~min:h.h_min ~max:h.h_max h.h_buckets p)
 
 let histogram_buckets (name : string) : (float * int) list option =
   with_lock (fun () ->

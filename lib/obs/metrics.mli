@@ -74,6 +74,14 @@ val histogram_buckets : string -> (float * int) list option
     min and max directly, so bucket boundaries never surface. *)
 val histogram_percentile : string -> float -> float option
 
+(** The estimator behind {!histogram_percentile}, over any histogram
+    laid out in this module's buckets: [count] observations between
+    [min] and [max], [buckets.(i)] of them in bucket [i] (upper bound
+    {!bucket_upper_bound}[ i]). [None] when [count = 0]; the same edge
+    sentinels otherwise. Serve's rolling SLO window uses it too. *)
+val percentile_of_buckets :
+  count:int -> min:float -> max:float -> int array -> float -> float option
+
 (** Whole registry as a JSON snapshot (names sorted). *)
 val dump_json : unit -> string
 

@@ -36,7 +36,7 @@ type decoded = { codes : string array; parents : int array; d_bytes : int }
 
 (** Where a freshly decoded block enters the LRU list. [Mru] (the
     default) inserts at the front — classic LRU. [Tail] is the
-    scan-resistant policy used by {!Container.scan} and {!Container.range}:
+    scan-resistant policy used by {!Container.scan}:
     the block enters at the eviction end (and, if the pool is over
     budget, may be evicted immediately — even before anything hotter),
     so a one-pass scan of a container larger than the budget cannot

@@ -7,8 +7,9 @@
    1. {!Container.reblocked} builds a FRESH container (new pool uid)
       holding the same record sequence, and the compactor bumps its
       epoch. The original stays fully readable while the rebuild
-      decodes its blocks (tail admission, so the rebuild cannot flush
-      the hot set).
+      decodes its blocks straight from their payloads
+      ({!Container.read_block}), outside the buffer pool, so the
+      rebuild neither flushes the hot set nor counts as query heat.
    2. {!Repository.replace_container} stores it into the container's
       slot, a single pointer store: a concurrent reader sees either the
       old or the new container — both answer every query identically

@@ -388,21 +388,20 @@ let read_block (t : t) (i : int) : string array * int array =
 
 let read_all (t : t) : (string * int) list = all_pairs t (read_block t)
 
-(* Decode every block (tail admission: a rewrite pass must not flush the
-   hot working set) and return the raw compressed records plus
-   per-record plaintext-size estimates. Exact per-record sizes are gone
-   after build; the per-block average is what the original chunking
+(* Every raw compressed record plus a per-record plaintext-size
+   estimate, read with [read_block]: outside the pool and its
+   accounting, like [read_all]. Exact per-record sizes are gone after
+   build; the per-block average is what the original chunking
    preserved, and it is what keeps re-chunking deterministic. *)
 let records_with_sizes (t : t) : record array * int array =
   let records = Array.make t.n_records { code = ""; parent = 0 } in
   let sizes = Array.make t.n_records 1 in
   Array.iteri
     (fun bi b ->
-      let d = fetch_block ~admission:Buffer_pool.Tail t bi in
+      let codes, parents = read_block t bi in
       let avg = max 1 (b.b_plain / max 1 b.b_count) in
       for off = 0 to b.b_count - 1 do
-        records.(b.b_start + off) <-
-          { code = d.Buffer_pool.codes.(off); parent = d.Buffer_pool.parents.(off) };
+        records.(b.b_start + off) <- { code = codes.(off); parent = parents.(off) };
         sizes.(b.b_start + off) <- avg
       done)
     t.blocks;
@@ -467,74 +466,45 @@ let scan (t : t) : record array =
     t.blocks;
   out
 
-(* --- header-level binary searches ---------------------------------- *)
+(* --- binary searches -------------------------------------------------- *)
 
-(* First block whose max code is >= / > [code]; Array.length blocks if none.
-   Valid because blocks are contiguous sorted slices. *)
-let first_block_max_ge (t : t) (code : string) : int =
+(* [x] lies below a lower bound [code]: [x < code], or [x <= code] when
+   the bound is [strict] (excludes [code] itself). *)
+let below ~strict (x : string) (code : string) : bool =
+  let c = String.compare x code in
+  c < 0 || (strict && c = 0)
+
+(* First block whose max code is not below the lower bound [code];
+   Array.length blocks if none. Valid because blocks are contiguous
+   sorted slices. *)
+let first_block_max ~strict (t : t) (code : string) : int =
   let lo = ref 0 and hi = ref (Array.length t.blocks) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if String.compare t.blocks.(mid).b_max code < 0 then lo := mid + 1 else hi := mid
+    if below ~strict t.blocks.(mid).b_max code then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let first_block_max_gt (t : t) (code : string) : int =
-  let lo = ref 0 and hi = ref (Array.length t.blocks) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if String.compare t.blocks.(mid).b_max code <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* Last block whose min code is < [code]; -1 if none. *)
-let last_block_min_lt (t : t) (code : string) : int =
+(* Last block whose min code is within the upper bound [code] ([<], or
+   [<=] when not [strict]); -1 if none. *)
+let last_block_min ~strict (t : t) (code : string) : int =
   let lo = ref (-1) and hi = ref (Array.length t.blocks - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if String.compare t.blocks.(mid).b_min code < 0 then lo := mid else hi := mid - 1
+    if below ~strict:(not strict) t.blocks.(mid).b_min code then lo := mid else hi := mid - 1
   done;
   !lo
 
-(* Last block whose min code is <= [code]; -1 if none. *)
-let last_block_min_le (t : t) (code : string) : int =
-  let lo = ref (-1) and hi = ref (Array.length t.blocks - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if String.compare t.blocks.(mid).b_min code <= 0 then lo := mid else hi := mid - 1
-  done;
-  !lo
-
-(* --- in-block binary searches -------------------------------------- *)
-
-let in_block_lower (d : Buffer_pool.decoded) (code : string) : int =
+(* First offset of a decoded block whose code is not below the lower
+   bound [code]. *)
+let in_block ~strict (d : Buffer_pool.decoded) (code : string) : int =
   let codes = d.Buffer_pool.codes in
   let lo = ref 0 and hi = ref (Array.length codes) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if String.compare codes.(mid) code < 0 then lo := mid + 1 else hi := mid
+    if below ~strict codes.(mid) code then lo := mid + 1 else hi := mid
   done;
   !lo
-
-let in_block_upper (d : Buffer_pool.decoded) (code : string) : int =
-  let codes = d.Buffer_pool.codes in
-  let lo = ref 0 and hi = ref (Array.length codes) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if String.compare codes.(mid) code <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* First global index with code > [code] (or length if none): a header
-   binary search plus at most ONE block decode. *)
-let upper_bound (t : t) (code : string) : int =
-  let bi = first_block_max_gt t code in
-  if bi >= Array.length t.blocks then t.n_records
-  else begin
-    let b = t.blocks.(bi) in
-    if String.compare b.b_min code > 0 then b.b_start
-    else b.b_start + in_block_upper (fetch_block t bi) code
-  end
 
 (* Compressed payload bytes of the blocks OUTSIDE [b0, b1] — the ones a
    pruning access path skipped ([b1 < b0] means all of them). Reported
@@ -556,72 +526,25 @@ let note_pruned (t : t) ~(b0 : int) ~(b1 : int) (blocks : int) : unit =
   Xquec_obs.Heat.note_skip ~uid:t.uid ~blocks ~bytes;
   Xquec_obs.Ledger.note_container_skip ~uid:t.uid ~label:t.path ~blocks ~bytes
 
-(** Records with global indices in [lo, hi): decodes only the blocks the
-    interval touches; everything outside is counted as pruned. Like
-    {!scan}, decoded blocks enter the pool at the LRU tail. *)
-let range (t : t) ~(lo : int) ~(hi : int) : record list =
-  let lo = max 0 lo and hi = min t.n_records hi in
-  let nblocks = Array.length t.blocks in
-  if hi <= lo then begin
-    note_pruned t ~b0:0 ~b1:(-1) nblocks;
-    []
-  end
-  else begin
-    let b0 = block_of_index t lo and b1 = block_of_index t (hi - 1) in
-    note_pruned t ~b0 ~b1 (nblocks - (b1 - b0 + 1));
-    let ds = fetch_blocks ~admission:Buffer_pool.Tail t ~b0 ~b1 in
-    List.concat
-      (List.init (b1 - b0 + 1) (fun k ->
-           let bi = b0 + k in
-           let b = t.blocks.(bi) in
-           let d = ds.(k) in
-           let off_lo = max 0 (lo - b.b_start) in
-           let off_hi = min b.b_count (hi - b.b_start) in
-           List.init (off_hi - off_lo) (fun j ->
-               {
-                 code = d.Buffer_pool.codes.(off_lo + j);
-                 parent = d.Buffer_pool.parents.(off_lo + j);
-               })))
-  end
+type bound = [ `Incl of string | `Excl of string ]
 
-(** ContAccess with an equality criterion: header min/max pruning, then
-    binary search on the compressed code inside the (few) candidate
-    blocks. Valid whenever the algorithm supports [eq]. *)
-let lookup_eq (t : t) (code : string) : record list =
-  Xquec_obs.Metrics.incr "container.lookup_eq";
-  let nblocks = Array.length t.blocks in
-  let b0 = first_block_max_ge t code in
-  let b1 = last_block_min_le t code in
-  if b0 >= nblocks || b1 < b0 then begin
-    note_pruned t ~b0:0 ~b1:(-1) nblocks;
-    []
-  end
-  else begin
-    note_pruned t ~b0 ~b1 (nblocks - (b1 - b0 + 1));
-    let ds = fetch_blocks t ~b0 ~b1 in
-    List.concat
-      (List.init (b1 - b0 + 1) (fun k ->
-           let d = ds.(k) in
-           let off_lo = in_block_lower d code in
-           let off_hi = in_block_upper d code in
-           List.init (off_hi - off_lo) (fun j ->
-               {
-                 code = d.Buffer_pool.codes.(off_lo + j);
-                 parent = d.Buffer_pool.parents.(off_lo + j);
-               })))
-  end
-
-(** ContAccess with an interval criterion on compressed codes (valid only
-    for order-preserving algorithms). Bounds are inclusive [lo] /
-    exclusive [hi]; [None] means unbounded. Candidate blocks are chosen
-    from headers alone; only they are decoded. *)
-let lookup_range (t : t) ?lo ?hi () : record list =
+(** ContAccess with an interval criterion on compressed codes: the
+    candidate blocks are chosen from headers alone, and only they are
+    decoded. A block whose header bounds do not prove it inside the
+    interval is cut by an in-block binary search, so capped
+    (conservative) bounds never admit a record outside it. *)
+let lookup_range (t : t) ?(lo : bound option) ?(hi : bound option) () : record list =
   Xquec_obs.Metrics.incr "container.lookup_range";
+  (* (code, strict): a strict bound excludes the code itself *)
+  let split = Option.map (function `Incl c -> (c, false) | `Excl c -> (c, true)) in
+  let lo = split lo and hi = split hi in
   let nblocks = Array.length t.blocks in
   if nblocks = 0 then []
   else begin
-    let b0 = match lo with None -> 0 | Some c -> first_block_max_ge t c in
-    let b1 = match hi with None -> nblocks - 1 | Some c -> last_block_min_lt t c in
+    let b0 = match lo with None -> 0 | Some (c, strict) -> first_block_max ~strict t c in
+    let b1 =
+      match hi with None -> nblocks - 1 | Some (c, strict) -> last_block_min ~strict t c
+    in
     if b0 >= nblocks || b1 < b0 then begin
       note_pruned t ~b0:0 ~b1:(-1) nblocks;
       []
@@ -631,17 +554,19 @@ let lookup_range (t : t) ?lo ?hi () : record list =
       let ds = fetch_blocks t ~b0 ~b1 in
       List.concat
         (List.init (b1 - b0 + 1) (fun k ->
-             let bi = b0 + k in
-             let b = t.blocks.(bi) in
+             let b = t.blocks.(b0 + k) in
              let d = ds.(k) in
+             (* b_min <= every code and b_max >= every code, so a block
+                whose bounds clear the interval's needs no search *)
              let off_lo =
                match lo with
-               | Some c when bi = b0 && String.compare b.b_min c < 0 -> in_block_lower d c
+               | Some (c, strict) when below ~strict b.b_min c -> in_block ~strict d c
                | _ -> 0
              in
              let off_hi =
                match hi with
-               | Some c when bi = b1 && String.compare b.b_max c >= 0 -> in_block_lower d c
+               | Some (c, strict) when not (below ~strict:(not strict) b.b_max c) ->
+                 in_block ~strict:(not strict) d c
                | _ -> b.b_count
              in
              List.init (max 0 (off_hi - off_lo)) (fun j ->
@@ -651,6 +576,11 @@ let lookup_range (t : t) ?lo ?hi () : record list =
                  })))
     end
   end
+
+(** ContAccess with an equality criterion. Valid whenever the algorithm
+    supports [eq]. *)
+let lookup_eq (t : t) (code : string) : record list =
+  lookup_range t ~lo:(`Incl code) ~hi:(`Incl code) ()
 
 let decompress_record (t : t) (r : record) : string =
   Compress.Codec.decompress t.model r.code

@@ -179,7 +179,7 @@ val dump : t -> (string * int) list
     decoded straight from its payload on every call: no {!Buffer_pool}
     admission or counter, no {!Xquec_obs.Heat} touch or decode, no
     budget charge. For build-time readers (the cost model's sampler,
-    {!read_all}) that must leave the query cache and its accounting as
+    {!read_all}, {!reblocked}) that must leave the query cache and its accounting as
     they found them. Raises [Invalid_argument] for a block index out of
     range. *)
 val read_block : t -> int -> string array * int array
@@ -192,7 +192,8 @@ val read_all : t -> (string * int) list
 (** [reblocked t ~block_size] is a {e fresh} container (new pool uid,
     same [compaction_epoch]) holding the same record sequence
     re-chunked at [block_size]; [t] is left unchanged, so in-flight
-    readers keep using it. Callers swap the result in with
+    readers keep using it. [t]'s blocks are read with {!read_block},
+    outside the buffer pool and its accounting. Callers swap the result in with
     {!Repository.replace_container}; {!Compactor.compact_container}
     also bumps its epoch. Raises [Invalid_argument] on a non-positive
     size. *)
@@ -207,8 +208,8 @@ val scan : t -> record array
 
 (** [fetch_blocks t ~b0 ~b1] decodes blocks [b0..b1] (inclusive) on
     the calling domain and returns their images in block order — the
-    block access path behind {!scan}, {!range}, {!lookup_eq},
-    {!lookup_range} and {!dump}. Each block is a {!Buffer_pool} hit, a
+    block access path behind {!scan}, {!lookup_range} and {!dump}.
+    Each block is a {!Buffer_pool} hit, a
     miss decoded here, or a latch wait on another domain's decode of
     it. Empty ranges ([b1 < b0]) yield [[||]]. [?admission] (default
     {!Buffer_pool.Mru}) is the pool admission policy for miss-decoded
@@ -230,28 +231,23 @@ val get : t -> int -> record
     range). One binary search over the block headers. *)
 val block_of_index : t -> int -> int
 
-(** [range t ~lo ~hi] is the records with indices in [lo, hi) (upper
-    bound exclusive), decoding only the blocks that interval touches;
-    the rest are counted as pruned ({!Buffer_pool.note_skipped}).
-    Bounds are clamped to the valid index range. Like {!scan}, decoded
-    blocks are admitted at the pool's LRU tail. *)
-val range : t -> lo:int -> hi:int -> record list
+(** An interval bound on compressed codes: [`Incl c] admits [c] itself,
+    [`Excl c] does not. *)
+type bound = [ `Incl of string | `Excl of string ]
 
-(** First index whose code is [>] the argument ([length t] if none).
-    One header binary search plus at most one block decode. *)
-val upper_bound : t -> string -> int
+(** ContAccess with an interval criterion on compressed codes: the
+    records whose code is at or above [lo] and at or below [hi], each
+    bound inclusive or exclusive ([None] = unbounded), in record order.
+    Candidate blocks are chosen from the headers alone and only they
+    are decoded (admitted at the pool's MRU end); the others are
+    counted as pruned. Any bounds select on code order, so they mean
+    value order only for order-preserving algorithms. *)
+val lookup_range : t -> ?lo:bound -> ?hi:bound -> unit -> record list
 
-(** ContAccess with an equality criterion: candidate blocks are chosen
-    by header min/max, only they are decoded, and matches are found by
-    in-block binary search. Valid whenever the algorithm supports
+(** ContAccess with an equality criterion: [lookup_range] with [code]
+    as both inclusive bounds. Valid whenever the algorithm supports
     [`Eq]. *)
 val lookup_eq : t -> string -> record list
-
-(** ContAccess with an interval criterion on compressed codes
-    (inclusive [lo], exclusive [hi]; [None] = unbounded). Valid only
-    for order-preserving algorithms. Decodes only the blocks whose
-    header range intersects the interval. *)
-val lookup_range : t -> ?lo:string -> ?hi:string -> unit -> record list
 
 (** Decompress one record's value with the container's model. *)
 val decompress_record : t -> record -> string

@@ -20,11 +20,13 @@ let find_container_by_path t path =
 (* Containers are never changed in place: a rebuild takes over its
    slot. The slot store comes first and is a single boxed-pointer
    write, so a concurrent reader sees either container (both answer
-   identically); only then are the old container's pool entries
-   dropped. Readers still holding it keep decoding its blocks. *)
+   identically); only then are the old container's pool entries and
+   heat row dropped. Readers still holding it keep decoding its
+   blocks, unrecorded by the heat table. *)
 let replace_container (t : t) (fresh : Container.t) : int =
   let old = t.containers.(fresh.Container.id) in
   t.containers.(fresh.Container.id) <- fresh;
+  Xquec_obs.Heat.unregister ~uid:old.Container.uid;
   Buffer_pool.invalidate_container ~uid:old.Container.uid
 
 (** Distinct source models (containers in the same partition share one). *)

@@ -21,8 +21,9 @@ val container : t -> int -> Container.t
 val find_container_by_path : t -> string -> Container.t option
 
 (** [replace_container t fresh] swaps [fresh] into the slot of the
-    container with its id, then drops the old container's buffer-pool
-    entries ({!Buffer_pool.invalidate_container}) and returns how many
+    container with its id, then drops the old container's heat row
+    ({!Xquec_obs.Heat.unregister}) and buffer-pool entries
+    ({!Buffer_pool.invalidate_container}) and returns how many entries
     it dropped. The one way a repository's container changes after
     load: the compactor, {!Partitioner.apply} and
     {!Partitioner.size_blocks} all rebuild a fresh container and swap it

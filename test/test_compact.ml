@@ -195,6 +195,34 @@ let first_block_hits (c : Storage.Container.t) =
   Alcotest.(check int) "one fetch" 1 (l.Obs.Ledger.hits + l.Obs.Ledger.misses);
   l.Obs.Ledger.hits = 1
 
+(* The heat table follows the live containers: each compaction's swap
+   drops the replaced uid's row, and a straggler still reading the old
+   container does not bring it back. *)
+let test_heat_rows_follow_live_containers () =
+  let engine = fresh_engine () in
+  let repo = Engine.repo engine in
+  let rows () = List.length (Obs.Heat.snapshot ()) in
+  let has uid = List.exists (fun (s : Obs.Heat.stat) -> s.Obs.Heat.uid = uid) (Obs.Heat.snapshot ()) in
+  let before = rows () in
+  let first = container_of repo names_path in
+  let replaced =
+    List.map
+      (fun size ->
+        let old = container_of repo names_path in
+        ignore
+          (Storage.Compactor.compact_container repo ~id:old.Storage.Container.id ~block_size:size);
+        old)
+      [ 2048; 4096; 8192; 2048; 4096 ]
+  in
+  Alcotest.(check int) "one row per container" before (rows ());
+  ignore (Storage.Container.scan first);
+  List.iter
+    (fun (c : Storage.Container.t) ->
+      Alcotest.(check bool) "replaced uid has no row" false (has c.Storage.Container.uid))
+    replaced;
+  Alcotest.(check bool) "live uid has a row" true
+    (has (container_of repo names_path).Storage.Container.uid)
+
 let test_invalidate_container_accounting () =
   with_fresh_telemetry @@ fun () ->
   let engine = fresh_engine () in
@@ -439,6 +467,8 @@ let suites =
           test_block_size_epoch_roundtrip;
         Alcotest.test_case "invalidate_container accounting." `Quick
           test_invalidate_container_accounting;
+        Alcotest.test_case "heat rows follow live containers." `Quick
+          test_heat_rows_follow_live_containers;
         Alcotest.test_case "compactor swap + plan." `Quick test_compactor_swap_and_plan;
         Alcotest.test_case "mid-run swap under concurrent clients." `Quick
           test_midrun_swap_under_concurrent_clients;

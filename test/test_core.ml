@@ -605,14 +605,25 @@ let test_merge_join_shared_model () =
   Alcotest.(check string) "merge join = hash join" hashed merged
 
 (* Building a repository samples every container for the cost model
-   and re-reads the ones that get a shared model; those reads must not
-   stay resident in the query buffer pool or show up as query heat. *)
+   and re-reads the ones that get a shared model, and re-blocking
+   (build-time sizing, compaction) reads the container it replaces;
+   those reads must not stay resident in the query buffer pool or show
+   up as query heat. *)
 let test_load_leaves_pool () =
   let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.05 () in
   let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
   Xquec_obs.Heat.reset ();
   let before = Storage.Buffer_pool.snapshot () in
-  ignore (Engine.load ~name:"auction.xml" ~workload xml);
+  let engine = Engine.load ~name:"auction.xml" ~workload xml in
+  let repo = Engine.repo engine in
+  let resized =
+    Partitioner.size_blocks repo (Workload.of_query_strings repo workload)
+  in
+  Alcotest.(check bool) "size_blocks re-blocked some container" true (resized <> []);
+  let c = repo.Storage.Repository.containers.(0) in
+  ignore
+    (Storage.Compactor.compact_container repo ~id:c.Storage.Container.id
+       ~block_size:(2 * c.Storage.Container.block_size));
   let after = Storage.Buffer_pool.snapshot () in
   Alcotest.(check int) "resident blocks" before.s_resident_blocks after.s_resident_blocks;
   let touches =

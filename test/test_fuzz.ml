@@ -12,7 +12,7 @@ let gen_doc : Tree.document QCheck2.Gen.t =
   let open QCheck2.Gen in
   let tag = oneofl [ "a"; "b"; "item"; "name"; "x" ] in
   let attr_name = oneofl [ "id"; "k"; "v" ] in
-  let word = oneofl [ "alpha"; "beta"; "42"; "3.14"; "gold ring"; ""; "z" ] in
+  let word = oneofl [ "alpha"; "beta"; "42"; "3.14"; "gold ring"; ""; "z"; "7"; "07"; "4242" ] in
   let node =
     fix
       (fun self depth ->
@@ -132,20 +132,26 @@ let prop_random_value_queries =
 
 (* Random simple queries over random documents, checked against the
    naive reference engine: paths over both axes, attribute and text
-   steps, equality/existence predicates, counts and wrappers. *)
+   steps, comparison and existence predicates against quoted words
+   (numeric look-alikes among them) and unquoted numbers, counts and
+   wrappers. *)
 let gen_query : string QCheck2.Gen.t =
   let open QCheck2.Gen in
   let tag = oneofl [ "a"; "b"; "item"; "name"; "x" ] in
   let attr = oneofl [ "id"; "k"; "v" ] in
-  let word = oneofl [ "alpha"; "beta"; "42"; "z" ] in
+  let word = oneofl [ "alpha"; "beta"; "42"; "z"; "7"; "07"; "4242" ] in
   let sep = oneofl [ "/"; "//" ] in
+  let op = oneofl [ "="; "<"; "<="; ">"; ">=" ] in
+  let operand =
+    oneof [ map (Printf.sprintf "\"%s\"") word; oneofl [ "7"; "42"; "4242"; "3.14" ] ]
+  in
   let pred =
     oneof
       [
         return "";
         map (fun t -> Printf.sprintf "[%s]" t) tag;
-        map2 (fun a w -> Printf.sprintf "[@%s = \"%s\"]" a w) attr word;
-        map2 (fun t w -> Printf.sprintf "[%s = \"%s\"]" t w) tag word;
+        map3 (fun a o w -> Printf.sprintf "[@%s %s %s]" a o w) attr op operand;
+        map3 (fun t o w -> Printf.sprintf "[%s %s %s]" t o w) tag op operand;
         return "[1]";
         return "[last()]";
       ]

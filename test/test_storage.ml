@@ -66,9 +66,22 @@ let test_container_lookup_range () =
   let c = sample_container Compress.Codec.Alm_alg in
   let lo = Container.compress_constant c "b" in
   let hi = Container.compress_constant c "d" in
-  let hits = Container.lookup_range c ~lo ~hi () in
+  let hits = Container.lookup_range c ~lo:(`Incl lo) ~hi:(`Excl hi) () in
   let values = List.map (Container.decompress_record c) hits in
-  Alcotest.(check (list string)) "range [b,d)" [ "bravo"; "charlie" ] values
+  Alcotest.(check (list string)) "range [b,d)" [ "bravo"; "charlie" ] values;
+  (* bounds on codes that occur: each end inclusive or exclusive *)
+  let alpha = Container.compress_constant c "alpha" in
+  let charlie = Container.compress_constant c "charlie" in
+  let range lo hi =
+    List.map (Container.decompress_record c) (Container.lookup_range c ?lo ?hi ())
+  in
+  Alcotest.(check (list string)) "[alpha,charlie]" [ "alpha"; "alpha"; "bravo"; "charlie" ]
+    (range (Some (`Incl alpha)) (Some (`Incl charlie)));
+  Alcotest.(check (list string)) "(alpha,charlie)" [ "bravo" ]
+    (range (Some (`Excl alpha)) (Some (`Excl charlie)));
+  Alcotest.(check (list string)) "(charlie,-)" [ "delta" ] (range (Some (`Excl charlie)) None);
+  Alcotest.(check (list string)) "(-,alpha]" [ "alpha"; "alpha" ] (range None (Some (`Incl alpha)));
+  Alcotest.(check (list string)) "(alpha,alpha)" [] (range (Some (`Excl alpha)) (Some (`Excl alpha)))
 
 (* Re-encoding with a shared model, as [Partitioner.apply] does: the
    container's pairs rebuilt with [of_values], whose permutation maps
@@ -123,8 +136,10 @@ let test_container_blocks () =
   for i = 0 to Container.length c - 1 do
     Alcotest.(check string) "get = scan" all.(i).Container.code (Container.get c i).Container.code
   done;
-  (* range decodes agree too *)
-  let r = Container.range c ~lo:5 ~hi:12 in
+  (* interval decodes agree too *)
+  let r =
+    Container.lookup_range c ~lo:(`Incl all.(5).Container.code) ~hi:(`Excl all.(12).Container.code) ()
+  in
   Alcotest.(check int) "range size" 7 (List.length r);
   List.iteri
     (fun k (r : Container.record) ->
@@ -147,7 +162,7 @@ let test_block_pruning () =
   let s2 = Buffer_pool.snapshot () in
   let lo = Container.compress_constant c "v010" in
   let hi = Container.compress_constant c "v015" in
-  let rs = Container.lookup_range c ~lo ~hi () in
+  let rs = Container.lookup_range c ~lo:(`Incl lo) ~hi:(`Excl hi) () in
   let s3 = Buffer_pool.snapshot () in
   Alcotest.(check int) "five in range" 5 (List.length rs);
   Alcotest.(check bool) "range pruned too" true
@@ -327,8 +342,10 @@ let test_scan_parity () =
   Buffer_pool.clear ();
   let eq = Container.lookup_eq c (Container.compress_constant c "v007") in
   Alcotest.(check int) "lookup_eq" 1 (List.length eq);
+  let code i = (Container.get c i).Container.code in
+  let lo = code 5 and hi = code 35 in
   Buffer_pool.clear ();
-  let r = Container.range c ~lo:5 ~hi:35 in
+  let r = Container.lookup_range c ~lo:(`Incl lo) ~hi:(`Excl hi) () in
   Alcotest.(check int) "range size" 30 (List.length r)
 
 let test_parallel_latch_dedup () =
@@ -854,7 +871,29 @@ let test_capped_bounds_conservative () =
       (fun i -> List.mem (i, i) est.Xquec_core.Cost_model.bj_pairs)
       (List.init (Array.length hs) (fun i -> i))
   in
-  Alcotest.(check bool) "every block pairs with itself" true paired_self
+  Alcotest.(check bool) "every block pairs with itself" true paired_self;
+  (* one-record blocks whose codes share a capped prefix: the headers
+     cannot tell the blocks apart, so every block an interval admits is
+     cut by its own codes, not only the first and last *)
+  let n = 12 in
+  let c =
+    build ~block_size:1 ~id:0 ~algorithm:Compress.Codec.Huffman_alg
+      (List.init n (fun i -> (String.make 100 'x' ^ Printf.sprintf "%02d" i, i)))
+  in
+  let all = Container.scan c in
+  let codes = List.map (fun (r : Container.record) -> r.Container.code) in
+  let slice lo hi = List.init (max 0 (hi - lo)) (fun k -> all.(lo + k).Container.code) in
+  for i = 0 to n - 1 do
+    let code = all.(i).Container.code in
+    let check name expected lo hi =
+      Alcotest.(check (list string)) name expected (codes (Container.lookup_range c ?lo ?hi ()))
+    in
+    check "incl lo" (slice i n) (Some (`Incl code)) None;
+    check "excl lo" (slice (i + 1) n) (Some (`Excl code)) None;
+    check "incl hi" (slice 0 (i + 1)) None (Some (`Incl code));
+    check "excl hi" (slice 0 i) None (Some (`Excl code));
+    Alcotest.(check (list string)) "eq" [ code ] (codes (Container.lookup_eq c code))
+  done
 
 let suites =
   [
