@@ -792,7 +792,60 @@ let codec_costs () =
         Fmt.pr "%-12s %d values, %d KB decoded: %.1f MB/s, %.1f minor words/value@." name
           (Array.length values) (decoded / 1024) mbps words
       end)
-    Compress.Codec.all_algorithms
+    Compress.Codec.all_algorithms;
+  (* The ALM build and encode paths on the same image: each model rebuilt
+     from its serialized tokens, as a restore does, and every value
+     re-encoded with its model, as a compress does. *)
+  let bodies =
+    List.filter_map
+      (fun (_, m) ->
+        match m with
+        | Compress.Codec.M_alm a -> Some (Compress.Alm.serialize_model a)
+        | _ -> None)
+      (Storage.Repository.models repo)
+  in
+  if bodies <> [] then begin
+    let n = List.length bodies in
+    let ms =
+      time_median ~runs:5 (fun () -> List.iter (fun b -> ignore (Compress.Alm.deserialize_model b)) bodies)
+    in
+    record ~exp:"codec_costs" "codec"
+      (obj
+         [
+           ("name", str "xmark-alm-build");
+           ("models", num (float_of_int n));
+           ("per_model_build_ms", num (ms /. float_of_int n));
+         ]);
+    Fmt.pr "%-12s %d models: %.1f us per model@." "alm-build" n (1000.0 *. ms /. float_of_int n)
+  end;
+  let plain =
+    Array.to_list repo.Storage.Repository.containers
+    |> List.concat_map (fun c ->
+           match c.Storage.Container.model with
+           | Compress.Codec.M_alm a ->
+             List.init (Storage.Container.block_count c) (fun i ->
+                 fst (Storage.Container.read_block c i))
+             |> Array.concat |> Array.to_list
+             |> List.map (fun code -> (a, Compress.Alm.decompress a code))
+           | _ -> [])
+    |> Array.of_list
+  in
+  if Array.length plain > 0 then begin
+    let bytes = Array.fold_left (fun a (_, v) -> a + String.length v) 0 plain in
+    let ms =
+      time_median ~runs:5 (fun () -> Array.iter (fun (a, v) -> ignore (Compress.Alm.compress a v)) plain)
+    in
+    let mbps = float_of_int bytes /. 1048576.0 /. (ms /. 1000.0) in
+    record ~exp:"codec_costs" "codec"
+      (obj
+         [
+           ("name", str "xmark-alm-encode");
+           ("values", num (float_of_int (Array.length plain)));
+           ("plain_bytes", num (float_of_int bytes));
+           ("compress_mbps", num mbps);
+         ]);
+    Fmt.pr "%-12s %d values, %d KB: %.1f MB/s@." "alm-encode" (Array.length plain) (bytes / 1024) mbps
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: cold vs. warm cache, and the block-size sweep           *)

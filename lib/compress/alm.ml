@@ -18,19 +18,19 @@
    paper's Fig. 2, where "the" maps to codes c and e around the code d of
    "there". *)
 
-type interval = {
-  lo : string;           (* inclusive lower bound *)
-  hi : string option;    (* exclusive upper bound; None = +infinity *)
-  token : string;        (* prefix stripped/emitted for this interval *)
-}
-
-(* The intervals as three parallel arrays, sorted by lower bound; the
-   code of interval [i] is [i + 1]. Decoding reads [tokens] only. *)
+(* The intervals sorted by lower bound; the code of interval [i] is
+   [i + 1]. They tile the string space: interval [i] ends where [i + 1]
+   begins, and the last one is unbounded, so only lower bounds are kept.
+   The decoder reads the tokens from [flat], every interval's token back
+   to back plus 8 bytes of padding: code [c]'s token is
+   [flat.[offs.(c - 1)] .. flat.[offs.(c) - 1]]. *)
 type model = {
-  los : string array;         (* inclusive lower bounds *)
-  his : string option array;  (* exclusive upper bounds *)
-  tokens : string array;
-  width : int;                (* bits per code; code 0 is padding *)
+  los : string array;  (* inclusive lower bounds *)
+  flat : string;
+  offs : int array;    (* one more than [los] *)
+  width : int;         (* bits per code; code 0 is padding *)
+  mined : string array;  (* the multi-byte tokens, strictly increasing *)
+  longest : int;         (* the longest token's length *)
 }
 
 exception Corrupt of string
@@ -40,23 +40,14 @@ let next_prefix (t : string) : string option =
   let rec go i =
     if i < 0 then None
     else if t.[i] = '\xff' then go (i - 1)
-    else Some (String.sub t 0 i ^ String.make 1 (Char.chr (Char.code t.[i] + 1)))
+    else begin
+      let b = Bytes.create (i + 1) in
+      Bytes.blit_string t 0 b 0 i;
+      Bytes.set b i (Char.chr (Char.code t.[i] + 1));
+      Some (Bytes.unsafe_to_string b)
+    end
   in
   go (String.length t - 1)
-
-let below_hi (s : string) (hi : string option) =
-  match hi with None -> true | Some h -> String.compare s h < 0
-
-let bound_lt (a : string option) (b : string option) =
-  (* Compare exclusive upper bounds / lower bounds where None = +inf. *)
-  match a, b with
-  | None, _ -> false
-  | Some _, None -> true
-  | Some x, Some y -> String.compare x y < 0
-
-let is_prefix ~prefix s =
-  String.length prefix <= String.length s
-  && String.sub s 0 (String.length prefix) = prefix
 
 (* ------------------------------------------------------------------ *)
 (* Token mining                                                        *)
@@ -209,63 +200,86 @@ let mine_tokens ?(max_tokens = 512) ?(sample_bytes = 1 lsl 20) (values : string 
 (* Model construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let build_intervals (tokens : string list) : interval array =
-  (* All 256 single bytes guarantee total coverage of nonempty strings. *)
-  let all =
-    List.sort_uniq String.compare
-      (List.init 256 (fun i -> String.make 1 (Char.chr i)) @ tokens)
+(* The 256 single-byte tokens, which every dictionary holds so that each
+   nonempty string has a covering interval, and their [next_prefix]. *)
+let singles = Array.init 256 (fun b -> String.make 1 (Char.chr b))
+let single_succs = Array.init 256 (fun b -> if b = 255 then None else Some singles.(b + 1))
+
+let rec prefix_from p s i =
+  i = String.length p || (String.unsafe_get p i = String.unsafe_get s i && prefix_from p s (i + 1))
+
+let is_prefix p s = String.length p <= String.length s && prefix_from p s 0
+
+(* The model of the strictly increasing multi-byte tokens [mined], with
+   the single bytes merged in. A token [t] owns what its children leave
+   of [[t, next_prefix t)], a child being a longer token whose longest
+   proper prefix in the dictionary is [t]: one interval before its first
+   child, one between each two children and one after the last, each
+   only when nonempty. A depth-first walk emits them in lower-bound
+   order. The tokens arrive sorted, so a stack holds the open ancestors
+   of the current token, each with the lower bound of its next interval
+   ([None] once that bound would be past every string). *)
+let build (mined : string array) : model =
+  let n = Array.length mined in
+  let los = Array.make ((2 * n) + 256) "" and toks = Array.make ((2 * n) + 256) "" in
+  let count = ref 0 in
+  let emit lo tok =
+    los.(!count) <- lo;
+    toks.(!count) <- tok;
+    incr count
   in
-  let arr = Array.of_list all in
-  let n = Array.length arr in
-  let intervals = ref [] in
-  for i = 0 to n - 1 do
-    let t = arr.(i) in
-    (* Minimal extensions of [t]: walk the sorted successors with prefix
-       [t], skipping descendants of an already-kept extension. *)
-    let exts = ref [] in
-    let last_kept = ref None in
-    let j = ref (i + 1) in
-    let continue = ref true in
-    while !continue && !j < n do
-      let u = arr.(!j) in
-      if is_prefix ~prefix:t u then begin
-        (match !last_kept with
-        | Some k when is_prefix ~prefix:k u -> ()
-        | Some _ | None ->
-          exts := u :: !exts;
-          last_kept := Some u);
-        incr j
-      end
-      else continue := false
+  (* Each stacked token is a proper prefix of the one above it, so the
+     stack is at most as deep as the longest token is long. *)
+  let longest = Array.fold_left (fun d t -> max d (String.length t)) 1 mined in
+  let stack = Array.make longest "" and next_lo = Array.make longest None in
+  let top = ref 0 in
+  let pop () =
+    decr top;
+    let t = stack.(!top) in
+    let hi = if String.length t = 1 then single_succs.(Char.code t.[0]) else next_prefix t in
+    (match (next_lo.(!top), hi) with
+    | (Some lo, None) -> emit lo t
+    | (Some lo, Some h) when String.compare lo h < 0 -> emit lo t
+    | _ -> ());
+    if !top > 0 then next_lo.(!top - 1) <- hi
+  in
+  let push u =
+    while !top > 0 && not (is_prefix stack.(!top - 1) u) do
+      pop ()
     done;
-    let exts = List.rev !exts in
-    (* Gaps of [t, next t) not covered by any extension's prefix range. *)
-    let t_hi = next_prefix t in
-    let lo = ref (Some t) in
-    List.iter
-      (fun u ->
-        (match !lo with
-        | Some lo_s when String.compare lo_s u < 0 ->
-          intervals := { lo = lo_s; hi = Some u; token = t } :: !intervals
-        | Some _ | None -> ());
-        lo := next_prefix u)
-      exts;
-    (match !lo with
-    | Some lo_s when bound_lt (Some lo_s) t_hi ->
-      intervals := { lo = lo_s; hi = t_hi; token = t } :: !intervals
-    | Some _ | None -> ())
+    (if !top > 0 then
+       match next_lo.(!top - 1) with
+       | Some lo when String.compare lo u < 0 -> emit lo stack.(!top - 1)
+       | _ -> ());
+    stack.(!top) <- u;
+    next_lo.(!top) <- Some u;
+    incr top
+  in
+  let j = ref 0 in
+  for b = 0 to 255 do
+    push singles.(b);
+    while !j < n && Char.code (String.unsafe_get mined.(!j) 0) = b do
+      push mined.(!j);
+      incr j
+    done
   done;
-  let arr = Array.of_list !intervals in
-  Array.sort (fun a b -> String.compare a.lo b.lo) arr;
-  arr
+  while !top > 0 do
+    pop ()
+  done;
+  let count = !count in
+  let offs = Array.make (count + 1) 0 in
+  for i = 0 to count - 1 do
+    offs.(i + 1) <- offs.(i) + String.length toks.(i)
+  done;
+  let flat = Bytes.make (offs.(count) + 8) '\000' in
+  for i = 0 to count - 1 do
+    Bytes.blit_string toks.(i) 0 flat offs.(i) (String.length toks.(i))
+  done;
+  { los = Array.sub los 0 count; flat = Bytes.unsafe_to_string flat; offs;
+    width = Bitio.width_for (count + 1); mined; longest }
 
 let of_tokens (tokens : string list) : model =
-  let intervals = build_intervals tokens in
-  let width = Bitio.width_for (Array.length intervals + 1) in
-  { los = Array.map (fun itv -> itv.lo) intervals;
-    his = Array.map (fun itv -> itv.hi) intervals;
-    tokens = Array.map (fun itv -> itv.token) intervals;
-    width }
+  build (Array.of_list (List.sort_uniq String.compare (List.filter (fun t -> String.length t > 1) tokens)))
 
 (** Train on container values: mined frequent substrings + total byte
     coverage. The dictionary budget adapts to the container size so the
@@ -284,82 +298,122 @@ let train ?max_tokens ?sample_bytes (values : string list) : model =
 (* Encoding / decoding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Rightmost interval whose [lo] is <= [s]; intervals are disjoint and
-   cover all nonempty strings, so this is the containing interval. *)
-let find_interval (m : model) (s : string) : int =
+(* Whether [lo] is at most the suffix of [s] from [off], compared in
+   place. *)
+let rec le_from lo s off i =
+  i = String.length lo
+  || off + i < String.length s
+     &&
+     let a = Char.code (String.unsafe_get lo i) and b = Char.code (String.unsafe_get s (off + i)) in
+     a < b || (a = b && le_from lo s off (i + 1))
+
+(* The interval holding the nonempty suffix of [s] from [off]: the
+   rightmost whose lower bound is at most it. The first bound is
+   ["\000"], below every nonempty string. *)
+let find_interval (m : model) (s : string) (off : int) : int =
   let lo = ref 0 and hi = ref (Array.length m.los - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if String.compare m.los.(mid) s <= 0 then lo := mid else hi := mid - 1
+    if le_from m.los.(mid) s off 0 then lo := mid else hi := mid - 1
   done;
-  if String.compare m.los.(!lo) s > 0 || not (below_hi s m.his.(!lo)) then
-    raise (Corrupt "ALM: no covering interval");
   !lo
 
+(* Every string in an interval starts with its token, so each step
+   consumes the token of the interval the rest of the value falls in. *)
 let compress (m : model) (value : string) : string =
   let w = Bitio.Writer.create ~size:(String.length value) () in
-  let rec go r =
-    if String.length r > 0 then begin
-      let i = find_interval m r in
-      let token = m.tokens.(i) in
-      if not (is_prefix ~prefix:token r) then
-        raise (Corrupt "ALM: interval token is not a prefix");
-      Bitio.Writer.add_bits w (i + 1) m.width;
-      go (String.sub r (String.length token) (String.length r - String.length token))
-    end
-  in
-  go value;
+  let off = ref 0 in
+  while !off < String.length value do
+    let i = find_interval m value !off in
+    Bitio.Writer.add_bits w (i + 1) m.width;
+    off := !off + m.offs.(i + 1) - m.offs.(i)
+  done;
   Bitio.Writer.contents w
 
-(* Codes are read from an accumulator refilled a byte at a time: [acc]
-   holds [nbits] unread bits in its low end. Code 0 is padding, and
-   fewer than [width] bits left is the end. A first pass checks the
-   codes and sums their token lengths, a second copies the tokens into
-   a string of exactly that length. Both are top-level functions of
-   their whole state, so a decode allocates only its result. *)
-let rec decoded_length m s pos acc nbits total =
-  if nbits < m.width then
-    if pos < String.length s then
-      decoded_length m s (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get s pos)) (nbits + 8) total
-    else total
-  else begin
-    let code = (acc lsr (nbits - m.width)) land ((1 lsl m.width) - 1) in
-    if code = 0 then total
-    else if code > Array.length m.tokens then raise (Corrupt "ALM: bad code")
-    else
-      decoded_length m s pos acc (nbits - m.width)
-        (total + String.length (Array.unsafe_get m.tokens (code - 1)))
-  end
+(* Codes are read from an accumulator: [acc] holds [nbits] unread bits
+   in its low end. It is refilled 48 bits at a time while at most 15
+   bits are unread and 6 bytes are left, which fits in 63 bits, and
+   else a byte at a time (the last bytes, and codes wider than 16
+   bits). Code 0 is padding, and fewer than [width] bits left is the
+   end.
 
-let rec copy_tokens m s out pos acc nbits off =
-  if nbits < m.width then begin
-    if pos < String.length s then
-      copy_tokens m s out (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get s pos)) (nbits + 8) off
-  end
-  else begin
-    let code = (acc lsr (nbits - m.width)) land ((1 lsl m.width) - 1) in
-    if code <> 0 then begin
-      let t = Array.unsafe_get m.tokens (code - 1) in
-      Bytes.unsafe_blit_string t 0 out off (String.length t);
-      copy_tokens m s out pos acc (nbits - m.width) (off + String.length t)
+   The tokens are copied as 8-byte words into a buffer of the decoding
+   domain, and the result is copied out of it at its exact length. A
+   word may run up to 7 bytes past its token: in [flat] into the
+   padding, in the buffer into bytes the next token overwrites. Before
+   each refill the buffer is made to hold all that the refilled
+   accumulator can write: a width is at least 9 bits (every model has
+   the 256 single-byte intervals), so 63 bits hold at most 7 codes, each
+   writing at most [longest] bytes plus the 7 past them. These bounds
+   are why the word copies go unchecked. A result that outgrows the
+   buffer continues in a fresh one twice as large, which is not kept,
+   so the kept buffer stays [scratch_bytes] long. *)
+let get48 s pos =
+  (String.get_uint16_be s pos lsl 32) lor (Int32.to_int (String.get_int32_be s (pos + 2)) land 0xffff_ffff)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let scratch_bytes = 4096
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create scratch_bytes)
+
+let grow out used need =
+  let b = Bytes.create (max need (2 * Bytes.length out)) in
+  Bytes.blit out 0 b 0 used;
+  b
+
+let decompress (m : model) (s : string) : string =
+  let w = m.width and offs = m.offs and flat = m.flat in
+  let mask = (1 lsl w) - 1 and n = String.length s in
+  let room = (7 * m.longest) + 7 in
+  let out = ref (Domain.DLS.get scratch) in
+  let pos = ref 0 and acc = ref 0 and nbits = ref 0 and dst = ref 0 and fin = ref false in
+  while not !fin do
+    if !nbits < w then begin
+      if !dst + room > Bytes.length !out then out := grow !out !dst (!dst + room);
+      if !nbits <= 15 && !pos + 6 <= n then begin
+        acc := (!acc lsl 48) lor get48 s !pos;
+        pos := !pos + 6;
+        nbits := !nbits + 48
+      end
+      else if !pos < n then begin
+        acc := (!acc lsl 8) lor Char.code (String.unsafe_get s !pos);
+        incr pos;
+        nbits := !nbits + 8
+      end
+      else fin := true
     end
-  end
-
-let decompress (m : model) (compressed : string) : string =
-  let out = Bytes.create (decoded_length m compressed 0 0 0 0) in
-  copy_tokens m compressed out 0 0 0 0;
-  Bytes.unsafe_to_string out
+    else begin
+      nbits := !nbits - w;
+      let code = (!acc lsr !nbits) land mask in
+      if code = 0 then fin := true
+      else if code >= Array.length offs then raise (Corrupt "ALM: bad code")
+      else begin
+        let src = Array.unsafe_get offs (code - 1) and d = !dst in
+        let len = Array.unsafe_get offs code - src in
+        let o = !out in
+        set64u o d (get64u flat src);
+        let k = ref 8 in
+        while !k < len do
+          set64u o (d + !k) (get64u flat (src + !k));
+          k := !k + 8
+        done;
+        dst := d + len
+      end
+    end
+  done;
+  Bytes.sub_string !out 0 !dst
 
 let code_width (m : model) = m.width
 
-let code_tokens (m : model) = Array.copy m.tokens
+let code_tokens (m : model) =
+  Array.init (Array.length m.los) (fun i -> String.sub m.flat m.offs.(i) (m.offs.(i + 1) - m.offs.(i)))
+
+let code_bounds (m : model) = Array.copy m.los
 
 (* ------------------------------------------------------------------ *)
 (* Compressed-domain operations                                        *)
 (* ------------------------------------------------------------------ *)
-
-(** Order-preserving: compare compressed values directly. *)
-let compare_compressed (a : string) (b : string) = String.compare a b
 
 (** Compressed bounds for a prefix-wildcard [p*]: ALM being
     order-preserving, matching strings are exactly those in
@@ -376,36 +430,38 @@ let prefix_range (m : model) (prefix : string) : string * string option =
 (* ------------------------------------------------------------------ *)
 
 (* The interval set is a pure function of the token set, so the source
-   model on storage is just the mined (multi-byte) tokens; the 256
-   single-byte tokens are implicit. *)
+   model on storage is just the mined (multi-byte) tokens, in increasing
+   order: a uint16 count, then each token as a length byte and its
+   bytes. The 256 single-byte tokens are implicit. *)
 
-let model_tokens (m : model) : string list =
-  Array.to_list m.tokens
-  |> List.filter (fun t -> String.length t > 1)
-  |> List.sort_uniq String.compare
+let model_tokens (m : model) : string list = Array.to_list m.mined
+
+let model_size (m : model) = Array.fold_left (fun a t -> a + 1 + String.length t) 2 m.mined
 
 let serialize_model (m : model) : string =
-  let buf = Buffer.create 1024 in
-  let tokens = model_tokens m in
-  Buffer.add_uint16_be buf (List.length tokens);
-  List.iter
+  let buf = Buffer.create (model_size m) in
+  Buffer.add_uint16_be buf (Array.length m.mined);
+  Array.iter
     (fun t ->
-      Buffer.add_char buf (Char.chr (String.length t));
+      Buffer.add_uint8 buf (String.length t);
       Buffer.add_string buf t)
-    tokens;
+    m.mined;
   Buffer.contents buf
 
 let deserialize_model (s : string) : model =
-  let pos = ref 0 in
-  let n = (Char.code s.[0] lsl 8) lor Char.code s.[1] in
-  pos := 2;
-  let tokens =
-    List.init n (fun _ ->
-        let len = Char.code s.[!pos] in
-        let v = String.sub s (!pos + 1) len in
-        pos := !pos + 1 + len;
-        v)
-  in
-  of_tokens tokens
-
-let model_size m = String.length (serialize_model m)
+  let corrupt msg = raise (Corrupt ("ALM model: " ^ msg)) in
+  if String.length s < 2 then corrupt "no token count";
+  let n = String.get_uint16_be s 0 in
+  let mined = Array.make n "" in
+  let pos = ref 2 in
+  for i = 0 to n - 1 do
+    if !pos >= String.length s then corrupt "body shorter than its token count";
+    let len = Char.code s.[!pos] in
+    if len < 2 then corrupt "token shorter than 2 bytes";
+    if !pos + 1 + len > String.length s then corrupt "body shorter than its token count";
+    let t = String.sub s (!pos + 1) len in
+    if i > 0 && String.compare mined.(i - 1) t >= 0 then corrupt "tokens not strictly increasing";
+    mined.(i) <- t;
+    pos := !pos + 1 + len
+  done;
+  build mined

@@ -16,10 +16,6 @@ type model
 (** Raised when decompressing bytes no model run produced. *)
 exception Corrupt of string
 
-(** Smallest string strictly greater than every string with prefix [t],
-    or [None] when no such string exists. *)
-val next_prefix : string -> string option
-
 (** [mine_tokens ?max_tokens ?sample_bytes values] is the dictionary
     token list a model is built from, best first. The token set fixes a
     container's compressed bytes, so every rule below is part of the
@@ -47,20 +43,28 @@ val next_prefix : string -> string option
     candidates seen at least 3 times. *)
 val mine_tokens : ?max_tokens:int -> ?sample_bytes:int -> string list -> string list
 
-(** Build a model from an explicit token set (single bytes are always
-    included, guaranteeing total coverage). *)
+(** Build a model from an explicit token set. The 256 single bytes are
+    always included, guaranteeing total coverage; tokens shorter than
+    two bytes and repeats are dropped. The tokens are sorted, and one
+    pass over them, with the single bytes merged in, emits the intervals
+    in code order; each interval ends where the next begins. *)
 val of_tokens : string list -> model
 
 (** Train on container values; the dictionary budget adapts to the
     container size so the source model never dwarfs the data. *)
 val train : ?max_tokens:int -> ?sample_bytes:int -> string list -> model
 
-(** Encode a plaintext value as a code-sequence byte string. *)
+(** Encode a plaintext value as a code-sequence byte string. Each code
+    is found by a binary search of the interval bounds against the rest
+    of the value, compared in place. *)
 val compress : model -> string -> string
 
 (** Invert {!compress}. Raises {!Corrupt} on invalid input. Codes are
-    read from a byte-refilled accumulator, and the result is allocated
-    once, at its exact length. *)
+    read from an accumulator refilled 48 bits at a time, and each code's
+    token is copied, as 8-byte words, from one table of all the tokens
+    into a buffer of the calling domain. The result is copied out of it
+    at its exact length; it is a decode's only allocation unless it
+    nears the buffer's 4 KiB. *)
 val decompress : model -> string -> string
 
 (** Bits per code. *)
@@ -70,23 +74,28 @@ val code_width : model -> int
     (code 0 is padding). A fresh copy. *)
 val code_tokens : model -> string array
 
-(** Order-preserving: compare compressed values directly. *)
-val compare_compressed : string -> string -> int
+(** The inclusive lower bound of each code's interval, in the order of
+    {!code_tokens}; each interval ends at the next one's bound, and the
+    last is unbounded. A fresh copy. *)
+val code_bounds : model -> string array
 
 (** Compressed bounds for a prefix wildcard [p*]: matching values are
     exactly those in [fst, snd) of the result (an extension beyond the
     paper's wild=false classification). *)
 val prefix_range : model -> string -> string * string option
 
-(** The mined (multi-byte) dictionary tokens; the model is a pure
-    function of this list. *)
+(** The mined (multi-byte) dictionary tokens, in increasing order; the
+    model is a pure function of this list. *)
 val model_tokens : model -> string list
 
 (** Serialize the model (its token list) for the repository. *)
 val serialize_model : model -> string
 
-(** Invert {!serialize_model}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!serialize_model}. Raises {!Corrupt} on invalid input: a
+    body shorter than its token count says, a token shorter than 2
+    bytes, or tokens not strictly increasing. *)
 val deserialize_model : string -> model
 
-(** Serialized size in bytes (counted into the repository total). *)
+(** Serialized size in bytes (counted into the repository total),
+    computed from the token lengths. *)
 val model_size : model -> int

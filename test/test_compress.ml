@@ -291,6 +291,214 @@ let test_alm_compresses () =
   Alcotest.(check bool) "smaller than input" true
     (String.length c < String.length big_text)
 
+(* Sizes of a trained, an empty, a hand-built and a text-trained model. *)
+let test_alm_model_size () =
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "model_size = serialized length"
+        (String.length (Alm.serialize_model m)) (Alm.model_size m))
+    [ Lazy.force alm_model; Alm.of_tokens []; Alm.of_tokens [ "the"; "there"; "ir"; "se" ];
+      Alm.train [ big_text ] ]
+
+(* Model bodies no serializer wrote raise [Alm.Corrupt], and so does an
+   image holding one, as [Repository.Corrupt]. *)
+let test_alm_malformed_models () =
+  let bodies =
+    [
+      ("three tokens declared, two present", "\000\003\002ab\002cd");
+      ("last token cut short", "\000\002\002ab\005cd");
+      ("no token count", "\000");
+      ("a one-byte token", "\000\002\001a\002bc");
+      ("an empty token", "\000\001\000");
+      ("tokens out of order", "\000\002\002cd\002ab");
+      ("a repeated token", "\000\002\002ab\002ab");
+    ]
+  in
+  List.iter
+    (fun (name, body) ->
+      match Alm.deserialize_model body with
+      | exception Alm.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" name)
+    bodies;
+  let repo =
+    Xquec_core.Loader.load ~name:"auction.xml" (Xmark.Xmlgen.generate ~seed:1 ~scale:0.05 ())
+  in
+  let image = Storage.Repository.serialize repo in
+  let alm_body =
+    List.find_map
+      (fun (_, m) -> match m with Codec.M_alm a -> Some (Alm.serialize_model a) | _ -> None)
+      (Storage.Repository.models repo)
+    |> Option.get
+  in
+  (* The model record's algorithm name and body, each a varint length
+     and its bytes. *)
+  let record body =
+    let buf = Buffer.create 64 in
+    List.iter
+      (fun s ->
+        Rle.add_varint buf (String.length s);
+        Buffer.add_string buf s)
+      [ "alm"; body ];
+    Buffer.contents buf
+  in
+  let find sub s =
+    let n = String.length sub in
+    let rec go i = if String.sub s i n = sub then i else go (i + 1) in
+    go 0
+  in
+  let at = find (record alm_body) image in
+  let whole = String.length (record alm_body) in
+  List.iter
+    (fun (name, body) ->
+      let damaged =
+        String.sub image 0 at ^ record body
+        ^ String.sub image (at + whole) (String.length image - at - whole)
+      in
+      match Storage.Repository.deserialize damaged with
+      | exception Storage.Repository.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "image, %s: raised %s" name (Printexc.to_string e)
+      | _ -> Alcotest.failf "image, %s: loaded" name)
+    bodies
+
+(* The previous model builder, kept as the oracle for [Alm.of_tokens]:
+   sorts the single bytes into the tokens, walks each token's minimal
+   extensions with a [String.sub] per prefix test, and sorts the
+   intervals, which carry explicit upper bounds ([None] = unbounded). *)
+let oracle_next_prefix t =
+  let rec go i =
+    if i < 0 then None
+    else if t.[i] = '\xff' then go (i - 1)
+    else Some (String.sub t 0 i ^ String.make 1 (Char.chr (Char.code t.[i] + 1)))
+  in
+  go (String.length t - 1)
+
+let oracle_is_prefix ~prefix s =
+  String.length prefix <= String.length s && String.sub s 0 (String.length prefix) = prefix
+
+let oracle_alm_intervals (tokens : string list) : (string * string option * string) array =
+  let all =
+    List.sort_uniq String.compare (List.init 256 (fun i -> String.make 1 (Char.chr i)) @ tokens)
+  in
+  let arr = Array.of_list all in
+  let n = Array.length arr in
+  let intervals = ref [] in
+  for i = 0 to n - 1 do
+    let t = arr.(i) in
+    let exts = ref [] and last_kept = ref None and j = ref (i + 1) and continue = ref true in
+    while !continue && !j < n do
+      let u = arr.(!j) in
+      if oracle_is_prefix ~prefix:t u then begin
+        (match !last_kept with
+        | Some k when oracle_is_prefix ~prefix:k u -> ()
+        | Some _ | None ->
+          exts := u :: !exts;
+          last_kept := Some u);
+        incr j
+      end
+      else continue := false
+    done;
+    let t_hi = oracle_next_prefix t in
+    let lo = ref (Some t) in
+    List.iter
+      (fun u ->
+        (match !lo with
+        | Some lo_s when String.compare lo_s u < 0 -> intervals := (lo_s, Some u, t) :: !intervals
+        | Some _ | None -> ());
+        lo := oracle_next_prefix u)
+      (List.rev !exts);
+    match (!lo, t_hi) with
+    | (Some lo_s, None) -> intervals := (lo_s, None, t) :: !intervals
+    | (Some lo_s, Some h) when String.compare lo_s h < 0 -> intervals := (lo_s, t_hi, t) :: !intervals
+    | _ -> ()
+  done;
+  let arr = Array.of_list !intervals in
+  Array.sort (fun (a, _, _) (b, _, _) -> String.compare a b) arr;
+  arr
+
+(* The previous encoder, kept as the oracle for [Alm.compress]: a binary
+   search of the intervals against a [String.sub] copy of the rest of
+   the value, checked against the interval's upper bound. *)
+let oracle_alm_compress intervals width value =
+  let w = Bitio.Writer.create () in
+  let rec go r =
+    if r <> "" then begin
+      let lo = ref 0 and hi = ref (Array.length intervals - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        let (l, _, _) = intervals.(mid) in
+        if String.compare l r <= 0 then lo := mid else hi := mid - 1
+      done;
+      let (l, h, token) = intervals.(!lo) in
+      if String.compare l r > 0 || (match h with Some h -> String.compare r h >= 0 | None -> false)
+         || not (oracle_is_prefix ~prefix:token r)
+      then failwith "oracle: no covering interval";
+      Bitio.Writer.add_bits w (!lo + 1) width;
+      go (String.sub r (String.length token) (String.length r - String.length token))
+    end
+  in
+  go value;
+  Bitio.Writer.contents w
+
+(* Token lists over small alphabets, so tokens often prefix each other,
+   with runs of '\xff' (which have no successor), every prefix of a few
+   tokens (prefix chains), single bytes, and repeats. *)
+let gen_alm_tokens =
+  QCheck2.Gen.(
+    let alpha = map Char.chr (oneof [ int_range 0 2; int_range 97 99; int_range 253 255; int_bound 255 ]) in
+    let tok = string_size ~gen:alpha (int_range 1 7) in
+    let ff_run = map2 (fun p k -> p ^ String.make k '\xff') (string_size ~gen:alpha (int_range 0 2)) (int_range 1 4) in
+    let one = frequency [ (5, tok); (2, ff_run) ] in
+    map2
+      (fun toks chained ->
+        let chains =
+          List.concat_map (fun t -> List.init (String.length t) (fun i -> String.sub t 0 (i + 1))) chained
+        in
+        toks @ chains @ List.filteri (fun i _ -> i mod 3 = 0) toks)
+      (list_size (int_range 0 40) one) (list_size (int_range 0 4) one))
+
+let prop_alm_builder_oracle =
+  QCheck2.Test.make ~name:"alm builder matches the oracle; intervals tile" ~count:300 gen_alm_tokens
+    (fun tokens ->
+      let m = Alm.of_tokens tokens in
+      let oracle = Array.to_list (oracle_alm_intervals tokens) in
+      let los = Array.to_list (Alm.code_bounds m) in
+      let rec tiles = function
+        | [ (_, None, _) ] -> true
+        | (_, Some h, _) :: ((l, _, _) :: _ as rest) -> h = l && tiles rest
+        | _ -> false
+      in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> String.compare a b < 0 && increasing rest
+        | _ -> true
+      in
+      los = List.map (fun (l, _, _) -> l) oracle
+      && Array.to_list (Alm.code_tokens m) = List.map (fun (_, _, t) -> t) oracle
+      && Alm.code_width m = Bitio.width_for (List.length oracle + 1)
+      && tiles oracle && List.hd los = "\000" && increasing los)
+
+(* Values are random bytes, or runs of the model's own tokens with bytes
+   between them. *)
+let prop_alm_encoder_oracle =
+  let gen =
+    QCheck2.Gen.(
+      gen_alm_tokens >>= fun tokens ->
+      let from_tokens =
+        if tokens = [] then gen_string
+        else
+          map (String.concat "") (list_size (int_range 0 8) (oneof [ oneofl tokens; gen_string ]))
+      in
+      pair (return tokens) (list_size (int_range 1 10) (oneof [ gen_string; from_tokens ])))
+  in
+  QCheck2.Test.make ~name:"alm encoder matches the oracle" ~count:300 gen (fun (tokens, values) ->
+      let m = Alm.of_tokens tokens in
+      let intervals = oracle_alm_intervals tokens in
+      List.for_all
+        (fun v ->
+          let c = Alm.compress m v in
+          c = oracle_alm_compress intervals (Alm.code_width m) v && Alm.decompress m c = v)
+        values)
+
 (* --- Arithmetic --- *)
 
 let prop_arith_order =
@@ -877,23 +1085,53 @@ let test_huffman_concurrent_first_decode () =
 
 (* An ALM model of code width [w]: two-byte tokens [c1 c2] in order, so
    each full first-byte row adds 257 codes and the last row two more
-   than its tokens; [extra] tokens may widen it by one. *)
+   than its tokens; [extra] tokens may widen it by one. Up to width 17. *)
 let alm_model_of_width ?(extra = []) w =
   let n = (1 lsl (w - 1)) - 256 + 4 in
   Alm.of_tokens (List.init n (fun k -> String.init 2 (fun j -> Char.chr (if j = 0 then k / 256 else k mod 256))) @ extra)
 
+(* Width 18, the widest a serialized model's uint16 token count allows:
+   the two-byte tokens [c 2j] leave a gap after each, and 32640 of them
+   get a three-byte child [c 2j 0], which adds its own code and one
+   after it: 2{^17} intervals, so 2{^17} + 1 codes with padding. *)
+let alm_model_of_width_18 () =
+  let row k = Printf.sprintf "%c%c" (Char.chr (k / 128)) (Char.chr (2 * (k mod 128))) in
+  Alm.of_tokens (List.init 32768 row @ List.init 32640 (fun k -> row k ^ "\000"))
+
+(* Every width a model can have: 9 for the single bytes alone, up to 18.
+   The accumulator takes 48 bits at a time up to 16 and bytes above. The
+   widest models go through their serialized form, as an image holds
+   them. A run of '\255' encodes as the top code, whose high bit a
+   refill that overflowed the accumulator would lose. *)
 let test_alm_widths () =
   List.iter
     (fun w ->
-      let m = alm_model_of_width w in
+      let m = if w = 18 then alm_model_of_width_18 () else alm_model_of_width w in
+      let m = if w >= 17 then Alm.deserialize_model (Alm.serialize_model m) else m in
       Alcotest.(check int) (Printf.sprintf "width %d" w) w (Alm.code_width m);
       List.iter
         (fun v ->
           let c = Alm.compress m v in
           Alcotest.(check string) "decompress" v (Alm.decompress m c);
           Alcotest.(check string) "oracle" v (oracle_alm_decompress m c))
-        [ ""; "\000"; "\255\255\255"; "abc"; String.init 256 Char.chr ])
-    [ 9; 10; 11; 12; 13; 14; 15; 16 ]
+        [ ""; "\000"; "\255\255\255"; "abc"; String.init 256 Char.chr;
+          String.init 10_000 (fun i -> Char.chr (i * 7 mod 256)); String.make 64 '\255' ])
+    [ 9; 10; 11; 12; 13; 14; 15; 16; 17; 18 ]
+
+(* Each domain decodes into its own buffer: four domains decoding at
+   once, values long enough to outgrow it among them, all agree. *)
+let test_alm_concurrent_decode () =
+  let values = List.init 300 (fun i -> Printf.sprintf "value %d %s" i (String.make (i * 23) 'q')) in
+  let m = Alm.train values in
+  let codes = List.map (Alm.compress m) values in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            List.for_all (fun _ -> List.for_all2 (fun c v -> Alm.decompress m c = v) codes values)
+              (List.init 20 Fun.id)))
+  in
+  Alcotest.(check (list bool)) "every domain decodes every value" [ true; true; true; true ]
+    (List.map Domain.join domains)
 
 let prop_alm_oracle =
   let gen =
@@ -970,6 +1208,10 @@ let suites =
         Alcotest.test_case "prefix range extension" `Quick test_alm_prefix_range;
         Alcotest.test_case "model serialization" `Quick test_alm_model_serial;
         Alcotest.test_case "actually compresses" `Quick test_alm_compresses;
+        Alcotest.test_case "model size from token lengths" `Quick test_alm_model_size;
+        Alcotest.test_case "malformed models are Corrupt" `Quick test_alm_malformed_models;
+        QCheck_alcotest.to_alcotest prop_alm_builder_oracle;
+        QCheck_alcotest.to_alcotest prop_alm_encoder_oracle;
         QCheck_alcotest.to_alcotest
           (prop_roundtrip "alm" gen_string Alm.train Alm.compress Alm.decompress);
         QCheck_alcotest.to_alcotest prop_alm_order;
@@ -1035,7 +1277,8 @@ let suites =
           test_huffman_rejects_lengths;
         Alcotest.test_case "huffman first decode on 4 domains" `Quick
           test_huffman_concurrent_first_decode;
-        Alcotest.test_case "alm widths 9-16" `Quick test_alm_widths;
+        Alcotest.test_case "alm widths 9-18" `Quick test_alm_widths;
+        Alcotest.test_case "alm decode on 4 domains" `Quick test_alm_concurrent_decode;
         QCheck_alcotest.to_alcotest prop_alm_oracle;
         Alcotest.test_case "xmark image values match the oracles" `Quick
           test_image_values_oracle;
