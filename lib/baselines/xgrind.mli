@@ -8,8 +8,6 @@ type t
 
 val compress : string -> t
 
-val compressed_size : t -> int
-
 val compression_factor : t -> float
 
 type event =
@@ -19,8 +17,6 @@ type event =
 
 (** Scan the whole compressed stream (the fixed top-down strategy). *)
 val scan : t -> f:(event -> unit) -> unit
-
-val decompress_value : t -> int -> string -> string
 
 (** Exact-match query in the compressed domain: text values at
     [target_path] whose sibling value at [pred_path] equals [value];

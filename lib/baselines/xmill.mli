@@ -7,8 +7,6 @@ type t
 
 val compress : string -> t
 
-val compressed_size : t -> int
-
 val compression_factor : t -> float
 
 (** Full decompression — the only way to read an XMill archive.

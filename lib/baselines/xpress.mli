@@ -8,19 +8,12 @@ type t
 
 val compress : string -> t
 
-val compressed_size : t -> int
-
 val compression_factor : t -> float
-
-(** RAE interval for a (suffix) path, or [None] for unknown tags. *)
-val path_interval : t -> string list -> (float * float) option
 
 type event =
   | Start of string * float  (** tag, quantized path-interval minimum *)
   | End of string
   | Value of string * string  (** name, compressed code *)
-
-val scan : t -> f:(event -> unit) -> unit
 
 (** Path query with an optional numeric range predicate on the matched
     element's value — XPRESS's headline capability. *)

@@ -8,20 +8,6 @@ type model
 (** Raised when decompressing bytes no model run produced. *)
 exception Corrupt of string
 
-(** 257: the 256 byte values plus the end-of-string symbol. *)
-val symbol_count : int
-
-(** Phase 1 of the algorithm: the combination procedure; returns the
-    depth of each leaf in the optimal alphabetic tree. *)
-val combine : int array -> int array
-
-(** Rebuild an alphabetic prefix code from a valid depth sequence. *)
-val alphabetic_codes : int array -> int array
-
-(** Build a model from per-symbol code lengths ({!symbol_count}
-    entries). *)
-val of_lengths : int array -> model
-
 (** Model from the byte frequencies of the training values. *)
 val train : string list -> model
 

@@ -18,10 +18,6 @@ exception Corrupt of string
 (** 256 byte symbols + the end-of-string symbol. *)
 val symbol_count : int
 
-(** Optimal code lengths for a frequency table of {!symbol_count}
-    entries (two-queue method). *)
-val code_lengths : int array -> int array
-
 (** Build a canonical-code model from code lengths. Raises {!Corrupt}
     when the lengths cannot form a prefix code (their Kraft sum exceeds
     1) or one exceeds {!max_code_len}. *)

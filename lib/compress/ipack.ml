@@ -110,10 +110,6 @@ let pack_exact (m : model) (f : float) : string option =
   if Float.is_integer scaled && scaled >= 0.0 then Some (pack_u63 (int_of_float scaled))
   else None
 
-(** Numeric value of a packed code. *)
-let to_float (m : model) (packed : string) : float =
-  float_of_int (unpack_u63 packed) /. float_of_int (scale_of m)
-
 (* ------------------------------------------------------------------ *)
 (* Delta + varint sequence packing                                     *)
 (* ------------------------------------------------------------------ *)

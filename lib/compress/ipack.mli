@@ -39,9 +39,6 @@ val pack_bound : model -> dir:[ `Ceil | `Floor ] -> float -> string
 (** Packed code equal to the constant, when exactly representable. *)
 val pack_exact : model -> float -> string option
 
-(** Numeric value of a packed code. *)
-val to_float : model -> string -> float
-
 (** {2 Delta + varint sequence packing}
 
     Generic helpers for packing integer sequences as consecutive
@@ -49,13 +46,6 @@ val to_float : model -> string -> float
     the packed structure-tree format: sequences whose neighbours are
     close — child-entry codes, ascending record indices — shrink to
     one byte per element regardless of magnitude. *)
-
-(** Zigzag-map an integer so small magnitudes of either sign get small
-    varints (0→0, −1→1, 1→2, −2→3, …). *)
-val zigzag : int -> int
-
-(** Invert {!zigzag}. *)
-val unzigzag : int -> int
 
 (** [add_deltas buf xs] appends [|xs|] as a varint, then each element as
     the zigzag varint of its difference from the previous one. *)

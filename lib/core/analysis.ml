@@ -88,16 +88,7 @@ let join_conjunct ~(left_vars : Sset.t) ~(right_vars : Sset.t) ~(outer : Sset.t)
     let only vars outer s = (not (Sset.is_empty (Sset.inter s vars))) && Sset.subset s (Sset.union vars outer) in
     if only left_vars outer fa && only right_vars outer fb then Some (op, a, b)
     else if only left_vars outer fb && only right_vars outer fa then
-      Some
-        ( (match op with
-          | Ast.Eq -> Ast.Eq
-          | Ast.Neq -> Ast.Neq
-          | Ast.Lt -> Ast.Gt
-          | Ast.Le -> Ast.Ge
-          | Ast.Gt -> Ast.Lt
-          | Ast.Ge -> Ast.Le),
-          b,
-          a )
+      Some (Ast.flip op, b, a)
     else None
   | _ -> None
 

@@ -220,9 +220,9 @@ let predicate_cost (t : t) (config : configuration) (p : Workload.predicate) : f
     in
     if in_domain then 0.0 else decompress_all ids
 
-(** Total cost of a configuration. *)
-let cost (t : t) (config : configuration) : float =
-  Xquec_obs.Metrics.incr "cost_model.evaluations";
+type cost_breakdown = { storage : float; model : float; decompression : float; total : float }
+
+let breakdown (t : t) (config : configuration) : cost_breakdown =
   let storage, model =
     List.fold_left
       (fun (s, m) (ids, alg) ->
@@ -234,9 +234,20 @@ let cost (t : t) (config : configuration) : float =
     List.fold_left (fun acc p -> acc +. predicate_cost t config p) 0.0
       t.workload.Workload.predicates
   in
-  (t.weights.w_storage *. storage)
-  +. (t.weights.w_model *. model)
-  +. (t.weights.w_decompression *. decompression)
+  {
+    storage;
+    model;
+    decompression;
+    total =
+      (t.weights.w_storage *. storage)
+      +. (t.weights.w_model *. model)
+      +. (t.weights.w_decompression *. decompression);
+  }
+
+(** Total cost of a configuration. *)
+let cost (t : t) (config : configuration) : float =
+  Xquec_obs.Metrics.incr "cost_model.evaluations";
+  (breakdown t config).total
 
 (* ------------------------------------------------------------------ *)
 (* Block-interval join estimation (header-only)                        *)
@@ -342,27 +353,3 @@ let prefer_block_join (ests : block_join_estimate list) ~(tuples : int) : bool =
   in
   let hash_cost = right_total + probe_cost in
   block_cost <= hash_cost
-
-type cost_breakdown = { storage : float; model : float; decompression : float; total : float }
-
-let breakdown (t : t) (config : configuration) : cost_breakdown =
-  let storage, model =
-    List.fold_left
-      (fun (s, m) (ids, alg) ->
-        let (s', m') = estimate_set t ids alg in
-        (s +. s', m +. m'))
-      (0.0, 0.0) config.sets
-  in
-  let decompression =
-    List.fold_left (fun acc p -> acc +. predicate_cost t config p) 0.0
-      t.workload.Workload.predicates
-  in
-  {
-    storage;
-    model;
-    decompression;
-    total =
-      (t.weights.w_storage *. storage)
-      +. (t.weights.w_model *. model)
-      +. (t.weights.w_decompression *. decompression);
-  }

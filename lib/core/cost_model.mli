@@ -30,10 +30,6 @@ val create : ?weights:weights -> Repository.t -> Workload.t -> t
     sampled ones. *)
 val estimate_set : t -> int list -> Compress.Codec.algorithm -> float * float
 
-(** 0 when the predicate runs in the compressed domain under the
-    configuration, else record counts weighted by d_c. *)
-val predicate_cost : t -> configuration -> Workload.predicate -> float
-
 (** Total weighted cost of a configuration (lower is better). *)
 val cost : t -> configuration -> float
 

@@ -195,7 +195,6 @@ let restore (data : string) : t = { repo = Repository.deserialize data; partitio
 (** Reconstruct the full document from the compressed repository (the
     decompressor direction). *)
 let to_document (t : t) : Xmlkit.Tree.document =
-  let ctx = Executor.mk_ctx t.repo in
-  { Xmlkit.Tree.root = Executor.reconstruct ctx 0 }
+  { Xmlkit.Tree.root = Value_access.reconstruct (Exec_base.mk_ctx t.repo) 0 }
 
 let to_xml ?indent (t : t) : string = Xmlkit.Printer.to_string ?indent (to_document t)

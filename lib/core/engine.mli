@@ -22,10 +22,6 @@ val repo : t -> Storage.Repository.t
     [Xquery.Parser.Syntax_error] on malformed input). *)
 val parse_query : string -> Xquery.Ast.expr
 
-(** MD5 hex of the query text — the query log's [query_hash] and the
-    {!Plan_cache} key, computed in one place so they cannot drift. *)
-val query_hash : string -> string
-
 (** Parse through the process-wide {!Plan_cache}: the (possibly
     cached) immutable AST plus how the lookup resolved
     ({!Plan_cache.Bypass} while the cache capacity is 0). Parse errors

@@ -1,26 +1,23 @@
 (** XQueC query executor (§4): evaluates the XQuery subset directly over
-    the compressed repository.
-
-    Paths resolve against the structure summary; value predicates push
-    into containers. Every comparison follows one rule, the reference
-    engine's: as numbers when both sides parse as numbers, otherwise as
-    strings. Compressed codes replace values only where one check says
-    they decide the comparison exactly: the containers share a source
-    model whose codec supports the comparison class, and a constant
-    compares the way the codes order (a number against a numeric-packed
-    container, a non-number against any other); a predicate codes
-    cannot decide scans and compares decompressed values. Uncorrelated
-    FOR/LET sources evaluate once; paths rooted at a FOR variable
-    evaluate once for all of its bindings, by a pre-order interval
-    merge over the summary; value joins hash/probe compressed codes
-    when both sides share a source model; single-conjunct-correlated
-    nested FLWORs (the XMark Q8/Q9/Q10 pattern) decorrelate into
-    build-once join tables; values decompress only on output. *)
+    the compressed repository. This module is the recursive core; §4's
+    physical operators are modules of their own:
+    {!Summary_access} (StructureSummaryAccess: paths resolve against the
+    summary, and paths rooted at a FOR variable evaluate once for all of
+    its bindings, by a pre-order interval merge), {!Cont_access}
+    (ContAccess: value predicates push into containers, on codes only
+    where one check says codes decide the comparison exactly, else on
+    decompressed values, compared as numbers when both sides parse as
+    numbers and as strings otherwise), {!Value_join} (hash joins and
+    block merge joins on codes when both sides share a source model;
+    single-conjunct-correlated nested FLWORs, the XMark Q8/Q9/Q10
+    pattern, decorrelate into build-once join tables) and
+    {!Value_access} (values decompress only on output); {!Exec_base}
+    holds what they share. Uncorrelated FOR/LET sources evaluate once. *)
 
 open Storage
 
 (** A result item. Values stay compressed ([Cval]) until serialization. *)
-type item =
+type item = Exec_base.item =
   | Node of int  (** structure-tree node id *)
   | Cval of { cont : Container.t; code : string }  (** compressed value *)
   | Att of string * item  (** attribute node: name + value *)
@@ -28,13 +25,6 @@ type item =
   | Num of float
   | Bool of bool
   | Elem of Xmlkit.Tree.t  (** constructed element *)
-
-(** Evaluation context: the repository and, under {!run_profiled},
-    the EXPLAIN profile being built. *)
-type ctx
-
-(** A plain evaluation context (no profile attached). *)
-val mk_ctx : Repository.t -> ctx
 
 (** Raised on semantic errors (unknown document, unbound variable, type
     mismatch in a comparison, …). *)
@@ -64,11 +54,6 @@ val run_profiled : Repository.t -> Xquery.Ast.expr -> item list * Xquec_obs.Expl
     tail of every plan (§4, Fig. 5). *)
 val serialize : Repository.t -> item list -> string
 
-(** {2 Value access} *)
-
-(** Reconstruct the XML subtree rooted at a node id. *)
-val reconstruct : ctx -> int -> Xmlkit.Tree.t
-
 (** {2 Block-interval merge join}
 
     The compressed-domain join fast path: when both key sides of an
@@ -82,7 +67,7 @@ val reconstruct : ctx -> int -> Xmlkit.Tree.t
     accumulate with telemetry off, like the buffer-pool stats):
     executions, blocks decoded, blocks skipped from headers alone, and
     the stored payload bytes those skipped blocks would have read. *)
-type join_stats = {
+type join_stats = Value_join.join_stats = {
   j_block_joins : int;
   j_blocks_probed : int;
   j_blocks_skipped : int;

@@ -90,8 +90,6 @@ let set_capacity (n : int) : unit =
           evict_tail ()
         done)
 
-let capacity () : int = with_lock (fun () -> cache.capacity)
-
 let clear () : unit = with_lock clear_locked
 
 let reset_stats () : unit =

@@ -15,9 +15,6 @@ type lookup = Hit | Miss | Bypass
     entries immediately; 0 disables and empties the cache. *)
 val set_capacity : int -> unit
 
-(** Current maximum entry count (0 = disabled). *)
-val capacity : unit -> int
-
 (** Drop every entry (capacity and cumulative stats are kept). For
     tests, and for operators after changing the repository under a
     running server — see docs/SERVING.md, "Invalidation". *)

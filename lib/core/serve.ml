@@ -208,21 +208,11 @@ let budget_json () : (string * Json.t) list =
 (* --- watchdog tick: signals + alert evaluation ----------------------- *)
 
 (* Per-tick rate signals are deltas of cumulative counters between
-   consecutive ticks; this record remembers the previous readings.
-   Only the (single) ticker thread and tests touch it, but a mutex
-   keeps a test-driven tick racing a live ticker harmless. *)
-type tick_prev = {
-  mutable p_queries : int;
-  mutable p_errors : int;
-  mutable p_trips : int;
-  mutable p_pc_hits : int;
-  mutable p_pc_misses : int;
-  mutable p_bp_hits : int;
-  mutable p_bp_misses : int;
-}
-
-let tick_prev = { p_queries = 0; p_errors = 0; p_trips = 0; p_pc_hits = 0; p_pc_misses = 0;
-                  p_bp_hits = 0; p_bp_misses = 0 }
+   consecutive ticks; this holds the previous readings (of
+   [tick_readings]). Only the (single) ticker thread and tests touch
+   it, but a mutex keeps a test-driven tick racing a live ticker
+   harmless. *)
+let tick_prev = ref (0, 0, 0, 0, 0, 0, 0)
 
 let tick_mutex = Mutex.create ()
 
@@ -243,14 +233,7 @@ let tick_readings () =
    window. Called by [start_watchdog] and test setup. *)
 let watch_tick_reset () =
   Mutex.lock tick_mutex;
-  let q, e, tr, pch, pcm, bph, bpm = tick_readings () in
-  tick_prev.p_queries <- q;
-  tick_prev.p_errors <- e;
-  tick_prev.p_trips <- tr;
-  tick_prev.p_pc_hits <- pch;
-  tick_prev.p_pc_misses <- pcm;
-  tick_prev.p_bp_hits <- bph;
-  tick_prev.p_bp_misses <- bpm;
+  tick_prev := tick_readings ();
   Mutex.unlock tick_mutex
 
 (* This tick's named signal readings for the alert engine. A signal
@@ -260,20 +243,15 @@ let watch_tick_reset () =
    signals. *)
 let watch_signals (st : Watch.status) : (string * float) list =
   Mutex.lock tick_mutex;
-  let q, e, tr, pch, pcm, bph, bpm = tick_readings () in
-  let d_requests = q - tick_prev.p_queries + (e - tick_prev.p_errors) in
-  let d_trips = tr - tick_prev.p_trips in
-  let d_pc_hits = pch - tick_prev.p_pc_hits in
-  let d_pc_look = d_pc_hits + (pcm - tick_prev.p_pc_misses) in
-  let d_bp_hits = bph - tick_prev.p_bp_hits in
-  let d_bp_look = d_bp_hits + (bpm - tick_prev.p_bp_misses) in
-  tick_prev.p_queries <- q;
-  tick_prev.p_errors <- e;
-  tick_prev.p_trips <- tr;
-  tick_prev.p_pc_hits <- pch;
-  tick_prev.p_pc_misses <- pcm;
-  tick_prev.p_bp_hits <- bph;
-  tick_prev.p_bp_misses <- bpm;
+  let ((q, e, tr, pch, pcm, bph, bpm) as now) = tick_readings () in
+  let q0, e0, tr0, pch0, pcm0, bph0, bpm0 = !tick_prev in
+  let d_requests = q - q0 + (e - e0) in
+  let d_trips = tr - tr0 in
+  let d_pc_hits = pch - pch0 in
+  let d_pc_look = d_pc_hits + (pcm - pcm0) in
+  let d_bp_hits = bph - bph0 in
+  let d_bp_look = d_bp_hits + (bpm - bpm0) in
+  tick_prev := now;
   Mutex.unlock tick_mutex;
   let ratio num den = float_of_int num /. float_of_int den in
   (match st.Watch.w_drift with Some d -> [ ("drift", d) ] | None -> [])

@@ -129,11 +129,6 @@ val stop_watchdog : unit -> unit
     the server start time (uptime baseline). *)
 val set_server_info : ?format:string -> unit -> unit
 
-(** The [GET /healthz] readiness payload: [{status:"ok", uptime_s,
-    format, workers, inflight, watchdog:{enabled,ticks,
-    last_tick_unix}}]. *)
-val healthz_json : unit -> Xquec_obs.Json.t
-
 (** Evaluate one query exactly as the [/query] route does (trim,
     compile through the plan cache, arm budgets, log, observe the SLO
     window) and produce the HTTP response. Exposed for tests. *)

@@ -58,8 +58,6 @@ let log_path : string option ref = ref None
 let recent_cap = 64
 let recent_ring : transition list ref = ref [] (* newest first, capped *)
 
-let rules () = with_lock @@ fun () -> List.map (fun s -> s.st_rule) !states
-
 let set_rules rs =
   with_lock (fun () ->
       states :=

@@ -53,9 +53,6 @@ type transition = {
     configured rules are visible on [/metrics] before anything fires. *)
 val set_rules : rule list -> unit
 
-(** The installed rules. *)
-val rules : unit -> rule list
-
 (** Set (or clear) the JSONL alert-log path. Transitions append
     [{ts,unix,rule,event,value,threshold}] lines; write failures are
     swallowed — alerting must never take the server down. *)
@@ -74,9 +71,6 @@ val active : unit -> (string * float) list
 
 (** Recent transitions, newest first (bounded ring). *)
 val recent : unit -> transition list
-
-(** A transition as its alert-log JSON object. *)
-val transition_json : transition -> Json.t
 
 (** The [GET /alerts] payload: every rule with its configuration and
     live state, the active subset, and the recent transition ring. *)

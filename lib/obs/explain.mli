@@ -39,9 +39,6 @@ type t = { root : node; mutable stack : node list }
 (** Fresh profile whose root operator is labelled [op]. *)
 val create : ?attrs:(string * string) list -> string -> t
 
-(** The innermost open operator (the root if none is open). *)
-val current : t -> node
-
 (** Run [f] as a child operator of the current node; [f] receives the
     fresh node so it can set rows / attach attributes. Wall time is
     inclusive of children. *)
@@ -77,9 +74,6 @@ val set_cache :
     return the tree. *)
 val finish : t -> wall_us:float -> rows:int -> node
 
-(** A node's children in evaluation order. *)
-val children : node -> node list
-
 (** Pre-order fold over a plan tree. *)
 val fold : ('a -> node -> 'a) -> 'a -> node -> 'a
 
@@ -109,9 +103,6 @@ val strategy : node -> string list
     totals line. *)
 val report : node -> string
 
-(** The tree as JSON (one object per node, children nested). *)
-val to_json : node -> Json.t
-
 (** Compact single-line plan shape built from operator kinds, e.g.
     ["root(step(step,predicate))"] — a stable fingerprint for grouping
     query-log records by plan. *)
@@ -119,5 +110,5 @@ val shape : node -> string
 
 (** Compact per-operator profile for the query log: one object per
     node with only op/kind/rows/wall_ms/cmp counts (children nested),
-    an order of magnitude smaller than {!to_json}. *)
+    a fraction of the size of the full node record. *)
 val summary_json : node -> Json.t

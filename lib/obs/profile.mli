@@ -90,10 +90,6 @@ val agg_merge : into:agg -> agg -> unit
     containers sorted by path). The accumulator stays usable. *)
 val agg_fingerprint : agg -> fingerprint
 
-(** Decompose one parsed query-log record into {!agg_add} inputs
-    (entries without a ["container"] field are dropped). *)
-val record_observations : Json.t -> obs list * (string * int) list
-
 (** Aggregate parsed query-log records into a fingerprint. *)
 val of_records : Json.t list -> fingerprint
 

@@ -173,15 +173,6 @@ let with_span ?(attrs = []) ~name (f : unit -> 'a) : 'a =
       raise e
   end
 
-(** Record an instantaneous event (chrome-trace "instant"). *)
-let event ?(attrs = []) name =
-  if !Control.enabled then begin
-    let s = my_sink () in
-    record s
-      { name; attrs; start_us = now_us () -. epoch_us; dur_us = 0.0; depth = s.depth;
-        tid = s.s_tid; instant = true }
-  end
-
 (* --- export -------------------------------------------------------- *)
 
 let span_to_json (s : span) : Json.t =

@@ -57,9 +57,6 @@ val dropped : unit -> int
     A no-op passthrough while the global switch is off. *)
 val with_span : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 
-(** Record an instantaneous event (chrome-trace "instant"). *)
-val event : ?attrs:(string * string) list -> string -> unit
-
 (** Every domain's buffer in chrome-trace format, with thread-name
     metadata events so Perfetto labels the main domain and each
     worker. *)

@@ -517,14 +517,17 @@ let pruned_payload_bytes (t : t) ~(b0 : int) ~(b1 : int) : int =
     t.blocks;
   !total
 
-(* Report the blocks outside [b0, b1] as header-skipped, to the pool
-   (global counters) and, per container, to the heat table and the
-   query's ledger. *)
-let note_pruned (t : t) ~(b0 : int) ~(b1 : int) (blocks : int) : unit =
-  let bytes = pruned_payload_bytes t ~b0 ~b1 in
+(* Report [blocks] of [t], [bytes] of stored payload, as skipped from
+   headers alone: to the pool (global counters) and, per container, to
+   the heat table and the query's ledger. *)
+let note_skipped (t : t) ~(blocks : int) ~(bytes : int) : unit =
   Buffer_pool.note_skipped ~bytes blocks;
   Xquec_obs.Heat.note_skip ~uid:t.uid ~blocks ~bytes;
   Xquec_obs.Ledger.note_container_skip ~uid:t.uid ~label:t.path ~blocks ~bytes
+
+(* Report the blocks outside [b0, b1] as header-skipped. *)
+let note_pruned (t : t) ~(b0 : int) ~(b1 : int) (blocks : int) : unit =
+  note_skipped t ~blocks ~bytes:(pruned_payload_bytes t ~b0 ~b1)
 
 type bound = [ `Incl of string | `Excl of string ]
 

@@ -235,6 +235,13 @@ val block_of_index : t -> int -> int
     [`Excl c] does not. *)
 type bound = [ `Incl of string | `Excl of string ]
 
+(** Account [blocks] blocks of the container, [bytes] bytes of stored
+    payload, as skipped from headers alone: to the buffer pool's
+    [blocks_skipped]/[payload_skipped], the container's heat row and
+    the calling domain's ledger. Every access path that prunes blocks
+    (an interval lookup, a block merge join) reports through it. *)
+val note_skipped : t -> blocks:int -> bytes:int -> unit
+
 (** ContAccess with an interval criterion on compressed codes: the
     records whose code is at or above [lo] and at or below [hi], each
     bound inclusive or exclusive ([None] = unbounded), in record order.

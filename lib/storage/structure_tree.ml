@@ -326,7 +326,9 @@ let with_parents_checked (t : t) (parents : int array) : t =
     parents;
   t
 
-let deserialize_v2 (s : string) (pos : int) : t * int =
+(* The per-node loop both formats share; [read_lists s pos] reads one
+   node's child-entry codes and value record indices. *)
+let deserialize_records read_lists (s : string) (pos : int) : t * int =
   let read_varint = Compress.Rle.read_varint in
   let (n, pos) = read_varint s pos in
   let tags = Array.make n 0 in
@@ -337,43 +339,7 @@ let deserialize_v2 (s : string) (pos : int) : t * int =
   for id = 0 to n - 1 do
     let (tag, p) = read_varint s !pos in
     let (pdelta, p) = read_varint s p in
-    let (nk, p) = read_varint s p in
-    let p = ref p in
-    let kids =
-      Array.init nk (fun _ ->
-          let (d, np) = read_varint s !p in
-          p := np;
-          if d land 1 = 0 then id + (d / 2) else -((d + 1) / 2))
-    in
-    let (nv, np) = read_varint s !p in
-    p := np;
-    let vals =
-      Array.init nv (fun _ ->
-          let (idx, np) = read_varint s !p in
-          p := np;
-          (-1, idx))
-    in
-    tags.(id) <- tag;
-    parents.(id) <- id - pdelta;
-    children.(id) <- kids;
-    values.(id) <- vals;
-    pos := !p
-  done;
-  (with_parents_checked (of_arrays ~tags ~children ~values) parents, !pos)
-
-let deserialize_v3 (s : string) (pos : int) : t * int =
-  let read_varint = Compress.Rle.read_varint in
-  let (n, pos) = read_varint s pos in
-  let tags = Array.make n 0 in
-  let parents = Array.make n 0 in
-  let children = Array.make n [||] in
-  let values = Array.make n [||] in
-  let pos = ref pos in
-  for id = 0 to n - 1 do
-    let (tag, p) = read_varint s !pos in
-    let (pdelta, p) = read_varint s p in
-    let (codes, p) = Compress.Ipack.read_deltas s p in
-    let (idxs, p) = Compress.Ipack.read_deltas s p in
+    let (codes, idxs, p) = read_lists s p in
     tags.(id) <- tag;
     parents.(id) <- id - pdelta;
     children.(id) <-
@@ -382,6 +348,30 @@ let deserialize_v3 (s : string) (pos : int) : t * int =
     pos := p
   done;
   (with_parents_checked (of_arrays ~tags ~children ~values) parents, !pos)
+
+let deserialize_v2 =
+  (* a count, then that many plain varints *)
+  let read_list s pos =
+    let (k, pos) = Compress.Rle.read_varint s pos in
+    let p = ref pos in
+    let a =
+      Array.init k (fun _ ->
+          let (v, np) = Compress.Rle.read_varint s !p in
+          p := np;
+          v)
+    in
+    (a, !p)
+  in
+  deserialize_records (fun s pos ->
+      let (codes, pos) = read_list s pos in
+      let (idxs, pos) = read_list s pos in
+      (codes, idxs, pos))
+
+let deserialize_v3 =
+  deserialize_records (fun s pos ->
+      let (codes, pos) = Compress.Ipack.read_deltas s pos in
+      let (idxs, pos) = Compress.Ipack.read_deltas s pos in
+      (codes, idxs, pos))
 
 (** Forward-only tree bytes for the essential-size experiment: shape
     bits, tag levels and text-marker info, without parent support or

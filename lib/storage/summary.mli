@@ -19,9 +19,6 @@ type t = { root : node }
 (** Fresh summary holding only the root. *)
 val create : unit -> t
 
-(** Detached node for path [path] with tag code [tag]. *)
-val make_node : tag:int -> path:string -> node
-
 (** Child of the node with the given tag code, created (with path
     extended by [name]) if absent. *)
 val child_or_create : node -> tag:int -> name:string -> node
@@ -52,9 +49,6 @@ val match_steps : ?is_attr:(int -> bool) -> t -> step list -> node list
 
 (** Document-order ids reachable through any of the given nodes. *)
 val merged_ids : node list -> int array
-
-(** Fold over all summary nodes, pre-order. *)
-val fold : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 (** Number of summary nodes (distinct paths, root included). *)
 val node_count : t -> int

@@ -3,21 +3,11 @@
 (** Generator state (mutable; never zero internally). *)
 type t
 
-(** [create ?seed ()] seeds a fresh generator; the default seed is
-    fixed, so equal seeds always reproduce the same stream. *)
-val create : ?seed:int64 -> unit -> t
-
-(** [of_int n] is [create ~seed:(Int64.of_int n) ()]. *)
+(** A generator seeded with [n]; equal seeds reproduce the same stream. *)
 val of_int : int -> t
-
-(** Next raw 64-bit state advance (the other draws derive from it). *)
-val next : t -> int64
 
 (** Uniform int in [0, bound). *)
 val int : t -> int -> int
-
-(** [float t bound] is a uniform float in [0, bound). *)
-val float : t -> float -> float
 
 (** Fair coin flip. *)
 val bool : t -> bool

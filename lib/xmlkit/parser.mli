@@ -3,5 +3,3 @@
 exception Malformed of string * int
 
 val parse_string : string -> Tree.document
-
-val parse_file : string -> Tree.document

@@ -52,11 +52,3 @@ let of_document (doc : Tree.document) =
     markup_bytes = serialized_bytes - !text_bytes;
     serialized_bytes;
   }
-
-let pp ppf st =
-  Fmt.pf ppf
-    "elements=%d attributes=%d text_nodes=%d distinct_tags=%d max_depth=%d \
-     text_bytes=%d serialized_bytes=%d value_share=%.1f%%"
-    st.elements st.attributes st.text_nodes st.distinct_tags st.max_depth
-    st.text_bytes st.serialized_bytes
-    (100.0 *. value_share st)

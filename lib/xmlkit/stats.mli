@@ -15,5 +15,3 @@ type t = {
 val value_share : t -> float
 
 val of_document : Tree.document -> t
-
-val pp : Format.formatter -> t -> unit

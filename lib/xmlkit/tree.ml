@@ -8,11 +8,9 @@ type t =
 (** A document is a root element (prolog/PIs/comments are dropped at parse). *)
 type document = { root : t }
 
-let element ?(attrs = []) tag children = Element (tag, attrs, children)
 let text s = Text s
 
 let tag = function Element (t, _, _) -> Some t | Text _ -> None
-let attrs = function Element (_, a, _) -> a | Text _ -> []
 let children = function Element (_, _, c) -> c | Text _ -> []
 
 let attr node name =
@@ -38,21 +36,12 @@ let immediate_text node =
     List.iter add kids;
     Buffer.contents buf
 
-let children_with_tag node name =
-  let keep = function
-    | Element (t, _, _) -> String.equal t name
-    | Text _ -> false
-  in
-  List.filter keep (children node)
-
 (** Pre-order fold over all nodes (elements and text). *)
 let rec fold f acc node =
   let acc = f acc node in
   match node with
   | Text _ -> acc
   | Element (_, _, kids) -> List.fold_left (fold f) acc kids
-
-let iter f node = fold (fun () n -> f n) () node
 
 (** All descendant-or-self elements with the given tag, document order. *)
 let descendants_with_tag node name =
@@ -75,13 +64,3 @@ let rec equal a b =
     && List.length k = List.length k'
     && List.for_all2 equal k k'
   | Text _, Element _ | Element _, Text _ -> false
-
-let rec pp ppf node =
-  match node with
-  | Text s -> Fmt.pf ppf "Text %S" s
-  | Element (t, a, k) ->
-    Fmt.pf ppf "@[<2>Element %s %a@ %a@]" t
-      Fmt.(list ~sep:sp (pair ~sep:(any "=") string string))
-      a
-      Fmt.(brackets (list ~sep:semi pp))
-      k

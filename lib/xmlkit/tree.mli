@@ -7,13 +7,9 @@ type t =
 
 type document = { root : t }
 
-val element : ?attrs:(string * string) list -> string -> t list -> t
-
 val text : string -> t
 
 val tag : t -> string option
-
-val attrs : t -> (string * string) list
 
 val children : t -> t list
 
@@ -27,15 +23,6 @@ val text_content : t -> string
 (** Immediate text children only. *)
 val immediate_text : t -> string
 
-val children_with_tag : t -> string -> t list
-
-(** Pre-order fold over all nodes. *)
-val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-
-val iter : (t -> unit) -> t -> unit
-
 val descendants_with_tag : t -> string -> t list
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

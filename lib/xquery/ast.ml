@@ -13,6 +13,15 @@ type node_test =
 
 type cmp_op = Eq | Neq | Lt | Le | Gt | Ge
 
+(* The operator with its sides swapped: [a op b] iff [b (flip op) a]. *)
+let flip = function
+  | Eq -> Eq
+  | Neq -> Neq
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+
 type arith_op = Add | Sub | Mul | Div | Mod
 
 type aggregate = Count | Sum | Avg | Min | Max

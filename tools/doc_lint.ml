@@ -45,7 +45,15 @@
    and .mli under lib/): a [{!Module.name}] by the `Module.name` rule
    above, a bare [{!name}] against the citing file's own module (or, if
    capitalized, a lib module), so a doc comment cannot cite a deleted
-   name either. *)
+   name either.
+
+   Export mode (`--exports ALLOW`): every top-level `val` of a lib/
+   interface must be used by another compilation unit under lib/, bin/,
+   bench/ or tools/ (as `Module.name`, or unqualified in a unit that
+   opens Module; comments and string literals do not count), or be
+   listed in ALLOW as `Module.name: reason`. Modules are matched by
+   name, so two same-named modules (the xmlkit and xquery parsers)
+   share their callers. *)
 
 let item_prefixes = [ "val "; "type "; "exception "; "external "; "module " ]
 
@@ -463,6 +471,188 @@ let check_odoc_refs ~modules ~srcs : int =
     0
     (List.sort compare (source_files [ "lib" ]))
 
+(* --- exports without a caller ------------------------------------------ *)
+
+(* [src] with comments, string literals and character literals blanked
+   to spaces (line breaks kept), so that only code can reference a
+   name: a [{!M.name}] in a comment is not a caller. *)
+let code_only (src : string) : string =
+  let n = String.length src in
+  let out = Bytes.of_string src in
+  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
+  (* the index just past a string literal opened at [i] *)
+  let rec string_end i =
+    if i >= n then n
+    else if src.[i] = '\\' then string_end (i + 2)
+    else if src.[i] = '\034' then i + 1
+    else string_end (i + 1)
+  in
+  let rec go i depth =
+    if i >= n then ()
+    else if i + 1 < n && src.[i] = '(' && src.[i + 1] = '*' then begin
+      blank i;
+      blank (i + 1);
+      go (i + 2) (depth + 1)
+    end
+    else if depth > 0 && i + 1 < n && src.[i] = '*' && src.[i + 1] = ')' then begin
+      blank i;
+      blank (i + 1);
+      go (i + 2) (depth - 1)
+    end
+    else if src.[i] = '\034' then begin
+      (* a string, in code or in a comment (where it may hide a close
+         marker) *)
+      let e = min n (string_end (i + 1)) in
+      for k = i to e - 1 do blank k done;
+      go e depth
+    end
+    else if src.[i] = '\'' && i + 2 < n && src.[i + 2] = '\'' then begin
+      (* a one-character literal such as a quote *)
+      for k = i to i + 2 do blank k done;
+      go (i + 3) depth
+    end
+    else if src.[i] = '\'' && i + 1 < n && src.[i + 1] = '\\' then begin
+      (* an escaped character literal: '\n', '\\', '\'', '\123' *)
+      let e = ref (i + 3) in
+      while !e < n && !e < i + 6 && src.[!e] <> '\'' do incr e done;
+      for k = i to min (n - 1) !e do blank k done;
+      go (!e + 1) depth
+    end
+    else begin
+      if depth > 0 then blank i;
+      go (i + 1) depth
+    end
+  in
+  go 0 0;
+  Bytes.to_string out
+
+(* The top-level values of an interface, with their line numbers. *)
+let exported_values (mli : string) : (int * string) list =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         if starts_with "val " line then
+           let rest = String.sub line 4 (String.length line - 4) in
+           let k = ref 0 in
+           while !k < String.length rest && (is_word_char rest.[!k] || rest.[!k] = '\'') do
+             incr k
+           done;
+           if !k > 0 then [ (i + 1, String.sub rest 0 !k) ] else []
+         else [])
+       (String.split_on_char '\n' mli))
+
+(* The modules a unit opens: [open M], [open! A.M], [let open M in] and
+   the local open [M.( ... )], each by its last path component. *)
+let opened_modules (code : string) : string list =
+  let n = String.length code in
+  let out = ref [] in
+  let path_at i =
+    let j = ref i in
+    while !j < n && (is_word_char code.[!j] || code.[!j] = '.') do incr j done;
+    match List.rev (String.split_on_char '.' (String.sub code i (!j - i))) with
+    | m :: _ when m <> "" && is_upper m.[0] -> Some m
+    | _ -> None
+  in
+  for i = 0 to n - 1 do
+    if
+      (i = 0 || not (is_word_char code.[i - 1]))
+      && i + 5 < n
+      && String.sub code i 4 = "open"
+      && not (is_word_char code.[i + 4])
+    then begin
+      let j = ref (i + 4) in
+      if !j < n && code.[!j] = '!' then incr j;
+      while !j < n && code.[!j] = ' ' do incr j done;
+      Option.iter (fun m -> out := m :: !out) (path_at !j)
+    end;
+    if code.[i] = '(' && i > 1 && code.[i - 1] = '.' && is_word_char code.[i - 2] then begin
+      let j = ref (i - 2) in
+      while !j > 0 && is_word_char code.[!j - 1] do decr j done;
+      if is_upper code.[!j] then out := String.sub code !j (i - 1 - !j) :: !out
+    end
+  done;
+  List.sort_uniq compare !out
+
+(* [code] uses [m]'s value [name]: as [m.name] (possibly itself
+   qualified, [A.m.name]), or unqualified where the unit opens [m]. *)
+let uses_value ~opened (code : string) (m : string) (name : string) : bool =
+  contains_word code name
+  && (List.mem m opened
+     || List.exists
+          (fun line ->
+            occurs_as line (m ^ "." ^ name) ~ok:(fun ~before:_ ~after:_ -> true))
+          (String.split_on_char '\n' code))
+
+(* The allow-list: one [Module.name: reason] per line, [#] comments and
+   blank lines ignored. An entry without a reason is an error. *)
+let read_allow_list (path : string) : (string * string) list * int =
+  let failures = ref 0 in
+  let entries =
+    List.filter_map
+      (fun line ->
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then None
+        else
+          let reason k = String.trim (String.sub line (k + 1) (String.length line - k - 1)) in
+          match String.index_opt line ':' with
+          | Some k when reason k <> "" -> Some (String.trim (String.sub line 0 k), reason k)
+          | _ ->
+            incr failures;
+            Printf.eprintf "%s: entry without a reason: %s\n" path line;
+            None)
+      (String.split_on_char '\n' (read_file path))
+  in
+  (entries, !failures)
+
+(* Every [val] of a lib interface must be used by some other compilation
+   unit under lib/, bin/, bench/ or tools/, or be listed with a reason in
+   [allow_path]; a listed name that has a caller, or is no longer
+   exported, is stale and fails too. Tests do not count as callers: an
+   export only a test needs is an allow-list entry. *)
+let check_exports (allow_path : string) : int =
+  let allowed, failures = read_allow_list allow_path in
+  let failures = ref failures in
+  let units =
+    List.map
+      (fun p ->
+        let code = code_only (read_file p) in
+        (Filename.remove_extension p, code, opened_modules code))
+      (source_files [ "lib"; "bin"; "bench"; "tools" ])
+  in
+  let exported = ref [] in
+  List.iter
+    (fun mli ->
+      let own = Filename.remove_extension mli in
+      let m = String.capitalize_ascii (Filename.basename own) in
+      List.iter
+        (fun (lnum, name) ->
+          let key = m ^ "." ^ name in
+          exported := key :: !exported;
+          let used =
+            List.exists
+              (fun (unit, code, opened) -> unit <> own && uses_value ~opened code m name)
+              units
+          in
+          match used, List.mem_assoc key allowed with
+          | false, false ->
+            incr failures;
+            Printf.eprintf "%s:%d: export without a caller: %s\n" mli lnum key
+          | true, true ->
+            incr failures;
+            Printf.eprintf "%s: %s has a caller; drop it from the allow-list\n" allow_path key
+          | _ -> ())
+        (exported_values (read_file mli)))
+    (List.sort compare
+       (List.filter (fun p -> Filename.check_suffix p ".mli") (source_files [ "lib" ])));
+  List.iter
+    (fun (key, _) ->
+      if not (List.mem key !exported) then begin
+        incr failures;
+        Printf.eprintf "%s: %s is not exported by any lib interface\n" allow_path key
+      end)
+    allowed;
+  !failures
+
 let check_xref (md_path : string) : int =
   let text = read_file md_path in
   let sources = source_files [ "bin"; "lib"; "bench"; "tools" ] in
@@ -549,10 +739,14 @@ let check_xref (md_path : string) : int =
 
 let () =
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
+  let allow = ref None in
   let rec split dirs xrefs = function
     | [] -> (List.rev dirs, List.rev xrefs)
     | "--xref" :: f :: rest -> split dirs (f :: xrefs) rest
-    | "--xref" :: [] -> (List.rev dirs, List.rev xrefs)
+    | "--exports" :: f :: rest ->
+      allow := Some f;
+      split dirs xrefs rest
+    | ("--xref" | "--exports") :: [] -> (List.rev dirs, List.rev xrefs)
     | d :: rest -> split (d :: dirs) xrefs rest
   in
   let dirs, xrefs = split [] [] args in
@@ -583,19 +777,24 @@ let () =
     check_odoc_refs ~modules:(Lazy.force lib_modules)
       ~srcs:(List.map read_file (source_files [ "bin"; "lib"; "bench"; "tools" ]))
   in
-  if !failures > 0 || xref_failures > 0 || odoc_failures > 0 then begin
+  let export_failures = match !allow with Some f -> check_exports f | None -> 0 in
+  if !failures > 0 || xref_failures > 0 || odoc_failures > 0 || export_failures > 0 then begin
     if !failures > 0 then
       Printf.eprintf "doc lint: %d undocumented exports in %d files checked\n" !failures
         (List.length files);
     if odoc_failures > 0 then
       Printf.eprintf "doc lint: %d stale odoc references in the lib sources\n" odoc_failures;
+    if export_failures > 0 then
+      Printf.eprintf "doc lint: %d exports without a caller (or stale allow-list entries)\n"
+        export_failures;
     if xref_failures > 0 then
       Printf.eprintf "doc lint: %d stale references in %d markdown files\n" xref_failures
         (List.length xrefs);
     exit 1
   end
   else
-    Printf.printf "doc lint: %d interface files clean, odoc references resolved%s\n"
+    Printf.printf "doc lint: %d interface files clean, odoc references resolved%s%s\n"
       (List.length files)
+      (if !allow = None then "" else ", every export has a caller or a listed reason")
       (if xrefs = [] then ""
        else Printf.sprintf ", %d markdown files cross-checked" (List.length xrefs))
