@@ -310,6 +310,7 @@ let storage_occupancy () =
   let pct x = 100.0 *. float_of_int x /. os in
   (* built at load and never stored, so outside [total] *)
   let nav_arrays = Storage.Structure_tree.nav_array_bytes repo.Storage.Repository.tree in
+  let value_arrays = Storage.Structure_tree.value_array_bytes repo.Storage.Repository.tree in
   (* The v4 acceptance pin, on the committed v3 fixture (v3 is read but
      no longer written): its v4 re-save must be the smaller image, and
      both must answer the fixture's queries identically. Both facts are
@@ -339,6 +340,7 @@ let storage_occupancy () =
          ("summary", num (float_of_int sz.Storage.Repository.summary_bytes));
          ("index", num (float_of_int sz.Storage.Repository.index_bytes));
          ("nav_arrays_in_memory", num (float_of_int nav_arrays));
+         ("value_arrays_in_memory", num (float_of_int value_arrays));
          ("essential", num (float_of_int sz.Storage.Repository.essential_bytes));
        ]);
   Fmt.pr "original document:        %9d bytes@." repo.Storage.Repository.original_size;
@@ -363,6 +365,8 @@ let storage_occupancy () =
     (pct sz.Storage.Repository.index_bytes);
   Fmt.pr "  nav arrays (in memory): %9d bytes (tags + parents + subtree ends, built at load, not stored)@."
     nav_arrays;
+  Fmt.pr "  value arrays (in memory): %7d bytes (value offsets + packed pointers + marker positions, not stored)@."
+    value_arrays;
   Fmt.pr "essential (no access structures): %d bytes@." sz.Storage.Repository.essential_bytes;
   Fmt.pr "access-structure factor:  %.2fx (paper: 3-4x)@."
     (float_of_int sz.Storage.Repository.total_bytes

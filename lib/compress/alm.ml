@@ -26,6 +26,12 @@
    [flat.[offs.(c - 1)] .. flat.[offs.(c) - 1]]. *)
 type model = {
   los : string array;  (* inclusive lower bounds *)
+  first : int array;
+      (* 257 entries: [first.(b)] is the index of the first lower bound
+         whose first byte is [b] or more, so [first.(256)] is the
+         interval count. Every single byte is itself a lower bound, so
+         the interval of a string starting with byte [b] lies in
+         [first.(b)] .. [first.(b + 1) - 1]. *)
   flat : string;
   offs : int array;    (* one more than [los] *)
   width : int;         (* bits per code; code 0 is padding *)
@@ -275,7 +281,11 @@ let build (mined : string array) : model =
   for i = 0 to count - 1 do
     Bytes.blit_string toks.(i) 0 flat offs.(i) (String.length toks.(i))
   done;
-  { los = Array.sub los 0 count; flat = Bytes.unsafe_to_string flat; offs;
+  let first = Array.make 257 count in
+  for i = count - 1 downto 0 do
+    first.(Char.code los.(i).[0]) <- i
+  done;
+  { los = Array.sub los 0 count; first; flat = Bytes.unsafe_to_string flat; offs;
     width = Bitio.width_for (count + 1); mined; longest }
 
 let of_tokens (tokens : string list) : model =
@@ -308,13 +318,15 @@ let rec le_from lo s off i =
      a < b || (a = b && le_from lo s off (i + 1))
 
 (* The interval holding the nonempty suffix of [s] from [off]: the
-   rightmost whose lower bound is at most it. The first bound is
-   ["\000"], below every nonempty string. *)
+   rightmost whose lower bound is at most it, searched among the bounds
+   that share the suffix's first byte (the first of them is that byte
+   alone), so comparisons start at the second byte. *)
 let find_interval (m : model) (s : string) (off : int) : int =
-  let lo = ref 0 and hi = ref (Array.length m.los - 1) in
+  let b = Char.code (String.unsafe_get s off) in
+  let lo = ref m.first.(b) and hi = ref (m.first.(b + 1) - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if le_from m.los.(mid) s off 0 then lo := mid else hi := mid - 1
+    if le_from m.los.(mid) s off 1 then lo := mid else hi := mid - 1
   done;
   !lo
 

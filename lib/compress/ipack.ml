@@ -120,14 +120,14 @@ let zigzag (d : int) : int = if d >= 0 then 2 * d else (-2 * d) - 1
 
 let unzigzag (z : int) : int = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
-let add_deltas buf (xs : int array) : unit =
-  Rle.add_varint buf (Array.length xs);
+let add_deltas buf len (get : int -> int) : unit =
+  Rle.add_varint buf len;
   let prev = ref 0 in
-  Array.iter
-    (fun x ->
-      Rle.add_varint buf (zigzag (x - !prev));
-      prev := x)
-    xs
+  for i = 0 to len - 1 do
+    let x = get i in
+    Rle.add_varint buf (zigzag (x - !prev));
+    prev := x
+  done
 
 let read_deltas (s : string) (pos : int) : int array * int =
   let (n, pos) = Rle.read_varint s pos in

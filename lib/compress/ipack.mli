@@ -47,9 +47,16 @@ val pack_exact : model -> float -> string option
     close — child-entry codes, ascending record indices — shrink to
     one byte per element regardless of magnitude. *)
 
-(** [add_deltas buf xs] appends [|xs|] as a varint, then each element as
-    the zigzag varint of its difference from the previous one. *)
-val add_deltas : Buffer.t -> int array -> unit
+(** [add_deltas buf len get] appends the sequence [get 0] ..
+    [get (len - 1)]: [len] as a varint, then each element as the zigzag
+    varint of its difference from the previous one (the first from
+    0). *)
+val add_deltas : Buffer.t -> int -> (int -> int) -> unit
+
+(** Invert the zigzag mapping of {!add_deltas} (0 -> 0, 1 -> -1,
+    2 -> 1, 3 -> -2, ...), for readers that take the varints one at a
+    time ({!Rle.take_varint}). *)
+val unzigzag : int -> int
 
 (** [read_deltas s pos] inverts {!add_deltas}, returning the sequence
     and the offset past it. *)

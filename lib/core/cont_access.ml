@@ -381,11 +381,9 @@ let note_cmp_obs ctx env (op : Ast.cmp_op) ~(a : Ast.expr) ~(b : Ast.expr) ~(xs 
         | Node id when id >= 0 -> (
           (* an element operand atomizes its text: attribute the
              comparison to the node's own immediate-text container *)
-          match Structure_tree.value_pointers ctx.repo.Repository.tree id with
-          | [||] -> None
-          | values ->
-            let cid, _ = values.(0) in
-            Some [ container ctx cid ])
+          let tree = ctx.repo.Repository.tree in
+          if Structure_tree.value_count tree id = 0 then None
+          else Some [ container ctx (Structure_tree.value_container tree id) ])
         | _ -> None)
       items
   in

@@ -256,18 +256,27 @@ let compute_batch ctx ~(slot_of : int array) (groups : group list) (steps : Ast.
             in
             e := !e *. ratio values (Array.length s.Summary.ids)
           | None -> ());
-          let vals = Array.map (Structure_tree.value_pointers tree) !cur in
-          let items = Array.map (Array.map read) vals in
-          collect (fun i -> Array.to_list items.(i))
+          let items =
+            Array.map
+              (fun id ->
+                let cid = Structure_tree.value_container tree id in
+                List.init (Structure_tree.value_count tree id) (fun slot ->
+                    read cid (Structure_tree.value_index tree id slot)))
+              !cur
+          in
+          collect (fun i -> items.(i))
         | [ { Ast.axis = Ast.Attribute; test = Ast.Name n; _ } ] ->
           ends_at_nodes := false;
           advance (tag_code ctx ("@" ^ n)) ~pos:0;
           let items =
             Array.map
               (fun a ->
-                match Structure_tree.value_pointers tree a with
-                | [||] -> []
-                | v -> [ Att (n, read v.(0)) ])
+                if Structure_tree.value_count tree a = 0 then []
+                else
+                  [
+                    Att
+                      (n, read (Structure_tree.value_container tree a) (Structure_tree.value_index tree a 0));
+                  ])
               !cur
           in
           collect (fun i -> items.(i))

@@ -6,22 +6,26 @@
 open Storage
 open Exec_base
 
-(* The value a value pointer names, still compressed. *)
-let pointer_value ctx (cid, idx) : item =
-  let cont = container ctx cid in
-  Cval { cont; code = (Container.get cont idx).Container.code }
+(* The container and code of value [slot] of node [id]. *)
+let pointer ctx id slot =
+  let tree = ctx.repo.Repository.tree in
+  let cont = container ctx (Structure_tree.value_container tree id) in
+  (cont, (Container.get cont (Structure_tree.value_index tree id slot)).Container.code)
+
+(* Value [slot] of node [id], still compressed. *)
+let pointer_value ctx id slot : item =
+  let cont, code = pointer ctx id slot in
+  Cval { cont; code }
 
 let decompress_cval (cont : Container.t) code = Compress.Codec.decompress cont.Container.model code
 
-(* The value a value pointer names, decompressed. *)
-let pointer_string ctx (cid, idx) : string =
-  let cont = container ctx cid in
-  decompress_cval cont (Container.get cont idx).Container.code
+(* Value [slot] of node [id], decompressed. *)
+let pointer_string ctx id slot : string =
+  let cont, code = pointer ctx id slot in
+  decompress_cval cont code
 
 let node_text_values ctx id : item list =
-  Structure_tree.value_pointers ctx.repo.Repository.tree id
-  |> Array.to_list
-  |> List.map (pointer_value ctx)
+  List.init (Structure_tree.value_count ctx.repo.Repository.tree id) (pointer_value ctx id)
 
 let block_reader ctx =
   let conts = ctx.repo.Repository.containers in
@@ -29,7 +33,7 @@ let block_reader ctx =
     Array.make (Array.length conts) None
   in
   let fetches = ref 0 in
-  let read (cid, idx) =
+  let read cid idx =
     let cont = conts.(cid) in
     let blocks =
       match cache.(cid) with
@@ -54,21 +58,19 @@ let block_reader ctx =
   (read, fetches)
 
 let attr_node_value ctx id : item option =
-  match Structure_tree.value_pointers ctx.repo.Repository.tree id with
-  | [||] -> None
-  | ptrs -> Some (pointer_value ctx ptrs.(0))
+  if Structure_tree.value_count ctx.repo.Repository.tree id = 0 then None
+  else Some (pointer_value ctx id 0)
 
 let node_string_value ctx id : string =
   let tree = ctx.repo.Repository.tree in
   let id = if id < 0 then 0 else id (* the document node's string value *) in
   let buf = Buffer.create 64 in
   let rec go id =
-    let values = Structure_tree.value_pointers tree id in
-    Array.iter
-      (fun entry ->
-        if entry < 0 then Buffer.add_string buf (pointer_string ctx values.(-entry - 1))
+    Structure_tree.fold_entries tree id
+      (fun () entry ->
+        if entry < 0 then Buffer.add_string buf (pointer_string ctx id (-entry - 1))
         else if not (is_attr_code ctx (Structure_tree.tag tree entry)) then go entry)
-      (Structure_tree.child_entries tree id)
+      ()
   in
   go id;
   Buffer.contents buf
@@ -77,24 +79,21 @@ let rec reconstruct ctx id : Xmlkit.Tree.t =
   if id < 0 then Xmlkit.Tree.Element ("#document", [], [ reconstruct ctx 0 ])
   else begin
     let tree = ctx.repo.Repository.tree in
-    let values = Structure_tree.value_pointers tree id in
     let attrs = ref [] and kids = ref [] in
-    Array.iter
-      (fun entry ->
-        if entry < 0 then kids := Xmlkit.Tree.Text (pointer_string ctx values.(-entry - 1)) :: !kids
+    Structure_tree.fold_entries tree id
+      (fun () entry ->
+        if entry < 0 then kids := Xmlkit.Tree.Text (pointer_string ctx id (-entry - 1)) :: !kids
         else begin
           let code = Structure_tree.tag tree entry in
           if is_attr_code ctx code then begin
             let v =
-              match Structure_tree.value_pointers tree entry with
-              | [||] -> ""
-              | ptrs -> pointer_string ctx ptrs.(0)
+              if Structure_tree.value_count tree entry = 0 then "" else pointer_string ctx entry 0
             in
             attrs := (local_name ctx code, v) :: !attrs
           end
           else kids := reconstruct ctx entry :: !kids
         end)
-      (Structure_tree.child_entries tree id);
+      ();
     Xmlkit.Tree.Element (tag_name ctx (Structure_tree.tag tree id), List.rev !attrs, List.rev !kids)
   end
 
@@ -136,7 +135,11 @@ let materialize ctx (b : binding) : item list =
     let tree = ctx.repo.Repository.tree in
     List.concat_map
       (fun (id, attr_name) ->
-        let vals = List.map read (Array.to_list (Structure_tree.value_pointers tree id)) in
+        let cid = Structure_tree.value_container tree id in
+        let vals =
+          List.init (Structure_tree.value_count tree id) (fun slot ->
+              read cid (Structure_tree.value_index tree id slot))
+        in
         match attr_name with
         | Some name -> List.map (fun v -> Att (name, v)) vals
         | None -> vals)

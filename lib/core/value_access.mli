@@ -11,11 +11,12 @@ open Exec_base
 val node_text_values : ctx -> int -> item list
 
 (** A value reader for a pass over many value pointers (a batched
-    path, a whole path's values) and its count of block fetches: each
+    path, a whole path's values), called with a container id and a
+    record index, and its count of block fetches: each
     block it touches is fetched once, through one
     [Container.fetch_blocks], and codes are read straight from the
     decoded block. *)
-val block_reader : ctx -> (int * int -> item) * int ref
+val block_reader : ctx -> (int -> int -> item) * int ref
 
 (** The value of an attribute node. *)
 val attr_node_value : ctx -> int -> item option

@@ -27,9 +27,7 @@ let length t = t.len
 
 let ones t = t.ones
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Bitvec.get";
-  Char.code (Bytes.get t.data (i lsr 3)) lsr (i land 7) land 1 = 1
+let byte t i = Char.code (Bytes.get t.data i)
 
 (* Mask of the low [k] bits of a byte (k in 0..8). *)
 let low_mask k = (1 lsl k) - 1
@@ -94,51 +92,72 @@ module Wavelet = struct
     max 1 (go 0)
 
   (* Pointerless, levelwise layout (practical rank/select over
-     sequences, SPIRE 2008): level l lists
-     the codes stably sorted by their top l bits, so each run of equal
-     prefix is one node interval of the tree, and stores bit l of each.
-     [perm.(p)] is the sequence position of the code at level position
-     [p]; the next level's order is the stable zeros-then-ones split of
-     every run. [build] and [decode] both walk the levels this way, with
-     two permutation arrays reused across levels.
+     sequences, SPIRE 2008): level l lists the codes stably sorted by
+     their top l bits, so each run of equal prefix (a bucket) is one
+     node interval of the tree, and stores bit l of each.
 
-     [split_runs keys s perm next]: within every run of [perm] whose
-     [keys] agree above bit [s], move the positions with bit [s] clear
-     ahead of those with it set, preserving order, into [next]. *)
-  let split_runs keys s perm next =
-    let n = Array.length perm in
-    let start = ref 0 in
-    while !start < n do
-      let prefix = keys.(perm.(!start)) lsr (s + 1) in
-      let stop = ref (!start + 1) in
-      while !stop < n && keys.(perm.(!stop)) lsr (s + 1) = prefix do
-        incr stop
-      done;
-      let out = ref !start in
-      for bit = 0 to 1 do
-        for pos = !start to !stop - 1 do
-          if keys.(perm.(pos)) lsr s land 1 = bit then begin
-            next.(!out) <- perm.(pos);
-            incr out
-          end
-        done
-      done;
-      start := !stop
-    done
+     [walk_levels ~n ~width ~levels fill] visits the levels in order.
+     For each it first calls [fill level perm], where [perm] holds the
+     sequence position of the code at each level position, so a
+     builder can set that level's bits; then, below the last level, it
+     splits every bucket stably into its zeros, then its ones, reading
+     the bits back: one pass counts the bucket's ones, one deals its
+     entries to the two halves' cursors. Buckets are kept as start
+     positions with their prefixes, and [perm] as packed int32s, so
+     each level streams only the permutation. It returns the last
+     level's buckets (starts, with [n] appended, and prefixes: all but
+     the codes' last bit) and permutation. *)
+  type perm = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  (* Run [f level perm] for every level, [perm] in that level's order,
-     splitting runs by bit [shift level] of [keys] between levels. *)
-  let walk_levels ~n ~width ~keys ~shift f =
-    let perm = ref (Array.init n Fun.id) and next = ref (Array.make n 0) in
+  let walk_levels ~n ~width ~levels (fill : int -> perm -> unit) =
+    if n > Int32.to_int Int32.max_int then invalid_arg "Wavelet: too many codes";
+    let make () : perm = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+    let perm = ref (make ()) and spare = ref (make ()) in
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set !perm i (Int32.of_int i)
+    done;
+    let starts = ref [| 0; n |] and prefixes = ref [| 0 |] in
     for level = 0 to width - 1 do
-      f level !perm;
+      fill level !perm;
       if level < width - 1 then begin
-        let p = !perm in
-        split_runs keys (shift level) p !next;
-        perm := !next;
-        next := p
+        let data = levels.(level) in
+        let bit p = Char.code (Bytes.unsafe_get data (p lsr 3)) lsr (p land 7) land 1 in
+        let pm = !perm and pm' = !spare and st = !starts and pre = !prefixes in
+        let nb = Array.length pre in
+        let st' = Array.make ((2 * nb) + 1) n and pre' = Array.make (2 * nb) 0 in
+        let nb' = ref 0 in
+        let half start prefix =
+          st'.(!nb') <- start;
+          pre'.(!nb') <- prefix;
+          incr nb'
+        in
+        for k = 0 to nb - 1 do
+          let a = st.(k) and e = st.(k + 1) in
+          let ones = ref 0 in
+          for p = a to e - 1 do
+            ones := !ones + bit p
+          done;
+          let mid = e - !ones in
+          (* cursors of the two halves, picked without a branch: the
+             bits are as good as random to a branch predictor *)
+          let o0 = ref a and o1 = ref mid in
+          for p = a to e - 1 do
+            let b = bit p in
+            let j = (b * !o1) + ((1 - b) * !o0) in
+            o0 := !o0 + 1 - b;
+            o1 := !o1 + b;
+            Bigarray.Array1.unsafe_set pm' j (Bigarray.Array1.unsafe_get pm p)
+          done;
+          if mid > a then half a (pre.(k) lsl 1);
+          if e > mid then half mid ((pre.(k) lsl 1) lor 1)
+        done;
+        starts := Array.sub st' 0 (!nb' + 1);
+        prefixes := Array.sub pre' 0 !nb';
+        perm := pm';
+        spare := pm
       end
-    done
+    done;
+    (!starts, !prefixes, !perm)
 
   let build ~width (codes : int array) : t =
     if width < 1 then invalid_arg "Wavelet.build";
@@ -147,30 +166,33 @@ module Wavelet = struct
       (fun c -> if c < 0 || c lsr width <> 0 then invalid_arg "Wavelet.build: code out of range")
       codes;
     let levels = Array.init width (fun _ -> Bytes.make ((n + 7) / 8) '\000') in
-    walk_levels ~n ~width ~keys:codes
-      ~shift:(fun level -> width - 1 - level)
-      (fun level perm ->
-        let data = levels.(level) and shift = width - 1 - level in
-        for pos = 0 to n - 1 do
-          if codes.(perm.(pos)) lsr shift land 1 = 1 then
-            Bytes.set data (pos lsr 3)
-              (Char.chr (Char.code (Bytes.get data (pos lsr 3)) lor (1 lsl (pos land 7))))
-        done);
+    ignore
+      (walk_levels ~n ~width ~levels (fun level perm ->
+           let data = levels.(level) and shift = width - 1 - level in
+           for pos = 0 to n - 1 do
+             if codes.(Int32.to_int (Bigarray.Array1.unsafe_get perm pos)) lsr shift land 1 = 1
+             then
+               Bytes.set data (pos lsr 3)
+                 (Char.chr (Char.code (Bytes.get data (pos lsr 3)) lor (1 lsl (pos land 7))))
+           done));
     { n; width; levels }
 
-  (* The codes are decoded a bit per level, so at each split the bit
-     just read is the lowest one decoded so far. *)
+  (* The levels already hold the bits: walk them, then complete each
+     last bucket's prefix with the last level's bit and put the code
+     back at its sequence position. *)
   let decode w : int array =
+    let starts, prefixes, perm =
+      walk_levels ~n:w.n ~width:w.width ~levels:w.levels (fun _ _ -> ())
+    in
+    let last = w.levels.(w.width - 1) in
     let codes = Array.make w.n 0 in
-    walk_levels ~n:w.n ~width:w.width ~keys:codes
-      ~shift:(fun _ -> 0)
-      (fun level perm ->
-        let data = w.levels.(level) in
-        for pos = 0 to w.n - 1 do
-          let bit = Char.code (Bytes.get data (pos lsr 3)) lsr (pos land 7) land 1 in
-          let c = perm.(pos) in
-          codes.(c) <- (codes.(c) lsl 1) lor bit
-        done);
+    Array.iteri
+      (fun k prefix ->
+        for p = starts.(k) to starts.(k + 1) - 1 do
+          let bit = Char.code (Bytes.unsafe_get last (p lsr 3)) lsr (p land 7) land 1 in
+          codes.(Int32.to_int (Bigarray.Array1.unsafe_get perm p)) <- (prefix lsl 1) lor bit
+        done)
+      prefixes;
     codes
 
   (* The compact rank directories the levels would carry on storage

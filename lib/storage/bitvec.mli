@@ -13,9 +13,10 @@ val length : t -> int
 (** Number of set bits. *)
 val ones : t -> int
 
-(** [get t i] is bit [i] (0-based). Raises [Invalid_argument] out of
-    range. *)
-val get : t -> int -> bool
+(** [byte t i]: bits [8i] .. [8i + 7] as one byte value, bit [8i] in
+    the least significant place (padding bits past the length are 0).
+    Raises [Invalid_argument] out of range. *)
+val byte : t -> int -> int
 
 (** [of_bytes ~len data] wraps [len] bits packed LSB-first, 8 per byte.
     Takes ownership of [data] ([(len+7)/8] bytes; padding bits are
@@ -59,9 +60,9 @@ module Wavelet : sig
       [width] bits. *)
   val build : width:int -> int array -> t
 
-  (** The codes back as a flat array, in O(n * width): one sequential
-      sweep per level, with two scratch permutations reused across
-      levels. [decode (build ~width a) = a]. *)
+  (** The codes back as a flat array, in O(n * width): a few
+      sequential passes per level, splitting each run of equal prefix
+      into its zeros and its ones. [decode (build ~width a) = a]. *)
   val decode : t -> int array
 
   (** Compact rank-directory footprint of [width] levels of [n] bits —

@@ -42,18 +42,21 @@ let of_bits (bits : Bitvec.t) : t =
      to the closing node's parent and fills in its last descendant. *)
   let cells = Array.make n 0 in
   let top = ref (-1) and next_id = ref 0 in
-  for j = 0 to len - 1 do
-    if Bitvec.get bits j then begin
-      cells.(!next_id) <- (!top + 1) lsl id_bits;
-      top := !next_id;
-      incr next_id
-    end
-    else begin
-      if !top < 0 then failwith "Bp_tree.of_bits: close before open";
-      let v = !top in
-      top := (cells.(v) lsr id_bits) - 1;
-      cells.(v) <- cells.(v) lor (!next_id - 1)
-    end
+  for i = 0 to ((len + 7) / 8) - 1 do
+    let byte = Bitvec.byte bits i in
+    for k = 0 to min 7 (len - 1 - (8 * i)) do
+      if byte lsr k land 1 = 1 then begin
+        cells.(!next_id) <- (!top + 1) lsl id_bits;
+        top := !next_id;
+        incr next_id
+      end
+      else begin
+        if !top < 0 then failwith "Bp_tree.of_bits: close before open";
+        let v = !top in
+        top := (cells.(v) lsr id_bits) - 1;
+        cells.(v) <- cells.(v) lor (!next_id - 1)
+      end
+    done
   done;
   if !top >= 0 then failwith "Bp_tree.of_bits: unbalanced";
   { bits; n; cells }

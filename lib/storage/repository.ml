@@ -190,6 +190,49 @@ let serialize (t : t) : string =
   Array.iter (fun c -> Container.serialize buf c) t.containers;
   Buffer.contents buf
 
+(* Container ids of the tree's values, from the summary's id lists in
+   one pre-order pass over the summary nodes: every value of a node
+   lives in its summary node's container (an element's values are its
+   text children, an attribute node's single value is its value). The
+   pass checks that the lists cover every tree node exactly once, each
+   under its own tag and below a parent listed by the parent summary
+   node; {!Structure_tree.set_containers} then checks every record
+   index against its container. *)
+let resolve_containers tree (summary : Summary.t) (containers : Container.t array) =
+  let n = Structure_tree.node_count tree in
+  (* per tree node, the pre-order rank of the summary node listing it;
+     then, in place, that summary node's container *)
+  let owner = Array.make n (-1) in
+  let cont_of_rank = ref [] in
+  let rank = ref 0 in
+  let covered = ref 0 in
+  let rec visit parent_rank (sn : Summary.node) =
+    let r = !rank in
+    incr rank;
+    cont_of_rank := Option.value sn.Summary.text_container ~default:(-1) :: !cont_of_rank;
+    let ids = sn.Summary.ids in
+    for i = 0 to Array.length ids - 1 do
+      let id = ids.(i) in
+      if id < 0 || id >= n then failwith "repository: summary id out of range";
+      if owner.(id) >= 0 then failwith "repository: tree node listed twice in the summary";
+      if Structure_tree.tag tree id <> sn.Summary.tag then
+        failwith "repository: summary tag does not match the tree";
+      let p = Structure_tree.parent tree id in
+      if (if p < 0 then parent_rank <> 0 else owner.(p) <> parent_rank) then
+        failwith "repository: summary parent does not match the tree";
+      owner.(id) <- r
+    done;
+    covered := !covered + Array.length ids;
+    List.iter (visit r) sn.Summary.kids
+  in
+  visit (-1) summary.Summary.root;
+  if !covered <> n then failwith "repository: summary does not cover the tree";
+  let cont_of_rank = Array.of_list (List.rev !cont_of_rank) in
+  for id = 0 to n - 1 do
+    owner.(id) <- cont_of_rank.(owner.(id))
+  done;
+  Structure_tree.set_containers tree owner ~records:(Array.map Container.length containers)
+
 let parse (s : string) : t =
   (* Exactly four headers are accepted: v4 and v3 with their one flags
      value, v2 (no flags byte) and v1 (no magic). Anything else that
@@ -263,33 +306,7 @@ let parse (s : string) : t =
         pos := p;
         c)
   in
-  (* resolve value-pointer container ids by walking tree and summary in
-     lockstep: each node's text slots use its summary node's text
-     container; an attribute node's single slot uses its own *)
-  let rec resolve node (snode : Summary.node) =
-    (* every value slot of a node lives in its summary node's container:
-       an element's slots are its text children, an attribute node's
-       single slot is its value *)
-    let nvalues = Array.length (Structure_tree.value_pointers tree node) in
-    if nvalues > 0 then begin
-      match snode.Summary.text_container with
-      | Some c ->
-        for slot = 0 to nvalues - 1 do
-          Structure_tree.set_value_container tree ~node ~slot ~container:c
-        done
-      | None -> failwith "repository: value without container"
-    end;
-    List.iter
-      (fun child ->
-        match Summary.find_child snode (Structure_tree.tag tree child) with
-        | Some child_snode -> resolve child child_snode
-        | None -> failwith "repository: summary does not cover the tree")
-      (Structure_tree.child_nodes tree node)
-  in
-  (if Structure_tree.node_count tree > 0 then
-     match Summary.find_child summary.Summary.root (Structure_tree.tag tree 0) with
-     | Some root_snode -> resolve 0 root_snode
-     | None -> failwith "repository: no root summary node");
+  resolve_containers tree summary containers;
   { dict; tree; containers; summary; source_name; original_size }
 
 exception Corrupt of string

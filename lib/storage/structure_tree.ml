@@ -4,16 +4,21 @@
    wavelet tree ({!Bitvec.Wavelet}); in memory both are flat pre-order
    arrays built at load — the tags, and {!Bp_tree}'s parents and
    subtree ends. A save re-encodes the wavelet from the flat tags, at
-   the width the image declared. Only the value pointers and
-   text-marker positions remain as per-node data. IDs are pre-order
-   ranks, so they coincide with document order and with the open-paren
-   ranks of the BP sequence.
+   the width the image declared. IDs are pre-order ranks, so they
+   coincide with document order and with the open-paren ranks of the
+   BP sequence.
+
+   The links from nodes to values are flat too, in compressed sparse
+   row (CSR) form: one offsets array indexed by node id into two
+   value-aligned arrays in pre-order, one holding each value's container
+   id and record index packed in one word, the other its text-marker
+   position. Nothing is allocated per node, on load or on access.
 
    Child entries interleave element/attribute node ids (>= 0) with text
-   markers (< 0): marker -(slot+1) points at the node's value pointer
-   [slot]. Markers always reference slots 0, 1, ... in document order
-   (the SAX loader emits them that way), so the succinct form only
-   records how many element children precede each marker. *)
+   markers (< 0): marker -(slot+1) stands for the node's value [slot].
+   Markers always reference slots 0, 1, ... in document order (the SAX
+   loader emits them that way), so only the number of element children
+   before each marker is recorded. *)
 
 type t = {
   bp : Bp_tree.t;  (* shape: one '(' ')' pair per element/attribute *)
@@ -22,11 +27,28 @@ type t = {
       (* bytes per [tags] entry, little-endian: 1 while every code fits
          in 8 bits, 2 up to 16, ceil(width/8) beyond *)
   tag_width : int;  (* bits per code in the on-disk wavelet encoding *)
-  marks : int array array;
-      (* per node: for text marker slot s, the number of child element
-         entries before it in document order (non-decreasing) *)
-  values : (int * int) array array; (* (container id, record index) per node *)
+  val_off : int array;
+      (* n + 1 entries: node [id]'s values are entries [val_off.(id)] to
+         [val_off.(id + 1) - 1] of the two arrays below, in slot order *)
+  vals : int array;
+      (* per value: (container id + 1) lsl [idx_bits] lor record index;
+         container part 0 (id -1) until {!set_containers}. Rewritten in
+         place by [remap_values] and [set_containers] only. *)
+  marks : int array;
+      (* per value: the number of element children before its text
+         marker, or -1 for a value without one (an attribute's value).
+         Markers belong to a node's first slots, so the -1s come last;
+         positions are non-decreasing and at most the child count. *)
 }
+
+(* Record indices take the low half of a value word, as in {!Bp_tree}'s
+   cells; an image whose containers hold more records is refused. *)
+let idx_bits = (Sys.int_size - 1) / 2
+let idx_mask = (1 lsl idx_bits) - 1
+
+let pack ~cont idx =
+  if idx < 0 || idx > idx_mask then failwith "structure_tree: record index out of range";
+  ((cont + 1) lsl idx_bits) lor idx
 
 let node_count t = Bp_tree.node_count t.bp
 
@@ -57,7 +79,16 @@ let tag_wavelet t =
   Bitvec.Wavelet.build ~width:t.tag_width (Array.init (node_count t) (tag t))
 
 let parent t id = Bp_tree.parent t.bp id
-let value_pointers t id = t.values.(id)
+
+let value_count t id = t.val_off.(id + 1) - t.val_off.(id)
+
+let value_container t id =
+  let j = t.val_off.(id) in
+  if j = t.val_off.(id + 1) then -1 else (t.vals.(j) lsr idx_bits) - 1
+
+let value_index t id slot =
+  if slot < 0 || slot >= value_count t id then invalid_arg "Structure_tree.value_index";
+  t.vals.(t.val_off.(id) + slot) land idx_mask
 
 (** Child element/attribute node ids only, document order. *)
 let child_nodes t id = Bp_tree.children t.bp id
@@ -65,40 +96,32 @@ let child_nodes t id = Bp_tree.children t.bp id
 (** Nodes in the subtree of [id], including [id]. *)
 let subtree_size t id = Bp_tree.subtree_size t.bp id
 
-(** Raw child entries (node ids and text markers), document order —
-    reconstructed by merging the BP children with the marker
-    positions. *)
-let child_entries t id =
-  let kids = Array.make (Bp_tree.degree t.bp id) 0 in
-  ignore
-    (Bp_tree.fold_children t.bp id
-       (fun k c ->
-         kids.(k) <- c;
-         k + 1)
-       0);
-  let mk = t.marks.(id) in
-  let m = Array.length mk in
-  if m = 0 then kids
-  else begin
-    let c = Array.length kids in
-    let out = Array.make (c + m) 0 in
-    let ci = ref 0 and oi = ref 0 in
-    for s = 0 to m - 1 do
-      while !ci < mk.(s) do
-        out.(!oi) <- kids.(!ci);
-        incr ci;
-        incr oi
-      done;
-      out.(!oi) <- -(s + 1);
-      incr oi
-    done;
-    while !ci < c do
-      out.(!oi) <- kids.(!ci);
-      incr ci;
-      incr oi
-    done;
-    out
-  end
+let has_children t id = Bp_tree.last_descendant t.bp id > id
+
+(* Text markers of a node: its first slots with a position. *)
+let marker_count t id =
+  let v0 = t.val_off.(id) and v1 = t.val_off.(id + 1) in
+  let j = ref v0 in
+  while !j < v1 && t.marks.(!j) >= 0 do
+    incr j
+  done;
+  !j - v0
+
+(** Child entries (node ids and text markers) in document order, by
+    merging the BP children with the marker positions: a marker goes
+    before the child whose rank equals its position, and after the last
+    child when its position is the child count. *)
+let fold_entries t id f acc =
+  let v0 = t.val_off.(id) and v1 = t.val_off.(id + 1) in
+  let stop = Bp_tree.last_descendant t.bp id in
+  (* [c]: next child, [k]: children passed, [j]: next value's entry *)
+  let rec go c k j acc =
+    let marker = j < v1 && t.marks.(j) >= 0 in
+    if marker && (c > stop || t.marks.(j) <= k) then go c k (j + 1) (f acc (v0 - j - 1))
+    else if c > stop then acc
+    else go (Bp_tree.last_descendant t.bp c + 1) (k + 1) j (f acc c)
+  in
+  go (id + 1) 0 v0 acc
 
 (** Strict-ancestor test by pre-order interval containment. *)
 let is_ancestor t ~ancestor ~descendant =
@@ -129,25 +152,38 @@ let descendants_with_tag t id tag_code =
   done;
   !acc
 
-(** Point one value slot at another container, keeping its index. *)
-let set_value_container (t : t) ~node ~slot ~container =
-  let (_, idx) = t.values.(node).(slot) in
-  t.values.(node).(slot) <- (container, idx)
+let set_containers t conts ~records =
+  let n = node_count t in
+  if Array.length conts <> n then invalid_arg "Structure_tree.set_containers";
+  for id = 0 to n - 1 do
+    let a = t.val_off.(id) and b = t.val_off.(id + 1) in
+    if b > a then begin
+      let c = conts.(id) in
+      if c < 0 || c >= Array.length records then failwith "structure_tree: value without container";
+      for j = a to b - 1 do
+        let idx = t.vals.(j) land idx_mask in
+        if idx >= records.(c) then failwith "structure_tree: record index out of range";
+        t.vals.(j) <- pack ~cont:c idx
+      done
+    end
+  done
 
-(** Rewrite value pointers after containers were rebuilt from their
-    values (their records re-sorted): [remap cont_id] returns the
+(** Rewrite value record indices after containers were rebuilt from
+    their values (their records re-sorted): [remap cont_id] returns the
     old-to-new index permutation for that container, or None if it is
     unchanged. *)
 let remap_values (t : t) (remap : int -> int array option) : unit =
-  Array.iter
-    (fun ptrs ->
-      Array.iteri
-        (fun slot (cont, idx) ->
-          match remap cont with
-          | Some perm -> ptrs.(slot) <- (cont, perm.(idx))
-          | None -> ())
-        ptrs)
-    t.values
+  for id = 0 to node_count t - 1 do
+    let a = t.val_off.(id) and b = t.val_off.(id + 1) in
+    if b > a then
+      let cont = value_container t id in
+      match remap cont with
+      | Some perm ->
+        for j = a to b - 1 do
+          t.vals.(j) <- pack ~cont perm.(t.vals.(j) land idx_mask)
+        done
+      | None -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -155,31 +191,33 @@ let remap_values (t : t) (remap : int -> int array option) : unit =
 
 (* Shared assembly: turn explicit per-node arrays (from the builder or
    from a v1/v2/v3 image) into the succinct form, validating the
-   pre-order and marker invariants the bitvector encoding relies on. *)
+   pre-order and marker invariants the bitvector encoding relies on.
+   [values] holds each node's record indices, [conts] its container. *)
 let of_arrays ~(tags : int array) ~(children : int array array)
-    ~(values : (int * int) array array) : t =
+    ~(values : int array array) ~(conts : int array) : t =
   let n = Array.length tags in
-  (* text-marker positions, checking markers are sequential per node *)
-  let marks =
-    Array.mapi
-      (fun id entries ->
-        let m = Array.fold_left (fun acc e -> if e < 0 then acc + 1 else acc) 0 entries in
-        if m > Array.length values.(id) then
-          failwith "structure_tree: text marker without value";
-        let mk = Array.make m 0 in
-        let mi = ref 0 and ci = ref 0 in
-        Array.iter
-          (fun e ->
-            if e >= 0 then incr ci
-            else begin
-              if -e - 1 <> !mi then failwith "structure_tree: non-sequential text markers";
-              mk.(!mi) <- !ci;
-              incr mi
-            end)
-          entries;
-        mk)
-      children
-  in
+  let val_off = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    val_off.(id + 1) <- val_off.(id) + Array.length values.(id)
+  done;
+  let vals = Array.make val_off.(n) 0 and marks = Array.make val_off.(n) (-1) in
+  Array.iteri
+    (fun id entries ->
+      Array.iteri (fun slot idx -> vals.(val_off.(id) + slot) <- pack ~cont:conts.(id) idx) values.(id);
+      (* text-marker positions, checking markers are sequential per node *)
+      let slot = ref 0 and ci = ref 0 in
+      Array.iter
+        (fun e ->
+          if e >= 0 then incr ci
+          else begin
+            if -e - 1 <> !slot then failwith "structure_tree: non-sequential text markers";
+            if !slot >= Array.length values.(id) then
+              failwith "structure_tree: text marker without value";
+            marks.(val_off.(id) + !slot) <- !ci;
+            incr slot
+          end)
+        entries)
+    children;
   (* balanced-parentheses bits by an explicit-stack DFS over the child
      lists, checking ids really are pre-order ranks *)
   let data = Bytes.make (((2 * n) + 7) / 8) '\000' in
@@ -222,7 +260,7 @@ let of_arrays ~(tags : int array) ~(children : int array array)
   let bp = Bp_tree.of_bits (Bitvec.of_bytes ~len:(2 * n) data) in
   let tag_width = Bitvec.Wavelet.width_for (Array.fold_left max 0 tags) in
   let tags, cell = pack_tags ~width:tag_width tags in
-  { bp; tags; cell; tag_width; marks; values }
+  { bp; tags; cell; tag_width; val_off; vals; marks }
 
 type builder = {
   mutable b_tags : int list; (* reversed: id order *)
@@ -247,8 +285,20 @@ let finish (b : builder) ~(rev_children : int list array)
     ~(rev_values : (int * int) list array) : t =
   let tags = Array.of_list (List.rev b.b_tags) in
   let children = Array.map (fun l -> Array.of_list (List.rev l)) rev_children in
-  let values = Array.map (fun l -> Array.of_list (List.rev l)) rev_values in
-  of_arrays ~tags ~children ~values
+  let conts = Array.make (Array.length rev_values) (-1) in
+  let values =
+    Array.mapi
+      (fun id l ->
+        List.iter
+          (fun (c, _) ->
+            if conts.(id) < 0 then conts.(id) <- c
+            else if conts.(id) <> c then
+              failwith "structure_tree: values of one node in two containers")
+          l;
+        Array.of_list (List.rev_map snd l))
+      rev_values
+  in
+  of_arrays ~tags ~children ~values ~conts
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -269,18 +319,33 @@ let serialize_succinct buf (t : t) =
   Bitvec.serialize buf (Bp_tree.bits t.bp);
   Bitvec.Wavelet.serialize buf (tag_wavelet t);
   for id = 0 to n - 1 do
-    Compress.Ipack.add_deltas buf (Array.map snd t.values.(id));
-    if Array.length t.values.(id) > 0 then begin
-      let m = Array.length t.marks.(id) in
+    let v0 = t.val_off.(id) in
+    let k = t.val_off.(id + 1) - v0 in
+    Compress.Ipack.add_deltas buf k (fun slot -> t.vals.(v0 + slot) land idx_mask);
+    if k > 0 then begin
+      let m = marker_count t id in
       add_varint buf m;
-      if m > 0 && Bp_tree.degree t.bp id > 0 then
-        Compress.Ipack.add_deltas buf t.marks.(id)
+      if m > 0 && has_children t id then
+        Compress.Ipack.add_deltas buf m (fun slot -> t.marks.(v0 + slot))
     end
   done
 
+(* [a] with room for at least [need] entries, doubled when it grows. *)
+let ensure (a : int array) need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* One pass over the per-node records, straight into the CSR arrays:
+   varints are taken in place ({!Compress.Rle.take_varint}), so nothing
+   is allocated per node. A value count larger than the bytes left, or
+   a marker count larger than the value count, is rejected before
+   anything is sized by it. *)
 let deserialize_succinct (s : string) (pos : int) : t * int =
-  let read_varint = Compress.Rle.read_varint in
-  let (n, pos) = read_varint s pos in
+  let (n, pos) = Compress.Rle.read_varint s pos in
   let (bits, pos) = Bitvec.deserialize s pos in
   if Bitvec.length bits <> 2 * n then failwith "structure_tree: BP length mismatch";
   let bp = Bp_tree.of_bits bits in
@@ -288,34 +353,66 @@ let deserialize_succinct (s : string) (pos : int) : t * int =
   if Bitvec.Wavelet.length wavelet <> n then failwith "structure_tree: tag count mismatch";
   let tag_width = Bitvec.Wavelet.width wavelet in
   let tags, cell = pack_tags ~width:tag_width (Bitvec.Wavelet.decode wavelet) in
-  let values = Array.make n [||] in
-  let marks = Array.make n [||] in
-  let pos = ref pos in
+  let val_off = Array.make (n + 1) 0 in
+  let vals = ref (Array.make n 0) and marks = ref (Array.make n 0) in
+  let len = String.length s and pos = ref pos in
+  let take () = Compress.Rle.take_varint s pos in
   for id = 0 to n - 1 do
-    let (idxs, p) = Compress.Ipack.read_deltas s !pos in
-    pos := p;
-    (* container ids are re-resolved against the structure summary by the
-       repository loader; -1 is the placeholder *)
-    values.(id) <- Array.map (fun idx -> (-1, idx)) idxs;
-    if Array.length idxs > 0 then begin
-      let (m, p) = read_varint s !pos in
-      pos := p;
-      if m > 0 && Bp_tree.degree bp id > 0 then begin
-        let (mk, p) = Compress.Ipack.read_deltas s !pos in
-        pos := p;
-        if Array.length mk <> m then failwith "structure_tree: marker count mismatch";
-        marks.(id) <- mk
+    let v0 = val_off.(id) in
+    let k = take () in
+    if k > len - !pos then failwith "structure_tree: truncated value pointers";
+    val_off.(id + 1) <- v0 + k;
+    if k > 0 then begin
+      let vs = ensure !vals (v0 + k) and ms = ensure !marks (v0 + k) in
+      vals := vs;
+      marks := ms;
+      let prev = ref 0 in
+      for j = v0 to v0 + k - 1 do
+        prev := !prev + Compress.Ipack.unzigzag (take ());
+        vs.(j) <- pack ~cont:(-1) !prev
+      done;
+      let m = take () in
+      if m > k then failwith "structure_tree: text marker without value";
+      for j = v0 + m to v0 + k - 1 do
+        ms.(j) <- -1
+      done;
+      (* positions are explicit only for mixed content; otherwise every
+         marker precedes the (absent) element children *)
+      if m > 0 && Bp_tree.last_descendant bp id > id then begin
+        if take () <> m then failwith "structure_tree: marker count mismatch";
+        let degree = Bp_tree.degree bp id in
+        let prev = ref 0 in
+        for j = v0 to v0 + m - 1 do
+          let p = !prev + Compress.Ipack.unzigzag (take ()) in
+          if p < !prev then failwith "structure_tree: marker positions decrease";
+          if p > degree then failwith "structure_tree: marker position past the child count";
+          ms.(j) <- p;
+          prev := p
+        done
       end
-      else marks.(id) <- Array.make m 0
+      else
+        for j = v0 to v0 + m - 1 do
+          ms.(j) <- 0
+        done
     end
   done;
-  ({ bp; tags; cell; tag_width; marks; values }, !pos)
+  let total = val_off.(n) in
+  ( {
+      bp;
+      tags;
+      cell;
+      tag_width;
+      val_off;
+      vals = Array.sub !vals 0 total;
+      marks = Array.sub !marks 0 total;
+    },
+    !pos )
 
 (* Readers for the explicit-record trees of repository formats v1/v2
    and v3 (no longer written). Per node: tag, parent delta, child-entry
    codes (a child node c as the even code 2 * (c - id), text marker -k
-   as the odd code 2k - 1) and value record indices; the container id
-   of each value is re-resolved by the repository loader. v2 stores
+   as the odd code 2k - 1) and value record indices; container ids are
+   resolved by the repository loader. v2 stores
    codes and indices as plain varints, v3 as zigzag delta+varint
    sequences. Both share the array assembly in [of_arrays] and then
    check the stored parent pointers against the shape it built. *)
@@ -344,10 +441,11 @@ let deserialize_records read_lists (s : string) (pos : int) : t * int =
     parents.(id) <- id - pdelta;
     children.(id) <-
       Array.map (fun d -> if d land 1 = 0 then id + (d / 2) else -((d + 1) / 2)) codes;
-    values.(id) <- Array.map (fun idx -> (-1, idx)) idxs;
+    values.(id) <- idxs;
     pos := p
   done;
-  (with_parents_checked (of_arrays ~tags ~children ~values) parents, !pos)
+  let conts = Array.make n (-1) in
+  (with_parents_checked (of_arrays ~tags ~children ~values ~conts) parents, !pos)
 
 let deserialize_v2 =
   (* a count, then that many plain varints *)
@@ -382,9 +480,10 @@ let forward_only_bytes (t : t) =
   Bitvec.serialize buf (Bp_tree.bits t.bp);
   Bitvec.Wavelet.serialize buf (tag_wavelet t);
   for id = 0 to node_count t - 1 do
-    let m = Array.length t.marks.(id) in
+    let m = marker_count t id in
     Compress.Rle.add_varint buf m;
-    if m > 0 && Bp_tree.degree t.bp id > 0 then Compress.Ipack.add_deltas buf t.marks.(id)
+    if m > 0 && has_children t id then
+      Compress.Ipack.add_deltas buf m (fun slot -> t.marks.(t.val_off.(id) + slot))
   done;
   Buffer.length buf
 
@@ -400,3 +499,8 @@ let index_bytes (t : t) =
 (** In-memory bytes of the navigation arrays built at load (the flat
     tag array, the parents and the subtree ends); never stored. *)
 let nav_array_bytes (t : t) = Bytes.length t.tags + Bp_tree.nav_bytes t.bp
+
+(** In-memory bytes of the value arrays (the offsets, record indices,
+    marker positions and container ids); never stored either. *)
+let value_array_bytes (t : t) =
+  (Sys.word_size / 8) * (Array.length t.val_off + Array.length t.vals + Array.length t.marks)

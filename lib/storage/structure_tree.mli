@@ -1,16 +1,20 @@
 (** Structure tree (§2.2), succinct edition. On disk the document shape
     is a balanced-parentheses bitvector and the tag codes a wavelet
     tree; in memory both are flat pre-order arrays built at load (tags,
-    parents, subtree ends), and value pointers and text-marker
-    positions are the only other per-node data. Ids are pre-order
-    ranks. Child entries interleave element/attribute node ids (>= 0)
-    with text markers (< 0, indexing the node's value pointers) so
+    parents, subtree ends). The value pointers and text-marker positions
+    are flat pre-order arrays too (CSR: per-node offsets into
+    value-aligned arrays of packed container id and record index, and
+    of marker position); every value of a node lives in one container,
+    its summary node's. Ids are pre-order ranks. Child entries
+    interleave element/attribute node ids (>= 0) with text markers
+    (< 0, marker [-(slot+1)] standing for the node's value [slot]) so
     documents reconstruct in exact order. *)
 
-(** The structure tree; node ids are pre-order ranks. Value pointers
-    are mutable (a container rebuilt from its values re-sorts its
-    records, and the load resolves pointer container ids); the shape is
-    not. *)
+(** The structure tree; node ids are pre-order ranks. The shape, tags
+    and markers are fixed once built. The value pointers change only in
+    place, and only twice in a tree's life: {!set_containers} fills in
+    the container ids of a tree read from an image, and {!remap_values}
+    follows a container rebuilt from its values. *)
 type t
 
 (** Number of element/attribute nodes. *)
@@ -22,11 +26,23 @@ val tag : t -> int -> int
 (** Parent node id; -1 at the root. *)
 val parent : t -> int -> int
 
-(** (container id, record index) pairs, in document (slot) order. *)
-val value_pointers : t -> int -> (int * int) array
+(** Number of values a node points at: an element's immediate text
+    children, an attribute node's value (0 or 1). *)
+val value_count : t -> int -> int
 
-(** Raw child entries (node ids and text markers), document order. *)
-val child_entries : t -> int -> int array
+(** The container all of a node's values live in; -1 for a node
+    without values. *)
+val value_container : t -> int -> int
+
+(** [value_index t node slot]: record index of value [slot] (slot
+    order is document order) in {!value_container}. Raises
+    [Invalid_argument] unless [0 <= slot < value_count t node]. *)
+val value_index : t -> int -> int -> int
+
+(** [fold_entries t node f acc] folds [f] over the node's child entries
+    in document order, allocating nothing: child node ids (>= 0) and
+    text markers [-(slot+1)]. *)
+val fold_entries : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 (** Child element/attribute node ids only. *)
 val child_nodes : t -> int -> int list
@@ -52,16 +68,22 @@ val descendants : t -> int -> int list
     subtree's pre-order interval. *)
 val descendants_with_tag : t -> int -> int -> int list
 
-(** Rewrite value pointers after containers were rebuilt from their
-    values (their records re-sorted): [remap cont_id] returns the
-    old-to-new index permutation for that container, or [None] if it is
-    unchanged. *)
+(** Rewrite value record indices, in place, after containers were
+    rebuilt from their values (their records re-sorted): [remap cont_id]
+    returns the old-to-new index permutation for that container, or
+    [None] if it is unchanged. *)
 val remap_values : t -> (int -> int array option) -> unit
 
-(** Redirect one value pointer slot to a different container (used by
-    {!Repository.deserialize} to resolve container ids from the
-    summary). *)
-val set_value_container : t -> node:int -> slot:int -> container:int -> unit
+(** [set_containers t conts ~records] makes [conts.(id)] the container
+    of node [id]'s values, in place, checking each value's record index
+    against [records.(conts.(id))], that container's record count;
+    entries of nodes without values are ignored. A tree read from an
+    image has container -1 everywhere until {!Repository.deserialize}
+    resolves the ids from the structure summary and sets them here.
+    Raises [Invalid_argument] unless [conts] has one entry per node, and
+    [Failure] if a node with values names no container or an index is
+    out of range. *)
+val set_containers : t -> int array -> records:int array -> unit
 
 (** {2 Document-order construction} *)
 
@@ -78,9 +100,10 @@ val open_node : builder -> tag:int -> int
 val next_id : builder -> int
 
 (** Freeze into the succinct tree. [rev_children] and [rev_values] hold
-    each node's child entries and value pointers in reverse document
-    order (as accumulated by the loader). Raises [Failure] if child
-    ids are not pre-order ranks or text markers are not sequential. *)
+    each node's child entries and (container id, record index) value
+    pointers in reverse document order (as accumulated by the loader).
+    Raises [Failure] if child ids are not pre-order ranks, text markers
+    are not sequential, or one node's values span two containers. *)
 val finish :
   builder -> rev_children:int list array -> rev_values:(int * int) list array -> t
 
@@ -105,7 +128,11 @@ val deserialize_v3 : string -> int -> t * int
 val serialize_succinct : Buffer.t -> t -> unit
 
 (** Invert {!serialize_succinct}, decoding the wavelet levels to the
-    flat tag array. Raises [Failure] on corrupt input. *)
+    flat tag array and the per-node records straight into the value and
+    marker arrays; container ids are left at -1 (see
+    {!set_containers}). Raises [Failure] on corrupt input, including a
+    marker count above the node's value count and marker positions that
+    decrease or exceed the node's child count. *)
 val deserialize_succinct : string -> int -> t * int
 
 (** Forward-only tree bytes for the essential-size experiment: shape
@@ -124,3 +151,8 @@ val index_bytes : t -> int
     tag array and the per-node parents and subtree ends. Not part of
     the image, so not part of {!index_bytes}. *)
 val nav_array_bytes : t -> int
+
+(** In-memory bytes of the value arrays: the per-node offsets and the
+    per-value packed pointers and marker positions. Not part of the
+    image either. *)
+val value_array_bytes : t -> int

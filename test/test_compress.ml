@@ -477,6 +477,42 @@ let prop_alm_builder_oracle =
       && Alm.code_width m = Bitio.width_for (List.length oracle + 1)
       && tiles oracle && List.hd los = "\000" && increasing los)
 
+(* The encoder searches only the bounds sharing the rest's first byte:
+   on random models and values it picks the interval a linear search
+   over every bound of the model picks. Values are mostly bytes that
+   start tokens, and the extreme bytes. *)
+let prop_alm_first_byte_index =
+  let gen =
+    QCheck2.Gen.(
+      gen_alm_tokens >>= fun tokens ->
+      let starts = List.map (fun t -> t.[0]) tokens @ [ '\000'; '\001'; '\xfe'; '\xff' ] in
+      let byte = frequency [ (4, oneofl starts); (1, char) ] in
+      pair (return tokens) (list_size (int_range 1 10) (string_size ~gen:byte (int_range 1 12))))
+  in
+  QCheck2.Test.make ~name:"alm first-byte search = full search" ~count:300 gen
+    (fun (tokens, values) ->
+      let m = Alm.of_tokens tokens in
+      let los = Alm.code_bounds m and toks = Alm.code_tokens m in
+      let full r =
+        let i = ref 0 in
+        Array.iteri (fun j l -> if String.compare l r <= 0 then i := j) los;
+        !i
+      in
+      List.for_all
+        (fun v ->
+          let w = Bitio.Writer.create () in
+          let rec go r =
+            if r <> "" then begin
+              let i = full r in
+              Bitio.Writer.add_bits w (i + 1) (Alm.code_width m);
+              let t = String.length toks.(i) in
+              go (String.sub r t (String.length r - t))
+            end
+          in
+          go v;
+          Alm.compress m v = Bitio.Writer.contents w)
+        values)
+
 (* Values are random bytes, or runs of the model's own tokens with bytes
    between them. *)
 let prop_alm_encoder_oracle =
@@ -1212,6 +1248,7 @@ let suites =
         Alcotest.test_case "malformed models are Corrupt" `Quick test_alm_malformed_models;
         QCheck_alcotest.to_alcotest prop_alm_builder_oracle;
         QCheck_alcotest.to_alcotest prop_alm_encoder_oracle;
+        QCheck_alcotest.to_alcotest prop_alm_first_byte_index;
         QCheck_alcotest.to_alcotest
           (prop_roundtrip "alm" gen_string Alm.train Alm.compress Alm.decompress);
         QCheck_alcotest.to_alcotest prop_alm_order;

@@ -82,6 +82,16 @@ let prop_save_restore_reconstruct =
         (normalize_doc (Xquec_core.Engine.to_document engine))
         (normalize_doc (Xquec_core.Engine.to_document engine')))
 
+let prop_restored_tree_matches =
+  QCheck2.Test.make ~name:"save -> restore keeps every child entry and value pointer" ~count:100
+    gen_doc (fun doc ->
+      let repo = Xquec_core.Loader.load ~name:"f.xml" (Printer.to_string doc) in
+      let image = Storage.Repository.serialize repo in
+      let back = Storage.Repository.deserialize image in
+      Test_succinct.first_difference repo.Storage.Repository.tree back.Storage.Repository.tree
+      = None
+      && String.equal image (Storage.Repository.serialize back))
+
 let prop_counts_agree =
   QCheck2.Test.make ~name:"descendant counts agree with the DOM" ~count:100 gen_doc
     (fun doc ->
@@ -384,6 +394,7 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_load_reconstruct;
         QCheck_alcotest.to_alcotest prop_save_restore_reconstruct;
+        QCheck_alcotest.to_alcotest prop_restored_tree_matches;
         QCheck_alcotest.to_alcotest prop_counts_agree;
         QCheck_alcotest.to_alcotest prop_random_value_queries;
         QCheck_alcotest.to_alcotest prop_random_queries_agree;

@@ -641,15 +641,10 @@ let check_fixture_matches_fresh (repo : Repository.t) =
   Alcotest.(check string) "source name" "v3_small.xml" repo.Repository.source_name;
   let fresh = Xquec_core.Loader.load ~name:"v3_small.xml" (read_fixture "v3_small.xml") in
   let t = repo.Repository.tree and tf = fresh.Repository.tree in
-  let n = Structure_tree.node_count tf in
-  Alcotest.(check int) "node count" n (Structure_tree.node_count t);
-  for id = 0 to n - 1 do
-    if Structure_tree.tag t id <> Structure_tree.tag tf id
-       || Structure_tree.parent t id <> Structure_tree.parent tf id
-       || Structure_tree.value_pointers t id <> Structure_tree.value_pointers tf id
-       || Structure_tree.child_entries t id <> Structure_tree.child_entries tf id
-    then Alcotest.failf "node %d differs from a fresh load" id
-  done;
+  Alcotest.(check int) "node count" (Structure_tree.node_count tf) (Structure_tree.node_count t);
+  Option.iter
+    (Alcotest.failf "node %d differs from a fresh load")
+    (Test_succinct.first_difference t tf);
   List.iter2
     (fun q (a, b) -> Alcotest.(check string) (q ^ " matches fresh load") b a)
     v3_small_queries
@@ -752,7 +747,7 @@ let test_wide_dictionary () =
     (List.exists (fun id -> Structure_tree.tag tf id > 255) (List.init n Fun.id));
   for id = 0 to n - 1 do
     if Structure_tree.tag t id <> Structure_tree.tag tf id
-       || Structure_tree.child_entries t id <> Structure_tree.child_entries tf id
+       || Test_succinct.entries t id <> Test_succinct.entries tf id
        || Structure_tree.last_descendant t id <> Structure_tree.last_descendant tf id
     then Alcotest.failf "node %d differs from a fresh load" id
   done;
@@ -895,6 +890,76 @@ let test_capped_bounds_conservative () =
     Alcotest.(check (list string)) "eq" [ code ] (codes (Container.lookup_eq c code))
   done
 
+(* Damaged value pointers and summary id lists are refused at restore,
+   each with its check's message, instead of failing mid-query (a bad
+   record index) or answering wrongly (a bad id list). Tree nodes in
+   pre-order: a b c d c c e f; e holds text around f. *)
+let test_damaged_pointers_are_corrupt () =
+  let xml = "<a><b><c>x</c></b><d><c>y</c><c>z</c></d><e>p<f/>q</e></a>" in
+  let expect name msg (r : Repository.t) =
+    match Repository.deserialize (Repository.serialize r) with
+    | _ -> Alcotest.failf "%s: loaded" name
+    | exception Repository.Corrupt m -> Alcotest.(check string) name msg m
+  in
+  let damaged name msg f =
+    let r = Xquec_core.Loader.load ~name:"d.xml" xml in
+    let snode path =
+      List.find
+        (fun (n : Summary.node) -> n.Summary.path = path)
+        (Summary.descend_all r.Repository.summary.Summary.root [])
+    in
+    f r snode;
+    expect name msg r
+  in
+  ignore (Repository.deserialize (Repository.serialize (Xquec_core.Loader.load ~name:"d.xml" xml)));
+  damaged "record index past its container" "structure_tree: record index out of range" (fun r _ ->
+      Structure_tree.remap_values r.Repository.tree (fun _ -> Some (Array.init 8 (fun i -> i + 3))));
+  damaged "node listed twice" "repository: tree node listed twice in the summary" (fun _ snode ->
+      let bc = snode "/a/b/c" and dc = snode "/a/d/c" in
+      dc.Summary.ids <- Array.append bc.Summary.ids dc.Summary.ids);
+  damaged "node not listed" "repository: summary does not cover the tree" (fun _ snode ->
+      let dc = snode "/a/d/c" in
+      dc.Summary.ids <- [| dc.Summary.ids.(0) |]);
+  damaged "id past the tree" "repository: summary id out of range" (fun _ snode ->
+      (snode "/a/e/f").Summary.ids <- [| 8 |]);
+  damaged "tag mismatch" "repository: summary tag does not match the tree" (fun _ snode ->
+      let b = snode "/a/b" and d = snode "/a/d" in
+      let ids = b.Summary.ids in
+      b.Summary.ids <- d.Summary.ids;
+      d.Summary.ids <- ids);
+  damaged "parent mismatch" "repository: summary parent does not match the tree" (fun _ snode ->
+      let bc = snode "/a/b/c" and dc = snode "/a/d/c" in
+      let ids = bc.Summary.ids in
+      bc.Summary.ids <- dc.Summary.ids;
+      dc.Summary.ids <- ids);
+  (* marker positions of e (two values around one child): the image's
+     tree section ends with e's marker count and zigzag position deltas
+     0 and +1, then f's empty value list *)
+  let r = Xquec_core.Loader.load ~name:"d.xml" xml in
+  let image = Repository.serialize r in
+  let tree =
+    let buf = Buffer.create 64 in
+    Structure_tree.serialize_succinct buf r.Repository.tree;
+    Buffer.contents buf
+  in
+  let n = String.length tree in
+  Alcotest.(check string) "tree tail" "\002\000\002\000" (String.sub tree (n - 4) 4);
+  let at =
+    let rec find i = if String.sub image i n = tree then i else find (i + 1) in
+    find 0
+  in
+  List.iter
+    (fun (name, tail, msg) ->
+      let bad = Bytes.of_string image in
+      Bytes.blit_string tail 0 bad (at + n - 3) 2;
+      match Repository.deserialize (Bytes.to_string bad) with
+      | _ -> Alcotest.failf "%s: loaded" name
+      | exception Repository.Corrupt m -> Alcotest.(check string) name msg m)
+    [
+      ("markers decrease", "\002\001", "structure_tree: marker positions decrease");
+      ("marker past the children", "\000\004", "structure_tree: marker position past the child count");
+    ]
+
 let suites =
   [
     ( "storage",
@@ -932,6 +997,7 @@ let suites =
         Alcotest.test_case "size breakdown pinned" `Quick test_size_breakdown_pinned;
         Alcotest.test_case "repository header check" `Quick test_repository_header_check;
         Alcotest.test_case "not an image is corrupt" `Quick test_not_an_image_is_corrupt;
+        Alcotest.test_case "damaged pointers are corrupt" `Quick test_damaged_pointers_are_corrupt;
         Alcotest.test_case "capped bounds stay conservative" `Quick test_capped_bounds_conservative;
       ] );
   ]

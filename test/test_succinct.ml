@@ -12,6 +12,8 @@ let rng = Random.State.make [| 0x5ecc; 0x7ee |]
 (* Bitvec                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let bit bv i = Bitvec.byte bv (i / 8) lsr (i mod 8) land 1 = 1
+
 let check_bitvec len =
   let bits = Array.init len (fun _ -> Random.State.bool rng) in
   let bv = Bitvec.init len (fun i -> bits.(i)) in
@@ -20,7 +22,7 @@ let check_bitvec len =
     (Array.fold_left (fun k b -> if b then k + 1 else k) 0 bits)
     (Bitvec.ones bv);
   for i = 0 to len - 1 do
-    Alcotest.(check bool) "get" bits.(i) (Bitvec.get bv i)
+    Alcotest.(check bool) "get" bits.(i) (bit bv i)
   done;
   let buf = Buffer.create 16 in
   Bitvec.serialize buf bv;
@@ -28,7 +30,7 @@ let check_bitvec len =
   Alcotest.(check int) "consumed all" (Buffer.length buf) consumed;
   Alcotest.(check int) "roundtrip len" len (Bitvec.length bv2);
   for i = 0 to len - 1 do
-    Alcotest.(check bool) "roundtrip bit" bits.(i) (Bitvec.get bv2 i)
+    Alcotest.(check bool) "roundtrip bit" bits.(i) (bit bv2 i)
   done
 
 let test_bitvec_roundtrip () =
@@ -130,7 +132,7 @@ let check_bp (parents : int array) =
 
 (* Random pre-order parent arrays: each node's parent is drawn from the
    rightmost path so ids stay pre-order ranks. *)
-let random_preorder_parents n =
+let random_preorder_parents ?(rng = rng) n =
   let parents = Array.make n (-1) in
   let stack = ref [ 0 ] in
   for i = 1 to n - 1 do
@@ -187,8 +189,8 @@ let test_bp_rejects_malformed () =
 
 let test_tree_differential_vs_pointer_semantics () =
   (* build a structure tree from an XMark document and check the
-     succinct navigation against references computed from child_entries
-     alone (the explicit pointer semantics of the v3 tree) *)
+     succinct navigation against references computed from the child
+     lists alone (the explicit pointer semantics of the v3 tree) *)
   let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
   let repo = Xquec_core.Loader.load ~name:"a" xml in
   let tree = repo.Repository.tree in
@@ -278,6 +280,127 @@ let test_v2_parent_check () =
     (Failure "structure_tree: parent pointer mismatch") (fun () ->
       ignore (Structure_tree.deserialize_v2 (image ~child_pdelta:0) 0))
 
+(* ------------------------------------------------------------------ *)
+(* Flat value arrays vs the builder's per-node lists                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A node's child entries and (container, record index) value pointers,
+   read through the allocation-free accessors; the storage and fuzz
+   suites compare trees with them too. *)
+let entries t id = List.rev (Structure_tree.fold_entries t id (fun acc e -> e :: acc) [])
+
+let pointers t id =
+  List.init (Structure_tree.value_count t id) (fun slot ->
+      (Structure_tree.value_container t id, Structure_tree.value_index t id slot))
+
+(* The first node on which two trees differ in tag, parent, child
+   entries or value pointers (-1 for different node counts). *)
+let first_difference t t' =
+  let n = Structure_tree.node_count t in
+  if Structure_tree.node_count t' <> n then Some (-1)
+  else
+    List.find_opt
+      (fun id ->
+        Structure_tree.tag t id <> Structure_tree.tag t' id
+        || Structure_tree.parent t id <> Structure_tree.parent t' id
+        || entries t id <> entries t' id
+        || pointers t id <> pointers t' id)
+      (List.init n Fun.id)
+
+(* Random per-node lists in document order, shaped as the loader hands
+   them to [finish]: children in pre-order; each node's values in one
+   container; text markers -1 .. -m for the first m value slots,
+   interleaved at random among the element children. *)
+let random_lists rs n =
+  let parents = random_preorder_parents ~rng:rs n in
+  let kids = Array.make n [] in
+  for id = n - 1 downto 1 do
+    kids.(parents.(id)) <- id :: kids.(parents.(id))
+  done;
+  let values =
+    Array.init n (fun _ ->
+        let k = if Random.State.int rs 3 = 0 then 0 else Random.State.int rs 4 in
+        let c = Random.State.int rs 5 in
+        List.init k (fun _ -> (c, Random.State.int rs 1000)))
+  in
+  let children =
+    Array.mapi
+      (fun id ks ->
+        let m = Random.State.int rs (List.length values.(id) + 1) in
+        let rec merge ks s =
+          if s > m then ks
+          else
+            match ks with
+            | k :: rest when Random.State.bool rs -> k :: merge rest s
+            | _ -> -s :: merge ks (s + 1)
+        in
+        merge ks 1)
+      kids
+  in
+  (children, values)
+
+let qcheck_flat_values_match_lists =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"flat value arrays = the builder's lists, through save/restore"
+       ~count:300
+       QCheck2.Gen.(pair (int_range 1 300) int)
+       (fun (n, seed) ->
+         let rs = Random.State.make [| seed |] in
+         let children, values = random_lists rs n in
+         let b = Structure_tree.builder () in
+         for _ = 1 to n do
+           ignore (Structure_tree.open_node b ~tag:(Random.State.int rs 20))
+         done;
+         let t =
+           Structure_tree.finish b ~rev_children:(Array.map List.rev children)
+             ~rev_values:(Array.map List.rev values)
+         in
+         let save t =
+           let buf = Buffer.create 256 in
+           Structure_tree.serialize_succinct buf t;
+           Buffer.contents buf
+         in
+         let image = save t in
+         let t2, _ = Structure_tree.deserialize_succinct image 0 in
+         Structure_tree.set_containers t2
+           (Array.init n (Structure_tree.value_container t))
+           ~records:(Array.make 5 1000);
+         List.for_all
+           (fun id -> entries t id = children.(id) && pointers t id = values.(id))
+           (List.init n Fun.id)
+         && first_difference t t2 = None
+         && String.equal image (save t2)))
+
+(* Tree records no writer produces: marker positions must not decrease
+   and must not pass the node's child count. Node 0 has two values and
+   one child, its markers at positions [p0; p1]; node 1 has no value. *)
+let test_marker_checks () =
+  let image p0 p1 =
+    let b = Structure_tree.builder () in
+    ignore (Structure_tree.open_node b ~tag:0);
+    ignore (Structure_tree.open_node b ~tag:1);
+    let t =
+      Structure_tree.finish b ~rev_children:[| [ -2; 1; -1 ]; [] |]
+        ~rev_values:[| [ (0, 1); (0, 0) ]; [] |]
+    in
+    let buf = Buffer.create 16 in
+    Structure_tree.serialize_succinct buf t;
+    let s = Buffer.contents buf in
+    (* ... m = 2, marker count 2, zigzag deltas 0 and +1; node 1: 0 *)
+    let n = String.length s in
+    Alcotest.(check string) "layout" "\002\002\000\002\000" (String.sub s (n - 5) 5);
+    let zz d = if d >= 0 then 2 * d else (-2 * d) - 1 in
+    String.sub s 0 (n - 3) ^ String.init 2 (fun i -> Char.chr (zz (if i = 0 then p0 else p1 - p0)))
+    ^ "\000"
+  in
+  let t, _ = Structure_tree.deserialize_succinct (image 0 1) 0 in
+  Alcotest.(check (list int)) "entries read back" [ -1; 1; -2 ] (entries t 0);
+  Alcotest.check_raises "decreasing positions" (Failure "structure_tree: marker positions decrease")
+    (fun () -> ignore (Structure_tree.deserialize_succinct (image 1 0) 0));
+  Alcotest.check_raises "position past the children"
+    (Failure "structure_tree: marker position past the child count") (fun () ->
+      ignore (Structure_tree.deserialize_succinct (image 0 2) 0))
+
 let suites =
   [
     ( "succinct",
@@ -294,5 +417,7 @@ let suites =
           test_tree_differential_vs_pointer_semantics;
         Alcotest.test_case "tree tag cells of every width" `Quick test_tree_tag_cells;
         Alcotest.test_case "v2 reader checks parent pointers" `Quick test_v2_parent_check;
+        qcheck_flat_values_match_lists;
+        Alcotest.test_case "v4 reader checks marker positions" `Quick test_marker_checks;
       ] );
   ]

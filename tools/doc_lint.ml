@@ -157,15 +157,34 @@ let source_files roots =
   List.iter walk roots;
   !out
 
+(* The index just past the character literal opening at [i], if one
+   does: 'x', or an escape such as '\n', '\\', '\'', '\"' or
+   '\123'. A type variable or a primed name is none. *)
+let char_literal_end (src : string) (i : int) : int option =
+  let n = String.length src in
+  if src.[i] <> '\'' || i + 2 >= n then None
+  else if src.[i + 1] = '\\' then begin
+    let e = ref (i + 3) in
+    while !e < n && !e < i + 6 && src.[!e] <> '\'' do
+      incr e
+    done;
+    Some (min n (!e + 1))
+  end
+  else if src.[i + 2] = '\'' then Some (i + 3)
+  else None
+
 (* all double-quoted string literals in an OCaml source (good enough:
-   skips backslash escapes, does not exclude comments — a literal
-   inside a comment only widens what the doc may reference) *)
+   skips backslash escapes and character literals such as '"', does
+   not exclude comments — a literal inside a comment only widens what
+   the doc may reference) *)
 let string_literals (src : string) : string list =
   let out = ref [] in
   let n = String.length src in
   let i = ref 0 in
   while !i < n do
-    if src.[!i] = '"' then begin
+    match char_literal_end src !i with
+    | Some e -> i := e
+    | None when src.[!i] = '"' ->
       let buf = Buffer.create 16 in
       incr i;
       let fin = ref false in
@@ -182,8 +201,7 @@ let string_literals (src : string) : string list =
       done;
       incr i;
       out := Buffer.contents buf :: !out
-    end
-    else incr i
+    | None -> incr i
   done;
   !out
 
@@ -484,7 +502,7 @@ let code_only (src : string) : string =
   let rec string_end i =
     if i >= n then n
     else if src.[i] = '\\' then string_end (i + 2)
-    else if src.[i] = '\034' then i + 1
+    else if src.[i] = '"' then i + 1
     else string_end (i + 1)
   in
   let rec go i depth =
@@ -499,29 +517,22 @@ let code_only (src : string) : string =
       blank (i + 1);
       go (i + 2) (depth - 1)
     end
-    else if src.[i] = '\034' then begin
+    else if src.[i] = '"' then begin
       (* a string, in code or in a comment (where it may hide a close
          marker) *)
       let e = min n (string_end (i + 1)) in
       for k = i to e - 1 do blank k done;
       go e depth
     end
-    else if src.[i] = '\'' && i + 2 < n && src.[i + 2] = '\'' then begin
-      (* a one-character literal such as a quote *)
-      for k = i to i + 2 do blank k done;
-      go (i + 3) depth
-    end
-    else if src.[i] = '\'' && i + 1 < n && src.[i + 1] = '\\' then begin
-      (* an escaped character literal: '\n', '\\', '\'', '\123' *)
-      let e = ref (i + 3) in
-      while !e < n && !e < i + 6 && src.[!e] <> '\'' do incr e done;
-      for k = i to min (n - 1) !e do blank k done;
-      go (!e + 1) depth
-    end
-    else begin
-      if depth > 0 then blank i;
-      go (i + 1) depth
-    end
+    else
+      match char_literal_end src i with
+      | Some e ->
+        (* a character literal such as a quote *)
+        for k = i to e - 1 do blank k done;
+        go e depth
+      | None ->
+        if depth > 0 then blank i;
+        go (i + 1) depth
   in
   go 0 0;
   Bytes.to_string out
