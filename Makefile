@@ -32,7 +32,9 @@ build:
 # OCAMLRUNPARAM=R (randomized hash tables) and must be byte-identical,
 # as must a workload-tuned pair (the partitioner's search and re-encode
 # under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R),
-# a truncated query must exit 2 with a positioned syntax error, an XML
+# a workload file with a malformed query must make compress exit 2
+# naming that query, a truncated query must exit 2 with a positioned
+# syntax error, an XML
 # document given as an image must exit 1 as not a valid image,
 # EXPLAIN of a Q2-shaped query must show the batched-path operator (so
 # set-at-a-time paths cannot silently stop firing), and EXPLAIN of the
@@ -56,6 +58,12 @@ check:
 	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq \
 	  -o $(GATE_DIR)/auction-tuned-randomized.xqc > /dev/null
 	cmp $(GATE_DIR)/auction-tuned.xqc $(GATE_DIR)/auction-tuned-randomized.xqc
+	printf 'for $$p in document("auction.xml")/site/people/person where $$p/@id = return $$p\n' \
+	  > $(GATE_DIR)/bad-workload.xq
+	$(XQUEC) compress $(GATE_DIR)/auction.xml -w $(GATE_DIR)/bad-workload.xq \
+	  -o $(GATE_DIR)/bad-workload.xqc 2> $(GATE_DIR)/bad-workload.txt; test $$? -eq 2
+	grep -q '^xquec: $(GATE_DIR)/bad-workload.xq: query 1 of 1: syntax error at byte [0-9]*: ' \
+	  $(GATE_DIR)/bad-workload.txt
 	$(XQUEC) query $(GATE_DIR)/auction.xqc \
 	  'for $$p in document("auction.xml")/site/people/person where $$p/@id = "person0" return $$p/name' \
 	  --query-log $(GATE_DIR)/query-log.jsonl > /dev/null

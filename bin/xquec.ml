@@ -48,6 +48,17 @@ let read_workload = function
           if q = "" then None else Some q)
         stanzas
     in
+    (* a query that does not parse is the caller's mistake: name it and
+       exit 2, as [query] does for its argument *)
+    let n = List.length queries in
+    List.iteri
+      (fun i q ->
+        try ignore (Xquery.Parser.parse q)
+        with Xquery.Parser.Syntax_error (msg, pos) ->
+          Fmt.epr "xquec: %s: query %d of %d: %s@." path (i + 1) n
+            (Xquery.Parser.error_message msg pos);
+          exit 2)
+      queries;
     if queries = [] then None else Some queries
 
 (* --- telemetry options (shared by compress / query / explain) ------- *)
@@ -420,8 +431,9 @@ let serve_cmd =
       & opt (some file) None
       & info [ "w"; "workload" ] ~docv:"QUERIES"
           ~doc:"File of XQuery queries (separated by lines containing ';;') declaring \
-                the workload the repository was tuned for; the watchdog scores live \
-                drift against its fingerprint. Without it the watchdog still tracks \
+                the workload the repository was tuned for. Each query runs once at \
+                startup, and the watchdog scores live drift against the fingerprint \
+                of what those runs observed. Without it the watchdog still tracks \
                 the rolling fingerprint but computes no drift.")
   in
   let no_auto_compact =
@@ -446,25 +458,27 @@ let serve_cmd =
       | None -> max 1 (Domain.recommended_domain_count () - 1)
     in
     Xquec_core.Plan_cache.set_capacity plan_cache;
+    let workload_queries = read_workload serve_workload in
+    let engine, format = load_engine_any_with_format input in
+    (* the declared mix, observed: each workload query runs once on the
+       served repository (the on-disk format does not retain the
+       workload it was compressed under), before the budgets apply. It
+       warms the buffer pool; the heat table is cleared after it, so
+       /heat starts from served traffic. *)
+    let baseline =
+      Option.map
+        (fun queries ->
+          let fp = Xquec_core.Engine.declared_fingerprint engine queries in
+          Xquec_obs.Heat.reset ();
+          fp)
+        workload_queries
+    in
     Xquec_obs.Ledger.set_limits ~wall_ms:query_wall_ms
       ~decode_bytes:(int_of_float (query_decode_mb *. 1024.0 *. 1024.0))
       ();
-    let engine, format = load_engine_any_with_format input in
     Xquec_core.Serve.set_server_info ~format ();
     Xquec_core.Serve.set_auto_compact
       (if no_auto_compact then None else Some (Xquec_core.Engine.repo engine));
-    (* declared build-time mix: re-analyze the workload queries against
-       the served repository (the on-disk format does not retain the
-       workload the repository was compressed under) *)
-    let baseline =
-      match read_workload serve_workload with
-      | Some queries ->
-        let repo = Xquec_core.Engine.repo engine in
-        Some
-          (Xquec_core.Workload.fingerprint repo
-             (Xquec_core.Workload.of_query_strings repo queries))
-      | None -> None
-    in
     let watch_on = watch_window > 0.0 in
     if watch_on then begin
       Xquec_obs.Watch.configure ~window_seconds:watch_window ();

@@ -238,9 +238,9 @@ let resolve_value_path ?(concat_semantics = false) ctx (snodes : Summary.node li
       else None
     | [ ({ Ast.axis = Ast.Attribute; test = Ast.Name _; predicates = [] } as st) ] ->
       (* attribute records resolve to the owning element at this level *)
-      text_containers (Summary_access.advance_snodes ctx snodes st) hops
+      text_containers (Summary_access.advance_snodes ctx.repo.Repository.dict snodes st) hops
     | ({ Ast.axis = Ast.Child; test = Ast.Name _; predicates = [] } as st) :: rest -> (
-      match Summary_access.advance_snodes ctx snodes st with
+      match Summary_access.advance_snodes ctx.repo.Repository.dict snodes st with
       | [] -> None
       | next -> go next (hops + 1) rest)
     | _ -> None
@@ -282,10 +282,10 @@ let pushdown_reads ctx (snodes : Summary.node list) (p : pushable) : pushdown op
     let rec advance snodes hops = function
       | [] -> Some (snodes, hops)
       | ({ Ast.axis = Ast.Child; test = Ast.Name _; predicates = [] } as st) :: rest ->
-        let next = Summary_access.advance_snodes ctx snodes st in
+        let next = Summary_access.advance_snodes ctx.repo.Repository.dict snodes st in
         if next = [] then None else advance next (hops + 1) rest
       | ({ Ast.axis = Ast.Attribute; test = Ast.Name _; predicates = [] } as st) :: [] ->
-        let next = Summary_access.advance_snodes ctx snodes st in
+        let next = Summary_access.advance_snodes ctx.repo.Repository.dict snodes st in
         if next = [] then None else Some (next, hops + 1)
       | _ -> None
     in
@@ -340,7 +340,7 @@ let static_value_containers ctx env (e : Ast.expr) : Container.t list option =
   match e with
   | Ast.Path (((Ast.Doc _ | Ast.Var _ | Ast.Context) as src), steps) ->
     Option.map (List.map fst)
-      (resolve_value_path ctx (Summary_access.static_snodes ctx env src) steps)
+      (resolve_value_path ctx (Summary_access.env_static_snodes ctx env src) steps)
   | Ast.Var v -> (
     (* a variable bound to attribute values ([for $x in P/@a],
        [distinct-values(P/@a)]) holds values of their containers *)
@@ -370,7 +370,7 @@ let note_cmp_obs ctx env (op : Ast.cmp_op) ~(a : Ast.expr) ~(b : Ast.expr) ~(xs 
      span several text nodes) but still read the immediate-text
      containers of the path's summary nodes — good enough to attribute *)
   let loose e =
-    match text_containers ctx (Summary_access.static_snodes ctx env e) with
+    match text_containers ctx (Summary_access.env_static_snodes ctx env e) with
     | [] -> None
     | cs -> Some cs
   in

@@ -169,12 +169,6 @@ let estimate_set (t : t) (ids : int list) (alg : Compress.Codec.algorithm) : flo
 let set_of (config : configuration) (id : int) : (int list * Compress.Codec.algorithm) option =
   List.find_opt (fun (ids, _) -> List.mem id ids) config.sets
 
-let class_supported alg (cls : Workload.pred_class) =
-  match cls with
-  | Workload.Cls_eq -> Compress.Codec.supports alg `Eq
-  | Workload.Cls_ineq -> Compress.Codec.supports alg `Ineq
-  | Workload.Cls_wild -> Compress.Codec.supports alg `Wild
-
 (** Decompression cost of one predicate under a configuration: 0 when it
     runs in the compressed domain, otherwise |ct| * d_c summed over the
     containers that must be decompressed (§3.2's three cases). *)
@@ -197,7 +191,7 @@ let predicate_cost (t : t) (config : configuration) (p : Workload.predicate) : f
       List.filter
         (fun id ->
           match set_of config id with
-          | Some (_, alg) -> not (class_supported alg p.Workload.cls)
+          | Some (_, alg) -> not (Compress.Codec.supports alg p.Workload.cls)
           | None -> true)
         p.Workload.left
     in
@@ -210,7 +204,7 @@ let predicate_cost (t : t) (config : configuration) (p : Workload.predicate) : f
     let in_domain =
       match sets with
       | Some (first_ids, first_alg) :: rest ->
-        class_supported first_alg p.Workload.cls
+        Compress.Codec.supports first_alg p.Workload.cls
         && List.for_all
              (function
                | Some (ids', _) -> ids' == first_ids || ids' = first_ids

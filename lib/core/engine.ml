@@ -147,6 +147,22 @@ let log_record ~admission ~text ~items ~out ~prof ~(c0 : clock) ~(c1 : clock)
      ]
     @ match admission with Some adm -> [ ("admission", adm) ] | None -> [])
 
+(* The core every ledgered query shares: one ledger opened on this
+   domain around parsing, evaluation and serialization, returned with
+   the answer once it is closed. Limits set with [Ledger.set_limits]
+   apply inside it. *)
+let evaluate_in_ledger (t : t) (ast : unit -> Xquery.Ast.expr) =
+  Xquec_obs.Ledger.with_ledger @@ fun l ->
+  let items, prof = Executor.run_profiled t.repo (ast ()) in
+  (l, items, Executor.serialize t.repo items, prof)
+
+(* The [(container path, decoded bytes)] touches of a ledger, as the
+   query log records them and the fingerprint aggregates take them. *)
+let touches (l : Xquec_obs.Ledger.t) : (string * int) list =
+  List.map
+    (fun (c : Xquec_obs.Ledger.container) -> (c.c_label, c.c_bytes_decoded))
+    (Xquec_obs.Ledger.containers l)
+
 (** Evaluate and serialize inside one {!Xquec_obs.Ledger}: the query's
     own costs, charged as they happen on this domain. The watchdog
     observes them and, when a log file is configured, one JSONL record
@@ -165,24 +181,32 @@ let log_record ~admission ~text ~items ~out ~prof ~(c0 : clock) ~(c1 : clock)
 let query_serialized_logged ?(admission : Xquec_obs.Json.t option)
     ?(plan : Xquery.Ast.expr option) (t : t) (text : string) :
     string * Xquec_obs.Explain.node =
-  Xquec_obs.Ledger.with_ledger @@ fun l ->
   let c0 = if Xquec_obs.Query_log.enabled () then Some (read_clock ()) else None in
-  let ast = match plan with Some ast -> ast | None -> parse_query text in
-  let items, prof = Executor.run_profiled t.repo ast in
-  let out = Executor.serialize t.repo items in
+  let l, items, out, prof =
+    evaluate_in_ledger t (fun () ->
+        match plan with Some ast -> ast | None -> parse_query text)
+  in
   let clocks = Option.map (fun c0 -> (c0, read_clock ())) c0 in
   if Xquec_obs.Watch.enabled () then
-    Xquec_obs.Watch.observe ~predicates:(Xquec_obs.Ledger.predicates l)
-      ~containers:
-        (List.map
-           (fun (c : Xquec_obs.Ledger.container) -> (c.c_label, c.c_bytes_decoded))
-           (Xquec_obs.Ledger.containers l))
+    Xquec_obs.Watch.observe ~predicates:(Xquec_obs.Ledger.predicates l) ~containers:(touches l)
       ();
   Option.iter
     (fun (c0, c1) ->
       Xquec_obs.Query_log.append (log_record ~admission ~text ~items ~out ~prof ~c0 ~c1 l))
     clocks;
   (out, prof)
+
+(** Run each query once and fingerprint what the executor observed,
+    through the same aggregation as the watchdog and the query log. *)
+let declared_fingerprint (t : t) (texts : string list) : Xquec_obs.Profile.fingerprint =
+  let g = Xquec_obs.Profile.agg_create () in
+  List.iter
+    (fun text ->
+      let l, _, _, _ = evaluate_in_ledger t (fun () -> parse_query text) in
+      Xquec_obs.Profile.agg_add g ~predicates:(Xquec_obs.Ledger.predicates l)
+        ~containers:(touches l))
+    texts;
+  Xquec_obs.Profile.agg_fingerprint g
 
 let compression_factor (t : t) = Repository.compression_factor t.repo
 

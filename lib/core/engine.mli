@@ -64,6 +64,19 @@ val query_serialized_logged :
   string ->
   string * Xquec_obs.Explain.node
 
+(** The declared workload's fingerprint, observed rather than
+    predicted: each query runs once through the core of
+    {!query_serialized_logged} (its own ledger, evaluation and
+    serialization) without the watchdog or the query log, and its
+    ledger's predicate observations and container touches fold through
+    {!Xquec_obs.Profile.agg_add}, exactly as the watchdog folds served
+    traffic. Serving exactly these queries therefore scores drift 0
+    against it. Running them fills the buffer pool and the heat table
+    as any query does, and limits set with
+    {!Xquec_obs.Ledger.set_limits} apply to them. Raises
+    [Xquery.Parser.Syntax_error] on a malformed query. *)
+val declared_fingerprint : t -> string list -> Xquec_obs.Profile.fingerprint
+
 (** Original document bytes / compressed repository bytes. *)
 val compression_factor : t -> float
 

@@ -242,7 +242,7 @@ and eval_step ctx env (b : binding) (st : Ast.step) : binding =
       in
       { seq = Mat items; snodes = []; origin = Loose })
   | Ast.Attribute, Ast.Name n -> (
-    let asnodes = Summary_access.advance_snodes ctx b.snodes st in
+    let asnodes = Summary_access.advance_snodes ctx.repo.Repository.dict b.snodes st in
     match b.seq with
     | All_nodes _ when st.Ast.predicates = [] && asnodes <> [] ->
       { seq = All_values asnodes; snodes = asnodes; origin = Loose }
@@ -267,7 +267,7 @@ and eval_step ctx env (b : binding) (st : Ast.step) : binding =
       { seq = Mat items; snodes = asnodes; origin = Loose })
   | Ast.Attribute, (Ast.Any | Ast.Text) -> err "unsupported attribute step"
   | (Ast.Child | Ast.Descendant), (Ast.Name _ | Ast.Any) -> (
-    let new_snodes = Summary_access.advance_snodes ctx b.snodes st in
+    let new_snodes = Summary_access.advance_snodes ctx.repo.Repository.dict b.snodes st in
     match b.seq with
     | All_nodes _ when (not has_pos) && new_snodes <> [] ->
       if st.Ast.predicates = [] then
@@ -535,7 +535,7 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
   (* after a FOR or LET binds [v] to [e]: record [v]'s provenance and
      apply the conjuncts it completes *)
   let bind_clause v e =
-    let snodes = Summary_access.static_snodes ctx !prov e in
+    let snodes = Summary_access.env_static_snodes ctx !prov e in
     prov := (v, { seq = Mat []; snodes; origin = Loose }) :: !prov;
     bound := Sset.add v !bound;
     apply_ready ()
@@ -618,13 +618,12 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
           end
           else begin
             match decorrelate ctx base ~prov:!prov ~tuple_vars:!bound e with
-            | Some (op, mode, build) ->
+            | Some (op, mode, run) ->
               prof_rows ctx ~kind:"decorrelate" (fun () -> "decorrelate $" ^ v)
                 ~attrs:(fun () -> [ ("op", Ast.cmp_name op); Value_join.keys_attr mode ])
                 ~rows:(fun () -> List.length !tuples)
                 (fun () ->
-                  let probe = build () in
-                  tuples := List.map (fun d -> (v, mat (probe d)) :: d) !tuples)
+                  tuples := List.map2 (fun d a -> (v, mat a) :: d) !tuples (run !tuples))
             | None ->
               tuples := List.map (fun d -> (v, eval qctx (full d) e) :: d) !tuples
           end);
@@ -687,24 +686,19 @@ and exec_join ctx base tuples ~mode ~var ~source (op, left_e, right_e) =
       (fun d -> List.map (fun i -> (var, member bs i) :: d) (probe (keys_of (d @ base) left_e)))
       tuples
   in
-  (* compressed-domain joins are container-resolved: observe the join
-     side for the workload fingerprint (atom joins have no container) *)
-  (match mode with
-  | Value_join.Mode_code (c : Container.t) ->
-    Xquec_obs.Ledger.note_pred ~container:c.Container.path ~kind:"join"
-      ~candidates:(List.length items) ~matches:(List.length out)
-  | Value_join.Mode_atom -> ());
+  Value_join.note_join mode ~candidates:(List.length items) ~matches:(List.length out);
   out
 
 (* Decorrelate a nested FLWOR bound in a LET: the Q8/Q9 pattern
      let $a := for $t in ... where <inner> = <outer> return ...
    Returns the correlating comparison, how its keys are typed, and a
-   build step that evaluates the inner FLWOR once, through the same
+   run step that evaluates the inner FLWOR once, through the same
    clause pipeline (and so the same join planning and ORDER BY) as any
-   other FLWOR, and indexes its tuples on the correlated key; the probe
-   it yields evaluates the inner return per matching tuple. *)
+   other FLWOR, indexes its tuples on the correlated key, and probes the
+   index with each outer tuple, evaluating the inner return per matching
+   tuple: one answer per outer tuple, in order. *)
 and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
-    (Ast.cmp_op * Value_join.key_mode * (unit -> env -> item list)) option =
+    (Ast.cmp_op * Value_join.key_mode * (env list -> item list list)) option =
   match e with
   | Ast.Flwor (clauses, ret) -> (
     let base_vars = Sset.of_list (List.map fst base) in
@@ -745,7 +739,7 @@ and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
               (fun env c ->
                 match c with
                 | Ast.For (v, e) | Ast.Let (v, e) ->
-                  let snodes = Summary_access.static_snodes ctx env e in
+                  let snodes = Summary_access.env_static_snodes ctx env e in
                   (v, { seq = Mat []; snodes; origin = Loose }) :: env
                 | Ast.Where _ | Ast.Order_by _ -> env)
               prov structural
@@ -754,7 +748,7 @@ and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
           Some
             ( op,
               mode,
-              fun () ->
+              fun outer_tuples ->
               let inner_tuples = flwor_tuples ctx base rebuilt in
               let qctx = quiet ctx in
               let keys_of = join_keys qctx mode in
@@ -762,10 +756,20 @@ and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
                 Value_join.join_index op
                   (List.map (fun d -> (keys_of (d @ base) inner_e, d)) inner_tuples)
               in
-              fun outer_delta ->
-                List.concat_map
-                  (fun d -> materialize qctx (eval qctx (d @ outer_delta @ base) ret))
-                  (probe (keys_of (outer_delta @ base) outer_e)) )
+              let matches = ref 0 in
+              let answers =
+                List.map
+                  (fun outer_delta ->
+                    let hits = probe (keys_of (outer_delta @ base) outer_e) in
+                    matches := !matches + List.length hits;
+                    List.concat_map
+                      (fun d -> materialize qctx (eval qctx (d @ outer_delta @ base) ret))
+                      hits)
+                  outer_tuples
+              in
+              Value_join.note_join mode ~candidates:(List.length inner_tuples)
+                ~matches:!matches;
+              answers )
         | _ -> None)
       | _ -> None
     end)

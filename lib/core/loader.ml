@@ -19,67 +19,18 @@ open Storage
 type options = {
   default_string_algorithm : Compress.Codec.algorithm;
   detect_numeric : bool;
-  spill_directory : string option;
-      (** when set, container values are staged in per-container spill
-          files on secondary storage during parsing instead of being
-          accumulated in memory — the paper's §6 plan for documents
-          larger than memory (e.g. SwissProt) *)
 }
 
-let default_options =
-  { default_string_algorithm = Compress.Codec.Alm_alg; detect_numeric = true;
-    spill_directory = None }
+let default_options = { default_string_algorithm = Compress.Codec.Alm_alg; detect_numeric = true }
 
-(* Per-container accumulator while parsing: in memory, or staged on
-   secondary storage. *)
-type staging =
-  | In_memory of (string * int * int * int) list ref
-      (* value, record parent id, owner node id, owner slot — reversed *)
-  | Spilled of string * out_channel (* file path + append channel *)
-
+(* Per-container accumulator while parsing. *)
 type pending = {
   p_path : string;
   p_kind : Container.kind;
   p_id : int;
-  p_staging : staging;
+  mutable p_rev_records : (string * int) list;  (* value, record parent id — reversed *)
   mutable p_count : int;
 }
-
-let stage_record (st : staging) (value, parent, owner, slot) =
-  match st with
-  | In_memory l -> l := (value, parent, owner, slot) :: !l
-  | Spilled (_, oc) ->
-    let buf = Buffer.create (String.length value + 16) in
-    Compress.Rle.add_varint buf (String.length value);
-    Buffer.add_string buf value;
-    Compress.Rle.add_varint buf parent;
-    Compress.Rle.add_varint buf owner;
-    Compress.Rle.add_varint buf slot;
-    Buffer.output_buffer oc buf
-
-(* Entries in arrival order; consumes (and deletes) a spill file. *)
-let staged_entries (st : staging) : (string * int * int * int) list =
-  match st with
-  | In_memory l -> List.rev !l
-  | Spilled (path, oc) ->
-    close_out oc;
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let data = really_input_string ic n in
-    close_in ic;
-    Sys.remove path;
-    let entries = ref [] in
-    let pos = ref 0 in
-    while !pos < n do
-      let (len, p) = Compress.Rle.read_varint data !pos in
-      let value = String.sub data p len in
-      let (parent, p) = Compress.Rle.read_varint data (p + len) in
-      let (owner, p) = Compress.Rle.read_varint data p in
-      let (slot, p) = Compress.Rle.read_varint data p in
-      entries := (value, parent, owner, slot) :: !entries;
-      pos := p
-    done;
-    List.rev !entries
 
 type frame = {
   f_id : int;
@@ -103,15 +54,8 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
     match Hashtbl.find_opt pendings path with
     | Some p -> p
     | None ->
-      let staging =
-        match options.spill_directory with
-        | None -> In_memory (ref [])
-        | Some dir ->
-          let file = Filename.temp_file ~temp_dir:dir "xquec_container" ".spill" in
-          Spilled (file, open_out_bin file)
-      in
       let p =
-        { p_path = path; p_kind = kind; p_id = !next_container; p_staging = staging;
+        { p_path = path; p_kind = kind; p_id = !next_container; p_rev_records = [];
           p_count = 0 }
       in
       incr next_container;
@@ -128,7 +72,7 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
   let record_value ~(pending : pending) ~value ~record_parent ~owner =
     let slot = owner.f_nvalues in
     owner.f_nvalues <- slot + 1;
-    stage_record pending.p_staging (value, record_parent, owner.f_id, slot);
+    pending.p_rev_records <- (value, record_parent) :: pending.p_rev_records;
     let seq = pending.p_count in
     pending.p_count <- seq + 1;
     (slot, seq)
@@ -237,8 +181,8 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
     Xquec_obs.Metrics.time_ms "loader.build_containers_ms" @@ fun () ->
     List.map
       (fun p ->
-        let entries = staged_entries p.p_staging in
-        let values = List.map (fun (v, _, _, _) -> v) entries in
+        let records = List.rev p.p_rev_records in
+        let values = List.map fst records in
         let algorithm = choose_algorithm values in
         let model =
           if algorithm = Compress.Codec.Alm_alg && List.mem p.p_id reencoded then
@@ -247,8 +191,7 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
         in
         let cont, seq_to_idx =
           Container.of_values ~id:p.p_id ~path:p.p_path ~kind:p.p_kind ~algorithm ~model
-            ~model_id:p.p_id
-            (List.map (fun (v, record_parent, _, _) -> (v, record_parent)) entries)
+            ~model_id:p.p_id records
         in
         Hashtbl.add seq_maps p.p_id seq_to_idx;
         if Xquec_obs.is_enabled () then

@@ -8,13 +8,9 @@
 type options = {
   default_string_algorithm : Compress.Codec.algorithm;
   detect_numeric : bool;
-  spill_directory : string option;
-      (** stage container values in spill files on secondary storage
-          during parsing (the paper's §6 plan for very large documents);
-          [None] keeps them in memory *)
 }
 
-(** ALM strings, numeric detection on, no spilling. *)
+(** ALM strings, numeric detection on. *)
 val default_options : options
 
 (** Parse XML text and build a compressed repository registered under

@@ -40,11 +40,7 @@ let property_count alg =
    property count first (the paper's preference), cheapest d_c next. *)
 let candidates_for (cls : Workload.pred_class) : Compress.Codec.algorithm list =
   Compress.Codec.all_algorithms
-  |> List.filter (fun a ->
-         match cls with
-         | Workload.Cls_eq -> Compress.Codec.supports a `Eq
-         | Workload.Cls_ineq -> Compress.Codec.supports a `Ineq
-         | Workload.Cls_wild -> Compress.Codec.supports a `Wild)
+  |> List.filter (fun a -> Compress.Codec.supports a cls)
   |> List.sort (fun a b ->
          let c = compare (property_count b) (property_count a) in
          if c <> 0 then c
@@ -217,9 +213,9 @@ let access_pattern_of (workload : Workload.t) (id : int) : Container.access_patt
     (fun (p : Workload.predicate) ->
       if List.mem id p.Workload.left || List.mem id p.Workload.right then begin
         match p.Workload.cls with
-        | Workload.Cls_eq -> incr eq
-        | Workload.Cls_ineq -> incr ineq
-        | Workload.Cls_wild -> incr wild
+        | `Eq -> incr eq
+        | `Ineq -> incr ineq
+        | `Wild -> incr wild
       end)
     workload.Workload.predicates;
   let total = !eq + !ineq + !wild in

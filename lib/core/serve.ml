@@ -155,6 +155,7 @@ let publish_storage_metrics () : unit =
   Metrics.set_counter "bufferpool.evictions" s.Storage.Buffer_pool.s_evictions;
   Metrics.set_counter "bufferpool.decoded_bytes" s.Storage.Buffer_pool.s_decoded_bytes;
   Metrics.set_counter "bufferpool.scan_inserts" s.Storage.Buffer_pool.s_scan_inserts;
+  Metrics.set_counter "bufferpool.blocks_skipped" s.Storage.Buffer_pool.s_blocks_skipped;
   Metrics.set_counter "bufferpool.payload_bytes" s.Storage.Buffer_pool.s_payload_bytes;
   Metrics.set_counter "bufferpool.skipped_bytes" s.Storage.Buffer_pool.s_skipped_bytes;
   Metrics.set_counter "bufferpool.invalidations" s.Storage.Buffer_pool.s_invalidations;

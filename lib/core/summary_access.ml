@@ -11,32 +11,37 @@ open Exec_base
 (* Summary-level step matching                                         *)
 (* ------------------------------------------------------------------ *)
 
-let summary_step ctx (st : Ast.step) : Summary.step option =
+let summary_step dict (st : Ast.step) : Summary.step option =
+  let code n = Name_dict.code dict n in
   match st.Ast.axis, st.Ast.test with
-  | Ast.Child, Ast.Name n -> Option.map (fun c -> `Child c) (tag_code ctx n)
+  | Ast.Child, Ast.Name n -> Option.map (fun c -> `Child c) (code n)
   | Ast.Child, Ast.Any -> Some `Child_any
-  | Ast.Descendant, Ast.Name n -> Option.map (fun c -> `Desc c) (tag_code ctx n)
+  | Ast.Descendant, Ast.Name n -> Option.map (fun c -> `Desc c) (code n)
   | Ast.Descendant, Ast.Any -> Some `Desc_any
-  | Ast.Attribute, Ast.Name n -> Option.map (fun c -> `Child c) (tag_code ctx ("@" ^ n))
+  | Ast.Attribute, Ast.Name n -> Option.map (fun c -> `Child c) (code ("@" ^ n))
   | Ast.Attribute, (Ast.Any | Ast.Text) | (Ast.Child | Ast.Descendant), Ast.Text -> None
 
-let advance_snodes ctx (snodes : Summary.node list) (st : Ast.step) : Summary.node list =
-  match summary_step ctx st with
+let advance_snodes dict (snodes : Summary.node list) (st : Ast.step) : Summary.node list =
+  match summary_step dict st with
   | None -> []
-  | Some sstep -> Summary.step_from ~is_attr:(is_attr_code ctx) snodes sstep
+  | Some sstep -> Summary.step_from ~is_attr:(Name_dict.is_attribute dict) snodes sstep
 
-let rec static_snodes ctx (env : env) (e : Ast.expr) : Summary.node list =
+let rec static_snodes dict (summary : Summary.t) ~var (e : Ast.expr) : Summary.node list =
   match e with
-  | Ast.Doc _ -> [ ctx.repo.Repository.summary.Summary.root ]
-  | Ast.Var v -> (match List.assoc_opt v env with Some b -> b.snodes | None -> [])
-  | Ast.Context -> (match List.assoc_opt "." env with Some b -> b.snodes | None -> [])
+  | Ast.Doc _ -> [ summary.Summary.root ]
+  | Ast.Var v -> var v
+  | Ast.Context -> var "."
   | Ast.Path (src, steps) ->
     List.fold_left
       (fun sn (st : Ast.step) ->
-        match st.Ast.test with Ast.Text -> sn | _ -> advance_snodes ctx sn st)
-      (static_snodes ctx env src) steps
-  | Ast.Distinct_values e -> static_snodes ctx env e
+        match st.Ast.test with Ast.Text -> sn | _ -> advance_snodes dict sn st)
+      (static_snodes dict summary ~var src) steps
+  | Ast.Distinct_values e -> static_snodes dict summary ~var e
   | _ -> []
+
+let env_static_snodes ctx (env : env) e =
+  let var v = match List.assoc_opt v env with Some b -> b.snodes | None -> [] in
+  static_snodes ctx.repo.Repository.dict ctx.repo.Repository.summary ~var e
 
 let mem_sorted (arr : int array) (x : int) : bool =
   let lo = ref 0 and hi = ref (Array.length arr - 1) in

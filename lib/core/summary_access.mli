@@ -7,13 +7,25 @@
 open Storage
 open Exec_base
 
-(** Apply one summary step from a set of summary nodes. *)
-val advance_snodes : ctx -> Summary.node list -> Xquery.Ast.step -> Summary.node list
+(** Apply one summary step from a set of summary nodes, with tags
+    looked up in the name dictionary. *)
+val advance_snodes : Name_dict.t -> Summary.node list -> Xquery.Ast.step -> Summary.node list
 
 (** Static summary-node resolution for an expression (no data access):
-    used to type join keys for variables that are only bound inside a
-    nested FLWOR being decorrelated. *)
-val static_snodes : ctx -> env -> Xquery.Ast.expr -> Summary.node list
+    the document, a variable or the context item ([var] gives their
+    summary nodes; the context item is the variable ["."]), and paths
+    and [distinct-values] over them; [[]] for anything else. It reads
+    only the name dictionary and the summary, so the loader resolves
+    workload paths with it before any container exists, and the
+    executor types join keys for variables only bound inside a nested
+    FLWOR being decorrelated. *)
+val static_snodes :
+  Name_dict.t -> Summary.t -> var:(string -> Summary.node list) -> Xquery.Ast.expr ->
+  Summary.node list
+
+(** {!static_snodes} over the repository of [ctx], each variable
+    resolving to the summary nodes [env] binds it to. *)
+val env_static_snodes : ctx -> env -> Xquery.Ast.expr -> Summary.node list
 
 (** Binary search of a sorted array. *)
 val mem_sorted : int array -> int -> bool

@@ -23,6 +23,12 @@ let keys_attr = function
   | Mode_code _ -> ("keys", "codes")
   | Mode_atom -> ("keys", "values")
 
+let note_join mode ~candidates ~matches =
+  match mode with
+  | Mode_code (c : Container.t) ->
+    Xquec_obs.Ledger.note_pred ~container:c.Container.path ~kind:"join" ~candidates ~matches
+  | Mode_atom -> ()
+
 let compare_join_key (a : join_key) (b : join_key) : int =
   match a, b with
   | Kcode x, Kcode y -> String.compare x y

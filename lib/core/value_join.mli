@@ -19,6 +19,13 @@ type key_mode = Mode_code of Container.t | Mode_atom
 (** How a join or decorrelation keyed its sides, for their EXPLAIN rows. *)
 val keys_attr : key_mode -> string * string
 
+(** Observe a join for the workload fingerprint: a code-keyed join is
+    container-resolved, so it notes a ["join"] predicate on its
+    container ({!Xquec_obs.Ledger.note_pred}); a join on values has no
+    container and notes nothing. [candidates] is the build side's size,
+    [matches] the pairs it produced. *)
+val note_join : key_mode -> candidates:int -> matches:int -> unit
+
 (** The build side of a join, built once and probed per outer row: the
     hash join and the decorrelated nested FLWOR both use it. [inner]
     holds each inner row's keys and payload, in inner order. The

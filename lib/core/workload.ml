@@ -1,21 +1,25 @@
 (* Query workload analysis (§3): extracts the value-comparison predicates
    of a set of queries and resolves each side to the containers it
-   touches. The result feeds the E/I/D matrices of the cost model and
-   drives the greedy partitioning search. *)
+   touches, through the executor's summary resolver
+   ([Summary_access.static_snodes]). The result feeds the E/I/D matrices
+   of the cost model and drives the greedy partitioning search. *)
 
 open Storage
 open Xquery
 
-type pred_class = Cls_eq | Cls_ineq | Cls_wild
+type pred_class = [ `Eq | `Ineq | `Wild ]
 
 (** A predicate between container sets; [right = []] means a constant. *)
 type predicate = { cls : pred_class; left : int list; right : int list }
 
 type t = { predicates : predicate list; container_count : int }
 
-let class_of_op = function
-  | Ast.Eq | Ast.Neq -> Cls_eq
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> Cls_ineq
+(* [!=] counts as an equality here (a codec that decides [=] on codes
+   decides [!=] too), where the executor's [Cont_access.cmp_class] files
+   it under [`Ineq]; tuned images depend on this choice. *)
+let class_of_op : Ast.cmp_op -> pred_class = function
+  | Ast.Eq | Ast.Neq -> `Eq
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> `Ineq
 
 (* Static resolution environment: variable -> summary nodes. *)
 type senv = (string * Summary.node list) list
@@ -27,50 +31,20 @@ type view = { dict : Name_dict.t; summary : Summary.t }
 let view_of (repo : Repository.t) =
   { dict = repo.Repository.dict; summary = repo.Repository.summary }
 
-let summary_step view (st : Ast.step) : Summary.step option =
-  let code n = Name_dict.code view.dict n in
-  match st.Ast.axis, st.Ast.test with
-  | Ast.Child, Ast.Name n -> Option.map (fun c -> `Child c) (code n)
-  | Ast.Child, Ast.Any -> Some `Child_any
-  | Ast.Descendant, Ast.Name n -> Option.map (fun c -> `Desc c) (code n)
-  | Ast.Descendant, Ast.Any -> Some `Desc_any
-  | Ast.Attribute, Ast.Name n -> Option.map (fun c -> `Child c) (code ("@" ^ n))
-  | _ -> None
-
-let advance view snodes st =
-  match summary_step view st with
-  | None -> []
-  | Some sstep ->
-    let is_attr c =
-      c >= 0
-      &&
-      let n = Name_dict.name view.dict c in
-      String.length n > 0 && n.[0] = '@'
-    in
-    Summary.step_from ~is_attr snodes sstep
-
-(* Summary nodes reachable by a path expression, or [] when unresolvable. *)
-let rec resolve_snodes view (env : senv) (e : Ast.expr) : Summary.node list =
+(* Summary nodes reachable by a path expression, or [] when unresolvable:
+   the executor's resolver, plus string(...), which it never types. *)
+let rec static_snodes view (env : senv) (e : Ast.expr) : Summary.node list =
   match e with
-  | Ast.Doc _ -> [ view.summary.Summary.root ]
-  | Ast.Var v | Ast.Some_satisfies (v, _, _) when List.mem_assoc v env -> List.assoc v env
-  | Ast.Context -> (match List.assoc_opt "." env with Some s -> s | None -> [])
-  | Ast.Path (src, steps) ->
-    List.fold_left
-      (fun snodes (st : Ast.step) ->
-        match st.Ast.axis, st.Ast.test with
-        | _, Ast.Text -> snodes (* text keeps the element's snodes *)
-        | _ -> advance view snodes st)
-      (resolve_snodes view env src)
-      steps
-  | Ast.Distinct_values e | Ast.String_of e -> resolve_snodes view env e
-  | _ -> []
+  | Ast.String_of e -> static_snodes view env e
+  | e ->
+    let var v = Option.value ~default:[] (List.assoc_opt v env) in
+    Summary_access.static_snodes view.dict view.summary ~var e
 
 (* Containers holding the values an operand expression compares. *)
 let rec operand_containers view (env : senv) (e : Ast.expr) : int list =
   match e with
   | Ast.Path (_, steps) -> (
-    let snodes = resolve_snodes view env e in
+    let snodes = static_snodes view env e in
     let text_conts snodes =
       List.filter_map (fun (sn : Summary.node) -> sn.Summary.text_container) snodes
     in
@@ -99,13 +73,13 @@ let rec collect view (env : senv) (e : Ast.expr) (acc : predicate list ref) : un
   | Ast.Contains (a, b) | Ast.Starts_with (a, b) ->
     (match operand env a with
     | [] -> ()
-    | l -> acc := { cls = Cls_wild; left = l; right = [] } :: !acc);
+    | l -> acc := { cls = `Wild; left = l; right = [] } :: !acc);
     collect view env a acc;
     collect view env b acc
   | Ast.Ftcontains (a, _) ->
     (match operand env a with
     | [] -> ()
-    | l -> acc := { cls = Cls_wild; left = l; right = [] } :: !acc);
+    | l -> acc := { cls = `Wild; left = l; right = [] } :: !acc);
     collect view env a acc
   | Ast.Flwor (clauses, ret) ->
     let env = ref env in
@@ -114,7 +88,7 @@ let rec collect view (env : senv) (e : Ast.expr) (acc : predicate list ref) : un
         match c with
         | Ast.For (v, e) | Ast.Let (v, e) ->
           collect view !env e acc;
-          env := (v, resolve_snodes view !env e) :: !env
+          env := (v, static_snodes view !env e) :: !env
         | Ast.Where e -> collect view !env e acc
         | Ast.Order_by keys -> List.iter (fun (k, _) -> collect view !env k acc) keys)
       clauses;
@@ -122,10 +96,12 @@ let rec collect view (env : senv) (e : Ast.expr) (acc : predicate list ref) : un
   | Ast.Path (src, steps) ->
     collect view env src acc;
     (* predicates inside steps compare relative to the step's element *)
-    let snodes = ref (resolve_snodes view env src) in
+    let snodes = ref (static_snodes view env src) in
     List.iter
       (fun (st : Ast.step) ->
-        snodes := (match st.Ast.test with Ast.Text -> !snodes | _ -> advance view !snodes st);
+        (match st.Ast.test with
+        | Ast.Text -> ()
+        | _ -> snodes := Summary_access.advance_snodes view.dict !snodes st);
         List.iter
           (function
             | Ast.Pos _ | Ast.Pos_last -> ()
@@ -134,7 +110,7 @@ let rec collect view (env : senv) (e : Ast.expr) (acc : predicate list ref) : un
       steps
   | Ast.Some_satisfies (v, e, cond) | Ast.Every_satisfies (v, e, cond) ->
     collect view env e acc;
-    collect view ((v, resolve_snodes view env e) :: env) cond acc
+    collect view ((v, static_snodes view env e) :: env) cond acc
   | Ast.If (a, b, c) ->
     collect view env a acc;
     collect view env b acc;
@@ -182,7 +158,7 @@ let matrices (w : t) : int array array * int array array * int array array =
   let e = make () and i = make () and d = make () in
   List.iter
     (fun p ->
-      let m = match p.cls with Cls_eq -> e | Cls_ineq -> i | Cls_wild -> d in
+      let m = match p.cls with `Eq -> e | `Ineq -> i | `Wild -> d in
       let bump a b =
         m.(a).(b) <- m.(a).(b) + 1;
         if a <> b then m.(b).(a) <- m.(b).(a) + 1
@@ -203,25 +179,8 @@ let queried_before_build ~dict ~summary (queries : Ast.expr list) : int list =
   ids_of (predicates_of { dict; summary } queries)
 
 let pp_predicate ppf (p : predicate) =
-  let cls = match p.cls with Cls_eq -> "eq" | Cls_ineq -> "ineq" | Cls_wild -> "wild" in
+  let cls = match p.cls with `Eq -> "eq" | `Ineq -> "ineq" | `Wild -> "wild" in
   Fmt.pf ppf "%s: {%a} vs %s" cls
     Fmt.(list ~sep:comma int)
     p.left
     (if p.right = [] then "const" else Fmt.str "{%a}" Fmt.(list ~sep:comma int) p.right)
-
-(** Declared-workload fingerprint: one weighted (container path, kind)
-    event per container a predicate touches — [Cls_eq] as ["eq"],
-    [Cls_ineq] as ["range"], [Cls_wild] as ["wild"], matching the
-    executor's observation vocabulary — so the build-time workload and
-    an observed query-log fingerprint ({!Xquec_obs.Profile.of_records})
-    are directly comparable with {!Xquec_obs.Profile.drift}. *)
-let fingerprint (repo : Repository.t) (w : t) : Xquec_obs.Profile.fingerprint =
-  let kind_of = function Cls_eq -> "eq" | Cls_ineq -> "range" | Cls_wild -> "wild" in
-  let path id = (Repository.container repo id).Container.path in
-  let events =
-    List.concat_map
-      (fun p ->
-        List.map (fun id -> ((path id, kind_of p.cls), 1.0)) (p.left @ p.right))
-      w.predicates
-  in
-  Xquec_obs.Profile.of_weighted_events events

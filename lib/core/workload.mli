@@ -7,8 +7,8 @@ open Storage
 
 (** Predicate class: equality, inequality/range, or wildcard (the paper's
     three classes — each algorithm supports a subset in the compressed
-    domain). *)
-type pred_class = Cls_eq | Cls_ineq | Cls_wild
+    domain, as {!Compress.Codec.supports} says). *)
+type pred_class = [ `Eq | `Ineq | `Wild ]
 
 (** A predicate between container sets; [right = []] means a constant. *)
 type predicate = { cls : pred_class; left : int list; right : int list }
@@ -38,9 +38,3 @@ val queried_before_build :
 
 (** Render a predicate as e.g. ["eq {3 5} ~ const"]. *)
 val pp_predicate : Format.formatter -> predicate -> unit
-
-(** Declared-workload fingerprint over (container path, predicate kind)
-    events — [Cls_eq]/[Cls_ineq]/[Cls_wild] mapped to ["eq"]/["range"]/
-    ["wild"] — directly comparable with an observed query-log
-    fingerprint via {!Xquec_obs.Profile.drift}. *)
-val fingerprint : Repository.t -> t -> Xquec_obs.Profile.fingerprint

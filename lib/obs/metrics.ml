@@ -8,7 +8,7 @@
    run.
 
    Thread safety: the registry is shared by every domain that evaluates
-   queries (serve's workers bump "container.blocks_decoded" etc.
+   queries (serve's workers bump "container.scans" etc.
    concurrently), so one mutex guards every table access.
    It is a leaf lock — nothing is called while holding it — making the
    lock ordering with the storage locks trivially acyclic. *)

@@ -8,7 +8,7 @@
 
     Thread safety: the registry is shared by every domain that
     evaluates queries ([xquec serve]'s workers bump
-    ["container.blocks_decoded"] etc. concurrently), so one mutex
+    ["container.scans"] etc. concurrently), so one mutex
     guards every table access. It is a leaf lock — nothing
     else is called while holding it — making the lock ordering with
     the storage locks trivially acyclic. *)

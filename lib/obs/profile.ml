@@ -207,18 +207,6 @@ let of_records records =
     records;
   agg_fingerprint g
 
-let of_weighted_events events =
-  let merged =
-    List.fold_left
-      (fun m (k, w) -> if w > 0.0 then Kmap.update k (fun v -> Some (Option.value ~default:0.0 v +. w)) m else m)
-      Kmap.empty events
-  in
-  let total = Kmap.fold (fun _ w acc -> acc +. w) merged 0.0 in
-  let weights =
-    if total <= 0.0 then [] else Kmap.bindings merged |> List.map (fun (k, w) -> (k, w /. total))
-  in
-  { records = 0; weights; containers = [] }
-
 let drift a b =
   let m =
     List.fold_left (fun m (k, w) -> Kmap.add k (w, 0.0) m) Kmap.empty a.weights

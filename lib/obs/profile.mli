@@ -3,18 +3,17 @@
     Aggregates the per-query [predicates] / [containers] tags the
     engine writes (see [docs/OBSERVABILITY.md]) into a {!fingerprint}:
     a normalized weight distribution over (container, predicate-kind)
-    pairs plus per-container selectivity and decode totals. Two
-    fingerprints — observed vs observed, or observed vs the build-time
-    [Workload] via [Workload.fingerprint] — compare with {!drift}, and
-    {!recommend} turns a fingerprint (optionally joined with a
-    [Heat.snapshot_json] snapshot) into per-container block-size
-    advice: exactly the inputs online re-partitioning and background
-    compaction need.
+    pairs plus per-container selectivity and decode totals. Every
+    fingerprint is observed: a query log, the watchdog's live window,
+    or a declared workload run once ([Engine.declared_fingerprint]).
+    Two of them compare with {!drift}, and {!recommend} turns a
+    fingerprint (optionally joined with a [Heat.snapshot_json]
+    snapshot) into per-container block-size advice: exactly the inputs
+    online re-partitioning and background compaction need.
 
     Predicate kinds are the strings ["eq"], ["range"], ["wild"],
-    ["exists"] and ["join"] — the executor's observation vocabulary,
-    chosen so the build-time workload classes ([Cls_eq], [Cls_ineq],
-    [Cls_wild]) map onto the same axes. A log whose queries pushed no
+    ["exists"] and ["join"] — the executor's observation vocabulary
+    ([Ledger.note_pred]). A log whose queries pushed no
     predicates at all falls back to ["touch"] events over the
     containers each query decoded, so a fingerprint is never empty for
     a log that did real work. *)
@@ -92,12 +91,6 @@ val agg_fingerprint : agg -> fingerprint
 
 (** Aggregate parsed query-log records into a fingerprint. *)
 val of_records : Json.t list -> fingerprint
-
-(** Build a fingerprint straight from weighted (container, kind)
-    events — the bridge for build-time [Workload] declarations, which
-    have weights but no log records. Weights are normalized; events
-    with non-positive weight are dropped. *)
-val of_weighted_events : ((string * string) * float) list -> fingerprint
 
 (** Drift score between two fingerprints: total variation distance
     [0.5 * Σ |w1(k) - w2(k)|] over the union of their weight keys.

@@ -6,8 +6,9 @@
     fan-in ({!observe} receives exactly the predicate observations and
     container touches the JSONL query log would record — no log
     re-parsing on the hot path). The rolling fingerprint is the merge
-    of the live buckets; when a build-time baseline is declared
-    ({!set_baseline}, from [Workload.fingerprint]), every {!tick}
+    of the live buckets; when a baseline is declared ({!set_baseline},
+    from [Engine.declared_fingerprint], which observes the declared
+    queries through the same {!Profile.agg}), every {!tick}
     scores total-variation drift against it, maintains an EWMA-smoothed
     drift series, republishes {!Profile.recommend} block-size advice
     joined with the live container heat, and updates the [watch.*]
@@ -50,7 +51,7 @@ val set_enabled : bool -> unit
     values leave the previous setting. *)
 val configure : ?window_seconds:float -> ?windows:int -> ?alpha:float -> unit -> unit
 
-(** Declare the build-time mix to score drift against ([None] =
+(** Declare the mix to score drift against ([None] =
     fingerprint-only mode: no drift, no drift alerts). *)
 val set_baseline : Profile.fingerprint option -> unit
 

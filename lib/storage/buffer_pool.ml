@@ -313,12 +313,7 @@ let note_skipped ?(bytes = 0) (n : int) : unit =
     if bytes > 0 then ignore (Atomic.fetch_and_add skipped_bytes bytes);
     Xquec_obs.Ledger.charge (fun l ->
         l.blocks_skipped <- l.blocks_skipped + n;
-        l.payload_skipped <- l.payload_skipped + bytes);
-    if Xquec_obs.is_enabled () then begin
-      Xquec_obs.Metrics.incr ~by:n "container.blocks_skipped";
-      if bytes > 0 then
-        Xquec_obs.Metrics.incr ~by:bytes "container.payload_bytes_skipped"
-    end
+        l.payload_skipped <- l.payload_skipped + bytes)
   end
 
 let note_payload_decoded (bytes : int) : unit =

@@ -105,9 +105,9 @@ val fetch :
   decoded
 
 (** Record [n] blocks skipped wholesale by header min/max pruning
-    (counted into {!stats} and the ["container.blocks_skipped"]
-    metric). [?bytes] is the total compressed payload size of the
-    pruned blocks, accumulated into [s_skipped_bytes]. *)
+    (counted into [s_blocks_skipped] and the query's ledger). [?bytes]
+    is the total compressed payload size of the pruned blocks,
+    accumulated into [s_skipped_bytes]. *)
 val note_skipped : ?bytes:int -> int -> unit
 
 (** Record compressed payload bytes consumed by an actual block decode

@@ -257,10 +257,6 @@ let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
       Buffer_pool.note_payload_decoded payload;
       Xquec_obs.Heat.note_decode ~uid:t.uid ~bytes:payload;
       Xquec_obs.Ledger.note_decode ~uid:t.uid ~label:t.path ~bytes:payload;
-      if Xquec_obs.is_enabled () then begin
-        Xquec_obs.Metrics.incr "container.blocks_decoded";
-        Xquec_obs.Metrics.incr ~by:payload "container.block_bytes_decoded"
-      end;
       { Buffer_pool.codes; parents; d_bytes })
 
 (* Blocks [b0, b1] (inclusive), in order, each through [fetch_block]. *)

@@ -421,9 +421,8 @@ let test_auto_compact_on_sustained_drift () =
      lookups on @id — maximal drift, low selectivity *)
   Obs.Watch.set_baseline
     (Some
-       (Workload.fingerprint repo
-          (Workload.of_query_strings repo
-             [ "for $i in document(\"auction.xml\")/site/regions/europe/item return $i/name" ])));
+       (Engine.declared_fingerprint engine
+          [ "for $i in document(\"auction.xml\")/site/regions/europe/item return $i/name" ]));
   for k = 0 to 4 do
     ignore
       (answer engine

@@ -35,26 +35,26 @@ let test_workload_extraction () =
   Alcotest.(check bool) "Q1 eq-vs-const present" true
     (List.exists
        (fun (p : Workload.predicate) ->
-         p.Workload.cls = Workload.Cls_eq && p.Workload.left = [ pid ] && p.Workload.right = [])
+         p.Workload.cls = `Eq && p.Workload.left = [ pid ] && p.Workload.right = [])
        w.Workload.predicates);
   (* Q8's join: buyer/@person vs person/@id *)
   let buyer = container_id repo "/site/closed_auctions/closed_auction/buyer/@person" in
   Alcotest.(check bool) "Q8 join present" true
     (List.exists
        (fun (p : Workload.predicate) ->
-         p.Workload.cls = Workload.Cls_eq
+         p.Workload.cls = `Eq
          && List.sort compare (p.Workload.left @ p.Workload.right) = List.sort compare [ pid; buyer ])
        w.Workload.predicates);
   (* Q14's contains: wildcard class *)
   Alcotest.(check bool) "wildcard predicate present" true
-    (List.exists (fun (p : Workload.predicate) -> p.Workload.cls = Workload.Cls_wild)
+    (List.exists (fun (p : Workload.predicate) -> p.Workload.cls = `Wild)
        w.Workload.predicates);
   (* Q11's inequality join involving income *)
   let income = container_id repo "/site/people/person/profile/@income" in
   Alcotest.(check bool) "ineq on income present" true
     (List.exists
        (fun (p : Workload.predicate) ->
-         p.Workload.cls = Workload.Cls_ineq && List.mem income (p.Workload.left @ p.Workload.right))
+         p.Workload.cls = `Ineq && List.mem income (p.Workload.left @ p.Workload.right))
        w.Workload.predicates)
 
 let test_eid_matrices () =

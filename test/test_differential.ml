@@ -45,7 +45,7 @@ let test_huffman_everywhere () =
   let doc = Xmlkit.Parser.parse_string xml in
   let options =
     { Xquec_core.Loader.default_string_algorithm = Compress.Codec.Huffman_alg;
-      detect_numeric = false; spill_directory = None }
+      detect_numeric = false }
   in
   let repo = Xquec_core.Loader.load ~options ~name:"auction.xml" xml in
   check_all_queries ~name:"huffman" doc repo

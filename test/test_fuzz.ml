@@ -125,7 +125,7 @@ let prop_random_value_queries =
       List.for_all
         (fun alg ->
           let options =
-            { Xquec_core.Loader.default_string_algorithm = alg; detect_numeric = false; spill_directory = None }
+            { Xquec_core.Loader.default_string_algorithm = alg; detect_numeric = false }
           in
           let repo = Xquec_core.Loader.load ~options ~name:"f.xml" xml in
           let q =
@@ -368,19 +368,6 @@ let test_malformed_repository_rejected () =
     | exception _ -> ()
     | _ -> Alcotest.fail "corrupted repository accepted")
 
-let test_spill_loader_identical () =
-  (* the secondary-storage staging path must build a byte-identical
-     repository *)
-  let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
-  let in_memory = Xquec_core.Loader.load ~name:"s.xml" xml in
-  let dir = Filename.get_temp_dir_name () in
-  let options = { Xquec_core.Loader.default_options with spill_directory = Some dir } in
-  let spilled = Xquec_core.Loader.load ~options ~name:"s.xml" xml in
-  Alcotest.(check bool) "identical serialized repositories" true
-    (String.equal
-       (Storage.Repository.serialize in_memory)
-       (Storage.Repository.serialize spilled))
-
 let test_huge_values () =
   let big = String.concat " " (List.init 2000 (fun i -> string_of_int (i mod 37))) in
   let xml = Printf.sprintf "<d><t>%s</t><t>short</t></d>" big in
@@ -403,7 +390,6 @@ let suites =
         Alcotest.test_case "empty document" `Quick test_empty_document_parts;
         Alcotest.test_case "malformed repository rejected" `Quick
           test_malformed_repository_rejected;
-        Alcotest.test_case "spill loader identical" `Quick test_spill_loader_identical;
         Alcotest.test_case "huge values" `Quick test_huge_values;
       ] );
   ]

@@ -100,7 +100,7 @@ let test_workload_ftcontains_is_wild () =
   in
   Alcotest.(check bool) "one wild predicate" true
     (List.exists
-       (fun (p : Workload.predicate) -> p.Workload.cls = Workload.Cls_wild)
+       (fun (p : Workload.predicate) -> p.Workload.cls = `Wild)
        w.Workload.predicates)
 
 let test_workload_unresolvable_paths_ignored () =

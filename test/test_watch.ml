@@ -102,6 +102,12 @@ let test_parity_with_offline_profile () =
 let obs container kind =
   { Obs.Profile.ob_container = container; ob_kind = kind; ob_candidates = 10; ob_matches = 2 }
 
+(* The fingerprint of one query that observed these predicates. *)
+let fp_of predicates =
+  let g = Obs.Profile.agg_create () in
+  Obs.Profile.agg_add g ~predicates ~containers:[];
+  Obs.Profile.agg_fingerprint g
+
 let test_window_expiry () =
   with_fresh_telemetry @@ fun () ->
   Obs.Watch.set_enabled true;
@@ -129,13 +135,13 @@ let test_drift_semantics_and_ewma () =
   let st = Obs.Watch.tick ~now:t0 () in
   Alcotest.(check bool) "no baseline -> no drift" true (st.Obs.Watch.w_drift = None);
   (* identical baseline: drift 0 *)
-  Obs.Watch.set_baseline (Some (Obs.Profile.of_weighted_events [ (("/a", "eq"), 1.0) ]));
+  Obs.Watch.set_baseline (Some (fp_of [ obs "/a" "eq" ]));
   let st = Obs.Watch.tick ~now:t0 () in
   (match st.Obs.Watch.w_drift with
   | Some d -> Alcotest.(check (float 1e-9)) "identical mix drifts 0" 0.0 d
   | None -> Alcotest.fail "drift expected with baseline + observations");
   (* disjoint baseline: drift 1; EWMA moves halfway (alpha 0.5) *)
-  Obs.Watch.set_baseline (Some (Obs.Profile.of_weighted_events [ (("/z", "wild"), 1.0) ]));
+  Obs.Watch.set_baseline (Some (fp_of [ obs "/z" "wild" ]));
   let st = Obs.Watch.tick ~now:t0 () in
   (match (st.Obs.Watch.w_drift, st.Obs.Watch.w_drift_ewma) with
   | Some d, Some e ->
@@ -259,9 +265,7 @@ let test_watch_tick_drift_alert () =
   Obs.Alert.set_rules (Serve.default_rules ~drift_threshold:0.3 ());
   Serve.watch_tick_reset ();
   (* baseline = the declared mix, stream = the same mix: drift ~ 0 *)
-  let repo = Engine.repo engine in
-  Obs.Watch.set_baseline
-    (Some (Workload.fingerprint repo (Workload.of_query_strings repo mix_a)));
+  Obs.Watch.set_baseline (Some (Engine.declared_fingerprint engine mix_a));
   List.iter (fun q -> ignore (Engine.query_serialized_logged engine q)) mix_a;
   let now = Unix.gettimeofday () in
   let st, trs = Serve.watch_tick ~now () in
@@ -282,6 +286,32 @@ let test_watch_tick_drift_alert () =
   Alcotest.(check (list (pair string string)))
     "drift_sustained fires after 3 sustained windows"
     [ ("drift_sustained", "fired") ]
+    (List.filter (fun (r, _) -> r = "drift_sustained") !fired)
+
+(* Serving exactly the declared workload scores no drift: the baseline
+   is observed through the same aggregation the watchdog folds served
+   queries into, so identical traffic cannot look drifted. *)
+let test_declared_mix_scores_no_drift () =
+  with_fresh_telemetry @@ fun () ->
+  let queries = Test_xmark_pins.workload_queries "../examples/xmark_workload.xq" in
+  let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.1 () in
+  let engine = Engine.load ~name:"auction.xml" ~workload:queries xml in
+  Obs.Watch.set_enabled true;
+  Obs.Watch.configure ~window_seconds:3600.0 ~windows:6 ();
+  Obs.Alert.set_rules (Serve.default_rules ());
+  Serve.watch_tick_reset ();
+  Obs.Watch.set_baseline (Some (Engine.declared_fingerprint engine queries));
+  List.iter (fun q -> ignore (Engine.query_serialized_logged engine q)) queries;
+  let now = Unix.gettimeofday () in
+  let fired = ref [] in
+  for i = 1 to 3 do
+    let st, trs = Serve.watch_tick ~now:(now +. float_of_int i) () in
+    (match st.Obs.Watch.w_drift with
+    | Some d -> Alcotest.(check bool) (Printf.sprintf "tick %d drift %g is 0" i d) true (d <= 1e-12)
+    | None -> Alcotest.fail "drift expected");
+    fired := !fired @ events trs
+  done;
+  Alcotest.(check (list (pair string string))) "drift_sustained stays silent" []
     (List.filter (fun (r, _) -> r = "drift_sustained") !fired)
 
 let test_http_surfaces () =
@@ -329,6 +359,8 @@ let suites =
         Alcotest.test_case "drift semantics + EWMA" `Quick test_drift_semantics_and_ewma;
         Alcotest.test_case "watch_tick drives drift_sustained" `Quick
           test_watch_tick_drift_alert;
+        Alcotest.test_case "declared workload scores no drift" `Quick
+          test_declared_mix_scores_no_drift;
         Alcotest.test_case "/watch /alerts /healthz payloads" `Quick test_http_surfaces;
       ] );
     ( "alert",

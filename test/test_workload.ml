@@ -104,12 +104,27 @@ let test_heat_snapshot_json () =
 (* Profile: fingerprints, drift, recommendations                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The fingerprint of one query observing each (container, kind) the
+   given number of times. *)
+let fp_of events =
+  let g = Obs.Profile.agg_create () in
+  let predicates =
+    List.concat_map
+      (fun ((container, kind), n) ->
+        List.init n (fun _ ->
+            { Obs.Profile.ob_container = container; ob_kind = kind; ob_candidates = 1;
+              ob_matches = 1 }))
+      events
+  in
+  Obs.Profile.agg_add g ~predicates ~containers:[];
+  Obs.Profile.agg_fingerprint g
+
 let test_drift_identical_and_shifted () =
-  let mix_a = [ (("/a", "eq"), 2.0); (("/b", "range"), 1.0) ] in
-  let fa = Obs.Profile.of_weighted_events mix_a in
-  let fa' = Obs.Profile.of_weighted_events mix_a in
-  let fb = Obs.Profile.of_weighted_events [ (("/c", "join"), 3.0) ] in
-  let fc = Obs.Profile.of_weighted_events [ (("/a", "eq"), 2.0) ] in
+  let mix_a = [ (("/a", "eq"), 2); (("/b", "range"), 1) ] in
+  let fa = fp_of mix_a in
+  let fa' = fp_of mix_a in
+  let fb = fp_of [ (("/c", "join"), 3) ] in
+  let fc = fp_of [ (("/a", "eq"), 2) ] in
   Alcotest.(check (float 1e-12)) "identical mixes drift exactly 0" 0.0 (Obs.Profile.drift fa fa');
   Alcotest.(check (float 1e-12)) "disjoint mixes drift 1" 1.0 (Obs.Profile.drift fa fb);
   let partial = Obs.Profile.drift fa fc in
@@ -439,24 +454,56 @@ let test_query_log_heat_reconcile () =
 
 let test_declared_workload_fingerprint () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
-  let repo = Engine.repo eng in
   let queries =
     [
       "for $p in document(\"xmark.xml\")/site/people/person where $p/age = \"32\" return $p/name";
       "for $p in document(\"xmark.xml\")/site/people/person where $p/age > \"30\" return $p/name";
     ]
   in
-  let wl = Workload.of_query_strings repo queries in
-  let fp = Workload.fingerprint repo wl in
+  let fp = Engine.declared_fingerprint eng queries in
   Alcotest.(check bool) "declared workload fingerprints" true (fp.Obs.Profile.weights <> []);
+  Alcotest.(check int) "one record per declared query" 2 fp.Obs.Profile.records;
   List.iter
     (fun ((_, kind), _) ->
-      Alcotest.(check bool) ("declared kind " ^ kind) true
-        (List.mem kind [ "eq"; "range"; "wild" ]))
+      Alcotest.(check bool) ("declared kind " ^ kind) true (List.mem kind [ "eq"; "range" ]))
     fp.Obs.Profile.weights;
   Alcotest.(check (float 1e-12)) "declared self-drift is zero" 0.0 (Obs.Profile.drift fp fp);
-  let d = Obs.Profile.drift fp (Obs.Profile.of_weighted_events [ (("/elsewhere", "join"), 1.0) ]) in
+  let d = Obs.Profile.drift fp (fp_of [ (("/elsewhere", "join"), 1) ]) in
   Alcotest.(check (float 1e-12)) "declared vs disjoint observed drift is 1" 1.0 d
+
+(* A decorrelated join keyed on codes (Q8 on a repository tuned for it)
+   is observed like any other code-keyed join: its query-log record
+   names the join on the shared container. *)
+let test_decorrelated_join_observed () =
+  let workload = Test_xmark_pins.workload_queries "../examples/xmark_workload.xq" in
+  let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.05 () in
+  let eng = Engine.load ~name:"auction.xml" ~workload xml in
+  let q8 = (Xmark.Queries.by_id "Q8").Xmark.Queries.text in
+  let records, strategy =
+    with_query_log @@ fun file ->
+    let _, prof = Engine.query_serialized_logged eng q8 in
+    (read_records file, Obs.Explain.strategy prof)
+  in
+  Alcotest.(check bool) "Q8 decorrelates on codes" true
+    (List.exists (fun l -> contains ~needle:"decorrelate $a" l && contains ~needle:"keys=codes" l)
+       strategy);
+  let joins =
+    List.concat_map
+      (fun r ->
+        Option.value ~default:[] (Option.bind (Obs.Json.member "predicates" r) Obs.Json.to_list)
+        |> List.filter_map (fun p ->
+               match (Obs.Json.member "kind" p, Obs.Json.member "container" p) with
+               | Some (Obs.Json.Str "join"), Some (Obs.Json.Str c) -> Some c
+               | _ -> None))
+      records
+  in
+  Alcotest.(check bool) "the record names the join on a key container" true
+    (joins <> []
+    && List.for_all
+         (fun c ->
+           List.mem c
+             [ "/site/people/person/@id"; "/site/closed_auctions/closed_auction/buyer/@person" ])
+         joins)
 
 let suites =
   [
@@ -488,5 +535,6 @@ let suites =
         Alcotest.test_case "query log matches heat" `Quick test_query_log_heat_reconcile;
         Alcotest.test_case "declared workload fingerprint" `Quick
           test_declared_workload_fingerprint;
+        Alcotest.test_case "decorrelated join observed" `Quick test_decorrelated_join_observed;
       ] );
   ]

@@ -312,10 +312,67 @@ let check_pins ~name ?workload (pins : pin list) () =
         (t.Xquec_obs.Explain.compressed, t.Xquec_obs.Explain.decompressed))
     Xmark.Queries.all pins
 
+(* The workload analysis on the untuned XMark 0.1 (seed 42) load: per
+   query set, the nonzero upper-triangle entries [(i,j,n);] of the E, I
+   and D matrices of §3.2 (row 149 stands for constants) and the
+   containers [Workload.queried_before_build] finds before any
+   container exists, as recorded before the analysis shared the
+   executor's summary resolver. *)
+let analysis_pins =
+  [
+    ( "examples/xmark_workload.xq",
+      ( "(98,137,1);(98,149,1);",
+        "(108,116,1);(139,149,1);",
+        "",
+        [ 98; 108; 116; 137; 139 ] ) );
+    ( "Q1-Q20",
+      ( "(44,138,1);(98,137,2);(98,149,1);(113,149,1);(133,149,1);",
+        "(108,116,2);(108,149,5);(134,134,1);(139,149,1);",
+        "(5,149,1);(9,149,1);(19,149,1);(26,149,1);(27,149,1);(28,149,1);(34,149,1);\
+         (37,149,1);(42,149,1);(43,149,1);(49,149,1);(52,149,1);(53,149,1);(58,149,1);\
+         (64,149,1);(71,149,1);(72,149,1);(73,149,1);(80,149,1);(87,149,1);(89,149,1);\
+         (90,149,1);",
+        [ 5; 9; 19; 26; 27; 28; 34; 37; 42; 43; 44; 49; 52; 53; 58; 64; 71; 72; 73; 80;
+          87; 89; 90; 98; 108; 113; 116; 133; 134; 137; 138; 139 ] ) );
+  ]
+
+let sparse (m : int array array) =
+  let b = Buffer.create 64 in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v -> if j >= i && v <> 0 then Buffer.add_string b (Printf.sprintf "(%d,%d,%d);" i j v))
+        row)
+    m;
+  Buffer.contents b
+
+let check_analysis () =
+  let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.1 () in
+  let repo = Engine.repo (Engine.load ~name:"auction.xml" xml) in
+  let sets =
+    [
+      ("examples/xmark_workload.xq", workload_queries "../examples/xmark_workload.xq");
+      ("Q1-Q20", List.map (fun (q : Xmark.Queries.query) -> q.Xmark.Queries.text) Xmark.Queries.all);
+    ]
+  in
+  List.iter
+    (fun (name, texts) ->
+      let e_pin, i_pin, d_pin, queried_pin = List.assoc name analysis_pins in
+      let queries = List.map Xquery.Parser.parse texts in
+      let e, i, d = Workload.matrices (Workload.analyze repo queries) in
+      Alcotest.(check string) (name ^ " E") e_pin (sparse e);
+      Alcotest.(check string) (name ^ " I") i_pin (sparse i);
+      Alcotest.(check string) (name ^ " D") d_pin (sparse d);
+      Alcotest.(check (list int)) (name ^ " queried before build") queried_pin
+        (Workload.queried_before_build ~dict:repo.Storage.Repository.dict
+           ~summary:repo.Storage.Repository.summary queries))
+    sets
+
 let suites =
   [
     ( "xmark-pins",
       [
+        Alcotest.test_case "workload analysis" `Quick check_analysis;
         Alcotest.test_case "Q1-Q20 untuned" `Quick (check_pins ~name:"untuned" untuned);
         Alcotest.test_case "Q1-Q20 tuned" `Quick (fun () ->
             check_pins ~name:"tuned"
