@@ -219,6 +219,7 @@ let restore (data : string) : t = { repo = Repository.deserialize data; partitio
 (** Reconstruct the full document from the compressed repository (the
     decompressor direction). *)
 let to_document (t : t) : Xmlkit.Tree.document =
+  Xquec_obs.Ledger.in_ledger @@ fun () ->
   { Xmlkit.Tree.root = Value_access.reconstruct (Exec_base.mk_ctx t.repo) 0 }
 
 let to_xml ?indent (t : t) : string = Xmlkit.Printer.to_string ?indent (to_document t)

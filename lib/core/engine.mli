@@ -90,7 +90,8 @@ val save : t -> string
 (** Inverse of {!save}; accepts both v1 and v2 container layouts. *)
 val restore : string -> t
 
-(** Reconstruct the full document (the decompressor direction). *)
+(** Reconstruct the full document (the decompressor direction),
+    charging the open {!Xquec_obs.Ledger} or one opened around it. *)
 val to_document : t -> Xmlkit.Tree.document
 
 (** {!to_document} serialized back to XML text. *)

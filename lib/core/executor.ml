@@ -558,6 +558,10 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
               let typing_env =
                 (v, { seq = Mat []; snodes = source.snodes; origin = Loose }) :: !prov
               in
+              (* Key mode: compressed codes for an equality whose sides
+                 statically resolve to containers sharing one source
+                 model; atoms otherwise. *)
+              let mode = Value_join.join_key_mode ctx typing_env jop left_e right_e in
               let bplan =
                 if jop = Ast.Eq then
                   Value_join.block_join_plan ctx ~base ~typing_env ~var:v ~source
@@ -571,15 +575,11 @@ and flwor_tuples ctx (base : env) (clauses : Ast.clause list) : env list =
                     (fun () -> "block merge join $" ^ v)
                     ~attrs:(fun _ -> Value_join.block_join_attrs plan)
                     ~rows:List.length
-                    (fun () -> Value_join.exec_block_join qctx ~var:v plan)
+                    (fun () -> Value_join.exec_block_join qctx ~mode ~var:v plan)
               | None ->
                 let jkind, jname =
                   if jop = Ast.Eq then ("hash_join", "hash join $") else ("sorted_probe", "sorted probe $")
                 in
-                (* Key mode: compressed codes for an equality whose sides
-                   statically resolve to containers sharing one source
-                   model; atoms otherwise. *)
-                let mode = Value_join.join_key_mode ctx typing_env jop left_e right_e in
                 tuples :=
                   prof_rows ctx ~kind:jkind (fun () -> jname ^ v)
                     ~attrs:(fun _ -> [ Value_join.keys_attr mode ])
@@ -780,6 +780,7 @@ and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
 (* ------------------------------------------------------------------ *)
 
 let run (repo : Repository.t) (query : Ast.expr) : item list =
+  Xquec_obs.Ledger.in_ledger @@ fun () ->
   Xquec_obs.Trace.with_span ~name:"executor.run" @@ fun () ->
   let ctx = mk_ctx repo in
   materialize ctx (eval ctx [] query)
@@ -794,23 +795,20 @@ let run_profiled (repo : Repository.t) (query : Ast.expr) :
     item list * Xquec_obs.Explain.node =
   let prof = Xquec_obs.Explain.create (short_expr ~limit:72 query) in
   let ctx = { repo; prof = Some prof; prof_ops = true } in
-  let evaluate () =
-    let t0 = Xquec_obs.Trace.now_us () in
-    let items =
-      with_cache_delta prof.Xquec_obs.Explain.root (fun () ->
-          Xquec_obs.Trace.with_span ~name:"executor.run" (fun () ->
-              materialize ctx (eval ctx [] query)))
-    in
-    let wall_us = Xquec_obs.Trace.now_us () -. t0 in
-    (items, Xquec_obs.Explain.finish prof ~wall_us ~rows:(List.length items))
+  Xquec_obs.Ledger.in_ledger @@ fun () ->
+  let t0 = Xquec_obs.Trace.now_us () in
+  let items =
+    with_cache_delta prof.Xquec_obs.Explain.root (fun () ->
+        Xquec_obs.Trace.with_span ~name:"executor.run" (fun () ->
+            materialize ctx (eval ctx [] query)))
   in
-  match Xquec_obs.Ledger.current () with
-  | Some _ -> evaluate ()
-  | None -> Xquec_obs.Ledger.with_ledger (fun _ -> evaluate ())
+  let wall_us = Xquec_obs.Trace.now_us () -. t0 in
+  (items, Xquec_obs.Explain.finish prof ~wall_us ~rows:(List.length items))
 
 (** Serialize results, decompressing — the Decompress + XMLSerialize tail
     every plan ends with (§4). *)
 let serialize (repo : Repository.t) (items : item list) : string =
+  Xquec_obs.Ledger.in_ledger @@ fun () ->
   let ctx = mk_ctx repo in
   let buf = Buffer.create 256 in
   List.iteri

@@ -32,7 +32,9 @@ exception Eval_error of string
 
 (** {2 Entry points} *)
 
-(** Evaluate a parsed query against a repository. *)
+(** Evaluate a parsed query against a repository, charging the calling
+    domain's open {!Xquec_obs.Ledger}, or a fresh one opened around the
+    evaluation when none is open ({!Xquec_obs.Ledger.in_ledger}). *)
 val run : Repository.t -> Xquery.Ast.expr -> item list
 
 (** Evaluate with per-operator profiling: results plus the root of the
@@ -51,7 +53,8 @@ val run : Repository.t -> Xquery.Ast.expr -> item list
 val run_profiled : Repository.t -> Xquery.Ast.expr -> item list * Xquec_obs.Explain.node
 
 (** Serialize results, decompressing — the Decompress + XMLSerialize
-    tail of every plan (§4, Fig. 5). *)
+    tail of every plan (§4, Fig. 5). Charged like {!run}: to the open
+    ledger, or to one opened around the serialization. *)
 val serialize : Repository.t -> item list -> string
 
 (** {2 Block-interval merge join}
@@ -63,10 +66,12 @@ val serialize : Repository.t -> item list -> string
     codes record-wise — values are never decompressed and
     non-overlapping blocks are never fetched. *)
 
-(** Process-wide block-join counters, maintained as atomics (so they
-    accumulate with telemetry off, like the buffer-pool stats):
-    executions, blocks decoded, blocks skipped from headers alone, and
-    the stored payload bytes those skipped blocks would have read. *)
+(** Process-wide block-join counters, the join fields of the
+    {!Xquec_obs.Ledger} totals (so they accumulate with telemetry off,
+    like the buffer-pool stats, and advance when a query's ledger
+    closes): executions, blocks decoded, blocks skipped from headers
+    alone, and the stored payload bytes those skipped blocks would
+    have read. *)
 type join_stats = Value_join.join_stats = {
   j_block_joins : int;
   j_blocks_probed : int;
@@ -74,7 +79,7 @@ type join_stats = Value_join.join_stats = {
   j_skipped_bytes : int;
 }
 
-(** Snapshot the cumulative block-join counters. *)
+(** The cumulative block-join counters of every closed ledger. *)
 val join_stats : unit -> join_stats
 
 (** Zero the block-join counters (benchmark / test isolation). *)

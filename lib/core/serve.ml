@@ -144,8 +144,9 @@ let publish_window_metrics () =
   Metrics.set_gauge "serve.window.p95_ms" w.ws_p95_ms;
   Metrics.set_gauge "serve.window.p99_ms" w.ws_p99_ms
 
-(* Copy the storage-layer atomics into the metrics registry. They are
-   counted once, in the atomics; the bufferpool.*, compactor.* and
+(* Copy the storage-layer counters into the metrics registry. The pool
+   and join figures are counted once, in the query ledgers, and read
+   here from their process totals; the bufferpool.*, compactor.* and
    executor.join.* series exist only through this copy. *)
 let publish_storage_metrics () : unit =
   let s = Storage.Buffer_pool.snapshot () in

@@ -63,9 +63,10 @@ val publish_window_metrics : unit -> unit
 (** Copy the cumulative buffer-pool ({!Storage.Buffer_pool.snapshot}
     as ["bufferpool.*"]), compactor (["compactor.*"]) and block-join
     ({!Executor.join_stats} as ["executor.join.*"]) counters into the
-    metrics registry. Those series are counted only in their atomics;
-    this copy is the registry's sole source for them. [xquec ... --stats]
-    runs it before dumping the registry. *)
+    metrics registry. The pool and join figures are counted once, in
+    the query ledgers ({!Xquec_obs.Ledger}), and read from their
+    process totals; this copy is the registry's sole source for them.
+    [xquec ... --stats] runs it before dumping the registry. *)
 val publish_storage_metrics : unit -> unit
 
 (** Sync the storage ({!publish_storage_metrics}), heat, admission

@@ -126,9 +126,8 @@ let find_join ~var ~bound ~base_vars pending =
 (* Block-interval merge join: counters, toggle and plan shape          *)
 (* ------------------------------------------------------------------ *)
 
-(* Process-wide counters for the block merge join, kept as atomics (like
-   the buffer-pool stats) so they survive with telemetry off and can be
-   synced into /metrics, --stats and the query log. *)
+(* The block merge join's counters are ledger fields; these read and
+   zero the process totals. *)
 type join_stats = {
   j_block_joins : int;
   j_blocks_probed : int;
@@ -136,34 +135,27 @@ type join_stats = {
   j_skipped_bytes : int;
 }
 
-let a_block_joins = Atomic.make 0
-let a_blocks_probed = Atomic.make 0
-let a_blocks_skipped = Atomic.make 0
-let a_skipped_bytes = Atomic.make 0
-
 let join_stats () : join_stats =
+  Xquec_obs.Ledger.with_totals @@ fun t ->
   {
-    j_block_joins = Atomic.get a_block_joins;
-    j_blocks_probed = Atomic.get a_blocks_probed;
-    j_blocks_skipped = Atomic.get a_blocks_skipped;
-    j_skipped_bytes = Atomic.get a_skipped_bytes;
+    j_block_joins = t.block_joins;
+    j_blocks_probed = t.join_blocks_probed;
+    j_blocks_skipped = t.join_blocks_skipped;
+    j_skipped_bytes = t.join_skipped_bytes;
   }
 
 let reset_join_stats () =
-  Atomic.set a_block_joins 0;
-  Atomic.set a_blocks_probed 0;
-  Atomic.set a_blocks_skipped 0;
-  Atomic.set a_skipped_bytes 0
+  Xquec_obs.Ledger.with_totals @@ fun t ->
+  t.block_joins <- 0;
+  t.join_blocks_probed <- 0;
+  t.join_blocks_skipped <- 0;
+  t.join_skipped_bytes <- 0
 
 let block_join_enabled = ref true
 
 let set_block_join on = block_join_enabled := on
 
 let note_block_join ~probed ~skipped ~skipped_bytes =
-  Atomic.incr a_block_joins;
-  ignore (Atomic.fetch_and_add a_blocks_probed probed);
-  ignore (Atomic.fetch_and_add a_blocks_skipped skipped);
-  ignore (Atomic.fetch_and_add a_skipped_bytes skipped_bytes);
   Xquec_obs.Ledger.charge (fun l ->
       l.block_joins <- l.block_joins + 1;
       l.join_blocks_probed <- l.join_blocks_probed + probed;
@@ -290,7 +282,7 @@ let block_join_attrs (plan : block_plan) =
     ("blocks_skipped", string_of_int plan.pl_skipped);
   ]
 
-let exec_block_join ctx ~var (plan : block_plan) : env list =
+let exec_block_join ctx ~mode ~var (plan : block_plan) : env list =
   Xquec_obs.Trace.with_span ~name:"executor.block_merge_join"
     ~attrs:
       [
@@ -382,12 +374,5 @@ let exec_block_join ctx ~var (plan : block_plan) : env list =
           List.map (fun idx -> (var, member plan.pl_set idx) :: d) (List.sort_uniq compare idxs))
       plan.pl_tuple_nodes
   in
-  let rows = List.length out in
-  List.iter
-    (fun (p : block_pairing) ->
-      Xquec_obs.Ledger.note_pred ~container:p.bp_lc.Container.path ~kind:"join"
-        ~candidates:(Container.length p.bp_lc) ~matches:rows;
-      Xquec_obs.Ledger.note_pred ~container:p.bp_rc.Container.path ~kind:"join"
-        ~candidates:(Container.length p.bp_rc) ~matches:rows)
-    plan.pl_pairings;
+  note_join mode ~candidates:(Hashtbl.length plan.pl_item_of_node) ~matches:(List.length out);
   out

@@ -58,7 +58,8 @@ val find_join :
 (** {2 Block-interval merge join} *)
 
 (** Process-wide block-join counters (re-exported as
-    [Executor.join_stats]). *)
+    [Executor.join_stats]): the join fields of the
+    {!Xquec_obs.Ledger} totals. *)
 type join_stats = {
   j_block_joins : int;
   j_blocks_probed : int;
@@ -66,10 +67,10 @@ type join_stats = {
   j_skipped_bytes : int;
 }
 
-(** Snapshot the cumulative block-join counters. *)
+(** The cumulative block-join counters of every closed ledger. *)
 val join_stats : unit -> join_stats
 
-(** Zero the block-join counters. *)
+(** Zero the block-join fields of the ledger totals. *)
 val reset_join_stats : unit -> unit
 
 (** Enable or disable the block merge join (enabled by default). *)
@@ -112,5 +113,8 @@ val block_join_attrs : block_plan -> (string * string) list
     decode the probed ones, merge equal codes within each overlapping block pair, map
     matched records to (left node, right item) pairs through parent
     pointers, and emit per tuple in source-item order — exactly the
-    output the hash join produces, without decompressing any value. *)
-val exec_block_join : ctx -> var:string -> block_plan -> env list
+    output the hash join produces, without decompressing any value.
+    It observes the join as the hash join does ({!note_join} under
+    [mode], the join's {!join_key_mode}), so a query fingerprints the
+    same whichever join method runs it. *)
+val exec_block_join : ctx -> mode:key_mode -> var:string -> block_plan -> env list

@@ -1,30 +1,24 @@
-(** Per-container / per-block access heat accounting.
+(** Per-container / per-block access heat: how the value containers
+    are actually touched at query time (block fetches, block decodes,
+    header-driven skips, bytes decoded and skipped, sequential-vs-random
+    access runs), per container and per block.
 
-    A process-wide, low-overhead tally of how the value containers are
-    actually touched at query time: block fetches, block decodes
-    (buffer-pool misses), header-driven skips, bytes decoded and
-    skipped, and sequential-vs-random access runs. The storage layer
-    calls the [note_*] hooks; everything else only reads snapshots.
+    Heat counts nothing itself. Every event is counted once, in the
+    evaluating query's {!Ledger}, whose container rows carry the
+    touches, runs and per-block touches; a closed ledger is added into
+    the process totals, and this module reads their container rows. It
+    keeps only what names them: each container's label and block count
+    ({!register}), and which uids are live ({!unregister}). So a
+    snapshot moves when a query's ledger closes, and it sums exactly to
+    the query-log records of the queries that closed in between.
 
-    Overhead discipline: block fetches arrive once per record, so
-    consecutive repeats of one (container, block) collapse into a
-    single touch — the steady scan case is two plain loads and two
-    compares against a process-wide last-touched pair, no atomic
-    write, no domain lookup. Only block transitions pay an atomic
-    increment of the per-block cell (the cells double as the touch
-    counter; snapshots sum them) — no locks, no allocation on the hot
-    path (the per-block tally array grows by CAS-publishing a larger
-    array that shares the old cells, so concurrent bumps are never
-    lost). The collapse gate is deliberately unsynchronized:
-    interleaved decode workers flap it and count a few extra
-    transitions, or lose a touch repeating another worker's last
-    block — acceptable noise for a heat map. Run classification (did
-    this transition continue a sequential run?) keeps one last-touched
-    slot per domain, indexed by [Domain.self ()], so workers never
-    contend on it. The whole subsystem sits behind its own atomic
-    switch (default on — the bench gate proves the cost ≤ 2 %), so
-    the A/B in [bench heat] and belt-and-braces opt-outs need no
-    rebuild. *)
+    Overhead: a block fetch is one DLS load and, for a touch that does
+    not repeat the previous block, a few plain writes to the query's
+    own ledger; there is no atomic, lock or process-wide state on the
+    fetch path. Each query pays one fold into the totals, under their
+    mutex, when its ledger closes. The per-container rows sit behind a
+    switch (default on; the bench gate's [heat] experiment proves the
+    cost within 2 %), so the A/B in [bench heat] needs no rebuild. *)
 
 (** Immutable per-container reading of one {!snapshot}. A {e touch} is
     a block fetch request with consecutive repeats of one
@@ -32,10 +26,11 @@
     once). [hits] is derived as [touches - decodes] (clamped at 0: a
     block evicted and re-decoded between collapsed repeats can decode
     more often than it transitions): a touch that needed no decode was
-    served from the buffer pool. [runs] counts run-starting touches —
-    a touch of a block other than the successor of the same domain's
-    previously touched block of this container; [seq_touches] is the
-    complement ([touches - runs], clamped at 0): touches that
+    served from the buffer pool. [runs] counts run-starting touches,
+    per query: a touch of a block other than the successor of the
+    block the same query touched last, in this container (so each
+    query's first touch of a container starts a run); [seq_touches] is
+    the complement ([touches - runs], clamped at 0): touches that
     continued a sequential run. *)
 type stat = {
   uid : int;  (** buffer-pool uid of the container *)
@@ -51,10 +46,8 @@ type stat = {
   runs : int;  (** non-sequential (run-starting) touches *)
 }
 
-(** Whether accounting is currently on. *)
-val enabled : unit -> bool
-
-(** Turn accounting on or off (snapshot/reset work regardless). *)
+(** Turn per-container accounting on or off
+    ({!Ledger.set_containers_enabled}; snapshot/reset work regardless). *)
 val set_enabled : bool -> unit
 
 (** [register ~uid ~label ~blocks] (re)announces a container: fixes
@@ -65,37 +58,22 @@ val register : uid:int -> label:string -> blocks:int -> unit
 
 (** [unregister ~uid] drops a container's row, counters included.
     [Repository.replace_container] calls it for the uid it
-    replaces, so the table holds one row per live container. *)
+    replaces, so the table holds one row per live container; a query
+    still reading the old container adds to no row a reading shows. *)
 val unregister : uid:int -> unit
 
-(** Record a block fetch request. Consecutive repeats of the same
-    block collapse into one touch; a transition
-    classifies as sequential or run-starting and bumps the per-block
-    tally. Like every [note_*] hook, it ignores a uid without a row
-    (never registered, or unregistered since). *)
-val note_touch : uid:int -> blk:int -> unit
-
-(** Record an actual block decode of [bytes] compressed payload bytes
-    (called from the buffer-pool miss path, on the querying domain). *)
-val note_decode : uid:int -> bytes:int -> unit
-
-(** Record [blocks] header-skipped blocks totalling [bytes] payload
-    bytes the query never decoded. *)
-val note_skip : uid:int -> blocks:int -> bytes:int -> unit
-
-(** Consistent-enough reading of every registered container, sorted by
-    label. (Counters are read one atomic at a time; a snapshot taken
-    during a query may split that query's bumps across two
-    snapshots — totals over quiescent points are exact.) *)
+(** Every registered container, sorted by label, with its counters as
+    of the last closed ledger (one consistent reading, taken under the
+    totals' mutex). *)
 val snapshot : unit -> stat list
 
-(** Zero every counter and per-block tally, keeping registrations, and
-    forget per-domain run state. *)
+(** Zero every container's counters and per-block tallies, keeping
+    registrations. *)
 val reset : unit -> unit
 
 (** [hot_blocks ~uid ~top] — the [top] most-touched blocks of a
     container as [(block, touches)], descending, ties by block index;
-    empty for unknown uids. *)
+    empty for unknown or unregistered uids. *)
 val hot_blocks : uid:int -> top:int -> (int * int) list
 
 (** The whole table as JSON — the [GET /heat] payload:

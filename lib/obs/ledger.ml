@@ -1,8 +1,11 @@
-(* Per-query cost ledger. See ledger.mli.
+(* Per-query cost ledger and the process totals. See ledger.mli.
 
    A ledger is only ever written by the domain whose DLS holds it: the
    query's own evaluation and serialization, block decodes included,
-   run on that domain. So every charge is a plain field write. *)
+   run on that domain. So every charge is a plain field write. The
+   totals are one more ledger, behind one mutex: a closed ledger is
+   added into it, and a charge made with no ledger open goes to it
+   directly. *)
 
 type trip = { t_kind : string; t_limit : float; t_observed : float }
 
@@ -12,6 +15,8 @@ type container = {
   c_uid : int;
   c_label : string;
   mutable c_touches : int;
+  mutable c_runs : int;
+  mutable c_block_touches : int array;
   mutable c_decodes : int;
   mutable c_header_skips : int;
   mutable c_bytes_decoded : int;
@@ -52,42 +57,116 @@ let set_limits ?(wall_ms = 0.0) ?(decode_bytes = 0) () =
 
 let limits () = (!wall_ms_limit, !decode_bytes_limit)
 
+let per_container = Atomic.make true
+let containers_enabled () = Atomic.get per_container
+let set_containers_enabled b = Atomic.set per_container b
+
 let now_us () = Unix.gettimeofday () *. 1e6
+
+let create ~wall ~bytes =
+  {
+    started_us = (if wall > 0.0 then now_us () else 0.0);
+    wall_limit_ms = (if wall > 0.0 then wall else infinity);
+    decode_limit = (if bytes > 0 then bytes else max_int);
+    hits = 0;
+    misses = 0;
+    latch_waits = 0;
+    evictions = 0;
+    blocks_skipped = 0;
+    scan_inserts = 0;
+    decoded_bytes = 0;
+    payload_decoded = 0;
+    payload_skipped = 0;
+    block_joins = 0;
+    join_blocks_probed = 0;
+    join_blocks_skipped = 0;
+    join_skipped_bytes = 0;
+    last_uid = -1;
+    last_blk = -1;
+    containers = Hashtbl.create 8;
+    preds = Hashtbl.create 4;
+    pred_order = [];
+  }
+
+let container l ~uid ~label =
+  match Hashtbl.find_opt l.containers uid with
+  | Some c -> c
+  | None ->
+    let c =
+      {
+        c_uid = uid;
+        c_label = label;
+        c_touches = 0;
+        c_runs = 0;
+        c_block_touches = [||];
+        c_decodes = 0;
+        c_header_skips = 0;
+        c_bytes_decoded = 0;
+        c_bytes_skipped = 0;
+      }
+    in
+    Hashtbl.add l.containers uid c;
+    c
+
+let bump_block c blk n =
+  let len = Array.length c.c_block_touches in
+  if blk >= len then begin
+    let a = Array.make (max (blk + 1) (2 * len)) 0 in
+    Array.blit c.c_block_touches 0 a 0 len;
+    c.c_block_touches <- a
+  end;
+  c.c_block_touches.(blk) <- c.c_block_touches.(blk) + n
+
+(* ---- the process totals ---- *)
+
+let totals = create ~wall:0.0 ~bytes:0
+let totals_mutex = Mutex.create ()
+
+let with_totals f = Mutex.protect totals_mutex (fun () -> f totals)
+
+let add_into (t : t) (l : t) =
+  t.hits <- t.hits + l.hits;
+  t.misses <- t.misses + l.misses;
+  t.latch_waits <- t.latch_waits + l.latch_waits;
+  t.evictions <- t.evictions + l.evictions;
+  t.blocks_skipped <- t.blocks_skipped + l.blocks_skipped;
+  t.scan_inserts <- t.scan_inserts + l.scan_inserts;
+  t.decoded_bytes <- t.decoded_bytes + l.decoded_bytes;
+  t.payload_decoded <- t.payload_decoded + l.payload_decoded;
+  t.payload_skipped <- t.payload_skipped + l.payload_skipped;
+  t.block_joins <- t.block_joins + l.block_joins;
+  t.join_blocks_probed <- t.join_blocks_probed + l.join_blocks_probed;
+  t.join_blocks_skipped <- t.join_blocks_skipped + l.join_blocks_skipped;
+  t.join_skipped_bytes <- t.join_skipped_bytes + l.join_skipped_bytes;
+  Hashtbl.iter
+    (fun uid c ->
+      let tc = container t ~uid ~label:c.c_label in
+      tc.c_touches <- tc.c_touches + c.c_touches;
+      tc.c_runs <- tc.c_runs + c.c_runs;
+      tc.c_decodes <- tc.c_decodes + c.c_decodes;
+      tc.c_header_skips <- tc.c_header_skips + c.c_header_skips;
+      tc.c_bytes_decoded <- tc.c_bytes_decoded + c.c_bytes_decoded;
+      tc.c_bytes_skipped <- tc.c_bytes_skipped + c.c_bytes_skipped;
+      Array.iteri (fun blk n -> if n > 0 then bump_block tc blk n) c.c_block_touches)
+    l.containers
+
+(* ---- open ledgers ---- *)
 
 let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () = Domain.DLS.get key
 
 let with_ledger f =
-  let wall = !wall_ms_limit and bytes = !decode_bytes_limit in
-  let l =
-    {
-      started_us = (if wall > 0.0 then now_us () else 0.0);
-      wall_limit_ms = (if wall > 0.0 then wall else infinity);
-      decode_limit = (if bytes > 0 then bytes else max_int);
-      hits = 0;
-      misses = 0;
-      latch_waits = 0;
-      evictions = 0;
-      blocks_skipped = 0;
-      scan_inserts = 0;
-      decoded_bytes = 0;
-      payload_decoded = 0;
-      payload_skipped = 0;
-      block_joins = 0;
-      join_blocks_probed = 0;
-      join_blocks_skipped = 0;
-      join_skipped_bytes = 0;
-      last_uid = -1;
-      last_blk = -1;
-      containers = Hashtbl.create 16;
-      preds = Hashtbl.create 8;
-      pred_order = [];
-    }
-  in
+  let l = create ~wall:!wall_ms_limit ~bytes:!decode_bytes_limit in
   let prev = Domain.DLS.get key in
   Domain.DLS.set key (Some l);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) (fun () -> f l)
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.DLS.set key prev;
+      with_totals (fun t -> add_into t l))
+    (fun () -> f l)
+
+let in_ledger f = match current () with Some _ -> f () | None -> with_ledger (fun _ -> f ())
 
 let check l =
   if l.decoded_bytes > l.decode_limit then
@@ -104,58 +183,48 @@ let check l =
       raise (Exceeded { t_kind = "wall_ms"; t_limit = l.wall_limit_ms; t_observed = elapsed })
   end
 
-let container l ~uid ~label =
-  match Hashtbl.find_opt l.containers uid with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        c_uid = uid;
-        c_label = label;
-        c_touches = 0;
-        c_decodes = 0;
-        c_header_skips = 0;
-        c_bytes_decoded = 0;
-        c_bytes_skipped = 0;
-      }
-    in
-    Hashtbl.add l.containers uid c;
-    c
-
 (* ---- charges ---- *)
 
-let charge f = match current () with Some l -> f l | None -> ()
+let charge f = match current () with Some l -> f l | None -> with_totals f
+
+(* A touch that does not repeat the previous one; it starts a run
+   unless it moves to the next block of the same container. *)
+let touch l ~uid ~label ~blk =
+  if containers_enabled () && not (l.last_uid = uid && l.last_blk = blk) then begin
+    let c = container l ~uid ~label in
+    if not (l.last_uid = uid && blk = l.last_blk + 1) then c.c_runs <- c.c_runs + 1;
+    l.last_uid <- uid;
+    l.last_blk <- blk;
+    c.c_touches <- c.c_touches + 1;
+    if blk >= 0 then bump_block c blk 1
+  end
 
 let note_fetch ~uid ~label ~blk =
   match current () with
-  | None -> ()
   | Some l ->
     check l;
-    if Heat.enabled () && not (l.last_uid = uid && l.last_blk = blk) then begin
-      l.last_uid <- uid;
-      l.last_blk <- blk;
-      let c = container l ~uid ~label in
-      c.c_touches <- c.c_touches + 1
-    end
+    touch l ~uid ~label ~blk
+  | None -> with_totals (fun t -> touch t ~uid ~label ~blk)
 
 let note_decode ~uid ~label ~bytes =
-  match current () with
-  | None -> ()
-  | Some l ->
-    l.payload_decoded <- l.payload_decoded + bytes;
-    if Heat.enabled () then begin
-      let c = container l ~uid ~label in
-      c.c_decodes <- c.c_decodes + 1;
-      c.c_bytes_decoded <- c.c_bytes_decoded + bytes
-    end
+  charge (fun l ->
+      l.payload_decoded <- l.payload_decoded + bytes;
+      if containers_enabled () then begin
+        let c = container l ~uid ~label in
+        c.c_decodes <- c.c_decodes + 1;
+        c.c_bytes_decoded <- c.c_bytes_decoded + bytes
+      end)
 
-let note_container_skip ~uid ~label ~blocks ~bytes =
-  match current () with
-  | Some l when Heat.enabled () ->
-    let c = container l ~uid ~label in
-    c.c_header_skips <- c.c_header_skips + blocks;
-    c.c_bytes_skipped <- c.c_bytes_skipped + bytes
-  | _ -> ()
+let note_skip ~uid ~label ~blocks ~bytes =
+  if blocks > 0 then
+    charge (fun l ->
+        l.blocks_skipped <- l.blocks_skipped + blocks;
+        l.payload_skipped <- l.payload_skipped + bytes;
+        if containers_enabled () then begin
+          let c = container l ~uid ~label in
+          c.c_header_skips <- c.c_header_skips + blocks;
+          c.c_bytes_skipped <- c.c_bytes_skipped + bytes
+        end)
 
 (* Merged by (container, kind): per-tuple notes (one per FLWOR tuple)
    would otherwise contribute thousands of entries, and the

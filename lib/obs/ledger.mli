@@ -1,18 +1,29 @@
-(** Per-query cost ledger, held in the evaluating domain's [Domain.DLS].
+(** Per-query cost ledger, held in the evaluating domain's [Domain.DLS],
+    and the process totals: the one place where a block fetch, pool
+    hit, miss, latch wait, eviction, decode, header skip, scan insert or
+    block join is counted.
 
     [Engine.query_serialized_logged] opens one ledger around a query's
-    evaluation and serialization ({!with_ledger}). Every block a query
-    reads decodes on the domain evaluating it, so the storage and
-    executor sites that bump the process-wide counters ([Buffer_pool],
-    [Executor]'s join counters, {!Heat}) also charge the ledger in
-    that domain's DLS: plain field writes, no atomics, and only the
-    query's own work lands in it even when [serve] evaluates many
-    queries at once. With no ledger open every charge is one DLS load.
+    evaluation and serialization ({!with_ledger}); [Executor.run],
+    [Executor.serialize], [Executor.run_profiled] and
+    [Engine.to_document] open one when none is open ({!in_ledger}).
+    Every block a query reads decodes on the domain evaluating it, so
+    the storage and executor sites charge the ledger in that domain's
+    DLS: plain field writes, no atomics, and only the query's own work
+    lands in it even when [serve] evaluates many queries at once.
+
+    There is no second counter. The process-wide readings
+    ([Buffer_pool.snapshot], [Executor.join_stats], {!Heat.snapshot},
+    and through them [/metrics], [--stats] and [/heat]) read one totals
+    ledger behind one mutex ({!with_totals}). A ledger is added into
+    the totals when it closes, also when its query raised (a budget
+    trip, an error), so process counters advance when a query's ledger
+    closes, not while it runs. A charge made while no ledger is open
+    (a build-time read, a compaction, a test poking a container) goes
+    to the totals directly, under that mutex.
 
     The query-log record, the watchdog's {!Watch.observe} and EXPLAIN's
-    per-operator cache figures all read the open ledger. The
-    process-wide counters stay as they are for [/metrics], [--stats]
-    and [/heat].
+    per-operator cache figures all read the open ledger.
 
     Limits: {!set_limits} configures a wall-clock and a decoded-bytes
     allowance; every ledger opened afterwards is checked against them
@@ -31,13 +42,19 @@ type trip = { t_kind : string; t_limit : float; t_observed : float }
 (** Raised by {!note_fetch} when the open ledger has crossed a limit. *)
 exception Exceeded of trip
 
-(** One container's share of a query. A touch is a block fetch, with
-    consecutive repeats of one block collapsed as {!Heat} does, but
-    per query: the collapse state starts empty when the ledger opens. *)
+(** One container's share of a query (or, in the totals, of every
+    closed query). A touch is a block fetch with consecutive repeats of
+    one block collapsed: the collapse state starts empty when the
+    ledger opens. A touch starts a run unless it moves on to the next
+    block of the container the previous touch read. *)
 type container = {
   c_uid : int;  (** buffer-pool uid *)
   c_label : string;  (** container path *)
   mutable c_touches : int;
+  mutable c_runs : int;  (** run-starting touches *)
+  mutable c_block_touches : int array;
+      (** touches by block index (grown on demand, may be shorter than
+          the container) *)
   mutable c_decodes : int;  (** blocks decoded (pool misses) *)
   mutable c_header_skips : int;  (** blocks skipped on header min/max *)
   mutable c_bytes_decoded : int;  (** compressed payload bytes decoded *)
@@ -49,7 +66,8 @@ type container = {
     [decoded_bytes] is the in-memory charge of the blocks this query
     decoded, [payload_decoded] / [payload_skipped] their compressed
     payload bytes and those of header-pruned blocks. The [join_*]
-    fields follow [Executor.join_stats]. *)
+    fields follow [Executor.join_stats]. [last_uid]/[last_blk] and the
+    limits mean nothing in the totals. *)
 type t = {
   started_us : float;
   wall_limit_ms : float;  (** [infinity] = unlimited *)
@@ -85,41 +103,62 @@ val set_limits : ?wall_ms:float -> ?decode_bytes:int -> unit -> unit
 val limits : unit -> float * int
 
 (** [with_ledger f] opens a fresh ledger on the calling domain, runs
-    [f] with it and restores the domain's previous ledger (if any)
-    however [f] returns. *)
+    [f] with it, restores the domain's previous ledger (if any) and adds
+    the closed ledger into the totals, however [f] returns. *)
 val with_ledger : (t -> 'a) -> 'a
+
+(** [in_ledger f] runs [f] in the open ledger, or inside a fresh one
+    ({!with_ledger}) when none is open: how the executor's entry points
+    make every query charge a domain-local ledger. *)
+val in_ledger : (unit -> 'a) -> 'a
+
+(** [with_totals f] applies [f] to the process totals under their
+    mutex: how [Buffer_pool], [Executor] and {!Heat} read and reset
+    their slices of them. [f] must not open a ledger or charge one. *)
+val with_totals : (t -> 'a) -> 'a
+
+(** Whether per-container rows (touches, runs, decodes, header skips)
+    are counted; on by default. [Heat.set_enabled] is the switch
+    callers use. The pool and join fields are counted regardless. *)
+val containers_enabled : unit -> bool
+
+(** Turn per-container counting on or off. *)
+val set_containers_enabled : bool -> unit
 
 (** The calling domain's open ledger. *)
 val current : unit -> t option
 
 (** {2 Charges}
 
-    Each charges the calling domain's open ledger and is a no-op when
-    none is open. The per-container charges are also no-ops while
-    {!Heat} is switched off, so a heat-off query reports no containers,
-    as the heat table shows none. *)
+    Each charges the calling domain's open ledger, or the totals under
+    their mutex when none is open ({!note_pred} excepted). The
+    per-container charges are no-ops while per-container counting is
+    off ({!set_containers_enabled}), so a heat-off query reports no
+    containers, as the heat table shows none. *)
 
-(** [charge f] applies [f] to the open ledger: how the pool and join
-    sites bump their counters. *)
+(** [charge f] applies [f] to the open ledger, else to the totals: how
+    the pool and join sites count their events. *)
 val charge : (t -> unit) -> unit
 
-(** A block fetch of block [blk] of container [uid]: checks the limits
-    (raising {!Exceeded}), then counts the touch. *)
+(** A block fetch of block [blk] of container [uid]: checks an open
+    ledger's limits (raising {!Exceeded}), then counts the touch. *)
 val note_fetch : uid:int -> label:string -> blk:int -> unit
 
 (** A block decode of [bytes] compressed payload bytes. *)
 val note_decode : uid:int -> label:string -> bytes:int -> unit
 
-(** [blocks] header-skipped blocks of one container, [bytes] payload
-    bytes. *)
-val note_container_skip : uid:int -> label:string -> blocks:int -> bytes:int -> unit
+(** [blocks] blocks of one container skipped on their headers alone,
+    [bytes] their payload bytes: counted into [blocks_skipped],
+    [payload_skipped] and the container's row. *)
+val note_skip : uid:int -> label:string -> blocks:int -> bytes:int -> unit
 
 (** One container-resolved predicate observed during evaluation: a
     pushed-down value or textual filter, a tuple-at-a-time [where]
     comparison reading a container value, an existence test, or a
-    compressed-domain join side ([kind] and the counts as in
+    compressed-domain join ([kind] and the counts as in
     {!Profile.obs}). Merged by (container, kind): per-tuple notes sum
-    into one entry. *)
+    into one entry. Only an open ledger records them; the totals keep
+    none. *)
 val note_pred : container:string -> kind:string -> candidates:int -> matches:int -> unit
 
 (** {2 Readings} *)

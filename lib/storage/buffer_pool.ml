@@ -17,8 +17,12 @@
      is therefore exactly one of: hit, miss (this caller decoded) or
      latch wait. With one evaluating domain waits are structurally
      impossible.
-   - cumulative counters are atomics so any domain may bump them and
-     [snapshot] needs no lock for them.
+   - the pool counts nothing itself (apart from invalidations, which
+     happen outside any query): each hit, miss, latch wait, eviction,
+     scan insert and decoded byte is charged once, to the calling
+     domain's open Xquec_obs.Ledger, or to the process totals when no
+     ledger is open. [snapshot] reads the totals, which a query's
+     ledger joins when it closes.
 
    Entries are keyed by (container uid, block index). The uid is
    process-unique (two repositories never collide) and a container is
@@ -27,12 +31,9 @@
    payload. [invalidate_container] drops a replaced container's entries
    eagerly so they stop occupying budget.
 
-   The pool keeps its own cumulative counters unconditionally (they are
-   a handful of atomic adds) and charges each event to the calling
-   domain's open ledger (Xquec_obs.Ledger, what the query log and
-   EXPLAIN read). The "bufferpool.*" metric series are copied from
-   [snapshot] when they are read (Serve.publish_storage_metrics), not
-   counted a second time here. *)
+   The ledger is what the query log and EXPLAIN read; the
+   "bufferpool.*" metric series are copied from [snapshot] when they
+   are read (Serve.publish_storage_metrics), not counted a second time. *)
 
 type key = { k_uid : int; k_blk : int }
 
@@ -83,34 +84,11 @@ let default_budget_bytes = 64 * 1024 * 1024
 
 let budget_ref = ref default_budget_bytes
 
-(* cumulative, never reset by eviction; atomic so any domain may bump *)
-let hits = Atomic.make 0
-
-let misses = Atomic.make 0
-
-let latch_waits = Atomic.make 0
-
-let evictions = Atomic.make 0
-
-let decoded_bytes = Atomic.make 0
-
-let blocks_skipped = Atomic.make 0
-
-let scan_inserts = Atomic.make 0 (* blocks admitted at the LRU tail *)
-
 (* Invalidation drops are accounted separately from [evictions]:
    evictions measure capacity pressure, invalidations measure container
    churn (containers replaced by a rebuild). Mixing them made hit-rate
    alerts misread a swap as thrash. *)
 let invalidations = Atomic.make 0
-
-(* compressed-payload bytes actually decoded vs. pruned via headers —
-   the same unit on both sides, so a query log can report a meaningful
-   decoded-vs-skipped ratio (d_bytes above is the in-memory charge,
-   which is not comparable to pruned on-disk payload bytes). *)
-let payload_bytes = Atomic.make 0
-
-let skipped_bytes = Atomic.make 0
 
 (* resident accounting: guarded by [lock] *)
 let resident_bytes = ref 0
@@ -139,19 +117,20 @@ let snapshot () : stats =
   Mutex.lock lock;
   let rb = !resident_bytes and rn = !resident_blocks in
   Mutex.unlock lock;
+  Xquec_obs.Ledger.with_totals @@ fun t ->
   {
-    s_hits = Atomic.get hits;
-    s_misses = Atomic.get misses;
-    s_latch_waits = Atomic.get latch_waits;
-    s_evictions = Atomic.get evictions;
-    s_decoded_bytes = Atomic.get decoded_bytes;
-    s_blocks_skipped = Atomic.get blocks_skipped;
-    s_scan_inserts = Atomic.get scan_inserts;
+    s_hits = t.hits;
+    s_misses = t.misses;
+    s_latch_waits = t.latch_waits;
+    s_evictions = t.evictions;
+    s_decoded_bytes = t.decoded_bytes;
+    s_blocks_skipped = t.blocks_skipped;
+    s_scan_inserts = t.scan_inserts;
     s_invalidations = Atomic.get invalidations;
     s_prefetch_fills = 0;
     s_prefetch_hits = 0;
-    s_payload_bytes = Atomic.get payload_bytes;
-    s_skipped_bytes = Atomic.get skipped_bytes;
+    s_payload_bytes = t.payload_decoded;
+    s_skipped_bytes = t.payload_skipped;
     s_resident_bytes = rb;
     s_resident_blocks = rn;
   }
@@ -208,7 +187,6 @@ let rec evict_to_budget ~(keep : node option) : unit =
     match !lru_back with
     | Some n when (match keep with Some k -> k != n | None -> true) ->
       drop n;
-      Atomic.incr evictions;
       Xquec_obs.Ledger.charge (fun l -> l.evictions <- l.evictions + 1);
       evict_to_budget ~keep
     | Some _ | None -> ()
@@ -225,7 +203,6 @@ let set_budget ~(bytes : int) : unit =
 
 (* Block on [l] until its decode completes; re-raise its failure. *)
 let await_latch (l : latch) : decoded =
-  Atomic.incr latch_waits;
   Xquec_obs.Ledger.charge (fun l -> l.latch_waits <- l.latch_waits + 1);
   Mutex.lock l.l_mutex;
   let rec wait () =
@@ -256,7 +233,6 @@ let fetch ?(admission = Mru) ~(uid : int) ~(blk : int) (decode : unit -> decoded
   | Some (Resident n) ->
     touch n;
     Mutex.unlock lock;
-    Atomic.incr hits;
     Xquec_obs.Ledger.charge (fun l -> l.hits <- l.hits + 1);
     n.value
   | Some (Pending l) ->
@@ -266,7 +242,6 @@ let fetch ?(admission = Mru) ~(uid : int) ~(blk : int) (decode : unit -> decoded
     let l = { l_mutex = Mutex.create (); l_cond = Condition.create (); l_state = L_decoding } in
     Hashtbl.replace table key (Pending l);
     Mutex.unlock lock;
-    Atomic.incr misses;
     Xquec_obs.Ledger.charge (fun l -> l.misses <- l.misses + 1);
     (match decode () with
     | v ->
@@ -289,12 +264,10 @@ let fetch ?(admission = Mru) ~(uid : int) ~(blk : int) (decode : unit -> decoded
              protection from the budget pass — an over-budget scan
              block evicts itself rather than anything hot. *)
           push_back n;
-          Atomic.incr scan_inserts;
           Xquec_obs.Ledger.charge (fun l -> l.scan_inserts <- l.scan_inserts + 1);
           evict_to_budget ~keep:None)
       | _ -> ());
       Mutex.unlock lock;
-      ignore (Atomic.fetch_and_add decoded_bytes v.d_bytes);
       Xquec_obs.Ledger.charge (fun l -> l.decoded_bytes <- l.decoded_bytes + v.d_bytes);
       settle_latch l (L_done v);
       v
@@ -306,18 +279,6 @@ let fetch ?(admission = Mru) ~(uid : int) ~(blk : int) (decode : unit -> decoded
       Mutex.unlock lock;
       settle_latch l (L_failed e);
       raise e)
-
-let note_skipped ?(bytes = 0) (n : int) : unit =
-  if n > 0 then begin
-    ignore (Atomic.fetch_and_add blocks_skipped n);
-    if bytes > 0 then ignore (Atomic.fetch_and_add skipped_bytes bytes);
-    Xquec_obs.Ledger.charge (fun l ->
-        l.blocks_skipped <- l.blocks_skipped + n;
-        l.payload_skipped <- l.payload_skipped + bytes)
-  end
-
-let note_payload_decoded (bytes : int) : unit =
-  if bytes > 0 then ignore (Atomic.fetch_and_add payload_bytes bytes)
 
 let invalidate_container ~(uid : int) : int =
   Mutex.lock lock;
@@ -350,16 +311,17 @@ let clear () : unit =
   Mutex.unlock lock
 
 let reset_stats () : unit =
-  Atomic.set hits 0;
-  Atomic.set misses 0;
-  Atomic.set latch_waits 0;
-  Atomic.set evictions 0;
-  Atomic.set decoded_bytes 0;
-  Atomic.set blocks_skipped 0;
-  Atomic.set scan_inserts 0;
   Atomic.set invalidations 0;
-  Atomic.set payload_bytes 0;
-  Atomic.set skipped_bytes 0
+  Xquec_obs.Ledger.with_totals @@ fun t ->
+  t.hits <- 0;
+  t.misses <- 0;
+  t.latch_waits <- 0;
+  t.evictions <- 0;
+  t.decoded_bytes <- 0;
+  t.blocks_skipped <- 0;
+  t.scan_inserts <- 0;
+  t.payload_decoded <- 0;
+  t.payload_skipped <- 0
 
 (* --- uid allocation -------------------------------------------------- *)
 

@@ -4,11 +4,12 @@
     Containers call {!fetch} on every block access; the pool either
     returns the resident decoded block (hit) or runs the supplied decode
     thunk, caches the result, and evicts least-recently-used blocks
-    until the pool is back under budget (miss). Cumulative
-    process-wide counters are maintained unconditionally (for
-    [--stats] and [/metrics], which copy them from {!snapshot}); each
-    event is also charged to the calling domain's open
-    {!Xquec_obs.Ledger}, which is what the query log and EXPLAIN read.
+    until the pool is back under budget (miss). Each event is counted
+    once, in the calling domain's open {!Xquec_obs.Ledger} (what the
+    query log and EXPLAIN read), or in the process totals when no
+    ledger is open. {!snapshot}'s cumulative fields read those totals
+    (for [--stats] and [/metrics]), so they advance when a query's
+    ledger closes.
 
     Entries are keyed by (container uid, block index). Containers are
     immutable and every rebuilt container has a fresh uid, so an entry
@@ -46,9 +47,11 @@ type decoded = { codes : string array; parents : int array; d_bytes : int }
 type admission = Mru | Tail
 
 (** Cumulative and resident pool counters, readable at any time.
-    The cumulative fields ([s_hits] … [s_blocks_skipped]) only grow
-    (see {!reset_stats}); the two [s_resident_*] fields track what
-    currently occupies the budget. *)
+    The cumulative fields ([s_hits] … [s_skipped_bytes]) only grow
+    (see {!reset_stats}) and, except [s_invalidations], are the
+    {!Xquec_obs.Ledger} totals: they include every query whose ledger
+    has closed. The two [s_resident_*] fields track what currently
+    occupies the budget. *)
 type stats = {
   s_hits : int;
   s_misses : int;
@@ -77,8 +80,8 @@ type stats = {
   s_resident_blocks : int;
 }
 
-(** Current counter values (cheap: atomic reads plus a brief lock for
-    the resident fields). *)
+(** Current counter values (cheap: a brief lock for the resident
+    fields, then one for the ledger totals). *)
 val snapshot : unit -> stats
 
 (** Set the pool's byte budget (the CLI's [--cache-mb]); evicts
@@ -104,17 +107,6 @@ val fetch :
   (unit -> decoded) ->
   decoded
 
-(** Record [n] blocks skipped wholesale by header min/max pruning
-    (counted into [s_blocks_skipped] and the query's ledger). [?bytes]
-    is the total compressed payload size of the pruned blocks,
-    accumulated into [s_skipped_bytes]. *)
-val note_skipped : ?bytes:int -> int -> unit
-
-(** Record compressed payload bytes consumed by an actual block decode
-    (accumulated into [s_payload_bytes]; called by the container decode
-    thunk). *)
-val note_payload_decoded : int -> unit
-
 (** [invalidate_container ~uid] drops every resident block and pending
     decode of container [uid] (used when {!Repository.replace_container}
     swaps the container out), returning the number of entries removed.
@@ -130,7 +122,8 @@ val invalidate : uid:int -> unit
     not cached. *)
 val clear : unit -> unit
 
-(** Zero the cumulative counters (resident state is untouched). *)
+(** Zero the cumulative counters, the pool's fields of the ledger
+    totals included (resident state is untouched). *)
 val reset_stats : unit -> unit
 
 (** Allocate a process-unique container id for pool keys (atomic). *)

@@ -246,7 +246,6 @@ let set_prefetch_depth (_ : int) = ()
 let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
   Xquec_obs.Ledger.note_fetch ~uid:t.uid ~label:t.path ~blk:i;
   let b = t.blocks.(i) in
-  Xquec_obs.Heat.note_touch ~uid:t.uid ~blk:i;
   Buffer_pool.fetch ?admission ~uid:t.uid ~blk:i (fun () ->
       Xquec_obs.Trace.with_span ~name:"container.decode"
         ~attrs:[ ("path", t.path); ("block", string_of_int i) ]
@@ -254,8 +253,6 @@ let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
       let payload = String.length b.b_payload in
       let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
       let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
-      Buffer_pool.note_payload_decoded payload;
-      Xquec_obs.Heat.note_decode ~uid:t.uid ~bytes:payload;
       Xquec_obs.Ledger.note_decode ~uid:t.uid ~label:t.path ~bytes:payload;
       { Buffer_pool.codes; parents; d_bytes })
 
@@ -514,12 +511,9 @@ let pruned_payload_bytes (t : t) ~(b0 : int) ~(b1 : int) : int =
   !total
 
 (* Report [blocks] of [t], [bytes] of stored payload, as skipped from
-   headers alone: to the pool (global counters) and, per container, to
-   the heat table and the query's ledger. *)
+   headers alone, to the query's ledger. *)
 let note_skipped (t : t) ~(blocks : int) ~(bytes : int) : unit =
-  Buffer_pool.note_skipped ~bytes blocks;
-  Xquec_obs.Heat.note_skip ~uid:t.uid ~blocks ~bytes;
-  Xquec_obs.Ledger.note_container_skip ~uid:t.uid ~label:t.path ~blocks ~bytes
+  Xquec_obs.Ledger.note_skip ~uid:t.uid ~label:t.path ~blocks ~bytes
 
 (* Report the blocks outside [b0, b1] as header-skipped. *)
 let note_pruned (t : t) ~(b0 : int) ~(b1 : int) (blocks : int) : unit =

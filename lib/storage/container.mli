@@ -216,8 +216,9 @@ val scan : t -> record array
     blocks.
 
     Each fetch and decode is charged to the calling domain's open
-    {!Xquec_obs.Ledger} (if any), whose limits are checked at each
-    block fetch: an exhausted one raises
+    {!Xquec_obs.Ledger} (to the process totals when none is open),
+    whose limits are checked at each block fetch: an exhausted one
+    raises
     {!Xquec_obs.Ledger.Exceeded} out of this call. *)
 val fetch_blocks :
   ?admission:Buffer_pool.admission -> t -> b0:int -> b1:int -> Buffer_pool.decoded array
@@ -236,10 +237,12 @@ val block_of_index : t -> int -> int
 type bound = [ `Incl of string | `Excl of string ]
 
 (** Account [blocks] blocks of the container, [bytes] bytes of stored
-    payload, as skipped from headers alone: to the buffer pool's
-    [blocks_skipped]/[payload_skipped], the container's heat row and
-    the calling domain's ledger. Every access path that prunes blocks
-    (an interval lookup, a block merge join) reports through it. *)
+    payload, as skipped from headers alone, once, to the calling
+    domain's ledger ({!Xquec_obs.Ledger.note_skip}): its
+    [blocks_skipped]/[payload_skipped] and the container's row, which
+    the pool's and the heat table's readings add up. Every access path
+    that prunes blocks (an interval lookup, a block merge join) reports
+    through it. *)
 val note_skipped : t -> blocks:int -> bytes:int -> unit
 
 (** ContAccess with an interval criterion on compressed codes: the

@@ -180,8 +180,15 @@ let test_decode_budget_trips_408 () =
   Obs.Ledger.set_limits ~decode_bytes:1 ();
   Fun.protect ~finally:(fun () -> Obs.Ledger.set_limits ())
   @@ fun () ->
+  let pool0 = Storage.Buffer_pool.snapshot () in
   let r = Serve.run_query engine "document(\"auction.xml\")/site/people/person/name" in
+  let pool1 = Storage.Buffer_pool.snapshot () in
   Alcotest.(check int) "terminated with 408" 408 r.Obs.Expo.status;
+  (* the stopped query's ledger still joins the process totals *)
+  Alcotest.(check bool) "its decoded bytes show in the pool counters" true
+    (pool1.Storage.Buffer_pool.s_decoded_bytes - pool0.Storage.Buffer_pool.s_decoded_bytes > 1);
+  Alcotest.(check bool) "its misses show in the pool counters" true
+    (pool1.Storage.Buffer_pool.s_misses > pool0.Storage.Buffer_pool.s_misses);
   Alcotest.(check bool) "structured error body" true
     (contains r.Obs.Expo.body "\"error\":\"budget_exceeded\"");
   Alcotest.(check bool) "names the tripped budget" true
@@ -361,13 +368,14 @@ let int_at (r : Obs.Json.t) keys =
   | None -> Alcotest.failf "query-log record missing %s" (String.concat "." keys)
 
 (* Sixteen concurrent clients on three workers over a small pool: the
-   query-log records, summed, equal the process-wide pool and heat
-   deltas around the run exactly. No watchdog or compaction runs, so
-   every block fetched in the run belongs to some query. *)
+   query-log records, summed, equal the process-wide pool, join and
+   heat deltas around the run exactly, for every field a record
+   carries. No watchdog or compaction runs, so every block fetched in
+   the run belongs to some query. *)
 let test_ledger_records_sum_to_globals () =
   with_fresh_telemetry @@ fun () ->
   let engine = Lazy.force shared_engine in
-  let queries = Array.map xmark_text [| "Q1"; "Q8"; "Q10"; "Q13"; "Q14"; "Q19" |] in
+  let queries = Array.map xmark_text [| "Q1"; "Q8"; "Q10"; "Q13"; "Q14"; "Q19"; "Q20" |] in
   let log = Filename.temp_file "xquec_ledger" ".jsonl" in
   let budget = Storage.Buffer_pool.budget_bytes () in
   Fun.protect
@@ -380,6 +388,7 @@ let test_ledger_records_sum_to_globals () =
   Obs.Query_log.set_path (Some log);
   let clients = 16 and per_client = 4 in
   let pool0 = Storage.Buffer_pool.snapshot () and heat0 = Obs.Heat.snapshot () in
+  let join0 = Executor.join_stats () in
   let server =
     Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine) ()
   in
@@ -393,6 +402,7 @@ let test_ledger_records_sum_to_globals () =
           ())
   in
   let pool1 = Storage.Buffer_pool.snapshot () and heat1 = Obs.Heat.snapshot () in
+  let join1 = Executor.join_stats () in
   List.iter
     (fun (o : Obs.Hammer.outcome) ->
       Alcotest.(check int) "status" 200 o.Obs.Hammer.o_reply.Obs.Hammer.r_status)
@@ -406,39 +416,57 @@ let test_ledger_records_sum_to_globals () =
     [
       ([ "bytes"; "decoded" ], pool1.s_decoded_bytes - pool0.s_decoded_bytes);
       ([ "bytes"; "payload_decoded" ], pool1.s_payload_bytes - pool0.s_payload_bytes);
+      ([ "bytes"; "payload_skipped" ], pool1.s_skipped_bytes - pool0.s_skipped_bytes);
       ([ "pool"; "hits" ], pool1.s_hits - pool0.s_hits);
       ([ "pool"; "misses" ], pool1.s_misses - pool0.s_misses);
       ([ "pool"; "latch_waits" ], pool1.s_latch_waits - pool0.s_latch_waits);
+      ([ "pool"; "evictions" ], pool1.s_evictions - pool0.s_evictions);
+      ([ "pool"; "blocks_skipped" ], pool1.s_blocks_skipped - pool0.s_blocks_skipped);
+      ([ "pool"; "scan_inserts" ], pool1.s_scan_inserts - pool0.s_scan_inserts);
+      ([ "join"; "block_joins" ], join1.Executor.j_block_joins - join0.Executor.j_block_joins);
+      ( [ "join"; "blocks_probed" ],
+        join1.Executor.j_blocks_probed - join0.Executor.j_blocks_probed );
+      ( [ "join"; "blocks_skipped" ],
+        join1.Executor.j_blocks_skipped - join0.Executor.j_blocks_skipped );
+      ( [ "join"; "skipped_bytes" ],
+        join1.Executor.j_skipped_bytes - join0.Executor.j_skipped_bytes );
     ];
-  (* per-container decoded bytes, summed by container path *)
+  Alcotest.(check bool) "the run evicted blocks" true (pool1.s_evictions > pool0.s_evictions);
+  (* per-container fields, summed by container path *)
   let add tbl k n = Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-  let logged = Hashtbl.create 64 and heat = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      match Obs.Json.member "containers" r with
-      | Some (Obs.Json.List cs) ->
-        List.iter
-          (fun c ->
-            match Option.bind (Obs.Json.member "container" c) Obs.Json.to_str with
-            | Some path -> add logged path (int_at c [ "decoded_bytes" ])
-            | None -> Alcotest.fail "container entry without a path")
-          cs
-      | _ -> ())
-    records;
-  List.iter
-    (fun (s1 : Obs.Heat.stat) ->
-      let before =
-        List.fold_left
-          (fun acc (s0 : Obs.Heat.stat) -> if s0.uid = s1.uid then s0.bytes_decoded else acc)
-          0 heat0
-      in
-      add heat s1.label (s1.bytes_decoded - before))
-    heat1;
-  let nonzero tbl =
-    Hashtbl.fold (fun k n acc -> if n <> 0 then (k, n) :: acc else acc) tbl [] |> List.sort compare
+  let per_container logged_field (heat_field : Obs.Heat.stat -> int) =
+    let logged = Hashtbl.create 64 and heat = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        match Obs.Json.member "containers" r with
+        | Some (Obs.Json.List cs) ->
+          List.iter
+            (fun c ->
+              match Option.bind (Obs.Json.member "container" c) Obs.Json.to_str with
+              | Some path -> add logged path (int_at c [ logged_field ])
+              | None -> Alcotest.fail "container entry without a path")
+            cs
+        | _ -> ())
+      records;
+    let before = Hashtbl.create 1024 in
+    List.iter (fun (s0 : Obs.Heat.stat) -> Hashtbl.replace before s0.uid (heat_field s0)) heat0;
+    List.iter
+      (fun (s1 : Obs.Heat.stat) ->
+        add heat s1.label
+          (heat_field s1 - Option.value ~default:0 (Hashtbl.find_opt before s1.uid)))
+      heat1;
+    let nonzero tbl =
+      Hashtbl.fold (fun k n acc -> if n <> 0 then (k, n) :: acc else acc) tbl []
+      |> List.sort compare
+    in
+    Alcotest.(check (list (pair string int)))
+      ("per-container " ^ logged_field) (nonzero heat) (nonzero logged)
   in
-  Alcotest.(check (list (pair string int)))
-    "per-container decoded bytes" (nonzero heat) (nonzero logged)
+  per_container "decoded_bytes" (fun s -> s.Obs.Heat.bytes_decoded);
+  per_container "touches" (fun s -> s.Obs.Heat.touches);
+  per_container "decodes" (fun s -> s.Obs.Heat.decodes);
+  per_container "header_skips" (fun s -> s.Obs.Heat.header_skips);
+  per_container "skipped_bytes" (fun s -> s.Obs.Heat.bytes_skipped)
 
 let suites =
   [

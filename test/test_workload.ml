@@ -24,14 +24,28 @@ let fresh_uid () = Storage.Buffer_pool.fresh_uid ()
 let stat_of uid =
   List.find_opt (fun (s : Obs.Heat.stat) -> s.Obs.Heat.uid = uid) (Obs.Heat.snapshot ())
 
+let xmark_doc =
+  "<site><people>\
+   <person id=\"person0\"><name>Kasidit Treweek</name><age>32</age></person>\
+   <person id=\"person1\"><name>Aloys Rommel</name><age>40</age></person>\
+   <person id=\"person2\"><name>Obadiah Shore</name><age>25</age></person>\
+   </people></site>"
+
+(* One query's charges: a ledger around [f], closed (and so added into
+   the process totals) when [f] returns. *)
+let in_query f = Obs.Ledger.with_ledger (fun _ -> f ())
+
 let test_heat_touch_semantics () =
-  let uid = fresh_uid () in
-  Obs.Heat.register ~uid ~label:"heat:/site/a/#text" ~blocks:4;
+  let uid = fresh_uid () and label = "heat:/site/a/#text" in
+  Obs.Heat.register ~uid ~label ~blocks:4;
   (* run 1: block 0 touched twice (collapses), then 1, 2 sequentially;
      run 2: back to block 0, re-touch collapses again *)
-  List.iter (fun blk -> Obs.Heat.note_touch ~uid ~blk) [ 0; 0; 1; 2; 0; 0 ];
-  Obs.Heat.note_decode ~uid ~bytes:100;
-  Obs.Heat.note_skip ~uid ~blocks:2 ~bytes:555;
+  in_query (fun () ->
+      List.iter (fun blk -> Obs.Ledger.note_fetch ~uid ~label ~blk) [ 0; 0; 1; 2; 0; 0 ];
+      Obs.Ledger.note_decode ~uid ~label ~bytes:100;
+      Obs.Ledger.note_skip ~uid ~label ~blocks:2 ~bytes:555;
+      Alcotest.(check int) "nothing shows before the ledger closes" 0
+        (Option.get (stat_of uid)).Obs.Heat.touches);
   let s = Option.get (stat_of uid) in
   Alcotest.(check string) "label" "heat:/site/a/#text" s.Obs.Heat.label;
   Alcotest.(check int) "blocks" 4 s.Obs.Heat.blocks;
@@ -47,18 +61,30 @@ let test_heat_touch_semantics () =
     "hot blocks order by touches then index"
     [ (0, 2); (1, 1) ]
     (Obs.Heat.hot_blocks ~uid ~top:2);
+  (* runs are per query: the next query's first touch starts a run even
+     where it continues the previous query's last block *)
+  in_query (fun () -> List.iter (fun blk -> Obs.Ledger.note_fetch ~uid ~label ~blk) [ 1; 2 ]);
+  let s = Option.get (stat_of uid) in
+  Alcotest.(check int) "touches add up over queries" 6 s.Obs.Heat.touches;
+  Alcotest.(check int) "a query's first touch starts a run" 3 s.Obs.Heat.runs;
+  Alcotest.(check int) "sequential continuations add up" 3 s.Obs.Heat.seq_touches;
+  Alcotest.(check (list (pair int int)))
+    "hot blocks add up over queries"
+    [ (0, 2); (1, 2); (2, 2) ]
+    (Obs.Heat.hot_blocks ~uid ~top:4);
   (* re-registration updates metadata but keeps the counters *)
   Obs.Heat.register ~uid ~label:"heat:/site/a/#text-v2" ~blocks:8;
   let s = Option.get (stat_of uid) in
   Alcotest.(check string) "label updated" "heat:/site/a/#text-v2" s.Obs.Heat.label;
   Alcotest.(check int) "blocks updated" 8 s.Obs.Heat.blocks;
-  Alcotest.(check int) "touches preserved" 4 s.Obs.Heat.touches
+  Alcotest.(check int) "touches preserved" 6 s.Obs.Heat.touches
 
 let test_heat_reset_and_switch () =
-  let uid = fresh_uid () in
-  Obs.Heat.register ~uid ~label:"heat:/reset" ~blocks:2;
-  List.iter (fun blk -> Obs.Heat.note_touch ~uid ~blk) [ 0; 1 ];
-  Obs.Heat.note_decode ~uid ~bytes:10;
+  let uid = fresh_uid () and label = "heat:/reset" in
+  Obs.Heat.register ~uid ~label ~blocks:2;
+  in_query (fun () ->
+      List.iter (fun blk -> Obs.Ledger.note_fetch ~uid ~label ~blk) [ 0; 1 ];
+      Obs.Ledger.note_decode ~uid ~label ~bytes:10);
   Obs.Heat.reset ();
   let s = Option.get (stat_of uid) in
   Alcotest.(check string) "registration survives reset" "heat:/reset" s.Obs.Heat.label;
@@ -66,18 +92,101 @@ let test_heat_reset_and_switch () =
   Alcotest.(check int) "decodes zeroed" 0 s.Obs.Heat.decodes;
   Alcotest.(check int) "runs zeroed" 0 s.Obs.Heat.runs;
   Alcotest.(check (list (pair int int))) "hot blocks zeroed" [] (Obs.Heat.hot_blocks ~uid ~top:4);
-  (* the switch gates all note_* hooks *)
+  (* the switch gates every per-container charge; the pool's own
+     fields still count *)
   Obs.Heat.set_enabled false;
   Fun.protect ~finally:(fun () -> Obs.Heat.set_enabled true) @@ fun () ->
   let ghost = fresh_uid () in
-  Obs.Heat.note_touch ~uid:ghost ~blk:0;
-  Obs.Heat.note_decode ~uid:ghost ~bytes:1;
-  Alcotest.(check bool) "disabled records nothing" true (stat_of ghost = None)
+  Obs.Heat.register ~uid:ghost ~label:"heat:/ghost" ~blocks:1;
+  let rows, payload =
+    Obs.Ledger.with_ledger (fun l ->
+        Obs.Ledger.note_fetch ~uid:ghost ~label:"heat:/ghost" ~blk:0;
+        Obs.Ledger.note_decode ~uid:ghost ~label:"heat:/ghost" ~bytes:1;
+        (Obs.Ledger.containers l, l.Obs.Ledger.payload_decoded))
+  in
+  Alcotest.(check int) "disabled ledger has no container rows" 0 (List.length rows);
+  Alcotest.(check int) "disabled ledger still counts payload" 1 payload;
+  let s = Option.get (stat_of ghost) in
+  Alcotest.(check int) "disabled records no touch" 0 s.Obs.Heat.touches;
+  Alcotest.(check int) "disabled records no decode" 0 s.Obs.Heat.decodes
+
+(* A read made outside any query (no ledger open) is counted in the
+   process totals directly: the pool's and the container's heat row. *)
+let test_unledgered_read_lands_in_totals () =
+  let eng = Engine.load ~name:"xmark.xml" xmark_doc in
+  let repo = Engine.repo eng in
+  let c = repo.Storage.Repository.containers.(0) in
+  Alcotest.(check bool) "no ledger is open" true (Obs.Ledger.current () = None);
+  Storage.Buffer_pool.clear ();
+  let p0 = Storage.Buffer_pool.snapshot () in
+  let h0 = Option.get (stat_of c.Storage.Container.uid) in
+  ignore (Storage.Container.get c 0);
+  let p1 = Storage.Buffer_pool.snapshot () in
+  let h1 = Option.get (stat_of c.Storage.Container.uid) in
+  let open Storage.Buffer_pool in
+  Alcotest.(check int) "one pool miss" 1 (p1.s_misses - p0.s_misses);
+  Alcotest.(check int) "no pool hit" 0 (p1.s_hits - p0.s_hits);
+  Alcotest.(check bool) "payload decoded" true (p1.s_payload_bytes > p0.s_payload_bytes);
+  Alcotest.(check int) "one heat touch" 1 (h1.Obs.Heat.touches - h0.Obs.Heat.touches);
+  Alcotest.(check int) "one heat decode" 1 (h1.Obs.Heat.decodes - h0.Obs.Heat.decodes);
+  Alcotest.(check int) "heat bytes = pool payload bytes"
+    (p1.s_payload_bytes - p0.s_payload_bytes)
+    (h1.Obs.Heat.bytes_decoded - h0.Obs.Heat.bytes_decoded)
+
+(* The separate evaluate and serialize calls (Engine.query_ast, then
+   Executor.serialize) each run in a ledger of their own and count
+   exactly what the one-call path counts. *)
+let test_split_calls_count_as_one () =
+  let eng = Engine.load ~name:"xmark.xml" xmark_doc in
+  let q = "for $p in document(\"xmark.xml\")/site/people/person where $p/age > \"30\" return $p/name" in
+  let delta f =
+    Storage.Buffer_pool.clear ();
+    let s0 = Storage.Buffer_pool.snapshot () in
+    let out = f () in
+    let s1 = Storage.Buffer_pool.snapshot () in
+    let open Storage.Buffer_pool in
+    ( out,
+      [
+        s1.s_hits - s0.s_hits;
+        s1.s_misses - s0.s_misses;
+        s1.s_latch_waits - s0.s_latch_waits;
+        s1.s_evictions - s0.s_evictions;
+        s1.s_decoded_bytes - s0.s_decoded_bytes;
+        s1.s_blocks_skipped - s0.s_blocks_skipped;
+        s1.s_scan_inserts - s0.s_scan_inserts;
+        s1.s_payload_bytes - s0.s_payload_bytes;
+        s1.s_skipped_bytes - s0.s_skipped_bytes;
+      ] )
+  in
+  let out_split, split =
+    delta (fun () ->
+        Executor.serialize (Engine.repo eng) (Engine.query_ast eng (Engine.parse_query q)))
+  in
+  let out_one, one = delta (fun () -> Engine.query_serialized eng q) in
+  Alcotest.(check string) "same answer" out_one out_split;
+  Alcotest.(check bool) "the query reads blocks" true (List.nth one 1 > 0);
+  Alcotest.(check (list int)) "same pool deltas" one split
+
+(* Replacing a container drops the old uid's heat row, also after the
+   old container was read, and the new uid gets a row of its own. *)
+let test_replace_container_drops_heat_row () =
+  let eng = Engine.load ~name:"xmark.xml" xmark_doc in
+  let repo = Engine.repo eng in
+  let old = repo.Storage.Repository.containers.(0) in
+  ignore (Storage.Container.scan old);
+  Alcotest.(check bool) "old uid has a row" true (stat_of old.Storage.Container.uid <> None);
+  let fresh = Storage.Container.reblocked old ~block_size:(2 * old.Storage.Container.block_size) in
+  ignore (Storage.Repository.replace_container repo fresh);
+  Alcotest.(check bool) "old uid's row dropped" true (stat_of old.Storage.Container.uid = None);
+  ignore (Storage.Container.scan old);
+  Alcotest.(check bool) "a straggler read does not bring it back" true
+    (stat_of old.Storage.Container.uid = None);
+  Alcotest.(check bool) "new uid has a row" true (stat_of fresh.Storage.Container.uid <> None)
 
 let test_heat_snapshot_json () =
   let uid = fresh_uid () in
   Obs.Heat.register ~uid ~label:"heat:/json" ~blocks:1;
-  Obs.Heat.note_touch ~uid ~blk:0;
+  in_query (fun () -> Obs.Ledger.note_fetch ~uid ~label:"heat:/json" ~blk:0);
   let j = Obs.Heat.snapshot_json () in
   Alcotest.(check (option bool)) "enabled flag" (Some true)
     (match Obs.Json.member "enabled" j with Some (Obs.Json.Bool b) -> Some b | _ -> None);
@@ -346,13 +455,6 @@ let test_expo_rejects_malformed_requests () =
 (* Query-log <-> heat reconciliation                                   *)
 (* ------------------------------------------------------------------ *)
 
-let xmark_doc =
-  "<site><people>\
-   <person id=\"person0\"><name>Kasidit Treweek</name><age>32</age></person>\
-   <person id=\"person1\"><name>Aloys Rommel</name><age>40</age></person>\
-   <person id=\"person2\"><name>Obadiah Shore</name><age>25</age></person>\
-   </people></site>"
-
 let with_query_log f =
   let file = Filename.temp_file "xquec_wl_" ".jsonl" in
   Obs.Query_log.set_path (Some file);
@@ -512,6 +614,11 @@ let suites =
         Alcotest.test_case "touch semantics" `Quick test_heat_touch_semantics;
         Alcotest.test_case "reset and switch" `Quick test_heat_reset_and_switch;
         Alcotest.test_case "snapshot json" `Quick test_heat_snapshot_json;
+        Alcotest.test_case "unledgered read lands in totals" `Quick
+          test_unledgered_read_lands_in_totals;
+        Alcotest.test_case "split calls count as one" `Quick test_split_calls_count_as_one;
+        Alcotest.test_case "replace_container drops heat row" `Quick
+          test_replace_container_drops_heat_row;
       ] );
     ( "workload-profile",
       [

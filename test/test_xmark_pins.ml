@@ -368,6 +368,110 @@ let check_analysis () =
            ~summary:repo.Storage.Repository.summary queries))
     sets
 
+(* XMark 0.1, seed 42, loaded tuned for Q1-Q20 themselves (so the
+   code-keyed joins and the block merge join fire). *)
+let tuned_for_all =
+  lazy
+    (Engine.load ~name:"auction.xml"
+       ~workload:(List.map (fun (q : Xmark.Queries.query) -> q.Xmark.Queries.text) Xmark.Queries.all)
+       (Xmark.Xmlgen.generate ~seed:42 ~scale:0.1 ()))
+
+(* Per query, run once each in order through [Engine.query_serialized]
+   on a cleared 64 MiB pool: the [Buffer_pool.snapshot] deltas (hits,
+   misses, latch waits, evictions, decoded bytes, blocks skipped, scan
+   inserts, payload bytes, skipped bytes) and the [Executor.join_stats]
+   deltas (block joins, blocks probed, blocks skipped, skipped bytes),
+   as recorded while the pool, the heat table and the join kept
+   counters of their own. *)
+let counter_pins =
+  [
+    ("Q1", [| 0; 2; 0; 0; 1855; 0; 0; 722; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q2", [| 0; 1; 0; 0; 767; 0; 0; 213; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q3", [| 4; 0; 0; 0; 0; 0; 0; 0; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q4", [| 0; 2; 0; 0; 1179; 0; 0; 297; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q5", [| 0; 1; 0; 0; 235; 0; 0; 55; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q6", [| 0; 0; 0; 0; 0; 0; 0; 0; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q7", [| 0; 0; 0; 0; 0; 0; 0; 0; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q8", [| 2; 1; 0; 0; 244; 0; 0; 64; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q9", [| 3; 3; 0; 0; 811; 0; 0; 266; 0 |], [| 1; 2; 0; 0 |]);
+    ("Q10", [| 2; 9; 0; 0; 6279; 0; 0; 1618; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q11", [| 3; 0; 0; 0; 0; 0; 0; 0; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q12", [| 4; 0; 0; 0; 0; 0; 0; 0; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q13", [| 10; 5; 0; 0; 3750; 0; 0; 3149; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q14", [| 56; 22; 0; 0; 14373; 0; 0; 11794; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q15", [| 0; 1; 0; 0; 118; 0; 0; 29; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q16", [| 1; 1; 0; 0; 240; 0; 0; 60; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q17", [| 1; 1; 0; 0; 537; 0; 0; 112; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q18", [| 0; 1; 0; 0; 178; 0; 0; 37; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q19", [| 6; 6; 0; 0; 1573; 0; 0; 485; 0 |], [| 0; 0; 0; 0 |]);
+    ("Q20", [| 4; 0; 0; 0; 0; 1; 0; 0; 231 |], [| 0; 0; 0; 0 |]);
+  ]
+
+let check_counters () =
+  let engine = Lazy.force tuned_for_all in
+  let budget = Storage.Buffer_pool.budget_bytes () in
+  Fun.protect ~finally:(fun () -> Storage.Buffer_pool.set_budget ~bytes:budget) @@ fun () ->
+  Storage.Buffer_pool.set_budget ~bytes:(64 * 1024 * 1024);
+  Storage.Buffer_pool.clear ();
+  List.iter2
+    (fun (q : Xmark.Queries.query) (id, pool_pin, join_pin) ->
+      Alcotest.(check string) "id" id q.Xmark.Queries.id;
+      let s0 = Storage.Buffer_pool.snapshot () and j0 = Executor.join_stats () in
+      ignore (Engine.query_serialized engine q.Xmark.Queries.text);
+      let s1 = Storage.Buffer_pool.snapshot () and j1 = Executor.join_stats () in
+      let open Storage.Buffer_pool in
+      let d f = f s1 - f s0 and dj f = f j1 - f j0 in
+      Alcotest.(check (array int)) (id ^ " pool deltas") pool_pin
+        [|
+          d (fun s -> s.s_hits); d (fun s -> s.s_misses); d (fun s -> s.s_latch_waits);
+          d (fun s -> s.s_evictions); d (fun s -> s.s_decoded_bytes);
+          d (fun s -> s.s_blocks_skipped); d (fun s -> s.s_scan_inserts);
+          d (fun s -> s.s_payload_bytes); d (fun s -> s.s_skipped_bytes);
+        |];
+      Alcotest.(check (array int)) (id ^ " join deltas") join_pin
+        [|
+          dj (fun j -> j.Executor.j_block_joins); dj (fun j -> j.Executor.j_blocks_probed);
+          dj (fun j -> j.Executor.j_blocks_skipped); dj (fun j -> j.Executor.j_skipped_bytes);
+        |])
+    Xmark.Queries.all counter_pins
+
+(* A join is observed the same whichever method runs it: Q8 and Q9 note
+   the same (container, kind) keys and matches with the block merge
+   join on (Q9 takes it) and off (every join hashes). *)
+let check_join_observations () =
+  let engine = Lazy.force tuned_for_all in
+  let observe id =
+    let text = (Xmark.Queries.by_id id).Xmark.Queries.text in
+    Xquec_obs.Ledger.with_ledger (fun l ->
+        ignore (Engine.query_serialized engine text);
+        List.map
+          (fun (o : Xquec_obs.Profile.obs) -> (o.ob_container, o.ob_kind, o.ob_matches))
+          (Xquec_obs.Ledger.predicates l))
+  in
+  let with_block_join on =
+    Executor.set_block_join on;
+    Fun.protect ~finally:(fun () -> Executor.set_block_join true) @@ fun () ->
+    let j0 = Executor.join_stats () in
+    let obs = List.map (fun id -> (id, observe id)) [ "Q8"; "Q9" ] in
+    (obs, (Executor.join_stats ()).Executor.j_block_joins - j0.Executor.j_block_joins)
+  in
+  let merged, merge_joins = with_block_join true in
+  let hashed, hash_joins = with_block_join false in
+  Alcotest.(check int) "Q9 runs a block merge join" 1 merge_joins;
+  Alcotest.(check int) "no block merge join when off" 0 hash_joins;
+  let obs = Alcotest.(list (pair string (list (triple string string int)))) in
+  Alcotest.check obs "block join on = off" hashed merged;
+  Alcotest.check obs "observations pinned"
+    [
+      ("Q8", [ ("/site/people/person/@id", "join", 9) ]);
+      ( "Q9",
+        [
+          ("/site/closed_auctions/closed_auction/itemref/@item", "join", 3);
+          ("/site/people/person/@id", "join", 3);
+        ] );
+    ]
+    merged
+
 let suites =
   [
     ( "xmark-pins",
@@ -378,5 +482,8 @@ let suites =
             check_pins ~name:"tuned"
               ~workload:(workload_queries "../examples/xmark_workload.xq")
               tuned ());
+        Alcotest.test_case "Q1-Q20 pool and join counters" `Quick check_counters;
+        Alcotest.test_case "join observations independent of method" `Quick
+          check_join_observations;
       ] );
   ]

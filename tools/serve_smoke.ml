@@ -3,7 +3,10 @@
    requests at it through Xquec_obs.Hammer (the curl-equivalent),
    replay a shifted query mix until the drift watchdog raises
    [drift_sustained] on /alerts and in the alert log, and assert a
-   clean shutdown on SIGTERM. This is the one place the whole serving
+   clean shutdown on SIGTERM. The server runs with a query log
+   ([XQUEC_QUERY_LOG]): the pool counters on /metrics must move over
+   the concurrent burst by exactly the sums of the log records written
+   in between, since both count the queries' ledgers. This is the one place the whole serving
    stack — CLI flag parsing, worker fan-out, admission, plan cache,
    metrics endpoints, watchdog ticker, signal-driven teardown — runs as
    an operator would run it, process boundary included.
@@ -31,6 +34,7 @@ let () =
   let q = "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
   let workload_file = Filename.temp_file "serve_smoke_workload" ".xq" in
   let alerts_log = Filename.temp_file "serve_smoke_alerts" ".jsonl" in
+  let query_log = Filename.temp_file "serve_smoke_queries" ".jsonl" in
   let oc = open_out workload_file in
   output_string oc (q ^ "\n");
   close_out oc;
@@ -46,7 +50,8 @@ let () =
     |]
   in
   let out_read, out_write = Unix.pipe () in
-  let pid = Unix.create_process exe argv Unix.stdin out_write Unix.stderr in
+  let env = Array.append (Unix.environment ()) [| "XQUEC_QUERY_LOG=" ^ query_log |] in
+  let pid = Unix.create_process_env exe argv env Unix.stdin out_write Unix.stderr in
   Unix.close out_write;
   let ic = Unix.in_channel_of_descr out_read in
   (* first line announces the bound port:
@@ -90,6 +95,34 @@ let () =
   if r.Xquec_obs.Hammer.r_status <> 200 then
     die "query returned %d: %s" r.Xquec_obs.Hammer.r_status r.Xquec_obs.Hammer.r_body;
   let reference = r.Xquec_obs.Hammer.r_body in
+  (* the accounting baseline: pool counters and the log written so far *)
+  let pool_series = [ "hits"; "misses"; "latch_waits" ] in
+  let scrape () =
+    let m = Xquec_obs.Hammer.request ~port "/metrics" in
+    if m.Xquec_obs.Hammer.r_status <> 200 then
+      die "/metrics returned %d" m.Xquec_obs.Hammer.r_status;
+    let lines = String.split_on_char '\n' m.Xquec_obs.Hammer.r_body in
+    let value name =
+      let series = "xquec_bufferpool_" ^ name in
+      match
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ s; v ] when s = series -> int_of_string_opt v
+            | _ -> None)
+          lines
+      with
+      | Some v -> v
+      | None -> die "/metrics lacks %s" series
+    in
+    List.map value pool_series
+  in
+  let log_records () =
+    In_channel.with_open_bin query_log In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let metrics0 = scrape () and logged0 = List.length (log_records ()) in
   let clients = 20 and per_client = 3 in
   let outcomes =
     Xquec_obs.Hammer.drive ~port ~clients ~requests_per_client:per_client
@@ -119,7 +152,31 @@ let () =
       outcomes
   in
   if not metrics_seen then die "/metrics never exposed xquec_serve_plan_cache_hits";
-  Printf.printf "serve_smoke: %d concurrent requests ok (results consistent, metrics live)\n%!"
+  (* one counter: the /metrics pool deltas are the burst's log records, summed *)
+  let metrics1 = scrape () in
+  let records =
+    List.filteri (fun i _ -> i >= logged0) (log_records ()) |> List.map Xquec_obs.Json.parse
+  in
+  let queries = clients * (per_client - 1) in
+  if List.length records <> queries then
+    die "expected %d query-log records for the burst, found %d" queries (List.length records);
+  let logged name =
+    List.fold_left
+      (fun acc r ->
+        let field = Option.bind (Xquec_obs.Json.member "pool" r) (Xquec_obs.Json.member name) in
+        match Option.bind field Xquec_obs.Json.to_float with
+        | Some v -> acc + int_of_float v
+        | None -> die "query-log record lacks pool.%s" name)
+      0 records
+  in
+  List.iter2
+    (fun name (m0, m1) ->
+      if m1 - m0 <> logged name then
+        die "xquec_bufferpool_%s moved by %d over the burst, its log records sum to %d" name
+          (m1 - m0) (logged name))
+    pool_series (List.combine metrics0 metrics1);
+  Printf.printf
+    "serve_smoke: %d concurrent requests ok (results consistent, metrics live, pool counters = log sums)\n%!"
     (clients * per_client);
   (* --- drift watchdog: replay a shifted mix until the alert fires --- *)
   let w = Xquec_obs.Hammer.request ~port "/watch" in
@@ -178,4 +235,5 @@ let () =
   close_in_noerr ic;
   (try Sys.remove workload_file with Sys_error _ -> ());
   (try Sys.remove alerts_log with Sys_error _ -> ());
+  (try Sys.remove query_log with Sys_error _ -> ());
   Printf.printf "serve_smoke: clean shutdown\n%!"
