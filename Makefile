@@ -34,7 +34,8 @@ build:
 # under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R),
 # a workload file with a malformed query must make compress exit 2
 # naming that query, a truncated query must exit 2 with a positioned
-# syntax error, an XML
+# syntax error, an unbound variable must exit 2 as an evaluation
+# error, an XML
 # document given as an image must exit 1 as not a valid image,
 # EXPLAIN of a Q2-shaped query must show the batched-path operator (so
 # set-at-a-time paths cannot silently stop firing), and EXPLAIN of the
@@ -71,6 +72,8 @@ check:
 	  'for $$p in document("auction.xml")/site/people/person where' \
 	  2> $(GATE_DIR)/syntax-error.txt; test $$? -eq 2
 	grep -q '^xquec: syntax error at byte 58: unexpected end of input$$' $(GATE_DIR)/syntax-error.txt
+	$(XQUEC) query $(GATE_DIR)/auction.xqc '$$x' 2> $(GATE_DIR)/eval-error.txt; test $$? -eq 2
+	grep -q '^xquec: evaluation error: unbound variable $$x$$' $(GATE_DIR)/eval-error.txt
 	$(XQUEC) stats $(GATE_DIR)/auction.xml 2> $(GATE_DIR)/not-an-image.txt; test $$? -eq 1
 	grep -q '^xquec: $(GATE_DIR)/auction.xml: not a valid XQueC image: ' $(GATE_DIR)/not-an-image.txt
 	$(XQUEC) explain $(GATE_DIR)/auction.xqc \

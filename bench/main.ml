@@ -21,6 +21,11 @@ let time f =
   let r = f () in
   (r, 1000.0 *. (Unix.gettimeofday () -. t0))
 
+(* A recorded request: the query log and the watchdog see it, as they
+   see a served query. *)
+let logged_request engine text =
+  Xquec_core.Engine.request engine { text; plan = None; admission = None; record = true }
+
 (* median of a few runs; one warmup *)
 let time_median ?(runs = 3) f =
   ignore (f ());
@@ -1125,11 +1130,12 @@ let join () =
      so the inner join runs as a block merge join. The comparison
      counts pin that the inner join stays linear in its input and never
      falls back to the nested-loop cross product. *)
-  let repo = Xquec_core.Engine.repo engine in
-  let q9 = Xquery.Parser.parse (Xmark.Queries.by_id "Q9").Xmark.Queries.text in
+  let text = (Xmark.Queries.by_id "Q9").Xmark.Queries.text in
   let run_q9 () =
-    let items, plan = Xquec_core.Executor.run_profiled repo q9 in
-    (Xquec_core.Executor.serialize repo items, Xquec_obs.Explain.totals plan)
+    let r =
+      Xquec_core.Engine.request engine { text; plan = None; admission = None; record = false }
+    in
+    (r.out, Xquec_obs.Explain.totals r.explain)
   in
   Xquec_core.Executor.set_block_join false;
   let hash_out, _ = run_q9 () in
@@ -1224,7 +1230,7 @@ let heat () =
   let log_mix mix =
     let path = Filename.temp_file "xquec_heat_" ".jsonl" in
     Xquec_obs.Query_log.set_path (Some path);
-    List.iter (fun q -> ignore (Xquec_core.Engine.query_serialized_logged engine q)) mix;
+    List.iter (fun q -> ignore (logged_request engine q)) mix;
     Xquec_obs.Query_log.set_path None;
     let fp = Xquec_obs.Profile.of_records (Xquec_obs.Profile.load_jsonl path) in
     Sys.remove path;
@@ -1443,7 +1449,7 @@ let watch () =
     List.map (fun id -> (Xmark.Queries.by_id id).Xmark.Queries.text) Xmark.Queries.fig7_ids
   in
   let run_mix () =
-    List.iter (fun q -> ignore (Xquec_core.Engine.query_serialized_logged engine q)) queries
+    List.iter (fun q -> ignore (logged_request engine q)) queries
   in
   (* one huge window: every observation of the run stays live *)
   Watch.configure ~window_seconds:3600.0 ~windows:6 ();
@@ -1487,7 +1493,7 @@ let watch () =
   let stream mix =
     Watch.reset ();
     Xquec_core.Serve.watch_tick_reset ();
-    List.iter (fun q -> ignore (Xquec_core.Engine.query_serialized_logged engine q)) mix
+    List.iter (fun q -> ignore (logged_request engine q)) mix
   in
   Watch.set_enabled true;
   Alert.set_rules (Xquec_core.Serve.default_rules ~drift_threshold:0.3 ());

@@ -157,13 +157,16 @@ let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
   in
   Fun.protect ~finally:finish f
 
-(* A malformed query is the caller's mistake: report it with its byte
-   offset and exit 2, never as an uncaught exception. *)
-let reporting_syntax_errors f =
+(* A malformed query, or one that fails to evaluate, is the caller's
+   mistake: report it and exit 2, never as an uncaught exception. *)
+let reporting_query_errors f =
   try f ()
-  with Xquery.Parser.Syntax_error (msg, pos) ->
-    Fmt.epr "xquec: %s@." (Xquery.Parser.error_message msg pos);
+  with e when Xquec_core.Engine.error_message e <> None ->
+    Fmt.epr "xquec: %s@." (Option.get (Xquec_core.Engine.error_message e));
     exit 2
+
+let request engine text =
+  Xquec_core.Engine.request engine { text; plan = None; admission = None; record = true }
 
 (* An input that is not an image, or not a whole one, is reported and
    exits 1 instead of escaping as an internal error. *)
@@ -301,14 +304,11 @@ let query_cmd =
   let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"XQUERY") in
   let timing = Arg.(value & flag & info [ "t"; "time" ] ~doc:"Print the evaluation time.") in
   let run input query timing stats trace_out cache_mb query_log =
-    reporting_syntax_errors @@ fun () ->
+    reporting_query_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
-    let engine = load_engine_any input in
-    let t0 = Unix.gettimeofday () in
-    let result, _prof = Xquec_core.Engine.query_serialized_logged engine query in
-    let dt = Unix.gettimeofday () -. t0 in
-    print_endline result;
-    if timing then Fmt.epr "query evaluated in %.1f ms@." (1000.0 *. dt)
+    let resp = request (load_engine_any input) query in
+    print_endline resp.out;
+    if timing then Fmt.epr "query evaluated in %.1f ms@." resp.wall_ms
   in
   Cmd.v
     (Cmd.info "query"
@@ -326,13 +326,9 @@ let explain_cmd =
   in
   let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"XQUERY") in
   let run input query stats trace_out cache_mb query_log =
-    reporting_syntax_errors @@ fun () ->
+    reporting_query_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
-    let engine = load_engine_any input in
-    (* Route through the logged evaluation path so `explain --query-log`
-       appends the same one-record-per-query accounting as `query`. *)
-    let _out, prof = Xquec_core.Engine.query_serialized_logged engine query in
-    print_string (Xquec_obs.Explain.report prof)
+    print_string (Xquec_obs.Explain.report (request (load_engine_any input) query).explain)
   in
   Cmd.v
     (Cmd.info "explain"

@@ -1,15 +1,11 @@
 (* Public facade of XQueC: load (compress) a document — optionally tuned
    to a query workload — and evaluate XQuery over the compressed
-   repository. *)
+   repository. See engine.mli. *)
 
 open Storage
 
 type t = { repo : Repository.t; partitioning : Partitioner.result option }
 
-(** Compress [xml] into a queryable repository. When [workload] queries
-    are given, the §3 greedy search chooses the compression configuration
-    (algorithms + shared source models) before the repository is
-    finalized. *)
 let load ?(name = "doc.xml") ?(workload : string list option) ?loader_options (xml : string) : t
     =
   Xquec_obs.Trace.with_span ~name:"engine.load" ~attrs:[ ("document", name) ]
@@ -29,20 +25,32 @@ let parse_query = Xquery.Parser.parse
     plan cache's key, computed in one place so they can never drift. *)
 let query_hash (text : string) : string = Digest.to_hex (Digest.string text)
 
-(** Parse [text] through the process-wide {!Plan_cache}: returns the
-    (possibly cached) immutable AST plus how the lookup resolved. Parse
-    errors propagate and are never cached. *)
 let compile (text : string) : Xquery.Ast.expr * Plan_cache.lookup =
   Plan_cache.find_or_add ~key:(query_hash text) (fun () -> parse_query text)
 
 let query_ast (t : t) (ast : Xquery.Ast.expr) : Executor.item list = Executor.run t.repo ast
 
-(** Evaluate and serialize (decompressing the result, as the paper's QET
-    measurements do). *)
-let query_serialized (t : t) (text : string) : string =
-  Executor.serialize t.repo (query_ast t (parse_query text))
+(* --- the request path ------------------------------------------------ *)
 
-(* --- query log ------------------------------------------------------- *)
+type request = {
+  text : string;
+  plan : Xquery.Ast.expr option;
+  admission : Xquec_obs.Json.t option;
+  record : bool;
+}
+
+type response = {
+  out : string;
+  rows : int;
+  ledger : Xquec_obs.Ledger.t;
+  explain : Xquec_obs.Explain.node;
+  wall_ms : float;
+}
+
+let error_message = function
+  | Xquery.Parser.Syntax_error (msg, pos) -> Some (Xquery.Parser.error_message msg pos)
+  | Executor.Eval_error msg -> Some ("evaluation error: " ^ msg)
+  | _ -> None
 
 let iso8601 (t : float) : string =
   let tm = Unix.gmtime t in
@@ -52,22 +60,29 @@ let iso8601 (t : float) : string =
 
 (* What the log record needs of the clocks before and after a query.
    Only read when the query log is on: CPU time is a system call. *)
-type clock = { ts : float; us : float; cpu_ms : float; alloc : float; gc : Gc.stat }
+type clock = { ts : float; cpu_ms : float; alloc : float; gc : Gc.stat }
 
 let read_clock () =
   let tms = Unix.times () in
   {
     ts = Unix.gettimeofday ();
-    us = Xquec_obs.Trace.now_us ();
     cpu_ms = (tms.Unix.tms_utime +. tms.Unix.tms_stime) *. 1000.0;
     alloc = Gc.allocated_bytes ();
     gc = Gc.quick_stat ();
   }
 
-(* The JSONL query-log record of one query: its costs come from its
-   ledger [l]; wall and CPU time and GC figures from the clocks read
-   around it. *)
-let log_record ~admission ~text ~items ~out ~prof ~(c0 : clock) ~(c1 : clock)
+(* The [(container path, decoded bytes)] touches of a ledger, as the
+   query log records them and the fingerprint aggregates take them. *)
+let touches (l : Xquec_obs.Ledger.t) : (string * int) list =
+  List.map
+    (fun (c : Xquec_obs.Ledger.container) -> (c.c_label, c.c_bytes_decoded))
+    (Xquec_obs.Ledger.containers l)
+
+(* The JSONL query-log record of one request: its costs come from its
+   ledger [l]; CPU time and GC figures from the clocks read around it.
+   [outcome] is the response, or the error kind of a request that
+   raised, whose record has no plan. *)
+let log_record (r : request) ~outcome ~wall_ms ~(c0 : clock) ~(c1 : clock)
     (l : Xquec_obs.Ledger.t) : Xquec_obs.Json.t =
   let module Json = Xquec_obs.Json in
   let module L = Xquec_obs.Ledger in
@@ -99,15 +114,22 @@ let log_record ~admission ~text ~items ~out ~prof ~(c0 : clock) ~(c1 : clock)
           ])
       (L.predicates l)
   in
-  Json.Obj
+  let error, shape, rows, out, plan =
+    match outcome with
+    | Ok { out; rows; explain = e; _ } ->
+      (Json.Null, Json.Str (Xquec_obs.Explain.shape e), rows, out, Xquec_obs.Explain.summary_json e)
+    | Error kind -> (Json.Str kind, Json.Null, 0, "", Json.Null)
+  in
+  let fields =
     ([
        ("ts", Json.Str (iso8601 c0.ts));
-       ("query_hash", Json.Str (query_hash text));
-       ("query", Json.Str text);
-       ("plan_shape", Json.Str (Xquec_obs.Explain.shape prof));
-       ("wall_ms", Json.Num ((c1.us -. c0.us) /. 1000.0));
+       ("query_hash", Json.Str (query_hash r.text));
+       ("query", Json.Str r.text);
+       ("error", error);
+       ("plan_shape", shape);
+       ("wall_ms", Json.Num wall_ms);
        ("cpu_ms", Json.Num (c1.cpu_ms -. c0.cpu_ms));
-       n "rows" (List.length items);
+       n "rows" rows;
        n "result_bytes" (String.length out);
        ( "bytes",
          Json.Obj
@@ -143,68 +165,56 @@ let log_record ~admission ~text ~items ~out ~prof ~(c0 : clock) ~(c1 : clock)
            ] );
        ("containers", Json.List containers);
        ("predicates", Json.List predicates);
-       ("plan", Xquec_obs.Explain.summary_json prof);
+       ("plan", plan);
      ]
-    @ match admission with Some adm -> [ ("admission", adm) ] | None -> [])
-
-(* The core every ledgered query shares: one ledger opened on this
-   domain around parsing, evaluation and serialization, returned with
-   the answer once it is closed. Limits set with [Ledger.set_limits]
-   apply inside it. *)
-let evaluate_in_ledger (t : t) (ast : unit -> Xquery.Ast.expr) =
-  Xquec_obs.Ledger.with_ledger @@ fun l ->
-  let items, prof = Executor.run_profiled t.repo (ast ()) in
-  (l, items, Executor.serialize t.repo items, prof)
-
-(* The [(container path, decoded bytes)] touches of a ledger, as the
-   query log records them and the fingerprint aggregates take them. *)
-let touches (l : Xquec_obs.Ledger.t) : (string * int) list =
-  List.map
-    (fun (c : Xquec_obs.Ledger.container) -> (c.c_label, c.c_bytes_decoded))
-    (Xquec_obs.Ledger.containers l)
-
-(** Evaluate and serialize inside one {!Xquec_obs.Ledger}: the query's
-    own costs, charged as they happen on this domain. The watchdog
-    observes them and, when a log file is configured, one JSONL record
-    is appended. Also returns the profile so callers (EXPLAIN, serve)
-    can render it. The ledger spans evaluation {e and} serialization:
-    decompressing the result is part of the query's cost (the paper's
-    QET convention), so a single-query run reconciles with the CLI's
-    [--stats] pool summary.
-
-    [plan] is a pre-compiled AST (from {!compile}) — when given, the
-    parse is skipped; [text] is still used for the log record's hash
-    and echo. [admission] is an opaque JSON object the serving layer
-    attaches describing how the request was admitted (in-flight depth,
-    plan-cache outcome, configured limits); it is logged verbatim as the
-    record's ["admission"] field. *)
-let query_serialized_logged ?(admission : Xquec_obs.Json.t option)
-    ?(plan : Xquery.Ast.expr option) (t : t) (text : string) :
-    string * Xquec_obs.Explain.node =
-  let c0 = if Xquec_obs.Query_log.enabled () then Some (read_clock ()) else None in
-  let l, items, out, prof =
-    evaluate_in_ledger t (fun () ->
-        match plan with Some ast -> ast | None -> parse_query text)
+    @ match r.admission with Some adm -> [ ("admission", adm) ] | None -> [])
   in
-  let clocks = Option.map (fun c0 -> (c0, read_clock ())) c0 in
-  if Xquec_obs.Watch.enabled () then
-    Xquec_obs.Watch.observe ~predicates:(Xquec_obs.Ledger.predicates l) ~containers:(touches l)
-      ();
-  Option.iter
-    (fun (c0, c1) ->
-      Xquec_obs.Query_log.append (log_record ~admission ~text ~items ~out ~prof ~c0 ~c1 l))
-    clocks;
-  (out, prof)
+  Json.Obj (List.filter (function _, Json.Null -> false | _ -> true) fields)
 
-(** Run each query once and fingerprint what the executor observed,
-    through the same aggregation as the watchdog and the query log. *)
+let error_kind = function
+  | Xquec_obs.Ledger.Exceeded _ -> "budget_exceeded"
+  | Executor.Eval_error _ -> "eval_error"
+  | Xquery.Parser.Syntax_error _ -> "syntax_error"
+  | _ -> "internal_error"
+
+let request (t : t) (r : request) : response =
+  let c0 = if r.record && Xquec_obs.Query_log.enabled () then Some (read_clock ()) else None in
+  let t0 = Xquec_obs.Trace.now_us () in
+  let ledger, result =
+    Xquec_obs.Ledger.with_ledger @@ fun l ->
+    ( l,
+      match
+        let ast = match r.plan with Some ast -> ast | None -> parse_query r.text in
+        let items, explain = Executor.run_profiled t.repo ast in
+        (List.length items, Executor.serialize t.repo items, explain)
+      with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()) )
+  in
+  let wall_ms = (Xquec_obs.Trace.now_us () -. t0) /. 1000.0 in
+  let outcome =
+    Result.map (fun (rows, out, explain) -> { out; rows; ledger; explain; wall_ms }) result
+  in
+  Option.iter
+    (fun c0 ->
+      let outcome = Result.map_error (fun (e, _) -> error_kind e) outcome in
+      Xquec_obs.Query_log.append (log_record r ~outcome ~wall_ms ~c0 ~c1:(read_clock ()) ledger))
+    c0;
+  if r.record && Xquec_obs.Watch.enabled () then
+    Xquec_obs.Watch.observe ~predicates:(Xquec_obs.Ledger.predicates ledger)
+      ~containers:(touches ledger) ();
+  match outcome with Ok resp -> resp | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+let query_serialized (t : t) (text : string) : string =
+  (request t { text; plan = None; admission = None; record = false }).out
+
 let declared_fingerprint (t : t) (texts : string list) : Xquec_obs.Profile.fingerprint =
   let g = Xquec_obs.Profile.agg_create () in
   List.iter
     (fun text ->
-      let l, _, _, _ = evaluate_in_ledger t (fun () -> parse_query text) in
-      Xquec_obs.Profile.agg_add g ~predicates:(Xquec_obs.Ledger.predicates l)
-        ~containers:(touches l))
+      let { ledger; _ } = request t { text; plan = None; admission = None; record = false } in
+      Xquec_obs.Profile.agg_add g ~predicates:(Xquec_obs.Ledger.predicates ledger)
+        ~containers:(touches ledger))
     texts;
   Xquec_obs.Profile.agg_fingerprint g
 
@@ -216,10 +226,7 @@ let save (t : t) : string = Repository.serialize t.repo
 
 let restore (data : string) : t = { repo = Repository.deserialize data; partitioning = None }
 
-(** Reconstruct the full document from the compressed repository (the
-    decompressor direction). *)
 let to_document (t : t) : Xmlkit.Tree.document =
-  Xquec_obs.Ledger.in_ledger @@ fun () ->
   { Xmlkit.Tree.root = Value_access.reconstruct (Exec_base.mk_ctx t.repo) 0 }
 
 let to_xml ?indent (t : t) : string = Xmlkit.Printer.to_string ?indent (to_document t)

@@ -30,48 +30,53 @@ val compile : string -> Xquery.Ast.expr * Plan_cache.lookup
 
 (** Evaluate a parsed query (from {!parse_query} or {!compile}),
     returning result items (still in their compressed-domain
-    representation where possible). *)
+    representation where possible), charging the process totals. *)
 val query_ast : t -> Xquery.Ast.expr -> Executor.item list
 
-(** Evaluate and serialize (decompressing the result, as the paper's QET
-    measurements do). *)
+(** A query as a caller asks for it. [text] is parsed unless [plan]
+    (from {!compile}) is given, and is the log record's hash and echo.
+    [admission] (serve's in-flight depth, plan-cache outcome and
+    budgets) is logged verbatim as the record's ["admission"] field.
+    [record] appends the query-log record and feeds the watchdog. *)
+type request = {
+  text : string;
+  plan : Xquery.Ast.expr option;
+  admission : Xquec_obs.Json.t option;
+  record : bool;
+}
+
+(** The serialized answer, its item count, the query's closed ledger,
+    its EXPLAIN ANALYZE tree and the wall time of the whole request. *)
+type response = {
+  out : string;
+  rows : int;
+  ledger : Xquec_obs.Ledger.t;
+  explain : Xquec_obs.Explain.node;
+  wall_ms : float;
+}
+
+(** The one request path, and the only place a query's
+    {!Xquec_obs.Ledger} opens: parse, evaluate with the EXPLAIN profile
+    and serialize (the paper's QET convention) in one ledger on the
+    calling domain, checked against {!Xquec_obs.Ledger.set_limits}.
+    With [record], the watchdog observes the ledger and, when a log
+    file is configured, one JSONL record is appended (schema in
+    [docs/OBSERVABILITY.md]); a query that raises is recorded with an
+    ["error"] field and its partial costs, then re-raised. *)
+val request : t -> request -> response
+
+(** The message for a syntax or evaluation error, [None] otherwise. *)
+val error_message : exn -> string option
+
+(** The serialized answer of an unrecorded {!request}. *)
 val query_serialized : t -> string -> string
 
-(** Evaluate and serialize inside one {!Xquec_obs.Ledger} opened on
-    the calling domain, so the query's costs are its own even when
-    other domains evaluate at the same time. The watchdog
-    ({!Xquec_obs.Watch}) observes its predicates and per-container
-    decoded bytes; when a query-log file is configured
-    ({!Xquec_obs.Query_log}) exactly one JSONL record is appended with
-    the ledger's bytes decoded vs. pruned, buffer-pool and join counts,
-    per-container touches and predicate observations, plus plan shape
-    and per-operator cardinalities, wall and CPU time and GC figures
-    (schema in [docs/OBSERVABILITY.md]). The ledger spans evaluation
-    {e and} serialization, so a single-query run reconciles with the
-    [--stats] pool summary. Limits set with
-    {!Xquec_obs.Ledger.set_limits} are checked at each block fetch and
-    raise {!Xquec_obs.Ledger.Exceeded}. Also returns the profiled plan.
-
-    [plan] (from {!compile}) skips the parse; [text] still provides
-    the record's hash and echo. [admission] is attached verbatim as
-    the record's ["admission"] field — the serving layer's description
-    of how the request was admitted (in-flight depth, plan-cache
-    outcome, configured limits). *)
-val query_serialized_logged :
-  ?admission:Xquec_obs.Json.t ->
-  ?plan:Xquery.Ast.expr ->
-  t ->
-  string ->
-  string * Xquec_obs.Explain.node
-
 (** The declared workload's fingerprint, observed rather than
-    predicted: each query runs once through the core of
-    {!query_serialized_logged} (its own ledger, evaluation and
-    serialization) without the watchdog or the query log, and its
-    ledger's predicate observations and container touches fold through
-    {!Xquec_obs.Profile.agg_add}, exactly as the watchdog folds served
-    traffic. Serving exactly these queries therefore scores drift 0
-    against it. Running them fills the buffer pool and the heat table
+    predicted: each query runs once as an unrecorded {!request}, and
+    its ledger's predicate observations and container touches fold
+    through {!Xquec_obs.Profile.agg_add}, exactly as the watchdog folds
+    served traffic. Serving exactly these queries therefore scores drift
+    0 against it. Running them fills the buffer pool and the heat table
     as any query does, and limits set with
     {!Xquec_obs.Ledger.set_limits} apply to them. Raises
     [Xquery.Parser.Syntax_error] on a malformed query. *)
@@ -87,11 +92,11 @@ val size_breakdown : t -> Storage.Repository.size_breakdown
     written by [xquec compress -o]). *)
 val save : t -> string
 
-(** Inverse of {!save}; accepts both v1 and v2 container layouts. *)
+(** Inverse of {!save}; reads every image version, v1 to v4. *)
 val restore : string -> t
 
 (** Reconstruct the full document (the decompressor direction),
-    charging the open {!Xquec_obs.Ledger} or one opened around it. *)
+    charging the process totals. *)
 val to_document : t -> Xmlkit.Tree.document
 
 (** {!to_document} serialized back to XML text. *)

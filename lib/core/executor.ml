@@ -780,7 +780,6 @@ and decorrelate ctx base ~prov ~tuple_vars (e : Ast.expr) :
 (* ------------------------------------------------------------------ *)
 
 let run (repo : Repository.t) (query : Ast.expr) : item list =
-  Xquec_obs.Ledger.in_ledger @@ fun () ->
   Xquec_obs.Trace.with_span ~name:"executor.run" @@ fun () ->
   let ctx = mk_ctx repo in
   materialize ctx (eval ctx [] query)
@@ -789,13 +788,11 @@ let run (repo : Repository.t) (query : Ast.expr) : item list =
     the root of the annotated operator tree (wall time, cardinalities,
     compressed vs. decompress-then-compare predicate counts). Works
     whether or not global telemetry is enabled. The cache figures are
-    the calling domain's open ledger's; with none open, one is opened
-    around the evaluation. *)
+    read from the calling domain's open ledger. *)
 let run_profiled (repo : Repository.t) (query : Ast.expr) :
     item list * Xquec_obs.Explain.node =
   let prof = Xquec_obs.Explain.create (short_expr ~limit:72 query) in
   let ctx = { repo; prof = Some prof; prof_ops = true } in
-  Xquec_obs.Ledger.in_ledger @@ fun () ->
   let t0 = Xquec_obs.Trace.now_us () in
   let items =
     with_cache_delta prof.Xquec_obs.Explain.root (fun () ->
@@ -808,7 +805,6 @@ let run_profiled (repo : Repository.t) (query : Ast.expr) :
 (** Serialize results, decompressing — the Decompress + XMLSerialize tail
     every plan ends with (§4). *)
 let serialize (repo : Repository.t) (items : item list) : string =
-  Xquec_obs.Ledger.in_ledger @@ fun () ->
   let ctx = mk_ctx repo in
   let buf = Buffer.create 256 in
   List.iteri

@@ -26,26 +26,28 @@ type item = Exec_base.item =
   | Bool of bool
   | Elem of Xmlkit.Tree.t  (** constructed element *)
 
-(** Raised on semantic errors (unknown document, unbound variable, type
-    mismatch in a comparison, …). *)
+(** Raised on semantic errors (an unbound variable, a value that is not
+    a number where one is needed, an unsupported axis, …). Document
+    names are not checked: every [document(...)] call reads the loaded
+    document. *)
 exception Eval_error of string
 
 (** {2 Entry points} *)
 
 (** Evaluate a parsed query against a repository, charging the calling
-    domain's open {!Xquec_obs.Ledger}, or a fresh one opened around the
-    evaluation when none is open ({!Xquec_obs.Ledger.in_ledger}). *)
+    domain's open {!Xquec_obs.Ledger}: [Engine.request]'s, which calls
+    {!run_profiled} and {!serialize}. Outside a request, the process
+    totals. *)
 val run : Repository.t -> Xquery.Ast.expr -> item list
 
 (** Evaluate with per-operator profiling: results plus the root of the
     annotated plan tree (inclusive wall time, output cardinalities, and
     compressed-domain vs. decompress-then-compare predicate counts, and
     per-operator buffer-pool figures read from the calling domain's
-    open {!Xquec_obs.Ledger}, opened around the evaluation when there
-    is none). Each operator that embodies a planning decision records
-    it in its attributes as the decision is made: [summary_nodes] on
-    the last step of a path that the summary answered (once per path),
-    [containers] on a pushdown,
+    open ledger, if any). Each operator that embodies a planning
+    decision records it in its attributes as the decision is made:
+    [summary_nodes] on the last step of a path that the summary answered
+    (once per path), [containers] on a pushdown,
     [keys=codes|values] on a hash join, sorted probe or decorrelation
     (with the decorrelation's [op]), [blocks_probed]/[blocks_skipped]
     on a block merge join. {!Xquec_obs.Explain.strategy} lists them.
@@ -53,8 +55,7 @@ val run : Repository.t -> Xquery.Ast.expr -> item list
 val run_profiled : Repository.t -> Xquery.Ast.expr -> item list * Xquec_obs.Explain.node
 
 (** Serialize results, decompressing — the Decompress + XMLSerialize
-    tail of every plan (§4, Fig. 5). Charged like {!run}: to the open
-    ledger, or to one opened around the serialization. *)
+    tail of every plan (§4, Fig. 5). Charged like {!run}. *)
 val serialize : Repository.t -> item list -> string
 
 (** {2 Block-interval merge join}

@@ -421,12 +421,13 @@ let run_query (engine : Engine.t) (text : string) : Expo.response =
                ]
               @ budget_json ())
           in
-          Engine.query_serialized_logged ~admission ~plan engine text)
+          Engine.request engine
+            { text; plan = Some plan; admission = Some admission; record = true })
     with
-    | out, _prof ->
+    | resp ->
       Metrics.incr "serve.queries";
       window_observe ~error:false (elapsed_ms ());
-      Expo.respond 200 "text/plain; charset=utf-8" (out ^ "\n")
+      Expo.respond 200 "text/plain; charset=utf-8" (resp.Engine.out ^ "\n")
     | exception Ledger.Exceeded trip ->
       (* a budget trip is the server refusing to finish, not a malformed
          query: 408 with a structured body naming the tripped budget *)
@@ -448,11 +449,7 @@ let run_query (engine : Engine.t) (text : string) : Expo.response =
     | exception e ->
       Metrics.incr "serve.query_errors";
       window_observe ~error:true (elapsed_ms ());
-      let msg =
-        match e with
-        | Xquery.Parser.Syntax_error (msg, pos) -> Xquery.Parser.error_message msg pos
-        | e -> Printexc.to_string e
-      in
+      let msg = Option.value (Engine.error_message e) ~default:(Printexc.to_string e) in
       Expo.respond 400 "text/plain; charset=utf-8" (msg ^ "\n")
   end
 

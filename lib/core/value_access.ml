@@ -153,7 +153,11 @@ let count ctx (b : binding) : int =
       (fun acc (sn : Summary.node) ->
         acc + if sn.Summary.tag < 0 then 1 else Array.length sn.Summary.ids)
       0 snodes
-  | All_values _ -> List.length (materialize ctx b)
+  | All_values snodes ->
+    (* counted from the structure tree, without reading a value *)
+    let tree = ctx.repo.Repository.tree in
+    let add acc id = acc + Structure_tree.value_count tree id in
+    List.fold_left (fun acc (sn : Summary.node) -> Array.fold_left add acc sn.Summary.ids) 0 snodes
 
 let item_bindings ctx (b : binding) : binding list =
   match b.origin, b.seq with

@@ -166,8 +166,6 @@ let with_ledger f =
       with_totals (fun t -> add_into t l))
     (fun () -> f l)
 
-let in_ledger f = match current () with Some _ -> f () | None -> with_ledger (fun _ -> f ())
-
 let check l =
   if l.decoded_bytes > l.decode_limit then
     raise

@@ -3,14 +3,13 @@
     hit, miss, latch wait, eviction, decode, header skip, scan insert or
     block join is counted.
 
-    [Engine.query_serialized_logged] opens one ledger around a query's
-    evaluation and serialization ({!with_ledger}); [Executor.run],
-    [Executor.serialize], [Executor.run_profiled] and
-    [Engine.to_document] open one when none is open ({!in_ledger}).
-    Every block a query reads decodes on the domain evaluating it, so
-    the storage and executor sites charge the ledger in that domain's
-    DLS: plain field writes, no atomics, and only the query's own work
-    lands in it even when [serve] evaluates many queries at once.
+    [Engine.request] opens one ledger around a query's parse,
+    evaluation and serialization ({!with_ledger}); nothing else in the
+    program opens one. Every block a query reads decodes on the domain
+    evaluating it, so the storage and executor sites charge the ledger
+    in that domain's DLS: plain field writes, no atomics, and only the
+    query's own work lands in it even when [serve] evaluates many
+    queries at once.
 
     There is no second counter. The process-wide readings
     ([Buffer_pool.snapshot], [Executor.join_stats], {!Heat.snapshot},
@@ -106,11 +105,6 @@ val limits : unit -> float * int
     [f] with it, restores the domain's previous ledger (if any) and adds
     the closed ledger into the totals, however [f] returns. *)
 val with_ledger : (t -> 'a) -> 'a
-
-(** [in_ledger f] runs [f] in the open ledger, or inside a fresh one
-    ({!with_ledger}) when none is open: how the executor's entry points
-    make every query charge a domain-local ledger. *)
-val in_ledger : (unit -> 'a) -> 'a
 
 (** [with_totals f] applies [f] to the process totals under their
     mutex: how [Buffer_pool], [Executor] and {!Heat} read and reset

@@ -8,7 +8,7 @@
    literature asks a reproducible evaluation to persist.
 
    This module owns only the sink (path resolution + appending); the
-   record itself is assembled by the engine (Engine.query_serialized_logged),
+   record itself is assembled by the engine (Engine.request),
    which is the layer that can see the executor, the storage counters
    and the GC. A mutex serializes appends so concurrent server queries
    each produce exactly one untorn line. *)

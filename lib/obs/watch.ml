@@ -1,7 +1,7 @@
 (* Streaming workload watchdog. See watch.mli.
 
    A ring of N fixed-duration window buckets, each holding a
-   Profile.agg; the executor fan-in (Engine.query_serialized_logged)
+   Profile.agg; the request path (Engine.request)
    calls [observe] with exactly the per-query observations the JSONL
    query log records, so the rolling fingerprint and an offline
    `xquec profile` over the same stream agree to the last bit — both

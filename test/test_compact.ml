@@ -51,7 +51,8 @@ let contains s sub =
 
 (* Run one query and return its serialized result (the bytes a serve
    client would receive, minus the trailing newline). *)
-let answer engine q = fst (Engine.query_serialized_logged engine q)
+let answer engine text =
+  (Engine.request engine { text; plan = None; admission = None; record = true }).out
 
 (* ------------------------------------------------------------------ *)
 (* Block-size picking                                                  *)

@@ -6,6 +6,9 @@
 open Xquec_core
 module Obs = Xquec_obs
 
+(* A recorded request: the query log and the watchdog see it. *)
+let logged eng text = Engine.request eng { text; plan = None; admission = None; record = true }
+
 let with_fresh_telemetry f =
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.reset ()) (fun () -> Obs.with_enabled f)
@@ -392,8 +395,8 @@ let test_query_log_one_record_per_query () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let q1 = "document(\"xmark.xml\")/site/people/person/name" in
   let q2 = "document(\"xmark.xml\")/site/people/person[@id = \"person1\"]/name" in
-  let out1, _ = Engine.query_serialized_logged eng q1 in
-  let out2, _ = Engine.query_serialized_logged eng q2 in
+  let out1 = (logged eng q1).out in
+  let out2 = (logged eng q2).out in
   let records = List.map Obs.Json.parse (read_lines file) in
   Alcotest.(check int) "exactly one record per query" 2 (List.length records);
   let r1 = List.nth records 0 and r2 = List.nth records 1 in
@@ -418,7 +421,7 @@ let test_query_log_reconciles_with_pool_counters () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   Storage.Buffer_pool.clear ();
   let s0 = Storage.Buffer_pool.snapshot () in
-  ignore (Engine.query_serialized_logged eng "document(\"xmark.xml\")/site/people/person/name");
+  ignore (logged eng "document(\"xmark.xml\")/site/people/person/name");
   let s1 = Storage.Buffer_pool.snapshot () in
   match List.map Obs.Json.parse (read_lines file) with
   | [ r ] ->
@@ -465,7 +468,7 @@ let test_query_log_join_counters_reconcile () =
   @@ fun () ->
   let eng = Engine.load ~name:"j.xml" ~workload:[ q ] xml in
   let j0 = Executor.join_stats () in
-  ignore (Engine.query_serialized_logged eng q);
+  ignore (logged eng q);
   let j1 = Executor.join_stats () in
   Alcotest.(check bool) "the query took the block-join path" true
     (j1.Executor.j_block_joins > j0.Executor.j_block_joins);
@@ -502,7 +505,7 @@ let test_query_log_join_counters_reconcile () =
 let test_query_log_disabled_writes_nothing () =
   Obs.Query_log.set_path None;
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
-  let out, _ = Engine.query_serialized_logged eng "document(\"xmark.xml\")/site/people/person/name" in
+  let out = (logged eng "document(\"xmark.xml\")/site/people/person/name").out in
   Alcotest.(check bool) "query still answers" true (String.length out > 0);
   Alcotest.(check bool) "no log configured" true (Obs.Query_log.path () = None)
 

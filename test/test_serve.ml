@@ -172,6 +172,35 @@ let test_admission_sheds_beyond_max_inflight () =
 (* Budgets                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let read_records file =
+  In_channel.with_open_bin file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map Obs.Json.parse
+
+let int_at (r : Obs.Json.t) keys =
+  match
+    Option.bind
+      (List.fold_left (fun v k -> Option.bind v (Obs.Json.member k)) (Some r) keys)
+      Obs.Json.to_float
+  with
+  | Some f -> int_of_float f
+  | None -> Alcotest.failf "query-log record missing %s" (String.concat "." keys)
+
+(* The query-log records [f] leaves, read from a fresh log file. *)
+let logged_records f =
+  let log = Filename.temp_file "xquec_serve" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Query_log.set_path None;
+      Sys.remove log)
+  @@ fun () ->
+  Obs.Query_log.set_path (Some log);
+  let v = f () in
+  (v, read_records log)
+
+let error_of r = Option.bind (Obs.Json.member "error" r) Obs.Json.to_str
+
 let test_decode_budget_trips_408 () =
   with_fresh_telemetry @@ fun () ->
   (* fresh load: fresh container uids, so nothing is resident and every
@@ -181,7 +210,10 @@ let test_decode_budget_trips_408 () =
   Fun.protect ~finally:(fun () -> Obs.Ledger.set_limits ())
   @@ fun () ->
   let pool0 = Storage.Buffer_pool.snapshot () in
-  let r = Serve.run_query engine "document(\"auction.xml\")/site/people/person/name" in
+  let r, records =
+    logged_records (fun () ->
+        Serve.run_query engine "document(\"auction.xml\")/site/people/person/name")
+  in
   let pool1 = Storage.Buffer_pool.snapshot () in
   Alcotest.(check int) "terminated with 408" 408 r.Obs.Expo.status;
   (* the stopped query's ledger still joins the process totals *)
@@ -189,6 +221,16 @@ let test_decode_budget_trips_408 () =
     (pool1.Storage.Buffer_pool.s_decoded_bytes - pool0.Storage.Buffer_pool.s_decoded_bytes > 1);
   Alcotest.(check bool) "its misses show in the pool counters" true
     (pool1.Storage.Buffer_pool.s_misses > pool0.Storage.Buffer_pool.s_misses);
+  (* ... and in its query-log record, which names the error *)
+  Alcotest.(check int) "one record" 1 (List.length records);
+  let record = List.hd records in
+  Alcotest.(check (option string)) "record error" (Some "budget_exceeded") (error_of record);
+  Alcotest.(check int) "record misses = pool misses"
+    (pool1.Storage.Buffer_pool.s_misses - pool0.Storage.Buffer_pool.s_misses)
+    (int_at record [ "pool"; "misses" ]);
+  Alcotest.(check int) "record payload = pool payload"
+    (pool1.Storage.Buffer_pool.s_payload_bytes - pool0.Storage.Buffer_pool.s_payload_bytes)
+    (int_at record [ "bytes"; "payload_decoded" ]);
   Alcotest.(check bool) "structured error body" true
     (contains r.Obs.Expo.body "\"error\":\"budget_exceeded\"");
   Alcotest.(check bool) "names the tripped budget" true
@@ -222,6 +264,17 @@ let test_syntax_error_400 () =
   Alcotest.(check int) "status" 400 r.Obs.Expo.status;
   Alcotest.(check string) "body" "syntax error at byte 58: unexpected end of input\n"
     r.Obs.Expo.body
+
+(* A query that fails to evaluate answers 400 with the message the CLI
+   prints, and leaves a query-log record naming the error. *)
+let test_eval_error_400 () =
+  with_fresh_telemetry @@ fun () ->
+  let engine = Lazy.force shared_engine in
+  let r, records = logged_records (fun () -> Serve.run_query engine "$x") in
+  Alcotest.(check int) "status" 400 r.Obs.Expo.status;
+  Alcotest.(check string) "body" "evaluation error: unbound variable $x\n" r.Obs.Expo.body;
+  Alcotest.(check (list (option string))) "one record naming the error" [ Some "eval_error" ]
+    (List.map error_of records)
 
 (* ------------------------------------------------------------------ *)
 (* Client disconnects                                                  *)
@@ -334,7 +387,10 @@ let root_fetches (prof : Obs.Explain.node) =
    query makes when it runs alone, none of its neighbour's. *)
 let test_ledger_two_domains () =
   let engine = Lazy.force shared_engine in
-  let fetches q = root_fetches (snd (Engine.query_serialized_logged engine q)) in
+  let fetches text =
+    let r = Engine.request engine { text; plan = None; admission = None; record = false } in
+    root_fetches r.explain
+  in
   let qa = xmark_text "Q10" and qb = xmark_text "Q14" in
   let alone_a = fetches qa and alone_b = fetches qb in
   Alcotest.(check bool) "both queries fetch blocks" true (alone_a > 0 && alone_b > 0);
@@ -351,21 +407,6 @@ let test_ledger_two_domains () =
   let runs_a = Domain.join da and runs_b = Domain.join db in
   List.iter (Alcotest.(check int) "Q10 fetches, as alone" alone_a) runs_a;
   List.iter (Alcotest.(check int) "Q14 fetches, as alone" alone_b) runs_b
-
-let read_records file =
-  In_channel.with_open_bin file In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map Obs.Json.parse
-
-let int_at (r : Obs.Json.t) keys =
-  match
-    Option.bind
-      (List.fold_left (fun v k -> Option.bind v (Obs.Json.member k)) (Some r) keys)
-      Obs.Json.to_float
-  with
-  | Some f -> int_of_float f
-  | None -> Alcotest.failf "query-log record missing %s" (String.concat "." keys)
 
 (* Sixteen concurrent clients on three workers over a small pool: the
    query-log records, summed, equal the process-wide pool, join and
@@ -480,6 +521,7 @@ let suites =
         Alcotest.test_case "decode budget trips 408." `Quick test_decode_budget_trips_408;
         Alcotest.test_case "wall budget trips 408." `Quick test_wall_budget_trips_408;
         Alcotest.test_case "syntax error answers 400." `Quick test_syntax_error_400;
+        Alcotest.test_case "eval error answers 400." `Quick test_eval_error_400;
         Alcotest.test_case "EPIPE mid-response survives." `Quick
           test_epipe_mid_response_survives;
         Alcotest.test_case "concurrent clients correct." `Quick

@@ -8,6 +8,9 @@
 open Xquec_core
 module Obs = Xquec_obs
 
+(* A recorded request: the query log and the watchdog see it. *)
+let logged eng text = Engine.request eng { text; plan = None; admission = None; record = true }
+
 let with_fresh_telemetry f =
   Obs.reset ();
   Obs.Watch.set_enabled false;
@@ -71,7 +74,7 @@ let test_parity_with_offline_profile () =
   (* the engine's fan-in stamps observations with the wall clock; keep
      the whole stream well inside the rolling window *)
   Obs.Watch.configure ~window_seconds:3600.0 ~windows:6 ();
-  List.iter (fun q -> ignore (Engine.query_serialized_logged engine q)) (mix_a @ mix_b @ mix_a);
+  List.iter (fun q -> ignore (logged engine q)) (mix_a @ mix_b @ mix_a);
   Obs.Query_log.set_path None;
   let offline = Obs.Profile.of_records (Obs.Profile.load_jsonl log) in
   let streaming = Obs.Watch.fingerprint ~now:(Unix.gettimeofday ()) () in
@@ -266,7 +269,7 @@ let test_watch_tick_drift_alert () =
   Serve.watch_tick_reset ();
   (* baseline = the declared mix, stream = the same mix: drift ~ 0 *)
   Obs.Watch.set_baseline (Some (Engine.declared_fingerprint engine mix_a));
-  List.iter (fun q -> ignore (Engine.query_serialized_logged engine q)) mix_a;
+  List.iter (fun q -> ignore (logged engine q)) mix_a;
   let now = Unix.gettimeofday () in
   let st, trs = Serve.watch_tick ~now () in
   (match st.Obs.Watch.w_drift with
@@ -277,7 +280,7 @@ let test_watch_tick_drift_alert () =
   (* shift the mix hard and tick through the sustain count *)
   Obs.Watch.reset ();
   Serve.watch_tick_reset ();
-  List.iter (fun q -> ignore (Engine.query_serialized_logged engine q)) mix_b;
+  List.iter (fun q -> ignore (logged engine q)) mix_b;
   let fired = ref [] in
   for i = 1 to 3 do
     let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) () in
@@ -301,7 +304,7 @@ let test_declared_mix_scores_no_drift () =
   Obs.Alert.set_rules (Serve.default_rules ());
   Serve.watch_tick_reset ();
   Obs.Watch.set_baseline (Some (Engine.declared_fingerprint engine queries));
-  List.iter (fun q -> ignore (Engine.query_serialized_logged engine q)) queries;
+  List.iter (fun q -> ignore (logged engine q)) queries;
   let now = Unix.gettimeofday () in
   let fired = ref [] in
   for i = 1 to 3 do

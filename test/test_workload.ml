@@ -6,6 +6,9 @@
 module Obs = Xquec_obs
 open Xquec_core
 
+(* A recorded request: the query log and the watchdog see it. *)
+let logged eng text = Engine.request eng { text; plan = None; admission = None; record = true }
+
 let j_num n = Obs.Json.Num (float_of_int n)
 let j_str s = Obs.Json.Str s
 
@@ -134,8 +137,9 @@ let test_unledgered_read_lands_in_totals () =
     (h1.Obs.Heat.bytes_decoded - h0.Obs.Heat.bytes_decoded)
 
 (* The separate evaluate and serialize calls (Engine.query_ast, then
-   Executor.serialize) each run in a ledger of their own and count
-   exactly what the one-call path counts. *)
+   Executor.serialize) open no ledger: they charge the process totals
+   directly, and count exactly what the one-call path (a request,
+   through its ledger) counts. *)
 let test_split_calls_count_as_one () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let q = "for $p in document(\"xmark.xml\")/site/people/person where $p/age > \"30\" return $p/name" in
@@ -500,7 +504,7 @@ let test_query_log_heat_reconcile () =
   let records =
     with_query_log @@ fun file ->
     List.iter
-      (fun q -> ignore (Engine.query_serialized_logged eng q))
+      (fun q -> ignore (logged eng q))
       [
         "for $p in document(\"xmark.xml\")/site/people/person where $p/age > \"30\" return $p/name";
         "document(\"xmark.xml\")/site/people/person[@id = \"person1\"]/name";
@@ -583,8 +587,8 @@ let test_decorrelated_join_observed () =
   let q8 = (Xmark.Queries.by_id "Q8").Xmark.Queries.text in
   let records, strategy =
     with_query_log @@ fun file ->
-    let _, prof = Engine.query_serialized_logged eng q8 in
-    (read_records file, Obs.Explain.strategy prof)
+    let r = logged eng q8 in
+    (read_records file, Obs.Explain.strategy r.explain)
   in
   Alcotest.(check bool) "Q8 decorrelates on codes" true
     (List.exists (fun l -> contains ~needle:"decorrelate $a" l && contains ~needle:"keys=codes" l)

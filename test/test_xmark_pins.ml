@@ -296,18 +296,21 @@ let workload_queries path =
 
 let check_pins ~name ?workload (pins : pin list) () =
   let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.1 () in
-  let repo = Engine.repo (Engine.load ~name:"auction.xml" ?workload xml) in
+  let engine = Engine.load ~name:"auction.xml" ?workload xml in
   Alcotest.(check int) (name ^ ": every query pinned") (List.length Xmark.Queries.all)
     (List.length pins);
   List.iter2
     (fun (q : Xmark.Queries.query) (id, md5, strategy, compressed, decompressed) ->
       let label what = Printf.sprintf "%s %s %s" name id what in
       Alcotest.(check string) (label "id") id q.Xmark.Queries.id;
-      let items, root = Executor.run_profiled repo (Xquery.Parser.parse q.Xmark.Queries.text) in
-      Alcotest.(check string) (label "answer digest") md5
-        (Digest.to_hex (Digest.string (Executor.serialize repo items)));
-      Alcotest.(check (list string)) (label "strategy") strategy (Xquec_obs.Explain.strategy root);
-      let t = Xquec_obs.Explain.totals root in
+      let r =
+        Engine.request engine
+          { text = q.Xmark.Queries.text; plan = None; admission = None; record = false }
+      in
+      Alcotest.(check string) (label "answer digest") md5 (Digest.to_hex (Digest.string r.out));
+      Alcotest.(check (list string))
+        (label "strategy") strategy (Xquec_obs.Explain.strategy r.explain);
+      let t = Xquec_obs.Explain.totals r.explain in
       Alcotest.(check (pair int int)) (label "comparisons") (compressed, decompressed)
         (t.Xquec_obs.Explain.compressed, t.Xquec_obs.Explain.decompressed))
     Xmark.Queries.all pins
@@ -435,6 +438,43 @@ let check_counters () =
         |])
     Xmark.Queries.all counter_pins
 
+(* One request, one ledger: every storage event of a request lands in
+   its own ledger, so each response's pool and join fields equal the
+   process deltas across the call, with nothing charged outside it. *)
+let check_one_request_one_ledger () =
+  let engine = Lazy.force tuned_for_all in
+  Storage.Buffer_pool.clear ();
+  List.iter
+    (fun (q : Xmark.Queries.query) ->
+      let s0 = Storage.Buffer_pool.snapshot () and j0 = Executor.join_stats () in
+      let r =
+        Engine.request engine
+          { text = q.Xmark.Queries.text; plan = None; admission = None; record = false }
+      in
+      let s1 = Storage.Buffer_pool.snapshot () and j1 = Executor.join_stats () in
+      let open Storage.Buffer_pool in
+      let d f = f s1 - f s0 and dj f = f j1 - f j0 and l = r.ledger in
+      Alcotest.(check (array int)) (q.Xmark.Queries.id ^ " pool = ledger")
+        Xquec_obs.Ledger.
+          [|
+            l.hits; l.misses; l.latch_waits; l.evictions; l.decoded_bytes; l.blocks_skipped;
+            l.scan_inserts; l.payload_decoded; l.payload_skipped;
+          |]
+        [|
+          d (fun s -> s.s_hits); d (fun s -> s.s_misses); d (fun s -> s.s_latch_waits);
+          d (fun s -> s.s_evictions); d (fun s -> s.s_decoded_bytes);
+          d (fun s -> s.s_blocks_skipped); d (fun s -> s.s_scan_inserts);
+          d (fun s -> s.s_payload_bytes); d (fun s -> s.s_skipped_bytes);
+        |];
+      Alcotest.(check (array int)) (q.Xmark.Queries.id ^ " join = ledger")
+        Xquec_obs.Ledger.
+          [| l.block_joins; l.join_blocks_probed; l.join_blocks_skipped; l.join_skipped_bytes |]
+        [|
+          dj (fun j -> j.Executor.j_block_joins); dj (fun j -> j.Executor.j_blocks_probed);
+          dj (fun j -> j.Executor.j_blocks_skipped); dj (fun j -> j.Executor.j_skipped_bytes);
+        |])
+    Xmark.Queries.all
+
 (* A join is observed the same whichever method runs it: Q8 and Q9 note
    the same (container, kind) keys and matches with the block merge
    join on (Q9 takes it) and off (every join hashes). *)
@@ -442,11 +482,10 @@ let check_join_observations () =
   let engine = Lazy.force tuned_for_all in
   let observe id =
     let text = (Xmark.Queries.by_id id).Xmark.Queries.text in
-    Xquec_obs.Ledger.with_ledger (fun l ->
-        ignore (Engine.query_serialized engine text);
-        List.map
-          (fun (o : Xquec_obs.Profile.obs) -> (o.ob_container, o.ob_kind, o.ob_matches))
-          (Xquec_obs.Ledger.predicates l))
+    let r = Engine.request engine { text; plan = None; admission = None; record = false } in
+    List.map
+      (fun (o : Xquec_obs.Profile.obs) -> (o.ob_container, o.ob_kind, o.ob_matches))
+      (Xquec_obs.Ledger.predicates r.ledger)
   in
   let with_block_join on =
     Executor.set_block_join on;
@@ -485,5 +524,6 @@ let suites =
         Alcotest.test_case "Q1-Q20 pool and join counters" `Quick check_counters;
         Alcotest.test_case "join observations independent of method" `Quick
           check_join_observations;
+        Alcotest.test_case "one request, one ledger" `Quick check_one_request_one_ledger;
       ] );
   ]
