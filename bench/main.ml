@@ -1164,8 +1164,9 @@ let join () =
 (* ------------------------------------------------------------------ *)
 
 (* Two claims gated here: (1) the always-on heat accounting costs <= 2%
-   wall time on the standard XMark chart mix (A/B via Heat.set_enabled,
-   interleaved min-of-reps so both arms see the same machine state);
+   wall time on the standard XMark chart mix (A/B via
+   Ledger.set_containers_enabled, interleaved min-of-reps so both arms
+   see the same machine state);
    (2) the drift score separates workloads — identical mixes score ~0,
    a shifted mix scores strictly higher. Both drift values come from
    deterministic record counts, so they are stable across runs. *)
@@ -1192,7 +1193,7 @@ let heat () =
   let samples = 25 in
   let best_on = ref infinity and best_off = ref infinity in
   let measure enabled best =
-    Xquec_obs.Heat.set_enabled enabled;
+    Xquec_obs.Ledger.set_containers_enabled enabled;
     let t = snd (time run_mix) in
     if t < !best then best := t
   in
@@ -1201,7 +1202,7 @@ let heat () =
     measure true best_on;
     measure false best_off
   done;
-  Xquec_obs.Heat.set_enabled true;
+  Xquec_obs.Ledger.set_containers_enabled true;
   let overhead_ms = !best_on -. !best_off in
   (* 2% relative with a 1 ms absolute noise floor *)
   let overhead_ok = overhead_ms <= Float.max (0.02 *. !best_off) 1.0 in
@@ -1320,7 +1321,8 @@ let serve () =
   let server =
     Expo.start ~port:0 ~workers:4 ~max_inflight:512
       ~extra:(Xquec_core.Serve.handler engine)
-      ~collect:Xquec_core.Serve.publish_pool_metrics ()
+      ~collect:(fun () -> Xquec_core.Serve.publish_pool_metrics engine)
+      ()
   in
   let port = Expo.port server in
   Fun.protect ~finally:(fun () ->
@@ -1501,7 +1503,7 @@ let watch () =
   stream mix_declared;
   Watch.set_baseline (Some (Watch.fingerprint ()));
   stream mix_declared;
-  let st, trs = Xquec_core.Serve.watch_tick () in
+  let st, trs = Xquec_core.Serve.watch_tick engine in
   let drift_declared =
     match st.Watch.w_drift with Some d -> d | None -> failwith "watch: no drift on declared mix"
   in
@@ -1514,7 +1516,7 @@ let watch () =
   let drift_shifted = ref nan and fired_at = ref 0 in
   let sustain = 3 in
   for i = 1 to sustain do
-    let st, trs = Xquec_core.Serve.watch_tick () in
+    let st, trs = Xquec_core.Serve.watch_tick engine in
     (match st.Watch.w_drift with Some d -> drift_shifted := d | None -> ());
     if
       !fired_at = 0

@@ -97,7 +97,7 @@ let query_log =
               buffer-pool and join activity, GC allocation (schema in \
               docs/OBSERVABILITY.md). \\$XQUEC_QUERY_LOG sets a process-wide default.")
 
-let buffer_pool_summary () =
+let buffer_pool_summary repo =
   let s = Storage.Buffer_pool.snapshot () in
   Printf.sprintf
     "buffer pool: %d hits / %d misses / %d latch waits / %d evictions; %d blocks pruned; %d scan inserts; %d B decoded (payload %d B decoded / %d B pruned); %d B resident in %d blocks (budget %d B)\n"
@@ -116,9 +116,10 @@ let buffer_pool_summary () =
          j.Xquec_core.Executor.j_block_joins j.Xquec_core.Executor.j_blocks_probed
          j.Xquec_core.Executor.j_blocks_skipped j.Xquec_core.Executor.j_skipped_bytes)
   ^
-  (* container heat: the hottest containers by block touches *)
+  (* container heat: the repository's hottest containers by block touches *)
   let heat =
-    Xquec_obs.Heat.snapshot ()
+    Option.fold ~none:[] ~some:Storage.Repository.heat_rows repo
+    |> Xquec_obs.Heat.snapshot
     |> List.filter (fun (h : Xquec_obs.Heat.stat) -> h.Xquec_obs.Heat.touches > 0)
     |> List.sort (fun (a : Xquec_obs.Heat.stat) b ->
            compare b.Xquec_obs.Heat.touches a.Xquec_obs.Heat.touches)
@@ -135,6 +136,7 @@ let buffer_pool_summary () =
                  h.Xquec_obs.Heat.hits h.Xquec_obs.Heat.header_skips
                  h.Xquec_obs.Heat.bytes_decoded h.Xquec_obs.Heat.bytes_skipped))
 
+(* [f] returns the repository whose heat [--stats] reports. *)
 let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
   if stats || trace_out <> None then Xquec_obs.set_enabled true;
   (match query_log with
@@ -143,6 +145,7 @@ let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
   (match cache_mb with
   | Some mb -> Storage.Buffer_pool.set_budget ~bytes:(mb * 1024 * 1024)
   | None -> ());
+  let repo = ref None in
   let finish () =
     (match trace_out with
     | Some path ->
@@ -152,10 +155,10 @@ let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
     if stats then begin
       Xquec_core.Serve.publish_storage_metrics ();
       prerr_string (Xquec_obs.Metrics.dump_text ());
-      prerr_string (buffer_pool_summary ())
+      prerr_string (buffer_pool_summary !repo)
     end
   in
-  Fun.protect ~finally:finish f
+  Fun.protect ~finally:finish (fun () -> repo := Some (f ()))
 
 (* A malformed query, or one that fails to evaluate, is the caller's
    mistake: report it and exit 2, never as an uncaught exception. *)
@@ -273,7 +276,8 @@ let compress_cmd =
         r.Xquec_core.Partitioner.initial_cost r.Xquec_core.Partitioner.final_cost
         (List.length r.Xquec_core.Partitioner.configuration.Xquec_core.Cost_model.sets)
     | None -> ());
-    Fmt.pr "wrote %s@." out
+    Fmt.pr "wrote %s@." out;
+    repo
   in
   Cmd.v (Cmd.info "compress" ~doc:"Compress an XML document into a queryable repository")
     Term.(
@@ -306,9 +310,11 @@ let query_cmd =
   let run input query timing stats trace_out cache_mb query_log =
     reporting_query_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
-    let resp = request (load_engine_any input) query in
+    let engine = load_engine_any input in
+    let resp = request engine query in
     print_endline resp.out;
-    if timing then Fmt.epr "query evaluated in %.1f ms@." resp.wall_ms
+    if timing then Fmt.epr "query evaluated in %.1f ms@." resp.wall_ms;
+    Xquec_core.Engine.repo engine
   in
   Cmd.v
     (Cmd.info "query"
@@ -328,7 +334,9 @@ let explain_cmd =
   let run input query stats trace_out cache_mb query_log =
     reporting_query_errors @@ fun () ->
     with_telemetry ~stats ~trace_out ?cache_mb ?query_log @@ fun () ->
-    print_string (Xquec_obs.Explain.report (request (load_engine_any input) query).explain)
+    let engine = load_engine_any input in
+    print_string (Xquec_obs.Explain.report (request engine query).explain);
+    Xquec_core.Engine.repo engine
   in
   Cmd.v
     (Cmd.info "explain"
@@ -459,13 +467,13 @@ let serve_cmd =
     (* the declared mix, observed: each workload query runs once on the
        served repository (the on-disk format does not retain the
        workload it was compressed under), before the budgets apply. It
-       warms the buffer pool; the heat table is cleared after it, so
-       /heat starts from served traffic. *)
+       warms the buffer pool; the repository's heat rows are zeroed
+       after it, so /heat starts from served traffic. *)
     let baseline =
       Option.map
         (fun queries ->
           let fp = Xquec_core.Engine.declared_fingerprint engine queries in
-          Xquec_obs.Heat.reset ();
+          Xquec_obs.Heat.reset (Storage.Repository.heat_rows (Xquec_core.Engine.repo engine));
           fp)
         workload_queries
     in
@@ -473,8 +481,7 @@ let serve_cmd =
       ~decode_bytes:(int_of_float (query_decode_mb *. 1024.0 *. 1024.0))
       ();
     Xquec_core.Serve.set_server_info ~format ();
-    Xquec_core.Serve.set_auto_compact
-      (if no_auto_compact then None else Some (Xquec_core.Engine.repo engine));
+    Xquec_core.Serve.set_auto_compact (not no_auto_compact);
     let watch_on = watch_window > 0.0 in
     if watch_on then begin
       Xquec_obs.Watch.configure ~window_seconds:watch_window ();
@@ -483,12 +490,13 @@ let serve_cmd =
       Xquec_obs.Alert.set_rules
         (Xquec_core.Serve.default_rules ~drift_threshold:drift_alert ());
       Xquec_obs.Alert.set_log alerts_log;
-      Xquec_core.Serve.start_watchdog ~period:watch_window ()
+      Xquec_core.Serve.start_watchdog ~period:watch_window engine
     end;
     let server =
       Xquec_obs.Expo.start ~host ~port ~workers ~max_inflight
         ~extra:(Xquec_core.Serve.handler engine)
-        ~collect:Xquec_core.Serve.publish_pool_metrics ()
+        ~collect:(fun () -> Xquec_core.Serve.publish_pool_metrics engine)
+        ()
     in
     Fmt.pr
       "xquec serve: listening on http://%s:%d (endpoints: /metrics /healthz /query /stats \
@@ -507,7 +515,8 @@ let serve_cmd =
         (match alerts_log with Some f -> Fmt.str ", alert log %s" f | None -> "")
         (if baseline <> None then "declared" else "none");
     Xquec_obs.Expo.wait server;
-    if watch_on then Xquec_core.Serve.stop_watchdog ()
+    if watch_on then Xquec_core.Serve.stop_watchdog ();
+    Xquec_core.Engine.repo engine
   in
   Cmd.v
     (Cmd.info "serve"
@@ -608,7 +617,8 @@ let compact_cmd =
         results;
     let out = Option.value ~default:input output in
     write_file out (Xquec_core.Engine.save engine);
-    Fmt.pr "wrote %s@." out
+    Fmt.pr "wrote %s@." out;
+    repo
   in
   Cmd.v
     (Cmd.info "compact"

@@ -76,8 +76,8 @@ val query_serialized : t -> string -> string
     its ledger's predicate observations and container touches fold
     through {!Xquec_obs.Profile.agg_add}, exactly as the watchdog folds
     served traffic. Serving exactly these queries therefore scores drift
-    0 against it. Running them fills the buffer pool and the heat table
-    as any query does, and limits set with
+    0 against it. Running them fills the buffer pool and the
+    repository's heat rows as any query does, and limits set with
     {!Xquec_obs.Ledger.set_limits} apply to them. Raises
     [Xquery.Parser.Syntax_error] on a malformed query. *)
 val declared_fingerprint : t -> string list -> Xquec_obs.Profile.fingerprint

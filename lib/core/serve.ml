@@ -177,9 +177,9 @@ let publish_storage_metrics () : unit =
 
 (* Sync every serve-side source into the registry so a /metrics scrape
    is fresh. *)
-let publish_pool_metrics () : unit =
+let publish_pool_metrics (engine : Engine.t) : unit =
   publish_storage_metrics ();
-  Heat.publish_metrics ();
+  Heat.publish_metrics (Storage.Repository.heat_rows (Engine.repo engine));
   let e = Expo.stats () in
   Metrics.set_gauge "serve.admission.workers" (float_of_int e.Expo.e_workers);
   Metrics.set_counter "serve.admission.accepted" e.Expo.e_accepted;
@@ -267,48 +267,49 @@ let watch_signals (st : Watch.status) : (string * float) list =
   @ (if d_pc_look > 0 then [ ("plan_cache_hit_rate", ratio d_pc_hits d_pc_look) ] else [])
   @ if d_bp_look > 0 then [ ("buffer_pool_hit_rate", ratio d_bp_hits d_bp_look) ] else []
 
+(* The served repository's heat reading. *)
+let heat_json ?top_blocks (engine : Engine.t) =
+  Heat.snapshot_json ?top_blocks (Storage.Repository.heat_rows (Engine.repo engine))
+
 (* --- drift-triggered auto-compaction --------------------------------- *)
 
-(* When serve registers its repository here, a [drift_sustained] firing
-   closes the loop: the live rolling fingerprint (joined with container
-   heat) is turned into block-size advice by [Profile.recommend], the
-   advice into concrete (id, size) targets by [Compactor.plan], and the
-   targets handed to [Compactor.request], which runs the pass on the
-   watchdog domain — queries keep flowing through the copy-on-write
-   swap. [--no-auto-compact] simply never registers the repository. *)
-let auto_compact_repo : Storage.Repository.t option ref = ref None
+(* When auto-compaction is on, a [drift_sustained] firing closes the
+   loop: the live rolling fingerprint (joined with the served
+   repository's heat) is turned into block-size advice by
+   [Profile.recommend], the advice into concrete (id, size) targets by
+   [Compactor.plan], and the targets handed to [Compactor.request],
+   which runs the pass on the watchdog domain — queries keep flowing
+   through the copy-on-write swap. [--no-auto-compact] simply never
+   turns it on. *)
+let auto_compact = ref false
 
-let set_auto_compact (repo : Storage.Repository.t option) : unit =
-  auto_compact_repo := repo
+let set_auto_compact (on : bool) : unit = auto_compact := on
 
-let maybe_auto_compact (transitions : Alert.transition list) : unit =
-  match !auto_compact_repo with
-  | None -> ()
-  | Some repo ->
-    let fired =
-      List.exists
-        (fun (t : Alert.transition) ->
-          t.Alert.t_rule = "drift_sustained" && t.Alert.t_event = "fired")
-        transitions
+let maybe_auto_compact (engine : Engine.t) (transitions : Alert.transition list) : unit =
+  let fired =
+    List.exists
+      (fun (t : Alert.transition) ->
+        t.Alert.t_rule = "drift_sustained" && t.Alert.t_event = "fired")
+      transitions
+  in
+  if !auto_compact && fired then begin
+    let repo = Engine.repo engine in
+    let advice =
+      Profile.recommend ~heat:(heat_json engine) (Watch.fingerprint ())
+      |> List.filter_map (fun (r : Profile.recommendation) ->
+             if r.Profile.r_action = "keep" then None
+             else Some (r.Profile.r_container, r.Profile.r_factor))
     in
-    if fired then begin
-      let advice =
-        Profile.recommend ~heat:(Heat.snapshot_json ()) (Watch.fingerprint ())
-        |> List.filter_map (fun (r : Profile.recommendation) ->
-               if r.Profile.r_action = "keep" then None
-               else Some (r.Profile.r_container, r.Profile.r_factor))
-      in
-      match Storage.Compactor.plan repo advice with
-      | [] -> ()
-      | targets ->
-        if Storage.Compactor.request repo ~targets then
-          Metrics.incr "serve.compactions_triggered"
-    end
+    match Storage.Compactor.plan repo advice with
+    | [] -> ()
+    | targets ->
+      if Storage.Compactor.request repo ~targets then Metrics.incr "serve.compactions_triggered"
+  end
 
-let watch_tick ?now () : Watch.status * Alert.transition list =
-  let st = Watch.tick ?now () in
+let watch_tick ?now (engine : Engine.t) : Watch.status * Alert.transition list =
+  let st = Watch.tick ?now ~heat:(heat_json ~top_blocks:0 engine) () in
   let transitions = Alert.evaluate ?now (watch_signals st) in
-  maybe_auto_compact transitions;
+  maybe_auto_compact engine transitions;
   publish_window_metrics ();
   (st, transitions)
 
@@ -337,7 +338,7 @@ let watchdog_domain : unit Domain.t option ref = ref None
 (* One background domain calling [watch_tick] every [period] seconds.
    Sleeps in short slices so [stop_watchdog] (the SIGTERM path) joins
    promptly rather than waiting out a whole window. *)
-let start_watchdog ~(period : float) () : unit =
+let start_watchdog ~(period : float) (engine : Engine.t) : unit =
   if !watchdog_domain = None then begin
     let period = Float.max 0.05 period in
     Atomic.set watchdog_stop false;
@@ -352,7 +353,7 @@ let start_watchdog ~(period : float) () : unit =
                  Unix.sleepf s;
                  slept := !slept +. s
                done;
-               if not (Atomic.get watchdog_stop) then ignore (watch_tick ())
+               if not (Atomic.get watchdog_stop) then ignore (watch_tick engine)
              done))
   end
 
@@ -466,16 +467,16 @@ let handler (engine : Engine.t) : Expo.handler =
     | None ->
       Some (Expo.respond 400 "text/plain; charset=utf-8" "missing query parameter q\n"))
   | "GET", "/stats" ->
-    publish_pool_metrics ();
+    publish_pool_metrics engine;
     Some (Expo.respond 200 "application/json; charset=utf-8" (Metrics.dump_json ()))
   | "GET", "/heat" ->
     Some
       (Expo.respond 200 "application/json; charset=utf-8"
-         (Json.to_string (Heat.snapshot_json ())))
+         (Json.to_string (heat_json engine)))
   | "GET", "/watch" ->
     Some
       (Expo.respond 200 "application/json; charset=utf-8"
-         (Json.to_string (Watch.snapshot_json ()) ^ "\n"))
+         (Json.to_string (Watch.snapshot_json ~heat:(heat_json ~top_blocks:0 engine) ()) ^ "\n"))
   | "GET", "/compact" ->
     Some
       (Expo.respond 200 "application/json; charset=utf-8"

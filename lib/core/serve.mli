@@ -5,7 +5,7 @@
 
     Routes: [POST /query] (body = XQuery text), [GET /query?q=...]
     (percent-encoded query), [GET /stats] (metrics registry as JSON),
-    [GET /heat] (container heat snapshot as JSON, see
+    [GET /heat] (the served repository's container heat as JSON, see
     {!Xquec_obs.Heat.snapshot_json}), [GET /watch] (live watchdog
     snapshot, {!Xquec_obs.Watch.snapshot_json}), [GET /alerts] (alert
     rules + active set + recent transitions,
@@ -69,13 +69,13 @@ val publish_window_metrics : unit -> unit
     [xquec ... --stats] runs it before dumping the registry. *)
 val publish_storage_metrics : unit -> unit
 
-(** Sync the storage ({!publish_storage_metrics}), heat, admission
+(** Sync the storage ({!publish_storage_metrics}), served heat, admission
     ({!Xquec_obs.Expo.stats} as ["serve.admission.*"]), plan-cache
     ({!Plan_cache.snapshot} as ["serve.plan_cache.*"]) and
-    rolling-window counters into the metrics registry — the [collect]
-    callback to pass to {!Xquec_obs.Expo.start} so every scrape is
-    fresh. *)
-val publish_pool_metrics : unit -> unit
+    rolling-window counters into the metrics registry — applied to the
+    served engine, the [collect] callback to pass to
+    {!Xquec_obs.Expo.start} so every scrape is fresh. *)
+val publish_pool_metrics : Engine.t -> unit
 
 (** {2 Watchdog ticks and alerting}
 
@@ -84,17 +84,18 @@ val publish_pool_metrics : unit -> unit
     assembles this tick's signal readings and runs the alert rules
     ({!Xquec_obs.Alert}). *)
 
-(** Register the repository that a sustained drift alert may
-    auto-compact ([None] disables the loop — the [--no-auto-compact]
-    path). When set, a [drift_sustained] "fired" transition inside
-    {!watch_tick} turns the live fingerprint + heat into
+(** Turn drift-triggered auto-compaction of the served repository on
+    or off (off by default and under [--no-auto-compact]). When on, a
+    [drift_sustained] "fired" transition inside {!watch_tick} turns
+    the live fingerprint + the repository's heat into
     {!Xquec_obs.Profile.recommend} advice, plans concrete targets via
     {!Storage.Compactor.plan} and runs {!Storage.Compactor.request} on
     the calling (watchdog) domain, bumping
     ["serve.compactions_triggered"] when a pass actually runs. *)
-val set_auto_compact : Storage.Repository.t option -> unit
+val set_auto_compact : bool -> unit
 
-(** Close one watchdog window: {!Xquec_obs.Watch.tick}, evaluate the
+(** Close one watchdog window: {!Xquec_obs.Watch.tick} (joined with
+    [engine]'s repository heat), evaluate the
     alert rules against this tick's signals — [drift] / [drift_ewma]
     (when computable), [error_rate] and [budget_408_rate] (when the
     tick saw requests), [plan_cache_hit_rate] / [buffer_pool_hit_rate]
@@ -103,7 +104,7 @@ val set_auto_compact : Storage.Repository.t option -> unit
     {!set_auto_compact}) and refresh the SLO-window gauges. Returns
     the watchdog reading and any alert transitions. [?now] for
     deterministic tests. *)
-val watch_tick : ?now:float -> unit -> Xquec_obs.Watch.status * Xquec_obs.Alert.transition list
+val watch_tick : ?now:float -> Engine.t -> Xquec_obs.Watch.status * Xquec_obs.Alert.transition list
 
 (** Re-anchor the per-tick counter deltas at the current values so the
     next {!watch_tick} doesn't see pre-watchdog history as one window.
@@ -118,9 +119,9 @@ val watch_tick_reset : unit -> unit
 val default_rules : ?drift_threshold:float -> unit -> Xquec_obs.Alert.rule list
 
 (** Spawn the background ticker domain calling {!watch_tick} every
-    [period] seconds (clamped to ≥ 0.05; sleeps in short slices so
+    [period] seconds for the served engine (clamped to ≥ 0.05; sleeps in short slices so
     {!stop_watchdog} returns promptly). No-op when already running. *)
-val start_watchdog : period:float -> unit -> unit
+val start_watchdog : period:float -> Engine.t -> unit
 
 (** Stop and join the ticker domain (the SIGTERM path); no-op when not
     running. *)

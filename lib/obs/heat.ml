@@ -1,34 +1,8 @@
 (* Per-container / per-block access heat. See heat.mli.
 
-   Heat counts nothing itself: it names the containers (label, block
-   count) and reads their rows of the process totals ({!Ledger}). The
-   registry lives under the totals' mutex too, so every operation here
-   is one [Ledger.with_totals]. *)
-
-type reg = { label : string; blocks : int }
-
-let registry : (int, reg) Hashtbl.t = Hashtbl.create 64
-
-let set_enabled = Ledger.set_containers_enabled
-
-let register ~uid ~label ~blocks =
-  Ledger.with_totals @@ fun _ ->
-  match Hashtbl.find_opt registry uid with
-  | Some r ->
-    Hashtbl.replace registry uid
-      {
-        label = (if label <> "" then label else r.label);
-        blocks = (if blocks > 0 then blocks else r.blocks);
-      }
-  | None -> Hashtbl.replace registry uid { label; blocks }
-
-(* A uid is never reused, so a dropped row stays dropped: a straggler
-   still reading the old container adds to a totals row no reading
-   shows. *)
-let unregister ~uid =
-  Ledger.with_totals @@ fun t ->
-  Hashtbl.remove registry uid;
-  Hashtbl.remove t.Ledger.containers uid
+   Heat counts nothing itself and names nothing: it reads the
+   container rows it is given ({!Ledger.container}, one per container,
+   owned by the container), under the totals' mutex that guards them. *)
 
 type stat = {
   uid : int;
@@ -44,54 +18,57 @@ type stat = {
   runs : int;
 }
 
-let stat_of (t : Ledger.t) uid (r : reg) =
-  let get f = match Hashtbl.find_opt t.Ledger.containers uid with Some c -> f c | None -> 0 in
-  let touches = get (fun c -> c.Ledger.c_touches) and decodes = get (fun c -> c.c_decodes) in
-  let runs = get (fun c -> c.c_runs) in
+let stat_of (c : Ledger.container) =
   {
-    uid;
-    label = r.label;
-    blocks = r.blocks;
-    touches;
-    decodes;
-    hits = max 0 (touches - decodes);
-    header_skips = get (fun c -> c.c_header_skips);
-    bytes_decoded = get (fun c -> c.c_bytes_decoded);
-    bytes_skipped = get (fun c -> c.c_bytes_skipped);
-    seq_touches = max 0 (touches - runs);
-    runs;
+    uid = c.c_uid;
+    label = c.c_label;
+    blocks = c.c_blocks;
+    touches = c.c_touches;
+    decodes = c.c_decodes;
+    hits = max 0 (c.c_touches - c.c_decodes);
+    header_skips = c.c_header_skips;
+    bytes_decoded = c.c_bytes_decoded;
+    bytes_skipped = c.c_bytes_skipped;
+    seq_touches = max 0 (c.c_touches - c.c_runs);
+    runs = c.c_runs;
   }
 
-let snapshot () =
-  Ledger.with_totals (fun t -> Hashtbl.fold (fun uid r acc -> stat_of t uid r :: acc) registry [])
-  |> List.sort (fun a b ->
-         match compare a.label b.label with 0 -> compare a.uid b.uid | c -> c)
+let by_label rows =
+  List.sort
+    (fun (a : Ledger.container) (b : Ledger.container) ->
+      match compare a.c_label b.c_label with 0 -> compare a.c_uid b.c_uid | c -> c)
+    rows
 
-let reset () =
-  Ledger.with_totals @@ fun t ->
-  Hashtbl.reset t.Ledger.containers;
-  t.last_uid <- -1;
-  t.last_blk <- -1
+let snapshot rows = Ledger.with_totals (fun _ -> List.map stat_of (by_label rows))
 
-let hot_blocks ~uid ~top =
+let reset rows =
+  Ledger.with_totals @@ fun _ ->
+  List.iter
+    (fun (c : Ledger.container) ->
+      c.c_touches <- 0;
+      c.c_runs <- 0;
+      c.c_block_touches <- [||];
+      c.c_decodes <- 0;
+      c.c_header_skips <- 0;
+      c.c_bytes_decoded <- 0;
+      c.c_bytes_skipped <- 0)
+    rows
+
+let hot_blocks_locked (c : Ledger.container) ~top =
   if top <= 0 then []
   else
-    Ledger.with_totals (fun t ->
-        match Hashtbl.find_opt t.Ledger.containers uid with
-        | Some c when Hashtbl.mem registry uid ->
-          Array.to_list (Array.mapi (fun i n -> (i, n)) c.c_block_touches)
-        | _ -> [])
+    Array.to_list (Array.mapi (fun i n -> (i, n)) c.c_block_touches)
     |> List.filter (fun (_, n) -> n > 0)
     |> List.sort (fun (i1, n1) (i2, n2) -> match compare n2 n1 with 0 -> compare i1 i2 | c -> c)
     |> List.filteri (fun i _ -> i < top)
 
-let snapshot_json ?(top_blocks = 8) () =
-  let container st =
-    let hot =
-      hot_blocks ~uid:st.uid ~top:top_blocks
-      |> List.map (fun (b, n) ->
-             Json.Obj [ ("block", Json.Num (float_of_int b)); ("touches", Json.Num (float_of_int n)) ])
-    in
+let hot_blocks c ~top = Ledger.with_totals (fun _ -> hot_blocks_locked c ~top)
+
+let snapshot_json ?(top_blocks = 8) rows =
+  let block (b, n) =
+    Json.Obj [ ("block", Json.Num (float_of_int b)); ("touches", Json.Num (float_of_int n)) ]
+  in
+  let container (st, hot) =
     Json.Obj
       ([
          ("container", Json.Str st.label);
@@ -106,16 +83,20 @@ let snapshot_json ?(top_blocks = 8) () =
          ("seq_touches", Json.Num (float_of_int st.seq_touches));
          ("runs", Json.Num (float_of_int st.runs));
        ]
-      @ if top_blocks > 0 then [ ("hot_blocks", Json.List hot) ] else [])
+      @ if top_blocks > 0 then [ ("hot_blocks", Json.List (List.map block hot)) ] else [])
+  in
+  let readings =
+    Ledger.with_totals (fun _ ->
+        List.map (fun c -> (stat_of c, hot_blocks_locked c ~top:top_blocks)) (by_label rows))
   in
   Json.Obj
     [
       ("enabled", Json.Bool (Ledger.containers_enabled ()));
-      ("containers", Json.List (List.map container (snapshot ())));
+      ("containers", Json.List (List.map container readings));
     ]
 
-let publish_metrics () =
-  let stats = snapshot () in
+let publish_metrics rows =
+  let stats = snapshot rows in
   let sum f = List.fold_left (fun acc st -> acc + f st) 0 stats in
   Metrics.set_counter "heat.containers" (List.length stats);
   Metrics.set_counter "heat.touches" (sum (fun s -> s.touches));

@@ -3,21 +3,20 @@
     header-driven skips, bytes decoded and skipped, sequential-vs-random
     access runs), per container and per block.
 
-    Heat counts nothing itself. Every event is counted once, in the
-    evaluating query's {!Ledger}, whose container rows carry the
-    touches, runs and per-block touches; a closed ledger is added into
-    the process totals, and this module reads their container rows. It
-    keeps only what names them: each container's label and block count
-    ({!register}), and which uids are live ({!unregister}). So a
-    snapshot moves when a query's ledger closes, and it sums exactly to
-    the query-log records of the queries that closed in between.
+    Heat counts nothing itself and keeps no table. Every event is
+    counted once, in the evaluating query's {!Ledger}; a closed ledger
+    adds its per-container rows into the row each container owns
+    ({!Ledger.container}). A reading takes the rows to read
+    ([Repository.heat_rows] gives a repository's), so it moves when a
+    query's ledger closes and sums exactly to the query-log records of
+    the queries that closed in between.
 
     Overhead: a block fetch is one DLS load and, for a touch that does
     not repeat the previous block, a few plain writes to the query's
     own ledger; there is no atomic, lock or process-wide state on the
     fetch path. Each query pays one fold into the totals, under their
     mutex, when its ledger closes. The per-container rows sit behind a
-    switch (default on; the bench gate's [heat] experiment proves the
+    switch ({!Ledger.set_containers_enabled}, default on; the bench gate's [heat] experiment proves the
     cost within 2 %), so the A/B in [bench heat] needs no rebuild. *)
 
 (** Immutable per-container reading of one {!snapshot}. A {e touch} is
@@ -35,7 +34,7 @@
 type stat = {
   uid : int;  (** buffer-pool uid of the container *)
   label : string;  (** container path, e.g. ["/site/people/person/name/#text"] *)
-  blocks : int;  (** block count at registration (0 when unknown) *)
+  blocks : int;  (** the container's block count *)
   touches : int;  (** block fetch requests (hits + decodes) *)
   decodes : int;  (** blocks actually decoded (pool misses) *)
   hits : int;  (** [touches - decodes], clamped at 0 *)
@@ -46,48 +45,30 @@ type stat = {
   runs : int;  (** non-sequential (run-starting) touches *)
 }
 
-(** Turn per-container accounting on or off
-    ({!Ledger.set_containers_enabled}; snapshot/reset work regardless). *)
-val set_enabled : bool -> unit
+(** The readings of [rows], sorted by label then uid, with their
+    counters as of the last closed ledger (one consistent reading,
+    taken under the totals' mutex). *)
+val snapshot : Ledger.container list -> stat list
 
-(** [register ~uid ~label ~blocks] (re)announces a container: fixes
-    the human label and block count shown in snapshots. Counters of an
-    already-registered uid are preserved. A rebuilt container registers
-    under its fresh uid. Called by the storage layer on build and load. *)
-val register : uid:int -> label:string -> blocks:int -> unit
+(** Zero the counters and per-block tallies of [rows]. *)
+val reset : Ledger.container list -> unit
 
-(** [unregister ~uid] drops a container's row, counters included.
-    [Repository.replace_container] calls it for the uid it
-    replaces, so the table holds one row per live container; a query
-    still reading the old container adds to no row a reading shows. *)
-val unregister : uid:int -> unit
+(** [hot_blocks row ~top] — the [top] most-touched blocks of a
+    container as [(block, touches)], descending, ties by block index. *)
+val hot_blocks : Ledger.container -> top:int -> (int * int) list
 
-(** Every registered container, sorted by label, with its counters as
-    of the last closed ledger (one consistent reading, taken under the
-    totals' mutex). *)
-val snapshot : unit -> stat list
-
-(** Zero every container's counters and per-block tallies, keeping
-    registrations. *)
-val reset : unit -> unit
-
-(** [hot_blocks ~uid ~top] — the [top] most-touched blocks of a
-    container as [(block, touches)], descending, ties by block index;
-    empty for unknown or unregistered uids. *)
-val hot_blocks : uid:int -> top:int -> (int * int) list
-
-(** The whole table as JSON — the [GET /heat] payload:
+(** The readings of [rows] as JSON — the [GET /heat] payload:
     [{"enabled":bool, "containers":[{container,uid,blocks,touches,
     decodes,hits,header_skips,bytes_decoded,bytes_skipped,
     seq_touches,runs,hot_blocks:[{block,touches}]}]}].
     [top_blocks] bounds the per-container hot-block list (default 8,
     [0] drops the lists). *)
-val snapshot_json : ?top_blocks:int -> unit -> Json.t
+val snapshot_json : ?top_blocks:int -> Ledger.container list -> Json.t
 
-(** Fold aggregate totals into the {!Metrics} registry as
+(** Fold the totals of [rows] into the {!Metrics} registry as
     [heat.containers], [heat.touches], [heat.decodes], [heat.hits],
     [heat.header_skips], [heat.bytes_decoded], [heat.bytes_skipped],
     [heat.seq_touches] and [heat.runs] — called by the server before a
     scrape, so [/metrics] carries the totals without a second
     accounting path. *)
-val publish_metrics : unit -> unit
+val publish_metrics : Ledger.container list -> unit

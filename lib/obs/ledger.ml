@@ -3,9 +3,9 @@
    A ledger is only ever written by the domain whose DLS holds it: the
    query's own evaluation and serialization, block decodes included,
    run on that domain. So every charge is a plain field write. The
-   totals are one more ledger, behind one mutex: a closed ledger is
-   added into it, and a charge made with no ledger open goes to it
-   directly. *)
+   totals are one more ledger, behind one mutex that also guards the
+   rows containers own: a closed ledger is added into them, and a
+   charge made with no ledger open goes to them directly. *)
 
 type trip = { t_kind : string; t_limit : float; t_observed : float }
 
@@ -14,6 +14,7 @@ exception Exceeded of trip
 type container = {
   c_uid : int;
   c_label : string;
+  c_blocks : int;
   mutable c_touches : int;
   mutable c_runs : int;
   mutable c_block_touches : int array;
@@ -42,7 +43,7 @@ type t = {
   mutable join_skipped_bytes : int;
   mutable last_uid : int;
   mutable last_blk : int;
-  containers : (int, container) Hashtbl.t;
+  containers : (int, container * container) Hashtbl.t;
   preds : (string * string, Profile.obs) Hashtbl.t;
   mutable pred_order : (string * string) list;
 }
@@ -88,25 +89,19 @@ let create ~wall ~bytes =
     pred_order = [];
   }
 
-let container l ~uid ~label =
-  match Hashtbl.find_opt l.containers uid with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        c_uid = uid;
-        c_label = label;
-        c_touches = 0;
-        c_runs = 0;
-        c_block_touches = [||];
-        c_decodes = 0;
-        c_header_skips = 0;
-        c_bytes_decoded = 0;
-        c_bytes_skipped = 0;
-      }
-    in
-    Hashtbl.add l.containers uid c;
-    c
+let row ~uid ~label ~blocks =
+  {
+    c_uid = uid;
+    c_label = label;
+    c_blocks = blocks;
+    c_touches = 0;
+    c_runs = 0;
+    c_block_touches = [||];
+    c_decodes = 0;
+    c_header_skips = 0;
+    c_bytes_decoded = 0;
+    c_bytes_skipped = 0;
+  }
 
 let bump_block c blk n =
   let len = Array.length c.c_block_touches in
@@ -139,15 +134,14 @@ let add_into (t : t) (l : t) =
   t.join_blocks_skipped <- t.join_blocks_skipped + l.join_blocks_skipped;
   t.join_skipped_bytes <- t.join_skipped_bytes + l.join_skipped_bytes;
   Hashtbl.iter
-    (fun uid c ->
-      let tc = container t ~uid ~label:c.c_label in
-      tc.c_touches <- tc.c_touches + c.c_touches;
-      tc.c_runs <- tc.c_runs + c.c_runs;
-      tc.c_decodes <- tc.c_decodes + c.c_decodes;
-      tc.c_header_skips <- tc.c_header_skips + c.c_header_skips;
-      tc.c_bytes_decoded <- tc.c_bytes_decoded + c.c_bytes_decoded;
-      tc.c_bytes_skipped <- tc.c_bytes_skipped + c.c_bytes_skipped;
-      Array.iteri (fun blk n -> if n > 0 then bump_block tc blk n) c.c_block_touches)
+    (fun _ (home, c) ->
+      home.c_touches <- home.c_touches + c.c_touches;
+      home.c_runs <- home.c_runs + c.c_runs;
+      home.c_decodes <- home.c_decodes + c.c_decodes;
+      home.c_header_skips <- home.c_header_skips + c.c_header_skips;
+      home.c_bytes_decoded <- home.c_bytes_decoded + c.c_bytes_decoded;
+      home.c_bytes_skipped <- home.c_bytes_skipped + c.c_bytes_skipped;
+      Array.iteri (fun blk n -> if n > 0 then bump_block home blk n) c.c_block_touches)
     l.containers
 
 (* ---- open ledgers ---- *)
@@ -185,41 +179,52 @@ let check l =
 
 let charge f = match current () with Some l -> f l | None -> with_totals f
 
+(* Where [l]'s charge to [home] lands: the totals charge it directly. *)
+let row_in l home =
+  if l == totals then home
+  else
+    match Hashtbl.find_opt l.containers home.c_uid with
+    | Some (_, c) -> c
+    | None ->
+      let c = row ~uid:home.c_uid ~label:home.c_label ~blocks:home.c_blocks in
+      Hashtbl.add l.containers home.c_uid (home, c);
+      c
+
 (* A touch that does not repeat the previous one; it starts a run
    unless it moves to the next block of the same container. *)
-let touch l ~uid ~label ~blk =
-  if containers_enabled () && not (l.last_uid = uid && l.last_blk = blk) then begin
-    let c = container l ~uid ~label in
-    if not (l.last_uid = uid && blk = l.last_blk + 1) then c.c_runs <- c.c_runs + 1;
-    l.last_uid <- uid;
+let touch l home ~blk =
+  if containers_enabled () && not (l.last_uid = home.c_uid && l.last_blk = blk) then begin
+    let c = row_in l home in
+    if not (l.last_uid = home.c_uid && blk = l.last_blk + 1) then c.c_runs <- c.c_runs + 1;
+    l.last_uid <- home.c_uid;
     l.last_blk <- blk;
     c.c_touches <- c.c_touches + 1;
     if blk >= 0 then bump_block c blk 1
   end
 
-let note_fetch ~uid ~label ~blk =
+let note_fetch home ~blk =
   match current () with
   | Some l ->
     check l;
-    touch l ~uid ~label ~blk
-  | None -> with_totals (fun t -> touch t ~uid ~label ~blk)
+    touch l home ~blk
+  | None -> with_totals (fun t -> touch t home ~blk)
 
-let note_decode ~uid ~label ~bytes =
+let note_decode home ~bytes =
   charge (fun l ->
       l.payload_decoded <- l.payload_decoded + bytes;
       if containers_enabled () then begin
-        let c = container l ~uid ~label in
+        let c = row_in l home in
         c.c_decodes <- c.c_decodes + 1;
         c.c_bytes_decoded <- c.c_bytes_decoded + bytes
       end)
 
-let note_skip ~uid ~label ~blocks ~bytes =
+let note_skip home ~blocks ~bytes =
   if blocks > 0 then
     charge (fun l ->
         l.blocks_skipped <- l.blocks_skipped + blocks;
         l.payload_skipped <- l.payload_skipped + bytes;
         if containers_enabled () then begin
-          let c = container l ~uid ~label in
+          let c = row_in l home in
           c.c_header_skips <- c.c_header_skips + blocks;
           c.c_bytes_skipped <- c.c_bytes_skipped + bytes
         end)
@@ -254,7 +259,7 @@ let note_pred ~container ~kind ~candidates ~matches =
 
 let containers l =
   Hashtbl.fold
-    (fun _ c acc ->
+    (fun _ (_, c) acc ->
       if c.c_touches > 0 || c.c_header_skips > 0 || c.c_bytes_decoded > 0 then c :: acc
       else acc)
     l.containers []

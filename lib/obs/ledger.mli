@@ -12,14 +12,15 @@
     queries at once.
 
     There is no second counter. The process-wide readings
-    ([Buffer_pool.snapshot], [Executor.join_stats], {!Heat.snapshot},
-    and through them [/metrics], [--stats] and [/heat]) read one totals
-    ledger behind one mutex ({!with_totals}). A ledger is added into
-    the totals when it closes, also when its query raised (a budget
-    trip, an error), so process counters advance when a query's ledger
+    ([Buffer_pool.snapshot], [Executor.join_stats], and through them
+    [/metrics] and [--stats]) read one totals ledger behind one mutex
+    ({!with_totals}); per-container counts go to the {!row} each
+    container owns, which {!Heat} reads. A closing ledger, also one
+    whose query raised, is added into the totals and its per-container
+    shares into those rows, so counters advance when a query's ledger
     closes, not while it runs. A charge made while no ledger is open
     (a build-time read, a compaction, a test poking a container) goes
-    to the totals directly, under that mutex.
+    to the totals and the row directly, under that mutex.
 
     The query-log record, the watchdog's {!Watch.observe} and EXPLAIN's
     per-operator cache figures all read the open ledger.
@@ -41,14 +42,15 @@ type trip = { t_kind : string; t_limit : float; t_observed : float }
 (** Raised by {!note_fetch} when the open ledger has crossed a limit. *)
 exception Exceeded of trip
 
-(** One container's share of a query (or, in the totals, of every
-    closed query). A touch is a block fetch with consecutive repeats of
+(** A container's counts: the lifetime row it owns, or one query's
+    share of it. A touch is a block fetch with consecutive repeats of
     one block collapsed: the collapse state starts empty when the
     ledger opens. A touch starts a run unless it moves on to the next
     block of the container the previous touch read. *)
 type container = {
   c_uid : int;  (** buffer-pool uid *)
   c_label : string;  (** container path *)
+  c_blocks : int;  (** the container's block count *)
   mutable c_touches : int;
   mutable c_runs : int;  (** run-starting touches *)
   mutable c_block_touches : int array;
@@ -65,7 +67,8 @@ type container = {
     [decoded_bytes] is the in-memory charge of the blocks this query
     decoded, [payload_decoded] / [payload_skipped] their compressed
     payload bytes and those of header-pruned blocks. The [join_*]
-    fields follow [Executor.join_stats]. [last_uid]/[last_blk] and the
+    fields follow [Executor.join_stats]. [containers] pairs each row a
+    query charged with its share of it (empty in the totals). The
     limits mean nothing in the totals. *)
 type t = {
   started_us : float;
@@ -86,7 +89,7 @@ type t = {
   mutable join_skipped_bytes : int;
   mutable last_uid : int;  (** collapse state for touches *)
   mutable last_blk : int;
-  containers : (int, container) Hashtbl.t;
+  containers : (int, container * container) Hashtbl.t;
   preds : (string * string, Profile.obs) Hashtbl.t;
   mutable pred_order : (string * string) list;  (** newest first *)
 }
@@ -112,39 +115,42 @@ val with_ledger : (t -> 'a) -> 'a
 val with_totals : (t -> 'a) -> 'a
 
 (** Whether per-container rows (touches, runs, decodes, header skips)
-    are counted; on by default. [Heat.set_enabled] is the switch
-    callers use. The pool and join fields are counted regardless. *)
+    are counted; on by default. The pool and join fields are counted
+    regardless. *)
 val containers_enabled : unit -> bool
 
 (** Turn per-container counting on or off. *)
 val set_containers_enabled : bool -> unit
+
+(** A fresh, zeroed row: the one a container owns for its lifetime. *)
+val row : uid:int -> label:string -> blocks:int -> container
 
 (** The calling domain's open ledger. *)
 val current : unit -> t option
 
 (** {2 Charges}
 
-    Each charges the calling domain's open ledger, or the totals under
-    their mutex when none is open ({!note_pred} excepted). The
-    per-container charges are no-ops while per-container counting is
-    off ({!set_containers_enabled}), so a heat-off query reports no
-    containers, as the heat table shows none. *)
+    Each charges the calling domain's open ledger, or, when none is
+    open, the totals and the container's row under their mutex
+    ({!note_pred} excepted). The per-container charges are no-ops
+    while per-container counting is off ({!set_containers_enabled}),
+    so a heat-off query reports no containers and adds to no row. *)
 
 (** [charge f] applies [f] to the open ledger, else to the totals: how
     the pool and join sites count their events. *)
 val charge : (t -> unit) -> unit
 
-(** A block fetch of block [blk] of container [uid]: checks an open
+(** A fetch of block [blk] of the row's container: checks an open
     ledger's limits (raising {!Exceeded}), then counts the touch. *)
-val note_fetch : uid:int -> label:string -> blk:int -> unit
+val note_fetch : container -> blk:int -> unit
 
 (** A block decode of [bytes] compressed payload bytes. *)
-val note_decode : uid:int -> label:string -> bytes:int -> unit
+val note_decode : container -> bytes:int -> unit
 
 (** [blocks] blocks of one container skipped on their headers alone,
     [bytes] their payload bytes: counted into [blocks_skipped],
     [payload_skipped] and the container's row. *)
-val note_skip : uid:int -> label:string -> blocks:int -> bytes:int -> unit
+val note_skip : container -> blocks:int -> bytes:int -> unit
 
 (** One container-resolved predicate observed during evaluation: a
     pushed-down value or textual filter, a tuple-at-a-time [where]

@@ -116,7 +116,7 @@ let status_locked () =
 
 let status () = with_lock status_locked
 
-let tick ?now () =
+let tick ?now ~heat () =
   let now = match now with Some t -> t | None -> Unix.gettimeofday () in
   let fp, st =
     with_lock @@ fun () ->
@@ -139,7 +139,7 @@ let tick ?now () =
   Metrics.set_gauge "watch.last_tick_unix" now;
   (match st.w_drift with Some d -> Metrics.set_gauge "watch.drift" d | None -> ());
   (match st.w_drift_ewma with Some d -> Metrics.set_gauge "watch.drift_ewma" d | None -> ());
-  let recs = Profile.recommend ~heat:(Heat.snapshot_json ~top_blocks:0 ()) fp in
+  let recs = Profile.recommend ~heat fp in
   let count action =
     List.length (List.filter (fun (r : Profile.recommendation) -> r.Profile.r_action = action) recs)
   in
@@ -148,7 +148,7 @@ let tick ?now () =
   Metrics.set_gauge "watch.recommend.keep" (float_of_int (count "keep"));
   st
 
-let snapshot_json ?now () =
+let snapshot_json ?now ~heat () =
   let now = match now with Some t -> t | None -> Unix.gettimeofday () in
   let fp, st, base =
     with_lock @@ fun () ->
@@ -156,7 +156,6 @@ let snapshot_json ?now () =
     (fp, { (status_locked ()) with w_records = fp.Profile.records }, !baseline)
   in
   let drift_now = match base with Some b when fp.Profile.weights <> [] -> Some (Profile.drift b fp) | _ -> None in
-  let heat = Heat.snapshot_json ~top_blocks:0 () in
   let opt_num = function Some v -> Json.Num v | None -> Json.Null in
   let weights =
     List.map

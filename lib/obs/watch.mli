@@ -11,7 +11,7 @@
     queries through the same {!Profile.agg}), every {!tick}
     scores total-variation drift against it, maintains an EWMA-smoothed
     drift series, republishes {!Profile.recommend} block-size advice
-    joined with the live container heat, and updates the [watch.*]
+    joined with the container heat its caller reads, and updates the [watch.*]
     gauges ([xquec_watch_drift], [xquec_watch_drift_ewma],
     [xquec_watch_window_records], ...).
 
@@ -73,14 +73,15 @@ val fingerprint : ?now:float -> unit -> Profile.fingerprint
     when the window has observations — an empty window leaves the
     drift and EWMA untouched, so an idle server never looks drifted),
     update the EWMA, publish the [watch.*] metrics and the live
-    block-size recommendation counts, and return the fresh reading.
+    block-size recommendation counts (joined with [heat], a
+    {!Heat.snapshot_json} reading), and return the fresh reading.
     Called once per window by the serve ticker; callable any time. *)
-val tick : ?now:float -> unit -> status
+val tick : ?now:float -> heat:Json.t -> unit -> status
 
 (** Current reading without aggregating ([w_records] is 0). *)
 val status : unit -> status
 
 (** The [GET /watch] payload: status, current rolling fingerprint
     (weights + per-container stats), drift vs the baseline, and
-    per-container recommendations joined with live heat. *)
-val snapshot_json : ?now:float -> unit -> Json.t
+    per-container recommendations joined with [heat] (as in {!tick}). *)
+val snapshot_json : ?now:float -> heat:Json.t -> unit -> Json.t

@@ -45,6 +45,7 @@ type block = {
 type t = {
   id : int;
   uid : int;  (** process-unique identity, the buffer-pool key of its blocks *)
+  heat : Xquec_obs.Ledger.container;  (** its heat row *)
   path : string;  (** root-to-leaf path expression, e.g. "/site/people/person/name/#text" *)
   kind : kind;
   algorithm : Compress.Codec.algorithm;
@@ -74,6 +75,11 @@ type t = {
 }
 
 let length t = t.n_records
+
+(* A fresh pool uid and the heat row the container owns under it. *)
+let fresh_identity ~path ~blocks =
+  let uid = Buffer_pool.fresh_uid () in
+  (uid, Xquec_obs.Ledger.row ~uid ~label:path ~blocks:(Array.length blocks))
 
 let block_count t = Array.length t.blocks
 
@@ -244,7 +250,7 @@ let set_prefetch_depth (_ : int) = ()
    decode are charged to the calling domain's open ledger; the limit
    check at entry is what trips an exhausted one. *)
 let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
-  Xquec_obs.Ledger.note_fetch ~uid:t.uid ~label:t.path ~blk:i;
+  Xquec_obs.Ledger.note_fetch t.heat ~blk:i;
   let b = t.blocks.(i) in
   Buffer_pool.fetch ?admission ~uid:t.uid ~blk:i (fun () ->
       Xquec_obs.Trace.with_span ~name:"container.decode"
@@ -253,7 +259,7 @@ let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
       let payload = String.length b.b_payload in
       let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
       let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
-      Xquec_obs.Ledger.note_decode ~uid:t.uid ~label:t.path ~bytes:payload;
+      Xquec_obs.Ledger.note_decode t.heat ~bytes:payload;
       { Buffer_pool.codes; parents; d_bytes })
 
 (* Blocks [b0, b1] (inclusive), in order, each through [fetch_block]. *)
@@ -307,16 +313,19 @@ let is_sorted_run (records : record array) : bool =
    [plain_size i] is record [i]'s plaintext length for block budgeting. *)
 let of_sorted_records ~block_size ~plain_size ~id ~path ~kind ~algorithm ~model ~model_id
     ~plain_bytes (records : record array) : t =
+  let blocks = blocks_of_records ~block_size ~plain_size records in
+  let uid, heat = fresh_identity ~path ~blocks in
   let t =
     {
       id;
-      uid = Buffer_pool.fresh_uid ();
+      uid;
+      heat;
       path;
       kind;
       algorithm;
       model;
       model_id;
-      blocks = blocks_of_records ~block_size ~plain_size records;
+      blocks;
       n_records = Array.length records;
       plain_bytes;
       distinct_parents = all_parents_distinct records;
@@ -326,7 +335,6 @@ let of_sorted_records ~block_size ~plain_size ~id ~path ~kind ~algorithm ~model 
     }
   in
   publish_metrics t;
-  Xquec_obs.Heat.register ~uid:t.uid ~label:t.path ~blocks:(Array.length t.blocks);
   t
 
 (** The one builder: encode every value with [model], sort on (record,
@@ -408,10 +416,9 @@ let reblocked (t : t) ~(block_size : int) : t =
   if block_size < 1 then invalid_arg "Container.reblocked";
   let records, sizes = records_with_sizes t in
   let blocks = blocks_of_records ~block_size ~plain_size:(fun i -> sizes.(i)) records in
-  let fresh = { t with uid = Buffer_pool.fresh_uid (); blocks; block_size } in
+  let uid, heat = fresh_identity ~path:t.path ~blocks in
+  let fresh = { t with uid; heat; blocks; block_size } in
   publish_metrics fresh;
-  Xquec_obs.Heat.register ~uid:fresh.uid ~label:fresh.path
-    ~blocks:(Array.length fresh.blocks);
   fresh
 
 (* ------------------------------------------------------------------ *)
@@ -513,7 +520,7 @@ let pruned_payload_bytes (t : t) ~(b0 : int) ~(b1 : int) : int =
 (* Report [blocks] of [t], [bytes] of stored payload, as skipped from
    headers alone, to the query's ledger. *)
 let note_skipped (t : t) ~(blocks : int) ~(bytes : int) : unit =
-  Xquec_obs.Ledger.note_skip ~uid:t.uid ~label:t.path ~blocks ~bytes
+  Xquec_obs.Ledger.note_skip t.heat ~blocks ~bytes
 
 (* Report the blocks outside [b0, b1] as header-skipped. *)
 let note_pruned (t : t) ~(b0 : int) ~(b1 : int) (blocks : int) : unit =
@@ -708,10 +715,12 @@ let deserialize ~(models : (int, Compress.Codec.model) Hashtbl.t) (s : string) (
   in
   if !start <> n_records then failwith "container: block counts disagree with record count";
   let model = Hashtbl.find models model_id in
+  let uid, heat = fresh_identity ~path ~blocks in
   let t =
     {
       id;
-      uid = Buffer_pool.fresh_uid ();
+      uid;
+      heat;
       path;
       kind;
       algorithm;
@@ -726,7 +735,6 @@ let deserialize ~(models : (int, Compress.Codec.model) Hashtbl.t) (s : string) (
       compaction_epoch;
     }
   in
-  Xquec_obs.Heat.register ~uid:t.uid ~label:t.path ~blocks:(Array.length t.blocks);
   (t, !pos)
 
 (* v1 layout: records inline, one <code, parent> pair after another. The

@@ -46,12 +46,14 @@ type block = {
   b_payload : string;
 }
 
-(** A built container. Immutable: every rebuild ({!of_values},
-    {!reblocked}) returns a fresh container with a fresh [uid], which
-    {!Repository.replace_container} swaps into the repository. *)
+(** A built container. Immutable but for its [heat] row: every rebuild
+    ({!of_values}, {!reblocked}) returns a fresh container with a fresh
+    [uid] and row, which {!Repository.replace_container} swaps in. *)
 type t = {
   id : int;  (** repository-local container id (value pointers refer to it) *)
   uid : int;  (** process-unique identity, the buffer-pool key of its blocks *)
+  heat : Xquec_obs.Ledger.container;
+      (** its heat row: lifetime block touches, decodes and skips *)
   path : string;  (** root-to-leaf path, e.g. ["/site/people/person/name/#text"] *)
   kind : kind;
   algorithm : Compress.Codec.algorithm;
@@ -177,7 +179,7 @@ val dump : t -> (string * int) list
 
 (** [read_block t i] is block [i]'s codes and parents, in record order,
     decoded straight from its payload on every call: no {!Buffer_pool}
-    admission or counter, no {!Xquec_obs.Heat} touch or decode, no
+    admission or counter, no heat-row touch or decode, no
     budget charge. For build-time readers (the cost model's sampler,
     {!read_all}, {!reblocked}) that must leave the query cache and its accounting as
     they found them. Raises [Invalid_argument] for a block index out of
@@ -239,8 +241,8 @@ type bound = [ `Incl of string | `Excl of string ]
 (** Account [blocks] blocks of the container, [bytes] bytes of stored
     payload, as skipped from headers alone, once, to the calling
     domain's ledger ({!Xquec_obs.Ledger.note_skip}): its
-    [blocks_skipped]/[payload_skipped] and the container's row, which
-    the pool's and the heat table's readings add up. Every access path
+    [blocks_skipped]/[payload_skipped] and the container's [heat] row,
+    which the pool's and the heat readings add up. Every access path
     that prunes blocks (an interval lookup, a block merge join) reports
     through it. *)
 val note_skipped : t -> blocks:int -> bytes:int -> unit

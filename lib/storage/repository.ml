@@ -20,14 +20,15 @@ let find_container_by_path t path =
 (* Containers are never changed in place: a rebuild takes over its
    slot. The slot store comes first and is a single boxed-pointer
    write, so a concurrent reader sees either container (both answer
-   identically); only then are the old container's pool entries and
-   heat row dropped. Readers still holding it keep decoding its
-   blocks, unrecorded by the heat table. *)
+   identically); only then are the old container's pool entries
+   dropped. Its heat row goes with it: readers still holding it charge
+   a row no reading of the repository lists. *)
 let replace_container (t : t) (fresh : Container.t) : int =
   let old = t.containers.(fresh.Container.id) in
   t.containers.(fresh.Container.id) <- fresh;
-  Xquec_obs.Heat.unregister ~uid:old.Container.uid;
   Buffer_pool.invalidate_container ~uid:old.Container.uid
+
+let heat_rows t = Array.to_list (Array.map (fun c -> c.Container.heat) t.containers)
 
 (** Distinct source models (containers in the same partition share one). *)
 let models (t : t) : (int * Compress.Codec.model) list =

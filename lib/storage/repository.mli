@@ -21,15 +21,17 @@ val container : t -> int -> Container.t
 val find_container_by_path : t -> string -> Container.t option
 
 (** [replace_container t fresh] swaps [fresh] into the slot of the
-    container with its id, then drops the old container's heat row
-    ({!Xquec_obs.Heat.unregister}) and buffer-pool entries
-    ({!Buffer_pool.invalidate_container}) and returns how many entries
-    it dropped. The one way a repository's container changes after
+    container with its id, then drops the old container's buffer-pool
+    entries ({!Buffer_pool.invalidate_container}) and returns how many
+    entries it dropped. The old heat row leaves with the old container. The one way a repository's container changes after
     load: the compactor, {!Partitioner.apply} and
     {!Partitioner.size_blocks} all rebuild a fresh container and swap it
     in here. Safe while other domains read the repository: they see the
     old or the new container, which answer every query identically. *)
 val replace_container : t -> Container.t -> int
+
+(** The live containers' heat rows, for {!Xquec_obs.Heat}'s readings. *)
+val heat_rows : t -> Xquec_obs.Ledger.container list
 
 (** Distinct source models (shared-model containers count once). *)
 val models : t -> (int * Compress.Codec.model) list

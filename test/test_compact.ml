@@ -18,7 +18,7 @@ let with_fresh_telemetry f =
   Obs.Alert.set_rules [];
   Storage.Compactor.reset_stats ();
   let finally () =
-    Serve.set_auto_compact None;
+    Serve.set_auto_compact false;
     Obs.Watch.set_enabled false;
     Obs.Watch.set_baseline None;
     Obs.Watch.reset ();
@@ -196,15 +196,15 @@ let first_block_hits (c : Storage.Container.t) =
   Alcotest.(check int) "one fetch" 1 (l.Obs.Ledger.hits + l.Obs.Ledger.misses);
   l.Obs.Ledger.hits = 1
 
-(* The heat table follows the live containers: each compaction's swap
-   drops the replaced uid's row, and a straggler still reading the old
-   container does not bring it back. *)
+(* A repository's heat reading follows its live containers: each
+   compaction's swap takes the replaced container's row out of the
+   reading, and a straggler still reading the old container charges
+   only that old row. *)
 let test_heat_rows_follow_live_containers () =
   let engine = fresh_engine () in
   let repo = Engine.repo engine in
-  let rows () = List.length (Obs.Heat.snapshot ()) in
-  let has uid = List.exists (fun (s : Obs.Heat.stat) -> s.Obs.Heat.uid = uid) (Obs.Heat.snapshot ()) in
-  let before = rows () in
+  let reading () = Obs.Heat.snapshot (Storage.Repository.heat_rows repo) in
+  let has uid = List.exists (fun (s : Obs.Heat.stat) -> s.Obs.Heat.uid = uid) (reading ()) in
   let first = container_of repo names_path in
   let replaced =
     List.map
@@ -215,8 +215,17 @@ let test_heat_rows_follow_live_containers () =
         old)
       [ 2048; 4096; 8192; 2048; 4096 ]
   in
-  Alcotest.(check int) "one row per container" before (rows ());
+  Alcotest.(check int) "one row per container"
+    (Array.length repo.Storage.Repository.containers)
+    (List.length (reading ()));
+  let touches () =
+    List.fold_left (fun acc (s : Obs.Heat.stat) -> acc + s.Obs.Heat.touches) 0 (reading ())
+  in
+  let t0 = touches () and own0 = first.Storage.Container.heat.Obs.Ledger.c_touches in
   ignore (Storage.Container.scan first);
+  Alcotest.(check int) "a straggler read adds nothing to the reading" t0 (touches ());
+  Alcotest.(check bool) "the straggler charged its own row" true
+    (first.Storage.Container.heat.Obs.Ledger.c_touches > own0);
   List.iter
     (fun (c : Storage.Container.t) ->
       Alcotest.(check bool) "replaced uid has no row" false (has c.Storage.Container.uid))
@@ -333,7 +342,7 @@ let test_midrun_swap_under_concurrent_clients () =
   in
   let server =
     Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine)
-      ~collect:Serve.publish_pool_metrics ()
+      ~collect:(fun () -> Serve.publish_pool_metrics engine) ()
   in
   let port = Obs.Expo.port server in
   Fun.protect ~finally:(fun () -> Obs.Expo.stop server)
@@ -416,7 +425,7 @@ let test_auto_compact_on_sustained_drift () =
   Obs.Watch.set_enabled true;
   Obs.Watch.configure ~window_seconds:3600.0 ~windows:6 ();
   Obs.Alert.set_rules (Serve.default_rules ~drift_threshold:0.3 ());
-  Serve.set_auto_compact (Some repo);
+  Serve.set_auto_compact true;
   Serve.watch_tick_reset ();
   (* declared mix: scans elsewhere; observed mix: pure selective point
      lookups on @id — maximal drift, low selectivity *)
@@ -433,7 +442,7 @@ let test_auto_compact_on_sustained_drift () =
   let now = Unix.gettimeofday () in
   let fired = ref false in
   for i = 1 to 3 do
-    let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) () in
+    let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) engine in
     if
       List.exists
         (fun (t : Obs.Alert.transition) ->

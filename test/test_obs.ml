@@ -492,7 +492,7 @@ let test_query_log_join_counters_reconcile () =
   (* the /metrics collector syncs the same cumulative counters (the
      registry only accepts writes while telemetry is on, as in serve) *)
   Obs.with_enabled @@ fun () ->
-  Serve.publish_pool_metrics ();
+  Serve.publish_pool_metrics eng;
   Alcotest.(check int) "metrics block_joins" j1.Executor.j_block_joins
     (Obs.Metrics.counter_value "executor.join.block_joins");
   Alcotest.(check int) "metrics blocks_probed" j1.Executor.j_blocks_probed
@@ -555,7 +555,7 @@ let test_expo_http_roundtrip () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let server =
     Obs.Expo.start ~port:0 ~extra:(Serve.handler eng)
-      ~collect:Serve.publish_pool_metrics ()
+      ~collect:(fun () -> Serve.publish_pool_metrics eng) ()
   in
   Fun.protect ~finally:(fun () -> Obs.Expo.stop server) @@ fun () ->
   let port = Obs.Expo.port server in

@@ -326,7 +326,7 @@ let test_concurrent_clients_correct_results () =
   @@ fun () ->
   let server =
     Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine)
-      ~collect:Serve.publish_pool_metrics ()
+      ~collect:(fun () -> Serve.publish_pool_metrics engine) ()
   in
   let port = Obs.Expo.port server in
   Fun.protect ~finally:(fun () -> Obs.Expo.stop server)
@@ -409,9 +409,9 @@ let test_ledger_two_domains () =
   List.iter (Alcotest.(check int) "Q14 fetches, as alone" alone_b) runs_b
 
 (* Sixteen concurrent clients on three workers over a small pool: the
-   query-log records, summed, equal the process-wide pool, join and
-   heat deltas around the run exactly, for every field a record
-   carries. No watchdog or compaction runs, so every block fetched in
+   query-log records, summed, equal the process-wide pool and join
+   deltas and the served repository's heat deltas around the run
+   exactly, for every field a record carries. No watchdog or compaction runs, so every block fetched in
    the run belongs to some query. *)
 let test_ledger_records_sum_to_globals () =
   with_fresh_telemetry @@ fun () ->
@@ -428,7 +428,8 @@ let test_ledger_records_sum_to_globals () =
   Storage.Buffer_pool.set_budget ~bytes:(16 * 1024);
   Obs.Query_log.set_path (Some log);
   let clients = 16 and per_client = 4 in
-  let pool0 = Storage.Buffer_pool.snapshot () and heat0 = Obs.Heat.snapshot () in
+  let heat () = Obs.Heat.snapshot (Storage.Repository.heat_rows (Engine.repo engine)) in
+  let pool0 = Storage.Buffer_pool.snapshot () and heat0 = heat () in
   let join0 = Executor.join_stats () in
   let server =
     Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine) ()
@@ -442,7 +443,7 @@ let test_ledger_records_sum_to_globals () =
             ("POST", "/query", queries.((client + seq) mod Array.length queries)))
           ())
   in
-  let pool1 = Storage.Buffer_pool.snapshot () and heat1 = Obs.Heat.snapshot () in
+  let pool1 = Storage.Buffer_pool.snapshot () and heat1 = heat () in
   let join1 = Executor.join_stats () in
   List.iter
     (fun (o : Obs.Hammer.outcome) ->

@@ -133,26 +133,28 @@ let test_drift_semantics_and_ewma () =
   Obs.Watch.set_enabled true;
   Obs.Watch.configure ~window_seconds:10.0 ~windows:3 ~alpha:0.5 ();
   let t0 = 2000.0 in
+  (* no repository: recommendations join an empty heat reading *)
+  let heat = Obs.Heat.snapshot_json [] in
   (* no baseline: a tick computes no drift *)
   Obs.Watch.observe ~now:t0 ~predicates:[ obs "/a" "eq" ] ~containers:[ ("/a", 10) ] ();
-  let st = Obs.Watch.tick ~now:t0 () in
+  let st = Obs.Watch.tick ~now:t0 ~heat () in
   Alcotest.(check bool) "no baseline -> no drift" true (st.Obs.Watch.w_drift = None);
   (* identical baseline: drift 0 *)
   Obs.Watch.set_baseline (Some (fp_of [ obs "/a" "eq" ]));
-  let st = Obs.Watch.tick ~now:t0 () in
+  let st = Obs.Watch.tick ~now:t0 ~heat () in
   (match st.Obs.Watch.w_drift with
   | Some d -> Alcotest.(check (float 1e-9)) "identical mix drifts 0" 0.0 d
   | None -> Alcotest.fail "drift expected with baseline + observations");
   (* disjoint baseline: drift 1; EWMA moves halfway (alpha 0.5) *)
   Obs.Watch.set_baseline (Some (fp_of [ obs "/z" "wild" ]));
-  let st = Obs.Watch.tick ~now:t0 () in
+  let st = Obs.Watch.tick ~now:t0 ~heat () in
   (match (st.Obs.Watch.w_drift, st.Obs.Watch.w_drift_ewma) with
   | Some d, Some e ->
     Alcotest.(check (float 1e-9)) "disjoint mix drifts 1" 1.0 d;
     Alcotest.(check (float 1e-9)) "ewma smooths the step" 0.5 e
   | _ -> Alcotest.fail "drift and ewma expected");
   (* empty window: drift None, EWMA untouched *)
-  let st = Obs.Watch.tick ~now:(t0 +. 100.0) () in
+  let st = Obs.Watch.tick ~now:(t0 +. 100.0) ~heat () in
   Alcotest.(check bool) "empty window -> no drift" true (st.Obs.Watch.w_drift = None);
   (match st.Obs.Watch.w_drift_ewma with
   | Some e -> Alcotest.(check (float 1e-9)) "empty window leaves ewma" 0.5 e
@@ -271,7 +273,7 @@ let test_watch_tick_drift_alert () =
   Obs.Watch.set_baseline (Some (Engine.declared_fingerprint engine mix_a));
   List.iter (fun q -> ignore (logged engine q)) mix_a;
   let now = Unix.gettimeofday () in
-  let st, trs = Serve.watch_tick ~now () in
+  let st, trs = Serve.watch_tick ~now engine in
   (match st.Obs.Watch.w_drift with
   | Some d -> Alcotest.(check bool) (Printf.sprintf "declared mix drift %.3f low" d) true (d < 0.3)
   | None -> Alcotest.fail "drift expected");
@@ -283,7 +285,7 @@ let test_watch_tick_drift_alert () =
   List.iter (fun q -> ignore (logged engine q)) mix_b;
   let fired = ref [] in
   for i = 1 to 3 do
-    let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) () in
+    let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) engine in
     fired := !fired @ events trs
   done;
   Alcotest.(check (list (pair string string)))
@@ -308,7 +310,7 @@ let test_declared_mix_scores_no_drift () =
   let now = Unix.gettimeofday () in
   let fired = ref [] in
   for i = 1 to 3 do
-    let st, trs = Serve.watch_tick ~now:(now +. float_of_int i) () in
+    let st, trs = Serve.watch_tick ~now:(now +. float_of_int i) engine in
     (match st.Obs.Watch.w_drift with
     | Some d -> Alcotest.(check bool) (Printf.sprintf "tick %d drift %g is 0" i d) true (d <= 1e-12)
     | None -> Alcotest.fail "drift expected");
@@ -331,7 +333,7 @@ let test_http_surfaces () =
     | None -> Alcotest.failf "no response for %s" path
   in
   ignore (Serve.run_query engine "1+2");
-  ignore (Serve.watch_tick ());
+  ignore (Serve.watch_tick engine);
   let r = get "/watch" in
   Alcotest.(check int) "/watch status" 200 r.Obs.Expo.status;
   List.iter

@@ -21,11 +21,20 @@ let contains ~needle hay =
 (* Heat accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* a real pool uid keeps the tests off every other container's row *)
-let fresh_uid () = Storage.Buffer_pool.fresh_uid ()
+(* A heat row of its own, as a container owns one; a real pool uid
+   keeps a query's share of it apart from every container's. *)
+let fresh_row ~label ~blocks =
+  Obs.Ledger.row ~uid:(Storage.Buffer_pool.fresh_uid ()) ~label ~blocks
 
-let stat_of uid =
-  List.find_opt (fun (s : Obs.Heat.stat) -> s.Obs.Heat.uid = uid) (Obs.Heat.snapshot ())
+let stat_of row = List.hd (Obs.Heat.snapshot [ row ])
+
+let heat_rows eng = Storage.Repository.heat_rows (Engine.repo eng)
+
+(* The reading of [eng]'s repository for [uid], if it lists one. *)
+let repo_stat eng uid =
+  List.find_opt
+    (fun (s : Obs.Heat.stat) -> s.Obs.Heat.uid = uid)
+    (Obs.Heat.snapshot (heat_rows eng))
 
 let xmark_doc =
   "<site><people>\
@@ -39,17 +48,16 @@ let xmark_doc =
 let in_query f = Obs.Ledger.with_ledger (fun _ -> f ())
 
 let test_heat_touch_semantics () =
-  let uid = fresh_uid () and label = "heat:/site/a/#text" in
-  Obs.Heat.register ~uid ~label ~blocks:4;
+  let row = fresh_row ~label:"heat:/site/a/#text" ~blocks:4 in
   (* run 1: block 0 touched twice (collapses), then 1, 2 sequentially;
      run 2: back to block 0, re-touch collapses again *)
   in_query (fun () ->
-      List.iter (fun blk -> Obs.Ledger.note_fetch ~uid ~label ~blk) [ 0; 0; 1; 2; 0; 0 ];
-      Obs.Ledger.note_decode ~uid ~label ~bytes:100;
-      Obs.Ledger.note_skip ~uid ~label ~blocks:2 ~bytes:555;
+      List.iter (fun blk -> Obs.Ledger.note_fetch row ~blk) [ 0; 0; 1; 2; 0; 0 ];
+      Obs.Ledger.note_decode row ~bytes:100;
+      Obs.Ledger.note_skip row ~blocks:2 ~bytes:555;
       Alcotest.(check int) "nothing shows before the ledger closes" 0
-        (Option.get (stat_of uid)).Obs.Heat.touches);
-  let s = Option.get (stat_of uid) in
+        (stat_of row).Obs.Heat.touches);
+  let s = stat_of row in
   Alcotest.(check string) "label" "heat:/site/a/#text" s.Obs.Heat.label;
   Alcotest.(check int) "blocks" 4 s.Obs.Heat.blocks;
   Alcotest.(check int) "touches collapse same-block repeats" 4 s.Obs.Heat.touches;
@@ -63,58 +71,53 @@ let test_heat_touch_semantics () =
   Alcotest.(check (list (pair int int)))
     "hot blocks order by touches then index"
     [ (0, 2); (1, 1) ]
-    (Obs.Heat.hot_blocks ~uid ~top:2);
+    (Obs.Heat.hot_blocks row ~top:2);
   (* runs are per query: the next query's first touch starts a run even
      where it continues the previous query's last block *)
-  in_query (fun () -> List.iter (fun blk -> Obs.Ledger.note_fetch ~uid ~label ~blk) [ 1; 2 ]);
-  let s = Option.get (stat_of uid) in
+  in_query (fun () -> List.iter (fun blk -> Obs.Ledger.note_fetch row ~blk) [ 1; 2 ]);
+  let s = stat_of row in
   Alcotest.(check int) "touches add up over queries" 6 s.Obs.Heat.touches;
   Alcotest.(check int) "a query's first touch starts a run" 3 s.Obs.Heat.runs;
   Alcotest.(check int) "sequential continuations add up" 3 s.Obs.Heat.seq_touches;
   Alcotest.(check (list (pair int int)))
     "hot blocks add up over queries"
     [ (0, 2); (1, 2); (2, 2) ]
-    (Obs.Heat.hot_blocks ~uid ~top:4);
-  (* re-registration updates metadata but keeps the counters *)
-  Obs.Heat.register ~uid ~label:"heat:/site/a/#text-v2" ~blocks:8;
-  let s = Option.get (stat_of uid) in
-  Alcotest.(check string) "label updated" "heat:/site/a/#text-v2" s.Obs.Heat.label;
-  Alcotest.(check int) "blocks updated" 8 s.Obs.Heat.blocks;
-  Alcotest.(check int) "touches preserved" 6 s.Obs.Heat.touches
+    (Obs.Heat.hot_blocks row ~top:4);
+  (* resetting another row leaves this one's counters *)
+  Obs.Heat.reset [ fresh_row ~label:"heat:/site/b/#text" ~blocks:1 ];
+  Alcotest.(check int) "touches preserved" 6 (stat_of row).Obs.Heat.touches
 
 let test_heat_reset_and_switch () =
-  let uid = fresh_uid () and label = "heat:/reset" in
-  Obs.Heat.register ~uid ~label ~blocks:2;
+  let row = fresh_row ~label:"heat:/reset" ~blocks:2 in
   in_query (fun () ->
-      List.iter (fun blk -> Obs.Ledger.note_fetch ~uid ~label ~blk) [ 0; 1 ];
-      Obs.Ledger.note_decode ~uid ~label ~bytes:10);
-  Obs.Heat.reset ();
-  let s = Option.get (stat_of uid) in
-  Alcotest.(check string) "registration survives reset" "heat:/reset" s.Obs.Heat.label;
+      List.iter (fun blk -> Obs.Ledger.note_fetch row ~blk) [ 0; 1 ];
+      Obs.Ledger.note_decode row ~bytes:10);
+  Obs.Heat.reset [ row ];
+  let s = stat_of row in
+  Alcotest.(check string) "the row keeps its label" "heat:/reset" s.Obs.Heat.label;
   Alcotest.(check int) "touches zeroed" 0 s.Obs.Heat.touches;
   Alcotest.(check int) "decodes zeroed" 0 s.Obs.Heat.decodes;
   Alcotest.(check int) "runs zeroed" 0 s.Obs.Heat.runs;
-  Alcotest.(check (list (pair int int))) "hot blocks zeroed" [] (Obs.Heat.hot_blocks ~uid ~top:4);
+  Alcotest.(check (list (pair int int))) "hot blocks zeroed" [] (Obs.Heat.hot_blocks row ~top:4);
   (* the switch gates every per-container charge; the pool's own
      fields still count *)
-  Obs.Heat.set_enabled false;
-  Fun.protect ~finally:(fun () -> Obs.Heat.set_enabled true) @@ fun () ->
-  let ghost = fresh_uid () in
-  Obs.Heat.register ~uid:ghost ~label:"heat:/ghost" ~blocks:1;
+  Obs.Ledger.set_containers_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.Ledger.set_containers_enabled true) @@ fun () ->
+  let ghost = fresh_row ~label:"heat:/ghost" ~blocks:1 in
   let rows, payload =
     Obs.Ledger.with_ledger (fun l ->
-        Obs.Ledger.note_fetch ~uid:ghost ~label:"heat:/ghost" ~blk:0;
-        Obs.Ledger.note_decode ~uid:ghost ~label:"heat:/ghost" ~bytes:1;
+        Obs.Ledger.note_fetch ghost ~blk:0;
+        Obs.Ledger.note_decode ghost ~bytes:1;
         (Obs.Ledger.containers l, l.Obs.Ledger.payload_decoded))
   in
   Alcotest.(check int) "disabled ledger has no container rows" 0 (List.length rows);
   Alcotest.(check int) "disabled ledger still counts payload" 1 payload;
-  let s = Option.get (stat_of ghost) in
+  let s = stat_of ghost in
   Alcotest.(check int) "disabled records no touch" 0 s.Obs.Heat.touches;
   Alcotest.(check int) "disabled records no decode" 0 s.Obs.Heat.decodes
 
-(* A read made outside any query (no ledger open) is counted in the
-   process totals directly: the pool's and the container's heat row. *)
+(* A read made outside any query (no ledger open) is counted directly:
+   in the pool's process totals and in the container's heat row. *)
 let test_unledgered_read_lands_in_totals () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let repo = Engine.repo eng in
@@ -122,10 +125,10 @@ let test_unledgered_read_lands_in_totals () =
   Alcotest.(check bool) "no ledger is open" true (Obs.Ledger.current () = None);
   Storage.Buffer_pool.clear ();
   let p0 = Storage.Buffer_pool.snapshot () in
-  let h0 = Option.get (stat_of c.Storage.Container.uid) in
+  let h0 = stat_of c.Storage.Container.heat in
   ignore (Storage.Container.get c 0);
   let p1 = Storage.Buffer_pool.snapshot () in
-  let h1 = Option.get (stat_of c.Storage.Container.uid) in
+  let h1 = stat_of c.Storage.Container.heat in
   let open Storage.Buffer_pool in
   Alcotest.(check int) "one pool miss" 1 (p1.s_misses - p0.s_misses);
   Alcotest.(check int) "no pool hit" 0 (p1.s_hits - p0.s_hits);
@@ -171,27 +174,66 @@ let test_split_calls_count_as_one () =
   Alcotest.(check bool) "the query reads blocks" true (List.nth one 1 > 0);
   Alcotest.(check (list int)) "same pool deltas" one split
 
-(* Replacing a container drops the old uid's heat row, also after the
-   old container was read, and the new uid gets a row of its own. *)
+(* Replacing a container drops the old uid's row from the repository's
+   heat reading, also after the old container was read, and the new uid
+   gets a row of its own. *)
 let test_replace_container_drops_heat_row () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
   let repo = Engine.repo eng in
   let old = repo.Storage.Repository.containers.(0) in
+  let uid = old.Storage.Container.uid in
   ignore (Storage.Container.scan old);
-  Alcotest.(check bool) "old uid has a row" true (stat_of old.Storage.Container.uid <> None);
+  Alcotest.(check bool) "old uid has a row" true (repo_stat eng uid <> None);
   let fresh = Storage.Container.reblocked old ~block_size:(2 * old.Storage.Container.block_size) in
   ignore (Storage.Repository.replace_container repo fresh);
-  Alcotest.(check bool) "old uid's row dropped" true (stat_of old.Storage.Container.uid = None);
+  Alcotest.(check bool) "old uid's row dropped" true (repo_stat eng uid = None);
   ignore (Storage.Container.scan old);
-  Alcotest.(check bool) "a straggler read does not bring it back" true
-    (stat_of old.Storage.Container.uid = None);
-  Alcotest.(check bool) "new uid has a row" true (stat_of fresh.Storage.Container.uid <> None)
+  Alcotest.(check bool) "a straggler read does not bring it back" true (repo_stat eng uid = None);
+  Alcotest.(check bool) "new uid has a row" true
+    (repo_stat eng fresh.Storage.Container.uid <> None)
+
+(* Each restored repository's heat reading lists its own containers and
+   nothing else: restoring one image three times in one process reads
+   one row per container every time, not the rows of every repository
+   restored before it. *)
+let test_restored_repositories_read_own_rows () =
+  let image =
+    Engine.save (Engine.load ~name:"auction.xml" (Xmark.Xmlgen.generate ~seed:42 ~scale:0.1 ()))
+  in
+  List.iter
+    (fun i ->
+      let eng = Engine.restore image in
+      let containers = Array.length (Engine.repo eng).Storage.Repository.containers in
+      Alcotest.(check int) "an XMark 0.1 image holds 149 containers" 149 containers;
+      Alcotest.(check int)
+        (Printf.sprintf "restore %d reads one row per container" i)
+        containers
+        (List.length (Obs.Heat.snapshot (heat_rows eng))))
+    [ 1; 2; 3 ]
+
+(* Two repositories in one process keep their heat apart: a query on the
+   first leaves the second's reading as it was, and each reading lists
+   only its own containers' uids. *)
+let test_two_repositories_keep_heat_apart () =
+  let a = Engine.load ~name:"xmark.xml" xmark_doc and b = Engine.load ~name:"xmark.xml" xmark_doc in
+  let reading eng = Obs.Heat.snapshot (heat_rows eng) in
+  let own_uids eng =
+    Array.to_list (Array.map (fun c -> c.Storage.Container.uid) (Engine.repo eng).containers)
+    |> List.sort compare
+  in
+  let read_uids eng = List.sort compare (List.map (fun (s : Obs.Heat.stat) -> s.uid) (reading eng)) in
+  let b0 = reading b in
+  ignore (logged a "document(\"xmark.xml\")/site/people/person[@id = \"person1\"]/name");
+  Alcotest.(check bool) "the query touched the first" true
+    (List.exists (fun (s : Obs.Heat.stat) -> s.touches > 0) (reading a));
+  Alcotest.(check bool) "the second's reading is unchanged" true (reading b = b0);
+  Alcotest.(check (list int)) "the first lists its own uids" (own_uids a) (read_uids a);
+  Alcotest.(check (list int)) "the second lists its own uids" (own_uids b) (read_uids b)
 
 let test_heat_snapshot_json () =
-  let uid = fresh_uid () in
-  Obs.Heat.register ~uid ~label:"heat:/json" ~blocks:1;
-  in_query (fun () -> Obs.Ledger.note_fetch ~uid ~label:"heat:/json" ~blk:0);
-  let j = Obs.Heat.snapshot_json () in
+  let row = fresh_row ~label:"heat:/json" ~blocks:1 in
+  in_query (fun () -> Obs.Ledger.note_fetch row ~blk:0);
+  let j = Obs.Heat.snapshot_json [ row ] in
   Alcotest.(check (option bool)) "enabled flag" (Some true)
     (match Obs.Json.member "enabled" j with Some (Obs.Json.Bool b) -> Some b | _ -> None);
   let containers = Option.get (Option.bind (Obs.Json.member "containers" j) Obs.Json.to_list) in
@@ -206,7 +248,7 @@ let test_heat_snapshot_json () =
     [ "uid"; "blocks"; "touches"; "decodes"; "hits"; "header_skips"; "bytes_decoded";
       "bytes_skipped"; "seq_touches"; "runs"; "hot_blocks" ];
   (* top_blocks:0 drops the per-block lists *)
-  let j0 = Obs.Heat.snapshot_json ~top_blocks:0 () in
+  let j0 = Obs.Heat.snapshot_json ~top_blocks:0 [ row ] in
   let containers0 = Option.get (Option.bind (Obs.Json.member "containers" j0) Obs.Json.to_list) in
   List.iter
     (fun c ->
@@ -500,7 +542,7 @@ let sum_by_container records field =
 
 let test_query_log_heat_reconcile () =
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
-  Obs.Heat.reset ();
+  Obs.Heat.reset (heat_rows eng);
   let records =
     with_query_log @@ fun file ->
     List.iter
@@ -513,7 +555,7 @@ let test_query_log_heat_reconcile () =
     read_records file
   in
   Alcotest.(check int) "one record per query" 3 (List.length records);
-  (* the per-query heat deltas must sum back to the live heat table *)
+  (* the per-query heat deltas must sum back to the repository's heat *)
   let logged = sum_by_container records "decoded_bytes" in
   let live = Hashtbl.create 8 in
   List.iter
@@ -522,7 +564,7 @@ let test_query_log_heat_reconcile () =
         Hashtbl.replace live s.Obs.Heat.label
           (s.Obs.Heat.bytes_decoded
           + Option.value ~default:0 (Hashtbl.find_opt live s.Obs.Heat.label)))
-    (Obs.Heat.snapshot ());
+    (Obs.Heat.snapshot (heat_rows eng));
   Alcotest.(check bool) "queries decoded at least one container" true (Hashtbl.length live > 0);
   Hashtbl.iter
     (fun label bytes ->
@@ -623,6 +665,10 @@ let suites =
         Alcotest.test_case "split calls count as one" `Quick test_split_calls_count_as_one;
         Alcotest.test_case "replace_container drops heat row" `Quick
           test_replace_container_drops_heat_row;
+        Alcotest.test_case "restored repositories read their own rows" `Quick
+          test_restored_repositories_read_own_rows;
+        Alcotest.test_case "two repositories keep heat apart" `Quick
+          test_two_repositories_keep_heat_apart;
       ] );
     ( "workload-profile",
       [
