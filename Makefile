@@ -31,7 +31,10 @@ build:
 # Along the way the image is compressed a second time under
 # OCAMLRUNPARAM=R (randomized hash tables) and must be byte-identical,
 # as must a workload-tuned pair (the partitioner's search and re-encode
-# under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R),
+# under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R)
+# and a re-blocked pair (the same with --adaptive-blocks, which runs the
+# declared queries at compress time and sizes blocks from what they
+# observed),
 # a workload file with a malformed query must make compress exit 2
 # naming that query, a truncated query must exit 2 with a positioned
 # syntax error, an unbound variable must exit 2 as an evaluation
@@ -59,6 +62,11 @@ check:
 	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq \
 	  -o $(GATE_DIR)/auction-tuned-randomized.xqc > /dev/null
 	cmp $(GATE_DIR)/auction-tuned.xqc $(GATE_DIR)/auction-tuned-randomized.xqc
+	$(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq --adaptive-blocks \
+	  -o $(GATE_DIR)/auction-adaptive.xqc > /dev/null
+	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq \
+	  --adaptive-blocks -o $(GATE_DIR)/auction-adaptive-randomized.xqc > /dev/null
+	cmp $(GATE_DIR)/auction-adaptive.xqc $(GATE_DIR)/auction-adaptive-randomized.xqc
 	printf 'for $$p in document("auction.xml")/site/people/person where $$p/@id = return $$p\n' \
 	  > $(GATE_DIR)/bad-workload.xq
 	$(XQUEC) compress $(GATE_DIR)/auction.xml -w $(GATE_DIR)/bad-workload.xq \

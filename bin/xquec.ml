@@ -221,9 +221,11 @@ let compress_cmd =
       value & flag
       & info [ "adaptive-blocks" ]
           ~doc:"Per-container block sizing from the declared workload (requires \
-                $(b,--workload)): containers dominated by wildcard scans get larger \
-                blocks, containers dominated by equality point lookups get smaller \
-                ones. Without this flag every container keeps the global block size.")
+                $(b,--workload)): its queries run once on the built repository, and \
+                the block-size advice of what they observed (the rule $(b,xquec \
+                profile) reports and $(b,xquec serve) compacts by) re-blocks the \
+                containers it names. Without this flag every container keeps the \
+                global block size.")
   in
   let blocks_from =
     Arg.(
@@ -241,29 +243,29 @@ let compress_cmd =
     let workload_queries = read_workload workload in
     let engine = Xquec_core.Engine.load ~name ?workload:workload_queries xml in
     let repo = Xquec_core.Engine.repo engine in
+    let reblock what targets =
+      List.iter
+        (fun (r : Storage.Compactor.result) ->
+          Fmt.pr "%s blocks: %s %d -> %d (%d -> %d blocks)@." what
+            r.Storage.Compactor.c_path r.Storage.Compactor.c_block_size_before
+            r.Storage.Compactor.c_block_size_after r.Storage.Compactor.c_blocks_before
+            r.Storage.Compactor.c_blocks_after)
+        (Storage.Compactor.compact repo ~targets)
+    in
     (if adaptive_blocks then
        match workload_queries with
        | None ->
          Fmt.epr "xquec compress: --adaptive-blocks needs --workload; ignoring@."
        | Some queries ->
-         let wl = Xquec_core.Workload.of_query_strings repo queries in
-         List.iter
-           (fun (path, before, after) ->
-             Fmt.pr "adaptive blocks: %s %d -> %d@." path before after)
-           (Xquec_core.Partitioner.size_blocks repo wl));
+         reblock "adaptive"
+           (Xquec_core.Engine.block_targets engine
+              (Xquec_core.Engine.declared_fingerprint engine queries)));
     (match blocks_from with
     | None -> ()
     | Some file ->
       let report = Xquec_obs.Json.parse (strip_bom (read_file file)) in
-      let recs = Xquec_obs.Profile.recommendations_of_report report in
-      let targets = Storage.Compactor.plan repo recs in
-      List.iter
-        (fun (r : Storage.Compactor.result) ->
-          Fmt.pr "profile blocks: %s %d -> %d (%d -> %d blocks)@."
-            r.Storage.Compactor.c_path r.Storage.Compactor.c_block_size_before
-            r.Storage.Compactor.c_block_size_after r.Storage.Compactor.c_blocks_before
-            r.Storage.Compactor.c_blocks_after)
-        (Storage.Compactor.compact repo ~targets));
+      reblock "profile"
+        (Storage.Compactor.plan repo (Xquec_obs.Profile.recommendations_of_report report)));
     let out = Option.value ~default:(input ^ ".xqc") output in
     write_file out (Xquec_core.Engine.save engine);
     let sz = Xquec_core.Engine.size_breakdown engine in
@@ -670,7 +672,9 @@ let profile_cmd =
         baseline
     in
     let heat =
-      Option.map (fun file -> Xquec_obs.Json.parse (strip_bom (read_file file))) heat
+      Option.map
+        (fun file -> Xquec_obs.Heat.of_json (Xquec_obs.Json.parse (strip_bom (read_file file))))
+        heat
     in
     if json then
       print_endline (Xquec_obs.Json.to_string (Xquec_obs.Profile.report_json ?baseline ?heat fp))

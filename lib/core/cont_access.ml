@@ -43,7 +43,10 @@ let codes_replace_values ?(const : atom option) cls (conts : Container.t list) :
       let numeric = Option.is_some (Lazy.force k.a_num) in
       match c0.Container.model with Compress.Codec.M_numeric _ -> numeric | _ -> not numeric)
 
-let cmp_class (op : Ast.cmp_op) = match op with Ast.Eq -> `Eq | _ -> `Ineq
+(* A codec that decides [=] on codes decides its negation too. *)
+let cmp_class : Ast.cmp_op -> [> `Eq | `Ineq ] = function
+  | Ast.Eq | Ast.Neq -> `Eq
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> `Ineq
 
 let compare_atoms a b : int =
   match a.a_item, b.a_item with

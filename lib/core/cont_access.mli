@@ -30,6 +30,12 @@ val atomize : ctx -> item -> atom
     numerically with each value that parses as one). *)
 val codes_replace_values : ?const:atom -> [ `Eq | `Ineq | `Wild ] -> Container.t list -> bool
 
+(** The class a comparison operator needs of a codec: [=] and [!=]
+    need [`Eq] (a codec that decides [=] on codes decides its
+    negation), the orderings [`Ineq]. The workload analysis files its
+    predicates by the same rule. *)
+val cmp_class : Xquery.Ast.cmp_op -> [> `Eq | `Ineq ]
+
 (** The value order: as numbers when both sides parse as numbers,
     otherwise as strings (the rule of [Galax_like.compare_atoms]); on
     codes only where [codes_replace_values] allows it. *)

@@ -104,7 +104,7 @@ let log_record (r : request) ~outcome ~wall_ms ~(c0 : clock) ~(c1 : clock)
   in
   let predicates =
     List.map
-      (fun (o : Xquec_obs.Profile.obs) ->
+      (fun (o : Xquec_obs.Ledger.obs) ->
         Json.Obj
           [
             ("container", Json.Str o.ob_container);
@@ -217,6 +217,10 @@ let declared_fingerprint (t : t) (texts : string list) : Xquec_obs.Profile.finge
         ~containers:(touches ledger))
     texts;
   Xquec_obs.Profile.agg_fingerprint g
+
+let block_targets (t : t) (fp : Xquec_obs.Profile.fingerprint) : (int * int) list =
+  let heat = Xquec_obs.Heat.snapshot (Repository.heat_rows t.repo) in
+  Compactor.plan t.repo (Xquec_obs.Profile.actionable (Xquec_obs.Profile.recommend ~heat fp))
 
 let compression_factor (t : t) = Repository.compression_factor t.repo
 

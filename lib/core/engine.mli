@@ -82,6 +82,14 @@ val query_serialized : t -> string -> string
     [Xquery.Parser.Syntax_error] on a malformed query. *)
 val declared_fingerprint : t -> string list -> Xquec_obs.Profile.fingerprint
 
+(** The one block-size rule: {!Xquec_obs.Profile.recommend} advice
+    from [fp] joined with the repository's heat rows, planned into
+    [(container id, block size)] targets by {!Storage.Compactor.plan}.
+    [xquec compress --adaptive-blocks] feeds it the
+    {!declared_fingerprint} and serve's auto-compaction the watchdog's
+    live fingerprint; either hands the targets to the compactor. *)
+val block_targets : t -> Xquec_obs.Profile.fingerprint -> (int * int) list
+
 (** Original document bytes / compressed repository bytes. *)
 val compression_factor : t -> float
 

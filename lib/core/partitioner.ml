@@ -203,53 +203,6 @@ let apply (repo : Repository.t) (config : Cost_model.configuration) : unit =
       Structure_tree.remap_values repo.Repository.tree (Hashtbl.find_opt remaps))
     config.Cost_model.sets
 
-(* Tally how the declared workload touches each container: wildcard
-   predicates imply scans, eq implies selective point access, ineq sits
-   in between. The dominant class picks the access pattern fed to
-   {!Container.pick_block_size}. *)
-let access_pattern_of (workload : Workload.t) (id : int) : Container.access_pattern =
-  let eq = ref 0 and ineq = ref 0 and wild = ref 0 in
-  List.iter
-    (fun (p : Workload.predicate) ->
-      if List.mem id p.Workload.left || List.mem id p.Workload.right then begin
-        match p.Workload.cls with
-        | `Eq -> incr eq
-        | `Ineq -> incr ineq
-        | `Wild -> incr wild
-      end)
-    workload.Workload.predicates;
-  let total = !eq + !ineq + !wild in
-  if total = 0 then Container.Mixed
-  else if !wild * 2 > total then Container.Seq_heavy
-  else if !eq * 2 > total then Container.Random_selective
-  else Container.Mixed
-
-(** Build-time per-container block sizing: for every container the
-    declared workload touches, pick a block size from its value width
-    and dominant access pattern ({!Container.pick_block_size}) and,
-    when the choice differs from the current size, swap in a
-    {!Container.reblocked} copy at that size. Record order is
-    untouched, so no pointer remapping is needed. Returns [(path, old size, new size)] for each re-blocked
-    container. Invoked by [xquec compress --adaptive-blocks] after
-    {!optimize}. *)
-let size_blocks (repo : Repository.t) (workload : Workload.t) :
-    (string * int * int) list =
-  Xquec_obs.Trace.with_span ~name:"partitioner.size_blocks" @@ fun () ->
-  List.filter_map
-    (fun id ->
-      let c = repo.Repository.containers.(id) in
-      let size =
-        Container.pick_block_size ~plain_bytes:c.Container.plain_bytes
-          ~n_records:c.Container.n_records
-          ~access:(access_pattern_of workload id)
-      in
-      if size = c.Container.block_size || c.Container.n_records = 0 then None
-      else begin
-        ignore (Repository.replace_container repo (Container.reblocked c ~block_size:size));
-        Some (c.Container.path, c.Container.block_size, size)
-      end)
-    (Workload.queried_containers workload)
-
 (** Convenience: analyze, search and apply in one call. *)
 let optimize ?seed ?weights (repo : Repository.t) (queries : Xquery.Ast.expr list) : result =
   Xquec_obs.Trace.with_span ~name:"partitioner.optimize"

@@ -1,6 +1,8 @@
 (** Greedy configuration search (§3.3): starting from all-bzip
     singletons, per workload predicate propose re-algorithm / extract /
-    merge moves and keep the cheapest. *)
+    merge moves and keep the cheapest. It chooses algorithms and shared
+    models only; block sizes are chosen from observations
+    ([Engine.block_targets]), never from the predicted predicates. *)
 
 open Storage
 
@@ -34,19 +36,6 @@ val search : ?seed:int -> ?weights:Cost_model.weights -> Repository.t -> Workloa
     set's algorithm cannot encode its values ({!search} never returns
     such a set: it costs infinity). *)
 val apply : Repository.t -> Cost_model.configuration -> unit
-
-(** Build-time per-container block sizing: for every container the
-    declared workload touches, derive its dominant access pattern from
-    the predicate classes (wildcard-dominated → {!Container.Seq_heavy},
-    eq-dominated → {!Container.Random_selective}, else
-    {!Container.Mixed}), pick a size via {!Container.pick_block_size}
-    and swap in a {!Container.reblocked} copy through
-    {!Repository.replace_container} when it differs from the current
-    size. Record order is untouched — no pointer remapping. Returns
-    [(path, old size, new size)] per re-blocked container. Opt-in from
-    the CLI ([xquec compress --adaptive-blocks]); not part of
-    {!optimize}, so default builds keep the global block size. *)
-val size_blocks : Storage.Repository.t -> Workload.t -> (string * int * int) list
 
 (** Analyze, search and apply in one call. *)
 val optimize :

@@ -268,16 +268,15 @@ let watch_signals (st : Watch.status) : (string * float) list =
   @ if d_bp_look > 0 then [ ("buffer_pool_hit_rate", ratio d_bp_hits d_bp_look) ] else []
 
 (* The served repository's heat reading. *)
-let heat_json ?top_blocks (engine : Engine.t) =
-  Heat.snapshot_json ?top_blocks (Storage.Repository.heat_rows (Engine.repo engine))
+let heat (engine : Engine.t) = Heat.snapshot (Storage.Repository.heat_rows (Engine.repo engine))
 
 (* --- drift-triggered auto-compaction --------------------------------- *)
 
 (* When auto-compaction is on, a [drift_sustained] firing closes the
-   loop: the live rolling fingerprint (joined with the served
-   repository's heat) is turned into block-size advice by
-   [Profile.recommend], the advice into concrete (id, size) targets by
-   [Compactor.plan], and the targets handed to [Compactor.request],
+   loop: [Engine.block_targets] turns the live rolling fingerprint
+   (joined with the served repository's heat) into concrete (id, size)
+   targets, the rule [xquec compress --adaptive-blocks] applies to the
+   declared workload, and the targets go to [Compactor.request],
    which runs the pass on the watchdog domain — queries keep flowing
    through the copy-on-write swap. [--no-auto-compact] simply never
    turns it on. *)
@@ -292,22 +291,13 @@ let maybe_auto_compact (engine : Engine.t) (transitions : Alert.transition list)
         t.Alert.t_rule = "drift_sustained" && t.Alert.t_event = "fired")
       transitions
   in
-  if !auto_compact && fired then begin
-    let repo = Engine.repo engine in
-    let advice =
-      Profile.recommend ~heat:(heat_json engine) (Watch.fingerprint ())
-      |> List.filter_map (fun (r : Profile.recommendation) ->
-             if r.Profile.r_action = "keep" then None
-             else Some (r.Profile.r_container, r.Profile.r_factor))
-    in
-    match Storage.Compactor.plan repo advice with
-    | [] -> ()
-    | targets ->
-      if Storage.Compactor.request repo ~targets then Metrics.incr "serve.compactions_triggered"
-  end
+  if !auto_compact && fired then
+    let targets = Engine.block_targets engine (Watch.fingerprint ()) in
+    if Storage.Compactor.request (Engine.repo engine) ~targets then
+      Metrics.incr "serve.compactions_triggered"
 
 let watch_tick ?now (engine : Engine.t) : Watch.status * Alert.transition list =
-  let st = Watch.tick ?now ~heat:(heat_json ~top_blocks:0 engine) () in
+  let st = Watch.tick ?now ~heat:(heat engine) () in
   let transitions = Alert.evaluate ?now (watch_signals st) in
   maybe_auto_compact engine transitions;
   publish_window_metrics ();
@@ -472,11 +462,12 @@ let handler (engine : Engine.t) : Expo.handler =
   | "GET", "/heat" ->
     Some
       (Expo.respond 200 "application/json; charset=utf-8"
-         (Json.to_string (heat_json engine)))
+         (Json.to_string
+            (Heat.snapshot_json (Storage.Repository.heat_rows (Engine.repo engine)))))
   | "GET", "/watch" ->
     Some
       (Expo.respond 200 "application/json; charset=utf-8"
-         (Json.to_string (Watch.snapshot_json ~heat:(heat_json ~top_blocks:0 engine) ()) ^ "\n"))
+         (Json.to_string (Watch.snapshot_json ~heat:(heat engine) ()) ^ "\n"))
   | "GET", "/compact" ->
     Some
       (Expo.respond 200 "application/json; charset=utf-8"

@@ -87,9 +87,9 @@ val publish_pool_metrics : Engine.t -> unit
 (** Turn drift-triggered auto-compaction of the served repository on
     or off (off by default and under [--no-auto-compact]). When on, a
     [drift_sustained] "fired" transition inside {!watch_tick} turns
-    the live fingerprint + the repository's heat into
-    {!Xquec_obs.Profile.recommend} advice, plans concrete targets via
-    {!Storage.Compactor.plan} and runs {!Storage.Compactor.request} on
+    the live fingerprint + the repository's heat into targets with
+    {!Engine.block_targets} (the rule [xquec compress
+    --adaptive-blocks] applies) and runs {!Storage.Compactor.request} on
     the calling (watchdog) domain, bumping
     ["serve.compactions_triggered"] when a pass actually runs. *)
 val set_auto_compact : bool -> unit

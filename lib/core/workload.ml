@@ -14,13 +14,6 @@ type predicate = { cls : pred_class; left : int list; right : int list }
 
 type t = { predicates : predicate list; container_count : int }
 
-(* [!=] counts as an equality here (a codec that decides [=] on codes
-   decides [!=] too), where the executor's [Cont_access.cmp_class] files
-   it under [`Ineq]; tuned images depend on this choice. *)
-let class_of_op : Ast.cmp_op -> pred_class = function
-  | Ast.Eq | Ast.Neq -> `Eq
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> `Ineq
-
 (* Static resolution environment: variable -> summary nodes. *)
 type senv = (string * Summary.node list) list
 
@@ -67,7 +60,7 @@ let rec collect view (env : senv) (e : Ast.expr) (acc : predicate list ref) : un
     let ca = operand env a and cb = operand env b in
     (match ca, cb with
     | [], [] -> ()
-    | l, r -> acc := { cls = class_of_op op; left = l; right = r } :: !acc);
+    | l, r -> acc := { cls = Cont_access.cmp_class op; left = l; right = r } :: !acc);
     collect view env a acc;
     collect view env b acc
   | Ast.Contains (a, b) | Ast.Starts_with (a, b) ->
@@ -143,9 +136,6 @@ let predicates_of (view : view) (queries : Ast.expr list) : predicate list =
 let analyze (repo : Repository.t) (queries : Ast.expr list) : t =
   { predicates = predicates_of (view_of repo) queries;
     container_count = Array.length repo.Repository.containers }
-
-let of_query_strings repo (texts : string list) : t =
-  analyze repo (List.map Xquery.Parser.parse texts)
 
 (** The E/I/D comparison matrices of §3.2: square matrices of size
     (|C|+1) x (|C|+1) counting, per predicate class (equality /

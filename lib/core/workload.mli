@@ -20,9 +20,6 @@ type t = { predicates : predicate list; container_count : int }
 (** Extract the predicates of a set of parsed queries. *)
 val analyze : Repository.t -> Xquery.Ast.expr list -> t
 
-(** {!analyze} after parsing each query string. *)
-val of_query_strings : Repository.t -> string list -> t
-
 (** The E/I/D comparison matrices of §3.2 ((|C|+1)², symmetric; the last
     row/column counts comparisons with constants). *)
 val matrices : t -> int array array * int array array * int array array

@@ -95,6 +95,30 @@ let snapshot_json ?(top_blocks = 8) rows =
       ("containers", Json.List (List.map container readings));
     ]
 
+let of_json j =
+  let int_field c name =
+    Option.fold ~none:0 ~some:int_of_float (Option.bind (Json.member name c) Json.to_float)
+  in
+  Option.value ~default:[] (Option.bind (Json.member "containers" j) Json.to_list)
+  |> List.filter_map (fun c ->
+         Option.map
+           (fun label ->
+             let f = int_field c in
+             {
+               uid = f "uid";
+               label;
+               blocks = f "blocks";
+               touches = f "touches";
+               decodes = f "decodes";
+               hits = f "hits";
+               header_skips = f "header_skips";
+               bytes_decoded = f "bytes_decoded";
+               bytes_skipped = f "bytes_skipped";
+               seq_touches = f "seq_touches";
+               runs = f "runs";
+             })
+           (Option.bind (Json.member "container" c) Json.to_str))
+
 let publish_metrics rows =
   let stats = snapshot rows in
   let sum f = List.fold_left (fun acc st -> acc + f st) 0 stats in

@@ -11,6 +11,11 @@
     query's ledger closes and sums exactly to the query-log records of
     the queries that closed in between.
 
+    In-process readers ({!Profile.recommend}, the watchdog's
+    {!Watch.tick} and [/watch], serve's auto-compaction) take typed
+    {!stat} readings. {!snapshot_json} is the [GET /heat] payload, and
+    {!of_json} reads it back only for [xquec profile --heat FILE].
+
     Overhead: a block fetch is one DLS load and, for a touch that does
     not repeat the previous block, a few plain writes to the query's
     own ledger; there is no atomic, lock or process-wide state on the
@@ -64,6 +69,14 @@ val hot_blocks : Ledger.container -> top:int -> (int * int) list
     [top_blocks] bounds the per-container hot-block list (default 8,
     [0] drops the lists). *)
 val snapshot_json : ?top_blocks:int -> Ledger.container list -> Json.t
+
+(** The readings of a {!snapshot_json} payload, in its order: the
+    inverse of {!snapshot_json} on every {!stat} field. A container
+    entry without a ["container"] label is dropped and a missing count
+    reads 0. [xquec profile --heat FILE] reads its file through this,
+    the one place heat JSON is parsed back; in-process callers pass
+    {!snapshot} readings instead. *)
+val of_json : Json.t -> stat list
 
 (** Fold the totals of [rows] into the {!Metrics} registry as
     [heat.containers], [heat.touches], [heat.decodes], [heat.hits],

@@ -11,6 +11,8 @@ type trip = { t_kind : string; t_limit : float; t_observed : float }
 
 exception Exceeded of trip
 
+type obs = { ob_container : string; ob_kind : string; ob_candidates : int; ob_matches : int }
+
 type container = {
   c_uid : int;
   c_label : string;
@@ -44,7 +46,7 @@ type t = {
   mutable last_uid : int;
   mutable last_blk : int;
   containers : (int, container * container) Hashtbl.t;
-  preds : (string * string, Profile.obs) Hashtbl.t;
+  preds : (string * string, obs) Hashtbl.t;
   mutable pred_order : (string * string) list;
 }
 
@@ -240,19 +242,10 @@ let note_pred ~container ~kind ~candidates ~matches =
     match Hashtbl.find_opt l.preds k with
     | Some o ->
       Hashtbl.replace l.preds k
-        {
-          o with
-          Profile.ob_candidates = o.Profile.ob_candidates + candidates;
-          ob_matches = o.Profile.ob_matches + matches;
-        }
+        { o with ob_candidates = o.ob_candidates + candidates; ob_matches = o.ob_matches + matches }
     | None ->
       Hashtbl.add l.preds k
-        {
-          Profile.ob_container = container;
-          ob_kind = kind;
-          ob_candidates = candidates;
-          ob_matches = matches;
-        };
+        { ob_container = container; ob_kind = kind; ob_candidates = candidates; ob_matches = matches };
       l.pred_order <- k :: l.pred_order)
 
 (* ---- readings ---- *)

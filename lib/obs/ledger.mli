@@ -42,6 +42,16 @@ type trip = { t_kind : string; t_limit : float; t_observed : float }
 (** Raised by {!note_fetch} when the open ledger has crossed a limit. *)
 exception Exceeded of trip
 
+(** One container-resolved predicate observation of a single query —
+    the vocabulary the query log records under ["predicates"] and the
+    workload fingerprints ({!Profile.agg_add}) aggregate. *)
+type obs = {
+  ob_container : string;  (** container path *)
+  ob_kind : string;  (** ["eq"], ["range"], ["wild"], ["exists"] or ["join"] *)
+  ob_candidates : int;  (** records the predicate considered *)
+  ob_matches : int;  (** records that matched *)
+}
+
 (** A container's counts: the lifetime row it owns, or one query's
     share of it. A touch is a block fetch with consecutive repeats of
     one block collapsed: the collapse state starts empty when the
@@ -90,7 +100,7 @@ type t = {
   mutable last_uid : int;  (** collapse state for touches *)
   mutable last_blk : int;
   containers : (int, container * container) Hashtbl.t;
-  preds : (string * string, Profile.obs) Hashtbl.t;
+  preds : (string * string, obs) Hashtbl.t;
   mutable pred_order : (string * string) list;  (** newest first *)
 }
 
@@ -156,7 +166,7 @@ val note_skip : container -> blocks:int -> bytes:int -> unit
     pushed-down value or textual filter, a tuple-at-a-time [where]
     comparison reading a container value, an existence test, or a
     compressed-domain join ([kind] and the counts as in
-    {!Profile.obs}). Merged by (container, kind): per-tuple notes sum
+    {!obs}). Merged by (container, kind): per-tuple notes sum
     into one entry. Only an open ledger records them; the totals keep
     none. *)
 val note_pred : container:string -> kind:string -> candidates:int -> matches:int -> unit
@@ -168,4 +178,4 @@ val note_pred : container:string -> kind:string -> candidates:int -> matches:int
 val containers : t -> container list
 
 (** The predicate observations, in first-observation order. *)
-val predicates : t -> Profile.obs list
+val predicates : t -> obs list

@@ -78,8 +78,6 @@ let empty_cstat container =
    an [agg], so the two can never drift apart — the parity test in
    test_watch.ml holds by construction. *)
 
-type obs = { ob_container : string; ob_kind : string; ob_candidates : int; ob_matches : int }
-
 type agg = {
   mutable g_records : int;
   mutable g_pred_events : int;
@@ -101,22 +99,23 @@ let upd_stat (g : agg) container f =
   in
   Hashtbl.replace g.g_stats container (f cur)
 
-let agg_add (g : agg) ~(predicates : obs list) ~(containers : (string * int) list) : unit =
+let agg_add (g : agg) ~(predicates : Ledger.obs list) ~(containers : (string * int) list) : unit =
   g.g_records <- g.g_records + 1;
   List.iter
     (fun o ->
       g.g_pred_events <- g.g_pred_events + 1;
-      bump_event g (o.ob_container, o.ob_kind) 1;
-      upd_stat g o.ob_container (fun c ->
+      let { Ledger.ob_container; ob_kind; ob_candidates; ob_matches } = o in
+      bump_event g (ob_container, ob_kind) 1;
+      upd_stat g ob_container (fun c ->
           {
             c with
-            c_eq = (c.c_eq + if o.ob_kind = "eq" then 1 else 0);
-            c_range = (c.c_range + if o.ob_kind = "range" then 1 else 0);
-            c_wild = (c.c_wild + if o.ob_kind = "wild" then 1 else 0);
-            c_exists = (c.c_exists + if o.ob_kind = "exists" then 1 else 0);
-            c_join = (c.c_join + if o.ob_kind = "join" then 1 else 0);
-            c_candidates = c.c_candidates + o.ob_candidates;
-            c_matches = c.c_matches + o.ob_matches;
+            c_eq = (c.c_eq + if ob_kind = "eq" then 1 else 0);
+            c_range = (c.c_range + if ob_kind = "range" then 1 else 0);
+            c_wild = (c.c_wild + if ob_kind = "wild" then 1 else 0);
+            c_exists = (c.c_exists + if ob_kind = "exists" then 1 else 0);
+            c_join = (c.c_join + if ob_kind = "join" then 1 else 0);
+            c_candidates = c.c_candidates + ob_candidates;
+            c_matches = c.c_matches + ob_matches;
           }))
     predicates;
   List.iter
@@ -171,7 +170,7 @@ let agg_fingerprint (g : agg) : fingerprint =
 (* Decompose one parsed query-log record into the aggregator's
    vocabulary: entries without a container field are dropped, exactly
    as the previous monolithic aggregation did. *)
-let record_observations (record : Json.t) : obs list * (string * int) list =
+let record_observations (record : Json.t) : Ledger.obs list * (string * int) list =
   let predicates =
     List.filter_map
       (fun p ->
@@ -180,7 +179,7 @@ let record_observations (record : Json.t) : obs list * (string * int) list =
         | Some container ->
           Some
             {
-              ob_container = container;
+              Ledger.ob_container = container;
               ob_kind = Option.value ~default:"eq" (str_field "kind" p);
               ob_candidates = Option.value ~default:0 (int_field "candidates" p);
               ob_matches = Option.value ~default:0 (int_field "matches" p);
@@ -223,27 +222,16 @@ let drift a b =
 
 type recommendation = { r_container : string; r_action : string; r_factor : float; r_reason : string }
 
-(* pull (seq_frac, header_skips, decodes) per container out of a
-   Heat.snapshot_json value *)
-let heat_access heat =
-  match Option.bind (Json.member "containers" heat) Json.to_list with
-  | None -> Smap.empty
-  | Some conts ->
+let recommend ?(heat = []) fp =
+  (* (sequential share, header skips, decodes) per container label *)
+  let access =
     List.fold_left
-      (fun m c ->
-        match str_field "container" c with
-        | None -> m
-        | Some path ->
-          let f name = Option.value ~default:0 (int_field name c) in
-          let seq = f "seq_touches" and runs = f "runs" in
-          let seq_frac =
-            if seq + runs > 0 then float_of_int seq /. float_of_int (seq + runs) else 0.0
-          in
-          Smap.add path (seq_frac, f "header_skips", f "decodes") m)
-      Smap.empty conts
-
-let recommend ?heat fp =
-  let access = match heat with Some h -> heat_access h | None -> Smap.empty in
+      (fun m (h : Heat.stat) ->
+        let touches = h.seq_touches + h.runs in
+        let seq_frac = if touches > 0 then float_of_int h.seq_touches /. float_of_int touches else 0.0 in
+        Smap.add h.label (seq_frac, h.header_skips, h.decodes) m)
+      Smap.empty heat
+  in
   List.map
     (fun c ->
       let pushed = c.c_eq + c.c_range + c.c_wild + c.c_exists + c.c_join in
@@ -272,22 +260,19 @@ let recommend ?heat fp =
       | None, _ -> keep "no pushed predicates observed; nothing to optimize against")
     fp.containers
 
-(* Parse the "recommendations" array of a report back into actionable
-   (path, factor) pairs — the consumer side of report_json, used by
-   `xquec compress --blocks-from` and `xquec compact --profile`. *)
+let actionable recs =
+  List.filter_map
+    (fun r -> if r.r_action = "keep" || not (r.r_factor > 0.0) then None else Some (r.r_container, r.r_factor))
+    recs
+
 let recommendations_of_report (report : Json.t) : (string * float) list =
-  match Option.bind (Json.member "recommendations" report) Json.to_list with
-  | None -> []
-  | Some recs ->
-    List.filter_map
-      (fun r ->
-        match (str_field "container" r, str_field "action" r) with
-        | Some path, Some action when action <> "keep" ->
-          (match Option.bind (Json.member "factor" r) Json.to_float with
-          | Some f when f > 0.0 -> Some (path, f)
-          | _ -> None)
-        | _ -> None)
-      recs
+  list_field "recommendations" report
+  |> List.filter_map (fun r ->
+         match (str_field "container" r, str_field "action" r, num_field "factor" r) with
+         | Some r_container, Some r_action, Some r_factor ->
+           Some { r_container; r_action; r_factor; r_reason = "" }
+         | _ -> None)
+  |> actionable
 
 (* ---- reports ---- *)
 
@@ -309,32 +294,30 @@ let cstat_json c =
       ("decoded_bytes", num c.c_decoded_bytes);
     ]
 
+let fingerprint_fields ?heat fp =
+  let weight ((container, kind), w) =
+    Json.Obj [ ("container", Json.Str container); ("kind", Json.Str kind); ("weight", Json.Num w) ]
+  in
+  let recommendation r =
+    Json.Obj
+      [
+        ("container", Json.Str r.r_container);
+        ("action", Json.Str r.r_action);
+        ("factor", Json.Num r.r_factor);
+        ("reason", Json.Str r.r_reason);
+      ]
+  in
+  [
+    ("weights", Json.List (List.map weight fp.weights));
+    ("containers", Json.List (List.map cstat_json fp.containers));
+    ("recommendations", Json.List (List.map recommendation (recommend ?heat fp)));
+  ]
+
 let report_json ?baseline ?heat fp =
-  let weights =
-    List.map
-      (fun ((container, kind), w) ->
-        Json.Obj [ ("container", Json.Str container); ("kind", Json.Str kind); ("weight", Json.Num w) ])
-      fp.weights
-  in
-  let recs =
-    List.map
-      (fun r ->
-        Json.Obj
-          [
-            ("container", Json.Str r.r_container);
-            ("action", Json.Str r.r_action);
-            ("factor", Json.Num r.r_factor);
-            ("reason", Json.Str r.r_reason);
-          ])
-      (recommend ?heat fp)
-  in
   Json.Obj
-    ([ ("records", num fp.records); ("weights", Json.List weights) ]
-    @ (match baseline with Some b -> [ ("drift", Json.Num (drift b fp)) ] | None -> [])
-    @ [
-        ("containers", Json.List (List.map cstat_json fp.containers));
-        ("recommendations", Json.List recs);
-      ])
+    ((("records", num fp.records)
+     :: (match baseline with Some b -> [ ("drift", Json.Num (drift b fp)) ] | None -> []))
+    @ fingerprint_fields ?heat fp)
 
 let render ?baseline ?heat fp =
   let b = Buffer.create 1024 in

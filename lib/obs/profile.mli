@@ -7,9 +7,11 @@
     fingerprint is observed: a query log, the watchdog's live window,
     or a declared workload run once ([Engine.declared_fingerprint]).
     Two of them compare with {!drift}, and {!recommend} turns a
-    fingerprint (optionally joined with a [Heat.snapshot_json]
-    snapshot) into per-container block-size advice: exactly the inputs
-    online re-partitioning and background compaction need.
+    fingerprint, optionally joined with typed {!Heat.stat} readings,
+    into per-container block-size advice. That advice, planned by
+    [Compactor.plan], is the one block-size rule: [xquec compress
+    --adaptive-blocks], [--blocks-from], [xquec compact --profile] and
+    serve's auto-compaction all size blocks through it.
 
     Predicate kinds are the strings ["eq"], ["range"], ["wild"],
     ["exists"] and ["join"] — the executor's observation vocabulary
@@ -58,16 +60,6 @@ val load_jsonl : string -> Json.t list
     watchdog both feed queries through an {!agg}, so the two ways of
     observing a workload cannot drift apart. *)
 
-(** One container-resolved predicate observation of a single query —
-    the same vocabulary the executor emits and the query log records
-    under ["predicates"]. *)
-type obs = {
-  ob_container : string;  (** container path *)
-  ob_kind : string;  (** ["eq"], ["range"], ["wild"], ["exists"] or ["join"] *)
-  ob_candidates : int;  (** records the predicate considered *)
-  ob_matches : int;  (** records that matched *)
-}
-
 (** A mutable fingerprint accumulator. Not thread-safe: callers that
     share one (the watchdog) serialize access themselves. *)
 type agg
@@ -78,7 +70,7 @@ val agg_create : unit -> agg
 (** Fold one query into the accumulator: its predicate observations
     plus the [(container path, decoded bytes)] pairs of the containers
     it touched (the query log's ["containers"] tags). *)
-val agg_add : agg -> predicates:obs list -> containers:(string * int) list -> unit
+val agg_add : agg -> predicates:Ledger.obs list -> containers:(string * int) list -> unit
 
 (** Fold [src] into [into] ([src] is left untouched) — how the
     watchdog combines its ring of window buckets into one rolling
@@ -110,29 +102,36 @@ type recommendation = {
     smaller blocks (finer header pruning, factor 0.25);
     sequential-scan-dominated access (≥ 90 % sequential touches) with
     little header pruning wants larger blocks (factor 4); everything
-    else keeps its size. [heat] is a [Heat.snapshot_json] value; without
-    it only the selectivity rule can fire. *)
-val recommend : ?heat:Json.t -> fingerprint -> recommendation list
+    else keeps its size. [heat] is joined by container label (a
+    {!Heat.snapshot} reading, or {!Heat.of_json} of a saved [GET /heat]
+    payload); without it only the selectivity rule can fire. *)
+val recommend : ?heat:Heat.stat list -> fingerprint -> recommendation list
+
+(** The [(container path, factor)] pairs [Compactor.plan] takes:
+    every recommendation but ["keep"] actions and non-positive
+    factors. *)
+val actionable : recommendation list -> (string * float) list
 
 (** Parse the ["recommendations"] array of a {!report_json} value back
-    into actionable [(container path, factor)] pairs, dropping ["keep"]
-    actions, non-positive factors and malformed entries — the consumer
-    side of the report, used by [xquec compress --blocks-from] and
-    [xquec compact --profile] to turn a committed profile into
+    into {!actionable} pairs, dropping malformed entries — the
+    consumer side of the report, used by [xquec compress --blocks-from]
+    and [xquec compact --profile] to turn a committed profile into
     block-size targets. *)
 val recommendations_of_report : Json.t -> (string * float) list
 
-(** One {!cstat} as the JSON object the reports embed
-    ([{container,eq,range,wild,exists,join,candidates,matches,
-    selectivity,queries,decoded_bytes}]) — shared with the watchdog's
-    [/watch] payload. *)
-val cstat_json : cstat -> Json.t
+(** The JSON fields [xquec profile --json] and [GET /watch] share, in
+    this order: ["weights"] ([[{container,kind,weight}]]),
+    ["containers"] (one [{container,eq,range,wild,exists,join,
+    candidates,matches,selectivity,queries,decoded_bytes}] per
+    {!cstat}) and ["recommendations"] ([[{container,action,factor,
+    reason}]], {!recommend} joined with [heat]). *)
+val fingerprint_fields : ?heat:Heat.stat list -> fingerprint -> (string * Json.t) list
 
 (** The full report as JSON — what [xquec profile --json] prints:
-    [{records, weights:[{container,kind,weight}], containers:[...],
-    recommendations:[...]}] plus [drift] vs [baseline] when given. *)
-val report_json : ?baseline:fingerprint -> ?heat:Json.t -> fingerprint -> Json.t
+    [{records}], then [drift] vs [baseline] when given, then
+    {!fingerprint_fields}. *)
+val report_json : ?baseline:fingerprint -> ?heat:Heat.stat list -> fingerprint -> Json.t
 
 (** The report as an aligned human-readable table (same content as
     {!report_json}). *)
-val render : ?baseline:fingerprint -> ?heat:Json.t -> fingerprint -> string
+val render : ?baseline:fingerprint -> ?heat:Heat.stat list -> fingerprint -> string

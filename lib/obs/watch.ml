@@ -79,7 +79,7 @@ let bucket_for epoch =
   end;
   b.b_agg
 
-let observe ?now ~(predicates : Profile.obs list) ~(containers : (string * int) list) () =
+let observe ?now ~(predicates : Ledger.obs list) ~(containers : (string * int) list) () =
   if enabled () then begin
     let now = match now with Some t -> t | None -> Unix.gettimeofday () in
     with_lock @@ fun () ->
@@ -157,36 +157,16 @@ let snapshot_json ?now ~heat () =
   in
   let drift_now = match base with Some b when fp.Profile.weights <> [] -> Some (Profile.drift b fp) | _ -> None in
   let opt_num = function Some v -> Json.Num v | None -> Json.Null in
-  let weights =
-    List.map
-      (fun ((container, kind), w) ->
-        Json.Obj [ ("container", Json.Str container); ("kind", Json.Str kind); ("weight", Json.Num w) ])
-      fp.Profile.weights
-  in
-  let recs =
-    List.map
-      (fun (r : Profile.recommendation) ->
-        Json.Obj
-          [
-            ("container", Json.Str r.Profile.r_container);
-            ("action", Json.Str r.Profile.r_action);
-            ("factor", Json.Num r.Profile.r_factor);
-            ("reason", Json.Str r.Profile.r_reason);
-          ])
-      (Profile.recommend ~heat fp)
-  in
   Json.Obj
-    [
-      ("enabled", Json.Bool st.w_enabled);
-      ("window_s", Json.Num st.w_window_s);
-      ("windows", Json.Num (float_of_int st.w_windows));
-      ("ticks", Json.Num (float_of_int st.w_ticks));
-      ("last_tick_unix", opt_num st.w_last_tick);
-      ("records", Json.Num (float_of_int st.w_records));
-      ("baseline", Json.Bool (base <> None));
-      ("drift", opt_num drift_now);
-      ("drift_ewma", opt_num st.w_drift_ewma);
-      ("weights", Json.List weights);
-      ("containers", Json.List (List.map Profile.cstat_json fp.Profile.containers));
-      ("recommendations", Json.List recs);
-    ]
+    ([
+       ("enabled", Json.Bool st.w_enabled);
+       ("window_s", Json.Num st.w_window_s);
+       ("windows", Json.Num (float_of_int st.w_windows));
+       ("ticks", Json.Num (float_of_int st.w_ticks));
+       ("last_tick_unix", opt_num st.w_last_tick);
+       ("records", Json.Num (float_of_int st.w_records));
+       ("baseline", Json.Bool (base <> None));
+       ("drift", opt_num drift_now);
+       ("drift_ewma", opt_num st.w_drift_ewma);
+     ]
+    @ Profile.fingerprint_fields ~heat fp)

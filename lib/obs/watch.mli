@@ -11,7 +11,7 @@
     queries through the same {!Profile.agg}), every {!tick}
     scores total-variation drift against it, maintains an EWMA-smoothed
     drift series, republishes {!Profile.recommend} block-size advice
-    joined with the container heat its caller reads, and updates the [watch.*]
+    joined with the {!Heat.stat} readings its caller passes, and updates the [watch.*]
     gauges ([xquec_watch_drift], [xquec_watch_drift_ewma],
     [xquec_watch_window_records], ...).
 
@@ -64,7 +64,7 @@ val reset : unit -> unit
     decoded bytes)] touches — the same values the query log records.
     No-op while disabled. *)
 val observe :
-  ?now:float -> predicates:Profile.obs list -> containers:(string * int) list -> unit -> unit
+  ?now:float -> predicates:Ledger.obs list -> containers:(string * int) list -> unit -> unit
 
 (** The rolling fingerprint over the live buckets at [now]. *)
 val fingerprint : ?now:float -> unit -> Profile.fingerprint
@@ -73,15 +73,16 @@ val fingerprint : ?now:float -> unit -> Profile.fingerprint
     when the window has observations — an empty window leaves the
     drift and EWMA untouched, so an idle server never looks drifted),
     update the EWMA, publish the [watch.*] metrics and the live
-    block-size recommendation counts (joined with [heat], a
-    {!Heat.snapshot_json} reading), and return the fresh reading.
+    block-size recommendation counts (joined with [heat], the served
+    repository's {!Heat.snapshot}), and return the fresh reading.
     Called once per window by the serve ticker; callable any time. *)
-val tick : ?now:float -> heat:Json.t -> unit -> status
+val tick : ?now:float -> heat:Heat.stat list -> unit -> status
 
 (** Current reading without aggregating ([w_records] is 0). *)
 val status : unit -> status
 
-(** The [GET /watch] payload: status, current rolling fingerprint
-    (weights + per-container stats), drift vs the baseline, and
-    per-container recommendations joined with [heat] (as in {!tick}). *)
-val snapshot_json : ?now:float -> heat:Json.t -> unit -> Json.t
+(** The [GET /watch] payload: status, drift vs the baseline, and the
+    current rolling fingerprint as {!Profile.fingerprint_fields}
+    (weights, per-container stats, recommendations joined with [heat]
+    as in {!tick}) — the encoder [xquec profile --json] uses. *)
+val snapshot_json : ?now:float -> heat:Heat.stat list -> unit -> Json.t

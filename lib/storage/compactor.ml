@@ -86,20 +86,17 @@ let recent () =
 (* --- planning -------------------------------------------------------- *)
 
 let plan (repo : Repository.t) (recs : (string * float) list) : (int * int) list =
+  (* the ceiling as a float: a huge factor is clamped before it can
+     overflow the conversion to an int *)
+  let ceiling = float_of_int (Container.clamp_block_size max_int) in
   List.filter_map
     (fun (path, factor) ->
       match Repository.find_container_by_path repo path with
-      | None -> None
-      | Some c ->
-        if factor <= 0.0 || c.Container.n_records = 0 then None
-        else begin
-          let proposed =
-            Container.clamp_block_size
-              (int_of_float (float_of_int c.Container.block_size *. factor))
-          in
-          if proposed = c.Container.block_size then None
-          else Some (c.Container.id, proposed)
-        end)
+      | Some c when Float.is_finite factor && factor > 0.0 && c.Container.n_records > 0 ->
+        let scaled = Float.min ceiling (float_of_int c.Container.block_size *. factor) in
+        let proposed = Container.clamp_block_size (int_of_float scaled) in
+        if proposed = c.Container.block_size then None else Some (c.Container.id, proposed)
+      | _ -> None)
     recs
 
 (* --- the pass -------------------------------------------------------- *)

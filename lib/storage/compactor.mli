@@ -50,12 +50,13 @@ val reset_stats : unit -> unit
 val recent : unit -> result list
 
 (** [plan repo recommendations] turns [(container path, factor)] pairs —
-    the shape {!Xquec_obs.Profile.recommend} emits — into concrete
+    the shape {!Xquec_obs.Profile.actionable} gives — into concrete
     [(container id, new block size)] targets: the container's current
     block size scaled by the factor and clamped via
-    {!Container.clamp_block_size}. Unknown paths, empty containers,
-    non-positive factors and no-op sizes (clamped size = current size)
-    are dropped. *)
+    {!Container.clamp_block_size} (a factor too large for an int
+    clamps to the ceiling). Unknown paths, empty containers,
+    non-positive or non-finite factors and no-op sizes (clamped size =
+    current size) are dropped. *)
 val plan : Repository.t -> (string * float) list -> (int * int) list
 
 (** [compact_container repo ~id ~block_size] synchronously re-blocks

@@ -116,28 +116,6 @@ let max_block_size = 262144
 
 let clamp_block_size n = min max_block_size (max min_block_size n)
 
-(** Declared access pattern of a container, as seen by the build-time
-    sizing pass: mostly scanned/wildcarded, mostly selective point
-    lookups, or anything in between. *)
-type access_pattern = Seq_heavy | Random_selective | Mixed
-
-(* Sequential-heavy containers amortize per-block costs over big blocks;
-   selective-random ones want small blocks so an eq predicate decodes
-   little. Both are floored at 8 average values per block — with wide
-   values a "small" block degenerating to one record per block would be
-   pure framing overhead. *)
-let pick_block_size ~(plain_bytes : int) ~(n_records : int) ~(access : access_pattern) :
-    int =
-  let base = !default_block_size_ref in
-  let scaled =
-    match access with
-    | Seq_heavy -> base * 4
-    | Random_selective -> base / 4
-    | Mixed -> base
-  in
-  let avg = if n_records = 0 then 1 else max 1 (plain_bytes / n_records) in
-  clamp_block_size (max scaled (8 * avg))
-
 (* ------------------------------------------------------------------ *)
 (* Block construction / decoding                                       *)
 (* ------------------------------------------------------------------ *)

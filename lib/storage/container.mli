@@ -128,25 +128,9 @@ val set_default_block_size : int -> unit
 (** Current block-size target in bytes (initially 16384). *)
 val default_block_size : unit -> int
 
-(** Declared access pattern of a container, the input of
-    {!pick_block_size}: dominated by scans/wildcards ([Seq_heavy]),
-    dominated by selective point predicates ([Random_selective]), or
-    anything in between ([Mixed]). *)
-type access_pattern = Seq_heavy | Random_selective | Mixed
-
-(** [pick_block_size ~plain_bytes ~n_records ~access] is the build-time
-    per-container sizing heuristic: sequential-heavy containers get 4×
-    the {!default_block_size} (per-block costs amortize over big
-    blocks), selective-random ones get ¼ (an eq predicate decodes
-    little), mixed keeps the default — floored at 8 average values per
-    block and clamped to {!clamp_block_size}'s [1 KiB, 256 KiB] range.
-    Deterministic: depends only on its arguments and the configured
-    default. *)
-val pick_block_size : plain_bytes:int -> n_records:int -> access:access_pattern -> int
-
 (** Clamp a proposed block size into the supported [1024, 262144] byte
-    range (used by every adaptive path: build-time sizing, profile-seeded
-    sizes, compaction plans). *)
+    range (used by every re-blocking path: compaction plans and
+    {!Compactor.compact_container}). *)
 val clamp_block_size : int -> int
 
 (** Does nothing: blocks are never read ahead. Kept for the

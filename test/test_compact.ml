@@ -1,4 +1,4 @@
-(* Adaptive block sizing and online compaction: block-size picking and
+(* Adaptive block sizing and online compaction: block-size planning and
    clamping, reblocking invariants, every rebuild leaving the container
    it replaces untouched, the adaptive-sizing
    serialization extension (flags bit 3), per-container buffer-pool
@@ -55,7 +55,7 @@ let answer engine text =
   (Engine.request engine { text; plan = None; admission = None; record = true }).out
 
 (* ------------------------------------------------------------------ *)
-(* Block-size picking                                                  *)
+(* Block-size picking: Compactor.plan, the one rule, and its clamp     *)
 (* ------------------------------------------------------------------ *)
 
 let test_pick_and_clamp () =
@@ -63,22 +63,21 @@ let test_pick_and_clamp () =
   Alcotest.(check int) "clamp ceiling" 262144
     (Storage.Container.clamp_block_size 10_000_000);
   Alcotest.(check int) "clamp identity" 8192 (Storage.Container.clamp_block_size 8192);
-  let pick access =
-    Storage.Container.pick_block_size ~plain_bytes:100_000 ~n_records:1000 ~access
-  in
-  let seq = pick Storage.Container.Seq_heavy in
-  let mixed = pick Storage.Container.Mixed in
-  let random = pick Storage.Container.Random_selective in
-  Alcotest.(check bool) "scans get larger blocks" true (seq > mixed);
-  Alcotest.(check bool) "point lookups get smaller blocks" true (random < mixed);
-  Alcotest.(check int) "mixed keeps the default" (Storage.Container.default_block_size ())
-    mixed;
-  (* very wide records: the 8-records-per-block floor beats the pattern *)
-  let wide =
-    Storage.Container.pick_block_size ~plain_bytes:1_000_000 ~n_records:10
-      ~access:Storage.Container.Random_selective
-  in
-  Alcotest.(check int) "wide records hit the clamp ceiling" 262144 wide
+  let repo = Engine.repo (fresh_engine ()) in
+  let names = container_of repo names_path in
+  let pick factor = Storage.Compactor.plan repo [ (names_path, factor) ] in
+  Alcotest.(check int) "names start at the default size" 16384
+    names.Storage.Container.block_size;
+  Alcotest.(check (list (pair int int))) "factor 4 scales the size"
+    [ (names.Storage.Container.id, 65536) ] (pick 4.0);
+  (* a huge factor must not overflow the integer size into the floor *)
+  Alcotest.(check (list (pair int int))) "a huge factor hits the ceiling"
+    [ (names.Storage.Container.id, 262144) ] (pick 1e300);
+  Alcotest.(check (list (pair int int))) "a tiny factor hits the floor"
+    [ (names.Storage.Container.id, 1024) ] (pick 1e-300);
+  List.iter
+    (fun f -> Alcotest.(check (list (pair int int))) (Printf.sprintf "factor %g dropped" f) [] (pick f))
+    [ Float.infinity; Float.nan; Float.neg_infinity; 0.0; -2.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Reblocking                                                          *)
@@ -113,8 +112,9 @@ let test_reblock_preserves_records () =
     (Storage.Container.dump big)
 
 (* Every path that rebuilds a container after load (the partitioner's
-   shared-model apply, its build-time block sizing and the compactor)
-   builds a fresh container and swaps it into the repository slot: the
+   shared-model apply and the compactor, which every block-size change
+   goes through) builds a fresh container and swaps it into the
+   repository slot: the
    container a reader took before the rebuild still dumps the same
    pairs, and the slot holds a container with another uid. *)
 let check_rebuild_copies ~what repo id rebuild =
@@ -134,14 +134,6 @@ let test_rebuilds_copy () =
   check_rebuild_copies ~what:"Partitioner.apply" repo names (fun () ->
       Partitioner.apply repo
         { Cost_model.sets = [ ([ names; ids ], Compress.Codec.Huffman_alg) ] });
-  let workload =
-    Workload.of_query_strings repo
-      [ "for $p in document(\"auction.xml\")/site/people/person[@id = \"person0\"] return $p" ]
-  in
-  check_rebuild_copies ~what:"Partitioner.size_blocks" repo ids (fun () ->
-      Alcotest.(check bool) "size_blocks resized the @id container" true
-        (List.exists (fun (path, _, _) -> path = ids_path)
-           (Partitioner.size_blocks repo workload)));
   check_rebuild_copies ~what:"Compactor.compact_container" repo names (fun () ->
       ignore (Storage.Compactor.compact_container repo ~id:names ~block_size:2048))
 

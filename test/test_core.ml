@@ -7,7 +7,8 @@ let repo_and_workload () =
   let xml = Xmark.Xmlgen.generate ~scale:0.05 () in
   let repo = Loader.load ~name:"auction.xml" xml in
   let workload =
-    Workload.of_query_strings repo (List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all)
+    Workload.analyze repo
+      (List.map (fun q -> Xquery.Parser.parse q.Xmark.Queries.text) Xmark.Queries.all)
   in
   (repo, workload)
 
@@ -274,7 +275,8 @@ let test_tuned_load_train_calls () =
   let tuned = train_calls (fun () -> Engine.load ~name:"auction.xml" ~workload:xmark_workload xml) in
   let repo = Loader.load ~name:"auction.xml" xml in
   let queried_alm =
-    Workload.queried_containers (Workload.of_query_strings repo xmark_workload)
+    Workload.queried_containers
+      (Workload.analyze repo (List.map Xquery.Parser.parse xmark_workload))
     |> List.filter (fun id ->
            (Storage.Repository.container repo id).Storage.Container.algorithm
            = Compress.Codec.Alm_alg)
@@ -605,22 +607,17 @@ let test_merge_join_shared_model () =
   Alcotest.(check string) "merge join = hash join" hashed merged
 
 (* Building a repository samples every container for the cost model
-   and re-reads the ones that get a shared model, and re-blocking
-   (build-time sizing, compaction) reads the container it replaces;
-   those reads must not stay resident in the query buffer pool or show
-   up as query heat. *)
+   and re-reads the ones that get a shared model, and a compaction
+   reads the container it replaces; those reads must not stay resident
+   in the query buffer pool or show up as query heat. *)
 let test_load_leaves_pool () =
   let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.05 () in
   let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
   let before = Storage.Buffer_pool.snapshot () in
   let engine = Engine.load ~name:"auction.xml" ~workload xml in
   let repo = Engine.repo engine in
-  (* the containers re-blocked below, whose rows leave the repository *)
+  (* the container compacted below, whose row leaves the repository *)
   let loaded = Storage.Repository.heat_rows repo in
-  let resized =
-    Partitioner.size_blocks repo (Workload.of_query_strings repo workload)
-  in
-  Alcotest.(check bool) "size_blocks re-blocked some container" true (resized <> []);
   let c = repo.Storage.Repository.containers.(0) in
   ignore
     (Storage.Compactor.compact_container repo ~id:c.Storage.Container.id

@@ -267,6 +267,35 @@ let test_constant_comparisons () =
         cases)
     [ ("alm", Compress.Codec.Alm_alg); ("huffman", Compress.Codec.Huffman_alg) ]
 
+(* [!=] needs only equality of codes: between two values coded under
+   one Huffman model (which orders nothing) it runs on codes, as [=]
+   does, and answers as the reference. *)
+let test_neq_on_equality_codes () =
+  let xml = "<r><a>ox</a><a>yak</a><a>ox</a><a>emu</a></r>" in
+  let query =
+    "for $a in document(\"f.xml\")/r/a, $b in document(\"f.xml\")/r/a \
+     where $a/text() != $b/text() return <p>{$a/text()}-{$b/text()}</p>"
+  in
+  let options =
+    { Xquec_core.Loader.default_options with default_string_algorithm = Compress.Codec.Huffman_alg }
+  in
+  let engine = Xquec_core.Engine.load ~loader_options:options ~name:"f.xml" xml in
+  let r =
+    Xquec_core.Engine.request engine { text = query; plan = None; admission = None; record = false }
+  in
+  let totals = Xquec_obs.Explain.totals r.explain in
+  Alcotest.(check bool)
+    (Printf.sprintf "compressed-domain comparisons (%d)" totals.compressed)
+    true (totals.compressed > 0);
+  Alcotest.(check int) "no decompressed comparison" 0 totals.decompressed;
+  let expected =
+    Baselines.Galax_like.serialize
+      (Baselines.Galax_like.run
+         ~docs:[ ("f.xml", Xmlkit.Parser.parse_string xml) ]
+         (Xquery.Parser.parse query))
+  in
+  Alcotest.(check string) "answer = reference" expected r.out
+
 let suites =
   [
     ( "differential",
@@ -283,5 +312,7 @@ let suites =
           test_order_by_mixed_models;
         Alcotest.test_case "constant comparisons match the reference" `Quick
           test_constant_comparisons;
+        Alcotest.test_case "!= on one Huffman model runs on codes" `Quick
+          test_neq_on_equality_codes;
       ] );
   ]

@@ -250,7 +250,7 @@ let test_observations_pinned () =
       Alcotest.(check (list string))
         id (List.map show expected)
         (List.map
-           (fun (o : Xquec_obs.Profile.obs) ->
+           (fun (o : Xquec_obs.Ledger.obs) ->
              show (o.ob_container, o.ob_kind, o.ob_candidates, o.ob_matches))
            observed))
     pinned_observations

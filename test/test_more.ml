@@ -95,8 +95,9 @@ let prop_hu_tucker_optimal_vs_huffman =
 let test_workload_ftcontains_is_wild () =
   let repo = Lazy.force repo in
   let w =
-    Workload.of_query_strings repo
-      [ "for $i in document(\"shop.xml\")/shop/item where ftcontains($i/name/text(), \"chair\") return $i" ]
+    Workload.analyze repo
+      [ Xquery.Parser.parse
+          "for $i in document(\"shop.xml\")/shop/item where ftcontains($i/name/text(), \"chair\") return $i" ]
   in
   Alcotest.(check bool) "one wild predicate" true
     (List.exists
@@ -106,8 +107,9 @@ let test_workload_ftcontains_is_wild () =
 let test_workload_unresolvable_paths_ignored () =
   let repo = Lazy.force repo in
   let w =
-    Workload.of_query_strings repo
-      [ "for $i in document(\"shop.xml\")/shop/nonexistent where $i/foo = \"x\" return $i" ]
+    Workload.analyze repo
+      [ Xquery.Parser.parse
+          "for $i in document(\"shop.xml\")/shop/nonexistent where $i/foo = \"x\" return $i" ]
   in
   Alcotest.(check int) "no predicates from unknown paths" 0 (List.length w.Workload.predicates)
 

@@ -700,17 +700,28 @@ let test_resave_digests () =
   Alcotest.(check string) "XMark 0.05 seed 1 restored and re-saved" (md5 image)
     (md5 (Repository.serialize (Repository.deserialize image)));
   (* the rebuild paths: a load tuned for Q1-Q20 (the partitioner's
-     shared-model rebuild) and that image after build-time block sizing
-     (its reblocked swap) *)
+     shared-model rebuild) and that image re-blocked by what running
+     Q1-Q20 on it observed (the compactor's reblocked swap, as
+     `xquec compress --adaptive-blocks` runs it) *)
   let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
   let tuned = Xquec_core.Engine.load ~name:"auction.xml" ~workload xml in
   Alcotest.(check string) "XMark 0.05 seed 1 image tuned for Q1-Q20"
     "01329b069b3f10711b046a9e546118a2"
     (md5 (Xquec_core.Engine.save tuned));
-  let repo = Xquec_core.Engine.repo tuned in
-  ignore
-    (Xquec_core.Partitioner.size_blocks repo (Xquec_core.Workload.of_query_strings repo workload));
-  Alcotest.(check string) "the tuned image after size_blocks" "d00aa36857bda71a8e926f14e24a6b38"
+  let targets =
+    Xquec_core.Engine.block_targets tuned (Xquec_core.Engine.declared_fingerprint tuned workload)
+  in
+  let reblocked =
+    List.map
+      (fun (r : Storage.Compactor.result) ->
+        (r.c_path, r.c_block_size_before, r.c_block_size_after))
+      (Storage.Compactor.compact (Xquec_core.Engine.repo tuned) ~targets)
+  in
+  Alcotest.(check (list (triple string int int))) "the observed rule re-blocks one container"
+    [ ("/site/open_auctions/open_auction/bidder/personref/@person", 16384, 4096) ]
+    reblocked;
+  Alcotest.(check string) "the tuned image after the observed re-blocking"
+    "ff3d8d8224f94b9c938aeaf7587d653e"
     (md5 (Xquec_core.Engine.save tuned))
 
 (* More than 256 distinct names: tag codes no longer fit in a byte, so

@@ -103,7 +103,7 @@ let test_parity_with_offline_profile () =
 (* ------------------------------------------------------------------ *)
 
 let obs container kind =
-  { Obs.Profile.ob_container = container; ob_kind = kind; ob_candidates = 10; ob_matches = 2 }
+  { Obs.Ledger.ob_container = container; ob_kind = kind; ob_candidates = 10; ob_matches = 2 }
 
 (* The fingerprint of one query that observed these predicates. *)
 let fp_of predicates =
@@ -134,27 +134,26 @@ let test_drift_semantics_and_ewma () =
   Obs.Watch.configure ~window_seconds:10.0 ~windows:3 ~alpha:0.5 ();
   let t0 = 2000.0 in
   (* no repository: recommendations join an empty heat reading *)
-  let heat = Obs.Heat.snapshot_json [] in
   (* no baseline: a tick computes no drift *)
   Obs.Watch.observe ~now:t0 ~predicates:[ obs "/a" "eq" ] ~containers:[ ("/a", 10) ] ();
-  let st = Obs.Watch.tick ~now:t0 ~heat () in
+  let st = Obs.Watch.tick ~now:t0 ~heat:[] () in
   Alcotest.(check bool) "no baseline -> no drift" true (st.Obs.Watch.w_drift = None);
   (* identical baseline: drift 0 *)
   Obs.Watch.set_baseline (Some (fp_of [ obs "/a" "eq" ]));
-  let st = Obs.Watch.tick ~now:t0 ~heat () in
+  let st = Obs.Watch.tick ~now:t0 ~heat:[] () in
   (match st.Obs.Watch.w_drift with
   | Some d -> Alcotest.(check (float 1e-9)) "identical mix drifts 0" 0.0 d
   | None -> Alcotest.fail "drift expected with baseline + observations");
   (* disjoint baseline: drift 1; EWMA moves halfway (alpha 0.5) *)
   Obs.Watch.set_baseline (Some (fp_of [ obs "/z" "wild" ]));
-  let st = Obs.Watch.tick ~now:t0 ~heat () in
+  let st = Obs.Watch.tick ~now:t0 ~heat:[] () in
   (match (st.Obs.Watch.w_drift, st.Obs.Watch.w_drift_ewma) with
   | Some d, Some e ->
     Alcotest.(check (float 1e-9)) "disjoint mix drifts 1" 1.0 d;
     Alcotest.(check (float 1e-9)) "ewma smooths the step" 0.5 e
   | _ -> Alcotest.fail "drift and ewma expected");
   (* empty window: drift None, EWMA untouched *)
-  let st = Obs.Watch.tick ~now:(t0 +. 100.0) ~heat () in
+  let st = Obs.Watch.tick ~now:(t0 +. 100.0) ~heat:[] () in
   Alcotest.(check bool) "empty window -> no drift" true (st.Obs.Watch.w_drift = None);
   (match st.Obs.Watch.w_drift_ewma with
   | Some e -> Alcotest.(check (float 1e-9)) "empty window leaves ewma" 0.5 e
@@ -354,6 +353,39 @@ let test_http_surfaces () =
     [ "\"status\":\"ok\""; "\"format\":\"v4\""; "\"uptime_s\""; "\"watchdog\"";
       "\"enabled\":true" ]
 
+(* /watch and `xquec profile --json` encode weights, containers and
+   recommendations with one encoder: for one fingerprint and one heat
+   reading the three fields are equal. *)
+let test_watch_matches_report () =
+  with_fresh_telemetry @@ fun () ->
+  Obs.Watch.set_enabled true;
+  Obs.Watch.configure ~window_seconds:10.0 ~windows:3 ();
+  let now = 3000.0 in
+  let pred container kind candidates matches =
+    { Obs.Ledger.ob_container = container; ob_kind = kind; ob_candidates = candidates;
+      ob_matches = matches }
+  in
+  Obs.Watch.observe ~now
+    ~predicates:[ pred "/point" "eq" 1000 2; pred "/scan" "range" 100 50 ]
+    ~containers:[ ("/point", 64); ("/scan", 640) ] ();
+  let stat label ~seq ~runs =
+    { Obs.Heat.uid = 0; label; blocks = 4; touches = seq + runs; decodes = 10; hits = 0;
+      header_skips = 0; bytes_decoded = 0; bytes_skipped = 0; seq_touches = seq; runs }
+  in
+  let heat = [ stat "/point" ~seq:1 ~runs:9; stat "/scan" ~seq:95 ~runs:5 ] in
+  let watch = Obs.Watch.snapshot_json ~now ~heat () in
+  let report = Obs.Profile.report_json ~heat (Obs.Watch.fingerprint ~now ()) in
+  let field name j =
+    Option.fold ~none:"(missing)" ~some:Obs.Json.to_string (Obs.Json.member name j)
+  in
+  Alcotest.(check bool) "the heat reading grows the scanned container" true
+    (contains (field "recommendations" watch) "\"grow\"");
+  List.iter
+    (fun name ->
+      Alcotest.(check string) ("/watch " ^ name ^ " = report " ^ name) (field name report)
+        (field name watch))
+    [ "weights"; "containers"; "recommendations" ]
+
 let suites =
   [
     ( "watch",
@@ -367,6 +399,8 @@ let suites =
         Alcotest.test_case "declared workload scores no drift" `Quick
           test_declared_mix_scores_no_drift;
         Alcotest.test_case "/watch /alerts /healthz payloads" `Quick test_http_surfaces;
+        Alcotest.test_case "/watch and profile --json share one encoder" `Quick
+          test_watch_matches_report;
       ] );
     ( "alert",
       [

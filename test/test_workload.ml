@@ -255,6 +255,31 @@ let test_heat_snapshot_json () =
       Alcotest.(check bool) "no hot_blocks at top 0" true (Obs.Json.member "hot_blocks" c = None))
     containers0
 
+(* [Heat.of_json], the one reader of heat JSON ([xquec profile --heat]),
+   inverts [Heat.snapshot_json] on every field of a reading, among them
+   the four [Profile.recommend] joins on. *)
+let test_heat_json_round_trip () =
+  let eng = Engine.load ~name:"xmark.xml" xmark_doc in
+  ignore (logged eng "document(\"xmark.xml\")/site/people/person[@id = \"person1\"]/name");
+  let row = fresh_row ~label:"heat:/round-trip" ~blocks:4 in
+  in_query (fun () ->
+      List.iter (fun blk -> Obs.Ledger.note_fetch row ~blk) [ 0; 1; 3; 0 ];
+      Obs.Ledger.note_decode row ~bytes:40;
+      Obs.Ledger.note_skip row ~blocks:1 ~bytes:9);
+  let rows = row :: heat_rows eng in
+  let reading = Obs.Heat.snapshot rows in
+  Alcotest.(check bool) "the reading has touches to carry" true
+    (List.exists (fun (s : Obs.Heat.stat) -> s.touches > 0 && s.runs > 0) reading);
+  List.iter
+    (fun top_blocks ->
+      Alcotest.(check bool)
+        (Printf.sprintf "of_json (snapshot_json ~top_blocks:%d) = snapshot" top_blocks)
+        true
+        (Obs.Heat.of_json (Obs.Heat.snapshot_json ~top_blocks rows) = reading))
+    [ 0; 8 ];
+  Alcotest.(check bool) "no containers key reads empty" true
+    (Obs.Heat.of_json (Obs.Json.parse "{}") = [])
+
 (* ------------------------------------------------------------------ *)
 (* Profile: fingerprints, drift, recommendations                       *)
 (* ------------------------------------------------------------------ *)
@@ -267,7 +292,7 @@ let fp_of events =
     List.concat_map
       (fun ((container, kind), n) ->
         List.init n (fun _ ->
-            { Obs.Profile.ob_container = container; ob_kind = kind; ob_candidates = 1;
+            { Obs.Ledger.ob_container = container; ob_kind = kind; ob_candidates = 1;
               ob_matches = 1 }))
       events
   in
@@ -332,21 +357,11 @@ let test_of_records_aggregates () =
   Alcotest.(check (option (float 1e-9))) "navigation-only log fingerprints as touches" (Some 1.0)
     (List.assoc_opt ("/a", "touch") fp2.Obs.Profile.weights)
 
-let heat_json entries =
-  Obs.Json.Obj
-    [
-      ("enabled", Obs.Json.Bool true);
-      ( "containers",
-        Obs.Json.List
-          (List.map
-             (fun (path, seq, runs, skips, decodes) ->
-               Obs.Json.Obj
-                 [
-                   ("container", j_str path); ("seq_touches", j_num seq); ("runs", j_num runs);
-                   ("header_skips", j_num skips); ("decodes", j_num decodes);
-                 ])
-             entries) );
-    ]
+(* A heat reading of one container, as [Heat.snapshot] gives it. *)
+let heat_stat (label, seq_touches, runs, header_skips, decodes) =
+  { Obs.Heat.uid = 0; label; blocks = 1; touches = seq_touches + runs; decodes;
+    hits = max 0 (seq_touches + runs - decodes); header_skips; bytes_decoded = 0;
+    bytes_skipped = 0; seq_touches; runs }
 
 let test_recommendations () =
   let records =
@@ -362,9 +377,7 @@ let test_recommendations () =
     ]
   in
   let fp = Obs.Profile.of_records records in
-  let heat =
-    heat_json [ ("/point", 1, 9, 0, 10); ("/scan", 95, 5, 0, 10) ]
-  in
+  let heat = List.map heat_stat [ ("/point", 1, 9, 0, 10); ("/scan", 95, 5, 0, 10) ] in
   let recs = Obs.Profile.recommend ~heat fp in
   let rec_of path = List.find (fun r -> r.Obs.Profile.r_container = path) recs in
   let point = rec_of "/point" and scan = rec_of "/scan" in
@@ -660,6 +673,7 @@ let suites =
         Alcotest.test_case "touch semantics" `Quick test_heat_touch_semantics;
         Alcotest.test_case "reset and switch" `Quick test_heat_reset_and_switch;
         Alcotest.test_case "snapshot json" `Quick test_heat_snapshot_json;
+        Alcotest.test_case "json round trip" `Quick test_heat_json_round_trip;
         Alcotest.test_case "unledgered read lands in totals" `Quick
           test_unledgered_read_lands_in_totals;
         Alcotest.test_case "split calls count as one" `Quick test_split_calls_count_as_one;

@@ -484,7 +484,7 @@ let check_join_observations () =
     let text = (Xmark.Queries.by_id id).Xmark.Queries.text in
     let r = Engine.request engine { text; plan = None; admission = None; record = false } in
     List.map
-      (fun (o : Xquec_obs.Profile.obs) -> (o.ob_container, o.ob_kind, o.ob_matches))
+      (fun (o : Xquec_obs.Ledger.obs) -> (o.ob_container, o.ob_kind, o.ob_matches))
       (Xquec_obs.Ledger.predicates r.ledger)
   in
   let with_block_join on =
