@@ -41,9 +41,10 @@ build:
 # error, an XML
 # document given as an image must exit 1 as not a valid image,
 # EXPLAIN of a Q2-shaped query must show the batched-path operator (so
-# set-at-a-time paths cannot silently stop firing), and EXPLAIN of the
+# set-at-a-time paths cannot silently stop firing), EXPLAIN of the
 # person0 lookup written as a path predicate must list, in its strategy
-# section, the pushdown into the @id container that the executor ran.
+# section, the pushdown into the @id container that the executor ran,
+# and its negation [@id != "person0"] must compare on codes only.
 check:
 	dune build
 	dune runtest
@@ -96,6 +97,9 @@ check:
 	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
 	  'document("auction.xml")/site/people/person[@id = "7"]/name' \
 	  | grep -q 'predicate cmps: 0 compressed-domain, [1-9][0-9]* decompressed$$'
+	$(XQUEC) explain $(GATE_DIR)/auction.xqc \
+	  'document("auction.xml")/site/people/person[@id != "person0"]/name' \
+	  | grep -q 'predicate cmps: [1-9][0-9]* compressed-domain, 0 decompressed$$'
 	$(XQUEC) profile $(GATE_DIR)/query-log.jsonl --json | grep -q '"container"'
 	$(MAKE) serve-smoke
 

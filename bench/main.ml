@@ -856,6 +856,80 @@ let codec_costs () =
     Fmt.pr "%-12s %d values, %d KB: %.1f MB/s@." "alm-encode" (Array.length plain) (bytes / 1024) mbps
   end
 
+(* Where an ingested document's compression time goes: the eight
+   documents the end-to-end ingest workload compresses (XMark 0.25,
+   seeds 42-49, tuned for Q1-Q20), each loaded with tracing on. The
+   spans give, per document, the ms of ALM token mining, of each
+   codec's training, of the cost model's pricing under each candidate
+   algorithm, and of container encoding (values encoded, sorted and
+   blocked). Tracing turns the codec counters on too, so the figures
+   include their cost. Of three rounds, the one with the least load
+   time is reported. *)
+let ingest_codecs () =
+  header "Ingest: per-document ms in codec training, pricing and encoding";
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let docs = List.init 8 (fun k -> Xmark.Xmlgen.generate ~seed:(42 + k) ~scale:0.25 ()) in
+  let round () =
+    let totals = Hashtbl.create 16 in
+    let add key ms =
+      Hashtbl.replace totals key (ms +. Option.value ~default:0.0 (Hashtbl.find_opt totals key))
+    in
+    List.iter
+      (fun xml ->
+        Xquec_obs.Trace.clear ();
+        Xquec_obs.with_enabled (fun () ->
+            ignore (Xquec_core.Engine.load ~name:"auction.xml" ~workload xml));
+        List.iter
+          (fun (sp : Xquec_obs.Trace.span) ->
+            let alg () = Option.value ~default:"?" (List.assoc_opt "algorithm" sp.attrs) in
+            let ms = sp.dur_us /. 1000.0 in
+            match sp.name with
+            | "engine.load" -> add "load" ms
+            | "alm.mine" -> add "alm_mine" ms
+            | "codec.train" -> add ("train_" ^ alg ()) ms
+            | "cost_model.price" -> add ("price_" ^ alg ()) ms
+            | "container.encode" -> add "encode" ms
+            | _ -> ())
+          (Xquec_obs.Trace.spans ()))
+      docs;
+    Xquec_obs.Trace.clear ();
+    let per_doc key =
+      Option.value ~default:0.0 (Hashtbl.find_opt totals key) /. float_of_int (List.length docs)
+    in
+    per_doc
+  in
+  let (_warm_up : string -> float) = round () in
+  let best =
+    List.fold_left
+      (fun best r -> if r "load" < best "load" then r else best)
+      (round ())
+      [ round (); round () ]
+  in
+  let rows =
+    [
+      ("load_ms", "Engine.load (parse, build, search, apply)", "load");
+      ("alm_mine_ms", "ALM token mining", "alm_mine");
+      ("train_alm_ms", "training: ALM (mining + model)", "train_alm");
+      ("train_hu_tucker_ms", "training: Hu-Tucker", "train_hu-tucker");
+      ("train_huffman_ms", "training: Huffman", "train_huffman");
+      ("train_arith_ms", "training: arithmetic", "train_arith");
+      ("train_numeric_ms", "training: numeric", "train_numeric");
+      ("price_bzip_ms", "pricing under bzip (BWT, MTF, RLE, Huffman)", "price_bzip");
+      ("price_alm_ms", "pricing under ALM", "price_alm");
+      ("price_hu_tucker_ms", "pricing under Hu-Tucker", "price_hu-tucker");
+      ("price_huffman_ms", "pricing under Huffman", "price_huffman");
+      ("encode_ms", "container encoding (encode, sort, block)", "encode");
+    ]
+  in
+  Fmt.pr "%-46s %10s@." "per document (XMark 0.25, seeds 42-49, Q1-Q20)" "ms";
+  rule ();
+  List.iter
+    (fun (key, label, span) ->
+      let ms = best span in
+      Fmt.pr "%-46s %10.2f@." label ms;
+      record ~exp:"ingest_codecs" key (num ms))
+    rows
+
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: cold vs. warm cache, and the block-size sweep           *)
 (* ------------------------------------------------------------------ *)
@@ -1742,6 +1816,7 @@ let experiments =
     ("ablations", ablations);
     ("homomorphic_scan", homomorphic_scan);
     ("codec_costs", codec_costs);
+    ("ingest_codecs", ingest_codecs);
     ("cache", cache);
     ("join", join);
     ("heat", heat);

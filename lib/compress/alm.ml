@@ -76,18 +76,22 @@ let finish_hash h len =
   m lxor (m lsr 31)
 
 (* The candidate table: an open-addressing index over dense entries in
-   first-seen order. Entry [d] is [ent.(2d)], the first occurrence
-   packed as [pos lsl 5 lor len] (the [len]-byte slice of [sample] at
-   [pos]), and [ent.(2d+1)], its count. A slot is a 32-bit cell: 0 when
-   empty, else [d + 1] in the low [idx_bits] bits and 12 bits of the
-   hash above them, so most probes that miss never read an entry.
+   first-seen order. Entry [d] is two 64-bit cells of [ent] (bytes [16d]
+   on): the first occurrence packed as [pos lsl 5 lor len] (the
+   [len]-byte slice of [sample] at [pos]), and its count. [ent] is not
+   initialised: an entry is written when it is appended, before any
+   read. A slot is a 32-bit cell: 0 when empty, else [d + 1] in the low
+   [idx_bits] bits and 12 bits of the hash above them, so most probes
+   that miss never read an entry.
 
-   The table is sized once, for every candidate the sample can hold,
-   and stays at most half full: it never rehashes, and 4-byte slots keep
-   the tables of long samples in cache. *)
+   The table is sized once, for every candidate occurrence the sample
+   holds (at most [max_candidates]), and stays at most half full: it
+   never rehashes, and 4-byte slots keep the tables of long samples in
+   cache. Both are allocated per call and dropped when it returns; as
+   bytes, [ent] costs no zero-filling and no GC scan. *)
 type candidates = {
   sample : Bytes.t;
-  ent : int array;
+  ent : Bytes.t;
   mutable n : int;
   slots : Bytes.t;
   mask : int;  (* slot count - 1 *)
@@ -99,13 +103,30 @@ let tag h = ((h lsr 40) land 0xfff) lsl idx_bits
 let cell slots i = Int32.to_int (Bytes.get_int32_le slots (4 * i))
 let set_cell slots i v = Bytes.set_int32_le slots (4 * i) (Int32.of_int v)
 
-let create_candidates sample =
-  let most = min max_candidates (Array.length token_lengths * Bytes.length sample) in
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let ent_key t d = Int64.to_int (get64u t.ent (16 * d))
+let ent_count t d = Int64.to_int (get64u t.ent ((16 * d) + 8))
+let set_ent t d key count =
+  set64u t.ent (16 * d) (Int64.of_int key);
+  set64u t.ent ((16 * d) + 8) (Int64.of_int count)
+
+(* Candidate occurrences in the values [taken]: at each offset of a
+   value of length [n], one per token length that fits. *)
+let occurrences taken =
+  List.fold_left
+    (fun acc v ->
+      let n = String.length v in
+      Array.fold_left (fun acc l -> if l <= n then acc + n - l + 1 else acc) acc token_lengths)
+    0 taken
+
+let create_candidates sample most =
   let slots = ref 16 in
   while !slots < 2 * most do
     slots := 2 * !slots
   done;
-  { sample; ent = Array.make (2 * most) 0; n = 0;
+  { sample; ent = Bytes.create (16 * most); n = 0;
     slots = Bytes.make (4 * !slots) '\000'; mask = !slots - 1 }
 
 let rec slice_equal s a b len k =
@@ -119,8 +140,7 @@ let rec note t pos len h i =
   if c = 0 then begin
     if t.n < max_candidates then begin
       let d = t.n in
-      t.ent.(2 * d) <- (pos lsl 5) lor len;
-      t.ent.((2 * d) + 1) <- 1;
+      set_ent t d ((pos lsl 5) lor len) 1;
       t.n <- d + 1;
       set_cell t.slots i (tag h lor (d + 1))
     end
@@ -130,9 +150,9 @@ let rec note t pos len h i =
     if
       c lxor tag h <= idx_mask
       &&
-      let key = t.ent.(2 * d) in
+      let key = ent_key t d in
       key land 31 = len && slice_equal t.sample (key lsr 5) pos len 0
-    then t.ent.((2 * d) + 1) <- t.ent.((2 * d) + 1) + 1
+    then set64u t.ent ((16 * d) + 8) (Int64.of_int (ent_count t d + 1))
     else note t pos len h ((i + 1) land t.mask)
 
 (* Bucket count of a [Hashtbl.create 4096] table after [n] adds: it
@@ -152,7 +172,7 @@ let mine_tokens ?(max_tokens = 512) ?(sample_bytes = 1 lsl 20) (values : string 
   in
   let taken = take_sample sample_bytes [] values in
   let sample = Bytes.create (List.fold_left (fun a v -> a + String.length v) 0 taken) in
-  let t = create_candidates sample in
+  let t = create_candidates sample (min max_candidates (occurrences taken)) in
   let start = ref 0 in
   List.iter
     (fun v ->
@@ -180,9 +200,9 @@ let mine_tokens ?(max_tokens = 512) ?(sample_bytes = 1 lsl 20) (values : string 
   let buckets = hashtbl_buckets t.n in
   let scored = ref [] in
   for d = t.n - 1 downto 0 do
-    let c = t.ent.((2 * d) + 1) in
+    let c = ent_count t d in
     if c >= 3 then begin
-      let key = t.ent.(2 * d) in
+      let key = ent_key t d in
       let len = key land 31 in
       let tok = Bytes.sub_string sample (key lsr 5) len in
       let score = (c * ((2 * len) - 3)) - (2 * len) in
@@ -302,7 +322,9 @@ let train ?max_tokens ?sample_bytes (values : string list) : model =
       let total = List.fold_left (fun acc v -> acc + String.length v) 0 values in
       min 1024 (max 8 (total / 96))
   in
-  of_tokens (mine_tokens ~max_tokens ?sample_bytes values)
+  of_tokens
+    (Xquec_obs.Trace.with_span ~name:"alm.mine" (fun () ->
+         mine_tokens ~max_tokens ?sample_bytes values))
 
 (* ------------------------------------------------------------------ *)
 (* Encoding / decoding                                                 *)

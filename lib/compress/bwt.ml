@@ -11,29 +11,83 @@ let direct_budget_factor = 8
 
 exception Give_up
 
-(* Rotations sorted by comparing them byte by byte over [s ^ s], or
-   [None] when two rotations are equal in full (a periodic input, where
-   the order of equal rotations, and so the primary index, is the
-   doubling sort's) or the comparison budget runs out. Without equal
-   rotations the order is total, so it is the doubling sort's order. *)
+(* Rotations sorted by direct comparison, or [None] when two rotations
+   are equal in full (a periodic input, where the order of equal
+   rotations, and so the primary index, is the doubling sort's) or the
+   comparison budget runs out. Without equal rotations the order is
+   total, so any correct sort gives the doubling sort's order.
+
+   [key.(i)] holds rotation [i]'s first 7 bytes as a big-endian integer,
+   so most comparisons are one integer comparison; equal keys compare
+   the rest byte by byte over [s ^ s]. The sort is a merge sort on
+   integer arrays that calls the comparison directly. *)
 let direct_sort (s : string) : int array option =
   let n = String.length s in
   let ss = s ^ s in
   let log2 = ref 1 in
   while 1 lsl !log2 < n do incr log2 done;
   let budget = ref (direct_budget_factor * n * !log2) in
-  let cmp a b =
-    let k = ref 0 in
-    while !k < n && String.unsafe_get ss (a + !k) = String.unsafe_get ss (b + !k) do
-      incr k
-    done;
-    budget := !budget - !k - 1;
-    if !k = n || !budget < 0 then raise Give_up;
-    Char.compare (String.unsafe_get ss (a + !k)) (String.unsafe_get ss (b + !k))
+  let key = Array.make n 0 in
+  let k0 = ref 0 in
+  for j = 0 to 6 do
+    k0 := (!k0 lsl 8) lor Char.code (String.unsafe_get s (j mod n))
+  done;
+  key.(0) <- !k0;
+  for i = 1 to n - 1 do
+    k0 :=
+      ((!k0 lsl 8) land 0xff_ffff_ffff_ffff) lor Char.code (String.unsafe_get s ((i + 6) mod n));
+    key.(i) <- !k0
+  done;
+  (* The first 7 bytes cover a rotation of at most 7 bytes (repeated),
+     so there equal keys are equal rotations. *)
+  let rec rest a b k =
+    if k >= n then raise Give_up
+    else
+      let c = Char.compare (String.unsafe_get ss (a + k)) (String.unsafe_get ss (b + k)) in
+      if c <> 0 then begin
+        budget := !budget - k - 1;
+        if !budget < 0 then raise Give_up;
+        c
+      end
+      else rest a b (k + 1)
   in
-  let sa = Array.init n Fun.id in
-  match Array.stable_sort cmp sa with
-  | () -> Some sa
+  let cmp a b =
+    let ka = Array.unsafe_get key a and kb = Array.unsafe_get key b in
+    if ka <> kb then ka - kb else rest a b 7
+  in
+  (* merge [src.(lo .. mid-1)] and [src.(mid .. hi-1)] into [dst] *)
+  let merge src dst lo mid hi =
+    let i = ref lo and j = ref mid in
+    for d = lo to hi - 1 do
+      if !j >= hi || (!i < mid && cmp (Array.unsafe_get src !i) (Array.unsafe_get src !j) <= 0)
+      then begin
+        Array.unsafe_set dst d (Array.unsafe_get src !i);
+        incr i
+      end
+      else begin
+        Array.unsafe_set dst d (Array.unsafe_get src !j);
+        incr j
+      end
+    done
+  in
+  let a = ref (Array.init n Fun.id) and b = ref (Array.make n 0) in
+  let width = ref 1 in
+  match
+    while !width < n do
+      let w = !width in
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = min n (!lo + w) and hi = min n (!lo + (2 * w)) in
+        merge !a !b !lo mid hi;
+        lo := hi
+      done;
+      let t = !a in
+      a := !b;
+      b := t;
+      width := 2 * w
+    done
+  with
+  | () -> Some !a
   | exception Give_up -> None
 
 let doubling_sort (s : string) : int array =

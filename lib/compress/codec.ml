@@ -62,6 +62,27 @@ type model =
 
 exception Unsupported = Ipack.Unsupported
 
+(* The per-value counter names of each algorithm, built once: a value's
+   encode or decode bumps two of them while collection is on. *)
+type counter_names = {
+  encode_calls : string;
+  encoded_bytes : string;
+  decode_calls : string;
+  decoded_bytes : string;
+}
+
+let counter_names =
+  let table =
+    List.map
+      (fun alg ->
+        let p = "codec." ^ algorithm_name alg in
+        ( alg,
+          { encode_calls = p ^ ".encode_calls"; encoded_bytes = p ^ ".encoded_bytes";
+            decode_calls = p ^ ".decode_calls"; decoded_bytes = p ^ ".decoded_bytes" } ))
+      all_algorithms
+  in
+  fun alg -> List.assq alg table
+
 let algorithm_of_model = function
   | M_huffman _ -> Huffman_alg
   | M_alm _ -> Alm_alg
@@ -103,10 +124,9 @@ let compress (m : model) (value : string) : string =
     | M_numeric n -> Ipack.compress n value
   in
   if Xquec_obs.is_enabled () then begin
-    let name = algorithm_name (algorithm_of_model m) in
-    Xquec_obs.Metrics.incr (Printf.sprintf "codec.%s.encode_calls" name);
-    Xquec_obs.Metrics.incr ~by:(String.length code)
-      (Printf.sprintf "codec.%s.encoded_bytes" name)
+    let names = counter_names (algorithm_of_model m) in
+    Xquec_obs.Metrics.incr names.encode_calls;
+    Xquec_obs.Metrics.incr ~by:(String.length code) names.encoded_bytes
   end;
   code
 
@@ -121,10 +141,9 @@ let decompress (m : model) (compressed : string) : string =
     | M_numeric n -> Ipack.decompress n compressed
   in
   if Xquec_obs.is_enabled () then begin
-    let name = algorithm_name (algorithm_of_model m) in
-    Xquec_obs.Metrics.incr (Printf.sprintf "codec.%s.decode_calls" name);
-    Xquec_obs.Metrics.incr ~by:(String.length value)
-      (Printf.sprintf "codec.%s.decoded_bytes" name)
+    let names = counter_names (algorithm_of_model m) in
+    Xquec_obs.Metrics.incr names.decode_calls;
+    Xquec_obs.Metrics.incr ~by:(String.length value) names.decoded_bytes
   end;
   value
 

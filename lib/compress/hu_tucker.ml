@@ -4,8 +4,9 @@
 
    Alphabet: symbol 0 is the end-of-string marker (smallest, so that a
    proper prefix of another string compares below it), symbols 1..256 are
-   the bytes in order. The combination phase is the classic O(n²·n) naive
-   procedure — ample at alphabet size 257, and only run once per model. *)
+   the bytes in order. The combination phase makes one O(n) pass per
+   merge, O(n²) in all, over flat arrays: nothing is allocated per
+   candidate pair. *)
 
 let symbol_count = 257
 let eos = 0
@@ -22,63 +23,61 @@ type model = {
 
 exception Corrupt of string
 
-(* Phase 1: combination. Returns the depth of each original leaf. *)
+(* Phase 1: combination. Returns the depth of each original leaf.
+
+   The working sequence is kept compact, in position order: slot [k]
+   holds a weight, whether it is still an original leaf, and its tree
+   node (leaves are [0 .. n-1], merged nodes [n ..], with their children
+   in [left] and [right]). Each merge joins the minimal compatible pair:
+   two slots with no leaf strictly between them, leftmost on ties. One
+   right-to-left pass finds it: a slot's best partner is the leftmost
+   minimum weight among the slots after it, up to and including the
+   next leaf, and the pair is the first slot with the least sum. *)
 let combine (weights : int array) : int array =
   let n = Array.length weights in
-  (* Working sequence: Some (weight, is_leaf, tree) at original positions. *)
-  let module T = struct
-    type tree = Leaf of int | Node of tree * tree
-  end in
-  let open T in
-  let slots = Array.init n (fun i -> Some (weights.(i), true, Leaf i)) in
-  let alive = ref n in
-  while !alive > 1 do
-    (* Find the minimal compatible pair: positions i < j, both alive, with
-       no alive *leaf* strictly between them. *)
-    let best = ref None in
-    let i = ref 0 in
-    while !i < n do
-      (match slots.(!i) with
-      | None -> ()
-      | Some (wi, _, _) ->
-        (* scan forward until blocked by a leaf *)
-        let j = ref (!i + 1) in
-        let blocked = ref false in
-        while (not !blocked) && !j < n do
-          (match slots.(!j) with
-          | None -> ()
-          | Some (wj, j_leaf, _) ->
-            let sum = wi + wj in
-            (match !best with
-            | Some (bsum, _, _) when bsum <= sum -> ()
-            | Some _ | None -> best := Some (sum, !i, !j));
-            if j_leaf then blocked := true);
-          incr j
-        done);
-      incr i
+  let w = Array.copy weights and leaf = Array.make n true and tree = Array.init n Fun.id in
+  let left = Array.make (max 0 (n - 1)) 0 and right = Array.make (max 0 (n - 1)) 0 in
+  let live = ref n in
+  while !live > 1 do
+    let m = !live in
+    (* [pw]/[pk]: the best partner of the slot left of [k] *)
+    let pw = ref w.(m - 1) and pk = ref (m - 1) in
+    let best = ref max_int and bi = ref 0 and bj = ref 0 in
+    for k = m - 2 downto 0 do
+      let sum = w.(k) + !pw in
+      if sum <= !best then begin
+        best := sum;
+        bi := k;
+        bj := !pk
+      end;
+      if leaf.(k) || w.(k) <= !pw then begin
+        pw := w.(k);
+        pk := k
+      end
     done;
-    match !best with
-    | None -> assert false
-    | Some (sum, bi, bj) ->
-      let ti = match slots.(bi) with Some (_, _, t) -> t | None -> assert false in
-      let tj = match slots.(bj) with Some (_, _, t) -> t | None -> assert false in
-      slots.(bi) <- Some (sum, false, Node (ti, tj));
-      slots.(bj) <- None;
-      decr alive
+    let i = !bi and j = !bj in
+    let node = n + (n - m) in
+    left.(node - n) <- tree.(i);
+    right.(node - n) <- tree.(j);
+    w.(i) <- !best;
+    leaf.(i) <- false;
+    tree.(i) <- node;
+    let rest = m - j - 1 in
+    Array.blit w (j + 1) w j rest;
+    Array.blit leaf (j + 1) leaf j rest;
+    Array.blit tree (j + 1) tree j rest;
+    live := m - 1
   done;
-  let root =
-    let rec find i = match slots.(i) with Some (_, _, t) -> t | None -> find (i + 1) in
-    find 0
-  in
-  let depths = Array.make n 0 in
-  let rec walk d = function
-    | Leaf i -> depths.(i) <- max 1 d
-    | Node (a, b) ->
-      walk (d + 1) a;
-      walk (d + 1) b
-  in
-  (match root with Leaf i -> depths.(i) <- 1 | Node _ -> walk 0 root);
-  depths
+  (* Depths top-down: a merged node is made after its children, so the
+     root is the last one and each node's depth is set before its
+     children's. *)
+  let depth = Array.make (max 1 ((2 * n) - 1)) 0 in
+  for node = (2 * n) - 2 downto n do
+    let d = depth.(node) + 1 in
+    depth.(left.(node - n)) <- d;
+    depth.(right.(node - n)) <- d
+  done;
+  Array.init n (fun i -> max 1 depth.(i))
 
 (* Phases 2-3: rebuild an alphabetic prefix code from the depth sequence. *)
 let alphabetic_codes (lengths : int array) : int array =

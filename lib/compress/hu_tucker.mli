@@ -27,3 +27,9 @@ val deserialize_model : string -> model
 
 (** Serialized size in bytes (counted into the repository total). *)
 val model_size : model -> int
+
+(** [combine weights] is the code length of each symbol: its leaf's
+    depth in the Hu-Tucker combination of [weights] (each merge joins
+    the lightest pair with no original leaf between them, leftmost on
+    ties). At least one weight. *)
+val combine : int array -> int array

@@ -40,86 +40,92 @@ let max_code_len = 56
 (* ------------------------------------------------------------------ *)
 
 (* Build code lengths with the classic two-queue method over symbols sorted
-   by frequency; a binary heap is unnecessary at alphabet size 257. *)
+   by frequency; a binary heap is unnecessary at alphabet size 257. The
+   nodes live in arrays: [0 .. m-1] are the present symbols, stably
+   sorted by frequency (the leaf queue), and [m ..] the merged nodes in
+   the order they are made (the merged queue). Each step pops the
+   lighter head, the leaf on ties. *)
 let code_lengths (freqs : int array) : int array =
-  let present =
-    Array.to_list (Array.mapi (fun s f -> (s, f)) freqs)
-    |> List.filter (fun (_, f) -> f > 0)
+  let lens = Array.make symbol_count 0 in
+  let order =
+    Array.of_seq (Seq.filter (fun s -> freqs.(s) > 0) (Seq.init (Array.length freqs) Fun.id))
   in
-  match present with
-  | [] -> invalid_arg "Huffman.code_lengths: empty frequency table"
-  | [ (s, _) ] ->
-    let lens = Array.make symbol_count 0 in
-    lens.(s) <- 1;
-    lens
-  | _ ->
-    (* Tree nodes: leaves carry a symbol, internal nodes two children. *)
-    let sorted = List.sort (fun (_, f) (_, f') -> compare f f') present in
-    let leaves = Queue.create () in
-    List.iter (fun (s, f) -> Queue.add (f, `Leaf s) leaves) sorted;
-    let merged = Queue.create () in
+  let m = Array.length order in
+  if m = 0 then invalid_arg "Huffman.code_lengths: empty frequency table";
+  if m = 1 then lens.(order.(0)) <- 1
+  else begin
+    Array.stable_sort (fun a b -> Int.compare freqs.(a) freqs.(b)) order;
+    let weight = Array.make ((2 * m) - 1) 0 in
+    Array.iteri (fun k s -> weight.(k) <- freqs.(s)) order;
+    let left = Array.make (m - 1) 0 and right = Array.make (m - 1) 0 in
+    let leaf = ref 0 and merged = ref m and next = ref m in
     let take_min () =
-      (* Pop the smaller head of the two queues. *)
-      match Queue.is_empty leaves, Queue.is_empty merged with
-      | true, true -> assert false
-      | false, true -> Queue.pop leaves
-      | true, false -> Queue.pop merged
-      | false, false ->
-        let (fl, _) = Queue.peek leaves and (fm, _) = Queue.peek merged in
-        if fl <= fm then Queue.pop leaves else Queue.pop merged
+      if !leaf < m && (!merged = !next || weight.(!leaf) <= weight.(!merged)) then begin
+        incr leaf;
+        !leaf - 1
+      end
+      else begin
+        incr merged;
+        !merged - 1
+      end
     in
-    let remaining () = Queue.length leaves + Queue.length merged in
-    while remaining () > 1 do
-      let (f1, n1) = take_min () in
-      let (f2, n2) = take_min () in
-      Queue.add (f1 + f2, `Node (n1, n2)) merged
+    while !next < (2 * m) - 1 do
+      let a = take_min () in
+      let b = take_min () in
+      weight.(!next) <- weight.(a) + weight.(b);
+      left.(!next - m) <- a;
+      right.(!next - m) <- b;
+      incr next
     done;
-    let (_, root) = take_min () in
-    let lens = Array.make symbol_count 0 in
-    let rec assign depth node =
-      match node with
-      | `Leaf s -> lens.(s) <- max 1 depth
-      | `Node (a, b) ->
-        assign (depth + 1) a;
-        assign (depth + 1) b
-    in
-    assign 0 root;
-    lens
+    (* the root is the last node made, and every node is made after its
+       children, so depths fill in from the root down *)
+    let depth = Array.make ((2 * m) - 1) 0 in
+    for node = (2 * m) - 2 downto m do
+      let d = depth.(node) + 1 in
+      depth.(left.(node - m)) <- d;
+      depth.(right.(node - m)) <- d
+    done;
+    Array.iteri (fun k s -> lens.(s) <- max 1 depth.(k)) order
+  end;
+  lens
 
-(* Turn code lengths into canonical codes and decoding tables. *)
+(* Turn code lengths into canonical codes and decoding tables: symbols
+   ordered by (length, symbol), counted by length, then placed in one
+   pass over the symbols. *)
 let of_lengths (lengths : int array) : model =
   if Array.length lengths <> symbol_count then
     invalid_arg "Huffman.of_lengths: bad array size";
   if Array.exists (fun l -> l > max_code_len) lengths then
     raise (Corrupt "code length exceeds the decoder's accumulator");
-  let syms =
-    Array.to_list (Array.mapi (fun s l -> (s, l)) lengths)
-    |> List.filter (fun (_, l) -> l > 0)
-    |> List.sort (fun (s, l) (s', l') ->
-           if l <> l' then compare l l' else compare s s')
-  in
-  let max_len = List.fold_left (fun m (_, l) -> max m l) 0 syms in
+  let max_len = Array.fold_left max 0 lengths in
+  let count = Array.make (max_len + 2) 0 in
+  Array.iter (fun l -> if l > 0 then count.(l) <- count.(l) + 1) lengths;
   let codes = Array.make symbol_count 0 in
   let first_code = Array.make (max_len + 2) 0 in
   let first_index = Array.make (max_len + 2) 0 in
-  let symbols = Array.of_list (List.map fst syms) in
   (* Canonical assignment: shorter codes first, numerically increasing. *)
-  let code = ref 0 in
-  let idx = ref 0 in
-  let arr = Array.of_list syms in
+  let code = ref 0 and idx = ref 0 in
   for l = 1 to max_len do
     first_code.(l) <- !code;
     first_index.(l) <- !idx;
-    Array.iter (fun (s, l') -> if l' = l then begin
-        codes.(s) <- !code;
-        incr code;
-        incr idx
-      end) arr;
+    code := !code + count.(l);
+    idx := !idx + count.(l);
     (* Kraft: the codes of length [l] must fit in [l] bits *)
     if !code > 1 lsl l then raise (Corrupt "over-subscribed code lengths");
     code := !code lsl 1
   done;
   first_index.(max_len + 1) <- !idx;
+  let symbols = Array.make !idx 0 in
+  let next = Array.copy first_index in
+  Array.iteri
+    (fun s l ->
+      if l > 0 then begin
+        let k = next.(l) in
+        next.(l) <- k + 1;
+        symbols.(k) <- s;
+        codes.(s) <- first_code.(l) + (k - first_index.(l))
+      end)
+    lengths;
   { lengths; codes; first_code; first_index; symbols; max_len; table = Atomic.make [||] }
 
 (** Train a model on a list of strings. Every byte value is given a floor

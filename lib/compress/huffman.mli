@@ -18,6 +18,13 @@ exception Corrupt of string
 (** 256 byte symbols + the end-of-string symbol. *)
 val symbol_count : int
 
+(** [code_lengths freqs] is the Huffman code length of each of the
+    {!symbol_count} symbols; 0 for a symbol of frequency 0, 1 when only
+    one symbol is present. The two-queue construction takes the lighter
+    head, the leaf on ties, and orders equal frequencies by symbol.
+    Raises [Invalid_argument] when no frequency is positive. *)
+val code_lengths : int array -> int array
+
 (** Build a canonical-code model from code lengths. Raises {!Corrupt}
     when the lengths cannot form a prefix code (their Kraft sum exceeds
     1) or one exceeds {!max_code_len}. *)

@@ -11,70 +11,94 @@ let window = 1 lsl window_bits
 let min_match = 3
 let max_match = min_match + 15 (* 4-bit length field *)
 
+(* The hash of the 3 bytes at [i]. *)
+let hash_bits = 14
+
+let hash data i =
+  (Char.code (String.unsafe_get data i) lsl 10)
+  lxor (Char.code (String.unsafe_get data (i + 1)) lsl 5)
+  lxor Char.code (String.unsafe_get data (i + 2))
+  land ((1 lsl hash_bits) - 1)
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let get t i = Int32.to_int (get32u t (4 * i))
+let set t i v = set32u t (4 * i) (Int32.of_int v)
+
+(* Positions are inserted in increasing order, every [i] with
+   [i + min_match <= n]. [head] (per hash, the latest position) and
+   [prev] (per position, the one before it with its hash, or -1) are
+   int32 cells that are not initialised: a [head] cell is trusted only
+   when it holds an inserted position with that hash, which it does
+   once any position with that hash was inserted, and a [prev] cell is
+   written when its position is inserted, before it is read. *)
 let compress (data : string) : string =
   let n = String.length data in
   let w = Bitio.Writer.create ~size:n () in
-  (* Chained hash table over 3-byte prefixes. *)
-  let hash_bits = 14 in
-  let head = Array.make (1 lsl hash_bits) (-1) in
-  let prev = Array.make (max n 1) (-1) in
-  let hash i =
-    (Char.code data.[i] lsl 10)
-    lxor (Char.code data.[i + 1] lsl 5)
-    lxor Char.code data.[i + 2]
-    land ((1 lsl hash_bits) - 1)
+  let head = Bytes.create (4 lsl hash_bits) and prev = Bytes.create (4 * n) in
+  (* the latest position before [i] whose hash is [h], or -1 *)
+  let latest h i =
+    let p = get head h in
+    if p >= 0 && p < i && hash data p = h then p else -1
   in
   let insert i =
     if i + min_match <= n then begin
-      let h = hash i in
-      prev.(i) <- head.(h);
-      head.(h) <- i
+      let h = hash data i in
+      set prev i (latest h i);
+      set head h i
     end
   in
+  (* The longest match for [i], once inserted, among the 32 latest
+     positions before it with its hash inside the window, the latest on
+     ties; [best_pos] is set when the length returned is at least
+     [min_match]. *)
+  let best_pos = ref (-1) in
   let find_match i =
-    if i + min_match > n then None
+    if i + min_match > n then 0
     else begin
       let limit = max 0 (i - window) in
-      let best_len = ref 0 and best_pos = ref (-1) in
-      let cand = ref head.(hash i) in
+      let best_len = ref 0 in
+      let cand = ref (get prev i) in
       let tries = ref 32 in
+      let max_here = min max_match (n - i) in
       while !cand >= limit && !tries > 0 do
         let c = !cand in
-        if c < i then begin
-          let len = ref 0 in
-          let max_here = min max_match (n - i) in
-          while !len < max_here && data.[c + !len] = data.[i + !len] do
-            incr len
-          done;
-          if !len > !best_len then begin
-            best_len := !len;
-            best_pos := c
-          end
+        let len = ref 0 in
+        while
+          !len < max_here && String.unsafe_get data (c + !len) = String.unsafe_get data (i + !len)
+        do
+          incr len
+        done;
+        if !len > !best_len then begin
+          best_len := !len;
+          best_pos := c
         end;
-        cand := prev.(c);
+        cand := get prev c;
         decr tries
       done;
-      if !best_len >= min_match then Some (!best_pos, !best_len) else None
+      !best_len
     end
   in
   let header = Buffer.create 8 in
   Rle.add_varint header n;
   let i = ref 0 in
   while !i < n do
-    (match find_match !i with
-    | Some (pos, len) ->
-      Bitio.Writer.add_bit w false;
-      Bitio.Writer.add_bits w (!i - pos - 1) window_bits;
-      Bitio.Writer.add_bits w (len - min_match) 4;
-      for j = !i to !i + len - 1 do
+    insert !i;
+    let len = find_match !i in
+    if len >= min_match then begin
+      (* a 0 flag, the 12-bit distance - 1 and the 4-bit length - min_match *)
+      Bitio.Writer.add_bits w ((((!i - !best_pos - 1) lsl 4) lor (len - min_match))) 17;
+      for j = !i + 1 to !i + len - 1 do
         insert j
       done;
       i := !i + len
-    | None ->
-      Bitio.Writer.add_bit w true;
-      Bitio.Writer.add_bits w (Char.code data.[!i]) 8;
-      insert !i;
-      incr i)
+    end
+    else begin
+      (* a 1 flag and the literal *)
+      Bitio.Writer.add_bits w (0x100 lor Char.code (String.unsafe_get data !i)) 9;
+      incr i
+    end
   done;
   Buffer.contents header ^ Bitio.Writer.contents w
 

@@ -95,10 +95,12 @@ let scan_records ctx (cont : Container.t) (keep : string -> bool) : Container.re
   Array.to_list (Container.scan cont)
   |> List.filter (fun (r : Container.record) -> keep r.Container.code)
 
-(* Records of [cont] satisfying [value op const]: one interval search
-   on codes where [codes_replace_values] allows it, otherwise a scan
-   that decompresses every value and compares it by [compare_atoms]
-   (the §3 cost). *)
+(* Records of [cont] satisfying [value op const]: interval searches on
+   codes where [codes_replace_values] allows it ([!=] is the records
+   below the constant's code and those above it, or every record when
+   no packed value equals the constant), otherwise a scan that
+   decompresses every value and compares it by [compare_atoms] (the §3
+   cost). *)
 let filter_records ctx (cont : Container.t) (op : Ast.cmp_op) (const : item) :
     Container.record list =
   let k = atomize ctx const in
@@ -128,9 +130,12 @@ let filter_records ctx (cont : Container.t) (op : Ast.cmp_op) (const : item) :
     records
   in
   match codes, op with
-  | None, _ | _, Ast.Neq -> scan ()
+  | None, _ -> scan ()
   | Some (Some c, _), Ast.Eq -> select ~lo:(`Incl c) ~hi:(`Incl c) ()
-  | Some (None, _), Ast.Eq -> [] (* no packed value equals the constant *)
+  | Some (Some c, _), Ast.Neq -> select ~hi:(`Excl c) () @ select ~lo:(`Excl c) ()
+  (* no packed value equals the constant *)
+  | Some (None, _), Ast.Eq -> []
+  | Some (None, _), Ast.Neq -> select ()
   | Some (_, bound), Ast.Lt -> select ~hi:(`Excl (bound `Ceil)) ()
   | Some (_, bound), Ast.Le -> select ~hi:(`Incl (bound `Floor)) ()
   | Some (_, bound), Ast.Gt -> select ~lo:(`Excl (bound `Floor)) ()
@@ -265,14 +270,12 @@ type pushdown =
 let pushdown_reads ctx (snodes : Summary.node list) (p : pushable) : pushdown option =
   match p with
   | P_value (op, vsteps, const) ->
-    if op = Ast.Neq then None
-    else
-      Option.map
-        (fun resolved ->
-          Filter
-            { kind = (if op = Ast.Eq then "eq" else "range"); resolved;
-              records = (fun cont -> filter_records ctx cont op const) })
-        (resolve_value_path ctx snodes vsteps)
+    Option.map
+      (fun resolved ->
+        Filter
+          { kind = (match op with Ast.Eq | Ast.Neq -> "eq" | _ -> "range"); resolved;
+            records = (fun cont -> filter_records ctx cont op const) })
+      (resolve_value_path ctx snodes vsteps)
   | P_textual (kind, vsteps, needle) ->
     Option.map
       (fun resolved ->

@@ -80,9 +80,11 @@ val recognize_pushable : Xquery.Ast.expr -> pushable option
 type pushdown
 
 (** The reads for a pushable predicate, or None when it cannot run on
-    the containers and must be evaluated per node: [<>], a path that does
-    not resolve, or a bare-element comparison whose container would not
-    hold the whole string value. *)
+    the containers and must be evaluated per node: a path that does not
+    resolve, or a bare-element comparison whose container would not hold
+    the whole string value. A [!=] against a constant keeps the records
+    whose code differs from the constant's where codes decide [=], and
+    scans otherwise. *)
 val pushdown_reads : ctx -> Summary.node list -> pushable -> pushdown option
 
 (** The pushdown row's record of what it read. *)

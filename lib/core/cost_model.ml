@@ -142,7 +142,11 @@ let estimate_set (t : t) (ids : int list) (alg : Compress.Codec.algorithm) : flo
       | _ when not (encodes_all t ids alg) -> (Float.infinity, Float.infinity)
       | model ->
         let model_cost = float_of_int (Compress.Codec.model_size model) in
+        (* pricing: every sampled value encoded under the set's model *)
         let storage =
+          Xquec_obs.Trace.with_span ~name:"cost_model.price"
+            ~attrs:[ ("algorithm", Compress.Codec.algorithm_name alg) ]
+          @@ fun () ->
           List.fold_left
             (fun acc id ->
               let sample = sample_of t id in

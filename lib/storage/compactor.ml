@@ -95,7 +95,13 @@ let plan (repo : Repository.t) (recs : (string * float) list) : (int * int) list
       | Some c when Float.is_finite factor && factor > 0.0 && c.Container.n_records > 0 ->
         let scaled = Float.min ceiling (float_of_int c.Container.block_size *. factor) in
         let proposed = Container.clamp_block_size (int_of_float scaled) in
-        if proposed = c.Container.block_size then None else Some (c.Container.id, proposed)
+        (* one block whose records fit in one block at the new size too:
+           re-blocking would rewrite the same block *)
+        let unchanged =
+          Array.length c.Container.blocks = 1 && c.Container.plain_bytes <= proposed
+        in
+        if proposed = c.Container.block_size || unchanged then None
+        else Some (c.Container.id, proposed)
       | _ -> None)
     recs
 

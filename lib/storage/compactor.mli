@@ -55,8 +55,10 @@ val recent : unit -> result list
     block size scaled by the factor and clamped via
     {!Container.clamp_block_size} (a factor too large for an int
     clamps to the ceiling). Unknown paths, empty containers,
-    non-positive or non-finite factors and no-op sizes (clamped size =
-    current size) are dropped. *)
+    non-positive or non-finite factors and no-op sizes are dropped: the
+    clamped size equals the current one, or the container is one block
+    whose plaintext fits in one block at the new size, so re-blocking
+    would rewrite that same block. *)
 val plan : Repository.t -> (string * float) list -> (int * int) list
 
 (** [compact_container repo ~id ~block_size] synchronously re-blocks

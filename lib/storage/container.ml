@@ -320,6 +320,7 @@ let of_sorted_records ~block_size ~plain_size ~id ~path ~kind ~algorithm ~model 
     the permutation input position -> record index. *)
 let of_values ?block_size ~id ~path ~kind ~algorithm ~model ~model_id
     (pairs : (string * int) list) : t * int array =
+  Xquec_obs.Trace.with_span ~name:"container.encode" ~attrs:[ ("path", path) ] @@ fun () ->
   let block_size = Option.value ~default:!default_block_size_ref block_size in
   let triples =
     List.mapi

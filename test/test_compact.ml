@@ -32,12 +32,17 @@ let with_fresh_telemetry f =
 let xmark_xml = lazy (Xmark.Xmlgen.generate ~scale:0.05 ())
 let fresh_engine () = Engine.load ~name:"auction.xml" (Lazy.force xmark_xml)
 
-(* A bigger document for the tests that need low eq selectivity
-   (1 match among > 20 candidates) to trip the shrink rule. *)
-let xmark_xml_big = lazy (Xmark.Xmlgen.generate ~scale:0.1 ())
+(* A bigger document for the test that needs low eq selectivity
+   (1 match among > 20 candidates) to trip the shrink rule, and an @id
+   container (1510 bytes) that spans two blocks at the shrunk size. *)
+let xmark_xml_big = lazy (Xmark.Xmlgen.generate ~scale:0.5 ())
 
 let ids_path = "/site/people/person/@id"
 let names_path = "/site/people/person/name/#text"
+
+(* The one container of the small document past the 1 KiB block-size
+   floor: 3751 bytes in 7 records. *)
+let desc_path = "/site/open_auctions/open_auction/annotation/description/text/#text"
 
 let container_of repo path =
   match Storage.Repository.find_container_by_path repo path with
@@ -65,19 +70,36 @@ let test_pick_and_clamp () =
   Alcotest.(check int) "clamp identity" 8192 (Storage.Container.clamp_block_size 8192);
   let repo = Engine.repo (fresh_engine ()) in
   let names = container_of repo names_path in
-  let pick factor = Storage.Compactor.plan repo [ (names_path, factor) ] in
+  let pick path factor = Storage.Compactor.plan repo [ (path, factor) ] in
   Alcotest.(check int) "names start at the default size" 16384
     names.Storage.Container.block_size;
-  Alcotest.(check (list (pair int int))) "factor 4 scales the size"
-    [ (names.Storage.Container.id, 65536) ] (pick 4.0);
-  (* a huge factor must not overflow the integer size into the floor *)
-  Alcotest.(check (list (pair int int))) "a huge factor hits the ceiling"
-    [ (names.Storage.Container.id, 262144) ] (pick 1e300);
-  Alcotest.(check (list (pair int int))) "a tiny factor hits the floor"
-    [ (names.Storage.Container.id, 1024) ] (pick 1e-300);
+  (* names is one block that fits in one block at every size: re-blocking
+     it would rewrite the same block *)
   List.iter
-    (fun f -> Alcotest.(check (list (pair int int))) (Printf.sprintf "factor %g dropped" f) [] (pick f))
-    [ Float.infinity; Float.nan; Float.neg_infinity; 0.0; -2.0 ]
+    (fun f ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "one fitting block: factor %g dropped" f)
+        [] (pick names_path f))
+    [ 4.0; 1e300; 0.25; 1e-300 ];
+  (* the descriptions, re-blocked at 2 KiB, span several blocks *)
+  let desc = container_of repo desc_path in
+  let id = desc.Storage.Container.id in
+  let r = Storage.Compactor.compact_container repo ~id ~block_size:2048 in
+  Alcotest.(check bool) "descriptions span several blocks" true
+    (r.Storage.Compactor.c_blocks_after > 1);
+  Alcotest.(check (list (pair int int))) "factor 4 scales the size" [ (id, 8192) ]
+    (pick desc_path 4.0);
+  (* a huge factor must not overflow the integer size into the floor *)
+  Alcotest.(check (list (pair int int))) "a huge factor hits the ceiling" [ (id, 262144) ]
+    (pick desc_path 1e300);
+  Alcotest.(check (list (pair int int))) "a tiny factor hits the floor" [ (id, 1024) ]
+    (pick desc_path 1e-300);
+  List.iter
+    (fun f ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "factor %g dropped" f)
+        [] (pick desc_path f))
+    [ Float.infinity; Float.nan; Float.neg_infinity; 0.0; -2.0; 1.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Reblocking                                                          *)
@@ -255,9 +277,9 @@ let test_compactor_swap_and_plan () =
   with_fresh_telemetry @@ fun () ->
   let engine = fresh_engine () in
   let repo = Engine.repo engine in
-  let q = "document(\"auction.xml\")/site/people/person[@id = \"person1\"]/name" in
+  let q = "document(\"auction.xml\")/site/open_auctions/open_auction/annotation/description/text" in
   let before = answer engine q in
-  let old_c = container_of repo ids_path in
+  let old_c = container_of repo desc_path in
   let old_uid = old_c.Storage.Container.uid in
   Storage.Compactor.reset_stats ();
   let r =
@@ -273,7 +295,7 @@ let test_compactor_swap_and_plan () =
     fresh.Storage.Container.block_size;
   Alcotest.(check int) "result records the path change" 2048
     r.Storage.Compactor.c_block_size_after;
-  Alcotest.(check string) "result names the container" ids_path
+  Alcotest.(check string) "result names the container" desc_path
     r.Storage.Compactor.c_path;
   Alcotest.(check string) "query byte-identical after the swap" before (answer engine q);
   Alcotest.(check (list (pair string int))) "old and fresh hold the same records"
@@ -283,13 +305,14 @@ let test_compactor_swap_and_plan () =
   Alcotest.(check int) "one compaction counted" 1 s.Storage.Compactor.k_compactions;
   (match Storage.Compactor.recent () with
   | newest :: _ ->
-    Alcotest.(check string) "recent ring sees it" ids_path newest.Storage.Compactor.c_path
+    Alcotest.(check string) "recent ring sees it" desc_path newest.Storage.Compactor.c_path
   | [] -> Alcotest.fail "recent ring empty");
   (* plan: keep-factors, unknown paths and no-ops are dropped; real
-     factors scale the current size under the clamp *)
+     factors scale the current size under the clamp (the descriptions
+     span several 2 KiB blocks) *)
   let targets =
     Storage.Compactor.plan repo
-      [ (ids_path, 0.25); ("/no/such/container", 0.25); (names_path, 1.0) ]
+      [ (desc_path, 0.25); ("/no/such/container", 0.25); (names_path, 1.0) ]
   in
   Alcotest.(check (list (pair int int))) "plan keeps only the actionable target"
     [ (old_c.Storage.Container.id, 1024) ]
@@ -307,7 +330,7 @@ let test_compactor_swap_and_plan () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("status has " ^ needle) true (contains status needle))
-    [ "\"busy\":false"; "\"compactions\":2"; "\"recent\":["; ids_path ]
+    [ "\"busy\":false"; "\"compactions\":2"; "\"recent\":["; desc_path ]
 
 (* ------------------------------------------------------------------ *)
 (* Mid-run reconfigure under concurrent serve clients                  *)
@@ -409,7 +432,13 @@ let test_recommendations_of_report () =
 let test_auto_compact_on_sustained_drift () =
   with_fresh_telemetry @@ fun () ->
   (* the bigger document keeps eq selectivity on @id under the 5 %
-     shrink threshold (1 match among ~35 candidates) *)
+     shrink threshold (1 match among the 180 @id values) *)
+  (* 4 KiB blocks: the shrink proposes the 1 KiB floor, which the
+     1510-byte @id container does not fit in one block *)
+  let default_size = Storage.Container.default_block_size () in
+  Storage.Container.set_default_block_size 4096;
+  Fun.protect ~finally:(fun () -> Storage.Container.set_default_block_size default_size)
+  @@ fun () ->
   let engine = Engine.load ~name:"auction.xml" (Lazy.force xmark_xml_big) in
   let repo = Engine.repo engine in
   let q = "document(\"auction.xml\")/site/people/person[@id = \"person1\"]/name" in

@@ -1217,6 +1217,312 @@ let test_image_values_oracle () =
     repo.Storage.Repository.containers;
   Alcotest.(check bool) "checked values" true (!checked > 1000)
 
+(* ------------------------------------------------------------------ *)
+(* Training and pricing against the previous implementations           *)
+(* ------------------------------------------------------------------ *)
+
+(* The previous Hu-Tucker combination, kept as the oracle: every merge
+   rescans every compatible pair (no alive leaf strictly between) and
+   keeps the first of least sum. *)
+let oracle_hu_combine (weights : int array) : int array =
+  let n = Array.length weights in
+  let module T = struct
+    type tree = Leaf of int | Node of tree * tree
+  end in
+  let open T in
+  let slots = Array.init n (fun i -> Some (weights.(i), true, Leaf i)) in
+  let alive = ref n in
+  while !alive > 1 do
+    let best = ref None in
+    for i = 0 to n - 1 do
+      match slots.(i) with
+      | None -> ()
+      | Some (wi, _, _) ->
+        let j = ref (i + 1) and blocked = ref false in
+        while (not !blocked) && !j < n do
+          (match slots.(!j) with
+          | None -> ()
+          | Some (wj, j_leaf, _) ->
+            let sum = wi + wj in
+            (match !best with
+            | Some (bsum, _, _) when bsum <= sum -> ()
+            | _ -> best := Some (sum, i, !j));
+            if j_leaf then blocked := true);
+          incr j
+        done
+    done;
+    match !best with
+    | None -> assert false
+    | Some (sum, bi, bj) ->
+      let tree k = match slots.(k) with Some (_, _, t) -> t | None -> assert false in
+      slots.(bi) <- Some (sum, false, Node (tree bi, tree bj));
+      slots.(bj) <- None;
+      decr alive
+  done;
+  let root = Array.to_list slots |> List.find_map (Option.map (fun (_, _, t) -> t)) |> Option.get in
+  let depths = Array.make n 0 in
+  let rec walk d = function
+    | Leaf i -> depths.(i) <- max 1 d
+    | Node (a, b) ->
+      walk (d + 1) a;
+      walk (d + 1) b
+  in
+  walk 0 root;
+  depths
+
+(* Weights with heavy ties: drawn from a small range most of the time. *)
+let gen_weights =
+  QCheck2.Gen.(
+    let* hi = oneofl [ 2; 4; 16; 1000 ] in
+    array_size (int_range 1 300) (int_range 1 hi))
+
+let prop_hu_combine_oracle =
+  QCheck2.Test.make ~name:"hu-tucker combine matches the naive oracle" ~count:300 gen_weights
+    (fun w -> Hu_tucker.combine w = oracle_hu_combine w)
+
+(* The previous move-to-front coder, kept as the oracle: an int array
+   shifted one cell at a time. *)
+let oracle_mtf ~decode (s : string) : string =
+  let table = Array.init 256 (fun i -> i) in
+  String.map
+    (fun c ->
+      let pos =
+        if decode then Char.code c
+        else
+          let rec find i = if table.(i) = Char.code c then i else find (i + 1) in
+          find 0
+      in
+      let b = table.(pos) in
+      for i = pos downto 1 do
+        table.(i) <- table.(i - 1)
+      done;
+      table.(0) <- b;
+      Char.chr (if decode then b else pos))
+    s
+
+let gen_bytes =
+  QCheck2.Gen.(
+    oneof
+      [
+        string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 600);
+        string_size ~gen:(oneofl [ 'a'; 'b'; '\000'; '\255' ]) (int_range 0 200);
+      ])
+
+let prop_mtf_oracle =
+  QCheck2.Test.make ~name:"mtf encode and decode match the oracle" ~count:300 gen_bytes (fun s ->
+      Mtf.encode s = oracle_mtf ~decode:false s && Mtf.decode s = oracle_mtf ~decode:true s)
+
+(* The previous Huffman code lengths, kept as the oracle: lists, two
+   [Queue]s and a polymorphic-variant tree. *)
+let oracle_code_lengths (freqs : int array) : int array =
+  let present =
+    Array.to_list (Array.mapi (fun s f -> (s, f)) freqs) |> List.filter (fun (_, f) -> f > 0)
+  in
+  let lens = Array.make Huffman.symbol_count 0 in
+  (match present with
+  | [] -> invalid_arg "empty"
+  | [ (s, _) ] -> lens.(s) <- 1
+  | _ ->
+    let sorted = List.sort (fun (_, f) (_, f') -> compare f f') present in
+    let leaves = Queue.create () and merged = Queue.create () in
+    List.iter (fun (s, f) -> Queue.add (f, `Leaf s) leaves) sorted;
+    let take_min () =
+      match (Queue.is_empty leaves, Queue.is_empty merged) with
+      | false, true -> Queue.pop leaves
+      | true, false -> Queue.pop merged
+      | _ ->
+        if fst (Queue.peek leaves) <= fst (Queue.peek merged) then Queue.pop leaves
+        else Queue.pop merged
+    in
+    while Queue.length leaves + Queue.length merged > 1 do
+      let f1, n1 = take_min () in
+      let f2, n2 = take_min () in
+      Queue.add (f1 + f2, `Node (n1, n2)) merged
+    done;
+    let rec assign depth = function
+      | `Leaf s -> lens.(s) <- max 1 depth
+      | `Node (a, b) ->
+        assign (depth + 1) a;
+        assign (depth + 1) b
+    in
+    assign 0 (snd (take_min ())));
+  lens
+
+(* The previous canonical assignment: codes handed out length by length,
+   by symbol within a length. *)
+let oracle_canonical_codes (lengths : int array) : int array =
+  let codes = Array.make Huffman.symbol_count 0 in
+  let code = ref 0 in
+  for l = 1 to Array.fold_left max 0 lengths do
+    Array.iteri
+      (fun s l' ->
+        if l' = l then begin
+          codes.(s) <- !code;
+          incr code
+        end)
+      lengths;
+    code := !code lsl 1
+  done;
+  codes
+
+(* Frequency tables with many ties and absent symbols. *)
+let gen_freqs =
+  QCheck2.Gen.(
+    let* hi = oneofl [ 1; 3; 8; 100000 ] in
+    let* present = int_range 1 Huffman.symbol_count in
+    let* f = array_size (return Huffman.symbol_count) (int_range 0 hi) in
+    let* keep = array_size (return Huffman.symbol_count) (int_bound Huffman.symbol_count) in
+    let* first = int_bound (Huffman.symbol_count - 1) in
+    return
+      (Array.mapi
+         (fun s x -> if s = first then max 1 x else if keep.(s) < present then x else 0)
+         f))
+
+let prop_huffman_lengths_oracle =
+  QCheck2.Test.make ~name:"huffman code lengths and canonical codes match the oracle" ~count:300
+    gen_freqs (fun freqs ->
+      let lens = Huffman.code_lengths freqs in
+      let m = Huffman.of_lengths lens and codes = oracle_canonical_codes lens in
+      lens = oracle_code_lengths freqs
+      && List.for_all
+           (fun s ->
+             lens.(s) = 0
+             ||
+             let w = Bitio.Writer.create () in
+             Bitio.Writer.add_bits w codes.(s) lens.(s);
+             Huffman.compress_raw m (String.make 1 (Char.chr s)) = Bitio.Writer.contents w)
+           (List.init 256 Fun.id))
+
+(* The previous direct rotation sort, kept as the oracle: byte-by-byte
+   comparisons under the same budget in [Array.stable_sort], falling
+   back to prefix doubling. *)
+let oracle_bwt_direct (s : string) : Bwt.t =
+  let n = String.length s in
+  let ss = s ^ s in
+  let log2 = ref 1 in
+  while 1 lsl !log2 < n do
+    incr log2
+  done;
+  let budget = ref (8 * n * !log2) in
+  let exception Give_up in
+  let cmp a b =
+    let k = ref 0 in
+    while !k < n && ss.[a + !k] = ss.[b + !k] do
+      incr k
+    done;
+    budget := !budget - !k - 1;
+    if !k = n || !budget < 0 then raise Give_up;
+    Char.compare ss.[a + !k] ss.[b + !k]
+  in
+  let sa = Array.init n Fun.id in
+  match Array.stable_sort cmp sa with
+  | exception Give_up -> oracle_bwt s
+  | () when n = 0 -> { Bwt.data = ""; primary = 0 }
+  | () ->
+    let primary = ref 0 in
+    let data =
+      String.init n (fun i ->
+          if sa.(i) = 0 then primary := i;
+          s.[(sa.(i) + n - 1) mod n])
+    in
+    { Bwt.data; primary = !primary }
+
+let prop_bwt_direct_oracle =
+  QCheck2.Test.make ~name:"bwt matches the previous direct sort" ~count:300 gen_bwt_input
+    (fun s ->
+      let t = Bwt.transform s and o = oracle_bwt_direct s in
+      t.Bwt.data = o.Bwt.data && t.Bwt.primary = o.Bwt.primary)
+
+(* The previous LZSS encoder, kept as the oracle: a [-1]-filled head
+   table, an option per match and one bit-writer call per field. *)
+let oracle_lzss (data : string) : string =
+  let n = String.length data in
+  let w = Bitio.Writer.create ~size:n () in
+  let head = Array.make (1 lsl 14) (-1) and prev = Array.make (max n 1) (-1) in
+  let hash i =
+    (Char.code data.[i] lsl 10) lxor (Char.code data.[i + 1] lsl 5) lxor Char.code data.[i + 2]
+    land ((1 lsl 14) - 1)
+  in
+  let insert i =
+    if i + 3 <= n then begin
+      let h = hash i in
+      prev.(i) <- head.(h);
+      head.(h) <- i
+    end
+  in
+  let find_match i =
+    if i + 3 > n then None
+    else begin
+      let limit = max 0 (i - 4096) in
+      let best_len = ref 0 and best_pos = ref (-1) and cand = ref head.(hash i) and tries = ref 32 in
+      while !cand >= limit && !tries > 0 do
+        let c = !cand in
+        if c < i then begin
+          let len = ref 0 in
+          while !len < min 18 (n - i) && data.[c + !len] = data.[i + !len] do
+            incr len
+          done;
+          if !len > !best_len then begin
+            best_len := !len;
+            best_pos := c
+          end
+        end;
+        cand := prev.(c);
+        decr tries
+      done;
+      if !best_len >= 3 then Some (!best_pos, !best_len) else None
+    end
+  in
+  let header = Buffer.create 8 in
+  Rle.add_varint header n;
+  let i = ref 0 in
+  while !i < n do
+    match find_match !i with
+    | Some (pos, len) ->
+      Bitio.Writer.add_bit w false;
+      Bitio.Writer.add_bits w (!i - pos - 1) 12;
+      Bitio.Writer.add_bits w (len - 3) 4;
+      for j = !i to !i + len - 1 do
+        insert j
+      done;
+      i := !i + len
+    | None ->
+      Bitio.Writer.add_bit w true;
+      Bitio.Writer.add_bits w (Char.code data.[!i]) 8;
+      insert !i;
+      incr i
+  done;
+  Buffer.contents header ^ Bitio.Writer.contents w
+
+let prop_lzss_encoder_oracle =
+  QCheck2.Test.make ~name:"lzss encoder matches the oracle byte for byte" ~count:200
+    QCheck2.Gen.(oneof [ gen_bwt_input; gen_lz_text; map (fun k -> String.sub big_text 0 k) (int_bound 4000) ])
+    (fun s -> Lzss.compress s = oracle_lzss s)
+
+(* The Q1-Q20-tuned images of eight XMark 0.25 documents, recorded
+   before codec training and pricing were made cheaper: training,
+   pricing and encoding must not change a byte. *)
+let test_tuned_seed_digests () =
+  let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  List.iter
+    (fun (seed, digest) ->
+      let xml = Xmark.Xmlgen.generate ~seed ~scale:0.25 () in
+      let e = Xquec_core.Engine.load ~name:"auction.xml" ~workload xml in
+      Alcotest.(check string)
+        (Printf.sprintf "XMark 0.25 seed %d, Q1-Q20 workload" seed)
+        digest
+        (Digest.to_hex (Digest.string (Xquec_core.Engine.save e))))
+    [
+      (42, "515a56d594dc8eefee3e20aeef7dc6e0");
+      (43, "d6e1d779bc4dff5aa876c61691b711a0");
+      (44, "99dfd64f0e69ca6624355cca8ffdf015");
+      (45, "e09333e27c2a5226894b7848e0d085f5");
+      (46, "5b7e3090d7485c0b5b7aaca49e700233");
+      (47, "12a346245c23d4d11db27c47f8bbb2ce");
+      (48, "bb28b62c07cf48c24be8359196dd9f5f");
+      (49, "3d6ac72fc5413de97835cffcbbddf23e");
+    ]
+
 let suites =
   [
     ( "bitio",
@@ -1324,5 +1630,14 @@ let suites =
       [
         Alcotest.test_case "dispatch all algorithms" `Quick test_codec_dispatch;
         Alcotest.test_case "properties table" `Quick test_codec_properties;
+      ] );
+    ( "training-oracles",
+      [
+        QCheck_alcotest.to_alcotest prop_hu_combine_oracle;
+        QCheck_alcotest.to_alcotest prop_mtf_oracle;
+        QCheck_alcotest.to_alcotest prop_huffman_lengths_oracle;
+        QCheck_alcotest.to_alcotest prop_bwt_direct_oracle;
+        QCheck_alcotest.to_alcotest prop_lzss_encoder_oracle;
+        Alcotest.test_case "tuned images of seeds 42-49" `Quick test_tuned_seed_digests;
       ] );
   ]

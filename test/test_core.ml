@@ -464,14 +464,25 @@ let test_strategy_is_the_executed_plan () =
     [ "Q2"; "Q3" ];
   Alcotest.(check bool) "Q1 pushes into @id" true
     (mentions "Q1" "containers=/site/people/person/@id");
-  (* <> cannot run on the containers: a per-node filter, no pushdown row *)
+  (* != against a constant runs on the containers, as = does *)
   let plan, ne_lines =
-    strategy "<>" {|document("auction.xml")/site/people/person[@id != "person0"]/name|}
+    strategy "!=" {|document("auction.xml")/site/people/person[@id != "person0"]/name|}
   in
-  Alcotest.(check int) "<>: no pushdown operator" 0 (List.length (operators "pushdown" plan));
-  Alcotest.(check int) "<>: one per-node filter" 1 (List.length (operators "where" plan));
-  Alcotest.(check bool) "<>: no pushdown line" false
-    (List.exists (contains ~needle:"pushdown") ne_lines)
+  Alcotest.(check int) "!=: one pushdown operator" 1 (List.length (operators "pushdown" plan));
+  Alcotest.(check int) "!=: no per-node filter" 0 (List.length (operators "where" plan));
+  Alcotest.(check bool) "!=: pushes into @id" true
+    (List.exists (contains ~needle:"containers=/site/people/person/@id") ne_lines);
+  (* a comparison between two paths cannot run on the containers: a
+     per-node filter, no pushdown row *)
+  let plan, path_lines =
+    strategy "path != path"
+      {|document("auction.xml")/site/people/person[@id != name/text()]/name|}
+  in
+  Alcotest.(check int) "path != path: no pushdown operator" 0
+    (List.length (operators "pushdown" plan));
+  Alcotest.(check int) "path != path: one per-node filter" 1 (List.length (operators "where" plan));
+  Alcotest.(check bool) "path != path: no pushdown line" false
+    (List.exists (contains ~needle:"pushdown") path_lines)
 
 (* Q10's outer key $i is bound by distinct-values over the @category
    container its inner key reads, so the decorrelation keys on codes. *)

@@ -239,9 +239,13 @@ let test_constant_comparisons () =
     [
       ( "<r><e><p>abc</p></e><e><p>50</p></e></r>",
         [ d ^ "/r/e[p > 40]"; "for $e in " ^ d ^ "/r/e where $e/p > 40 return $e" ] );
-      ( "<r><e k=\"07\">a</e><e k=\"7\">b</e><e k=\"x\">c</e></r>",
+      ( "<r><e k=\"07\">a</e><e k=\"7\">b</e><e k=\"x\">c</e><e>d</e></r>",
         [ d ^ "/r/e[@k = \"7\"]"; "for $e in " ^ d ^ "/r/e where $e/@k = \"7\" return $e";
-          d ^ "/r/e[@k = \"x\"]" ] );
+          d ^ "/r/e[@k = \"x\"]"; d ^ "/r/e[@k != \"x\"]"; d ^ "/r/e[@k != \"7\"]";
+          d ^ "/r/e[@k != \"y\"]"; d ^ "/r/e[text() != \"b\"]" ] );
+      ( "<r><e><p>10</p></e><e><p>20</p></e><e><p>20</p><p>30</p></e><e/></r>",
+        [ d ^ "/r/e[p != 20]"; d ^ "/r/e[p != 15.5]"; d ^ "/r/e[p != \"x\"]";
+          "for $e in " ^ d ^ "/r/e where $e/p != 20 return $e" ] );
       ( "<r><e>alpha</e><e>7</e><e>4242</e></r>",
         [ d ^ "//e[text() < \"50\"]";
           "for $v in " ^ d ^ "//e where $v/text() < \"50\" return $v";
@@ -296,6 +300,30 @@ let test_neq_on_equality_codes () =
   in
   Alcotest.(check string) "answer = reference" expected r.out
 
+(* [!=] against a constant keeps the records whose code differs from
+   the constant's wherever [=] runs on codes, so it decompresses
+   nothing; a numeric-looking constant against a string container still
+   scans. *)
+let test_neq_constant_on_codes () =
+  let xml = "<r><e k=\"07\">a</e><e k=\"7\">b</e><e k=\"x\">c</e><e>d</e></r>" in
+  List.iter
+    (fun alg ->
+      let options = { Xquec_core.Loader.default_options with default_string_algorithm = alg } in
+      let engine = Xquec_core.Engine.load ~loader_options:options ~name:"f.xml" xml in
+      let totals text =
+        let r =
+          Xquec_core.Engine.request engine { text; plan = None; admission = None; record = false }
+        in
+        let t = Xquec_obs.Explain.totals r.explain in
+        (t.compressed, t.decompressed)
+      in
+      let name = Compress.Codec.algorithm_name alg in
+      Alcotest.(check (pair int int)) (name ^ ": [@k != \"x\"] on codes") (2, 0)
+        (totals "document(\"f.xml\")/r/e[@k != \"x\"]");
+      Alcotest.(check (pair int int)) (name ^ ": [@k != \"7\"] scans") (0, 3)
+        (totals "document(\"f.xml\")/r/e[@k != \"7\"]"))
+    [ Compress.Codec.Alm_alg; Compress.Codec.Huffman_alg ]
+
 let suites =
   [
     ( "differential",
@@ -314,5 +342,7 @@ let suites =
           test_constant_comparisons;
         Alcotest.test_case "!= on one Huffman model runs on codes" `Quick
           test_neq_on_equality_codes;
+        Alcotest.test_case "!= against a constant runs on codes" `Quick
+          test_neq_constant_on_codes;
       ] );
   ]

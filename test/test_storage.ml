@@ -702,26 +702,41 @@ let test_resave_digests () =
   (* the rebuild paths: a load tuned for Q1-Q20 (the partitioner's
      shared-model rebuild) and that image re-blocked by what running
      Q1-Q20 on it observed (the compactor's reblocked swap, as
-     `xquec compress --adaptive-blocks` runs it) *)
+     `xquec compress --adaptive-blocks` runs it). At scale 0.05 the one
+     container the observed rule would shrink is a single block that
+     fits the smaller size too, so nothing is re-blocked; at scale 1.25
+     the same container spans two blocks at the smaller size. *)
   let workload = List.map (fun q -> q.Xmark.Queries.text) Xmark.Queries.all in
+  let reblock tuned =
+    let targets =
+      Xquec_core.Engine.block_targets tuned (Xquec_core.Engine.declared_fingerprint tuned workload)
+    in
+    List.map
+      (fun (r : Storage.Compactor.result) ->
+        (r.c_path, (r.c_block_size_before, r.c_block_size_after, r.c_blocks_after)))
+      (Storage.Compactor.compact (Xquec_core.Engine.repo tuned) ~targets)
+  in
+  let reblocked_check = Alcotest.(list (pair string (triple int int int))) in
   let tuned = Xquec_core.Engine.load ~name:"auction.xml" ~workload xml in
   Alcotest.(check string) "XMark 0.05 seed 1 image tuned for Q1-Q20"
     "01329b069b3f10711b046a9e546118a2"
     (md5 (Xquec_core.Engine.save tuned));
-  let targets =
-    Xquec_core.Engine.block_targets tuned (Xquec_core.Engine.declared_fingerprint tuned workload)
+  Alcotest.(check reblocked_check) "the observed rule re-blocks nothing" [] (reblock tuned);
+  Alcotest.(check string) "the tuned image after the observed rule"
+    "01329b069b3f10711b046a9e546118a2"
+    (md5 (Xquec_core.Engine.save tuned));
+  let tuned =
+    Xquec_core.Engine.load ~name:"auction.xml" ~workload
+      (Xmark.Xmlgen.generate ~seed:1 ~scale:1.25 ())
   in
-  let reblocked =
-    List.map
-      (fun (r : Storage.Compactor.result) ->
-        (r.c_path, r.c_block_size_before, r.c_block_size_after))
-      (Storage.Compactor.compact (Xquec_core.Engine.repo tuned) ~targets)
-  in
-  Alcotest.(check (list (triple string int int))) "the observed rule re-blocks one container"
-    [ ("/site/open_auctions/open_auction/bidder/personref/@person", 16384, 4096) ]
-    reblocked;
+  Alcotest.(check string) "XMark 1.25 seed 1 image tuned for Q1-Q20"
+    "a00ce663df508ac74c7c0ddd1c118336"
+    (md5 (Xquec_core.Engine.save tuned));
+  Alcotest.(check reblocked_check) "the observed rule re-blocks one container into two blocks"
+    [ ("/site/open_auctions/open_auction/bidder/personref/@person", (16384, 4096, 2)) ]
+    (reblock tuned);
   Alcotest.(check string) "the tuned image after the observed re-blocking"
-    "ff3d8d8224f94b9c938aeaf7587d653e"
+    "c99e6bd164ffd49fad55c1230ba8022c"
     (md5 (Xquec_core.Engine.save tuned))
 
 (* More than 256 distinct names: tag codes no longer fit in a byte, so
