@@ -28,6 +28,8 @@ build:
 # their counts and digests against the committed baseline, and a tiny
 # generate -> compress -> query -> profile round-trip asserts the
 # workload profiler resolves at least one container from the query log.
+# The workload-tuning example (parse, search, build) runs and must print
+# the compression factor of its tuned build.
 # Along the way the image is compressed a second time under
 # OCAMLRUNPARAM=R (randomized hash tables) and must be byte-identical,
 # as must a workload-tuned pair (the partitioner's search and re-encode
@@ -50,6 +52,8 @@ check:
 	dune runtest
 	$(MAKE) docs
 	mkdir -p $(GATE_DIR)
+	dune exec examples/workload_tuning.exe > $(GATE_DIR)/workload-tuning.txt
+	grep -q '^compression factor: .* -> .* (tuned)$$' $(GATE_DIR)/workload-tuning.txt
 	dune exec bench/main.exe -- --json $(GATE_DIR)/quick.json $(GATE_QUICK_EXPERIMENTS) \
 	  > $(GATE_DIR)/quick.log
 	dune exec tools/bench_gate.exe -- --quick --candidate $(GATE_DIR)/quick.json

@@ -410,7 +410,7 @@ let partitioning_gain () =
     ];
   Buffer.add_string buf "</doc>";
   let xml = Buffer.contents buf in
-  let repo = Xquec_core.Loader.load ~name:"d.xml" xml in
+  let parsed = Xquec_core.Loader.parse ~name:"d.xml" xml in
   let workload_queries =
     List.map Xquery.Parser.parse
       [
@@ -421,19 +421,20 @@ let partitioning_gain () =
         "for $x in document(\"d.xml\")/doc/pdate where $x/text() >= \"06/01/2000\" return $x";
       ]
   in
-  let workload = Xquec_core.Workload.analyze repo workload_queries in
-  let all_ids =
-    Array.to_list repo.Storage.Repository.containers |> List.map (fun c -> c.Storage.Container.id)
+  let workload =
+    Xquec_core.Workload.analyze (Xquec_core.Loader.dict parsed) (Xquec_core.Loader.summary parsed)
+      workload_queries
   in
-  let cm = Xquec_core.Cost_model.create repo workload in
+  let all_ids = List.init workload.Xquec_core.Workload.container_count Fun.id in
+  let values = Xquec_core.Loader.values parsed in
+  let cm = Xquec_core.Cost_model.create values workload in
   let naive = { Xquec_core.Cost_model.sets = [ (all_ids, Compress.Codec.Alm_alg) ] } in
   let naive_cost = Xquec_core.Cost_model.breakdown cm naive in
-  let result = Xquec_core.Partitioner.search repo workload in
+  let result = Xquec_core.Partitioner.search values workload in
   let good = result.Xquec_core.Partitioner.configuration in
   let good_cost = Xquec_core.Cost_model.breakdown cm good in
   let container_cf config =
-    let repo = Xquec_core.Loader.load ~name:"d.xml" xml in
-    Xquec_core.Partitioner.apply repo config;
+    let repo = Xquec_core.Loader.build ~configuration:config parsed in
     List.map
       (fun (ids, alg) ->
         let plain =

@@ -42,12 +42,19 @@ let () =
     ]
   in
 
-  let repo = Loader.load ~name:"c.xml" xml in
-  let w = Workload.analyze repo (List.map Xquery.Parser.parse workload) in
+  (* parse once; analysis and search read the parsed values, and the
+     loader encodes each container once under the chosen configuration *)
+  let parsed = Loader.parse ~name:"c.xml" xml in
+  let w =
+    Workload.analyze (Loader.dict parsed) (Loader.summary parsed)
+      (List.map Xquery.Parser.parse workload)
+  in
   Fmt.pr "extracted %d predicates from the workload:@." (List.length w.Workload.predicates);
   List.iter (fun p -> Fmt.pr "  %a@." Workload.pp_predicate p) w.Workload.predicates;
 
-  let result = Partitioner.search repo w in
+  let result = Partitioner.search (Loader.values parsed) w in
+  let untuned = Loader.build parsed in
+  let repo = Loader.build ~configuration:result.Partitioner.configuration parsed in
   Fmt.pr "@.greedy search: cost %.0f (all-bzip singletons) -> %.0f@."
     result.Partitioner.initial_cost result.Partitioner.final_cost;
   Fmt.pr "chosen configuration:@.";
@@ -68,9 +75,8 @@ let () =
         (if m.Partitioner.accepted then "(accepted)" else "(kept previous)"))
     result.Partitioner.trace;
 
-  (* apply it and show the effect on the repository *)
-  let cf_before = Storage.Repository.compression_factor repo in
-  Partitioner.apply repo result.Partitioner.configuration;
+  (* the effect of the configuration on the repository *)
+  let cf_before = Storage.Repository.compression_factor untuned in
   let cf_after = Storage.Repository.compression_factor repo in
   Fmt.pr "@.compression factor: %.1f%% (loader defaults) -> %.1f%% (tuned)@."
     (100.0 *. cf_before) (100.0 *. cf_after);

@@ -30,12 +30,22 @@ type weights = { w_storage : float; w_model : float; w_decompression : float }
 
 let default_weights = { w_storage = 1.0; w_model = 1.0; w_decompression = 0.05 }
 
+(* What the model reads of one container, once: its values in record
+   order, a sample of them, their plaintext bytes, and their numeric
+   model ([None] when one of them is not numeric or the fraction-digit
+   counts differ). *)
+type measured = {
+  values : string array;
+  sample : string list;
+  plain_bytes : int;
+  numeric : Compress.Ipack.model option Lazy.t;
+}
+
 type t = {
-  repo : Repository.t;
+  values : int -> string array;
   workload : Workload.t;
   weights : weights;
-  samples : (int, string list) Hashtbl.t; (* container id -> sampled values *)
-  numeric : (int, Compress.Ipack.model option) Hashtbl.t; (* see [numeric_model] *)
+  measured : (int, measured) Hashtbl.t;
   estimate_cache : (string, float * float) Hashtbl.t;
 }
 
@@ -44,78 +54,53 @@ type t = {
 let sample_limit = 600
 let sample_bytes = 64 * 1024
 
-(* Every [step]-th record until the byte budget runs out. Each block
-   holding a sampled record is decoded once, outside the buffer pool:
-   building a repository must not leave its blocks resident or booked
-   as query heat. *)
-let sample_container (c : Container.t) : string list =
-  let n = Container.length c in
-  let take = min n sample_limit in
-  let step = max 1 (n / max 1 take) in
-  let budget = ref sample_bytes in
-  let out = ref [] in
-  let i = ref 0 in
-  let blk = ref (-1) and codes = ref [||] in
-  while !i < n && !budget > 0 do
-    let bi = Container.block_of_index c !i in
-    if bi <> !blk then begin
-      blk := bi;
-      codes := fst (Container.read_block c bi)
-    end;
-    let code = !codes.(!i - c.Container.blocks.(bi).b_start) in
-    let v = Compress.Codec.decompress c.Container.model code in
-    budget := !budget - String.length v;
-    out := v :: !out;
-    i := !i + step
-  done;
-  List.rev !out
+(* Every [step]-th record until the byte budget runs out. *)
+let sample (values : string array) : string list =
+  let n = Array.length values in
+  let step = max 1 (n / max 1 (min n sample_limit)) in
+  let rec go i budget acc =
+    if i >= n || budget <= 0 then List.rev acc
+    else go (i + step) (budget - String.length values.(i)) (values.(i) :: acc)
+  in
+  go 0 sample_bytes []
 
-let create ?(weights = default_weights) (repo : Repository.t) (workload : Workload.t) : t =
-  { repo; workload; weights; samples = Hashtbl.create 64; numeric = Hashtbl.create 16;
-    estimate_cache = Hashtbl.create 256 }
+let create ?(weights = default_weights) values (workload : Workload.t) : t =
+  { values; workload; weights; measured = Hashtbl.create 64; estimate_cache = Hashtbl.create 256 }
 
-(* Containers are sampled on first use: the search only names the
+(* Containers are measured on first use: the search only names the
    queried ones. *)
-let sample_of (t : t) (id : int) : string list =
-  match Hashtbl.find_opt t.samples id with
-  | Some s -> s
-  | None ->
-    let s = sample_container t.repo.Repository.containers.(id) in
-    Hashtbl.add t.samples id s;
-    s
-
-(* The numeric model of all of a container's values, or [None] when one
-   of them is not numeric or the fraction-digit counts differ. A sample
-   can miss the one value that is not: the loader gives each container
-   whose values are all numeric the numeric model, and any other is
-   read in full. *)
-let numeric_model (t : t) (id : int) : Compress.Ipack.model option =
-  match Hashtbl.find_opt t.numeric id with
+let measure (t : t) (id : int) : measured =
+  match Hashtbl.find_opt t.measured id with
   | Some m -> m
   | None ->
-    let c = t.repo.Repository.containers.(id) in
+    let values = t.values id in
     let m =
-      match c.Container.model with
-      | Compress.Codec.M_numeric m -> Some m
-      | _ -> (
-        match Compress.Ipack.train (List.map fst (Container.read_all c)) with
-        | m -> Some m
-        | exception Compress.Ipack.Unsupported _ -> None)
+      {
+        values;
+        sample = sample values;
+        plain_bytes = Array.fold_left (fun acc v -> acc + String.length v) 0 values;
+        numeric =
+          lazy
+            (match Compress.Ipack.train (Array.to_list values) with
+            | m -> Some m
+            | exception Compress.Ipack.Unsupported _ -> None);
+      }
     in
-    Hashtbl.add t.numeric id m;
+    Hashtbl.add t.measured id m;
     m
 
-(* Whether [alg] encodes every value of the set, as {!Partitioner.apply}
-   needs. [Ipack.train] accepts the union of the non-empty containers'
-   values exactly when each has a numeric model and all are the same. *)
+(* Whether [alg] encodes every value of the set, as {!Loader.build}
+   needs: a sample can miss the one value that is not numeric.
+   [Ipack.train] accepts the union of the non-empty containers' values
+   exactly when each has a numeric model and all are the same. *)
 let encodes_all (t : t) (ids : int list) (alg : Compress.Codec.algorithm) : bool =
   match alg with
   | Compress.Codec.Numeric_alg -> (
     match
       List.filter_map
         (fun id ->
-          if Container.length t.repo.Repository.containers.(id) = 0 then None
-          else Some (numeric_model t id))
+          let m = measure t id in
+          if Array.length m.values = 0 then None else Some (Lazy.force m.numeric))
         ids
     with
     | [] -> true
@@ -136,7 +121,7 @@ let estimate_set (t : t) (ids : int list) (alg : Compress.Codec.algorithm) : flo
   | None ->
     Xquec_obs.Metrics.incr "cost_model.estimate_cache_misses";
     let result =
-      let merged = List.concat_map (sample_of t) ids in
+      let merged = List.concat_map (fun id -> (measure t id).sample) ids in
       match Compress.Codec.train alg merged with
       | exception Compress.Codec.Unsupported _ -> (Float.infinity, Float.infinity)
       | _ when not (encodes_all t ids alg) -> (Float.infinity, Float.infinity)
@@ -149,7 +134,7 @@ let estimate_set (t : t) (ids : int list) (alg : Compress.Codec.algorithm) : flo
           @@ fun () ->
           List.fold_left
             (fun acc id ->
-              let sample = sample_of t id in
+              let { sample; plain_bytes; _ } = measure t id in
               let plain =
                 List.fold_left (fun a v -> a + String.length v) 0 sample
               in
@@ -161,7 +146,7 @@ let estimate_set (t : t) (ids : int list) (alg : Compress.Codec.algorithm) : flo
               let ratio =
                 if plain = 0 then 1.0 else float_of_int compressed /. float_of_int plain
               in
-              acc +. (ratio *. float_of_int t.repo.Repository.containers.(id).Container.plain_bytes))
+              acc +. (ratio *. float_of_int plain_bytes))
             0.0 ids
         in
         (storage, model_cost)
@@ -177,7 +162,7 @@ let set_of (config : configuration) (id : int) : (int list * Compress.Codec.algo
     runs in the compressed domain, otherwise |ct| * d_c summed over the
     containers that must be decompressed (§3.2's three cases). *)
 let predicate_cost (t : t) (config : configuration) (p : Workload.predicate) : float =
-  let size id = float_of_int (Container.length t.repo.Repository.containers.(id)) in
+  let size id = float_of_int (Array.length (measure t id).values) in
   let dc alg = Compress.Codec.decompression_cost alg in
   let decompress_all ids =
     List.fold_left

@@ -16,13 +16,16 @@ type weights = { w_storage : float; w_model : float; w_decompression : float }
 (** Equal weighting of storage, model and decompression cost. *)
 val default_weights : weights
 
-(** An evaluator bound to one repository + workload; caches per-container
-    samples so repeated {!cost} calls during the greedy search are cheap. *)
+(** An evaluator bound to one document's values and a workload; caches
+    per-container samples so repeated {!cost} calls during the greedy
+    search are cheap. *)
 type t
 
-(** Build an evaluator. A container's values are sampled once, the
-    first time an estimate names it. *)
-val create : ?weights:weights -> Repository.t -> Workload.t -> t
+(** [create values workload] builds an evaluator; [values id] is
+    container [id]'s plain values in record order ({!Loader.values}).
+    A container's values are read and sampled once, the first time an
+    estimate names it. *)
+val create : ?weights:weights -> (int -> string array) -> Workload.t -> t
 
 (** (storage cost, model cost) estimate for one partition set, measured
     on samples under a model trained on the merged sample; infinite when
@@ -82,7 +85,7 @@ val block_join_estimate :
 val prefer_block_join : block_join_estimate list -> tuples:int -> bool
 
 (** The three cost terms of a configuration before weighting, plus their
-    weighted total — what [xquec partition --explain] prints. *)
+    weighted total. *)
 type cost_breakdown = { storage : float; model : float; decompression : float; total : float }
 
 (** Per-term decomposition of {!cost} for the same configuration. *)

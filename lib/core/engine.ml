@@ -11,11 +11,19 @@ let load ?(name = "doc.xml") ?(workload : string list option) ?loader_options (x
   Xquec_obs.Trace.with_span ~name:"engine.load" ~attrs:[ ("document", name) ]
   @@ fun () ->
   let queries = List.map Xquery.Parser.parse (Option.value ~default:[] workload) in
-  let repo = Loader.load ?options:loader_options ~workload:queries ~name xml in
+  let parsed = Loader.parse ?options:loader_options ~name xml in
   let partitioning =
-    match queries with [] -> None | _ -> Some (Partitioner.optimize repo queries)
+    match queries with
+    | [] -> None
+    | _ ->
+      Xquec_obs.Trace.with_span ~name:"partitioner.optimize"
+        ~attrs:[ ("queries", string_of_int (List.length queries)) ]
+      @@ fun () ->
+      let workload = Workload.analyze (Loader.dict parsed) (Loader.summary parsed) queries in
+      Some (Partitioner.search (Loader.values parsed) workload)
   in
-  { repo; partitioning }
+  let configuration = Option.map (fun r -> r.Partitioner.configuration) partitioning in
+  { repo = Loader.build ?configuration parsed; partitioning }
 
 let repo t = t.repo
 

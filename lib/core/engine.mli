@@ -9,9 +9,11 @@ type t = {
   partitioning : Partitioner.result option;
 }
 
-(** Compress [xml] into a queryable repository. With [workload] queries,
-    the §3 greedy search chooses algorithms and shared source models
-    first. *)
+(** Compress [xml] into a queryable repository: {!Loader.parse}, then,
+    with [workload] queries, {!Workload.analyze} and the §3 greedy
+    search ({!Partitioner.search}) on the parsed values, then
+    {!Loader.build}, which encodes each container once under the
+    chosen algorithms and shared source models. *)
 val load :
   ?name:string -> ?workload:string list -> ?loader_options:Loader.options -> string -> t
 

@@ -1,18 +1,17 @@
-(* Loader / compressor (§1.1 module 1): parses an XML document in one SAX
-   pass and shreds it into the compressed repository structures — name
-   dictionary, structure tree, per-path value containers and the structure
-   summary. Projection is "prepared in advance" (§2.3): every value lands
-   in the container of its root-to-leaf path.
+(* Loader / compressor (§1.1 module 1), in two steps. [parse] runs one
+   SAX pass and shreds the document into the name dictionary, the
+   structure summary, the tree's shape and each container's plain
+   [(value, parent)] records. Projection is "prepared in advance"
+   (§2.3): every value lands in the container of its root-to-leaf path.
+   [build] then encodes every container once, under the configuration
+   the §3.3 search chose when there is a workload.
 
    Containers are typed <type, pe>: values that all parse as canonical
    numbers get the order-preserving numeric codec; other containers
-   default to ALM, the paper's no-workload choice for strings (§2.1). The
-   workload-driven partitioner may later re-assign algorithms and merge
-   source models. It re-encodes every container the workload's
-   predicates compare, so those ALM containers get the dictionary-free
-   ALM model instead of a trained one: ALM preserves order under any
-   model, so their records sort exactly as under the model the
-   partitioner replaces. *)
+   default to ALM, the paper's no-workload choice for strings (§2.1). A
+   container in a configuration set gets the set's algorithm and a
+   model trained on the union of the set's values, each container's in
+   record order ([value_order]). *)
 
 open Storage
 
@@ -32,6 +31,26 @@ type pending = {
   mutable p_count : int;
 }
 
+(* A container's records as the parse collected them. *)
+type shred = {
+  s_path : string;
+  s_kind : Container.kind;
+  s_records : (string * int) array;  (* (value, record parent), arrival order *)
+  s_order : int array Lazy.t;  (* arrival positions in record order *)
+}
+
+type parsed = {
+  options : options;
+  name : string;
+  size : int;
+  dict : Name_dict.t;
+  summary : Summary.t;
+  builder : Structure_tree.builder;
+  shreds : shred array;  (* by container id *)
+  rev_children : int list array;
+  rev_pointers : (int * int) list array;  (* per node: (container, arrival position) *)
+}
+
 type frame = {
   f_id : int;
   f_snode : Summary.node;
@@ -39,10 +58,38 @@ type frame = {
   mutable f_nvalues : int;           (* slots handed out so far *)
 }
 
-let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Repository.t =
-  Xquec_obs.Trace.with_span ~name:"loader.load"
+let numeric_model options values =
+  if not options.detect_numeric then None
+  else
+    match Compress.Ipack.train values with
+    | m -> Some m
+    | exception Compress.Ipack.Unsupported _ -> None
+
+(* The arrival positions of a container's records in the order a
+   container encoded under the loader's choice with an order-preserving
+   model holds them: by code, then parent, then arrival. Numeric values
+   are ordered by their packed code; strings by their bytes, which is
+   the order of their codes under any ALM model. *)
+let value_order options (records : (string * int) array) : int array =
+  let key =
+    match numeric_model options (Array.to_list (Array.map fst records)) with
+    | Some m -> Compress.Ipack.compress m
+    | None -> Fun.id
+  in
+  let keys = Array.map (fun (v, _) -> key v) records in
+  let order = Array.init (Array.length records) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let c = String.compare keys.(i) keys.(j) in
+      if c <> 0 then c else Int.compare (snd records.(i)) (snd records.(j)))
+    order;
+  order
+
+let parse ?(options = default_options) ~name (xml : string) : parsed =
+  Xquec_obs.Trace.with_span ~name:"loader.parse"
     ~attrs:[ ("document", name); ("bytes", string_of_int (String.length xml)) ]
   @@ fun () ->
+  Xquec_obs.Metrics.time_ms "loader.parse_ms" @@ fun () ->
   Xquec_obs.Metrics.incr "loader.documents";
   let dict = Name_dict.create () in
   let summary = Summary.create () in
@@ -77,9 +124,9 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
     pending.p_count <- seq + 1;
     (slot, seq)
   in
-  (* For back-filling sorted record indexes we remember, per owner node,
-     the (container, seq) in arrival order; seq is resolved to the sorted
-     index after containers are built. *)
+  (* For back-filling record indexes we remember, per owner node, the
+     (container, seq) in arrival order; [build] resolves seq to the
+     record index once the container is encoded. *)
   let pending_ptrs : (int, (int * int) list) Hashtbl.t = Hashtbl.create 1024 in
   let add_ptr owner_id cont seq =
     let prev = Option.value ~default:[] (Hashtbl.find_opt pending_ptrs owner_id) in
@@ -153,77 +200,102 @@ let load ?(options = default_options) ?(workload = []) ~name (xml : string) : Re
         add_ptr fr.f_id pending.p_id seq
       | [] -> assert false)
   in
-  Xquec_obs.Trace.with_span ~name:"loader.parse" (fun () ->
-      Xquec_obs.Metrics.time_ms "loader.parse_ms" (fun () ->
-          Xmlkit.Sax.parse_string ~f:handle xml));
+  Xmlkit.Sax.parse_string ~f:handle xml;
   Summary.seal_t summary;
-  let reencoded = Workload.queried_before_build ~dict ~summary workload in
-  (* The 256 single-byte intervals and no mined token; one per load, so
-     concurrent loads share nothing. *)
-  let dictionary_free = lazy (Compress.Codec.M_alm (Compress.Alm.of_tokens [])) in
-  (* Build containers: choose the codec, then build each from its values,
-     remembering the arrival-order -> sorted-index mapping for pointer
-     back-fill. *)
-  let pending_list = List.rev !pending_order in
-  let seq_maps : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  let choose_algorithm values =
-    if options.detect_numeric then begin
-      match Compress.Ipack.train values with
-      | _ -> Compress.Codec.Numeric_alg
-      | exception Compress.Ipack.Unsupported _ -> options.default_string_algorithm
-    end
-    else options.default_string_algorithm
-  in
-  let containers =
-    Xquec_obs.Trace.with_span ~name:"loader.build_containers"
-      ~attrs:[ ("containers", string_of_int (List.length pending_list)) ]
-    @@ fun () ->
-    Xquec_obs.Metrics.time_ms "loader.build_containers_ms" @@ fun () ->
-    List.map
+  let shreds =
+    List.rev_map
       (fun p ->
-        let records = List.rev p.p_rev_records in
-        let values = List.map fst records in
-        let algorithm = choose_algorithm values in
-        let model =
-          if algorithm = Compress.Codec.Alm_alg && List.mem p.p_id reencoded then
-            Lazy.force dictionary_free
-          else Compress.Codec.train algorithm values
-        in
-        let cont, seq_to_idx =
-          Container.of_values ~id:p.p_id ~path:p.p_path ~kind:p.p_kind ~algorithm ~model
-            ~model_id:p.p_id records
-        in
-        Hashtbl.add seq_maps p.p_id seq_to_idx;
-        if Xquec_obs.is_enabled () then
-          Xquec_obs.Metrics.incr ~by:(Container.length cont) "loader.values";
-        cont)
-      pending_list
+        let records = Array.of_list (List.rev p.p_rev_records) in
+        { s_path = p.p_path; s_kind = p.p_kind; s_records = records;
+          s_order = lazy (value_order options records) })
+      !pending_order
     |> Array.of_list
   in
-  (* Assemble per-node child lists and resolved value pointers. *)
   let n = Structure_tree.next_id builder in
   let rev_children = Array.make n [] in
-  let rev_values = Array.make n [] in
+  let rev_pointers = Array.make n [] in
   Hashtbl.iter (fun id kids -> if id < n then rev_children.(id) <- kids) rev_children_tbl;
-  Hashtbl.iter
-    (fun id ptrs ->
-      if id < n then
-        rev_values.(id) <-
-          List.map
-            (fun (cont, seq) -> (cont, (Hashtbl.find seq_maps cont).(seq)))
-            ptrs)
-    pending_ptrs;
-  let tree = Structure_tree.finish builder ~rev_children ~rev_values in
+  Hashtbl.iter (fun id ptrs -> if id < n then rev_pointers.(id) <- ptrs) pending_ptrs;
+  { options; name; size = String.length xml; dict; summary; builder; shreds; rev_children;
+    rev_pointers }
+
+let dict p = p.dict
+let summary p = p.summary
+
+let values p id =
+  let s = p.shreds.(id) in
+  Array.map (fun i -> fst s.s_records.(i)) (Lazy.force s.s_order)
+
+(* Per container in a set of [configuration]: the set's algorithm, its
+   model trained on the union of the set's values, and its model id. *)
+let set_models configuration (p : parsed) =
+  let in_set = Array.make (Array.length p.shreds) None in
+  List.iter
+    (fun (ids, alg) ->
+      let model =
+        try Compress.Codec.train alg (List.concat_map (fun id -> Array.to_list (values p id)) ids)
+        with Compress.Codec.Unsupported msg ->
+          invalid_arg
+            (Printf.sprintf "Loader.build: %s cannot encode containers {%s}: %s"
+               (Compress.Codec.algorithm_name alg)
+               (String.concat ", " (List.map string_of_int ids))
+               msg)
+      in
+      let model_id = List.fold_left min max_int ids in
+      List.iter (fun id -> in_set.(id) <- Some (alg, model, model_id)) ids)
+    configuration.Cost_model.sets;
+  in_set
+
+let build ?(configuration = { Cost_model.sets = [] }) (p : parsed) : Repository.t =
+  (* Each container once, in arrival order, with its arrival position
+     -> record index mapping for the pointer back-fill: [of_values]
+     sorts by code, then parent, then arrival, so records of equal
+     value and parent keep the order [values] gives them. *)
+  let encode in_set id s =
+    let algorithm, model, model_id =
+      match in_set.(id) with
+      | Some set -> set
+      | None ->
+        let values = List.map fst (Array.to_list s.s_records) in
+        let algorithm =
+          match numeric_model p.options values with
+          | Some _ -> Compress.Codec.Numeric_alg
+          | None -> p.options.default_string_algorithm
+        in
+        (algorithm, Compress.Codec.train algorithm values, id)
+    in
+    let built =
+      Container.of_values ~id ~path:s.s_path ~kind:s.s_kind ~algorithm ~model ~model_id
+        (Array.to_list s.s_records)
+    in
+    if Xquec_obs.is_enabled () then
+      Xquec_obs.Metrics.incr ~by:(Container.length (fst built)) "loader.values";
+    built
+  in
+  let built =
+    Xquec_obs.Trace.with_span ~name:"loader.build_containers"
+      ~attrs:[ ("containers", string_of_int (Array.length p.shreds)) ]
+    @@ fun () ->
+    Xquec_obs.Metrics.time_ms "loader.build_containers_ms" @@ fun () ->
+    Array.mapi (encode (set_models configuration p)) p.shreds
+  in
+  let containers = Array.map fst built in
+  let rev_values =
+    Array.map (List.map (fun (cont, seq) -> (cont, (snd built.(cont)).(seq)))) p.rev_pointers
+  in
+  let tree = Structure_tree.finish p.builder ~rev_children:p.rev_children ~rev_values in
   if Xquec_obs.is_enabled () then begin
     Xquec_obs.Metrics.set_gauge "loader.containers" (float_of_int (Array.length containers));
     Xquec_obs.Metrics.set_gauge "loader.tree_nodes"
       (float_of_int (Structure_tree.node_count tree))
   end;
   {
-    Repository.dict;
+    Repository.dict = p.dict;
     tree;
     containers;
-    summary;
-    source_name = name;
-    original_size = String.length xml;
+    summary = p.summary;
+    source_name = p.name;
+    original_size = p.size;
   }
+
+let load ?options ~name xml = build (parse ?options ~name xml)

@@ -14,8 +14,6 @@
    measured cost picks among them; the paper's property-count rule is
    the tie-break). *)
 
-open Storage
-
 type move_trace = {
   predicate : Workload.predicate;
   accepted : bool;
@@ -71,16 +69,16 @@ let replace_set config ~old_sets ~new_sets : Cost_model.configuration =
       List.filter (fun s -> not (List.mem s old_sets)) config.Cost_model.sets @ new_sets;
   }
 
-(** Run the greedy search. Returns the chosen configuration without
-    applying it. *)
-let search ?(seed = 17) ?(weights = Cost_model.default_weights) (repo : Repository.t)
-    (workload : Workload.t) : result =
+(** Run the greedy search over a document's plain values; {!Loader.build}
+    applies the chosen configuration. *)
+let search ?(seed = 17) ?(weights = Cost_model.default_weights) values (workload : Workload.t) :
+    result =
   Xquec_obs.Trace.with_span ~name:"partitioner.search"
     ~attrs:
       [ ("predicates", string_of_int (List.length workload.Workload.predicates)) ]
   @@ fun () ->
   Xquec_obs.Metrics.time_ms "partitioner.search_ms" @@ fun () ->
-  let model = Cost_model.create ~weights repo workload in
+  let model = Cost_model.create ~weights values workload in
   let queried = Workload.queried_containers workload in
   let initial : Cost_model.configuration =
     { Cost_model.sets = List.map (fun id -> ([ id ], Compress.Codec.Bzip_alg)) queried }
@@ -153,62 +151,3 @@ let search ?(seed = 17) ?(weights = Cost_model.default_weights) (repo : Reposito
   let final_cost = Cost_model.cost model !config in
   Xquec_obs.Metrics.set_gauge "partitioner.final_cost" final_cost;
   { configuration = !config; initial_cost; final_cost; trace = List.rev !trace }
-
-(** Apply a configuration to the repository: per set, read each
-    container once, train a shared source model on the union of their
-    values, rebuild each container from its values with that model and
-    swap it in. Containers outside the configuration are left as
-    loaded. A set whose algorithm cannot encode its values (numeric on
-    text) raises [Invalid_argument]: {!search} never picks one, since
-    the cost model prices it at infinity, checking every value and not
-    only the sampled ones, and the all-bzip start is finite. *)
-let apply (repo : Repository.t) (config : Cost_model.configuration) : unit =
-  Xquec_obs.Trace.with_span ~name:"partitioner.apply"
-    ~attrs:[ ("sets", string_of_int (List.length config.Cost_model.sets)) ]
-  @@ fun () ->
-  Xquec_obs.Metrics.time_ms "partitioner.apply_ms" @@ fun () ->
-  List.iter
-    (fun (ids, alg) ->
-      let containers =
-        List.map
-          (fun id ->
-            let c = repo.Repository.containers.(id) in
-            (c, Container.read_all c))
-          ids
-      in
-      let all_values = List.concat_map (fun (_, pairs) -> List.map fst pairs) containers in
-      let model =
-        try Compress.Codec.train alg all_values
-        with Compress.Codec.Unsupported msg ->
-          invalid_arg
-            (Printf.sprintf "Partitioner.apply: %s cannot encode containers {%s}: %s"
-               (Compress.Codec.algorithm_name alg)
-               (String.concat ", " (List.map string_of_int ids))
-               msg)
-      in
-      let model_id = List.fold_left min max_int ids in
-      let remaps = Hashtbl.create 8 in
-      List.iter
-        (fun ((c : Container.t), pairs) ->
-          let fresh, perm =
-            Container.of_values ~block_size:c.Container.block_size ~id:c.Container.id
-              ~path:c.Container.path ~kind:c.Container.kind ~algorithm:alg ~model ~model_id
-              pairs
-          in
-          ignore
-            (Repository.replace_container repo
-               { fresh with Container.compaction_epoch = c.Container.compaction_epoch });
-          Hashtbl.add remaps c.Container.id perm)
-        containers;
-      Structure_tree.remap_values repo.Repository.tree (Hashtbl.find_opt remaps))
-    config.Cost_model.sets
-
-(** Convenience: analyze, search and apply in one call. *)
-let optimize ?seed ?weights (repo : Repository.t) (queries : Xquery.Ast.expr list) : result =
-  Xquec_obs.Trace.with_span ~name:"partitioner.optimize"
-    ~attrs:[ ("queries", string_of_int (List.length queries)) ]
-  @@ fun () ->
-  let workload = Workload.analyze repo queries in
-  let result = search ?seed ?weights repo workload in
-  apply repo result.configuration;
-  result

@@ -4,8 +4,6 @@
     models only; block sizes are chosen from observations
     ([Engine.block_targets]), never from the predicted predicates. *)
 
-open Storage
-
 (** One proposed move of the greedy search: the predicate that motivated
     it, whether it lowered the cost, and the costs either side. *)
 type move_trace = {
@@ -24,19 +22,7 @@ type result = {
   trace : move_trace list;
 }
 
-(** Run the search without applying it. *)
-val search : ?seed:int -> ?weights:Cost_model.weights -> Repository.t -> Workload.t -> result
-
-(** Apply a configuration: per set, read each container once with
-    {!Container.read_all}, train a shared source model on the union of
-    values, rebuild each container with {!Container.of_values} (same
-    block size and compaction epoch), swap it in with
-    {!Repository.replace_container}, and point the tree's value
-    pointers at the rebuilt records. Raises [Invalid_argument] when a
-    set's algorithm cannot encode its values ({!search} never returns
-    such a set: it costs infinity). *)
-val apply : Repository.t -> Cost_model.configuration -> unit
-
-(** Analyze, search and apply in one call. *)
-val optimize :
-  ?seed:int -> ?weights:Cost_model.weights -> Repository.t -> Xquery.Ast.expr list -> result
+(** [search values workload] runs the search; [values id] is container
+    [id]'s plain values in record order ({!Loader.values}). The loader
+    applies the chosen configuration ({!Loader.build}). *)
+val search : ?seed:int -> ?weights:Cost_model.weights -> (int -> string array) -> Workload.t -> result

@@ -17,12 +17,9 @@ type t = { predicates : predicate list; container_count : int }
 (* Static resolution environment: variable -> summary nodes. *)
 type senv = (string * Summary.node list) list
 
-(* What the analysis reads of a repository: the name dictionary and the
+(* What the analysis reads of a document: the name dictionary and the
    summary, both complete once the loader's parse is done. *)
 type view = { dict : Name_dict.t; summary : Summary.t }
-
-let view_of (repo : Repository.t) =
-  { dict = repo.Repository.dict; summary = repo.Repository.summary }
 
 (* Summary nodes reachable by a path expression, or [] when unresolvable:
    the executor's resolver, plus string(...), which it never types. *)
@@ -127,15 +124,17 @@ let rec collect view (env : senv) (e : Ast.expr) (acc : predicate list ref) : un
   | Ast.Sequence es -> List.iter (fun e -> collect view env e acc) es
   | Ast.Literal_string _ | Ast.Literal_number _ | Ast.Var _ | Ast.Context | Ast.Doc _ -> ()
 
-let predicates_of (view : view) (queries : Ast.expr list) : predicate list =
+(** Analyze a workload of queries against a document's name dictionary
+    and summary. Each value-bearing summary node has its own container. *)
+let analyze (dict : Name_dict.t) (summary : Summary.t) (queries : Ast.expr list) : t =
   let acc = ref [] in
-  List.iter (fun q -> collect view [] q acc) queries;
-  List.rev !acc
-
-(** Analyze a workload of queries against a loaded repository. *)
-let analyze (repo : Repository.t) (queries : Ast.expr list) : t =
-  { predicates = predicates_of (view_of repo) queries;
-    container_count = Array.length repo.Repository.containers }
+  List.iter (fun q -> collect { dict; summary } [] q acc) queries;
+  { predicates = List.rev !acc;
+    container_count =
+      List.length
+        (List.filter
+           (fun (n : Summary.node) -> n.Summary.text_container <> None)
+           (Summary.descend_all summary.Summary.root [])) }
 
 (** The E/I/D comparison matrices of §3.2: square matrices of size
     (|C|+1) x (|C|+1) counting, per predicate class (equality /
@@ -159,14 +158,9 @@ let matrices (w : t) : int array array * int array array * int array array =
     w.predicates;
   (e, i, d)
 
-let ids_of (predicates : predicate list) : int list =
-  List.concat_map (fun p -> p.left @ p.right) predicates |> List.sort_uniq compare
-
 (** Container ids mentioned by any predicate. *)
-let queried_containers (w : t) : int list = ids_of w.predicates
-
-let queried_before_build ~dict ~summary (queries : Ast.expr list) : int list =
-  ids_of (predicates_of { dict; summary } queries)
+let queried_containers (w : t) : int list =
+  List.concat_map (fun p -> p.left @ p.right) w.predicates |> List.sort_uniq compare
 
 let pp_predicate ppf (p : predicate) =
   let cls = match p.cls with `Eq -> "eq" | `Ineq -> "ineq" | `Wild -> "wild" in

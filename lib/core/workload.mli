@@ -13,12 +13,14 @@ type pred_class = [ `Eq | `Ineq | `Wild ]
 (** A predicate between container sets; [right = []] means a constant. *)
 type predicate = { cls : pred_class; left : int list; right : int list }
 
-(** An analyzed workload: its predicates plus the repository's container
+(** An analyzed workload: its predicates plus the document's container
     count (the dimension of the {!matrices}). *)
 type t = { predicates : predicate list; container_count : int }
 
-(** Extract the predicates of a set of parsed queries. *)
-val analyze : Repository.t -> Xquery.Ast.expr list -> t
+(** Extract the predicates of a set of parsed queries from a document's
+    name dictionary and summary: those of a {!Loader.parse}, before any
+    container is encoded, or of a built repository. *)
+val analyze : Name_dict.t -> Summary.t -> Xquery.Ast.expr list -> t
 
 (** The E/I/D comparison matrices of §3.2 ((|C|+1)², symmetric; the last
     row/column counts comparisons with constants). *)
@@ -26,12 +28,6 @@ val matrices : t -> int array array * int array array * int array array
 
 (** Container ids mentioned by at least one predicate, ascending. *)
 val queried_containers : t -> int list
-
-(** {!queried_containers} of {!analyze}, from the name dictionary and
-    the summary alone: the loader knows both before it builds any
-    container. *)
-val queried_before_build :
-  dict:Name_dict.t -> summary:Summary.t -> Xquery.Ast.expr list -> int list
 
 (** Render a predicate as e.g. ["eq {3 5} ~ const"]. *)
 val pp_predicate : Format.formatter -> predicate -> unit

@@ -345,19 +345,14 @@ let of_values ?block_size ~id ~path ~kind ~algorithm ~model ~model_id
   in
   (t, perm)
 
-(* Every block's [(plaintext, parent)] pairs, in record order, from
-   [block i] = its codes and parents. *)
-let all_pairs (t : t) (block : int -> string array * int array) : (string * int) list =
-  List.concat
-    (List.init (Array.length t.blocks) (fun i ->
-         let codes, parents = block i in
-         List.init (Array.length codes) (fun off ->
-             (Compress.Codec.decompress t.model codes.(off), parents.(off)))))
-
 (** All (plaintext, parent) pairs, decompressed, in record order. *)
 let dump (t : t) : (string * int) list =
   let ds = fetch_blocks t ~b0:0 ~b1:(Array.length t.blocks - 1) in
-  all_pairs t (fun i -> (ds.(i).Buffer_pool.codes, ds.(i).Buffer_pool.parents))
+  List.concat
+    (List.init (Array.length t.blocks) (fun i ->
+         let { Buffer_pool.codes; parents; _ } = ds.(i) in
+         List.init (Array.length codes) (fun off ->
+             (Compress.Codec.decompress t.model codes.(off), parents.(off)))))
 
 (* Build-time reads bypass the pool and every counter: building a
    repository must leave the query cache and its accounting as it found
@@ -366,11 +361,9 @@ let read_block (t : t) (i : int) : string array * int array =
   let b = t.blocks.(i) in
   Compress.Codec.decode_block ~count:b.b_count b.b_payload
 
-let read_all (t : t) : (string * int) list = all_pairs t (read_block t)
-
 (* Every raw compressed record plus a per-record plaintext-size
    estimate, read with [read_block]: outside the pool and its
-   accounting, like [read_all]. Exact per-record sizes are gone after
+   accounting. Exact per-record sizes are gone after
    build; the per-block average is what the original chunking
    preserved, and it is what keeps re-chunking deterministic. *)
 let records_with_sizes (t : t) : record array * int array =

@@ -144,8 +144,7 @@ val set_prefetch_depth : int -> unit
     returns the container and the permutation input position -> record
     index, with which callers point value pointers at the records. The
     container's epoch is 0. Every container built from values is built
-    here: by the loader, and by {!Partitioner.apply} when it re-encodes
-    with a shared model. *)
+    here, once, by {!Loader.build}. *)
 val of_values :
   ?block_size:int ->
   id:int ->
@@ -164,16 +163,10 @@ val dump : t -> (string * int) list
 (** [read_block t i] is block [i]'s codes and parents, in record order,
     decoded straight from its payload on every call: no {!Buffer_pool}
     admission or counter, no heat-row touch or decode, no
-    budget charge. For build-time readers (the cost model's sampler,
-    {!read_all}, {!reblocked}) that must leave the query cache and its accounting as
-    they found them. Raises [Invalid_argument] for a block index out of
-    range. *)
+    budget charge. For readers such as {!reblocked} that must leave the
+    query cache and its accounting as they found them. Raises
+    [Invalid_argument] for a block index out of range. *)
 val read_block : t -> int -> string array * int array
-
-(** {!dump} through {!read_block}: every [(plaintext, parent)] pair in
-    record order, read outside the buffer pool. The partitioner's
-    shared-model rebuild reads each container once with it. *)
-val read_all : t -> (string * int) list
 
 (** [reblocked t ~block_size] is a {e fresh} container (new pool uid,
     same [compaction_epoch]) holding the same record sequence

@@ -23,10 +23,10 @@ val find_container_by_path : t -> string -> Container.t option
 (** [replace_container t fresh] swaps [fresh] into the slot of the
     container with its id, then drops the old container's buffer-pool
     entries ({!Buffer_pool.invalidate_container}) and returns how many
-    entries it dropped. The old heat row leaves with the old container. The one way a repository's container changes after
-    load: the compactor (every block-size change) and
-    {!Partitioner.apply} rebuild a fresh container and swap it in
-    here. Safe while other domains read the repository: they see the
+    entries it dropped. The old heat row leaves with the old container.
+    The one way a repository's container changes after load: the
+    compactor (every block-size change) rebuilds a fresh container and
+    swaps it in here. Safe while other domains read the repository: they see the
     old or the new container, which answer every query identically. *)
 val replace_container : t -> Container.t -> int
 

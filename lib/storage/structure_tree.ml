@@ -33,7 +33,7 @@ type t = {
   vals : int array;
       (* per value: (container id + 1) lsl [idx_bits] lor record index;
          container part 0 (id -1) until {!set_containers}. Rewritten in
-         place by [remap_values] and [set_containers] only. *)
+         place by [set_containers] only. *)
   marks : int array;
       (* per value: the number of element children before its text
          marker, or -1 for a value without one (an attribute's value).
@@ -166,23 +166,6 @@ let set_containers t conts ~records =
         t.vals.(j) <- pack ~cont:c idx
       done
     end
-  done
-
-(** Rewrite value record indices after containers were rebuilt from
-    their values (their records re-sorted): [remap cont_id] returns the
-    old-to-new index permutation for that container, or None if it is
-    unchanged. *)
-let remap_values (t : t) (remap : int -> int array option) : unit =
-  for id = 0 to node_count t - 1 do
-    let a = t.val_off.(id) and b = t.val_off.(id + 1) in
-    if b > a then
-      let cont = value_container t id in
-      match remap cont with
-      | Some perm ->
-        for j = a to b - 1 do
-          t.vals.(j) <- pack ~cont perm.(t.vals.(j) land idx_mask)
-        done
-      | None -> ()
   done
 
 (* ------------------------------------------------------------------ *)

@@ -12,9 +12,8 @@
 
 (** The structure tree; node ids are pre-order ranks. The shape, tags
     and markers are fixed once built. The value pointers change only in
-    place, and only twice in a tree's life: {!set_containers} fills in
-    the container ids of a tree read from an image, and {!remap_values}
-    follows a container rebuilt from its values. *)
+    place, and only once in a tree's life: {!set_containers} fills in
+    the container ids of a tree read from an image. *)
 type t
 
 (** Number of element/attribute nodes. *)
@@ -67,12 +66,6 @@ val descendants : t -> int -> int list
     [tag], document order, by one scan of the tag array over the
     subtree's pre-order interval. *)
 val descendants_with_tag : t -> int -> int -> int list
-
-(** Rewrite value record indices, in place, after containers were
-    rebuilt from their values (their records re-sorted): [remap cont_id]
-    returns the old-to-new index permutation for that container, or
-    [None] if it is unchanged. *)
-val remap_values : t -> (int -> int array option) -> unit
 
 (** [set_containers t conts ~records] makes [conts.(id)] the container
     of node [id]'s values, in place, checking each value's record index

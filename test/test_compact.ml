@@ -133,12 +133,11 @@ let test_reblock_preserves_records () =
   Alcotest.(check (list (pair string int))) "still the same records" dump_before
     (Storage.Container.dump big)
 
-(* Every path that rebuilds a container after load (the partitioner's
-   shared-model apply and the compactor, which every block-size change
-   goes through) builds a fresh container and swaps it into the
-   repository slot: the
-   container a reader took before the rebuild still dumps the same
-   pairs, and the slot holds a container with another uid. *)
+(* The one path that rebuilds a container after load (the compactor,
+   which every block-size change goes through) builds a fresh container
+   and swaps it into the repository slot: the container a reader took
+   before the rebuild still dumps the same pairs, and the slot holds a
+   container with another uid. *)
 let check_rebuild_copies ~what repo id rebuild =
   let old = Storage.Repository.container repo id in
   let before = Storage.Container.dump old in
@@ -152,10 +151,6 @@ let test_rebuilds_copy () =
   with_fresh_telemetry @@ fun () ->
   let repo = Engine.repo (fresh_engine ()) in
   let names = (container_of repo names_path).Storage.Container.id in
-  let ids = (container_of repo ids_path).Storage.Container.id in
-  check_rebuild_copies ~what:"Partitioner.apply" repo names (fun () ->
-      Partitioner.apply repo
-        { Cost_model.sets = [ ([ names; ids ], Compress.Codec.Huffman_alg) ] });
   check_rebuild_copies ~what:"Compactor.compact_container" repo names (fun () ->
       ignore (Storage.Compactor.compact_container repo ~id:names ~block_size:2048))
 

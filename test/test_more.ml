@@ -95,7 +95,7 @@ let prop_hu_tucker_optimal_vs_huffman =
 let test_workload_ftcontains_is_wild () =
   let repo = Lazy.force repo in
   let w =
-    Workload.analyze repo
+    Workload.analyze repo.Storage.Repository.dict repo.Storage.Repository.summary
       [ Xquery.Parser.parse
           "for $i in document(\"shop.xml\")/shop/item where ftcontains($i/name/text(), \"chair\") return $i" ]
   in
@@ -107,7 +107,7 @@ let test_workload_ftcontains_is_wild () =
 let test_workload_unresolvable_paths_ignored () =
   let repo = Lazy.force repo in
   let w =
-    Workload.analyze repo
+    Workload.analyze repo.Storage.Repository.dict repo.Storage.Repository.summary
       [ Xquery.Parser.parse
           "for $i in document(\"shop.xml\")/shop/nonexistent where $i/foo = \"x\" return $i" ]
   in

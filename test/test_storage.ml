@@ -83,12 +83,12 @@ let test_container_lookup_range () =
   Alcotest.(check (list string)) "(-,alpha]" [ "alpha"; "alpha" ] (range None (Some (`Incl alpha)));
   Alcotest.(check (list string)) "(alpha,alpha)" [] (range (Some (`Excl alpha)) (Some (`Excl alpha)))
 
-(* Re-encoding with a shared model, as [Partitioner.apply] does: the
-   container's pairs rebuilt with [of_values], whose permutation maps
-   each old record index to its new one. *)
+(* Re-encoding a container's pairs with another model through
+   [of_values], whose permutation maps each input position to its
+   record index. *)
 let test_container_recompress () =
   let c = sample_container Compress.Codec.Alm_alg in
-  let before = Container.read_all c in
+  let before = Container.dump c in
   let model = Compress.Codec.train Compress.Codec.Huffman_alg (List.map fst before) in
   let fresh, remap =
     Container.of_values ~id:0 ~path:c.Container.path ~kind:c.Container.kind
@@ -413,7 +413,7 @@ let test_distinct_parents_bit () =
   let dup = build ~id:1 ~algorithm:Compress.Codec.Alm_alg [ ("x", 1); ("y", 1); ("z", 3) ] in
   Alcotest.(check bool) "duplicate parent detected" false dup.Container.distinct_parents;
   (* a rebuild under a shared model recomputes the bit *)
-  let before = Container.read_all dup in
+  let before = Container.dump dup in
   let model = Compress.Codec.train Compress.Codec.Huffman_alg (List.map fst before) in
   let rebuilt, _ =
     Container.of_values ~id:1 ~path:dup.Container.path ~kind:dup.Container.kind
@@ -514,6 +514,24 @@ let test_summary_matching () =
   Alcotest.(check int) "c instances" 3 (Array.length (List.hd m).Summary.ids);
   let m = Summary.match_steps ~is_attr s [ `Child (code "a"); `Child_any ] in
   Alcotest.(check int) "any children of a: b and d" 2 (List.length m)
+
+(* Disjoint ascending id arrays, one per node, merge into their sorted
+   concatenation. *)
+let prop_merged_ids =
+  QCheck2.Test.make ~name:"summary merged ids = sorted concatenation" ~count:500
+    QCheck2.Gen.(pair (int_range 0 8) (small_list (pair (int_bound 100_000) (int_bound 7))))
+    (fun (k, assigned) ->
+      let owned =
+        List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) assigned
+        |> List.filter (fun (_, node) -> node < k)
+      in
+      let node i =
+        let ids = List.filter_map (fun (id, n) -> if n = i then Some id else None) owned in
+        { Summary.tag = i; path = ""; kids = []; rev_ids = []; ids = Array.of_list ids;
+          text_container = None }
+      in
+      Summary.merged_ids (List.init k node)
+      = Array.of_list (List.sort Int.compare (List.map fst owned)))
 
 let test_summary_node_count () =
   let repo = small_repo () in
@@ -939,7 +957,15 @@ let test_damaged_pointers_are_corrupt () =
   in
   ignore (Repository.deserialize (Repository.serialize (Xquec_core.Loader.load ~name:"d.xml" xml)));
   damaged "record index past its container" "structure_tree: record index out of range" (fun r _ ->
-      Structure_tree.remap_values r.Repository.tree (fun _ -> Some (Array.init 8 (fun i -> i + 3))));
+      (* the second c of d points at record 1 of a container left with one *)
+      let c = Option.get (Repository.find_container_by_path r "/a/d/c/#text") in
+      let shorter, _ =
+        Container.of_values ~id:c.Container.id ~path:c.Container.path ~kind:c.Container.kind
+          ~algorithm:c.Container.algorithm ~model:c.Container.model
+          ~model_id:c.Container.model_id
+          [ List.hd (Container.dump c) ]
+      in
+      ignore (Repository.replace_container r shorter));
   damaged "node listed twice" "repository: tree node listed twice in the summary" (fun _ snode ->
       let bc = snode "/a/b/c" and dc = snode "/a/d/c" in
       dc.Summary.ids <- Array.append bc.Summary.ids dc.Summary.ids);
@@ -1011,6 +1037,7 @@ let suites =
         Alcotest.test_case "structure tree navigation" `Quick test_tree_navigation;
         Alcotest.test_case "summary matching" `Quick test_summary_matching;
         Alcotest.test_case "summary is small" `Quick test_summary_node_count;
+        QCheck_alcotest.to_alcotest prop_merged_ids;
         Alcotest.test_case "repository roundtrip" `Slow test_repository_roundtrip;
         Alcotest.test_case "repository image byte-exact" `Quick test_repository_byte_exact;
         Alcotest.test_case "repository v1 fixture read" `Quick test_repository_v1_fixture;

@@ -318,9 +318,9 @@ let check_pins ~name ?workload (pins : pin list) () =
 (* The workload analysis on the untuned XMark 0.1 (seed 42) load: per
    query set, the nonzero upper-triangle entries [(i,j,n);] of the E, I
    and D matrices of §3.2 (row 149 stands for constants) and the
-   containers [Workload.queried_before_build] finds before any
-   container exists, as recorded before the analysis shared the
-   executor's summary resolver. *)
+   containers the predicates compare ([Workload.queried_containers]),
+   as recorded before the analysis shared the executor's summary
+   resolver. *)
 let analysis_pins =
   [
     ( "examples/xmark_workload.xq",
@@ -362,13 +362,14 @@ let check_analysis () =
     (fun (name, texts) ->
       let e_pin, i_pin, d_pin, queried_pin = List.assoc name analysis_pins in
       let queries = List.map Xquery.Parser.parse texts in
-      let e, i, d = Workload.matrices (Workload.analyze repo queries) in
+      let w =
+        Workload.analyze repo.Storage.Repository.dict repo.Storage.Repository.summary queries
+      in
+      let e, i, d = Workload.matrices w in
       Alcotest.(check string) (name ^ " E") e_pin (sparse e);
       Alcotest.(check string) (name ^ " I") i_pin (sparse i);
       Alcotest.(check string) (name ^ " D") d_pin (sparse d);
-      Alcotest.(check (list int)) (name ^ " queried before build") queried_pin
-        (Workload.queried_before_build ~dict:repo.Storage.Repository.dict
-           ~summary:repo.Storage.Repository.summary queries))
+      Alcotest.(check (list int)) (name ^ " queried") queried_pin (Workload.queried_containers w))
     sets
 
 (* XMark 0.1, seed 42, loaded tuned for Q1-Q20 themselves (so the
