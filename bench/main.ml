@@ -21,10 +21,17 @@ let time f =
   let r = f () in
   (r, 1000.0 *. (Unix.gettimeofday () -. t0))
 
-(* A recorded request: the query log and the watchdog see it, as they
-   see a served query. *)
-let logged_request engine text =
-  Xquec_core.Engine.request engine { text; plan = None; admission = None; record = true }
+(* A recorded request: the query log and the watchdog [watch] see it,
+   as they see a served query. *)
+let logged_request ?watch engine text =
+  Xquec_core.Engine.request engine { (Xquec_core.Engine.plain text) with record = true; watch }
+
+(* A server on an ephemeral port without budgets, watchdog or
+   auto-compaction; experiments override what they exercise. *)
+let serve_config =
+  { Xquec_core.Serve.host = "127.0.0.1"; port = 0; workers = 1; max_inflight = 0;
+    limits = Xquec_obs.Ledger.unlimited; watch_window = 0.0; drift_alert = 0.3;
+    alerts_log = None; baseline = None; auto_compact = false; format = "v4" }
 
 (* median of a few runs; one warmup *)
 let time_median ?(runs = 3) f =
@@ -1208,7 +1215,7 @@ let join () =
   let text = (Xmark.Queries.by_id "Q9").Xmark.Queries.text in
   let run_q9 () =
     let r =
-      Xquec_core.Engine.request engine { text; plan = None; admission = None; record = false }
+      Xquec_core.Engine.request engine (Xquec_core.Engine.plain text)
     in
     (r.out, Xquec_obs.Explain.totals r.explain)
   in
@@ -1387,21 +1394,16 @@ let serve () =
   Plan_cache.set_capacity 64;
   Plan_cache.clear ();
   Plan_cache.reset_stats ();
-  Expo.reset_stats ();
-  Xquec_core.Serve.window_reset ();
-  (* metrics on, as under `xquec serve` — the SLO gauges the experiment
-     scrapes are published through the registry *)
+  (* metrics on, as under `xquec serve` — the SLO and admission figures
+     the experiment scrapes are published through the registry *)
   let was_enabled = Xquec_obs.is_enabled () in
   Xquec_obs.set_enabled true;
   let server =
-    Expo.start ~port:0 ~workers:4 ~max_inflight:512
-      ~extra:(Xquec_core.Serve.handler engine)
-      ~collect:(fun () -> Xquec_core.Serve.publish_pool_metrics engine)
-      ()
+    Xquec_core.Serve.start { serve_config with workers = 4; max_inflight = 512 } engine
   in
-  let port = Expo.port server in
+  let port = Xquec_core.Serve.port server in
   Fun.protect ~finally:(fun () ->
-      Expo.stop server;
+      Xquec_core.Serve.stop server;
       Plan_cache.set_capacity 0;
       Xquec_obs.set_enabled was_enabled)
   @@ fun () ->
@@ -1453,12 +1455,12 @@ let serve () =
     let total = pc.Plan_cache.s_hits + pc.Plan_cache.s_misses in
     if total = 0 then 0.0 else float_of_int pc.Plan_cache.s_hits /. float_of_int total
   in
-  let e = Expo.stats () in
+  let rejected = gauge "xquec_serve_admission_rejected" in
   Fmt.pr
-    "%d clients x %d requests: %d ok, %d rejected (high-water %d) in %.0f ms; p95 %.1f \
+    "%d clients x %d requests: %d ok, %.0f rejected (high-water %.0f) in %.0f ms; p95 %.1f \
      ms, p99 %.1f ms@."
-    clients per_client n_ok e.Expo.e_rejected e.Expo.e_inflight_high_water elapsed_ms p95
-    p99;
+    clients per_client n_ok rejected (gauge "xquec_serve_admission_inflight_high_water")
+    elapsed_ms p95 p99;
   Fmt.pr "plan cache: %d hits / %d misses / %d evictions (hit rate %.3f); digests %s@."
     pc.Plan_cache.s_hits pc.Plan_cache.s_misses pc.Plan_cache.s_evictions hit_rate
     (if identical then "identical" else "DIFFER");
@@ -1468,7 +1470,7 @@ let serve () =
          ("clients", num (float_of_int clients));
          ("requests", num (float_of_int (clients * per_client)));
          ("ok", num (float_of_int n_ok));
-         ("rejected", num (float_of_int e.Expo.e_rejected));
+         ("rejected", num rejected);
          ("elapsed_ms", num elapsed_ms);
          ("p95_ms", num p95);
          ("p99_ms", num p99);
@@ -1499,50 +1501,41 @@ let serve () =
 
 (* Three claims gated here: (1) the watchdog's per-query fan-in (one
    windowed aggregation of the query's ledger) costs <= 2% wall time on
-   the serve path — A/B via Watch.set_enabled with the same finely
-   interleaved best-of scheme as the heat experiment; (2) streaming
-   the declared mix against its own fingerprint scores drift ~0 —
-   fingerprint weights depend only on the deterministic predicate
-   observations, not on caching, so the score is exactly reproducible;
-   (3) streaming a shifted mix trips the drift_sustained rule after
-   exactly its sustain count of watchdog ticks. *)
+   the serve path — A/B of the same mix with and without a watchdog on
+   its requests, with the same finely interleaved best-of scheme as the
+   heat experiment; (2) a server streaming the declared mix against its
+   own fingerprint scores drift ~0 — fingerprint weights depend only on
+   the deterministic predicate observations, not on caching, so the
+   score is exactly reproducible; (3) a server streaming a shifted mix
+   trips the drift_sustained rule after exactly its sustain count of
+   watchdog ticks. *)
 let watch () =
   header "Drift watchdog: fan-in overhead, drift score, alert firing";
   let engine = Lazy.force xmark_engine in
   let module Watch = Xquec_obs.Watch in
   let module Alert = Xquec_obs.Alert in
+  let module Serve = Xquec_core.Serve in
   let was_enabled = Xquec_obs.is_enabled () in
   Xquec_obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Watch.set_enabled false;
-      Watch.set_baseline None;
-      Watch.reset ();
-      Alert.set_rules [];
-      Xquec_obs.set_enabled was_enabled)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Xquec_obs.set_enabled was_enabled) @@ fun () ->
   (* --- overhead: serve-path queries with the fan-in on vs off ------- *)
   let queries =
     List.map (fun id -> (Xmark.Queries.by_id id).Xmark.Queries.text) Xmark.Queries.fig7_ids
   in
-  let run_mix () =
-    List.iter (fun q -> ignore (logged_request engine q)) queries
-  in
   (* one huge window: every observation of the run stays live *)
-  Watch.configure ~window_seconds:3600.0 ~windows:6 ();
-  Watch.set_enabled true;
-  run_mix ();
+  let w = Watch.create ~window_seconds:3600.0 ~baseline:None in
+  let run_mix watch () = List.iter (fun q -> ignore (logged_request ?watch engine q)) queries in
+  run_mix (Some w) ();
   let samples = 25 in
   let best_on = ref infinity and best_off = ref infinity in
-  let measure enabled best =
-    Watch.set_enabled enabled;
-    let t = snd (time run_mix) in
+  let measure watch best =
+    let t = snd (time (run_mix watch)) in
     if t < !best then best := t
   in
   Gc.full_major ();
   for _ = 1 to samples do
-    measure true best_on;
-    measure false best_off
+    measure (Some w) best_on;
+    measure None best_off
   done;
   let overhead_ms = !best_on -. !best_off in
   let overhead_ok = overhead_ms <= Float.max (0.02 *. !best_off) 1.0 in
@@ -1567,18 +1560,19 @@ let watch () =
        $p/name";
     ]
   in
-  let stream mix =
-    Watch.reset ();
-    Xquec_core.Serve.watch_tick_reset ();
-    List.iter (fun q -> ignore (logged_request engine q)) mix
+  (* each phase is a fresh server declared for [mix_declared] that
+     serves [mix]; its ticks never come from a ticker (one-hour
+     window) *)
+  let baseline = Xquec_core.Engine.declared_fingerprint engine mix_declared in
+  let serving mix f =
+    let server =
+      Serve.start { serve_config with watch_window = 3600.0; baseline = Some baseline } engine
+    in
+    Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+    List.iter (fun q -> ignore (Serve.run_query server q)) mix;
+    f server
   in
-  Watch.set_enabled true;
-  Alert.set_rules (Xquec_core.Serve.default_rules ~drift_threshold:0.3 ());
-  (* declare the mix by streaming it once and keeping its fingerprint *)
-  stream mix_declared;
-  Watch.set_baseline (Some (Watch.fingerprint ()));
-  stream mix_declared;
-  let st, trs = Xquec_core.Serve.watch_tick engine in
+  let st, trs = serving mix_declared Serve.watch_tick in
   let drift_declared =
     match st.Watch.w_drift with Some d -> d | None -> failwith "watch: no drift on declared mix"
   in
@@ -1586,21 +1580,20 @@ let watch () =
     List.exists (fun (t : Alert.transition) -> t.Alert.t_rule = "drift_sustained") trs
   in
   (* --- deterministic fire on the shifted mix ------------------------ *)
-  stream mix_shifted;
-  Alert.reset ();
   let drift_shifted = ref nan and fired_at = ref 0 in
   let sustain = 3 in
-  for i = 1 to sustain do
-    let st, trs = Xquec_core.Serve.watch_tick engine in
-    (match st.Watch.w_drift with Some d -> drift_shifted := d | None -> ());
-    if
-      !fired_at = 0
-      && List.exists
-           (fun (t : Alert.transition) ->
-             t.Alert.t_rule = "drift_sustained" && t.Alert.t_event = "fired")
-           trs
-    then fired_at := i
-  done;
+  serving mix_shifted (fun server ->
+      for i = 1 to sustain do
+        let st, trs = Serve.watch_tick server in
+        (match st.Watch.w_drift with Some d -> drift_shifted := d | None -> ());
+        if
+          !fired_at = 0
+          && List.exists
+               (fun (t : Alert.transition) ->
+                 t.Alert.t_rule = "drift_sustained" && t.Alert.t_event = "fired")
+               trs
+        then fired_at := i
+      done);
   let fired = !fired_at = sustain in
   Fmt.pr "drift: declared mix %.4f, shifted mix %.4f; drift_sustained %s@." drift_declared
     !drift_shifted
@@ -1657,7 +1650,6 @@ let compact () =
   let xml = Xmark.Xmlgen.generate ~scale:0.4 () in
   let engine = Xquec_core.Engine.load ~name:"auction.xml" xml in
   let repo = Xquec_core.Engine.repo engine in
-  Compactor.reset_stats ();
   (* the hot containers of the scan era: the large text containers *)
   let targets =
     Array.to_list repo.Storage.Repository.containers
@@ -1738,7 +1730,7 @@ let compact () =
   let digest_post = md5 (run_mix ()) in
   let post = cold_payload_stats () in
   let post_ms = time_mix_cold samples in
-  let k = Compactor.snapshot () in
+  let k = Compactor.snapshot repo in
   let race_ok = race_bad = 0 in
   let digests_ok = digest_post = digest_pre in
   let decode_reduced = 2 * post.Buffer_pool.s_payload_bytes <= pre.Buffer_pool.s_payload_bytes in

@@ -153,7 +153,7 @@ let with_telemetry ~stats ~trace_out ?cache_mb ?query_log f =
       Fmt.epr "wrote %d spans to %s@." (List.length (Xquec_obs.Trace.spans ())) path
     | None -> ());
     if stats then begin
-      Xquec_core.Serve.publish_storage_metrics ();
+      Option.iter Xquec_core.Serve.publish_storage_metrics !repo;
       prerr_string (Xquec_obs.Metrics.dump_text ());
       prerr_string (buffer_pool_summary !repo)
     end
@@ -169,7 +169,7 @@ let reporting_query_errors f =
     exit 2
 
 let request engine text =
-  Xquec_core.Engine.request engine { text; plan = None; admission = None; record = true }
+  Xquec_core.Engine.request engine { (Xquec_core.Engine.plain text) with record = true }
 
 (* An input that is not an image, or not a whole one, is reported and
    exits 1 instead of escaping as an internal error. *)
@@ -479,31 +479,20 @@ let serve_cmd =
           fp)
         workload_queries
     in
-    Xquec_obs.Ledger.set_limits ~wall_ms:query_wall_ms
-      ~decode_bytes:(int_of_float (query_decode_mb *. 1024.0 *. 1024.0))
-      ();
-    Xquec_core.Serve.set_server_info ~format ();
-    Xquec_core.Serve.set_auto_compact (not no_auto_compact);
-    let watch_on = watch_window > 0.0 in
-    if watch_on then begin
-      Xquec_obs.Watch.configure ~window_seconds:watch_window ();
-      Xquec_obs.Watch.set_baseline baseline;
-      Xquec_obs.Watch.set_enabled true;
-      Xquec_obs.Alert.set_rules
-        (Xquec_core.Serve.default_rules ~drift_threshold:drift_alert ());
-      Xquec_obs.Alert.set_log alerts_log;
-      Xquec_core.Serve.start_watchdog ~period:watch_window engine
-    end;
+    let limits =
+      { Xquec_obs.Ledger.wall_ms = query_wall_ms;
+        decode_bytes = int_of_float (query_decode_mb *. 1024.0 *. 1024.0) }
+    in
     let server =
-      Xquec_obs.Expo.start ~host ~port ~workers ~max_inflight
-        ~extra:(Xquec_core.Serve.handler engine)
-        ~collect:(fun () -> Xquec_core.Serve.publish_pool_metrics engine)
-        ()
+      Xquec_core.Serve.start
+        { host; port; workers; max_inflight; limits; watch_window; drift_alert; alerts_log;
+          baseline; auto_compact = not no_auto_compact; format }
+        engine
     in
     Fmt.pr
       "xquec serve: listening on http://%s:%d (endpoints: /metrics /healthz /query /stats \
        /heat /watch /alerts /compact)@."
-      host (Xquec_obs.Expo.port server);
+      host (Xquec_core.Serve.port server);
     Fmt.pr
       "xquec serve: %d worker(s), max-inflight %s, plan cache %s, budgets wall %s decode %s@."
       workers
@@ -511,13 +500,12 @@ let serve_cmd =
       (if plan_cache > 0 then Fmt.str "%d entries" plan_cache else "off")
       (if query_wall_ms > 0.0 then Fmt.str "%.0fms" query_wall_ms else "off")
       (if query_decode_mb > 0.0 then Fmt.str "%.1fMiB" query_decode_mb else "off");
-    if watch_on then
+    if watch_window > 0.0 then
       Fmt.pr "xquec serve: watchdog window %.1fs, drift alert > %.2f%s, baseline %s@."
         watch_window drift_alert
         (match alerts_log with Some f -> Fmt.str ", alert log %s" f | None -> "")
         (if baseline <> None then "declared" else "none");
-    Xquec_obs.Expo.wait server;
-    if watch_on then Xquec_core.Serve.stop_watchdog ();
+    Xquec_core.Serve.wait server;
     Xquec_core.Engine.repo engine
   in
   Cmd.v

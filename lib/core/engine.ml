@@ -45,7 +45,13 @@ type request = {
   plan : Xquery.Ast.expr option;
   admission : Xquec_obs.Json.t option;
   record : bool;
+  watch : Xquec_obs.Watch.t option;
+  limits : Xquec_obs.Ledger.limits;
 }
+
+let plain text =
+  { text; plan = None; admission = None; record = false; watch = None;
+    limits = Xquec_obs.Ledger.unlimited }
 
 type response = {
   out : string;
@@ -189,7 +195,7 @@ let request (t : t) (r : request) : response =
   let c0 = if r.record && Xquec_obs.Query_log.enabled () then Some (read_clock ()) else None in
   let t0 = Xquec_obs.Trace.now_us () in
   let ledger, result =
-    Xquec_obs.Ledger.with_ledger @@ fun l ->
+    Xquec_obs.Ledger.with_ledger ~limits:r.limits @@ fun l ->
     ( l,
       match
         let ast = match r.plan with Some ast -> ast | None -> parse_query r.text in
@@ -208,19 +214,21 @@ let request (t : t) (r : request) : response =
       let outcome = Result.map_error (fun (e, _) -> error_kind e) outcome in
       Xquec_obs.Query_log.append (log_record r ~outcome ~wall_ms ~c0 ~c1:(read_clock ()) ledger))
     c0;
-  if r.record && Xquec_obs.Watch.enabled () then
-    Xquec_obs.Watch.observe ~predicates:(Xquec_obs.Ledger.predicates ledger)
-      ~containers:(touches ledger) ();
+  Option.iter
+    (fun w ->
+      Xquec_obs.Watch.observe w ~predicates:(Xquec_obs.Ledger.predicates ledger)
+        ~containers:(touches ledger) ())
+    r.watch;
   match outcome with Ok resp -> resp | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let query_serialized (t : t) (text : string) : string =
-  (request t { text; plan = None; admission = None; record = false }).out
+  (request t (plain text)).out
 
 let declared_fingerprint (t : t) (texts : string list) : Xquec_obs.Profile.fingerprint =
   let g = Xquec_obs.Profile.agg_create () in
   List.iter
     (fun text ->
-      let { ledger; _ } = request t { text; plan = None; admission = None; record = false } in
+      let { ledger; _ } = request t (plain text) in
       Xquec_obs.Profile.agg_add g ~predicates:(Xquec_obs.Ledger.predicates ledger)
         ~containers:(touches ledger))
     texts;

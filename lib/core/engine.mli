@@ -39,13 +39,21 @@ val query_ast : t -> Xquery.Ast.expr -> Executor.item list
     (from {!compile}) is given, and is the log record's hash and echo.
     [admission] (serve's in-flight depth, plan-cache outcome and
     budgets) is logged verbatim as the record's ["admission"] field.
-    [record] appends the query-log record and feeds the watchdog. *)
+    [record] appends the query-log record. [watch] (the serving
+    server's watchdog) observes the query's ledger, and its [limits]
+    (the server's budgets) are checked at every block fetch. *)
 type request = {
   text : string;
   plan : Xquery.Ast.expr option;
   admission : Xquec_obs.Json.t option;
   record : bool;
+  watch : Xquec_obs.Watch.t option;
+  limits : Xquec_obs.Ledger.limits;
 }
+
+(** [text] with every other field off: no plan, no admission, not
+    recorded, not watched, unlimited. *)
+val plain : string -> request
 
 (** The serialized answer, its item count, the query's closed ledger,
     its EXPLAIN ANALYZE tree and the wall time of the whole request. *)
@@ -60,11 +68,13 @@ type response = {
 (** The one request path, and the only place a query's
     {!Xquec_obs.Ledger} opens: parse, evaluate with the EXPLAIN profile
     and serialize (the paper's QET convention) in one ledger on the
-    calling domain, checked against {!Xquec_obs.Ledger.set_limits}.
-    With [record], the watchdog observes the ledger and, when a log
-    file is configured, one JSONL record is appended (schema in
-    [docs/OBSERVABILITY.md]); a query that raises is recorded with an
-    ["error"] field and its partial costs, then re-raised. *)
+    calling domain, checked against the request's [limits]. With
+    [record] and a log file configured, one JSONL record is appended
+    (schema in [docs/OBSERVABILITY.md]); the request's [watch] observes
+    the same ledger's predicates and container touches. A query that
+    raises (a budget trip included) is recorded and observed too, the
+    record with an ["error"] field and its partial costs, then
+    re-raised. *)
 val request : t -> request -> response
 
 (** The message for a syntax or evaluation error, [None] otherwise. *)
@@ -79,8 +89,8 @@ val query_serialized : t -> string -> string
     through {!Xquec_obs.Profile.agg_add}, exactly as the watchdog folds
     served traffic. Serving exactly these queries therefore scores drift
     0 against it. Running them fills the buffer pool and the
-    repository's heat rows as any query does, and limits set with
-    {!Xquec_obs.Ledger.set_limits} apply to them. Raises
+    repository's heat rows as any query does; no budget applies to
+    them. Raises
     [Xquery.Parser.Syntax_error] on a malformed query. *)
 val declared_fingerprint : t -> string list -> Xquec_obs.Profile.fingerprint
 

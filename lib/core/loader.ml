@@ -296,6 +296,7 @@ let build ?(configuration = { Cost_model.sets = [] }) (p : parsed) : Repository.
     summary = p.summary;
     source_name = p.name;
     original_size = p.size;
+    compactions = Repository.no_compactions ();
   }
 
 let load ?options ~name xml = build (parse ?options ~name xml)

@@ -15,8 +15,8 @@
    leaves both streaks untouched: an empty watchdog window neither
    advances a firing nor quietly resolves an active alert.
 
-   Concurrency: one leaf mutex guards rule state and the recent-
-   transition ring. Log appends and metric flips happen after release,
+   Concurrency: each alert engine's leaf mutex guards its rule state
+   and recent-transition ring. Log appends and metric flips happen after release,
    on the (single) ticker thread that calls [evaluate]. *)
 
 type op = Gt | Lt
@@ -47,43 +47,32 @@ type state = {
   mutable st_last : float option; (* last reading seen *)
 }
 
-let lock = Mutex.create ()
+type t = {
+  lock : Mutex.t;
+  states : state list;
+  log_path : string option;
+  mutable recent_ring : transition list; (* newest first, capped *)
+}
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let states : state list ref = ref []
-let log_path : string option ref = ref None
 let recent_cap = 64
-let recent_ring : transition list ref = ref [] (* newest first, capped *)
 
-let set_rules rs =
-  with_lock (fun () ->
-      states :=
-        List.map
-          (fun r ->
-            { st_rule = r; st_breach = 0; st_clear = 0; st_active = false; st_since = None;
-              st_last = None })
-          rs;
-      recent_ring := []);
+let create ?log rules =
   (* pre-register the per-rule gauges so every configured rule shows a
      0/1 series on /metrics from the first scrape *)
-  List.iter (fun r -> Metrics.set_gauge ("alert." ^ r.a_name ^ ".active") 0.0) rs
+  List.iter (fun r -> Metrics.set_gauge ("alert." ^ r.a_name ^ ".active") 0.0) rules;
+  {
+    lock = Mutex.create ();
+    states =
+      List.map
+        (fun r ->
+          { st_rule = r; st_breach = 0; st_clear = 0; st_active = false; st_since = None;
+            st_last = None })
+        rules;
+    log_path = log;
+    recent_ring = [];
+  }
 
-let set_log path = with_lock @@ fun () -> log_path := path
-
-let reset () =
-  with_lock @@ fun () ->
-  List.iter
-    (fun s ->
-      s.st_breach <- 0;
-      s.st_clear <- 0;
-      s.st_active <- false;
-      s.st_since <- None;
-      s.st_last <- None)
-    !states;
-  recent_ring := []
+let with_lock a f = Mutex.protect a.lock f
 
 let iso8601 (t : float) : string =
   let tm = Unix.gmtime t in
@@ -112,10 +101,10 @@ let append_log path (ts : transition list) =
 
 let breaches r v = match r.a_op with Gt -> v > r.a_threshold | Lt -> v < r.a_threshold
 
-let evaluate ?now (signals : (string * float) list) : transition list =
+let evaluate a ?now (signals : (string * float) list) : transition list =
   let now = match now with Some t -> t | None -> Unix.gettimeofday () in
-  let fired, path =
-    with_lock @@ fun () ->
+  let fired =
+    with_lock a @@ fun () ->
     let fired =
       List.filter_map
         (fun s ->
@@ -148,33 +137,25 @@ let evaluate ?now (signals : (string * float) list) : transition list =
               end
               else None
             end)
-        !states
+        a.states
     in
     let keep l = if List.length l > recent_cap then List.filteri (fun i _ -> i < recent_cap) l else l in
-    recent_ring := keep (List.rev_append fired !recent_ring);
-    (fired, !log_path)
+    a.recent_ring <- keep (List.rev_append fired a.recent_ring);
+    fired
   in
   List.iter
     (fun t ->
       Metrics.set_gauge ("alert." ^ t.t_rule ^ ".active") (if t.t_event = "fired" then 1.0 else 0.0);
       Metrics.incr "alert.transitions")
     fired;
-  (match path with
+  (match a.log_path with
   | Some p when fired <> [] -> append_log p fired
   | _ -> ());
   fired
 
-let active () =
-  with_lock @@ fun () ->
-  List.filter_map
-    (fun s -> if s.st_active then Some (s.st_rule.a_name, Option.value s.st_since ~default:0.0) else None)
-    !states
-
-let recent () = with_lock @@ fun () -> !recent_ring
-
-let snapshot_json () =
+let snapshot_json a =
   let sts, ring =
-    with_lock @@ fun () ->
+    with_lock a @@ fun () ->
     ( List.map
         (fun s ->
           ( s.st_rule,
@@ -183,8 +164,8 @@ let snapshot_json () =
             s.st_active,
             s.st_since,
             s.st_last ))
-        !states,
-      !recent_ring )
+        a.states,
+      a.recent_ring )
   in
   let opt_num = function Some v -> Json.Num v | None -> Json.Null in
   let rule_json (r, breach, clear, active, since, last) =

@@ -17,13 +17,13 @@
     quietly resolves an active alert.
 
     Each firing/resolving transition appends one JSON line to the
-    alert log (when {!set_log} configured one), flips the
+    engine's alert log (when {!create} was given one), flips the
     [alert.<rule>.active] gauge (exposed as
     [xquec_alert_active{rule="<rule>"}]), and bumps the
     [alert.transitions] counter.
 
-    Thread-safe behind a leaf mutex; log appends and metric flips
-    happen outside it. [?now] exists for deterministic tests. *)
+    Thread-safe behind a leaf mutex per engine; log appends and metric
+    flips happen outside it. [?now] exists for deterministic tests. *)
 
 (** Comparison direction: [Gt] breaches above the threshold (drift,
     error rate), [Lt] below it (hit rates). *)
@@ -48,30 +48,22 @@ type transition = {
   t_threshold : float;  (** the rule's threshold *)
 }
 
-(** Install the rule set, resetting all per-rule state and the recent
-    ring, and pre-registering every rule's 0-valued [active] gauge so
-    configured rules are visible on [/metrics] before anything fires. *)
-val set_rules : rule list -> unit
+(** An alert engine: its rules, their live state, its log path and
+    its recent transitions. Each server owns one. *)
+type t
 
-(** Set (or clear) the JSONL alert-log path. Transitions append
-    [{ts,unix,rule,event,value,threshold}] lines; write failures are
+(** An engine over [rules], pre-registering every rule's 0-valued
+    [active] gauge so configured rules are visible on [/metrics] before
+    anything fires. Transitions append [{ts,unix,rule,event,value,
+    threshold}] lines to [log] when given; write failures are
     swallowed — alerting must never take the server down. *)
-val set_log : string option -> unit
-
-(** Clear streaks, active flags and the recent ring; keeps the rules
-    and log path (test isolation). *)
-val reset : unit -> unit
+val create : ?log:string -> rule list -> t
 
 (** Evaluate every rule against this tick's signal readings and return
     the transitions that occurred (usually none). *)
-val evaluate : ?now:float -> (string * float) list -> transition list
-
-(** Currently active alerts as [(rule name, fired-at unix time)]. *)
-val active : unit -> (string * float) list
-
-(** Recent transitions, newest first (bounded ring). *)
-val recent : unit -> transition list
+val evaluate : t -> ?now:float -> (string * float) list -> transition list
 
 (** The [GET /alerts] payload: every rule with its configuration and
-    live state, the active subset, and the recent transition ring. *)
-val snapshot_json : unit -> Json.t
+    live state, the active subset, and the recent transitions (newest
+    first, bounded). *)
+val snapshot_json : t -> Json.t

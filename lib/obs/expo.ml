@@ -44,24 +44,26 @@ type response = {
   body : string;
 }
 
-type handler = request -> response option
-
-(* State shared between the acceptor and the workers; built before any
-   domain is spawned so the loops can simply close over it. *)
-type core = {
+(* Everything one server keeps: the listening socket, the queue of
+   admitted connections, its admission counters (any of its domains may
+   bump them; a /metrics collect callback reads them) and its domains. *)
+type t = {
   sock : Unix.file_descr;
   port : int;
+  workers : int;  (* worker pool size *)
   stopping : bool Atomic.t;
   wq : Unix.file_descr Queue.t;  (* admitted connections awaiting a worker *)
   wq_mutex : Mutex.t;
   wq_cond : Condition.t;
+  accepted : int Atomic.t;  (* connections admitted past the gate *)
+  handled : int Atomic.t;  (* connections fully served *)
+  rejected : int Atomic.t;  (* connections shed with the canned 503 *)
+  inflight : int Atomic.t;  (* admitted but not yet finished *)
+  inflight_hw : int Atomic.t;  (* high-water mark of the above *)
+  mutable domains : unit Domain.t list;  (* the acceptor, then the workers; set by [start] *)
 }
 
-type t = {
-  core : core;
-  acceptor : unit Domain.t;
-  workers : unit Domain.t list;
-}
+type handler = request -> response option
 
 let status_text = function
   | 200 -> "OK"
@@ -81,24 +83,6 @@ let respond ?(headers = []) (status : int) (content_type : string) (body : strin
 
 (* --- serving statistics ---------------------------------------------- *)
 
-(* Process-wide (like the Buffer_pool counters): any domain may bump
-   them and a /metrics collect callback reads them without holding a
-   reference to the server value. Several servers in one process (the
-   test suite) share the counters, which is fine for cumulative
-   accounting. *)
-
-let stat_accepted = Atomic.make 0 (* connections admitted past the gate *)
-
-let stat_handled = Atomic.make 0 (* connections fully served *)
-
-let stat_rejected = Atomic.make 0 (* connections shed with the canned 503 *)
-
-let stat_inflight = Atomic.make 0 (* admitted but not yet finished *)
-
-let stat_inflight_hw = Atomic.make 0 (* high-water mark of the above *)
-
-let stat_workers = Atomic.make 0 (* worker pool size of the last [start] *)
-
 let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
@@ -112,21 +96,15 @@ type stats = {
   e_inflight_high_water : int;
 }
 
-let stats () : stats =
+let stats (t : t) : stats =
   {
-    e_workers = Atomic.get stat_workers;
-    e_accepted = Atomic.get stat_accepted;
-    e_handled = Atomic.get stat_handled;
-    e_rejected = Atomic.get stat_rejected;
-    e_inflight = Atomic.get stat_inflight;
-    e_inflight_high_water = Atomic.get stat_inflight_hw;
+    e_workers = t.workers;
+    e_accepted = Atomic.get t.accepted;
+    e_handled = Atomic.get t.handled;
+    e_rejected = Atomic.get t.rejected;
+    e_inflight = Atomic.get t.inflight;
+    e_inflight_high_water = Atomic.get t.inflight_hw;
   }
-
-let reset_stats () =
-  Atomic.set stat_accepted 0;
-  Atomic.set stat_handled 0;
-  Atomic.set stat_rejected 0;
-  Atomic.set stat_inflight_hw 0
 
 (* --- request parsing ------------------------------------------------- *)
 
@@ -307,8 +285,8 @@ let shed_response =
      Connection: close\r\n\r\n%s"
     (String.length body) body
 
-let shed (fd : Unix.file_descr) : unit =
-  Atomic.incr stat_rejected;
+let shed (t : t) (fd : Unix.file_descr) : unit =
+  Atomic.incr t.rejected;
   (try
      (try
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
@@ -320,50 +298,49 @@ let shed (fd : Unix.file_descr) : unit =
 
 (* --- lifecycle ------------------------------------------------------- *)
 
-let finish_connection ~extra ~collect (fd : Unix.file_descr) : unit =
+let finish_connection (t : t) ~extra ~collect (fd : Unix.file_descr) : unit =
   handle_connection ~extra ~collect fd;
-  Atomic.decr stat_inflight;
-  Atomic.incr stat_handled
+  Atomic.decr t.inflight;
+  Atomic.incr t.handled
 
-let worker_loop (c : core) ~extra ~collect () : unit =
+let worker_loop (t : t) ~extra ~collect () : unit =
   let rec loop () =
-    Mutex.lock c.wq_mutex;
-    while Queue.is_empty c.wq && not (Atomic.get c.stopping) do
-      Condition.wait c.wq_cond c.wq_mutex
+    Mutex.lock t.wq_mutex;
+    while Queue.is_empty t.wq && not (Atomic.get t.stopping) do
+      Condition.wait t.wq_cond t.wq_mutex
     done;
-    if Queue.is_empty c.wq then Mutex.unlock c.wq_mutex (* stopping and drained *)
+    if Queue.is_empty t.wq then Mutex.unlock t.wq_mutex (* stopping and drained *)
     else begin
-      let fd = Queue.pop c.wq in
-      Mutex.unlock c.wq_mutex;
-      finish_connection ~extra ~collect fd;
+      let fd = Queue.pop t.wq in
+      Mutex.unlock t.wq_mutex;
+      finish_connection t ~extra ~collect fd;
       loop ()
     end
   in
   loop ()
 
-let accept_loop (c : core) ~(max_inflight : int) ~(dispatch : bool) ~extra ~collect () :
-    unit =
+let accept_loop (t : t) ~(max_inflight : int) ~extra ~collect () : unit =
   let rec loop () =
-    if not (Atomic.get c.stopping) then begin
-      (match Unix.accept c.sock with
+    if not (Atomic.get t.stopping) then begin
+      (match Unix.accept t.sock with
       | fd, _addr ->
-        if Atomic.get c.stopping then (try Unix.close fd with _ -> ())
-        else if max_inflight > 0 && Atomic.get stat_inflight >= max_inflight then shed fd
+        if Atomic.get t.stopping then (try Unix.close fd with _ -> ())
+        else if max_inflight > 0 && Atomic.get t.inflight >= max_inflight then shed t fd
         else begin
-          Atomic.incr stat_accepted;
-          let inflight = 1 + Atomic.fetch_and_add stat_inflight 1 in
-          atomic_max stat_inflight_hw inflight;
-          if dispatch then begin
-            Mutex.lock c.wq_mutex;
-            Queue.add fd c.wq;
-            Condition.signal c.wq_cond;
-            Mutex.unlock c.wq_mutex
+          Atomic.incr t.accepted;
+          let inflight = 1 + Atomic.fetch_and_add t.inflight 1 in
+          atomic_max t.inflight_hw inflight;
+          if t.workers > 0 then begin
+            Mutex.lock t.wq_mutex;
+            Queue.add fd t.wq;
+            Condition.signal t.wq_cond;
+            Mutex.unlock t.wq_mutex
           end
-          else finish_connection ~extra ~collect fd
+          else finish_connection t ~extra ~collect fd
         end
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
         (* listen socket closed by [stop] *)
-        Atomic.set c.stopping true
+        Atomic.set t.stopping true
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception _ -> ());
       loop ()
@@ -372,7 +349,7 @@ let accept_loop (c : core) ~(max_inflight : int) ~(dispatch : bool) ~extra ~coll
   loop ()
 
 let start ?(host = "127.0.0.1") ~(port : int) ?(workers = 0) ?(max_inflight = 0)
-    ?(extra : handler = fun _ -> None) ?(collect : unit -> unit = fun () -> ()) () : t =
+    ?(extra : t -> handler = fun _ _ -> None) ?(collect : t -> unit = fun _ -> ()) () : t =
   (* A client may close its half of the connection while a worker is
      still writing; without this, the resulting SIGPIPE would kill the
      whole process instead of surfacing as a catchable EPIPE. *)
@@ -389,58 +366,61 @@ let start ?(host = "127.0.0.1") ~(port : int) ?(workers = 0) ?(max_inflight = 0)
   let actual_port =
     match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
   in
-  Atomic.set stat_workers workers;
-  let c =
+  let t =
     {
       sock;
       port = actual_port;
+      workers;
       stopping = Atomic.make false;
       wq = Queue.create ();
       wq_mutex = Mutex.create ();
       wq_cond = Condition.create ();
+      accepted = Atomic.make 0;
+      handled = Atomic.make 0;
+      rejected = Atomic.make 0;
+      inflight = Atomic.make 0;
+      inflight_hw = Atomic.make 0;
+      domains = [];
     }
   in
+  let extra = extra t and collect () = collect t in
   let worker_domains =
-    List.init workers (fun _ -> Domain.spawn (worker_loop c ~extra ~collect))
+    List.init workers (fun _ -> Domain.spawn (worker_loop t ~extra ~collect))
   in
-  let acceptor =
-    Domain.spawn (accept_loop c ~max_inflight ~dispatch:(workers > 0) ~extra ~collect)
-  in
-  { core = c; acceptor; workers = worker_domains }
+  t.domains <- Domain.spawn (accept_loop t ~max_inflight ~extra ~collect) :: worker_domains;
+  t
 
-let port (t : t) : int = t.core.port
+let port (t : t) : int = t.port
 
 let stop (t : t) : unit =
-  let c = t.core in
-  if not (Atomic.get c.stopping) then begin
-    Atomic.set c.stopping true;
+  if not (Atomic.get t.stopping) then begin
+    Atomic.set t.stopping true;
     (* Closing the fd does NOT wake a thread already parked in accept()
        on Linux, so the acceptor must be woken explicitly: shutdown on
        the listening socket makes the blocked accept fail (EINVAL), and
        a loopback self-connection is the portable fallback — the loop
        re-checks [stopping] after handling it. Only close after the
        join, so the acceptor never races a recycled fd number. *)
-    (try Unix.shutdown c.sock Unix.SHUTDOWN_ALL with _ -> ());
+    (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with _ -> ());
     (try
        let addr =
-         match Unix.getsockname c.sock with
+         match Unix.getsockname t.sock with
          | Unix.ADDR_INET (a, p) when a <> Unix.inet_addr_any -> Unix.ADDR_INET (a, p)
-         | _ -> Unix.ADDR_INET (Unix.inet_addr_loopback, c.port)
+         | _ -> Unix.ADDR_INET (Unix.inet_addr_loopback, t.port)
        in
        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
        (try Unix.connect s addr with _ -> ());
        (try Unix.close s with _ -> ())
      with _ -> ());
-    Domain.join t.acceptor;
+    let acceptor, workers = (List.hd t.domains, List.tl t.domains) in
+    Domain.join acceptor;
     (* Workers drain the queue (in-flight requests finish), then exit on
        the stopping flag. *)
-    Mutex.lock c.wq_mutex;
-    Condition.broadcast c.wq_cond;
-    Mutex.unlock c.wq_mutex;
-    List.iter Domain.join t.workers;
-    (try Unix.close c.sock with _ -> ())
+    Mutex.lock t.wq_mutex;
+    Condition.broadcast t.wq_cond;
+    Mutex.unlock t.wq_mutex;
+    List.iter Domain.join workers;
+    (try Unix.close t.sock with _ -> ())
   end
 
-let wait (t : t) : unit =
-  Domain.join t.acceptor;
-  List.iter Domain.join t.workers
+let wait (t : t) : unit = List.iter Domain.join t.domains

@@ -52,31 +52,27 @@ type t
     after [Content-Type]. *)
 val respond : ?headers:(string * string) list -> int -> string -> string -> response
 
-(** Cumulative serving counters, process-wide across all servers
-    started in this process (like the buffer-pool stats). *)
+(** A server's cumulative serving counters. *)
 type stats = {
-  e_workers : int;  (** worker pool size of the most recent {!start} *)
+  e_workers : int;  (** worker pool size *)
   e_accepted : int;  (** connections admitted past the gate *)
   e_handled : int;  (** connections fully served (any status) *)
   e_rejected : int;  (** connections shed with the canned 503 *)
   e_inflight : int;  (** admitted but not yet finished, right now *)
-  e_inflight_high_water : int;  (** max of [e_inflight] since reset *)
+  e_inflight_high_water : int;  (** max of [e_inflight] since {!start} *)
 }
 
-(** Snapshot the serving counters (consistent enough for metrics: each
+(** Snapshot a server's counters (consistent enough for metrics: each
     field is an independent atomic read). *)
-val stats : unit -> stats
-
-(** Zero the cumulative counters ([e_inflight] is live state and is
-    left alone). Test isolation helper. *)
-val reset_stats : unit -> unit
+val stats : t -> stats
 
 (** [start ~port ()] binds [host] (default ["127.0.0.1"]) : [port]
     (0 = ephemeral, see {!port}) and serves until {!stop}. [workers]
     (default 0) is the connection-handling pool size — 0 means the
     accept-loop domain handles each connection itself, sequentially.
     [max_inflight] (default 0 = unlimited) is the admission gate.
-    [extra] is consulted before the built-in routes; [collect] runs
+    [extra] (applied to the new server, so its routes can read
+    {!stats}) is consulted before the built-in routes; [collect] runs
     before each [/metrics] export. Raises [Unix.Unix_error] if the bind
     fails. *)
 val start :
@@ -84,8 +80,8 @@ val start :
   port:int ->
   ?workers:int ->
   ?max_inflight:int ->
-  ?extra:handler ->
-  ?collect:(unit -> unit) ->
+  ?extra:(t -> handler) ->
+  ?collect:(t -> unit) ->
   unit ->
   t
 

@@ -50,15 +50,9 @@ type t = {
   mutable pred_order : (string * string) list;
 }
 
-(* Set once at server startup, before any worker domain exists. *)
-let wall_ms_limit = ref 0.0
-let decode_bytes_limit = ref 0
+type limits = { wall_ms : float; decode_bytes : int }
 
-let set_limits ?(wall_ms = 0.0) ?(decode_bytes = 0) () =
-  wall_ms_limit := Float.max 0.0 wall_ms;
-  decode_bytes_limit := max 0 decode_bytes
-
-let limits () = (!wall_ms_limit, !decode_bytes_limit)
+let unlimited = { wall_ms = 0.0; decode_bytes = 0 }
 
 let per_container = Atomic.make true
 let containers_enabled () = Atomic.get per_container
@@ -152,8 +146,8 @@ let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () = Domain.DLS.get key
 
-let with_ledger f =
-  let l = create ~wall:!wall_ms_limit ~bytes:!decode_bytes_limit in
+let with_ledger ?(limits = unlimited) f =
+  let l = create ~wall:limits.wall_ms ~bytes:limits.decode_bytes in
   let prev = Domain.DLS.get key in
   Domain.DLS.set key (Some l);
   Fun.protect

@@ -25,8 +25,8 @@
     The query-log record, the watchdog's {!Watch.observe} and EXPLAIN's
     per-operator cache figures all read the open ledger.
 
-    Limits: {!set_limits} configures a wall-clock and a decoded-bytes
-    allowance; every ledger opened afterwards is checked against them
+    Limits: a ledger opened with {!limits} (a wall-clock and a
+    decoded-bytes allowance, from the request) is checked against them
     at each block fetch ({!note_fetch}). Crossing one raises
     {!Exceeded} on the evaluating domain, which unwinds the query as an
     ordinary exception (no locks are held across block fetches);
@@ -104,20 +104,20 @@ type t = {
   mutable pred_order : (string * string) list;  (** newest first *)
 }
 
-(** Set the allowances checked by ledgers opened from now on: [wall_ms]
-    wall-clock milliseconds since the ledger opened and [decode_bytes]
-    decoded bytes. Non-positive or omitted = unlimited (the default).
-    Startup-time configuration ([xquec serve]'s [--query-wall-ms] and
-    [--query-decode-mb]). *)
-val set_limits : ?wall_ms:float -> ?decode_bytes:int -> unit -> unit
+(** A query's allowances: [wall_ms] wall-clock milliseconds since its
+    ledger opened and [decode_bytes] decoded bytes. Non-positive =
+    unlimited. [xquec serve] takes them from [--query-wall-ms] and
+    [--query-decode-mb]. *)
+type limits = { wall_ms : float; decode_bytes : int }
 
-(** The configured allowances, [0.0] / [0] when unlimited. *)
-val limits : unit -> float * int
+(** No allowance checked. *)
+val unlimited : limits
 
-(** [with_ledger f] opens a fresh ledger on the calling domain, runs
-    [f] with it, restores the domain's previous ledger (if any) and adds
-    the closed ledger into the totals, however [f] returns. *)
-val with_ledger : (t -> 'a) -> 'a
+(** [with_ledger ~limits f] opens a fresh ledger on the calling domain,
+    checked against [limits] (default {!unlimited}), runs [f] with it,
+    restores the domain's previous ledger (if any) and adds the closed
+    ledger into the totals, however [f] returns. *)
+val with_ledger : ?limits:limits -> (t -> 'a) -> 'a
 
 (** [with_totals f] applies [f] to the process totals under their
     mutex: how [Buffer_pool], [Executor] and {!Heat} read and reset

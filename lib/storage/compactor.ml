@@ -22,12 +22,14 @@
       nothing re-populates them — stragglers holding the old container
       may re-decode, which is correct, just unpaid for by the cache).
 
-   Concurrency discipline: one [compact_mutex] serializes compaction
-   passes (two concurrent re-blocks of one container would waste work,
-   not corrupt — the mutex exists for predictability and for the
-   busy-flag the server exposes). [request] runs the pass on the
-   caller; serve calls it from its watchdog domain, off the query
-   path. *)
+   Concurrency discipline: the repository's pass mutex serializes its
+   compaction passes (two concurrent re-blocks of one container would
+   waste work, not corrupt — the mutex exists for predictability and
+   for the busy-flag the server exposes). The counters, busy flag and
+   recent ring live in the repository (Repository.compactions), so a
+   server's /compact reports the repository it serves. [request] runs
+   the pass on the caller; serve calls it from its watchdog domain,
+   off the query path. *)
 
 type result = {
   c_path : string;
@@ -42,46 +44,36 @@ type result = {
   c_wall_ms : float;
 }
 
-(* --- cumulative stats + a small ring of recent results --------------- *)
-
-let stat_compactions = Atomic.make 0
-
-let stat_blocks_rewritten = Atomic.make 0
-
-let stat_bytes_rewritten = Atomic.make 0
+(* --- the repository's cumulative stats + a small ring of recent results *)
 
 type stats = { k_compactions : int; k_blocks_rewritten : int; k_bytes_rewritten : int }
 
-let snapshot () : stats =
+let snapshot (repo : Repository.t) : stats =
+  let k = repo.Repository.compactions in
   {
-    k_compactions = Atomic.get stat_compactions;
-    k_blocks_rewritten = Atomic.get stat_blocks_rewritten;
-    k_bytes_rewritten = Atomic.get stat_bytes_rewritten;
+    k_compactions = Atomic.get k.Repository.count;
+    k_blocks_rewritten = Atomic.get k.Repository.blocks_rewritten;
+    k_bytes_rewritten = Atomic.get k.Repository.bytes_rewritten;
   }
 
-let reset_stats () =
-  Atomic.set stat_compactions 0;
-  Atomic.set stat_blocks_rewritten 0;
-  Atomic.set stat_bytes_rewritten 0
+let busy (repo : Repository.t) = Atomic.get repo.Repository.compactions.Repository.busy
 
 let recent_cap = 16
 
-let recent_mutex = Mutex.create ()
-
-let recent_ring : result list ref = ref []
-
-let push_recent r =
-  Mutex.lock recent_mutex;
-  recent_ring := r :: (if List.length !recent_ring >= recent_cap then
-                         List.filteri (fun i _ -> i < recent_cap - 1) !recent_ring
-                       else !recent_ring);
-  Mutex.unlock recent_mutex
-
-let recent () =
-  Mutex.lock recent_mutex;
-  let r = !recent_ring in
-  Mutex.unlock recent_mutex;
-  r
+let result_json (r : result) =
+  Xquec_obs.Json.Obj
+    [
+      ("container", Xquec_obs.Json.Str r.c_path);
+      ("id", Xquec_obs.Json.Num (float_of_int r.c_id));
+      ("records", Xquec_obs.Json.Num (float_of_int r.c_records));
+      ("block_size_before", Xquec_obs.Json.Num (float_of_int r.c_block_size_before));
+      ("block_size_after", Xquec_obs.Json.Num (float_of_int r.c_block_size_after));
+      ("blocks_before", Xquec_obs.Json.Num (float_of_int r.c_blocks_before));
+      ("blocks_after", Xquec_obs.Json.Num (float_of_int r.c_blocks_after));
+      ("invalidated", Xquec_obs.Json.Num (float_of_int r.c_invalidated));
+      ("epoch", Xquec_obs.Json.Num (float_of_int r.c_epoch));
+      ("wall_ms", Xquec_obs.Json.Num r.c_wall_ms);
+    ]
 
 (* --- planning -------------------------------------------------------- *)
 
@@ -107,20 +99,12 @@ let plan (repo : Repository.t) (recs : (string * float) list) : (int * int) list
 
 (* --- the pass -------------------------------------------------------- *)
 
-let compact_mutex = Mutex.create ()
-
-let busy_flag = Atomic.make false
-
-let busy () = Atomic.get busy_flag
-
 let compact_container (repo : Repository.t) ~(id : int) ~(block_size : int) : result =
   if id < 0 || id >= Array.length repo.Repository.containers then
     invalid_arg "Compactor.compact_container";
   let block_size = Container.clamp_block_size block_size in
-  Mutex.lock compact_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock compact_mutex)
-    (fun () ->
+  let k = repo.Repository.compactions in
+  Mutex.protect k.Repository.pass (fun () ->
       let old = repo.Repository.containers.(id) in
       let t0 = Xquec_obs.Trace.now_us () in
       Xquec_obs.Trace.with_span ~name:"compactor.compact"
@@ -149,53 +133,39 @@ let compact_container (repo : Repository.t) ~(id : int) ~(block_size : int) : re
           c_wall_ms = wall_ms;
         }
       in
-      Atomic.incr stat_compactions;
-      ignore
-        (Atomic.fetch_and_add stat_blocks_rewritten
-           (Array.length fresh.Container.blocks));
-      ignore
-        (Atomic.fetch_and_add stat_bytes_rewritten (Container.compressed_bytes fresh));
+      Atomic.incr k.Repository.count;
+      ignore (Atomic.fetch_and_add k.Repository.blocks_rewritten (Array.length fresh.Container.blocks));
+      ignore (Atomic.fetch_and_add k.Repository.bytes_rewritten (Container.compressed_bytes fresh));
       if Xquec_obs.is_enabled () then Xquec_obs.Metrics.observe "compactor.compact_ms" wall_ms;
-      push_recent r;
+      (* the pass lock makes this the ring's only writer *)
+      let recent = Atomic.get k.Repository.recent in
+      Atomic.set k.Repository.recent
+        (result_json r :: List.filteri (fun i _ -> i < recent_cap - 1) recent);
       r)
 
 let compact (repo : Repository.t) ~(targets : (int * int) list) : result list =
   List.map (fun (id, bs) -> compact_container repo ~id ~block_size:bs) targets
 
 let request (repo : Repository.t) ~(targets : (int * int) list) : bool =
+  let busy = repo.Repository.compactions.Repository.busy in
   if targets = [] then false
-  else if not (Atomic.compare_and_set busy_flag false true) then false
+  else if not (Atomic.compare_and_set busy false true) then false
   else begin
     Fun.protect
-      ~finally:(fun () -> Atomic.set busy_flag false)
+      ~finally:(fun () -> Atomic.set busy false)
       (fun () -> try ignore (compact repo ~targets) with _ -> ());
     true
   end
 
 (* --- status ---------------------------------------------------------- *)
 
-let status_json () : Xquec_obs.Json.t =
-  let s = snapshot () in
-  let result_json (r : result) =
-    Xquec_obs.Json.Obj
-      [
-        ("container", Xquec_obs.Json.Str r.c_path);
-        ("id", Xquec_obs.Json.Num (float_of_int r.c_id));
-        ("records", Xquec_obs.Json.Num (float_of_int r.c_records));
-        ("block_size_before", Xquec_obs.Json.Num (float_of_int r.c_block_size_before));
-        ("block_size_after", Xquec_obs.Json.Num (float_of_int r.c_block_size_after));
-        ("blocks_before", Xquec_obs.Json.Num (float_of_int r.c_blocks_before));
-        ("blocks_after", Xquec_obs.Json.Num (float_of_int r.c_blocks_after));
-        ("invalidated", Xquec_obs.Json.Num (float_of_int r.c_invalidated));
-        ("epoch", Xquec_obs.Json.Num (float_of_int r.c_epoch));
-        ("wall_ms", Xquec_obs.Json.Num r.c_wall_ms);
-      ]
-  in
+let status_json (repo : Repository.t) : Xquec_obs.Json.t =
+  let s = snapshot repo in
   Xquec_obs.Json.Obj
     [
-      ("busy", Xquec_obs.Json.Bool (busy ()));
+      ("busy", Xquec_obs.Json.Bool (busy repo));
       ("compactions", Xquec_obs.Json.Num (float_of_int s.k_compactions));
       ("blocks_rewritten", Xquec_obs.Json.Num (float_of_int s.k_blocks_rewritten));
       ("bytes_rewritten", Xquec_obs.Json.Num (float_of_int s.k_bytes_rewritten));
-      ("recent", Xquec_obs.Json.List (List.map result_json (recent ())));
+      ("recent", Xquec_obs.Json.List (Atomic.get repo.Repository.compactions.Repository.recent));
     ]

@@ -12,9 +12,11 @@
     entries (booked as invalidations, not capacity evictions). Readers
     still holding the old container keep using it safely.
 
-    Passes are serialized by an internal mutex; the watchdog's entry
-    point {!request} additionally refuses overlapping requests via a
-    busy flag that [GET /compact] exposes. Triggered manually by
+    Passes over one repository are serialized by its pass mutex; the
+    watchdog's entry point {!request} additionally refuses overlapping
+    requests via the repository's busy flag that [GET /compact]
+    exposes. Counters, flag and recent results are the repository's
+    ({!Repository.compactions}). Triggered manually by
     [xquec compact] and automatically by [xquec serve] when the drift
     watchdog's [drift_sustained] alert fires. *)
 
@@ -36,18 +38,11 @@ type result = {
   c_wall_ms : float;
 }
 
-(** Cumulative counters across all compactions this process ran. *)
+(** Cumulative counters across all compactions of one repository. *)
 type stats = { k_compactions : int; k_blocks_rewritten : int; k_bytes_rewritten : int }
 
-(** Current counter values (atomic reads). *)
-val snapshot : unit -> stats
-
-(** Zero the cumulative counters and keep the recent-result ring (test
-    isolation). *)
-val reset_stats : unit -> unit
-
-(** The most recent compaction results, newest first (bounded ring). *)
-val recent : unit -> result list
+(** The repository's current counter values (atomic reads). *)
+val snapshot : Repository.t -> stats
 
 (** [plan repo recommendations] turns [(container path, factor)] pairs —
     the shape {!Xquec_obs.Profile.actionable} gives — into concrete
@@ -74,17 +69,18 @@ val compact : Repository.t -> targets:(int * int) list -> result list
 
 (** Run {!compact} on the calling domain ([xquec serve] calls it from
     its watchdog domain, off the query path). Returns [false] — doing
-    nothing — when [targets] is empty or a {!request} from another
-    domain is still running; [true] means the pass ran. Failures
-    inside the pass are swallowed; per-container outcomes appear in
-    {!recent}. *)
+    nothing — when [targets] is empty or a {!request} on the same
+    repository from another domain is still running; [true] means the
+    pass ran. Failures inside the pass are swallowed; per-container
+    outcomes appear in {!status_json}. *)
 val request : Repository.t -> targets:(int * int) list -> bool
 
-(** Whether an asynchronous {!request} pass is currently running. *)
-val busy : unit -> bool
+(** Whether a {!request} pass over the repository is currently
+    running. *)
+val busy : Repository.t -> bool
 
-(** Compactor status as JSON — the [GET /compact] payload:
-    [{"busy":bool, "compactions":n, "blocks_rewritten":n,
+(** The repository's compactor status as JSON — the [GET /compact]
+    payload: [{"busy":bool, "compactions":n, "blocks_rewritten":n,
     "bytes_rewritten":n, "recent":[...]}] with one object per
-    {!result}, newest first. *)
-val status_json : unit -> Xquec_obs.Json.t
+    {!result} of its last 16 compactions, newest first. *)
+val status_json : Repository.t -> Xquec_obs.Json.t

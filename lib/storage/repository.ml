@@ -3,6 +3,25 @@
    document, with honest byte-level serialization for the size
    experiments. *)
 
+type compactions = {
+  pass : Mutex.t;
+  busy : bool Atomic.t;
+  count : int Atomic.t;
+  blocks_rewritten : int Atomic.t;
+  bytes_rewritten : int Atomic.t;
+  recent : Xquec_obs.Json.t list Atomic.t;
+}
+
+let no_compactions () =
+  {
+    pass = Mutex.create ();
+    busy = Atomic.make false;
+    count = Atomic.make 0;
+    blocks_rewritten = Atomic.make 0;
+    bytes_rewritten = Atomic.make 0;
+    recent = Atomic.make [];
+  }
+
 type t = {
   dict : Name_dict.t;
   tree : Structure_tree.t;
@@ -10,6 +29,7 @@ type t = {
   summary : Summary.t;
   source_name : string;
   original_size : int;  (** serialized size of the uncompressed document *)
+  compactions : compactions;
 }
 
 let container t id = t.containers.(id)
@@ -308,7 +328,7 @@ let parse (s : string) : t =
         c)
   in
   resolve_containers tree summary containers;
-  { dict; tree; containers; summary; source_name; original_size }
+  { dict; tree; containers; summary; source_name; original_size; compactions = no_compactions () }
 
 exception Corrupt of string
 

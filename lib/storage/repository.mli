@@ -2,9 +2,26 @@
     containers, shared source models and structure summary for one
     document, with byte-level serialization for the size experiments. *)
 
+(** What {!Compactor}, its only writer, keeps about the passes it ran
+    on one repository: [pass] serializes them, [busy] is
+    {!Compactor.request}'s flag, the counters are cumulative, and
+    [recent] holds the last results as [GET /compact] lists them,
+    newest first. *)
+type compactions = {
+  pass : Mutex.t;
+  busy : bool Atomic.t;
+  count : int Atomic.t;
+  blocks_rewritten : int Atomic.t;
+  bytes_rewritten : int Atomic.t;
+  recent : Xquec_obs.Json.t list Atomic.t;
+}
+
+(** A log of no passes: how a built or restored repository starts. *)
+val no_compactions : unit -> compactions
+
 (** A loaded repository. [containers] is indexed by container id;
     [original_size] is the source document's byte size (denominator of
-    the compression factor). *)
+    the compression factor); [compactions] is its compaction log. *)
 type t = {
   dict : Name_dict.t;
   tree : Structure_tree.t;
@@ -12,6 +29,7 @@ type t = {
   summary : Summary.t;
   source_name : string;
   original_size : int;
+  compactions : compactions;
 }
 
 (** Container by id. Raises [Invalid_argument] if out of range. *)

@@ -12,20 +12,7 @@ module Obs = Xquec_obs
 
 let with_fresh_telemetry f =
   Obs.reset ();
-  Obs.Watch.set_enabled false;
-  Obs.Watch.set_baseline None;
-  Obs.Watch.reset ();
-  Obs.Alert.set_rules [];
-  Storage.Compactor.reset_stats ();
-  let finally () =
-    Serve.set_auto_compact false;
-    Obs.Watch.set_enabled false;
-    Obs.Watch.set_baseline None;
-    Obs.Watch.reset ();
-    Obs.Alert.set_rules [];
-    Obs.reset ()
-  in
-  Fun.protect ~finally (fun () -> Obs.with_enabled f)
+  Fun.protect ~finally:Obs.reset (fun () -> Obs.with_enabled f)
 
 (* Compaction mutates the repository, so every test loads its own
    engine from the shared generated document. *)
@@ -57,7 +44,7 @@ let contains s sub =
 (* Run one query and return its serialized result (the bytes a serve
    client would receive, minus the trailing newline). *)
 let answer engine text =
-  (Engine.request engine { text; plan = None; admission = None; record = true }).out
+  (Engine.request engine { (Engine.plain text) with record = true }).out
 
 (* ------------------------------------------------------------------ *)
 (* Block-size picking: Compactor.plan, the one rule, and its clamp     *)
@@ -276,7 +263,6 @@ let test_compactor_swap_and_plan () =
   let before = answer engine q in
   let old_c = container_of repo desc_path in
   let old_uid = old_c.Storage.Container.uid in
-  Storage.Compactor.reset_stats ();
   let r =
     Storage.Compactor.compact_container repo ~id:old_c.Storage.Container.id
       ~block_size:2048
@@ -296,12 +282,13 @@ let test_compactor_swap_and_plan () =
   Alcotest.(check (list (pair string int))) "old and fresh hold the same records"
     (Storage.Container.dump old_c)
     (Storage.Container.dump fresh);
-  let s = Storage.Compactor.snapshot () in
+  let s = Storage.Compactor.snapshot repo in
   Alcotest.(check int) "one compaction counted" 1 s.Storage.Compactor.k_compactions;
-  (match Storage.Compactor.recent () with
-  | newest :: _ ->
-    Alcotest.(check string) "recent ring sees it" desc_path newest.Storage.Compactor.c_path
-  | [] -> Alcotest.fail "recent ring empty");
+  (match Obs.Json.member "recent" (Storage.Compactor.status_json repo) with
+  | Some (Obs.Json.List (newest :: _)) ->
+    Alcotest.(check (option string)) "recent ring sees it" (Some desc_path)
+      (Option.bind (Obs.Json.member "container" newest) Obs.Json.to_str)
+  | _ -> Alcotest.fail "recent ring empty");
   (* plan: keep-factors, unknown paths and no-ops are dropped; real
      factors scale the current size under the clamp (the descriptions
      span several 2 KiB blocks) *)
@@ -316,12 +303,12 @@ let test_compactor_swap_and_plan () =
     (Storage.Compactor.request repo ~targets:[]);
   (* the request runs on the caller and completes before returning *)
   Alcotest.(check bool) "request starts" true (Storage.Compactor.request repo ~targets);
-  Alcotest.(check bool) "inline request already finished" false (Storage.Compactor.busy ());
+  Alcotest.(check bool) "inline request already finished" false (Storage.Compactor.busy repo);
   Alcotest.(check int) "requested compaction applied" 1024
     (Storage.Repository.container repo old_c.Storage.Container.id)
       .Storage.Container.block_size;
   Alcotest.(check string) "query still byte-identical" before (answer engine q);
-  let status = Obs.Json.to_string (Storage.Compactor.status_json ()) in
+  let status = Obs.Json.to_string (Storage.Compactor.status_json repo) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("status has " ^ needle) true (contains status needle))
@@ -344,19 +331,15 @@ let test_midrun_swap_under_concurrent_clients () =
       "document(\"auction.xml\")/site/people/person[@id = \"person%d\"]/name" (client mod 3)
   in
   (* expected bytes per client, computed before any swap *)
+  Test_serve.with_server engine ~config:{ Test_serve.config with workers = 3; max_inflight = 64 }
+  @@ fun server ->
   let expected =
     Array.init 3 (fun k ->
-        let r = Serve.run_query engine (query_of k) in
+        let r = Serve.run_query server (query_of k) in
         Alcotest.(check int) "warmup status" 200 r.Obs.Expo.status;
         r.Obs.Expo.body)
   in
-  let server =
-    Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine)
-      ~collect:(fun () -> Serve.publish_pool_metrics engine) ()
-  in
-  let port = Obs.Expo.port server in
-  Fun.protect ~finally:(fun () -> Obs.Expo.stop server)
-  @@ fun () ->
+  let port = Serve.port server in
   let id = (container_of repo ids_path).Storage.Container.id in
   (* a dedicated domain swapping the container back and forth while the
      clients hammer it *)
@@ -387,7 +370,7 @@ let test_midrun_swap_under_concurrent_clients () =
         o.Obs.Hammer.o_reply.Obs.Hammer.r_body)
     outcomes;
   Alcotest.(check int) "six swaps happened" 6
-    (Storage.Compactor.snapshot ()).Storage.Compactor.k_compactions;
+    (Storage.Compactor.snapshot repo).Storage.Compactor.k_compactions;
   Alcotest.(check int) "epoch counted every swap" 6
     (Storage.Repository.container repo id).Storage.Container.compaction_epoch;
   (* the serve surface reports the compactor *)
@@ -438,27 +421,26 @@ let test_auto_compact_on_sustained_drift () =
   let repo = Engine.repo engine in
   let q = "document(\"auction.xml\")/site/people/person[@id = \"person1\"]/name" in
   let before = answer engine q in
-  Obs.Watch.set_enabled true;
-  Obs.Watch.configure ~window_seconds:3600.0 ~windows:6 ();
-  Obs.Alert.set_rules (Serve.default_rules ~drift_threshold:0.3 ());
-  Serve.set_auto_compact true;
-  Serve.watch_tick_reset ();
   (* declared mix: scans elsewhere; observed mix: pure selective point
      lookups on @id — maximal drift, low selectivity *)
-  Obs.Watch.set_baseline
-    (Some
-       (Engine.declared_fingerprint engine
-          [ "for $i in document(\"auction.xml\")/site/regions/europe/item return $i/name" ]));
+  let baseline =
+    Engine.declared_fingerprint engine
+      [ "for $i in document(\"auction.xml\")/site/regions/europe/item return $i/name" ]
+  in
+  Test_serve.with_server engine
+    ~config:
+      { Test_serve.config with watch_window = 3600.0; baseline = Some baseline; auto_compact = true }
+  @@ fun server ->
   for k = 0 to 4 do
     ignore
-      (answer engine
+      (Serve.run_query server
          (Printf.sprintf
             "document(\"auction.xml\")/site/people/person[@id = \"person%d\"]/name" k))
   done;
   let now = Unix.gettimeofday () in
   let fired = ref false in
   for i = 1 to 3 do
-    let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) engine in
+    let _, trs = Serve.watch_tick ~now:(now +. float_of_int i) server in
     if
       List.exists
         (fun (t : Obs.Alert.transition) ->

@@ -285,7 +285,7 @@ let test_neq_on_equality_codes () =
   in
   let engine = Xquec_core.Engine.load ~loader_options:options ~name:"f.xml" xml in
   let r =
-    Xquec_core.Engine.request engine { text = query; plan = None; admission = None; record = false }
+    Xquec_core.Engine.request engine (Xquec_core.Engine.plain query)
   in
   let totals = Xquec_obs.Explain.totals r.explain in
   Alcotest.(check bool)
@@ -312,7 +312,7 @@ let test_neq_constant_on_codes () =
       let engine = Xquec_core.Engine.load ~loader_options:options ~name:"f.xml" xml in
       let totals text =
         let r =
-          Xquec_core.Engine.request engine { text; plan = None; admission = None; record = false }
+          Xquec_core.Engine.request engine (Xquec_core.Engine.plain text)
         in
         let t = Xquec_obs.Explain.totals r.explain in
         (t.compressed, t.decompressed)

@@ -7,7 +7,7 @@ open Xquec_core
 module Obs = Xquec_obs
 
 (* A recorded request: the query log and the watchdog see it. *)
-let logged eng text = Engine.request eng { text; plan = None; admission = None; record = true }
+let logged eng text = Engine.request eng { (Engine.plain text) with record = true }
 
 let with_fresh_telemetry f =
   Obs.reset ();
@@ -492,7 +492,7 @@ let test_query_log_join_counters_reconcile () =
   (* the /metrics collector syncs the same cumulative counters (the
      registry only accepts writes while telemetry is on, as in serve) *)
   Obs.with_enabled @@ fun () ->
-  Serve.publish_pool_metrics eng;
+  Serve.publish_storage_metrics (Engine.repo eng);
   Alcotest.(check int) "metrics block_joins" j1.Executor.j_block_joins
     (Obs.Metrics.counter_value "executor.join.block_joins");
   Alcotest.(check int) "metrics blocks_probed" j1.Executor.j_blocks_probed
@@ -553,12 +553,8 @@ let http_request ~port ?(meth = "GET") ?(body = "") target =
 let test_expo_http_roundtrip () =
   with_fresh_telemetry @@ fun () ->
   let eng = Engine.load ~name:"xmark.xml" xmark_doc in
-  let server =
-    Obs.Expo.start ~port:0 ~extra:(Serve.handler eng)
-      ~collect:(fun () -> Serve.publish_pool_metrics eng) ()
-  in
-  Fun.protect ~finally:(fun () -> Obs.Expo.stop server) @@ fun () ->
-  let port = Obs.Expo.port server in
+  Test_serve.with_server eng ~config:{ Test_serve.config with workers = 0 } @@ fun server ->
+  let port = Serve.port server in
   Alcotest.(check bool) "bound an ephemeral port" true (port > 0);
   let status, body = http_request ~port "/healthz" in
   Alcotest.(check int) "healthz status" 200 status;

@@ -12,6 +12,17 @@ let with_fresh_telemetry f =
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.reset ()) (fun () -> Obs.with_enabled f)
 
+(* A server on an ephemeral port with one worker, no budgets and no
+   watchdog; tests override the fields they exercise. *)
+let config =
+  { Serve.host = "127.0.0.1"; port = 0; workers = 1; max_inflight = 0;
+    limits = Obs.Ledger.unlimited; watch_window = 0.0; drift_alert = 0.3; alerts_log = None;
+    baseline = None; auto_compact = false; format = "v4" }
+
+let with_server ?(config = config) engine f =
+  let server = Serve.start config engine in
+  Fun.protect ~finally:(fun () -> Serve.stop server) (fun () -> f server)
+
 (* One small generated XMark document, compressed once and shared by
    the tests that only read it. Budget tests load their own copy so
    every block access is a real decode (fresh uid = nothing resident). *)
@@ -92,8 +103,9 @@ let test_plan_cache_hit_digest_identical () =
   Fun.protect ~finally:(fun () -> Plan_cache.set_capacity 0)
   @@ fun () ->
   let q = "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
-  let r1 = Serve.run_query engine q in
-  let r2 = Serve.run_query engine q in
+  with_server engine @@ fun server ->
+  let r1 = Serve.run_query server q in
+  let r2 = Serve.run_query server q in
   Alcotest.(check int) "cold status" 200 r1.Obs.Expo.status;
   Alcotest.(check int) "warm status" 200 r2.Obs.Expo.status;
   Alcotest.(check string) "hit returns identical bytes"
@@ -125,8 +137,7 @@ let test_admission_sheds_beyond_max_inflight () =
     end
     else None
   in
-  Obs.Expo.reset_stats ();
-  let server = Obs.Expo.start ~port:0 ~workers:2 ~max_inflight:2 ~extra () in
+  let server = Obs.Expo.start ~port:0 ~workers:2 ~max_inflight:2 ~extra:(fun _ -> extra) () in
   let port = Obs.Expo.port server in
   let release () =
     Mutex.lock m;
@@ -140,12 +151,12 @@ let test_admission_sheds_beyond_max_inflight () =
   (* wait until both requests are admitted and parked in the handler *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while
-    (Obs.Expo.stats ()).Obs.Expo.e_inflight < 2 && Unix.gettimeofday () < deadline
+    (Obs.Expo.stats server).Obs.Expo.e_inflight < 2 && Unix.gettimeofday () < deadline
   do
     Unix.sleepf 0.005
   done;
   Alcotest.(check int) "both connections in flight" 2
-    (Obs.Expo.stats ()).Obs.Expo.e_inflight;
+    (Obs.Expo.stats server).Obs.Expo.e_inflight;
   (* the third connection must be shed without touching a worker *)
   let raw = raw_request ~port "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" in
   Alcotest.(check bool) "shed with 503" true (contains raw "HTTP/1.1 503");
@@ -160,11 +171,11 @@ let test_admission_sheds_beyond_max_inflight () =
   (* a client has its reply before the worker releases its slot *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while
-    (Obs.Expo.stats ()).Obs.Expo.e_inflight > 0 && Unix.gettimeofday () < deadline
+    (Obs.Expo.stats server).Obs.Expo.e_inflight > 0 && Unix.gettimeofday () < deadline
   do
     Unix.sleepf 0.005
   done;
-  let s = Obs.Expo.stats () in
+  let s = Obs.Expo.stats server in
   Alcotest.(check bool) "rejection counted" true (s.Obs.Expo.e_rejected >= 1);
   Alcotest.(check int) "nothing left in flight" 0 s.Obs.Expo.e_inflight
 
@@ -206,13 +217,12 @@ let test_decode_budget_trips_408 () =
   (* fresh load: fresh container uids, so nothing is resident and every
      block access decodes (and charges the budget) for real *)
   let engine = Engine.load ~name:"auction.xml" (Lazy.force xmark_xml) in
-  Obs.Ledger.set_limits ~decode_bytes:1 ();
-  Fun.protect ~finally:(fun () -> Obs.Ledger.set_limits ())
-  @@ fun () ->
   let pool0 = Storage.Buffer_pool.snapshot () in
   let r, records =
     logged_records (fun () ->
-        Serve.run_query engine "document(\"auction.xml\")/site/people/person/name")
+        with_server engine
+          ~config:{ config with limits = { Obs.Ledger.wall_ms = 0.0; decode_bytes = 1 } }
+        @@ fun server -> Serve.run_query server "document(\"auction.xml\")/site/people/person/name")
   in
   let pool1 = Storage.Buffer_pool.snapshot () in
   Alcotest.(check int) "terminated with 408" 408 r.Obs.Expo.status;
@@ -236,9 +246,9 @@ let test_decode_budget_trips_408 () =
   Alcotest.(check bool) "names the tripped budget" true
     (contains r.Obs.Expo.body "\"budget\":\"decode_bytes\"");
   (* the evaluating domain must be disarmed afterwards: the same query
-     without budgets succeeds *)
-  Obs.Ledger.set_limits ();
-  let ok = Serve.run_query engine "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
+     on a server without budgets succeeds *)
+  with_server engine @@ fun server ->
+  let ok = Serve.run_query server "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
   Alcotest.(check int) "disarmed afterwards" 200 ok.Obs.Expo.status
 
 let test_wall_budget_trips_408 () =
@@ -246,10 +256,9 @@ let test_wall_budget_trips_408 () =
   let engine = Lazy.force shared_engine in
   (* microscopic wall budget: the first block-access poll is already
      past it (parsing alone takes longer) *)
-  Obs.Ledger.set_limits ~wall_ms:0.0001 ();
-  Fun.protect ~finally:(fun () -> Obs.Ledger.set_limits ())
-  @@ fun () ->
-  let r = Serve.run_query engine "document(\"auction.xml\")/site/people/person/name" in
+  with_server engine ~config:{ config with limits = { Obs.Ledger.wall_ms = 0.0001; decode_bytes = 0 } }
+  @@ fun server ->
+  let r = Serve.run_query server "document(\"auction.xml\")/site/people/person/name" in
   Alcotest.(check int) "terminated with 408" 408 r.Obs.Expo.status;
   Alcotest.(check bool) "names the tripped budget" true
     (contains r.Obs.Expo.body "\"budget\":\"wall_ms\"")
@@ -260,7 +269,7 @@ let test_syntax_error_400 () =
   with_fresh_telemetry @@ fun () ->
   let engine = Lazy.force shared_engine in
   let q = "for $p in document(\"auction.xml\")/site/people/person where" in
-  let r = Serve.run_query engine q in
+  let r = with_server engine (fun server -> Serve.run_query server q) in
   Alcotest.(check int) "status" 400 r.Obs.Expo.status;
   Alcotest.(check string) "body" "syntax error at byte 58: unexpected end of input\n"
     r.Obs.Expo.body
@@ -270,7 +279,9 @@ let test_syntax_error_400 () =
 let test_eval_error_400 () =
   with_fresh_telemetry @@ fun () ->
   let engine = Lazy.force shared_engine in
-  let r, records = logged_records (fun () -> Serve.run_query engine "$x") in
+  let r, records =
+    logged_records (fun () -> with_server engine (fun server -> Serve.run_query server "$x"))
+  in
   Alcotest.(check int) "status" 400 r.Obs.Expo.status;
   Alcotest.(check string) "body" "evaluation error: unbound variable $x\n" r.Obs.Expo.body;
   Alcotest.(check (list (option string))) "one record naming the error" [ Some "eval_error" ]
@@ -283,12 +294,8 @@ let test_eval_error_400 () =
 let test_epipe_mid_response_survives () =
   with_fresh_telemetry @@ fun () ->
   let engine = Lazy.force shared_engine in
-  let server =
-    Obs.Expo.start ~port:0 ~workers:1 ~extra:(Serve.handler engine) ()
-  in
-  let port = Obs.Expo.port server in
-  Fun.protect ~finally:(fun () -> Obs.Expo.stop server)
-  @@ fun () ->
+  with_server engine @@ fun server ->
+  let port = Serve.port server in
   (* ask for a large result, then vanish with an RST (SO_LINGER 0) the
      moment the request is sent — the server's response write hits a
      dead connection mid-stream *)
@@ -324,13 +331,8 @@ let test_concurrent_clients_correct_results () =
   Plan_cache.clear ();
   Fun.protect ~finally:(fun () -> Plan_cache.set_capacity 0)
   @@ fun () ->
-  let server =
-    Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine)
-      ~collect:(fun () -> Serve.publish_pool_metrics engine) ()
-  in
-  let port = Obs.Expo.port server in
-  Fun.protect ~finally:(fun () -> Obs.Expo.stop server)
-  @@ fun () ->
+  with_server engine ~config:{ config with workers = 3; max_inflight = 64 } @@ fun server ->
+  let port = Serve.port server in
   (* every client computes a different arithmetic expression: the reply
      is predictable per (client, seq), so any cross-request mixup under
      concurrency is caught exactly *)
@@ -354,22 +356,28 @@ let test_concurrent_clients_correct_results () =
         o.Obs.Hammer.o_reply.Obs.Hammer.r_body)
     outcomes
 
+(* One of the server's SLO-window gauges, as a /metrics scrape
+   publishes it. *)
+let window_gauge server name =
+  ignore (Obs.Hammer.request ~port:(Serve.port server) "/metrics");
+  Option.value ~default:nan (Obs.Metrics.gauge_value ("serve.window." ^ name))
+
 let test_window_concurrent_writers () =
   with_fresh_telemetry @@ fun () ->
-  Serve.window_reset ();
+  with_server (Lazy.force shared_engine) @@ fun server ->
   let writers = 4 and per_writer = 250 in
   let domains =
     List.init writers (fun i ->
         Domain.spawn (fun () ->
             for _ = 1 to per_writer do
-              Serve.window_observe ~error:(i = 0) 1.0
+              ignore (Serve.run_query server (if i = 0 then "$x" else "1+2"))
             done))
   in
   List.iter Domain.join domains;
-  let w = Serve.window_stats () in
-  Alcotest.(check int) "no observation lost" (writers * per_writer) w.Serve.ws_requests;
-  Alcotest.(check int) "errors from exactly one writer" per_writer w.Serve.ws_errors;
-  Serve.window_reset ()
+  Alcotest.(check (float 0.0)) "no observation lost" (float_of_int (writers * per_writer))
+    (window_gauge server "requests");
+  Alcotest.(check (float 0.0)) "errors from exactly one writer" (float_of_int per_writer)
+    (window_gauge server "errors")
 
 (* ------------------------------------------------------------------ *)
 (* Per-query ledger under concurrency                                  *)
@@ -388,7 +396,7 @@ let root_fetches (prof : Obs.Explain.node) =
 let test_ledger_two_domains () =
   let engine = Lazy.force shared_engine in
   let fetches text =
-    let r = Engine.request engine { text; plan = None; admission = None; record = false } in
+    let r = Engine.request engine (Engine.plain text) in
     root_fetches r.explain
   in
   let qa = xmark_text "Q10" and qb = xmark_text "Q14" in
@@ -431,17 +439,11 @@ let test_ledger_records_sum_to_globals () =
   let heat () = Obs.Heat.snapshot (Storage.Repository.heat_rows (Engine.repo engine)) in
   let pool0 = Storage.Buffer_pool.snapshot () and heat0 = heat () in
   let join0 = Executor.join_stats () in
-  let server =
-    Obs.Expo.start ~port:0 ~workers:3 ~max_inflight:64 ~extra:(Serve.handler engine) ()
-  in
   let outcomes =
-    Fun.protect
-      ~finally:(fun () -> Obs.Expo.stop server)
-      (fun () ->
-        Obs.Hammer.drive ~port:(Obs.Expo.port server) ~clients ~requests_per_client:per_client
-          ~target:(fun client seq ->
-            ("POST", "/query", queries.((client + seq) mod Array.length queries)))
-          ())
+    with_server engine ~config:{ config with workers = 3; max_inflight = 64 } @@ fun server ->
+    Obs.Hammer.drive ~port:(Serve.port server) ~clients ~requests_per_client:per_client
+      ~target:(fun client seq -> ("POST", "/query", queries.((client + seq) mod Array.length queries)))
+      ()
   in
   let pool1 = Storage.Buffer_pool.snapshot () and heat1 = heat () in
   let join1 = Executor.join_stats () in

@@ -7,7 +7,7 @@ module Obs = Xquec_obs
 open Xquec_core
 
 (* A recorded request: the query log and the watchdog see it. *)
-let logged eng text = Engine.request eng { text; plan = None; admission = None; record = true }
+let logged eng text = Engine.request eng { (Engine.plain text) with record = true }
 
 let j_num n = Obs.Json.Num (float_of_int n)
 let j_str s = Obs.Json.Str s
@@ -398,32 +398,40 @@ let test_serve_window () =
   (* gauge publication goes through the telemetry-gated registry; an
      earlier suite may have left the gate off *)
   Obs.set_enabled true;
-  Serve.window_reset ();
-  let z = Serve.window_stats () in
-  Alcotest.(check int) "empty window has no requests" 0 z.Serve.ws_requests;
-  Alcotest.(check (float 0.0)) "empty window error rate" 0.0 z.Serve.ws_error_rate;
-  Alcotest.(check (float 0.0)) "empty window p99" 0.0 z.Serve.ws_p99_ms;
+  let eng = Engine.load ~name:"xmark.xml" xmark_doc in
+  Test_serve.with_server eng @@ fun server ->
+  let gauge = Test_serve.window_gauge server in
+  Alcotest.(check (float 0.0)) "empty window has no requests" 0.0 (gauge "requests");
+  Alcotest.(check (float 0.0)) "empty window error rate" 0.0 (gauge "error_rate");
+  Alcotest.(check (float 0.0)) "empty window p99" 0.0 (gauge "p99_ms");
+  (* the slowest request, timed around the whole call, bounds every
+     latency the window saw *)
+  let slowest = ref 0.0 in
+  let run q =
+    let t0 = Unix.gettimeofday () in
+    ignore (Serve.run_query server q);
+    slowest := Float.max !slowest ((Unix.gettimeofday () -. t0) *. 1000.0)
+  in
   for i = 1 to 90 do
-    Serve.window_observe ~error:false (float_of_int i)
+    run (Printf.sprintf "%d+1" i)
   done;
   for _ = 1 to 10 do
-    Serve.window_observe ~error:true 200.0
+    run "$x"
   done;
-  let w = Serve.window_stats () in
-  Alcotest.(check int) "requests counted" 100 w.Serve.ws_requests;
-  Alcotest.(check int) "errors counted" 10 w.Serve.ws_errors;
-  Alcotest.(check (float 1e-9)) "error rate" 0.1 w.Serve.ws_error_rate;
-  Alcotest.(check bool) "p50 within observed range" true
-    (w.Serve.ws_p50_ms >= 1.0 && w.Serve.ws_p50_ms <= 200.0);
-  Alcotest.(check bool) "percentiles ordered" true
-    (w.Serve.ws_p50_ms <= w.Serve.ws_p95_ms && w.Serve.ws_p95_ms <= w.Serve.ws_p99_ms);
-  Alcotest.(check bool) "p99 bounded by max" true (w.Serve.ws_p99_ms <= 200.0);
-  Serve.publish_window_metrics ();
+  Alcotest.(check (float 0.0)) "requests counted" 100.0 (gauge "requests");
+  Alcotest.(check (float 0.0)) "errors counted" 10.0 (gauge "errors");
+  Alcotest.(check (float 1e-9)) "error rate" 0.1 (gauge "error_rate");
+  let p50 = gauge "p50_ms" and p95 = gauge "p95_ms" and p99 = gauge "p99_ms" in
+  Alcotest.(check bool) "p50 within observed range" true (p50 > 0.0 && p50 <= !slowest);
+  Alcotest.(check bool) "percentiles ordered" true (p50 <= p95 && p95 <= p99);
+  Alcotest.(check bool) "p99 bounded by max" true (p99 <= !slowest);
   let dump = Obs.Metrics.dump_json () in
   Alcotest.(check bool) "window gauges published" true
     (contains ~needle:"serve.window.requests" dump);
-  Serve.window_reset ();
-  Alcotest.(check int) "reset empties the window" 0 (Serve.window_stats ()).Serve.ws_requests
+  (* another server's window is its own *)
+  Test_serve.with_server eng @@ fun other ->
+  Alcotest.(check (float 0.0)) "a second server's window is empty" 0.0
+    (Test_serve.window_gauge other "requests")
 
 let test_histogram_percentile_sentinels () =
   Obs.set_enabled true;

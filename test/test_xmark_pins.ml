@@ -305,7 +305,7 @@ let check_pins ~name ?workload (pins : pin list) () =
       Alcotest.(check string) (label "id") id q.Xmark.Queries.id;
       let r =
         Engine.request engine
-          { text = q.Xmark.Queries.text; plan = None; admission = None; record = false }
+          (Engine.plain q.Xmark.Queries.text)
       in
       Alcotest.(check string) (label "answer digest") md5 (Digest.to_hex (Digest.string r.out));
       Alcotest.(check (list string))
@@ -450,7 +450,7 @@ let check_one_request_one_ledger () =
       let s0 = Storage.Buffer_pool.snapshot () and j0 = Executor.join_stats () in
       let r =
         Engine.request engine
-          { text = q.Xmark.Queries.text; plan = None; admission = None; record = false }
+          (Engine.plain q.Xmark.Queries.text)
       in
       let s1 = Storage.Buffer_pool.snapshot () and j1 = Executor.join_stats () in
       let open Storage.Buffer_pool in
@@ -483,7 +483,7 @@ let check_join_observations () =
   let engine = Lazy.force tuned_for_all in
   let observe id =
     let text = (Xmark.Queries.by_id id).Xmark.Queries.text in
-    let r = Engine.request engine { text; plan = None; admission = None; record = false } in
+    let r = Engine.request engine (Engine.plain text) in
     List.map
       (fun (o : Xquec_obs.Ledger.obs) -> (o.ob_container, o.ob_kind, o.ob_matches))
       (Xquec_obs.Ledger.predicates r.ledger)

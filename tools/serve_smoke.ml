@@ -3,7 +3,9 @@
    requests at it through Xquec_obs.Hammer (the curl-equivalent),
    replay a shifted query mix until the drift watchdog raises
    [drift_sustained] on /alerts and in the alert log, and assert a
-   clean shutdown on SIGTERM. The server runs with a query log
+   clean shutdown on SIGTERM. A second server then boots with
+   [--watch-window 0]: it must answer queries while /watch reports
+   ["enabled": false] and /alerts lists no rules. The first server runs with a query log
    ([XQUEC_QUERY_LOG]): the pool counters on /metrics must move over
    the concurrent burst by exactly the sums of the log records written
    in between, since both count the queries' ledgers. This is the one place the whole serving
@@ -23,39 +25,13 @@ let contains hay needle =
   let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
   scan 0
 
-let () =
-  let exe, input =
-    match Sys.argv with
-    | [| _; exe; input |] -> (exe, input)
-    | _ -> die "usage: serve_smoke XQUEC_EXE INPUT.xqc"
-  in
-  (* declared workload: the same point query the burst replays, so the
-     watchdog sees drift ~0 until the shifted phase starts *)
-  let q = "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
-  let workload_file = Filename.temp_file "serve_smoke_workload" ".xq" in
-  let alerts_log = Filename.temp_file "serve_smoke_alerts" ".jsonl" in
-  let query_log = Filename.temp_file "serve_smoke_queries" ".jsonl" in
-  let oc = open_out workload_file in
-  output_string oc (q ^ "\n");
-  close_out oc;
-  (* port 0: the server picks a free port and prints it; modest worker
-     and admission settings so the flags themselves are exercised; a
-     sub-second watch window so the drift alert can fire within the
-     smoke budget *)
-  let argv =
-    [|
-      exe; "serve"; input; "-p"; "0"; "--serve-workers"; "2"; "--max-inflight"; "32";
-      "--plan-cache"; "16"; "--watch-window"; "0.2"; "--drift-alert"; "0.5";
-      "--alerts-log"; alerts_log; "-w"; workload_file;
-    |]
-  in
+(* Start [argv] with [env] and read the port it announces on its first
+   line: "xquec serve: listening on http://127.0.0.1:NNNN (endpoints: ...)". *)
+let start_server argv env =
   let out_read, out_write = Unix.pipe () in
-  let env = Array.append (Unix.environment ()) [| "XQUEC_QUERY_LOG=" ^ query_log |] in
-  let pid = Unix.create_process_env exe argv env Unix.stdin out_write Unix.stderr in
+  let pid = Unix.create_process_env argv.(0) argv env Unix.stdin out_write Unix.stderr in
   Unix.close out_write;
   let ic = Unix.in_channel_of_descr out_read in
-  (* first line announces the bound port:
-     "xquec serve: listening on http://127.0.0.1:NNNN (endpoints: ...)" *)
   let port =
     let deadline = Unix.gettimeofday () +. 30.0 in
     let rec find () =
@@ -83,6 +59,51 @@ let () =
     in
     find ()
   in
+  (pid, ic, port)
+
+(* SIGTERM, then the process must go away cleanly. *)
+let shutdown pid ic =
+  Unix.kill pid Sys.sigterm;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WSIGNALED s when s = Sys.sigterm -> ()
+  | _, Unix.WEXITED 0 -> ()
+  | _, status ->
+    let describe = function
+      | Unix.WEXITED c -> Fmt.str "exited %d" c
+      | Unix.WSIGNALED s -> Fmt.str "killed by signal %d" s
+      | Unix.WSTOPPED s -> Fmt.str "stopped by signal %d" s
+    in
+    die "unclean shutdown: %s" (describe status));
+  close_in_noerr ic
+
+let () =
+  let exe, input =
+    match Sys.argv with
+    | [| _; exe; input |] -> (exe, input)
+    | _ -> die "usage: serve_smoke XQUEC_EXE INPUT.xqc"
+  in
+  (* declared workload: the same point query the burst replays, so the
+     watchdog sees drift ~0 until the shifted phase starts *)
+  let q = "document(\"auction.xml\")/site/people/person[@id = \"person0\"]/name" in
+  let workload_file = Filename.temp_file "serve_smoke_workload" ".xq" in
+  let alerts_log = Filename.temp_file "serve_smoke_alerts" ".jsonl" in
+  let query_log = Filename.temp_file "serve_smoke_queries" ".jsonl" in
+  let oc = open_out workload_file in
+  output_string oc (q ^ "\n");
+  close_out oc;
+  (* port 0: the server picks a free port and prints it; modest worker
+     and admission settings so the flags themselves are exercised; a
+     sub-second watch window so the drift alert can fire within the
+     smoke budget *)
+  let argv =
+    [|
+      exe; "serve"; input; "-p"; "0"; "--serve-workers"; "2"; "--max-inflight"; "32";
+      "--plan-cache"; "16"; "--watch-window"; "0.2"; "--drift-alert"; "0.5";
+      "--alerts-log"; alerts_log; "-w"; workload_file;
+    |]
+  in
+  let env = Array.append (Unix.environment ()) [| "XQUEC_QUERY_LOG=" ^ query_log |] in
+  let pid, ic, port = start_server argv env in
   Printf.printf "serve_smoke: server up on port %d\n%!" port;
   (* health + one sequential query first, then the concurrent burst *)
   let h = Xquec_obs.Hammer.request ~port "/healthz" in
@@ -220,20 +241,21 @@ let () =
   if not (contains log_data "\"rule\":\"drift_sustained\",\"event\":\"fired\"") then
     die "alert log %s lacks the drift_sustained fired transition" alerts_log;
   Printf.printf "serve_smoke: drift_sustained fired on /alerts and in the alert log\n%!";
-  (* clean shutdown: SIGTERM, then the process must go away *)
-  Unix.kill pid Sys.sigterm;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WSIGNALED s when s = Sys.sigterm -> ()
-  | _, Unix.WEXITED 0 -> ()
-  | _, status ->
-    let describe = function
-      | Unix.WEXITED c -> Fmt.str "exited %d" c
-      | Unix.WSIGNALED s -> Fmt.str "killed by signal %d" s
-      | Unix.WSTOPPED s -> Fmt.str "stopped by signal %d" s
-    in
-    die "unclean shutdown: %s" (describe status));
-  close_in_noerr ic;
+  shutdown pid ic;
+  Printf.printf "serve_smoke: clean shutdown\n%!";
+  (* no watchdog: queries answer, /watch says so, /alerts has no rules *)
+  let pid, ic, port = start_server [| exe; "serve"; input; "-p"; "0"; "--watch-window"; "0" |] (Unix.environment ()) in
+  let r = Xquec_obs.Hammer.request ~port ~meth:"POST" ~body:q "/query" in
+  if r.Xquec_obs.Hammer.r_status <> 200 || r.Xquec_obs.Hammer.r_body <> reference then
+    die "--watch-window 0: query returned %d: %s" r.Xquec_obs.Hammer.r_status r.Xquec_obs.Hammer.r_body;
+  let w = Xquec_obs.Hammer.request ~port "/watch" in
+  if w.Xquec_obs.Hammer.r_status <> 200 || not (contains w.Xquec_obs.Hammer.r_body "\"enabled\":false")
+  then die "--watch-window 0: /watch did not report a disabled watchdog: %s" w.Xquec_obs.Hammer.r_body;
+  let a = Xquec_obs.Hammer.request ~port "/alerts" in
+  if a.Xquec_obs.Hammer.r_status <> 200 || not (contains a.Xquec_obs.Hammer.r_body "\"rules\":[]")
+  then die "--watch-window 0: /alerts lists rules: %s" a.Xquec_obs.Hammer.r_body;
+  shutdown pid ic;
+  Printf.printf "serve_smoke: --watch-window 0 serves queries with no watchdog and no rules\n%!";
   (try Sys.remove workload_file with Sys_error _ -> ());
   (try Sys.remove alerts_log with Sys_error _ -> ());
-  (try Sys.remove query_log with Sys_error _ -> ());
-  Printf.printf "serve_smoke: clean shutdown\n%!"
+  try Sys.remove query_log with Sys_error _ -> ()
