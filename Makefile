@@ -36,7 +36,9 @@ build:
 # under -w examples/xmark_workload.xq, plain and under OCAMLRUNPARAM=R)
 # and a re-blocked pair (the same with --adaptive-blocks, which runs the
 # declared queries at compress time and sizes blocks from what they
-# observed),
+# observed); the three images must decompress to byte-identical XML
+# (the result writer's output depends on neither the codecs nor the
+# block sizes),
 # a workload file with a malformed query must make compress exit 2
 # naming that query, a truncated query must exit 2 with a positioned
 # syntax error, an unbound variable must exit 2 as an evaluation
@@ -72,6 +74,12 @@ check:
 	OCAMLRUNPARAM=R $(XQUEC) compress $(GATE_DIR)/auction.xml -w examples/xmark_workload.xq \
 	  --adaptive-blocks -o $(GATE_DIR)/auction-adaptive-randomized.xqc > /dev/null
 	cmp $(GATE_DIR)/auction-adaptive.xqc $(GATE_DIR)/auction-adaptive-randomized.xqc
+	$(XQUEC) decompress $(GATE_DIR)/auction.xqc -o $(GATE_DIR)/auction-rt.xml > /dev/null
+	$(XQUEC) decompress $(GATE_DIR)/auction-tuned.xqc -o $(GATE_DIR)/auction-tuned-rt.xml > /dev/null
+	$(XQUEC) decompress $(GATE_DIR)/auction-adaptive.xqc \
+	  -o $(GATE_DIR)/auction-adaptive-rt.xml > /dev/null
+	cmp $(GATE_DIR)/auction-rt.xml $(GATE_DIR)/auction-tuned-rt.xml
+	cmp $(GATE_DIR)/auction-rt.xml $(GATE_DIR)/auction-adaptive-rt.xml
 	printf 'for $$p in document("auction.xml")/site/people/person where $$p/@id = return $$p\n' \
 	  > $(GATE_DIR)/bad-workload.xq
 	$(XQUEC) compress $(GATE_DIR)/auction.xml -w $(GATE_DIR)/bad-workload.xq \

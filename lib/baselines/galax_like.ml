@@ -382,7 +382,11 @@ let serialize (items : item list) : string =
       if i > 0 then Buffer.add_char buf '\n';
       match it with
       | N n -> Printer.add_node buf n
-      | A (n, v) -> Buffer.add_string buf (Printf.sprintf "%s=\"%s\"" n v)
+      | A (n, v) ->
+        Buffer.add_string buf n;
+        Buffer.add_string buf "=\"";
+        Escape.add_attr buf v;
+        Buffer.add_char buf '"'
       | other -> Buffer.add_string buf (string_of_item other))
     items;
   Buffer.contents buf

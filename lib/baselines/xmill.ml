@@ -167,14 +167,14 @@ let decompress (t : t) : string =
       Buffer.add_char buf ' ';
       Buffer.add_string buf (String.sub name 1 (String.length name - 1));
       Buffer.add_string buf "=\"";
-      Buffer.add_string buf (Escape.escape_attr (next_value cid));
+      Escape.add_attr buf (next_value cid);
       Buffer.add_char buf '"'
     end
     else if op = op_text then begin
       close_open_tag ();
       let (cid, p) = read_varint structure !pos in
       pos := p;
-      Buffer.add_string buf (Escape.escape_text (next_value cid))
+      Escape.add_text buf (next_value cid)
     end
     else if op = op_close then begin
       close_open_tag ();

@@ -372,7 +372,7 @@ let compress (m : model) (value : string) : string =
    end.
 
    The tokens are copied as 8-byte words into a buffer of the decoding
-   domain, and the result is copied out of it at its exact length. A
+   domain, and the result is appended from it to the caller's buffer. A
    word may run up to 7 bytes past its token: in [flat] into the
    padding, in the buffer into bytes the next token overwrites. Before
    each refill the buffer is made to hold all that the refilled
@@ -396,7 +396,7 @@ let grow out used need =
   Bytes.blit out 0 b 0 used;
   b
 
-let decompress (m : model) (s : string) : string =
+let decompress_into (m : model) (s : string) (dest : Buffer.t) : unit =
   let w = m.width and offs = m.offs and flat = m.flat in
   let mask = (1 lsl w) - 1 and n = String.length s in
   let room = (7 * m.longest) + 7 in
@@ -436,7 +436,12 @@ let decompress (m : model) (s : string) : string =
       end
     end
   done;
-  Bytes.sub_string !out 0 !dst
+  Buffer.add_subbytes dest !out 0 !dst
+
+let decompress (m : model) (s : string) : string =
+  let dest = Buffer.create 32 in
+  decompress_into m s dest;
+  Buffer.contents dest
 
 let code_width (m : model) = m.width
 

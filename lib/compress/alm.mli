@@ -62,10 +62,14 @@ val compress : model -> string -> string
 (** Invert {!compress}. Raises {!Corrupt} on invalid input. Codes are
     read from an accumulator refilled 48 bits at a time, and each code's
     token is copied, as 8-byte words, from one table of all the tokens
-    into a buffer of the calling domain. The result is copied out of it
-    at its exact length; it is a decode's only allocation unless it
-    nears the buffer's 4 KiB. *)
+    into a buffer of the calling domain. It is {!decompress_into} a
+    fresh buffer. *)
 val decompress : model -> string -> string
+
+(** {!decompress}, appending the value to a buffer: the one value
+    decoder. The value is appended from the domain's buffer, so a
+    decode allocates nothing unless it nears that buffer's 4 KiB. *)
+val decompress_into : model -> string -> Buffer.t -> unit
 
 (** Bits per code. *)
 val code_width : model -> int

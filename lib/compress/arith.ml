@@ -89,7 +89,7 @@ let compress (m : model) (value : string) : string =
   if !low < quarter then emit false else emit true;
   Bitio.Writer.contents w
 
-let decompress (m : model) (compressed : string) : string =
+let decompress_into (m : model) (compressed : string) (buf : Buffer.t) : unit =
   let r = Bitio.Reader.of_string compressed in
   let next_bit () =
     if Bitio.Reader.bits_remaining r > 0 then Bitio.Reader.read_bit r else false
@@ -99,7 +99,6 @@ let decompress (m : model) (compressed : string) : string =
     value := (!value * 2) lor (if next_bit () then 1 else 0)
   done;
   let low = ref 0 and high = ref (top - 1) in
-  let buf = Buffer.create 16 in
   let rec decode () =
     let range = !high - !low + 1 in
     let scaled = (((!value - !low + 1) * m.total) - 1) / range in
@@ -138,7 +137,11 @@ let decompress (m : model) (compressed : string) : string =
       decode ()
     end
   in
-  decode ();
+  decode ()
+
+let decompress (m : model) (compressed : string) : string =
+  let buf = Buffer.create 16 in
+  decompress_into m compressed buf;
   Buffer.contents buf
 
 let serialize_model (m : model) : string =

@@ -59,11 +59,11 @@ let compress (data : string) : string =
   done;
   Buffer.contents buf
 
-let decompress (data : string) : string =
+let decompress_into (data : string) (out : Buffer.t) : unit =
   let (total, pos) = read_varint data 0 in
-  let out = Buffer.create total in
+  let stop = Buffer.length out + total in
   let pos = ref pos in
-  while Buffer.length out < total do
+  while Buffer.length out < stop do
     let (block_len, p) = read_varint data !pos in
     let (primary, p) = read_varint data p in
     let (rle_len, p) = read_varint data p in
@@ -86,5 +86,9 @@ let decompress (data : string) : string =
     let block = Bwt.inverse { Bwt.data = Mtf.decode (Rle.decode rle); primary } in
     if String.length block <> block_len then raise (Corrupt "block length mismatch");
     Buffer.add_string out block
-  done;
+  done
+
+let decompress (data : string) : string =
+  let out = Buffer.create (String.length data) in
+  decompress_into data out;
   Buffer.contents out

@@ -12,5 +12,9 @@ val block_size : int
 (** Compress arbitrary bytes (self-framing; no model needed). *)
 val compress : string -> string
 
-(** Invert {!compress}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!compress}: {!decompress_into} a fresh buffer. Raises
+    {!Corrupt} on invalid input. *)
 val decompress : string -> string
+
+(** {!decompress}, appending the bytes to a buffer: the one decoder. *)
+val decompress_into : string -> Buffer.t -> unit

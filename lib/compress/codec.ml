@@ -130,22 +130,27 @@ let compress (m : model) (value : string) : string =
   end;
   code
 
-let decompress (m : model) (compressed : string) : string =
-  let value =
-    match m with
-    | M_huffman h -> Huffman.decompress h compressed
-    | M_alm a -> Alm.decompress a compressed
-    | M_arith a -> Arith.decompress a compressed
-    | M_hu_tucker h -> Hu_tucker.decompress h compressed
-    | M_bzip -> Bzip.decompress compressed
-    | M_numeric n -> Ipack.decompress n compressed
-  in
+let decompress_into (m : model) (compressed : string) (out : Buffer.t) : unit =
+  let start = Buffer.length out in
+  (match m with
+  | M_huffman h -> Huffman.decompress_into h compressed out
+  | M_alm a -> Alm.decompress_into a compressed out
+  | M_arith a -> Arith.decompress_into a compressed out
+  | M_hu_tucker h -> Hu_tucker.decompress_into h compressed out
+  | M_bzip -> Bzip.decompress_into compressed out
+  | M_numeric n -> Ipack.decompress_into n compressed out);
   if Xquec_obs.is_enabled () then begin
     let names = counter_names (algorithm_of_model m) in
     Xquec_obs.Metrics.incr names.decode_calls;
-    Xquec_obs.Metrics.incr ~by:(String.length value) names.decoded_bytes
-  end;
-  value
+    Xquec_obs.Metrics.incr ~by:(Buffer.length out - start) names.decoded_bytes
+  end
+
+let decompress (m : model) (compressed : string) : string =
+  (* room for a value four times its code, so that the buffer seldom
+     grows on the way *)
+  let out = Buffer.create (16 + (4 * String.length compressed)) in
+  decompress_into m compressed out;
+  Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Block-oriented storage API (repository format v2)                   *)

@@ -61,7 +61,13 @@ val train : algorithm -> string list -> model
 (** Compress one value under the model. *)
 val compress : model -> string -> string
 
-(** Invert {!compress}. *)
+(** Invert {!compress}, appending the value to a buffer. Each
+    algorithm has this one decoder, so a value is decompressed straight
+    into the buffer a result is serialized into, without a string of
+    its own (the §4 Decompress + XMLSerialize tail). *)
+val decompress_into : model -> string -> Buffer.t -> unit
+
+(** Invert {!compress}: {!decompress_into} a fresh buffer. *)
 val decompress : model -> string -> string
 
 (** [encode_block records] packs a run of already-compressed container

@@ -149,9 +149,8 @@ let compress (m : model) (value : string) : string =
   Bitio.Writer.add_bits w m.codes.(eos) m.lengths.(eos);
   Bitio.Writer.contents w
 
-let decompress (m : model) (compressed : string) : string =
+let decompress_into (m : model) (compressed : string) (buf : Buffer.t) : unit =
   let r = Bitio.Reader.of_string compressed in
-  let buf = Buffer.create 16 in
   let rec symbol node =
     let bit = if Bitio.Reader.read_bit r then 1 else 0 in
     let slot = m.trie.((2 * node) + bit) in
@@ -166,7 +165,11 @@ let decompress (m : model) (compressed : string) : string =
       go ()
     end
   in
-  go ();
+  go ()
+
+let decompress (m : model) (compressed : string) : string =
+  let buf = Buffer.create 16 in
+  decompress_into m compressed buf;
   Buffer.contents buf
 
 let serialize_model (m : model) : string =

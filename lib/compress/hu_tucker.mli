@@ -16,8 +16,13 @@ val train : string list -> model
     [String.compare] on two codes order them as their plaintexts. *)
 val compress : model -> string -> string
 
-(** Invert {!compress}. Raises {!Corrupt} on invalid input. *)
+(** Invert {!compress}: {!decompress_into} a fresh buffer. Raises
+    {!Corrupt} on invalid input. *)
 val decompress : model -> string -> string
+
+(** {!decompress}, appending the value to a buffer: the one value
+    decoder. *)
+val decompress_into : model -> string -> Buffer.t -> unit
 
 (** Serialize the code lengths for the repository. *)
 val serialize_model : model -> string

@@ -31,8 +31,9 @@ type model = {
 
 exception Corrupt of string
 
-(* The decoder's bit accumulator holds at least [max_code_len] bits
-   after a refill, so every code resolves from it. *)
+(* The longest code a model may have: the decoder's accumulator then
+   holds at least a model's longest code after a refill (at most 56 + 7
+   bits), so every code resolves from it. *)
 let max_code_len = 56
 
 (* ------------------------------------------------------------------ *)
@@ -240,18 +241,40 @@ let long_code m acc nbits =
   in
   go (table_bits + 1)
 
+(* ALM's 48-bit read, repeated here: a call into another module is not
+   inlined when modules compile opaquely (dune's default profile), and
+   the call costs this loop about a third of its speed. *)
+let get48 s pos =
+  (String.get_uint16_be s pos lsl 32) lor (Int32.to_int (String.get_int32_be s (pos + 2)) land 0xffff_ffff)
+
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create 4096)
+
 (* The one decode loop: symbols of [src] into [out] until the
    end-of-string symbol (value mode, [count] < 0) or until [count]
    symbols (raw mode, where the end-of-string symbol is corrupt). The
-   accumulator [acc] holds [nbits] unread bits in its low end and is
-   refilled a byte at a time to at least [max_code_len] bits. *)
+   accumulator [acc] holds [nbits] unread bits in its low end. A symbol
+   is decoded once it holds the model's longest code, or the input is
+   used up; until then it is refilled, 48 bits at a time while at most
+   15 bits are unread and 6 bytes are left (which fits in 63 bits, as
+   in ALM's decoder), else a byte at a time. Symbols are written into a
+   buffer of the decoding domain, and the value is appended from it to
+   [out] once whole; a value that outgrows it continues in a fresh one
+   twice as large, which is not kept. *)
 let decode m src ~count out =
   let t = table m in
-  let n = String.length src in
-  let rec go pos acc nbits left =
-    if left = 0 then ()
-    else if nbits < max_code_len && pos < n then
-      go (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get src pos)) (nbits + 8) left
+  let n = String.length src and need = m.max_len in
+  let rec go b pos acc nbits left dst =
+    if left = 0 then (b, dst)
+    else if nbits < need && pos < n then begin
+      if nbits <= 15 && pos + 6 <= n then
+        go b (pos + 6) ((acc lsl 48) lor get48 src pos) (nbits + 48) left dst
+      else go b (pos + 1) ((acc lsl 8) lor Char.code (String.unsafe_get src pos)) (nbits + 8) left dst
+    end
+    else if dst + 2 > Bytes.length b then begin
+      let b' = Bytes.create (2 * Bytes.length b) in
+      Bytes.blit b 0 b' 0 dst;
+      go b' pos acc nbits left dst
+    end
     else begin
       let w =
         if nbits >= table_bits then (acc lsr (nbits - table_bits)) land table_mask
@@ -261,37 +284,42 @@ let decode m src ~count out =
       if e = 0 then begin
         let r = long_code m acc nbits in
         let sym = r lsr 6 in
-        if sym = eos then at_eos ~count
+        if sym = eos then (at_eos ~count; (b, dst))
         else begin
-          Buffer.add_char out (Char.unsafe_chr sym);
-          go pos acc (nbits - (r land 63)) (left - 1)
+          Bytes.unsafe_set b dst (Char.unsafe_chr sym);
+          go b pos acc (nbits - (r land 63)) (left - 1) (dst + 1)
         end
       end
       else begin
         let len1 = e land 15 and sym1 = (e lsr 8) land 0x1ff in
         if len1 > nbits then truncated ();
-        if sym1 = eos then at_eos ~count
+        if sym1 = eos then (at_eos ~count; (b, dst))
         else begin
-          Buffer.add_char out (Char.unsafe_chr sym1);
+          Bytes.unsafe_set b dst (Char.unsafe_chr sym1);
           let len = (e lsr 4) land 15 in
-          if len = len1 || len > nbits || left = 1 then go pos acc (nbits - len1) (left - 1)
+          if len = len1 || len > nbits || left = 1 then
+            go b pos acc (nbits - len1) (left - 1) (dst + 1)
           else begin
             let sym2 = e lsr 17 in
-            if sym2 = eos then at_eos ~count
+            if sym2 = eos then (at_eos ~count; (b, dst + 1))
             else begin
-              Buffer.add_char out (Char.unsafe_chr sym2);
-              go pos acc (nbits - len) (left - 2)
+              Bytes.unsafe_set b (dst + 1) (Char.unsafe_chr sym2);
+              go b pos acc (nbits - len) (left - 2) (dst + 2)
             end
           end
         end
       end
     end
   in
-  go 0 0 0 count
+  let b, dst = go (Domain.DLS.get scratch) 0 0 0 count 0 in
+  Buffer.add_subbytes out b 0 dst
+
+let decompress_into (m : model) (compressed : string) (out : Buffer.t) : unit =
+  decode m compressed ~count:(-1) out
 
 let decompress (m : model) (compressed : string) : string =
   let out = Buffer.create (2 * String.length compressed) in
-  decode m compressed ~count:(-1) out;
+  decompress_into m compressed out;
   Buffer.contents out
 
 (* Raw-stream mode: encode a byte sequence of externally known length,

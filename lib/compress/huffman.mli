@@ -48,14 +48,19 @@ val compress : model -> string -> string
 (** Invert {!compress}. Raises {!Corrupt} on invalid input, including a
     value that runs out of bits before its end-of-string symbol.
 
-    Decoding is table-driven: 12 bits of a byte-refilled accumulator
-    index a table of up to two symbols per entry, and longer codes
-    resolve from the same accumulator by the canonical search. The table
-    (4096 ints) is a pure function of the code lengths; it is built on a
-    model's first decode, not by {!of_lengths}, so models that are
-    trained but never decoded do not pay for it. Domains that race to
-    build it build the same table. *)
+    Decoding is table-driven: 12 bits of an accumulator refilled 48
+    bits at a time index a table of up to two symbols per entry, and
+    longer codes resolve from the same accumulator by the canonical
+    search. The table (4096 ints) is a pure function of the code
+    lengths; it is built on a model's first decode, not by
+    {!of_lengths}, so models that are trained but never decoded do not
+    pay for it. Domains that race to build it build the same table.
+    It is {!decompress_into} a fresh buffer. *)
 val decompress : model -> string -> string
+
+(** {!decompress}, appending the value to a buffer: the one value
+    decoder. On {!Corrupt} the buffer is left as it was. *)
+val decompress_into : model -> string -> Buffer.t -> unit
 
 (** Encode a byte sequence of externally known length (no EOS). *)
 val compress_raw : model -> string -> string

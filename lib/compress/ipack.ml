@@ -80,13 +80,36 @@ let compress (m : model) (value : string) : string =
       if String.length frac <> k then raise (Unsupported "fraction digits mismatch");
       pack_u63 ((int_of_string whole * pow10 k) + int_of_string frac))
 
-let decompress (m : model) (packed : string) : string =
+(* The [digits] low decimal digits of [v] >= 0, most significant
+   first, zero-padded. *)
+let add_digits buf v digits =
+  let p = ref (pow10 (digits - 1)) and v = ref v in
+  for _ = 1 to digits do
+    Buffer.add_char buf (Char.unsafe_chr (48 + (!v / !p)));
+    v := !v mod !p;
+    p := !p / 10
+  done
+
+let rec digit_count v = if v < 10 then 1 else 1 + digit_count (v / 10)
+
+(* A value is formatted straight into the buffer, digit by digit: what
+   [string_of_int v] and [Printf.sprintf "%d.%0*d" (v / p) k (v mod p)]
+   print, without formatting through a string. *)
+let decompress_into (m : model) (packed : string) (buf : Buffer.t) : unit =
   let v = unpack_u63 packed in
   match m.variant with
-  | Int -> string_of_int v
+  | Int -> add_digits buf v (digit_count v)
   | Decimal k ->
     let p = pow10 k in
-    Printf.sprintf "%d.%0*d" (v / p) k (v mod p)
+    let whole = v / p in
+    add_digits buf whole (digit_count whole);
+    Buffer.add_char buf '.';
+    add_digits buf (v mod p) k
+
+let decompress (m : model) (packed : string) : string =
+  let buf = Buffer.create 24 in
+  decompress_into m packed buf;
+  Buffer.contents buf
 
 (* Compressed-domain comparison against an arbitrary float constant: the
    query processor turns [v < 40.5] into a code-range scan using these

@@ -27,9 +27,14 @@ val train : string list -> model
     on two codes orders them as their numbers. *)
 val compress : model -> string -> string
 
-(** Invert {!compress}, reproducing the exact source text. Raises
-    {!Corrupt} on invalid input. *)
+(** Invert {!compress}, reproducing the exact source text:
+    {!decompress_into} a fresh buffer. Raises {!Corrupt} on invalid
+    input. *)
 val decompress : model -> string -> string
+
+(** {!decompress}, appending the text to a buffer: the one decoder. It
+    writes the digits itself, with no intermediate string. *)
+val decompress_into : model -> string -> Buffer.t -> unit
 
 (** Packed bound for comparing stored values against an arbitrary float
     constant: [`Ceil] gives the smallest representable value >= the

@@ -8,14 +8,21 @@ open Exec_base
 open Value_access
 
 (* [needle] occurs in [hay]; compared in place, without a substring per
-   offset. *)
+   offset, and only at offsets that hold the needle's first byte. *)
 let contains_substring hay needle =
   let n = String.length needle and h = String.length hay in
   let rec matches_at i j =
     j = n || (String.unsafe_get hay (i + j) = String.unsafe_get needle j && matches_at i (j + 1))
   in
-  let rec go i = i + n <= h && (matches_at i 0 || go (i + 1)) in
-  go 0
+  if n = 0 then true
+  else begin
+    let c0 = String.unsafe_get needle 0 and last = h - n in
+    let rec go i =
+      i <= last
+      && if String.unsafe_get hay i <> c0 then go (i + 1) else matches_at i 1 || go (i + 1)
+    in
+    go 0
+  end
 
 type atom = { a_item : item; a_str : string Lazy.t; a_num : float option Lazy.t }
 

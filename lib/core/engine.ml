@@ -246,7 +246,7 @@ let save (t : t) : string = Repository.serialize t.repo
 
 let restore (data : string) : t = { repo = Repository.deserialize data; partitioning = None }
 
-let to_document (t : t) : Xmlkit.Tree.document =
-  { Xmlkit.Tree.root = Value_access.reconstruct (Exec_base.mk_ctx t.repo) 0 }
-
-let to_xml ?indent (t : t) : string = Xmlkit.Printer.to_string ?indent (to_document t)
+let to_xml ?indent (t : t) : string =
+  let buf = Buffer.create 4096 in
+  Value_access.add_node ?indent (Value_access.writer (Exec_base.mk_ctx t.repo) buf) 0;
+  Buffer.contents buf

@@ -115,9 +115,9 @@ val save : t -> string
 (** Inverse of {!save}; reads every image version, v1 to v4. *)
 val restore : string -> t
 
-(** Reconstruct the full document (the decompressor direction),
-    charging the process totals. *)
-val to_document : t -> Xmlkit.Tree.document
-
-(** {!to_document} serialized back to XML text. *)
+(** Reconstruct the full document as XML text (the decompressor
+    direction), charging the process totals: the result writer
+    ({!Value_access.add_node}) walks the whole structure tree and
+    decompresses each value straight into the text, each block fetched
+    once. [indent] lays it out as [Xmlkit.Printer]'s [~indent] does. *)
 val to_xml : ?indent:bool -> t -> string

@@ -12,7 +12,11 @@ type item =
   | Str of string
   | Num of float
   | Bool of bool
-  | Elem of Xmlkit.Tree.t
+  | Elem of elem
+
+and elem = { e_tag : string; e_attrs : (string * item list) list; e_kids : kid list }
+
+and kid = Kid_node of int | Kid_elem of elem | Kid_text of item list
 
 type seqv = Mat of item list | All_nodes of Summary.node list | All_values of Summary.node list
 
@@ -48,9 +52,27 @@ let member bs p = { seq = Mat [ bs.bs_items.(p) ]; snodes = []; origin = Member 
 let binding_set items snodes =
   { bs_items = Array.of_list items; bs_snodes = snodes; bs_groups = Unexamined; bs_memo = [] }
 
-type ctx = { repo : Repository.t; prof : Xquec_obs.Explain.t option; prof_ops : bool }
+type pinned = { p_cont : Container.t; p_blocks : Buffer_pool.decoded option array }
 
-let mk_ctx repo = { repo; prof = None; prof_ops = true }
+type blocks = {
+  conts : Container.t array;
+  pinned : pinned option array;
+  mutable held : int;
+  mutable fetches : int;
+}
+
+let blocks repo =
+  let conts = repo.Repository.containers in
+  { conts; pinned = Array.make (Array.length conts) None; held = 0; fetches = 0 }
+
+type ctx = {
+  repo : Repository.t;
+  prof : Xquec_obs.Explain.t option;
+  prof_ops : bool;
+  values : blocks;
+}
+
+let mk_ctx repo = { repo; prof = None; prof_ops = true; values = blocks repo }
 
 let quiet ctx = if ctx.prof_ops then { ctx with prof_ops = false } else ctx
 

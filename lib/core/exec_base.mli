@@ -12,7 +12,24 @@ type item =
   | Str of string
   | Num of float
   | Bool of bool
-  | Elem of Xmlkit.Tree.t  (** constructed element *)
+  | Elem of elem  (** constructed element *)
+
+(** A constructed element. It copies nothing: stored subtrees stay node
+    ids and values stay compressed until {!Value_access} writes them. *)
+and elem = {
+  e_tag : string;
+  e_attrs : (string * item list) list;
+      (** each value: the string values of its items, joined by spaces *)
+  e_kids : kid list;
+}
+
+(** A constructed element's content, in document order. *)
+and kid =
+  | Kid_node of int  (** a stored subtree, by its node id *)
+  | Kid_elem of elem  (** a nested constructed element *)
+  | Kid_text of item list
+      (** one text node: the string values of these atoms (no nodes),
+          joined by spaces *)
 
 (** A sequence with provenance. [All_nodes] means every instance of
     these summary nodes, which lets whole paths evaluate without
@@ -79,6 +96,25 @@ val member : bset -> int -> binding
 (** A fresh, unexamined binding set of these items and summary nodes. *)
 val binding_set : item list -> Summary.node list -> bset
 
+(** A container as one evaluation reads it: the container it was when
+    first read, kept for the rest of the evaluation (a concurrent
+    compaction may swap the repository's slot for a re-blocked copy),
+    and the blocks of it the evaluation holds. *)
+type pinned = { p_cont : Container.t; p_blocks : Buffer_pool.decoded option array }
+
+(** The blocks an evaluation has read, per container, so that a block
+    batched paths, string values and the result writer all read is
+    fetched once. Containers are sorted by code, not in document order,
+    so a walk in document order jumps between a container's blocks;
+    the blocks are kept until they add up to a quarter of the buffer
+    pool's budget, and then all let go. *)
+type blocks = {
+  conts : Container.t array;  (** the repository's container slots *)
+  pinned : pinned option array;  (** per container, once read *)
+  mutable held : int;  (** decoded bytes of the blocks held *)
+  mutable fetches : int;  (** blocks fetched *)
+}
+
 (** The evaluation context. *)
 type ctx = {
   repo : Repository.t;
@@ -87,9 +123,13 @@ type ctx = {
       (** open operator nodes in the profile; switched off inside
           per-tuple / per-node evaluation so the plan tree mirrors
           operators, not data (cmp counts still accumulate) *)
+  values : blocks;
+      (** the blocks every value read goes through: batched paths,
+          string values and the result writer *)
 }
 
-(** A plain evaluation context (no profile attached). *)
+(** A plain evaluation context (no profile attached), with no blocks
+    read. *)
 val mk_ctx : Repository.t -> ctx
 
 (** Per-item evaluation under an operator: keep the profile (so

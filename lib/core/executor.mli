@@ -24,7 +24,18 @@ type item = Exec_base.item =
   | Str of string
   | Num of float
   | Bool of bool
-  | Elem of Xmlkit.Tree.t  (** constructed element *)
+  | Elem of elem  (** constructed element *)
+
+(** A constructed element: stored subtrees by node id, values still
+    compressed, written out only by {!serialize}. *)
+and elem = Exec_base.elem = {
+  e_tag : string;
+  e_attrs : (string * item list) list;
+  e_kids : kid list;
+}
+
+(** A constructed element's content. *)
+and kid = Exec_base.kid = Kid_node of int | Kid_elem of elem | Kid_text of item list
 
 (** Raised on semantic errors (an unbound variable, a value that is not
     a number where one is needed, an unsupported axis, …). Document

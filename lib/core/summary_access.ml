@@ -203,13 +203,14 @@ let merge_children tree ~(cur : int array) ~(own : int array) (ids : int array) 
 
 (* Evaluate [R] for every slot of a grouped set. Returns the batch, the
    summary estimate of its rows (instance counts along R, scaled by the
-   share of each summary node the set binds) and the block fetches. *)
+   share of each summary node the set binds) and the block fetches it
+   made (a block the evaluation holds already is not fetched again). *)
 let compute_batch ctx ~(slot_of : int array) (groups : group list) (steps : Ast.step list) :
     batch * int * int =
   let tree = ctx.repo.Repository.tree in
   let nslots = List.fold_left (fun acc g -> acc + Array.length g.g_nodes) 0 groups in
   let runs = Array.make nslots [] in
-  let read, fetches = Value_access.block_reader ctx in
+  let read = Value_access.read_value ctx and fetched = ctx.values.fetches in
   let est = ref 0.0 in
   let finals = ref [] in
   let ends_at_nodes = ref true in
@@ -304,7 +305,7 @@ let compute_batch ctx ~(slot_of : int array) (groups : group list) (steps : Ast.
   in
   ( { b_slot_of = slot_of; b_runs = runs; b_starts = starts; b_union = union },
     int_of_float (Float.round !est),
-    !fetches )
+    ctx.values.fetches - fetched )
 
 let set_batch ctx ~var (bs : bset) (steps : Ast.step list) : batch option =
   match List.assq_opt steps bs.bs_memo with

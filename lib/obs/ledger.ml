@@ -205,6 +205,8 @@ let note_fetch home ~blk =
     touch l home ~blk
   | None -> with_totals (fun t -> touch t home ~blk)
 
+let note_fetched () = match current () with Some l -> check l | None -> ()
+
 let note_decode home ~bytes =
   charge (fun l ->
       l.payload_decoded <- l.payload_decoded + bytes;

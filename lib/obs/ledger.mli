@@ -27,7 +27,9 @@
 
     Limits: a ledger opened with {!limits} (a wall-clock and a
     decoded-bytes allowance, from the request) is checked against them
-    at each block fetch ({!note_fetch}). Crossing one raises
+    at each block fetch, before it ({!note_fetch}) and after it
+    ({!note_fetched}), so the fetch whose decode crosses the decode
+    budget is the one that stops the query. Crossing one raises
     {!Exceeded} on the evaluating domain, which unwinds the query as an
     ordinary exception (no locks are held across block fetches);
     [xquec serve] maps it to a 408. Checks are block-grained: the
@@ -39,7 +41,8 @@
     bytes, as floats for a uniform error body). *)
 type trip = { t_kind : string; t_limit : float; t_observed : float }
 
-(** Raised by {!note_fetch} when the open ledger has crossed a limit. *)
+(** Raised by {!note_fetch} and {!note_fetched} when the open ledger
+    has crossed a limit. *)
 exception Exceeded of trip
 
 (** One container-resolved predicate observation of a single query —
@@ -153,6 +156,11 @@ val charge : (t -> unit) -> unit
 (** A fetch of block [blk] of the row's container: checks an open
     ledger's limits (raising {!Exceeded}), then counts the touch. *)
 val note_fetch : container -> blk:int -> unit
+
+(** The end of a block fetch: checks an open ledger's limits again
+    (raising {!Exceeded}), now that the block's decoded bytes are
+    charged. *)
+val note_fetched : unit -> unit
 
 (** A block decode of [bytes] compressed payload bytes. *)
 val note_decode : container -> bytes:int -> unit

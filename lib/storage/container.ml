@@ -226,19 +226,23 @@ let set_prefetch_depth (_ : int) = ()
    container never changes after it is built, so (uid, block index)
    names one payload for as long as the uid lives. The fetch and the
    decode are charged to the calling domain's open ledger; the limit
-   check at entry is what trips an exhausted one. *)
+   checks at entry and at exit are what trip an exhausted one. *)
 let fetch_block ?admission (t : t) (i : int) : Buffer_pool.decoded =
   Xquec_obs.Ledger.note_fetch t.heat ~blk:i;
   let b = t.blocks.(i) in
-  Buffer_pool.fetch ?admission ~uid:t.uid ~blk:i (fun () ->
-      Xquec_obs.Trace.with_span ~name:"container.decode"
-        ~attrs:[ ("path", t.path); ("block", string_of_int i) ]
-      @@ fun () ->
-      let payload = String.length b.b_payload in
-      let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
-      let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
-      Xquec_obs.Ledger.note_decode t.heat ~bytes:payload;
-      { Buffer_pool.codes; parents; d_bytes })
+  let d =
+    Buffer_pool.fetch ?admission ~uid:t.uid ~blk:i (fun () ->
+        Xquec_obs.Trace.with_span ~name:"container.decode"
+          ~attrs:[ ("path", t.path); ("block", string_of_int i) ]
+        @@ fun () ->
+        let payload = String.length b.b_payload in
+        let codes, parents = Compress.Codec.decode_block ~count:b.b_count b.b_payload in
+        let d_bytes = Array.fold_left (fun acc c -> acc + String.length c + 16) 64 codes in
+        Xquec_obs.Ledger.note_decode t.heat ~bytes:payload;
+        { Buffer_pool.codes; parents; d_bytes })
+  in
+  Xquec_obs.Ledger.note_fetched ();
+  d
 
 (* Blocks [b0, b1] (inclusive), in order, each through [fetch_block]. *)
 let fetch_blocks ?admission (t : t) ~(b0 : int) ~(b1 : int) :

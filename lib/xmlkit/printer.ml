@@ -3,7 +3,7 @@
 let add_node ?(indent = false) buf node =
   let rec go depth node =
     match node with
-    | Tree.Text s -> Buffer.add_string buf (Escape.escape_text s)
+    | Tree.Text s -> Escape.add_text buf s
     | Tree.Element (tag, attributes, kids) ->
       if indent && Buffer.length buf > 0 then begin
         Buffer.add_char buf '\n';
@@ -16,7 +16,7 @@ let add_node ?(indent = false) buf node =
           Buffer.add_char buf ' ';
           Buffer.add_string buf n;
           Buffer.add_string buf "=\"";
-          Buffer.add_string buf (Escape.escape_attr v);
+          Escape.add_attr buf v;
           Buffer.add_char buf '"')
         attributes;
       (match kids with

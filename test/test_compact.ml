@@ -462,6 +462,40 @@ let test_auto_compact_on_sustained_drift () =
   Alcotest.(check string) "query byte-identical after the auto swap" before
     (answer engine q)
 
+(* A container swapped while one evaluation context is reading it: the
+   context keeps reading the container it first touched, so a writer
+   that wrote before the swap writes the same bytes after it, and a
+   serialization after the swap prints what it printed before. *)
+let test_swap_between_reads_of_one_ctx () =
+  let repo = Engine.repo (fresh_engine ()) in
+  let desc = container_of repo desc_path in
+  Alcotest.(check int) "descriptions start as one block" 1
+    (Storage.Container.block_count desc);
+  let q =
+    Xquery.Parser.parse
+      {|document("auction.xml")/site/open_auctions/open_auction/annotation/description|}
+  in
+  let items = Executor.run repo q in
+  let expected = Executor.serialize repo items in
+  let ctx = Exec_base.mk_ctx repo in
+  let buf = Buffer.create 4096 in
+  let w = Value_access.writer ctx buf in
+  let write it =
+    if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+    Value_access.add_item w it
+  in
+  write (List.hd items);
+  ignore
+    (Storage.Compactor.compact_container repo ~id:desc.Storage.Container.id ~block_size:1024);
+  Alcotest.(check bool) "the swap split the descriptions" true
+    (Storage.Container.block_count (container_of repo desc_path) > 1);
+  List.iter write (List.tl items);
+  Alcotest.(check string) "one ctx across the swap" expected (Buffer.contents buf);
+  Alcotest.(check string) "run, swap, serialize" expected
+    (Executor.serialize repo items);
+  Alcotest.(check string) "run and serialize after the swap" expected
+    (Executor.serialize repo (Executor.run repo q))
+
 let suites =
   [
     ( "compact",
@@ -477,6 +511,8 @@ let suites =
         Alcotest.test_case "heat rows follow live containers." `Quick
           test_heat_rows_follow_live_containers;
         Alcotest.test_case "compactor swap + plan." `Quick test_compactor_swap_and_plan;
+        Alcotest.test_case "swap between reads of one ctx." `Quick
+          test_swap_between_reads_of_one_ctx;
         Alcotest.test_case "mid-run swap under concurrent clients." `Quick
           test_midrun_swap_under_concurrent_clients;
         Alcotest.test_case "profile report consumption." `Quick

@@ -894,6 +894,30 @@ let prop_numeric_order =
       and cb = Ipack.compress m (string_of_int b) in
       compare (String.compare ca cb) 0 = compare a b)
 
+(* The digit-by-digit formatter prints what [string_of_int] and
+   [Printf.sprintf "%d.%0*d"] print, for any non-negative value and
+   every scale a [Decimal k] model can pack without overflow (10^k must
+   fit a 63-bit integer, so k <= 18). *)
+let prop_numeric_format =
+  QCheck2.Test.make ~name:"numeric formatter = Printf formula" ~count:2000
+    QCheck2.Gen.(
+      pair
+        (oneof [ small_nat; int_bound 1_000_000_000; int_range 0 max_int ])
+        (int_range 0 18))
+    (fun (v, k) ->
+      let expect, m =
+        if k = 0 then (string_of_int v, { Ipack.variant = Ipack.Int })
+        else begin
+          let p = int_of_float (10.0 ** float_of_int k) in
+          (Printf.sprintf "%d.%0*d" (v / p) k (v mod p), { Ipack.variant = Ipack.Decimal k })
+        end
+      in
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "pre";
+      Ipack.decompress_into m (Ipack.compress m expect) buf;
+      Ipack.decompress m (Ipack.compress m expect) = expect
+      && Buffer.contents buf = "pre" ^ expect)
+
 (* --- Codec layer --- *)
 
 let test_codec_dispatch () =
@@ -1601,6 +1625,7 @@ let suites =
         Alcotest.test_case "decimals" `Quick test_numeric_decimal;
         Alcotest.test_case "rejects text" `Quick test_numeric_rejects_text;
         QCheck_alcotest.to_alcotest prop_numeric_order;
+        QCheck_alcotest.to_alcotest prop_numeric_format;
       ] );
     ( "block-decode",
       [

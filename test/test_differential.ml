@@ -324,6 +324,129 @@ let test_neq_constant_on_codes () =
         (totals "document(\"f.xml\")/r/e[@k != \"7\"]"))
     [ Compress.Codec.Alm_alg; Compress.Codec.Huffman_alg ]
 
+(* Every result path against the reference, on values holding each of
+   the five characters XML escapes, in text and in attributes: a
+   returned stored node and the document, a bare attribute, stored
+   subtrees inside constructors, values in constructed text and
+   attributes, nested constructors, navigation into a constructed
+   element, string() and contains over one, and the whole document
+   through [Engine.to_xml]. The strings run under Huffman, ALM and
+   Hu-Tucker; the prices under the numeric codec. *)
+let serialization_doc =
+  {|<shop><item id="i&lt;1&gt;" note="say &quot;hi&quot; &amp; 'bye'"><name>Fish &amp; Chips &lt;large&gt;</name><price>12.50</price><desc>a &lt; b &amp;&amp; c &gt; d <b>bold "q" 'a'</b> tail</desc></item><item id="i2" note="plain"><name>Tea 'n' "Cakes"</name><price>3.25</price><desc>none</desc><empty/></item></shop>|}
+
+let serialization_queries =
+  let items = {|document("s.xml")/shop/item|} in
+  [
+    items;
+    {|document("s.xml")|};
+    items ^ "/@note";
+    items ^ "/name/text()";
+    items ^ "/price/text()";
+    "for $i in " ^ items ^ " return <r>{$i/desc}</r>";
+    "for $i in " ^ items
+    ^ {| return <r id="{$i/@id}" p="{$i/price/text()}" q="x&lt;&quot;">{$i/@note}{$i/name/text()}{$i/price/text()}<c>{$i/desc}</c></r>|};
+    "for $i in " ^ items
+    ^ " return <out><a>{$i/@id}{$i/name/text()}</a><b><c>{$i/desc}{$i/empty}</c><d/></b></out>";
+    "for $i in " ^ items ^ " let $x := <a>{$i/name}</a> return $x/name/text()";
+    "for $i in " ^ items ^ " let $x := <a>{$i/name}</a> return $x/name";
+    "for $i in " ^ items
+    ^ {| let $x := <a k="{$i/@note}">{$i/desc}<n>{$i/name/text()}</n></a> return ($x//b, $x/*, $x/n/text(), $x/@k, string($x))|};
+    "for $i in " ^ items
+    ^ {| let $x := <a>{$i/desc}<n>{$i/name/text()}</n></a> where contains($x, "&") return $i/@id|};
+    "for $i in " ^ items
+    ^ {| let $x := <a>{$i/name/text()}</a> where contains($x, "<large>") return <hit>{$x}</hit>|};
+  ]
+
+let test_serialization_paths () =
+  let doc = Xmlkit.Parser.parse_string serialization_doc in
+  List.iter
+    (fun alg ->
+      let name = Compress.Codec.algorithm_name alg in
+      let loader_options =
+        { Xquec_core.Loader.default_string_algorithm = alg; detect_numeric = true }
+      in
+      let engine = Xquec_core.Engine.load ~loader_options ~name:"s.xml" serialization_doc in
+      let repo = Xquec_core.Engine.repo engine in
+      let algs =
+        Array.to_list repo.Storage.Repository.containers
+        |> List.map (fun (c : Storage.Container.t) -> c.Storage.Container.algorithm)
+      in
+      Alcotest.(check bool) (name ^ ": strings under it") true (List.mem alg algs);
+      Alcotest.(check bool) (name ^ ": prices numeric") true
+        (List.mem Compress.Codec.Numeric_alg algs);
+      List.iter
+        (fun q ->
+          let ast = Xquery.Parser.parse q in
+          let expect =
+            Baselines.Galax_like.serialize
+              (Baselines.Galax_like.run ~docs:[ ("s.xml", doc) ] ast)
+          in
+          Alcotest.(check string) (name ^ ": " ^ q) expect (xquec_result repo ast))
+        serialization_queries;
+      Alcotest.(check string) (name ^ ": to_xml") (Xmlkit.Printer.to_string doc)
+        (Xquec_core.Engine.to_xml engine);
+      Alcotest.(check string) (name ^ ": to_xml ~indent")
+        (Xmlkit.Printer.to_string ~indent:true doc)
+        (Xquec_core.Engine.to_xml ~indent:true engine))
+    [ Compress.Codec.Huffman_alg; Compress.Codec.Alm_alg; Compress.Codec.Hu_tucker_alg ]
+
+(* A bare attribute item is escaped like an attribute in a constructor,
+   so the answer stays well-formed. *)
+let test_attribute_item_escaped () =
+  let xml = {|<r a="x&quot;y&amp;z&lt;"><t>1 &lt; 2</t></r>|} in
+  let engine = Xquec_core.Engine.load ~name:"esc.xml" xml in
+  let q = {|document("esc.xml")/r/@a|} in
+  let expect = {|a="x&quot;y&amp;z&lt;"|} in
+  Alcotest.(check string) "xquec" expect (Xquec_core.Engine.query_serialized engine q);
+  Alcotest.(check string) "reference" expect
+    (Baselines.Galax_like.serialize
+       (Baselines.Galax_like.run
+          ~docs:[ ("esc.xml", Xmlkit.Parser.parse_string xml) ]
+          (Xquery.Parser.parse q)));
+  Alcotest.(check string) "in a constructor" {|<v a="x&quot;y&amp;z&lt;"><t>1 &lt; 2</t></v>|}
+    (Xquec_core.Engine.query_serialized engine
+       {|<v a="{document("esc.xml")/r/@a}">{document("esc.xml")/r/t}</v>|})
+
+(* An evaluation holds the blocks it reads until they add up to a
+   quarter of the pool's budget, then lets them all go and reads on
+   through the pool. On 1 KiB blocks and a 64 KiB pool, one walk of the
+   whole document lets go of its blocks many times and writes the bytes
+   the reference prints, and a constructing query answers as the
+   reference does. *)
+let test_held_blocks_bounded () =
+  let xml = Xmark.Xmlgen.generate ~seed:42 ~scale:0.05 () in
+  let doc = Xmlkit.Parser.parse_string xml in
+  let block_size = Storage.Container.default_block_size () in
+  let budget = Storage.Buffer_pool.budget_bytes () in
+  Fun.protect ~finally:(fun () ->
+      Storage.Container.set_default_block_size block_size;
+      Storage.Buffer_pool.set_budget ~bytes:budget)
+  @@ fun () ->
+  Storage.Container.set_default_block_size 1024;
+  let engine = Xquec_core.Engine.load ~name:"auction.xml" xml in
+  let repo = Xquec_core.Engine.repo engine in
+  Storage.Buffer_pool.set_budget ~bytes:(64 * 1024);
+  let ctx = Xquec_core.Exec_base.mk_ctx repo in
+  let buf = Buffer.create 65536 in
+  Xquec_core.Value_access.add_node (Xquec_core.Value_access.writer ctx buf) 0;
+  Alcotest.(check string) "whole document" (Xmlkit.Printer.to_string doc) (Buffer.contents buf);
+  let blocks =
+    Array.fold_left (fun n c -> n + Storage.Container.block_count c) 0
+      repo.Storage.Repository.containers
+  in
+  Alcotest.(check bool) "blocks let go and fetched again" true
+    (ctx.Xquec_core.Exec_base.values.fetches > blocks);
+  Alcotest.(check bool) "at most a quarter of the pool held" true
+    (ctx.Xquec_core.Exec_base.values.held <= 16 * 1024);
+  let q =
+    Xquery.Parser.parse
+      {|for $i in document("auction.xml")/site/regions//item return <i n="{$i/name/text()}">{$i/description}</i>|}
+  in
+  Alcotest.(check string) "constructed answer"
+    (Baselines.Galax_like.serialize (Baselines.Galax_like.run ~docs:[ ("auction.xml", doc) ] q))
+    (xquec_result repo q)
+
 let suites =
   [
     ( "differential",
@@ -342,6 +465,12 @@ let suites =
           test_constant_comparisons;
         Alcotest.test_case "!= on one Huffman model runs on codes" `Quick
           test_neq_on_equality_codes;
+        Alcotest.test_case "serialization: every result path, escaped" `Quick
+          test_serialization_paths;
+        Alcotest.test_case "serialization: bare attribute escaped" `Quick
+          test_attribute_item_escaped;
+        Alcotest.test_case "serialization: held blocks bounded" `Quick
+          test_held_blocks_bounded;
         Alcotest.test_case "!= against a constant runs on codes" `Quick
           test_neq_constant_on_codes;
       ] );
